@@ -14,9 +14,9 @@ numbers.  Gates:
 * determinism — every backend must report *exactly* the numpy backend's
   yields and oracle work, on every instance.
 
-The numpy backend itself is the PR-3 engine moved behind the registry,
-so its own non-regression is enforced by ``test_bench_meta_speed.py``'s
-v1/v2 gates (≥3× over the seed engine, ≤20% work growth).
+The numpy backend runs the per-strategy engine, whose own
+non-regression is enforced by ``test_bench_meta_speed.py``'s work gate
+(≤20% strategy-run growth over its committed baseline).
 
 Part 2 measures the warm-started dynamic simulation: a steady-state
 hosting trace re-packed every step, warm vs cold, asserting identical
@@ -163,9 +163,8 @@ def test_kernel_speedup_and_record(sweep, warm_dynamic, emit, output_dir):
         "speedup_vs_numpy": {n: round(s, 2) for n, s in speedups.items()},
         "identical_yields": True,  # asserted above
         "numpy_backend_note": (
-            "the numpy backend is the PR-3 v2 engine moved behind the "
-            "registry; its non-regression vs the seed engine is gated by "
-            "BENCH_meta.json (>=3x over v1, <=20% work growth)"),
+            "the numpy backend runs the per-strategy engine; its work is "
+            "gated by BENCH_meta.json (<=20% strategy-run growth)"),
         "warm_start_dynamic": {
             "probes_cold": cold["probes"],
             "probes_warm": warm["probes"],

@@ -1,19 +1,19 @@
-"""Benchmark: probe-engine v2 vs the seed METAHVP engine.
+"""Benchmark: the per-strategy METAHVP engine's work and tracing cost.
 
-Solves the reference instances with both engines, asserts certified-yield
-equivalence, and records wall-clock numbers to
-``benchmarks/output/BENCH_meta.json``.  The committed baseline
-``benchmarks/BENCH_meta.json`` starts the perf trajectory; two gates
-guard it:
+Solves the reference instances with the per-strategy engine
+(:class:`MetaProbeEngine` — the engine the selector picks on the numpy
+backend and for PP codes too wide for an int64), asserts the engine
+selector certifies exactly the same results, and records wall-clock and
+work numbers to ``benchmarks/output/BENCH_meta.json``.  The committed
+baseline ``benchmarks/BENCH_meta.json`` anchors two gates:
 
-* a hard wall-clock floor — the v2 sweep must stay >= ``MIN_SPEEDUP``×
-  faster than the seed engine on the same machine (a same-run ratio, so
-  it holds on slow CI hosts);
-* a deterministic work gate — v2's total strategy executions on the
+* a deterministic work gate — total strategy executions on the
   reference grid are machine-invariant, so growing >20% over the
   committed baseline means the engine structurally regressed (lost
   memoization or adaptive-ordering effectiveness), not that the host was
-  noisy.
+  noisy;
+* a disabled-observability budget — with tracing off, instrumentation
+  may cost at most 2% of the sweep (a same-run ratio).
 
 Refresh the committed baseline after an intentional change with::
 
@@ -24,22 +24,21 @@ import json
 import os
 import time
 
+import numpy as np
 import pytest
 
 from repro import obs
-from repro.algorithms.vector_packing import MetaProbeEngine, hvp_strategies
-from repro.algorithms.vector_packing.meta import meta_algorithm
-from repro.algorithms.yield_search import (
-    DEFAULT_TOLERANCE,
-    binary_search_max_yield,
+from repro.algorithms.vector_packing import (
+    MetaProbeEngine,
+    MetaSolver,
+    hvp_strategies,
 )
+from repro.algorithms.yield_search import binary_search_max_yield
 from repro.experiments.report import format_table
 from repro.workloads import ScenarioConfig, generate_instance
 
 BASELINE_PATH = os.path.join(os.path.dirname(__file__), "BENCH_meta.json")
 
-#: Engine-v2 acceptance floor: METAHVP sweep at least this much faster.
-MIN_SPEEDUP = 3.0
 #: Deterministic regression gate: strategy executions may grow this much.
 MAX_WORK_GROWTH = 1.2
 
@@ -53,71 +52,61 @@ REFERENCE_INSTANCES = [
 
 @pytest.fixture(scope="module")
 def sweep():
-    """Solve every reference instance with both engines, timed."""
+    """Solve every reference instance with the per-strategy engine, timed,
+    and with the engine selector, untimed."""
     strategies = hvp_strategies()
     rows = []
     for cfg in REFERENCE_INSTANCES:
         inst = generate_instance(cfg)
-        out = {"label": cfg.label()}
-
-        v1 = meta_algorithm("METAHVP", strategies, improve=False,
-                            engine="v1")
-        t0 = time.perf_counter()
-        alloc = v1(inst)
-        out["seconds_v1"] = time.perf_counter() - t0
-        out["yield_v1"] = None if alloc is None else alloc.minimum_yield()
-
         engine = MetaProbeEngine(inst, strategies)
         t0 = time.perf_counter()
         alloc = binary_search_max_yield(inst, engine, improve=False)
-        out["seconds_v2"] = time.perf_counter() - t0
-        out["yield_v2"] = None if alloc is None else alloc.minimum_yield()
-        out["probes_v2"] = engine.probes
-        out["strategy_runs_v2"] = engine.strategy_runs
-        rows.append(out)
+        seconds = time.perf_counter() - t0
+        selected = MetaSolver(strategies, improve=False)(inst)
+        rows.append({
+            "label": cfg.label(),
+            "seconds": seconds,
+            "yield": None if alloc is None else alloc.minimum_yield(),
+            "probes": engine.probes,
+            "strategy_runs": engine.strategy_runs,
+            "_allocs": (alloc, selected),
+        })
     return rows
 
 
-def test_engine_v2_certifies_identical_yields(sweep):
+def test_selector_certifies_identical_results(sweep):
     for row in sweep:
-        y1, y2 = row["yield_v1"], row["yield_v2"]
-        assert (y1 is None) == (y2 is None), row["label"]
-        if y1 is not None:
-            assert y2 == pytest.approx(y1, abs=DEFAULT_TOLERANCE), row["label"]
+        alloc, selected = row["_allocs"]
+        assert (alloc is None) == (selected is None), row["label"]
+        if alloc is not None:
+            assert np.array_equal(alloc.placement, selected.placement), \
+                row["label"]
+            assert np.array_equal(alloc.yields, selected.yields), \
+                row["label"]
 
 
-def test_speedup_and_record(sweep, emit, output_dir):
-    total_v1 = sum(r["seconds_v1"] for r in sweep)
-    total_v2 = sum(r["seconds_v2"] for r in sweep)
-    total_runs = sum(r["strategy_runs_v2"] for r in sweep)
-    speedup = total_v1 / total_v2
+def test_strategy_runs_and_record(sweep, emit, output_dir):
+    total = sum(r["seconds"] for r in sweep)
+    total_runs = sum(r["strategy_runs"] for r in sweep)
 
     table = format_table(
-        ("instance", "v1 yield", "v2 yield", "v1 t", "v2 t", "speedup",
-         "v2 runs"),
+        ("instance", "yield", "time", "probes", "runs"),
         [(r["label"],
-          "-" if r["yield_v1"] is None else f"{r['yield_v1']:.4f}",
-          "-" if r["yield_v2"] is None else f"{r['yield_v2']:.4f}",
-          f"{r['seconds_v1']:.2f}s", f"{r['seconds_v2']:.2f}s",
-          f"{r['seconds_v1'] / r['seconds_v2']:.1f}x",
-          r["strategy_runs_v2"]) for r in sweep],
-        title=f"METAHVP probe engine v1 (seed) vs v2 — overall "
-              f"{speedup:.1f}x")
+          "-" if r["yield"] is None else f"{r['yield']:.4f}",
+          f"{r['seconds']:.2f}s", r["probes"], r["strategy_runs"])
+         for r in sweep],
+        title=f"METAHVP per-strategy engine — {total_runs} strategy runs, "
+              f"{total:.2f}s")
     emit("meta_speed", table)
 
     record = {
-        "suite": "metahvp-probe-engine",
-        "engines": {
-            "v1": "seed engine: fresh probe context per probe, fixed "
-                  "strategy order, legacy kernels",
-            "v2": "shared-probe factory + adaptive strategy ordering + "
-                  "vectorized kernels",
-        },
-        "instances": sweep,
-        "total_seconds": {"v1": round(total_v1, 3),
-                          "v2": round(total_v2, 3)},
-        "strategy_runs_v2": total_runs,
-        "speedup": round(speedup, 2),
+        "suite": "metahvp-per-strategy-engine",
+        "engine": "per-strategy MetaProbeEngine: shared-probe factory + "
+                  "adaptive strategy ordering + vectorized kernels",
+        "instances": [{k: v for k, v in r.items() if not k.startswith("_")}
+                      for r in sweep],
+        "total_seconds": round(total, 3),
+        "strategy_runs": total_runs,
     }
     with open(os.path.join(output_dir, "BENCH_meta.json"), "w") as fh:
         json.dump(record, fh, indent=2)
@@ -128,31 +117,27 @@ def test_speedup_and_record(sweep, emit, output_dir):
             json.dump(record, fh, indent=2)
             fh.write("\n")
 
-    assert speedup >= MIN_SPEEDUP, (
-        f"engine v2 is only {speedup:.2f}x faster than the seed engine "
-        f"(acceptance floor {MIN_SPEEDUP}x)")
-
     if os.path.exists(BASELINE_PATH):
         with open(BASELINE_PATH) as fh:
             baseline = json.load(fh)
-        ceiling = MAX_WORK_GROWTH * baseline["strategy_runs_v2"]
+        ceiling = MAX_WORK_GROWTH * baseline["strategy_runs"]
         assert total_runs <= ceiling, (
-            f"engine v2 work regressed: {total_runs} strategy executions "
-            f"vs committed baseline {baseline['strategy_runs_v2']} "
+            f"per-strategy engine work regressed: {total_runs} strategy "
+            f"executions vs committed baseline {baseline['strategy_runs']} "
             f"(ceiling {ceiling:.0f})")
         # Cross-machine wall-clock drift is informational only — the
-        # committed ratio was measured on a different host.
-        print(f"speedup {speedup:.2f}x vs committed baseline "
-              f"{baseline['speedup']:.2f}x")
+        # committed timings were measured on a different host.
+        print(f"sweep {total:.2f}s vs committed baseline "
+              f"{baseline['total_seconds']:.2f}s")
 
 
 #: Observability-off budget: instrumentation may cost this fraction of
-#: the v2 sweep at most.
+#: the sweep at most.
 MAX_OBS_OVERHEAD = 0.02
 
 
 def test_disabled_obs_overhead_within_budget(sweep):
-    """With no ``--obs-log``, tracing must cost < 2% of the v2 sweep.
+    """With no ``--obs-log``, tracing must cost < 2% of the sweep.
 
     A disabled instrumentation site is one module-global bool check
     (``obs.enabled()``) plus, on the few unguarded sites, the shared
@@ -161,7 +146,7 @@ def test_disabled_obs_overhead_within_budget(sweep):
     events the sweep actually executed (several guards per probe, plus
     per-instance factory/engine/search sites), and compare against the
     sweep's own wall clock — a same-run ratio, so it holds on slow CI
-    hosts just like the speedup gate.
+    hosts.
     """
     assert not obs.enabled(), "benchmark must run with tracing disabled"
     reps = 100_000
@@ -173,12 +158,12 @@ def test_disabled_obs_overhead_within_budget(sweep):
             pass
     per_hit = (time.perf_counter() - t0) / reps
 
-    hits = sum(r["probes_v2"] for r in sweep) * 4 + len(sweep) * 8
+    hits = sum(r["probes"] for r in sweep) * 4 + len(sweep) * 8
     overhead = per_hit * hits
-    total_v2 = sum(r["seconds_v2"] for r in sweep)
+    total = sum(r["seconds"] for r in sweep)
     print(f"disabled-obs overhead: {per_hit * 1e9:.0f}ns/hit x {hits} "
-          f"hits = {overhead * 1e3:.3f}ms vs sweep {total_v2:.2f}s "
-          f"({overhead / total_v2:.4%})")
-    assert overhead <= MAX_OBS_OVERHEAD * total_v2, (
-        f"disabled instrumentation costs {overhead / total_v2:.2%} of "
-        f"the v2 sweep (budget {MAX_OBS_OVERHEAD:.0%})")
+          f"hits = {overhead * 1e3:.3f}ms vs sweep {total:.2f}s "
+          f"({overhead / total:.4%})")
+    assert overhead <= MAX_OBS_OVERHEAD * total, (
+        f"disabled instrumentation costs {overhead / total:.2%} of "
+        f"the sweep (budget {MAX_OBS_OVERHEAD:.0%})")

@@ -51,25 +51,27 @@ def test_pp_naive(benchmark, packing_inputs):
 
 def test_binary_search_tolerance_ablation(benchmark, emit, packing_inputs):
     """DESIGN.md ablation 2: sensitivity of runtime/quality to the
-    binary-search threshold (paper default 1e-4)."""
+    binary-search threshold (paper default 1e-4), timed on the production
+    METAHVPLIGHT solver."""
     import time
-    from repro.algorithms.vector_packing import hvp_light_strategies
-    from repro.algorithms.vector_packing.meta import meta_packer
-    from repro.algorithms.yield_search import binary_search_max_yield
+    from repro.algorithms.vector_packing import (
+        MetaSolver,
+        hvp_light_strategies,
+    )
 
     inst, _, _ = packing_inputs
-    packer = meta_packer(hvp_light_strategies())
     rows = []
     for tol in (1e-2, 1e-3, 1e-4, 1e-5):
+        solver = MetaSolver(hvp_light_strategies(), tolerance=tol)
         t0 = time.perf_counter()
-        alloc = binary_search_max_yield(inst, packer, tolerance=tol)
+        alloc = solver(inst)
         dt = time.perf_counter() - t0
         y = "-" if alloc is None else f"{alloc.minimum_yield():.5f}"
         rows.append((f"{tol:g}", y, f"{dt:.3f}s"))
     emit("tolerance_ablation", _format(rows))
     benchmark.pedantic(
-        binary_search_max_yield, args=(inst, packer),
-        kwargs={"tolerance": 1e-4}, rounds=1, iterations=1)
+        MetaSolver(hvp_light_strategies(), tolerance=1e-4), args=(inst,),
+        rounds=1, iterations=1)
 
 
 def _format(rows):

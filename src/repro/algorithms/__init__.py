@@ -21,7 +21,6 @@ from .vector_packing import (
     metahvp_light,
     metavp,
     named_meta_solver,
-    single_strategy_algorithm,
     vp_strategies,
 )
 from .yield_search import DEFAULT_TOLERANCE, binary_search_max_yield
@@ -49,6 +48,5 @@ __all__ = [
     "random_placement",
     "rrnd",
     "rrnz",
-    "single_strategy_algorithm",
     "vp_strategies",
 ]

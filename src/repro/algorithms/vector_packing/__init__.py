@@ -1,19 +1,16 @@
 """Vector-packing heuristics (§3.5): FF/BF/PP/CP, sorts, and META* combinators."""
 
-from .batch_solve import FusedProbeEngine, solve_many
+from .batch_solve import FusedProbeEngine, make_engine, solve_many
 from .best_fit import best_fit
 from .first_fit import first_fit
 from .meta import (
     META_STRATEGY_FAMILIES,
     MetaSolver,
     meta_algorithm,
-    meta_packer,
     metahvp,
     metahvp_light,
     metavp,
     named_meta_solver,
-    single_strategy_algorithm,
-    strategy_packer,
 )
 from .permutation_pack import permutation_pack, rank_from_order
 from .probe_engine import FastProbeContext, MetaProbeEngine, YieldProbeFactory
@@ -55,8 +52,8 @@ __all__ = [
     "first_fit",
     "hvp_light_strategies",
     "hvp_strategies",
+    "make_engine",
     "meta_algorithm",
-    "meta_packer",
     "metahvp",
     "metahvp_light",
     "metavp",
@@ -66,8 +63,6 @@ __all__ = [
     "permutation_pack",
     "rank_from_order",
     "run_strategy",
-    "single_strategy_algorithm",
     "solve_many",
-    "strategy_packer",
     "vp_strategies",
 ]

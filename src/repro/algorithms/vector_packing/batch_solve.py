@@ -1,29 +1,29 @@
-"""Batched solving: ``solve_many`` and the fused META* probe engine.
+"""The META* engine selector, the fused probe engine, and ``solve_many``.
 
-Sequential META* solving spends most of its wall-clock not in the packing
-arithmetic but in per-strategy Python dispatch: every feasibility probe
-walks the strategy list from Python, paying a kernel-call round trip
-(argument marshalling, ctypes/numba boundary) per strategy — thousands of
-round trips per instance.  :class:`FusedProbeEngine` collapses each probe
-to **one** kernel call: the strategy list is compiled once into an int64
-strategy table (packer id, item/bin order rows, window, flags) and the
-backend's fused ``probe_scan`` kernel scans it at the probed yield,
-returning the first strategy that packs together with its placement.
+Every META* strategy list becomes a feasibility oracle through one
+selector, :func:`make_engine`.  It picks :class:`FusedProbeEngine` when
+the backend has a fused ``probe_scan`` kernel and every PP/CP selection
+code fits an int64, and the per-strategy
+:class:`~.probe_engine.MetaProbeEngine` otherwise (the numpy backend, and
+PP/CP at astronomically high dimension counts).  Both engines have the
+same observable behavior — same placements, certified yields,
+``probes``/``strategy_runs`` counters and adaptive hint-first scan order
+— so the choice only changes wall-clock (asserted by the cross-backend
+equivalence tests).
 
-The engine is a drop-in :data:`~repro.algorithms.yield_search.Packer`
-with the exact observable behavior of
-:class:`~.probe_engine.MetaProbeEngine` — same placements, same certified
-yields, same ``probes``/``strategy_runs`` counters, same adaptive
-hint-first scan order — so batched and sequential solves are
-bit-identical (asserted by the cross-backend equivalence tests).
+:class:`FusedProbeEngine` answers each probe with **one** kernel call:
+the strategy list is compiled once into an int64 strategy table (packer
+id, item/bin order rows, window, flags) and the backend's ``probe_scan``
+kernel scans it at the probed yield, returning the first strategy that
+packs together with its placement.  The per-strategy engine instead pays
+a Python-level kernel round trip per strategy tried.
 
-:func:`solve_many` carries a whole batch of instances through this path:
-one batched kernel call builds every instance's yield-threshold tables
-(:class:`~repro.kernels.batch.BatchInstances` + ``batch_fit_thresholds``),
-then the per-instance searches run — from a thread pool when multiple
-cores are available; the ``nogil`` numba kernels and the C loops release
-the GIL for the scan itself.  Backends without a fused kernel (numpy)
-degrade per instance to the per-strategy engine, same results.
+:func:`solve_many` carries a whole batch of instances through the
+selector: one batched kernel call builds every instance's yield-threshold
+tables (:class:`~repro.kernels.batch.BatchInstances` +
+``batch_fit_thresholds``), then the per-instance searches run — from a
+thread pool when multiple cores are available; the ``nogil`` numba
+kernels and the C loops release the GIL for the scan itself.
 """
 
 from __future__ import annotations
@@ -42,22 +42,22 @@ from ...kernels import get_backend
 from ...kernels.api import ProbeScanArgs
 from ...kernels.batch import BatchInstances
 from ..yield_search import DEFAULT_TOLERANCE, binary_search_max_yield
-from .permutation_pack import packed_codes
+from .permutation_pack import codes_overflow, packed_codes
 from .probe_engine import MetaProbeEngine, YieldProbeFactory
 from .sorting import order_indices
 from .state import capacity_tolerance
-from .strategies import BF, CP, FF, VPStrategy
+from .strategies import BF, CP, FF, PP, VPStrategy
 
-__all__ = ["FusedProbeEngine", "solve_many"]
+__all__ = ["FusedProbeEngine", "make_engine", "solve_many"]
 
 
 class FusedProbeEngine:
     """One-kernel-call-per-probe META* feasibility oracle.
 
     Construction compiles the strategy list into the flat table the
-    backend's ``probe_scan`` kernel consumes; ``supported`` reports
-    whether this backend/instance pair can run fused (callers fall back
-    to :class:`~.probe_engine.MetaProbeEngine` when it cannot).
+    backend's ``probe_scan`` kernel consumes.  Build it through
+    :func:`make_engine`, which only picks it for backend/instance pairs
+    that can run fused.
     """
 
     def __init__(self, instance: ProblemInstance,
@@ -109,7 +109,6 @@ class FusedProbeEngine:
                 ("packer", "item", "bin", "hetero", "w", "choose", "cfg")}
         self._cfgs: list = []        # (item_sort_row, w, choose) for D==2
         cfg_index: dict = {}
-        overflow = False
         for s, st in enumerate(self.strategies):
             cols["item"][s] = item_index[st.item_sort]
             cols["hetero"][s] = 1 if st.hetero else 0
@@ -129,9 +128,7 @@ class FusedProbeEngine:
                 cols["w"][s] = w
                 choose = st.packer == CP
                 cols["choose"][s] = 1 if choose else 0
-                if D ** w * (J + 1) >= 2 ** 62:
-                    overflow = True    # needs the legacy fallback
-                elif D == 2:
+                if D == 2:
                     key = (int(cols["item"][s]), w, choose)
                     row = cfg_index.get(key)
                     if row is None:
@@ -140,8 +137,6 @@ class FusedProbeEngine:
                     cols["cfg"][s] = row
         self._cols = cols
         self._scan_cold = np.arange(S, dtype=np.int64)
-        #: Whether the fused kernel can answer probes for this pairing.
-        self.supported = self.backend.supports_probe_scan and not overflow
 
     @property
     def hint_strategy(self) -> Optional[VPStrategy]:
@@ -228,15 +223,46 @@ class FusedProbeEngine:
         return assignment
 
 
-def _make_engine(instance: ProblemInstance,
-                 strategies: Sequence[VPStrategy],
-                 factory: Optional[YieldProbeFactory]):
-    """Fused engine when the backend/instance pair supports it, else the
-    per-strategy adaptive engine — identical observable behavior."""
-    engine = FusedProbeEngine(instance, strategies, factory)
-    if engine.supported:
-        return engine
-    return MetaProbeEngine(instance, strategies, engine.factory)
+def _codes_fit_int64(instance: ProblemInstance,
+                     strategies: Sequence[VPStrategy]) -> bool:
+    """Whether every PP/CP strategy's packed selection codes fit an int64;
+    the ones that do not run the legacy PP kernel, which only the
+    per-strategy engine reaches."""
+    J = len(instance.services)
+    D = instance.services.req_agg.shape[1]
+    for st in strategies:
+        if st.packer in (PP, CP):
+            w = D if st.window is None else max(1, min(st.window, D))
+            if codes_overflow(D, w, J):
+                return False
+    return True
+
+
+def make_engine(instance: ProblemInstance,
+                strategies: Sequence[VPStrategy],
+                factory: Optional[YieldProbeFactory] = None):
+    """The META* feasibility oracle for *strategies* on *instance*.
+
+    The fused engine when the active backend has a ``probe_scan`` kernel
+    and every PP/CP code fits an int64, else the per-strategy adaptive
+    engine — identical observable behavior.  The choice is made before
+    either engine compiles anything, and traced as one ``meta.engine``
+    event per oracle.
+    """
+    backend = get_backend()
+    fused = (backend.supports_probe_scan
+             and _codes_fit_int64(instance, strategies))
+    if obs.enabled():
+        obs.event("meta.engine", {
+            "engine": "fused" if fused else "per-strategy",
+            "strategies": len(strategies),
+            "backend": backend.name,
+            "services": len(instance.services),
+            "hosts": len(instance.nodes),
+        })
+    if fused:
+        return FusedProbeEngine(instance, strategies, factory)
+    return MetaProbeEngine(instance, strategies, factory)
 
 
 def _batched_factories(
@@ -307,7 +333,7 @@ def solve_many(
             factories = _batched_factories(instances)
         else:
             factories = [None] * B  # engines build their own
-        engines = [_make_engine(inst, strategies, factories[i])
+        engines = [make_engine(inst, strategies, factories[i])
                    for i, inst in enumerate(instances)]
         fused = sum(1 for e in engines if isinstance(e, FusedProbeEngine))
         if obs.enabled():

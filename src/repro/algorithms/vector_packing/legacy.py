@@ -1,17 +1,21 @@
-"""Seed-faithful packer kernels, kept as the equivalence/perf baseline.
+"""Seed-faithful packer kernels: the tests' reference loops, and the
+Permutation-Pack fallback for very high dimension counts.
 
-These are the pre-probe-engine-v2 loop structures: First-Fit and Best-Fit
-re-derive their fit masks and scores from scratch for every item, and
+These are the original loop structures: First-Fit and Best-Fit re-derive
+their fit masks and scores from scratch for every item, and
 Permutation-Pack recomputes the per-item dimension permutation and runs a
 full ``np.lexsort`` for every single placement.  The vectorized kernels in
 :mod:`.first_fit`, :mod:`.best_fit` and :mod:`.permutation_pack` must
-produce the same placements; tests and the META* microbenchmark
-(`benchmarks/test_bench_meta_speed.py`) compare against these.
+produce the same placements; the kernel-equivalence tests compare
+against these.  :func:`legacy_permutation_pack` is also the production
+path whenever the packed selection codes would overflow an int64
+(``D ** w * (J + 1) >= 2 ** 62``), which the META* engine selector
+routes to the per-strategy engine.
 
 Both tie-order and tolerance semantics come from the shared
-:class:`~.state.PackingState` / :mod:`.sorting` code, so the two bugfixes
-of this PR (stable descending sorts, unified feasibility tolerance) apply
-to the legacy kernels too — the baseline is *correct but slow*.
+:class:`~.state.PackingState` / :mod:`.sorting` code (stable descending
+sorts, the unified feasibility tolerance), so the reference is *correct
+but slow*.
 """
 
 from __future__ import annotations

@@ -6,32 +6,23 @@ largest such *y*.  By construction a META algorithm succeeds on every
 instance any of its member strategies solves, and certifies a yield at
 least as large (§3.5.3).
 
-Two probe engines implement the oracle:
-
-* ``engine="v2"`` (default) — the shared-probe engine of
-  :mod:`.probe_engine`: per-instance precomputation reused across probes
-  and adaptive strategy ordering (last successful strategy first).  Same
-  certified yields, several times faster.
-* ``engine="v1"`` — the seed engine: a fresh :class:`~.strategies
-  .ProbeContext` per probe, strategies always scanned in list order.  Kept
-  as the equivalence baseline.
+The oracle comes from one selector, :func:`~.batch_solve.make_engine`:
+the fused ``probe_scan`` engine when the kernel backend has it, the
+per-strategy adaptive engine of :mod:`.probe_engine` otherwise.  Both
+engines certify the same yields with the same placements and probe
+counts, so the selector only changes wall-clock.
 """
 
 from __future__ import annotations
 
-import time
 from typing import List, Optional, Sequence
-
-import numpy as np
 
 from ...core.allocation import Allocation
 from ...core.instance import ProblemInstance
 from ..base import NamedAlgorithm
 from ..yield_search import DEFAULT_TOLERANCE, binary_search_max_yield
-from .batch_solve import solve_many as _solve_many
-from .probe_engine import MetaProbeEngine
+from .batch_solve import make_engine, solve_many as _solve_many
 from .strategies import (
-    ProbeContext,
     VPStrategy,
     hvp_light_strategies,
     hvp_strategies,
@@ -39,43 +30,14 @@ from .strategies import (
 )
 
 __all__ = [
-    "DEFAULT_ENGINE",
     "META_STRATEGY_FAMILIES",
     "MetaSolver",
-    "meta_packer",
     "named_meta_solver",
-    "strategy_packer",
     "meta_algorithm",
-    "single_strategy_algorithm",
     "metavp",
     "metahvp",
     "metahvp_light",
 ]
-
-#: Probe engine used when callers don't ask for a specific one.
-DEFAULT_ENGINE = "v2"
-
-
-def meta_packer(strategies: Sequence[VPStrategy]):
-    """Seed (v1) feasibility oracle: strategies tried in order, fresh
-    probe context per call, legacy kernels — the faithful baseline."""
-
-    def pack(instance: ProblemInstance, y: float) -> Optional[np.ndarray]:
-        ctx = ProbeContext(instance, y, legacy=True)
-        if ctx.infeasible:
-            return None
-        for strategy in strategies:
-            placement = ctx.run(strategy)
-            if placement is not None:
-                return placement
-        return None
-
-    return pack
-
-
-def strategy_packer(strategy: VPStrategy):
-    """Feasibility oracle for a single strategy."""
-    return meta_packer((strategy,))
 
 
 class MetaSolver:
@@ -97,26 +59,16 @@ class MetaSolver:
 
     def __init__(self, strategies: Sequence[VPStrategy],
                  tolerance: float = DEFAULT_TOLERANCE,
-                 improve: bool = True,
-                 engine: str = DEFAULT_ENGINE):
-        if engine not in ("v1", "v2"):
-            raise ValueError(f"unknown probe engine {engine!r} "
-                             "(expected 'v1' or 'v2')")
+                 improve: bool = True):
         self.strategies = tuple(strategies)
         self.tolerance = tolerance
         self.improve = improve
-        self.engine = engine
-        self._v1_packer = (meta_packer(self.strategies)
-                           if engine == "v1" else None)
 
     def solve_with_hint(self, instance: ProblemInstance,
                         hint: Optional[float] = None,
                         stats: Optional[dict] = None
                         ) -> Optional[Allocation]:
-        if self._v1_packer is not None:
-            oracle = self._v1_packer
-        else:
-            oracle = MetaProbeEngine(instance, self.strategies)
+        oracle = make_engine(instance, self.strategies)
         return binary_search_max_yield(
             instance, oracle, tolerance=self.tolerance,
             improve=self.improve, hint=hint, stats=stats)
@@ -130,24 +82,13 @@ class MetaSolver:
         :meth:`solve_with_hint` loop exactly (placements, certified
         yields, probe counts).
 
-        The v2 engine routes through the batched kernel entry point
+        Routes through the batched kernel entry point
         (:func:`~.batch_solve.solve_many`): shared threshold
-        precomputation and one fused kernel call per probe.  *hints* and
-        *stats* are per-instance lists parallel to *instances*; each
-        stats dict additionally receives ``seconds`` (that instance's
-        solve wall-clock).
+        precomputation, then the same engine selector per instance.
+        *hints* and *stats* are per-instance lists parallel to
+        *instances*; each stats dict additionally receives ``seconds``
+        (that instance's solve wall-clock).
         """
-        if self._v1_packer is not None:
-            results: List[Optional[Allocation]] = []
-            for i, instance in enumerate(instances):
-                st = stats[i] if stats is not None else {}
-                start = time.perf_counter()
-                results.append(binary_search_max_yield(
-                    instance, self._v1_packer, tolerance=self.tolerance,
-                    improve=self.improve,
-                    hint=None if hints is None else hints[i], stats=st))
-                st["seconds"] = time.perf_counter() - start
-            return results
         return _solve_many(
             instances, self.strategies, tolerance=self.tolerance,
             improve=self.improve, hints=hints, stats=stats,
@@ -159,21 +100,10 @@ class MetaSolver:
 
 def meta_algorithm(name: str, strategies: Sequence[VPStrategy],
                    tolerance: float = DEFAULT_TOLERANCE,
-                   improve: bool = True,
-                   engine: str = DEFAULT_ENGINE) -> NamedAlgorithm:
+                   improve: bool = True) -> NamedAlgorithm:
     """Wrap a strategy list into a complete max-min-yield algorithm."""
     return NamedAlgorithm(name, MetaSolver(
-        strategies, tolerance=tolerance, improve=improve, engine=engine))
-
-
-def single_strategy_algorithm(strategy: VPStrategy,
-                              tolerance: float = DEFAULT_TOLERANCE,
-                              improve: bool = True,
-                              engine: str = DEFAULT_ENGINE) -> NamedAlgorithm:
-    """A complete algorithm from one packing strategy (used by §5.1's
-    per-strategy ranking exploration)."""
-    return meta_algorithm(strategy.name, (strategy,),
-                          tolerance=tolerance, improve=improve, engine=engine)
+        strategies, tolerance=tolerance, improve=improve))
 
 
 #: The META* families addressable by name: strategy-list factories for
@@ -188,8 +118,7 @@ META_STRATEGY_FAMILIES = {
 
 def named_meta_solver(name: str,
                       tolerance: float = DEFAULT_TOLERANCE,
-                      improve: bool = True,
-                      engine: str = DEFAULT_ENGINE) -> MetaSolver:
+                      improve: bool = True) -> MetaSolver:
     """A warm-startable :class:`MetaSolver` for a META* family by name.
 
     Unlike :func:`meta_algorithm` this returns the bare solver (with
@@ -202,27 +131,25 @@ def named_meta_solver(name: str,
         raise KeyError(
             f"unknown META solver {name!r}; choose from "
             f"{sorted(META_STRATEGY_FAMILIES)}") from None
-    return MetaSolver(strategies, tolerance=tolerance, improve=improve,
-                      engine=engine)
+    return MetaSolver(strategies, tolerance=tolerance, improve=improve)
 
 
-def metavp(tolerance: float = DEFAULT_TOLERANCE, window: int | None = None,
-           engine: str = DEFAULT_ENGINE) -> NamedAlgorithm:
+def metavp(tolerance: float = DEFAULT_TOLERANCE,
+           window: int | None = None) -> NamedAlgorithm:
     """METAVP: all 33 homogeneous vector-packing strategies (§3.5.3)."""
     return meta_algorithm("METAVP", vp_strategies(window),
-                          tolerance=tolerance, engine=engine)
+                          tolerance=tolerance)
 
 
-def metahvp(tolerance: float = DEFAULT_TOLERANCE, window: int | None = None,
-            engine: str = DEFAULT_ENGINE) -> NamedAlgorithm:
+def metahvp(tolerance: float = DEFAULT_TOLERANCE,
+            window: int | None = None) -> NamedAlgorithm:
     """METAHVP: all 253 heterogeneous strategies (§3.5.5)."""
     return meta_algorithm("METAHVP", hvp_strategies(window),
-                          tolerance=tolerance, engine=engine)
+                          tolerance=tolerance)
 
 
 def metahvp_light(tolerance: float = DEFAULT_TOLERANCE,
-                  window: int | None = None,
-                  engine: str = DEFAULT_ENGINE) -> NamedAlgorithm:
+                  window: int | None = None) -> NamedAlgorithm:
     """METAHVPLIGHT: the 60-strategy subset of §5.1 (≈10× faster)."""
     return meta_algorithm("METAHVPLIGHT", hvp_light_strategies(window),
-                          tolerance=tolerance, engine=engine)
+                          tolerance=tolerance)

@@ -15,7 +15,8 @@ Windowing: with ``window = w < D`` only the first *w* key positions are
 compared (Permutation Pack), and Choose Pack further ignores their relative
 order (compares the sorted window).  With ``w = 1`` the two coincide.
 
-Kernel notes (the seed loop survives in :mod:`.legacy`):
+Kernel notes (the seed loop survives in :mod:`.legacy`, which also
+serves dimension counts whose packed codes overflow an int64):
 
 * the per-item dimension permutation depends only on demands, fixed for
   the probe, so it comes hoisted from ``state.item_dim_perm``;
@@ -47,7 +48,7 @@ from ...kernels import get_backend
 from .state import PackingState
 
 __all__ = ["permutation_pack", "rank_from_order", "packed_codes",
-           "PackedCodes"]
+           "PackedCodes", "codes_overflow"]
 
 _SENTINEL = np.iinfo(np.int64).max
 _MAX_CACHED_RANKINGS = 64
@@ -87,6 +88,13 @@ def _bin_dim_rank_tuple(state: PackingState, h: int,
                         by_remaining: bool) -> tuple[int, ...]:
     """:func:`_bin_dim_rank` as a hashable tuple."""
     return tuple(int(r) for r in _bin_dim_rank(state, h, by_remaining))
+
+
+def codes_overflow(D: int, w: int, J: int) -> bool:
+    """Whether :func:`packed_codes` (``w`` base-``D`` key digits, then a
+    tie-break rank below ``J + 1``) would overflow an int64; such
+    instances run the seed kernel of :mod:`.legacy` instead."""
+    return D ** w * (J + 1) >= 2 ** 62
 
 
 def packed_codes(item_perm_w: np.ndarray, ranking, D: int, J: int,
@@ -175,7 +183,7 @@ def permutation_pack(
     D = state.item_agg.shape[1]
     w = D if window is None else max(1, min(window, D))
     J = state.num_items
-    if D ** w * (J + 1) >= 2 ** 62:  # pragma: no cover - astronomical D
+    if codes_overflow(D, w, J):
         from .legacy import legacy_permutation_pack
         return legacy_permutation_pack(
             state, item_sort_rank, bin_order, window=window,

@@ -1,12 +1,12 @@
-"""Probe-engine v2: shared work across the META* binary-search probes.
+"""The per-strategy META* engine: shared work across binary-search probes.
 
 The METAHVP hot path is a binary search whose every probe asks "can some
-strategy pack the instance at yield *y*?".  The seed engine rebuilt a
-:class:`~.strategies.ProbeContext` from scratch per probe — two
+strategy pack the instance at yield *y*?".  A fresh
+:class:`~.strategies.ProbeContext` per probe would redo two
 ``(J, H, D)`` broadcasts (elementary-fit table, trivial-infeasibility
-check) plus fresh bin sort orders — and scanned the strategy list in a
-fixed order.  Demands are *affine* in the yield (``req + y·need`` with
-``need >= 0``), which this engine exploits three ways:
+check) plus the bin sort orders every time.  Demands are *affine* in
+the yield (``req + y·need`` with ``need >= 0``), which this module
+exploits three ways:
 
 * :class:`YieldProbeFactory` precomputes, once per instance, the largest
   yield at which each (item, bin) pair still fits — elementarily and in
@@ -24,9 +24,14 @@ fixed order.  Demands are *affine* in the yield (``req + y·need`` with
   strategy that packed the last feasible probe is tried first at the next
   one, collapsing the up-to-253-strategy scan to ~1 attempt on most
   feasible probes.  Feasibility ("does *some* strategy pack") is
-  unchanged, so the certified yield matches the seed engine; only the
+  unchanged, so the certified yield matches a fixed-order scan; only the
   tie-break among succeeding strategies — and hence the returned
   placement — may differ.
+
+:func:`~.batch_solve.make_engine` picks this engine when the fused
+``probe_scan`` engine cannot run: on the numpy backend, and for PP/CP
+codes too wide for an int64.  The fused engine's factory is this
+module's :class:`YieldProbeFactory`.
 """
 
 from __future__ import annotations
@@ -179,13 +184,6 @@ class MetaProbeEngine:
         # Introspection counters (probes answered, strategy executions).
         self.probes = 0
         self.strategy_runs = 0
-        if obs.enabled():
-            obs.event("meta.engine", {
-                "strategies": len(self.strategies),
-                "backend": get_backend().name,
-                "services": len(instance.services),
-                "hosts": len(instance.nodes),
-            })
 
     @property
     def hint_strategy(self) -> Optional[VPStrategy]:

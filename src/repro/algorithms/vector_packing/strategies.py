@@ -87,32 +87,21 @@ class VPStrategy:
 
 def execute_strategy(state: PackingState, strategy: VPStrategy,
                      item_order: np.ndarray,
-                     bin_order: Optional[np.ndarray],
-                     legacy: bool = False) -> Optional[np.ndarray]:
+                     bin_order: Optional[np.ndarray]) -> Optional[np.ndarray]:
     """Run one strategy on a reset *state*; placement array or ``None``.
 
-    The single execution core shared by :class:`ProbeContext` and the v2
-    :class:`~.probe_engine.FastProbeContext`.  *bin_order* is ignored for
-    Best-Fit (which imposes its own dynamic bin order).  With
-    ``legacy=True`` the seed kernels of :mod:`.legacy` run instead of the
-    vectorized ones — same placements, used as the equivalence baseline.
+    The single execution core shared by :class:`ProbeContext` and the
+    per-strategy engine's :class:`~.probe_engine.FastProbeContext`.
+    *bin_order* is ignored for Best-Fit (which imposes its own dynamic
+    bin order).
     """
-    if legacy:
-        from .legacy import (
-            legacy_best_fit,
-            legacy_first_fit,
-            legacy_permutation_pack,
-        )
-        ff, bf, pp = legacy_first_fit, legacy_best_fit, legacy_permutation_pack
-    else:
-        ff, bf, pp = first_fit, best_fit, permutation_pack
     state.reset()
     if strategy.packer == FF:
-        ok = ff(state, item_order, bin_order)
+        ok = first_fit(state, item_order, bin_order)
     elif strategy.packer == BF:
-        ok = bf(state, item_order, by_remaining_capacity=strategy.hetero)
+        ok = best_fit(state, item_order, by_remaining_capacity=strategy.hetero)
     else:
-        ok = pp(
+        ok = permutation_pack(
             state,
             rank_from_order(item_order),
             bin_order,
@@ -126,19 +115,15 @@ def execute_strategy(state: PackingState, strategy: VPStrategy,
 class ProbeContext:
     """Shared scratch state for all strategies probed at one (instance, y).
 
-    This is the *seed* (v1) probe context: it rebuilds everything per
-    probe.  It runs the vectorized kernels by default; ``legacy=True``
-    switches to the seed kernels of :mod:`.legacy` (identical placements)
-    — the v1 engine's :func:`~.meta.meta_packer` opts in so it stays a
-    faithful performance/equivalence baseline for the shared-probe engine
-    of :mod:`.probe_engine`.
+    The direct-comparison probe: it builds its demand arrays and
+    elementary-fit table straight from the instance, with no per-instance
+    precomputation.  :func:`run_strategy` and the kernel tests use it as
+    the reference for the META* engines' shared-probe contexts.
     """
 
-    def __init__(self, instance: ProblemInstance, y: float,
-                 legacy: bool = False):
+    def __init__(self, instance: ProblemInstance, y: float):
         self.state = PackingState(instance, y)
         self.infeasible = self.state.trivially_infeasible()
-        self.legacy = legacy
         self._item_orders: dict[SortStrategy, np.ndarray] = {}
         self._bin_orders: dict[SortStrategy, np.ndarray] = {}
 
@@ -163,8 +148,7 @@ class ProbeContext:
         bin_order = (None if strategy.packer == BF
                      else self.bin_order(strategy.bin_sort))
         return execute_strategy(self.state, strategy,
-                                self.item_order(strategy.item_sort), bin_order,
-                                legacy=self.legacy)
+                                self.item_order(strategy.item_sort), bin_order)
 
 
 def run_strategy(strategy: VPStrategy, instance: ProblemInstance,

@@ -170,10 +170,6 @@ def build_parser() -> argparse.ArgumentParser:
     rk.add_argument("--hosts", type=int, default=8)
     rk.add_argument("--instances", type=int, default=4)
     rk.add_argument("--top", type=int, default=25)
-    rk.add_argument("--engine", choices=("v1", "v2"), default="v2",
-                    help="probe engine: v2 shares per-instance "
-                         "precomputation across strategies (default); "
-                         "v1 is the seed engine")
     rk.add_argument("--no-warm-start", dest="warm_start",
                     action="store_false",
                     help="disable the per-strategy hint chain (every "
@@ -478,8 +474,7 @@ def _spec_rank_strategies(args) -> tuple[ExperimentSpec, str]:
         for cov in (0.25, 0.75)
         for idx in range(max(1, args.instances // 2))
     ]
-    spec = strategy_ranking_experiment(configs, engine=args.engine,
-                                       warm_start=args.warm_start,
+    spec = strategy_ranking_experiment(configs, warm_start=args.warm_start,
                                        top_n=args.top)
     return spec, "strategy-ranking"
 

@@ -157,7 +157,7 @@ class DynamicSimulator:
         certified yield (placers that expose ``solve_with_hint`` only —
         the META* solvers do).  Certified yields match the cold search;
         the strategy winning the final probe — and hence the placement —
-        can in principle differ (the v2 engine's usual equivalence
+        can in principle differ (the META* engines' usual equivalence
         envelope; the reference workloads are asserted row-identical in
         the tests/benchmarks).  ``search_probes``/``search_solves``
         count the oracle work across the run.

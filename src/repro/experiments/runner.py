@@ -126,8 +126,7 @@ def _run_task(task: _Task) -> TaskResult:
             # checkpoint resume.  Warm and cold searches certify equal
             # yields; the winning *strategy* at the final probe can
             # differ, so placement-derived values may shift within the
-            # usual engine-equivalence envelope (same caveat as the v2
-            # engine's adaptive ordering).
+            # usual envelope of the engines' adaptive ordering.
             stats: dict = {}
             alloc, seconds = timed_call(
                 fn.solve_with_hint, instance, hint=hint, stats=stats)
@@ -188,10 +187,10 @@ def _run_task_batch(tasks: Sequence[_Task]) -> list[TaskResult]:
     for name in shared.algorithms:
         algo = ALGORITHM_FACTORIES[name]()
         fn = getattr(algo, "fn", algo)
-        supports = getattr(fn, "supports_hint", False)
-        if supports and hasattr(fn, "solve_many"):
-            # Batched even when the warm chain is off — hints simply
-            # stay None, matching the cold per-instance calls.
+        if getattr(fn, "supports_hint", False):
+            # Every hint-capable algorithm is a MetaSolver.  Batched even
+            # when the warm chain is off — hints simply stay None,
+            # matching the cold per-instance calls.
             stats_list: list[dict] = [{} for _ in range(B)]
             allocs = fn.solve_many(
                 instances,
@@ -207,18 +206,6 @@ def _run_task_batch(tasks: Sequence[_Task]) -> list[TaskResult]:
                 min_yield = None if alloc is None else alloc.minimum_yield()
                 rows[i].append(AlgorithmResult(
                     name, min_yield, stats["seconds"]))
-        elif shared.warm_chain and supports:
-            for i in range(B):
-                stats = {}
-                alloc, seconds = timed_call(
-                    fn.solve_with_hint, instances[i], hint=hints[i],
-                    stats=stats)
-                certified = stats.get("certified")
-                if certified is not None and (hints[i] is None
-                                              or certified > hints[i]):
-                    hints[i] = certified
-                min_yield = None if alloc is None else alloc.minimum_yield()
-                rows[i].append(AlgorithmResult(name, min_yield, seconds))
         else:
             for i, task in enumerate(tasks):
                 rng = np.random.default_rng(
@@ -227,7 +214,7 @@ def _run_task_batch(tasks: Sequence[_Task]) -> list[TaskResult]:
                                 _algo_stream_id(name)))
                 alloc, seconds = timed_call(algo, instances[i], rng=rng)
                 min_yield = None if alloc is None else alloc.minimum_yield()
-                if (not supports and min_yield is not None
+                if (min_yield is not None
                         and (hints[i] is None or min_yield > hints[i])):
                     hints[i] = min_yield
                 rows[i].append(AlgorithmResult(name, min_yield, seconds))

@@ -250,7 +250,7 @@ class CheckpointExperiment(ExperimentSpec):
     task's payload object; ``encode``/``decode`` convert payloads to/from
     their JSON form; ``reduce`` folds the full in-order payload list into
     the data object.  The fingerprint covers everything that shapes a
-    payload — scenario coordinates, workload model, engine flags — so
+    payload — scenario coordinates, workload model, search flags — so
     foreign checkpoints can never alias.
     """
 

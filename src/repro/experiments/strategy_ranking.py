@@ -29,7 +29,6 @@ from ..algorithms.vector_packing import (
     hvp_light_strategies,
     hvp_strategies,
 )
-from ..algorithms.vector_packing.meta import DEFAULT_ENGINE, single_strategy_algorithm
 from ..algorithms.yield_search import binary_search_max_yield
 from ..workloads import ScenarioConfig, generate_instance
 from .persistence import scenario_key
@@ -82,7 +81,6 @@ class StrategyRanking:
 class _StrategyTask:
     strategy_index: int
     configs: tuple[ScenarioConfig, ...]
-    engine: str = DEFAULT_ENGINE
     #: Seed each config's yield search with the previous config's
     #: certified yield *for this same strategy* (see PR 4's warm starts).
     #: The chain lives entirely inside the task, so checkpoint resume and
@@ -109,20 +107,6 @@ def _probe_factory(cfg: ScenarioConfig) -> YieldProbeFactory:
 
 def _evaluate_strategy(task: _StrategyTask) -> StrategyStats:
     strategy = hvp_strategies()[task.strategy_index]
-    if task.engine == "v1":
-        algo = single_strategy_algorithm(strategy, engine="v1")
-
-        def solve(cfg, hint):
-            return algo(generate_instance(cfg)), None
-    else:
-        def solve(cfg, hint):
-            factory = _probe_factory(cfg)
-            oracle = MetaProbeEngine(factory.instance, (strategy,),
-                                     factory=factory)
-            stats: dict = {}
-            alloc = binary_search_max_yield(factory.instance, oracle,
-                                            hint=hint, stats=stats)
-            return alloc, stats.get("certified")
     yields = []
     successes = 0
     # Per-strategy hint chain: consecutive configs of one task differ
@@ -132,11 +116,20 @@ def _evaluate_strategy(task: _StrategyTask) -> StrategyStats:
     # cold search after every failed config.
     hint: float | None = None
     for cfg in task.configs:
-        alloc, certified = solve(cfg, hint if task.warm_start else None)
+        # A one-strategy scan runs faster on the per-strategy engine,
+        # over the worker's cached factory, than on the fused engine,
+        # whose per-probe setup outweighs its scan.
+        factory = _probe_factory(cfg)
+        oracle = MetaProbeEngine(factory.instance, (strategy,),
+                                 factory=factory)
+        stats: dict = {}
+        alloc = binary_search_max_yield(
+            factory.instance, oracle,
+            hint=hint if task.warm_start else None, stats=stats)
         if alloc is not None:
             successes += 1
             yields.append(alloc.minimum_yield())
-            hint = certified
+            hint = stats.get("certified")
         else:
             hint = None
     return StrategyStats(
@@ -148,12 +141,14 @@ def _evaluate_strategy(task: _StrategyTask) -> StrategyStats:
 
 
 def _configs_fingerprint(configs: Sequence[ScenarioConfig],
-                         engine: str, warm_start: bool) -> str:
-    # The engine and warm-start flag are part of the identity: v1/v2 (and
-    # warm/cold searches on a non-monotone single-strategy oracle) certify
-    # equal yields only up to the search tolerance, so their checkpoints
-    # must not mix.  scenario_key embeds each config's workload-model id.
-    blob = json.dumps([[scenario_key(c) for c in configs], engine,
+                         warm_start: bool) -> str:
+    # The warm-start flag is part of the identity: warm and cold searches
+    # on a non-monotone single-strategy oracle certify equal yields only
+    # up to the search tolerance, so their checkpoints must not mix.
+    # scenario_key embeds each config's workload-model id.  "v2" is the
+    # name of the one remaining engine, kept so existing checkpoints
+    # still resume.
+    blob = json.dumps([[scenario_key(c) for c in configs], "v2",
                        warm_start])
     return hashlib.sha1(blob.encode()).hexdigest()[:12]
 
@@ -181,7 +176,6 @@ def _reduce_ranking(exp: CheckpointExperiment,
 
 
 def strategy_ranking_experiment(configs: Sequence[ScenarioConfig],
-                                engine: str = DEFAULT_ENGINE,
                                 warm_start: bool = True,
                                 top_n: int = 25) -> CheckpointExperiment:
     """Declare the §5.1 exploration as a shardable experiment spec.
@@ -192,8 +186,8 @@ def strategy_ranking_experiment(configs: Sequence[ScenarioConfig],
     return CheckpointExperiment(
         name="rank-strategies",
         kind=CHECKPOINT_KIND,
-        fingerprint=_configs_fingerprint(configs, engine, warm_start),
-        tasks=tuple(_StrategyTask(i, configs, engine, warm_start)
+        fingerprint=_configs_fingerprint(configs, warm_start),
+        tasks=tuple(_StrategyTask(i, configs, warm_start)
                     for i in range(len(hvp_strategies()))),
         worker=_evaluate_strategy,
         index_of=lambda task: task.strategy_index,
@@ -211,19 +205,17 @@ def rank_strategies(configs: Sequence[ScenarioConfig],
                     resume: bool = False,
                     window: int | None = None,
                     progress=None,
-                    engine: str = DEFAULT_ENGINE,
                     warm_start: bool = True) -> StrategyRanking:
     """Evaluate every basic HVP strategy on *configs* and rank them.
 
     With *checkpoint*/``resume=True``, per-strategy stats are persisted as
     they complete and already-evaluated strategies (for this exact config
-    set, probe engine and warm-start policy) are answered from disk.
-    *engine* selects the probe engine ("v2" shares per-instance
-    precomputation across all strategies evaluated in a worker process;
-    "v1" is the seed path).  *warm_start* chains each strategy's yield
-    searches across its configs (cold fallback after failures).
+    set and warm-start policy) are answered from disk.  All strategies
+    evaluated in a worker process share each instance's probe
+    precomputation.  *warm_start* chains each strategy's yield searches
+    across its configs (cold fallback after failures).
     """
-    return strategy_ranking_experiment(configs, engine, warm_start).run(
+    return strategy_ranking_experiment(configs, warm_start).run(
         workers, checkpoint=checkpoint, resume=resume, window=window,
         progress=progress)
 

@@ -82,7 +82,6 @@ import numpy as np
 
 from .. import kernels, obs
 from ..algorithms.vector_packing.meta import (
-    DEFAULT_ENGINE,
     META_STRATEGY_FAMILIES,
     MetaSolver,
     named_meta_solver,
@@ -136,7 +135,6 @@ class AllocationController:
                  workload: object = DEFAULT_MODEL,
                  deadline_ms: float | None = None,
                  cpu_need_scale: float = 0.05,
-                 engine: str = DEFAULT_ENGINE,
                  warm_start: bool = True,
                  rng: np.random.Generator | int | None = None,
                  journal: EventJournal | None = None,
@@ -146,7 +144,6 @@ class AllocationController:
         self.workload = workload
         self.deadline_ms = deadline_ms
         self.cpu_need_scale = cpu_need_scale
-        self.engine = engine
         self.warm_start = warm_start
         self._rng = as_generator(rng)
         # The journal attaches *after* construction: the initial
@@ -263,8 +260,7 @@ class AllocationController:
         with self._lock:
             prev = self._strategy
             if name not in self._solvers:
-                self._solvers[name] = named_meta_solver(name,
-                                                        engine=self.engine)
+                self._solvers[name] = named_meta_solver(name)
             self._strategy = name
             if self._journal is None or name == prev:
                 return
@@ -451,16 +447,10 @@ class AllocationController:
             attempt_stats: dict = {}
             if self._faults is not None:
                 self._faults.on_solve()
-            if hasattr(solver, "solve_many"):
-                # Batched kernel entry point (B=1): one fused kernel
-                # call per probe instead of a Python strategy scan.
-                result = solver.solve_many(
-                    [instance], hints=[hint], stats=[attempt_stats])[0]
-                self._m_kernel_batch.labels(
-                    backend=kernels.current_backend_name()).inc()
-            else:
-                result = solver.solve_with_hint(instance, hint=hint,
-                                                stats=attempt_stats)
+            result = solver.solve_many(
+                [instance], hints=[hint], stats=[attempt_stats])[0]
+            self._m_kernel_batch.labels(
+                backend=kernels.current_backend_name()).inc()
             return result, attempt_stats
 
         def note_retry(attempt: int, exc: Exception) -> None:

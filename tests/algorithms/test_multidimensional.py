@@ -6,12 +6,12 @@ become meaningful beyond two dimensions."""
 import numpy as np
 import pytest
 
-from repro.algorithms import binary_search_max_yield, metagreedy
+from repro.algorithms import metagreedy
 from repro.algorithms.vector_packing import (
+    MetaSolver,
     PackingState,
     SortStrategy,
     VPStrategy,
-    meta_packer,
     permutation_pack,
     rank_from_order,
     run_strategy,
@@ -72,7 +72,7 @@ class TestPackersInHigherDimensions:
         inst = instance_d(dims, seed=2)
         strategies = [VPStrategy("PP", SortStrategy(MAX, descending=True),
                                  SortStrategy(SUM), hetero=True)]
-        alloc = binary_search_max_yield(inst, meta_packer(strategies))
+        alloc = MetaSolver(strategies)(inst)
         assert alloc is not None
         alloc.validate()
         assert alloc.minimum_yield() > 0.0
@@ -97,7 +97,7 @@ class TestMilpInHigherDimensions:
         exact = solve_exact(inst)
         strategies = [VPStrategy("PP", SortStrategy(MAX, descending=True),
                                  SortStrategy(SUM), hetero=True)]
-        alloc = binary_search_max_yield(inst, meta_packer(strategies))
+        alloc = MetaSolver(strategies)(inst)
         if alloc is not None:
             assert alloc.minimum_yield() <= exact.min_yield + 1e-3
 

@@ -1,9 +1,10 @@
-"""Tests for the shared-probe META* engine (probe-engine v2).
+"""Tests for the per-strategy META* engine and its shared-probe state.
 
 Covers: the per-instance yield-threshold tables against directly-computed
-per-probe state, engine v1/v2 certified-yield equivalence, adaptive
-strategy ordering, outcome memoization, the legacy-vs-vectorized kernel
-equivalence, and the packer/validator tolerance unification.
+per-probe state, the engine selector against the per-strategy engine and
+a direct-comparison oracle, adaptive strategy ordering, outcome
+memoization, the legacy-vs-vectorized kernel equivalence, and the
+packer/validator tolerance unification.
 """
 
 import numpy as np
@@ -28,13 +29,10 @@ from repro.algorithms.vector_packing.legacy import (
 )
 from repro.algorithms.vector_packing.best_fit import best_fit
 from repro.algorithms.vector_packing.first_fit import first_fit
-from repro.algorithms.vector_packing.meta import meta_algorithm
+from repro.algorithms.vector_packing.meta import MetaSolver
 from repro.algorithms.vector_packing.permutation_pack import permutation_pack
 from repro.algorithms.vector_packing.sorting import MAX, SUM, order_indices
-from repro.algorithms.yield_search import (
-    DEFAULT_TOLERANCE,
-    binary_search_max_yield,
-)
+from repro.algorithms.yield_search import binary_search_max_yield
 from repro.core import Allocation, Node, ProblemInstance, Service
 from repro.core.resources import FEASIBILITY_ATOL
 from repro.workloads import ScenarioConfig, generate_instance
@@ -132,32 +130,37 @@ class TestEngineEquivalence:
 
     @pytest.mark.parametrize("cfg", GRID, ids=lambda c: c.label())
     def test_metahvp_certified_yields_match(self, cfg):
+        """The selector's engine (fused wherever the backend has the
+        kernel) certifies exactly what the per-strategy engine does."""
         inst = generate_instance(cfg)
-        v1 = meta_algorithm("M", hvp_strategies(), improve=False,
-                            engine="v1")(inst)
-        v2 = meta_algorithm("M", hvp_strategies(), improve=False,
-                            engine="v2")(inst)
-        assert (v1 is None) == (v2 is None)
-        if v1 is not None:
-            assert v2.minimum_yield() == pytest.approx(
-                v1.minimum_yield(), abs=DEFAULT_TOLERANCE)
+        strategies = hvp_strategies()
+        stats: dict = {}
+        got = MetaSolver(strategies, improve=False).solve_with_hint(
+            inst, stats=stats)
+        ref_engine = MetaProbeEngine(inst, strategies)
+        ref = binary_search_max_yield(inst, ref_engine, improve=False)
+        assert (got is None) == (ref is None)
+        if ref is not None:
+            np.testing.assert_array_equal(got.placement, ref.placement)
+            np.testing.assert_array_equal(got.yields, ref.yields)
+        assert stats["probes"] == ref_engine.probes
 
     @pytest.mark.parametrize("seed", range(3))
     def test_single_strategy_engines_agree(self, seed):
+        """One-strategy searches match a stateless direct-comparison
+        oracle (a fresh :class:`ProbeContext` per probe)."""
         inst = random_instance(seed, hosts=5, services=12)
         for strategy in hvp_strategies()[::41]:
-            v1 = meta_algorithm("s", (strategy,), improve=False,
-                                engine="v1")(inst)
-            v2 = meta_algorithm("s", (strategy,), improve=False,
-                                engine="v2")(inst)
-            assert (v1 is None) == (v2 is None)
-            if v1 is not None:
-                assert v2.minimum_yield() == pytest.approx(
-                    v1.minimum_yield(), abs=DEFAULT_TOLERANCE)
+            got = MetaSolver((strategy,), improve=False)(inst)
 
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError):
-            meta_algorithm("x", hvp_light_strategies(), engine="v3")
+            def direct(instance, y, strategy=strategy):
+                return ProbeContext(instance, y).run(strategy)
+
+            ref = binary_search_max_yield(inst, direct, improve=False)
+            assert (got is None) == (ref is None)
+            if ref is not None:
+                np.testing.assert_array_equal(got.placement, ref.placement)
+                np.testing.assert_array_equal(got.yields, ref.yields)
 
 
 class TestAdaptiveOrdering:
@@ -176,14 +179,13 @@ class TestAdaptiveOrdering:
 
     def test_stateful_engine_answers_match_stateless_oracle(self):
         """The hint must never change a probe's feasibility answer."""
-        from repro.algorithms.vector_packing.meta import meta_packer
         inst = random_instance(13)
         strategies = hvp_light_strategies()
         engine = MetaProbeEngine(inst, strategies)
-        seed_oracle = meta_packer(strategies)
         for y in np.linspace(0.0, 1.0, 15):
             fast = engine(inst, float(y))
-            slow = seed_oracle(inst, float(y))
+            # A fresh engine per probe has no hint: list-order scan.
+            slow = MetaProbeEngine(inst, strategies)(inst, float(y))
             assert (fast is None) == (slow is None)
 
 

@@ -4,18 +4,16 @@ import numpy as np
 import pytest
 
 from repro.algorithms import (
-    binary_search_max_yield,
+    MetaSolver,
     metahvp,
     metahvp_light,
     metavp,
-    single_strategy_algorithm,
 )
 from repro.algorithms.vector_packing import (
     SortStrategy,
     VPStrategy,
     hvp_light_strategies,
     hvp_strategies,
-    meta_packer,
     vp_strategies,
 )
 from repro.algorithms.vector_packing.sorting import MAX
@@ -72,25 +70,23 @@ class TestEnumerations:
 
 class TestBinarySearch:
     def test_figure1_reaches_yield_one(self):
-        alloc = binary_search_max_yield(
-            figure1_instance(), meta_packer(hvp_strategies()))
+        alloc = MetaSolver(hvp_strategies())(figure1_instance())
         assert alloc is not None
         assert alloc.minimum_yield() == pytest.approx(1.0, abs=1e-3)
 
     def test_matches_exact_optimum_on_shared_node(self):
         inst = shared_node_instance()
         exact = solve_exact(inst).min_yield
-        alloc = binary_search_max_yield(inst, meta_packer(hvp_strategies()))
+        alloc = MetaSolver(hvp_strategies())(inst)
         assert alloc is not None
         assert alloc.minimum_yield() == pytest.approx(exact, abs=1e-3)
 
     def test_tolerance_controls_precision(self):
         inst = shared_node_instance()
-        packer = meta_packer(vp_strategies())
-        coarse = binary_search_max_yield(inst, packer, tolerance=0.1,
-                                         improve=False)
-        fine = binary_search_max_yield(inst, packer, tolerance=1e-5,
-                                       improve=False)
+        coarse = MetaSolver(vp_strategies(), tolerance=0.1,
+                            improve=False)(inst)
+        fine = MetaSolver(vp_strategies(), tolerance=1e-5,
+                          improve=False)(inst)
         assert fine.minimum_yield() >= coarse.minimum_yield() - 1e-12
         assert fine.minimum_yield() == pytest.approx(0.5, abs=1e-4)
 
@@ -99,19 +95,17 @@ class TestBinarySearch:
             [Node.multicore(1, 0.5, 0.5)],
             [Service.from_vectors([0.9, 0.1], [0.9, 0.1],
                                   [0.0, 0.0], [0.0, 0.0])])
-        assert binary_search_max_yield(
-            inst, meta_packer(hvp_strategies())) is None
+        assert MetaSolver(hvp_strategies())(inst) is None
 
     def test_improve_pass_never_hurts(self):
         inst = shared_node_instance()
-        packer = meta_packer(vp_strategies())
-        raw = binary_search_max_yield(inst, packer, improve=False)
-        improved = binary_search_max_yield(inst, packer, improve=True)
+        raw = MetaSolver(vp_strategies(), improve=False)(inst)
+        improved = MetaSolver(vp_strategies(), improve=True)(inst)
         assert improved.minimum_yield() >= raw.minimum_yield() - 1e-12
 
     def test_result_always_validates(self):
         inst = shared_node_instance()
-        alloc = binary_search_max_yield(inst, meta_packer(vp_strategies()))
+        alloc = MetaSolver(vp_strategies())(inst)
         alloc.validate()
 
 
@@ -130,7 +124,7 @@ class TestMetaAlgorithms:
 
     def test_metahvp_dominates_single_strategy(self):
         inst = heterogeneous_instance()
-        single = single_strategy_algorithm(hvp_strategies()[20])
+        single = MetaSolver((hvp_strategies()[20],))
         meta = metahvp()
         s_alloc = single(inst)
         m_alloc = meta(inst)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.experiments.strategy_ranking import (
+    _configs_fingerprint,
     format_ranking,
     light_set_audit,
     rank_strategies,
@@ -103,7 +104,7 @@ class TestWarmStart:
     def test_warm_yields_within_engine_envelope(self, warm, cold):
         """Single strategies are not always monotone, so warm and cold
         may certify slightly different yields (the same envelope as the
-        v2 engine's adaptive ordering) — but only slightly, and for few
+        engines' adaptive ordering) — but only slightly, and for few
         strategies."""
         warm_by_name = {s.strategy.name: s for s in warm.stats}
         moved = 0
@@ -129,3 +130,13 @@ class TestWarmStart:
         after = len(JsonlCheckpoint(path, kind="strategy-rank",
                                     resume=True))
         assert after == before + 253  # everything recomputed, nothing aliased
+
+
+def test_fingerprints_resume_existing_checkpoints():
+    """Checkpoint fingerprints are pinned: a rank-strategies checkpoint
+    written before the probe-engine knob was removed still resumes."""
+    configs = [ScenarioConfig(hosts=8, services=20, cov=c, slack=0.5,
+                              seed=0, instance_index=i)
+               for c in (0.25, 0.75) for i in range(2)]
+    assert _configs_fingerprint(configs, warm_start=True) == "be6f0dced05d"
+    assert _configs_fingerprint(configs, warm_start=False) == "3ba99db8e859"

@@ -1,22 +1,30 @@
-"""Batched solving equivalence: ``solve_many`` ≡ sequential solves.
+"""Engine selection and batched solving equivalence.
 
-The acceptance contract of the batched path: for every backend and every
-dimension count, ``MetaSolver.solve_many`` returns exactly what a loop
-of ``solve_with_hint`` calls returns — placements, per-service yields,
-certified yields, probe counts — with hints honored the same way.  The
-numba leg skips cleanly when the extra isn't installed.
+The acceptance contract of the META* engines: for every backend and every
+dimension count, ``MetaSolver.solve_with_hint`` returns exactly what it
+returns on the numpy backend (which runs the per-strategy engine; the
+others run the fused one), and ``MetaSolver.solve_many`` returns exactly
+what a loop of ``solve_with_hint`` calls returns — placements,
+per-service yields, certified yields, probe counts — with hints honored
+the same way.  The numba leg skips cleanly when the extra isn't
+installed.
 """
+
+import json
 
 import numpy as np
 import pytest
 
-from repro import kernels
+from repro import kernels, obs
 from repro.algorithms.vector_packing import (
     FusedProbeEngine,
+    MetaProbeEngine,
     MetaSolver,
     hvp_light_strategies,
     hvp_strategies,
+    make_engine,
 )
+from repro.algorithms.vector_packing import legacy
 from repro.core.instance import ProblemInstance
 from repro.core.node import NodeArray
 from repro.core.service import ServiceArray
@@ -58,16 +66,22 @@ def _solve_sequential(solver, instances, hints):
     return allocs, stats
 
 
-def _assert_equivalent(batch, bstats, seq, sstats, context):
-    for i, (a, b) in enumerate(zip(seq, batch)):
+def _assert_same(got, gstats, ref, rstats, context):
+    assert len(got) == len(ref), context
+    for i, (a, b) in enumerate(zip(ref, got)):
         where = (context, i)
         assert (a is None) == (b is None), where
         if a is not None:
             assert np.array_equal(a.placement, b.placement), where
             assert np.array_equal(a.yields, b.yields), where
-        assert sstats[i].get("certified") == bstats[i].get("certified"), where
-        assert sstats[i].get("probes") == bstats[i].get("probes"), where
-        assert "seconds" in bstats[i], where
+        assert rstats[i].get("certified") == gstats[i].get("certified"), where
+        assert rstats[i].get("probes") == gstats[i].get("probes"), where
+
+
+def _assert_equivalent(batch, bstats, seq, sstats, context):
+    _assert_same(batch, bstats, seq, sstats, context)
+    for i, st in enumerate(bstats):
+        assert "seconds" in st, (context, i)
 
 
 class TestBatchInstances:
@@ -132,18 +146,23 @@ class TestSolveManyEquivalence:
             batch = solver.solve_many(instances, stats=bstats, threads=1)
         _assert_equivalent(batch, bstats, seq, sstats, backend)
 
-    def test_matches_numpy_reference(self, backend):
-        """Cross-backend: batched results equal the numpy sequential run."""
-        instances = [synthetic_instance(d, J=12, H=4, seed=d)
-                     for d in DIMS[1:]]
+    @pytest.mark.parametrize("dims", DIMS)
+    def test_matches_numpy_reference(self, backend, dims):
+        """Cross-backend: ``solve_with_hint`` and ``solve_many`` here
+        equal numpy's ``solve_with_hint`` (the per-strategy engine)."""
+        instances = [synthetic_instance(dims, J=12, H=4, seed=k)
+                     for k in range(3)]
+        hints = [None, 0.5, None]
         solver = MetaSolver(hvp_light_strategies())
         with kernels.kernel_backend("numpy"):
-            ref, rstats = _solve_sequential(solver, instances,
-                                            [None] * len(instances))
+            ref, rstats = _solve_sequential(solver, instances, hints)
         with kernels.kernel_backend(backend):
+            seq, sstats = _solve_sequential(solver, instances, hints)
             bstats = [{} for _ in instances]
-            got = solver.solve_many(instances, stats=bstats, threads=1)
-        _assert_equivalent(got, bstats, ref, rstats, backend)
+            got = solver.solve_many(instances, hints=hints, stats=bstats,
+                                    threads=1)
+        _assert_same(seq, sstats, ref, rstats, (backend, dims, "seq"))
+        _assert_equivalent(got, bstats, ref, rstats, (backend, dims))
 
     def test_thread_pool_preserves_order(self, backend):
         instances = [synthetic_instance(2, J=8 + k, H=3, seed=k)
@@ -159,24 +178,56 @@ class TestSolveManyEquivalence:
                 assert np.array_equal(a.yields, b.yields)
 
 
+def _expected_engine(backend):
+    """The engine the selector must pick on ordinary instances: numpy has
+    no fused kernel, native and loops always do, numba does whenever it
+    compiled one."""
+    if backend == "numba":
+        with kernels.kernel_backend(backend):
+            fused = kernels.get_backend().supports_probe_scan
+    else:
+        fused = backend != "numpy"
+    return "fused" if fused else "per-strategy"
+
+
 @pytest.mark.parametrize("backend", _backend_params())
-class TestFusedEngine:
-    def test_supported_tracks_backend(self, backend):
+class TestEngineSelector:
+    def test_selector_tracks_backend(self, backend):
         inst = synthetic_instance(2)
         with kernels.kernel_backend(backend):
-            engine = FusedProbeEngine(inst, hvp_light_strategies())
-            assert engine.supported == \
-                kernels.get_backend().supports_probe_scan
+            engine = make_engine(inst, hvp_light_strategies())
+        expected = (FusedProbeEngine if _expected_engine(backend) == "fused"
+                    else MetaProbeEngine)
+        assert type(engine) is expected
+
+    def test_one_engine_event_per_traced_solve(self, backend, tmp_path):
+        inst = synthetic_instance(2)
+        path = tmp_path / "trace.jsonl"
+        with kernels.kernel_backend(backend):
+            obs.configure(str(path))
+            try:
+                MetaSolver(hvp_light_strategies()).solve_with_hint(inst)
+            finally:
+                obs.disable()
+        records = [json.loads(line)
+                   for line in path.read_text().splitlines()]
+        events = [r for r in records if r["name"] == "meta.engine"]
+        assert [e["tags"] for e in events] == [{
+            "engine": _expected_engine(backend),
+            "strategies": 60,
+            "backend": backend,
+            "services": 14,
+            "hosts": 5,
+        }]
 
     def test_counters_match_per_strategy_engine(self, backend):
         """probes/strategy_runs/hint bookkeeping is part of the contract."""
-        from repro.algorithms.vector_packing import MetaProbeEngine
         inst = synthetic_instance(3, J=12, H=4, seed=2)
         strategies = hvp_light_strategies()
         with kernels.kernel_backend(backend):
-            fused = FusedProbeEngine(inst, strategies)
-            if not fused.supported:
+            if not kernels.get_backend().supports_probe_scan:
                 pytest.skip("backend has no fused probe scan")
+            fused = FusedProbeEngine(inst, strategies)
             plain = MetaProbeEngine(inst, strategies)
             for y in (0.0, 0.3, 0.7, 0.3, 1.4):
                 a = fused(inst, y)
@@ -187,6 +238,35 @@ class TestFusedEngine:
                 assert fused.hint == plain.hint, y
                 assert fused.probes == plain.probes, y
                 assert fused.strategy_runs == plain.strategy_runs, y
+
+    def test_high_d_falls_back_to_per_strategy(self, backend, monkeypatch):
+        """D=16 PP codes overflow an int64: every backend runs the
+        per-strategy engine, whose PP goes through the legacy kernel."""
+        inst = synthetic_instance(16, J=20, H=3, seed=3)
+        solver = MetaSolver(hvp_light_strategies())
+        with kernels.kernel_backend("numpy"):
+            ref, rstats = _solve_sequential(solver, [inst], [None])
+        legacy_calls = []
+        original = legacy.legacy_permutation_pack
+
+        def counting(*args, **kwargs):
+            legacy_calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(legacy, "legacy_permutation_pack", counting)
+        with kernels.kernel_backend(backend):
+            assert type(make_engine(inst, solver.strategies)) \
+                is MetaProbeEngine
+            seq, sstats = _solve_sequential(solver, [inst], [None])
+            bstats = [{}]
+            got = solver.solve_many([inst], stats=bstats, threads=1)
+        assert legacy_calls
+        assert seq[0] is not None
+        seq[0].validate()
+        assert sstats[0]["probes"] == 14
+        assert sstats[0]["certified"] == pytest.approx(0.2478, abs=1e-4)
+        _assert_same(seq, sstats, ref, rstats, (backend, "seq"))
+        _assert_equivalent(got, bstats, seq, sstats, backend)
 
 
 class TestSolveManyEdgeCases:
@@ -210,17 +290,3 @@ class TestSolveManyEdgeCases:
         bstats = [{}, {}]
         batch = solver.solve_many(instances, stats=bstats, threads=1)
         _assert_equivalent(batch, bstats, seq, sstats, "mixed-dims")
-
-    def test_v1_engine_sequential_fallback(self):
-        instances = [generate_instance(ScenarioConfig(
-            hosts=5, services=12, slack=0.5, seed=8, instance_index=i))
-            for i in range(2)]
-        v1 = MetaSolver(hvp_light_strategies(), engine="v1")
-        v2 = MetaSolver(hvp_light_strategies(), engine="v2")
-        r1 = v1.solve_many(instances, threads=1)
-        r2 = v2.solve_many(instances, threads=1)
-        for a, b in zip(r1, r2):
-            assert (a is None) == (b is None)
-            if a is not None:
-                # v1/v2 certify equal yields (engine-equivalence envelope).
-                assert a.minimum_yield() == b.minimum_yield()

@@ -9,15 +9,12 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.algorithms import (
-    binary_search_max_yield,
-    metagreedy,
-    metahvp_light,
-)
+from repro.algorithms import metagreedy, metahvp_light
 from repro.algorithms.vector_packing import (
+    MetaProbeEngine,
+    MetaSolver,
     SortStrategy,
     VPStrategy,
-    meta_packer,
     run_strategy,
     vp_strategies,
 )
@@ -75,7 +72,7 @@ class TestPackingValidity:
     @settings(**COMMON)
     @given(instances())
     def test_binary_search_result_valid_and_bounded(self, inst):
-        alloc = binary_search_max_yield(inst, meta_packer(vp_strategies()))
+        alloc = MetaSolver(vp_strategies())(inst)
         if alloc is not None:
             alloc.validate()
             assert 0.0 <= alloc.minimum_yield() <= 1.0
@@ -129,7 +126,7 @@ class TestFailureConsistency:
         must agree that requirements are unsatisfiable — and vice versa
         the LP being feasible means some packing exists (not necessarily
         found by heuristics, so only one direction is asserted)."""
-        placement = meta_packer(vp_strategies())(inst, 0.0)
+        placement = MetaProbeEngine(inst, vp_strategies())(inst, 0.0)
         if placement is None:
             return  # heuristics may fail on feasible instances; no claim
         # A successful requirements-pack implies the LP is feasible.
