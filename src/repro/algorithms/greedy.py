@@ -30,17 +30,28 @@ service's requirements):
   (worst fit);
 * P6 — most total available capacity (worst fit);
 * P7 — first fitting node (first fit).
+
+Every greedy solve is one call to the kernel backend's ``greedy_scan``
+(:func:`_greedy_place`).  The service orders and the elementary-fit
+table are instance-static, so they are computed once per instance; the
+kernel then runs the requested passes — all 49 for METAGREEDY, one for a
+single combination — and returns each pass's placement and its minimum
+yield after the per-node improvement, bit-identical to
+``Allocation.improve_yields``.  METAGREEDY keeps the first pass with the
+highest yield and builds an :class:`Allocation` for that pass only.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from ..core.allocation import Allocation
-from ..core.resources import STRICT_FIT_ATOL
+from ..core.resources import FEASIBILITY_ATOL, FEASIBILITY_RTOL, STRICT_FIT_ATOL
 from ..core.instance import ProblemInstance
+from ..kernels import get_backend
+from ..kernels.api import GreedyScanArgs
 from .base import NamedAlgorithm
 
 __all__ = [
@@ -99,115 +110,103 @@ SERVICE_SORTS: dict[str, Callable[[ProblemInstance], np.ndarray]] = {
 
 
 # ----------------------------------------------------------------------
-# Node picking (P1-P7).  Each scores candidate nodes; the picker receives
-# the candidate index array, the current (H, D) loads, the instance and
-# the service index, and returns the chosen node index.
+# Node picking (P1-P7).  The pickers run inside the kernel backend's
+# greedy scan; each name maps to its picker code there.
 # ----------------------------------------------------------------------
 
-def _pick_p1(cands, loads, inst, j):
-    remaining = inst.nodes.aggregate[cands] - loads[cands]
-    dim = int(np.argmax(inst.services.need_agg[j]))
-    return cands[int(np.argmax(remaining[:, dim]))]
-
-
-def _pick_p2(cands, loads, inst, j):
-    after = loads[cands].sum(axis=1) + inst.services.req_agg[j].sum()
-    ratio = after / inst.nodes.aggregate[cands].sum(axis=1)
-    return cands[int(np.argmin(ratio))]
-
-
-def _pick_p3(cands, loads, inst, j):
-    remaining = inst.nodes.aggregate[cands] - loads[cands]
-    dim = int(np.argmax(inst.services.req_agg[j]))
-    return cands[int(np.argmin(remaining[:, dim]))]
-
-
-def _pick_p4(cands, loads, inst, j):
-    remaining = (inst.nodes.aggregate[cands] - loads[cands]).sum(axis=1)
-    return cands[int(np.argmin(remaining))]
-
-
-def _pick_p5(cands, loads, inst, j):
-    remaining = inst.nodes.aggregate[cands] - loads[cands]
-    dim = int(np.argmax(inst.services.req_agg[j]))
-    return cands[int(np.argmax(remaining[:, dim]))]
-
-
-def _pick_p6(cands, loads, inst, j):
-    remaining = (inst.nodes.aggregate[cands] - loads[cands]).sum(axis=1)
-    return cands[int(np.argmax(remaining))]
-
-
-def _pick_p7(cands, loads, inst, j):
-    return cands[0]
-
-
-NODE_PICKERS: dict[str, Callable] = {
-    "P1": _pick_p1, "P2": _pick_p2, "P3": _pick_p3, "P4": _pick_p4,
-    "P5": _pick_p5, "P6": _pick_p6, "P7": _pick_p7,
+NODE_PICKERS: dict[str, int] = {
+    "P1": 0, "P2": 1, "P3": 2, "P4": 3, "P5": 4, "P6": 5, "P7": 6,
 }
+
+#: The 49 (sort, picker) passes in METAGREEDY's tie-break order.
+_ALL_PASSES = tuple((s, p) for s in SERVICE_SORTS for p in NODE_PICKERS)
 
 
 # ----------------------------------------------------------------------
 # The greedy driver.
 # ----------------------------------------------------------------------
 
-def _greedy_place(inst: ProblemInstance, order: np.ndarray,
-                  pick: Callable) -> Optional[np.ndarray]:
-    sv, nd = inst.services, inst.nodes
-    # Static elementary feasibility of requirements, (J, H).
-    elem_ok = (sv.req_elem[:, None, :] <= nd.elementary[None, :, :] + STRICT_FIT_ATOL
-               ).all(axis=2)
-    loads = np.zeros_like(nd.aggregate)
-    placement = np.full(inst.num_services, -1, dtype=np.int64)
-    for j in order:
-        j = int(j)
-        fits = elem_ok[j] & (
-            loads + sv.req_agg[j] <= nd.aggregate + STRICT_FIT_ATOL).all(axis=1)
-        cands = np.flatnonzero(fits)
-        if cands.size == 0:
-            return None
-        h = int(pick(cands, loads, inst, j))
-        loads[h] += sv.req_agg[j]
-        placement[j] = h
-    return placement
+def _scan_args(inst: ProblemInstance, passes: Sequence[tuple[str, str]]
+               ) -> GreedyScanArgs:
+    """The kernel inputs for running the (sort, picker) *passes* on *inst*."""
+    sv, nd = inst.services, inst.nodes  # C-contiguous float64 arrays
+    sorts = list(dict.fromkeys(s for s, _ in passes))
+    return GreedyScanArgs(
+        req_agg=sv.req_agg,
+        req_agg_sum=sv.req_agg.sum(axis=1),
+        need_dim=np.argmax(sv.need_agg, axis=1).astype(np.int64),
+        req_dim=np.argmax(sv.req_agg, axis=1).astype(np.int64),
+        # Static elementary feasibility of requirements, (J, H).
+        elem_ok=(sv.req_elem[:, None, :]
+                 <= nd.elementary[None, :, :] + STRICT_FIT_ATOL).all(axis=2),
+        bin_agg=nd.aggregate,
+        bin_agg_sum=nd.aggregate.sum(axis=1),
+        cap_tol=nd.aggregate + STRICT_FIT_ATOL,
+        req_elem=sv.req_elem,
+        need_elem=sv.need_elem,
+        need_agg=sv.need_agg,
+        bin_elem=nd.elementary,
+        orders=np.stack([SERVICE_SORTS[s](inst) for s in sorts]
+                        ).astype(np.int64),
+        pass_order=np.array([sorts.index(s) for s, _ in passes],
+                            dtype=np.int64),
+        pass_pick=np.array([NODE_PICKERS[p] for _, p in passes],
+                           dtype=np.int64),
+        feas_atol=FEASIBILITY_ATOL,
+        feas_rtol=FEASIBILITY_RTOL,
+    )
+
+
+def _greedy_place(inst: ProblemInstance, passes: Sequence[tuple[str, str]]
+                  ) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """Run the (sort, picker) *passes* on *inst* in one kernel call.
+
+    Returns ``(placements, min_yields)`` — one ``(J,)`` row and one
+    yield per pass, a row of -1 and ``-inf`` where the pass fails — or
+    ``None`` when no pass places every service.
+    """
+    placements, min_yields = get_backend().greedy_scan(
+        _scan_args(inst, passes))
+    if not (min_yields > -np.inf).any():
+        return None
+    return placements, min_yields
+
+
+def _allocation(inst: ProblemInstance, placement: np.ndarray) -> Allocation:
+    # Requirements are guaranteed to fit; distribute needs per node.
+    return Allocation.uniform(inst, placement, 0.0).improve_yields()
 
 
 def greedy_algorithm(sort_name: str, pick_name: str) -> NamedAlgorithm:
     """One of the 49 greedy combinations, e.g. ``greedy_algorithm("S3", "P2")``."""
-    order_fn = SERVICE_SORTS[sort_name]
-    pick_fn = NODE_PICKERS[pick_name]
+    if sort_name not in SERVICE_SORTS or pick_name not in NODE_PICKERS:
+        raise KeyError(f"unknown greedy combination {sort_name}:{pick_name}")
+    passes = ((sort_name, pick_name),)
 
     def solve(instance: ProblemInstance) -> Optional[Allocation]:
-        placement = _greedy_place(instance, order_fn(instance), pick_fn)
-        if placement is None:
+        scan = _greedy_place(instance, passes)
+        if scan is None:
             return None
-        # Requirements are guaranteed to fit; distribute needs per node.
-        return Allocation.uniform(instance, placement, 0.0).improve_yields()
+        return _allocation(instance, scan[0][0])
 
     return NamedAlgorithm(f"GREEDY:{sort_name}:{pick_name}", solve)
 
 
 def all_greedy_algorithms() -> tuple[NamedAlgorithm, ...]:
     """All 49 sort × picker combinations (§3.4)."""
-    return tuple(greedy_algorithm(s, p)
-                 for s in SERVICE_SORTS for p in NODE_PICKERS)
+    return tuple(greedy_algorithm(s, p) for s, p in _ALL_PASSES)
 
 
 def metagreedy() -> NamedAlgorithm:
     """METAGREEDY: run all 49 greedy algorithms, keep the best minimum yield."""
-    members = all_greedy_algorithms()
 
     def solve(instance: ProblemInstance) -> Optional[Allocation]:
-        best: Optional[Allocation] = None
-        best_yield = -1.0
-        for algo in members:
-            alloc = algo(instance)
-            if alloc is None:
-                continue
-            y = alloc.minimum_yield()
-            if y > best_yield:
-                best, best_yield = alloc, y
-        return best
+        scan = _greedy_place(instance, _ALL_PASSES)
+        if scan is None:
+            return None
+        placements, min_yields = scan
+        # argmax keeps the first pass with the highest yield: the pass
+        # order's tie-break.
+        return _allocation(instance, placements[int(np.argmax(min_yields))])
 
     return NamedAlgorithm("METAGREEDY", solve)

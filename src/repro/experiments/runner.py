@@ -17,6 +17,7 @@ the materializing wrapper kept for existing callers.
 
 from __future__ import annotations
 
+from contextlib import AbstractContextManager, nullcontext
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
@@ -33,6 +34,7 @@ from ..algorithms import (
     rrnz,
 )
 from ..algorithms.base import NamedAlgorithm
+from ..lp.solver import shared_relaxations
 from ..util.parallel import parallel_imap_cached
 from ..util.rng import derive_seed
 from ..util.timing import timed_call
@@ -111,48 +113,56 @@ class _Task:
     warm_chain: bool = True
 
 
+def _lp_scope(warm_chain: bool) -> AbstractContextManager[None]:
+    # A warm-chain task's algorithms share one LP relaxation per
+    # instance (RRND and RRNZ both round it); timing tables run cold,
+    # so each of their rounding solves pays for its own LP.
+    return shared_relaxations() if warm_chain else nullcontext()
+
+
 def _run_task(task: _Task) -> TaskResult:
-    instance = generate_instance(task.config)
-    out = []
-    hint: float | None = None
-    for name in task.algorithms:
-        algo = ALGORITHM_FACTORIES[name]()
-        fn = getattr(algo, "fn", algo)
-        if task.warm_chain and getattr(fn, "supports_hint", False):
-            # All algorithms in a task solve the *same* instance, so the
-            # best yield an earlier one certified is a strong seed for
-            # this one's binary search.  The chain stays inside the
-            # task, so results are independent of worker scheduling and
-            # checkpoint resume.  Warm and cold searches certify equal
-            # yields; the winning *strategy* at the final probe can
-            # differ, so placement-derived values may shift within the
-            # usual envelope of the engines' adaptive ordering.
-            stats: dict = {}
-            alloc, seconds = timed_call(
-                fn.solve_with_hint, instance, hint=hint, stats=stats)
-            certified = stats.get("certified")
-            if certified is not None and (hint is None
-                                          or certified > hint):
-                hint = certified
-        else:
-            # Stochastic algorithms get a stream derived from the
-            # instance coordinates plus the algorithm name, so
-            # adding/removing algorithms never perturbs the others'
-            # draws.
-            rng = np.random.default_rng(
-                derive_seed(task.config.seed,
-                            task.config.instance_index,
-                            _algo_stream_id(name)))
-            alloc, seconds = timed_call(algo, instance, rng=rng)
-        min_yield = None if alloc is None else alloc.minimum_yield()
-        if (not getattr(fn, "supports_hint", False)
-                and min_yield is not None
-                and (hint is None or min_yield > hint)):
-            # Non-searching algorithms only offer their (post-improve)
-            # allocation yield; still a usable advisory seed.
-            hint = min_yield
-        out.append(AlgorithmResult(name, min_yield, seconds))
-    return TaskResult(task.config, tuple(out))
+    with _lp_scope(task.warm_chain):
+        instance = generate_instance(task.config)
+        out = []
+        hint: float | None = None
+        for name in task.algorithms:
+            algo = ALGORITHM_FACTORIES[name]()
+            fn = getattr(algo, "fn", algo)
+            if task.warm_chain and getattr(fn, "supports_hint", False):
+                # All algorithms in a task solve the *same* instance, so the
+                # best yield an earlier one certified is a strong seed for
+                # this one's binary search.  The chain stays inside the
+                # task, so results are independent of worker scheduling and
+                # checkpoint resume.  Warm and cold searches certify equal
+                # yields; the winning *strategy* at the final probe can
+                # differ, so placement-derived values may shift within the
+                # usual envelope of the engines' adaptive ordering.
+                stats: dict = {}
+                alloc, seconds = timed_call(
+                    fn.solve_with_hint, instance, hint=hint, stats=stats)
+                certified = stats.get("certified")
+                if certified is not None and (hint is None
+                                              or certified > hint):
+                    hint = certified
+            else:
+                # Stochastic algorithms get a stream derived from the
+                # instance coordinates plus the algorithm name, so
+                # adding/removing algorithms never perturbs the others'
+                # draws.
+                rng = np.random.default_rng(
+                    derive_seed(task.config.seed,
+                                task.config.instance_index,
+                                _algo_stream_id(name)))
+                alloc, seconds = timed_call(algo, instance, rng=rng)
+            min_yield = None if alloc is None else alloc.minimum_yield()
+            if (not getattr(fn, "supports_hint", False)
+                    and min_yield is not None
+                    and (hint is None or min_yield > hint)):
+                # Non-searching algorithms only offer their (post-improve)
+                # allocation yield; still a usable advisory seed.
+                hint = min_yield
+            out.append(AlgorithmResult(name, min_yield, seconds))
+        return TaskResult(task.config, tuple(out))
 
 
 def _algo_stream_id(name: str) -> int:
@@ -180,46 +190,47 @@ def _run_task_batch(tasks: Sequence[_Task]) -> list[TaskResult]:
         # Mixed blocks can't share a solve_many call; grids never
         # produce them, but stay correct if a caller does.
         return [_run_task(t) for t in tasks]
-    instances = [generate_instance(t.config) for t in tasks]
-    B = len(tasks)
-    rows: list[list[AlgorithmResult]] = [[] for _ in range(B)]
-    hints: list[float | None] = [None] * B
-    for name in shared.algorithms:
-        algo = ALGORITHM_FACTORIES[name]()
-        fn = getattr(algo, "fn", algo)
-        if getattr(fn, "supports_hint", False):
-            # Every hint-capable algorithm is a MetaSolver.  Batched even
-            # when the warm chain is off — hints simply stay None,
-            # matching the cold per-instance calls.
-            stats_list: list[dict] = [{} for _ in range(B)]
-            allocs = fn.solve_many(
-                instances,
-                hints=list(hints) if shared.warm_chain else None,
-                stats=stats_list)
-            for i in range(B):
-                stats = stats_list[i]
-                certified = stats.get("certified")
-                if shared.warm_chain and certified is not None \
-                        and (hints[i] is None or certified > hints[i]):
-                    hints[i] = certified
-                alloc = allocs[i]
-                min_yield = None if alloc is None else alloc.minimum_yield()
-                rows[i].append(AlgorithmResult(
-                    name, min_yield, stats["seconds"]))
-        else:
-            for i, task in enumerate(tasks):
-                rng = np.random.default_rng(
-                    derive_seed(task.config.seed,
-                                task.config.instance_index,
-                                _algo_stream_id(name)))
-                alloc, seconds = timed_call(algo, instances[i], rng=rng)
-                min_yield = None if alloc is None else alloc.minimum_yield()
-                if (min_yield is not None
-                        and (hints[i] is None or min_yield > hints[i])):
-                    hints[i] = min_yield
-                rows[i].append(AlgorithmResult(name, min_yield, seconds))
-    return [TaskResult(t.config, tuple(rows[i]))
-            for i, t in enumerate(tasks)]
+    with _lp_scope(shared.warm_chain):
+        instances = [generate_instance(t.config) for t in tasks]
+        B = len(tasks)
+        rows: list[list[AlgorithmResult]] = [[] for _ in range(B)]
+        hints: list[float | None] = [None] * B
+        for name in shared.algorithms:
+            algo = ALGORITHM_FACTORIES[name]()
+            fn = getattr(algo, "fn", algo)
+            if getattr(fn, "supports_hint", False):
+                # Every hint-capable algorithm is a MetaSolver.  Batched even
+                # when the warm chain is off — hints simply stay None,
+                # matching the cold per-instance calls.
+                stats_list: list[dict] = [{} for _ in range(B)]
+                allocs = fn.solve_many(
+                    instances,
+                    hints=list(hints) if shared.warm_chain else None,
+                    stats=stats_list)
+                for i in range(B):
+                    stats = stats_list[i]
+                    certified = stats.get("certified")
+                    if shared.warm_chain and certified is not None \
+                            and (hints[i] is None or certified > hints[i]):
+                        hints[i] = certified
+                    alloc = allocs[i]
+                    min_yield = None if alloc is None else alloc.minimum_yield()
+                    rows[i].append(AlgorithmResult(
+                        name, min_yield, stats["seconds"]))
+            else:
+                for i, task in enumerate(tasks):
+                    rng = np.random.default_rng(
+                        derive_seed(task.config.seed,
+                                    task.config.instance_index,
+                                    _algo_stream_id(name)))
+                    alloc, seconds = timed_call(algo, instances[i], rng=rng)
+                    min_yield = None if alloc is None else alloc.minimum_yield()
+                    if (min_yield is not None
+                            and (hints[i] is None or min_yield > hints[i])):
+                        hints[i] = min_yield
+                    rows[i].append(AlgorithmResult(name, min_yield, seconds))
+        return [TaskResult(t.config, tuple(rows[i]))
+                for i, t in enumerate(tasks)]
 
 
 def iter_grid(configs: Iterable[ScenarioConfig],

@@ -27,6 +27,11 @@ every backend shares — backend choice itself never depends on D.
 :func:`make_probe_scan` builds the fused META* probe: one kernel call
 that scans a whole strategy table at a fixed yield, eliminating the
 per-strategy Python dispatch that dominates batched solving.
+:func:`make_greedy_scan` does the same for METAGREEDY: one call runs a
+list of greedy passes and returns each pass's placement and its minimum
+yield after the per-node closed-form improvement.  Where the numpy
+reference *sums* arrays, :func:`pairwise_sum` reproduces numpy's
+summation order, so those sums match bit for bit too.
 """
 
 from __future__ import annotations
@@ -43,6 +48,9 @@ __all__ = [
     "incremental_best_fit",
     "make_probe_scan",
     "probe_scan",
+    "pairwise_sum",
+    "make_greedy_scan",
+    "greedy_scan",
 ]
 
 
@@ -509,3 +517,274 @@ def make_probe_scan(ff_fill, bf_pack, pp_fill_2d, pp_fill_general):
 
 #: Uncompiled fused probe (the ``loops`` reference backend's version).
 probe_scan = make_probe_scan(ff_fill, bf_pack, pp_fill_2d, pp_fill_general)
+
+
+def pairwise_sum(buf, n, frames, partial):
+    """``np.sum(buf[:n])`` bit for bit: numpy's pairwise summation order.
+
+    numpy adds a contiguous float64 run to the 0.0 identity as follows:
+    fewer than 8 elements in order; up to 128 elements with eight
+    interleaved accumulators, combined as a tree; longer runs split at
+    half their length (rounded down to a multiple of 8) and the halves
+    summed the same way, left plus right.  The recursion runs on the
+    caller-owned stack — ``frames`` (int64, ``(128, 3)`` rows of
+    start, length, combine flag) and ``partial`` (float64, 64 partial
+    sums), enough for any ``n < 2**63`` — so the function jits as is
+    and allocates nothing.
+
+    numpy sums this way along the last axis of ``sum(axis=1)``, and down
+    a ``(K, 1)`` column (one contiguous run) in ``sum(axis=0)``; with
+    ``D >= 2`` columns ``sum(axis=0)`` adds the rows in order instead.
+    """
+    nf = 1
+    frames[0, 0] = 0
+    frames[0, 1] = n
+    frames[0, 2] = 0
+    nv = 0
+    while nf > 0:
+        nf -= 1
+        lo = frames[nf, 0]
+        m = frames[nf, 1]
+        if frames[nf, 2] == 1:
+            nv -= 1
+            partial[nv - 1] = partial[nv - 1] + partial[nv]
+        elif m > 128:
+            m2 = m // 2
+            m2 -= m2 % 8
+            frames[nf, 2] = 1  # combine once both halves are summed
+            nf += 1
+            frames[nf, 0] = lo + m2
+            frames[nf, 1] = m - m2
+            frames[nf, 2] = 0
+            nf += 1
+            frames[nf, 0] = lo
+            frames[nf, 1] = m2
+            frames[nf, 2] = 0
+            nf += 1
+        else:
+            if m < 8:
+                s = 0.0
+                for i in range(m):
+                    s += buf[lo + i]
+            else:
+                r0 = buf[lo]
+                r1 = buf[lo + 1]
+                r2 = buf[lo + 2]
+                r3 = buf[lo + 3]
+                r4 = buf[lo + 4]
+                r5 = buf[lo + 5]
+                r6 = buf[lo + 6]
+                r7 = buf[lo + 7]
+                i = 8
+                stop = m - m % 8
+                while i < stop:
+                    r0 += buf[lo + i]
+                    r1 += buf[lo + i + 1]
+                    r2 += buf[lo + i + 2]
+                    r3 += buf[lo + i + 3]
+                    r4 += buf[lo + i + 4]
+                    r5 += buf[lo + i + 5]
+                    r6 += buf[lo + i + 6]
+                    r7 += buf[lo + i + 7]
+                    i += 8
+                s = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+                while i < m:
+                    s += buf[lo + i]
+                    i += 1
+            partial[nv] = s
+            nv += 1
+    return 0.0 + partial[0]
+
+
+def make_greedy_scan(pairwise_sum):
+    """Build the METAGREEDY pass scan over a concrete :func:`pairwise_sum`.
+
+    Same construction as :func:`make_probe_scan`: the numba backend jits
+    the closure over its jitted ``pairwise_sum``; the ``loops`` reference
+    backend uses the module-level :data:`greedy_scan`.
+
+    The returned function runs every pass ``p`` — service order
+    ``orders[pass_order[p]]``, node picker ``pass_pick[p]`` — and writes
+    the pass's placement to ``placements[p]`` and its minimum yield to
+    ``min_yields[p]``.  A pass that cannot place some service gets a
+    placement row of -1 and a yield of ``-inf``.  Returns the number of
+    passes that placed every service (the C translation returns -1 when
+    it cannot allocate its work arrays).
+
+    Each service goes to a node whose elementary fit (``elem_ok``) holds
+    and whose aggregate load plus the requirement stays within
+    ``cap_tol``; among those the picker chooses (ties and NaN scores to
+    the lowest node index, as numpy's ``argmin``/``argmax`` do):
+
+    * 0 (P1) — most remaining capacity in dimension ``need_dim[j]``;
+    * 1 (P2) — least (load sum + ``req_agg_sum[j]``) / ``bin_agg_sum``;
+    * 2 (P3) — least remaining capacity in dimension ``req_dim[j]``;
+    * 3 (P4) — least total remaining capacity;
+    * 4 (P5) — most remaining capacity in dimension ``req_dim[j]``;
+    * 5 (P6) — most total remaining capacity;
+    * 6 (P7) — the first fitting node.
+
+    The yield is the closed-form max-min improvement of
+    ``Allocation.improve_yields`` from all-zero yields: each used node
+    gets its services' largest common yield (elementary and aggregate
+    headroom over need, at most 1), or 0 when its requirements break
+    ``feas_atol``/``feas_rtol``; the pass's yield is the least of them.
+    Members are visited in ascending service index and summed in numpy's
+    order, so the yield equals the object model's bit for bit.
+    """
+
+    def greedy_scan(req_agg, req_agg_sum, need_dim, req_dim, elem_ok,
+                    bin_agg, bin_agg_sum, cap_tol, req_elem, need_elem,
+                    need_agg, bin_elem, orders, pass_order, pass_pick,
+                    feas_atol, feas_rtol, placements, min_yields):
+        J = req_agg.shape[0]
+        H = bin_agg.shape[0]
+        D = req_agg.shape[1]
+        loads = np.empty((H, D), np.float64)
+        buf = np.empty(J + D, np.float64)
+        count = np.empty(H, np.int64)
+        start = np.empty(H, np.int64)
+        members = np.empty(J, np.int64)
+        col_req = np.empty(D, np.float64)
+        col_need = np.empty(D, np.float64)
+        frames = np.empty((128, 3), np.int64)
+        partial = np.empty(64, np.float64)
+        agg_scale = 1.0 + feas_rtol
+        feasible = 0
+        for p in range(pass_order.shape[0]):
+            pick = pass_pick[p]
+            order = orders[pass_order[p]]
+            for h in range(H):
+                for d in range(D):
+                    loads[h, d] = 0.0
+            for j in range(J):
+                placements[p, j] = -1
+            placed = True
+            for i in range(J):
+                j = order[i]
+                best = -1
+                best_v = 0.0
+                for h in range(H):
+                    if not elem_ok[j, h]:
+                        continue
+                    fits = True
+                    for d in range(D):
+                        if loads[h, d] + req_agg[j, d] > cap_tol[h, d]:
+                            fits = False
+                            break
+                    if not fits:
+                        continue
+                    if pick == 6:
+                        best = h
+                        break
+                    if pick == 0:
+                        v = bin_agg[h, need_dim[j]] - loads[h, need_dim[j]]
+                    elif pick == 2 or pick == 4:
+                        v = bin_agg[h, req_dim[j]] - loads[h, req_dim[j]]
+                    elif pick == 1:
+                        for d in range(D):
+                            buf[d] = loads[h, d]
+                        v = ((pairwise_sum(buf, D, frames, partial)
+                              + req_agg_sum[j]) / bin_agg_sum[h])
+                    else:
+                        for d in range(D):
+                            buf[d] = bin_agg[h, d] - loads[h, d]
+                        v = pairwise_sum(buf, D, frames, partial)
+                    if v != v:  # NaN: numpy's argmin/argmax stop here
+                        best = h
+                        break
+                    if best < 0:
+                        best = h
+                        best_v = v
+                    elif pick == 0 or pick == 4 or pick == 5:
+                        if v > best_v:
+                            best = h
+                            best_v = v
+                    elif v < best_v:
+                        best = h
+                        best_v = v
+                if best < 0:
+                    placed = False
+                    break
+                for d in range(D):
+                    loads[best, d] += req_agg[j, d]
+                placements[p, j] = best
+            if not placed:
+                for j in range(J):
+                    placements[p, j] = -1
+                min_yields[p] = -np.inf
+                continue
+            feasible += 1
+            # Members of each node in ascending service index.
+            for h in range(H):
+                count[h] = 0
+            for j in range(J):
+                count[placements[p, j]] += 1
+            s = 0
+            for h in range(H):
+                start[h] = s
+                s += count[h]
+                count[h] = 0
+            for j in range(J):
+                h = placements[p, j]
+                members[start[h] + count[h]] = j
+                count[h] += 1
+            y_min = np.inf
+            for h in range(H):
+                K = count[h]
+                if K == 0:
+                    continue
+                base = start[h]
+                if D == 1:
+                    for q in range(K):
+                        buf[q] = req_agg[members[base + q], 0]
+                    col_req[0] = pairwise_sum(buf, K, frames, partial)
+                    for q in range(K):
+                        buf[q] = need_agg[members[base + q], 0]
+                    col_need[0] = pairwise_sum(buf, K, frames, partial)
+                else:
+                    for d in range(D):
+                        col_req[d] = 0.0
+                        col_need[d] = 0.0
+                    for q in range(K):
+                        j = members[base + q]
+                        for d in range(D):
+                            col_req[d] += req_agg[j, d]
+                            col_need[d] += need_agg[j, d]
+                ok = True
+                for q in range(K):
+                    j = members[base + q]
+                    for d in range(D):
+                        if req_elem[j, d] > bin_elem[h, d] + feas_atol:
+                            ok = False
+                for d in range(D):
+                    if col_req[d] > bin_agg[h, d] * agg_scale + feas_atol:
+                        ok = False
+                y = 0.0
+                if ok:
+                    y = 1.0
+                    for q in range(K):
+                        j = members[base + q]
+                        for d in range(D):
+                            nd = need_elem[j, d]
+                            if nd > 0:
+                                t = (bin_elem[h, d] - req_elem[j, d]) / nd
+                                if t < y:
+                                    y = t
+                    for d in range(D):
+                        if col_need[d] > 0:
+                            t = (bin_agg[h, d] - col_req[d]) / col_need[d]
+                            if t < y:
+                                y = t
+                    if not y > 0.0:
+                        y = 0.0
+                if y < y_min:
+                    y_min = y
+            min_yields[p] = y_min
+        return feasible
+
+    return greedy_scan
+
+
+#: Uncompiled greedy scan (the ``loops`` reference backend's version).
+greedy_scan = make_greedy_scan(pairwise_sum)

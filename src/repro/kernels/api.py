@@ -17,7 +17,9 @@ and the dynamic simulator dispatch to (see :mod:`repro.kernels`):
   the dynamic simulator's newcomer placement;
 * optionally ``probe_scan(args)`` — the fused META* feasibility probe
   (one call scans a whole strategy table; advertised via
-  ``supports_probe_scan``).
+  ``supports_probe_scan``);
+* ``greedy_scan(args)`` — METAGREEDY's passes in one call: each pass's
+  placement and its minimum yield after the per-node improvement.
 
 All implementations are *bit-compatible*: identical placements, loads and
 threshold tables for identical inputs (asserted by the cross-backend
@@ -37,7 +39,8 @@ from typing import Any, Callable, Optional, Tuple
 
 import numpy as np
 
-__all__ = ["KernelBackend", "ArrayKernelBackend", "ProbeScanArgs"]
+__all__ = ["KernelBackend", "ArrayKernelBackend", "GreedyScanArgs",
+           "ProbeScanArgs"]
 
 
 @dataclass(frozen=True)
@@ -67,6 +70,34 @@ class ProbeScanArgs:
     st_choose: np.ndarray       # (S,) 1 for Choose-Pack
     st_cfg: np.ndarray          # (S,) row into pp_order0/1 (-1 if unused)
     scan: np.ndarray            # scan order over strategy rows
+
+
+@dataclass(frozen=True)
+class GreedyScanArgs:
+    """Inputs of one greedy scan: an instance's static tables plus the
+    passes to run (see :func:`._loops.make_greedy_scan` for the picker
+    codes and the yield).  All arrays C-contiguous; index columns int64.
+    Per-row sums are numpy's (``sum(axis=1)``), so they match the
+    reference bit for bit.
+    """
+
+    req_agg: np.ndarray      # (J, D) float64 aggregate requirements
+    req_agg_sum: np.ndarray  # (J,)   float64 their row sums
+    need_dim: np.ndarray     # (J,)   argmax of each aggregate need (P1)
+    req_dim: np.ndarray      # (J,)   argmax of each requirement (P3/P5)
+    elem_ok: np.ndarray      # (J, H) bool, requirements fit elementarily
+    bin_agg: np.ndarray      # (H, D) float64 aggregate capacities
+    bin_agg_sum: np.ndarray  # (H,)   float64 their row sums
+    cap_tol: np.ndarray      # (H, D) float64 aggregate fit bound
+    req_elem: np.ndarray     # (J, D) float64 elementary requirements
+    need_elem: np.ndarray    # (J, D) float64 elementary needs
+    need_agg: np.ndarray     # (J, D) float64 aggregate needs
+    bin_elem: np.ndarray     # (H, D) float64 elementary capacities
+    orders: np.ndarray       # (SO, J) distinct service orders
+    pass_order: np.ndarray   # (P,) row into orders
+    pass_pick: np.ndarray    # (P,) node picker code, 0..6 for P1..P7
+    feas_atol: float         # the yield step's feasibility tolerances
+    feas_rtol: float
 
 
 class KernelBackend:
@@ -129,6 +160,15 @@ class KernelBackend:
 
         The position indexes ``args.scan`` (-1 when no strategy packs);
         the assignment array is freshly allocated per call.
+        """
+        raise NotImplementedError
+
+    def greedy_scan(self, args: GreedyScanArgs
+                    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Run every greedy pass; returns ``(placements, min_yields)``.
+
+        ``placements`` is ``(P, J)`` and ``min_yields`` ``(P,)``; a pass
+        that cannot place every service has a row of -1 and ``-inf``.
         """
         raise NotImplementedError
 
@@ -254,3 +294,26 @@ class ArrayKernelBackend(KernelBackend):
             args.st_bin, args.st_hetero, args.st_w, args.st_choose,
             args.st_cfg, args.scan, loads, load_sum, assignment)
         return int(si), assignment
+
+    # -- greedy passes -------------------------------------------------
+    def greedy_scan(self, args: GreedyScanArgs
+                    ) -> Tuple[np.ndarray, np.ndarray]:
+        kernel = getattr(self._k, "greedy_scan", None)
+        if kernel is None:
+            # A scan numba failed to compile: same results, numpy speed.
+            from .numpy_backend import greedy_scan_reference
+            return greedy_scan_reference(args)
+        J = args.req_agg.shape[0]
+        P = args.pass_order.shape[0]
+        placements = np.empty((P, J), dtype=np.int64)
+        min_yields = np.empty(P, dtype=np.float64)
+        feasible = kernel(
+            args.req_agg, args.req_agg_sum, args.need_dim, args.req_dim,
+            args.elem_ok, args.bin_agg, args.bin_agg_sum, args.cap_tol,
+            args.req_elem, args.need_elem, args.need_agg, args.bin_elem,
+            args.orders, args.pass_order, args.pass_pick,
+            float(args.feas_atol), float(args.feas_rtol), placements,
+            min_yields)
+        if feasible < 0:
+            raise MemoryError("greedy_scan could not allocate its work arrays")
+        return placements, min_yields

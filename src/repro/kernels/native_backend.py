@@ -4,13 +4,15 @@ A line-for-line translation of :mod:`._loops` compiled on demand with the
 system C compiler (``$CC`` or ``cc``).  Compilation happens once per
 source revision: the shared object is cached under
 ``$REPRO_NATIVE_CACHE`` (default ``~/.cache/repro-kernels``) keyed by a
-hash of the source *and* the compiler identity (``cc --version``), so
-neither a loop edit nor a compiler upgrade can ever load a stale shared
-object.
+hash of the source, the compiler flags *and* the compiler identity
+(``cc --version``), so neither a loop edit nor a compiler upgrade can
+ever load a stale shared object.
 
-No ``-ffast-math``: the kernels run strict IEEE float64 in the same
-operation order as the other backends, keeping placements and loads
-bit-identical (asserted by the cross-backend equivalence tests).
+No ``-ffast-math``, and ``-ffp-contract=off`` so no ``a * b + c`` is
+fused into one rounding on FMA targets: the kernels run strict IEEE
+float64 in the same operation order as the other backends, keeping
+placements, loads and yields bit-identical (asserted by the
+cross-backend equivalence tests).
 """
 
 from __future__ import annotations
@@ -450,6 +452,244 @@ int64_t probe_scan(int64_t J, int64_t H, int64_t D, int64_t S,
     }
     return -1;
 }
+
+double pairwise_sum(const double *buf, int64_t n,
+                    int64_t *frames, double *partial)
+{
+    int64_t nf = 1, nv = 0;
+    frames[0] = 0;
+    frames[1] = n;
+    frames[2] = 0;
+    while (nf > 0) {
+        nf--;
+        int64_t lo = frames[nf*3+0];
+        int64_t m = frames[nf*3+1];
+        if (frames[nf*3+2] == 1) {
+            nv--;
+            partial[nv-1] = partial[nv-1] + partial[nv];
+        } else if (m > 128) {
+            int64_t m2 = m / 2;
+            m2 -= m2 % 8;
+            frames[nf*3+2] = 1;
+            nf++;
+            frames[nf*3+0] = lo + m2;
+            frames[nf*3+1] = m - m2;
+            frames[nf*3+2] = 0;
+            nf++;
+            frames[nf*3+0] = lo;
+            frames[nf*3+1] = m2;
+            frames[nf*3+2] = 0;
+            nf++;
+        } else {
+            double s;
+            if (m < 8) {
+                s = 0.0;
+                for (int64_t i = 0; i < m; i++) s += buf[lo+i];
+            } else {
+                double r0 = buf[lo], r1 = buf[lo+1], r2 = buf[lo+2],
+                       r3 = buf[lo+3], r4 = buf[lo+4], r5 = buf[lo+5],
+                       r6 = buf[lo+6], r7 = buf[lo+7];
+                int64_t i = 8;
+                int64_t stop = m - m % 8;
+                while (i < stop) {
+                    r0 += buf[lo+i];
+                    r1 += buf[lo+i+1];
+                    r2 += buf[lo+i+2];
+                    r3 += buf[lo+i+3];
+                    r4 += buf[lo+i+4];
+                    r5 += buf[lo+i+5];
+                    r6 += buf[lo+i+6];
+                    r7 += buf[lo+i+7];
+                    i += 8;
+                }
+                s = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7));
+                while (i < m) {
+                    s += buf[lo+i];
+                    i++;
+                }
+            }
+            partial[nv++] = s;
+        }
+    }
+    return 0.0 + partial[0];
+}
+
+int64_t greedy_scan(int64_t J, int64_t H, int64_t D, int64_t P,
+                    const double *req_agg, const double *req_agg_sum,
+                    const int64_t *need_dim, const int64_t *req_dim,
+                    const uint8_t *elem_ok, const double *bin_agg,
+                    const double *bin_agg_sum, const double *cap_tol,
+                    const double *req_elem, const double *need_elem,
+                    const double *need_agg, const double *bin_elem,
+                    const int64_t *orders, const int64_t *pass_order,
+                    const int64_t *pass_pick, double feas_atol,
+                    double feas_rtol, int64_t *placements,
+                    double *min_yields)
+{
+    double *loads = malloc((size_t)(H*D) * sizeof(double));
+    double *buf = malloc((size_t)(J + D) * sizeof(double));
+    int64_t *count = malloc((size_t)H * sizeof(int64_t));
+    int64_t *start = malloc((size_t)H * sizeof(int64_t));
+    int64_t *members = malloc((size_t)(J + 1) * sizeof(int64_t));
+    double *col_req = malloc((size_t)D * sizeof(double));
+    double *col_need = malloc((size_t)D * sizeof(double));
+    int64_t frames[128*3];
+    double partial[64];
+    if (!loads || !buf || !count || !start || !members || !col_req
+            || !col_need) {
+        free(loads); free(buf); free(count); free(start); free(members);
+        free(col_req); free(col_need);
+        return -1;
+    }
+    double agg_scale = 1.0 + feas_rtol;
+    int64_t feasible = 0;
+    for (int64_t p = 0; p < P; p++) {
+        int64_t pick = pass_pick[p];
+        const int64_t *order = orders + pass_order[p]*J;
+        int64_t *placement = placements + p*J;
+        for (int64_t h = 0; h < H; h++)
+            for (int64_t d = 0; d < D; d++) loads[h*D+d] = 0.0;
+        for (int64_t j = 0; j < J; j++) placement[j] = -1;
+        int placed = 1;
+        for (int64_t i = 0; i < J; i++) {
+            int64_t j = order[i];
+            int64_t best = -1;
+            double best_v = 0.0;
+            for (int64_t h = 0; h < H; h++) {
+                if (!elem_ok[j*H+h]) continue;
+                int fits = 1;
+                for (int64_t d = 0; d < D; d++) {
+                    if (loads[h*D+d] + req_agg[j*D+d] > cap_tol[h*D+d]) {
+                        fits = 0;
+                        break;
+                    }
+                }
+                if (!fits) continue;
+                if (pick == 6) {
+                    best = h;
+                    break;
+                }
+                double v;
+                if (pick == 0) {
+                    v = bin_agg[h*D+need_dim[j]] - loads[h*D+need_dim[j]];
+                } else if (pick == 2 || pick == 4) {
+                    v = bin_agg[h*D+req_dim[j]] - loads[h*D+req_dim[j]];
+                } else if (pick == 1) {
+                    for (int64_t d = 0; d < D; d++) buf[d] = loads[h*D+d];
+                    v = (pairwise_sum(buf, D, frames, partial)
+                         + req_agg_sum[j]) / bin_agg_sum[h];
+                } else {
+                    for (int64_t d = 0; d < D; d++)
+                        buf[d] = bin_agg[h*D+d] - loads[h*D+d];
+                    v = pairwise_sum(buf, D, frames, partial);
+                }
+                if (v != v) {
+                    best = h;
+                    break;
+                }
+                if (best < 0) {
+                    best = h;
+                    best_v = v;
+                } else if (pick == 0 || pick == 4 || pick == 5) {
+                    if (v > best_v) {
+                        best = h;
+                        best_v = v;
+                    }
+                } else if (v < best_v) {
+                    best = h;
+                    best_v = v;
+                }
+            }
+            if (best < 0) {
+                placed = 0;
+                break;
+            }
+            for (int64_t d = 0; d < D; d++)
+                loads[best*D+d] += req_agg[j*D+d];
+            placement[j] = best;
+        }
+        if (!placed) {
+            for (int64_t j = 0; j < J; j++) placement[j] = -1;
+            min_yields[p] = -INFINITY;
+            continue;
+        }
+        feasible++;
+        for (int64_t h = 0; h < H; h++) count[h] = 0;
+        for (int64_t j = 0; j < J; j++) count[placement[j]]++;
+        int64_t s = 0;
+        for (int64_t h = 0; h < H; h++) {
+            start[h] = s;
+            s += count[h];
+            count[h] = 0;
+        }
+        for (int64_t j = 0; j < J; j++) {
+            int64_t h = placement[j];
+            members[start[h] + count[h]] = j;
+            count[h]++;
+        }
+        double y_min = INFINITY;
+        for (int64_t h = 0; h < H; h++) {
+            int64_t K = count[h];
+            if (K == 0) continue;
+            int64_t base = start[h];
+            if (D == 1) {
+                for (int64_t q = 0; q < K; q++)
+                    buf[q] = req_agg[members[base+q]];
+                col_req[0] = pairwise_sum(buf, K, frames, partial);
+                for (int64_t q = 0; q < K; q++)
+                    buf[q] = need_agg[members[base+q]];
+                col_need[0] = pairwise_sum(buf, K, frames, partial);
+            } else {
+                for (int64_t d = 0; d < D; d++) {
+                    col_req[d] = 0.0;
+                    col_need[d] = 0.0;
+                }
+                for (int64_t q = 0; q < K; q++) {
+                    int64_t j = members[base+q];
+                    for (int64_t d = 0; d < D; d++) {
+                        col_req[d] += req_agg[j*D+d];
+                        col_need[d] += need_agg[j*D+d];
+                    }
+                }
+            }
+            int ok = 1;
+            for (int64_t q = 0; q < K; q++) {
+                int64_t j = members[base+q];
+                for (int64_t d = 0; d < D; d++)
+                    if (req_elem[j*D+d] > bin_elem[h*D+d] + feas_atol) ok = 0;
+            }
+            for (int64_t d = 0; d < D; d++)
+                if (col_req[d] > bin_agg[h*D+d] * agg_scale + feas_atol)
+                    ok = 0;
+            double y = 0.0;
+            if (ok) {
+                y = 1.0;
+                for (int64_t q = 0; q < K; q++) {
+                    int64_t j = members[base+q];
+                    for (int64_t d = 0; d < D; d++) {
+                        double nd = need_elem[j*D+d];
+                        if (nd > 0) {
+                            double t = (bin_elem[h*D+d] - req_elem[j*D+d]) / nd;
+                            if (t < y) y = t;
+                        }
+                    }
+                }
+                for (int64_t d = 0; d < D; d++) {
+                    if (col_need[d] > 0) {
+                        double t = (bin_agg[h*D+d] - col_req[d]) / col_need[d];
+                        if (t < y) y = t;
+                    }
+                }
+                if (!(y > 0.0)) y = 0.0;
+            }
+            if (y < y_min) y_min = y;
+        }
+        min_yields[p] = y_min;
+    }
+    free(loads); free(buf); free(count); free(start); free(members);
+    free(col_req); free(col_need);
+    return feasible;
+}
 """
 
 
@@ -490,10 +730,14 @@ def _compiler_identity(cc: str) -> str:
     return f"{cc}|{ident}"
 
 
+#: Compiler flags; part of the cache key like the source.
+_CFLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
+
+
 def _build_library() -> str:
     """Compile (or reuse) the shared object; returns its path."""
     cc = os.environ.get("CC", "cc")
-    key = _C_SOURCE + "\0" + _compiler_identity(cc)
+    key = "\0".join((_C_SOURCE, " ".join(_CFLAGS), _compiler_identity(cc)))
     digest = hashlib.sha1(key.encode()).hexdigest()[:16]
     cache = _cache_dir()
     lib_path = os.path.join(cache, f"repro_kernels_{digest}.so")
@@ -507,7 +751,7 @@ def _build_library() -> str:
             with open(src, "w") as fh:
                 fh.write(_C_SOURCE)
             proc = subprocess.run(
-                [cc, "-O2", "-fPIC", "-shared", "-o", obj, src],
+                [cc, *_CFLAGS, "-o", obj, src],
                 capture_output=True, text=True, timeout=120)
             if proc.returncode != 0:
                 raise NativeBuildError(
@@ -574,6 +818,13 @@ class _NativeKernels:
                                    _i64p, _i64p, _i64p, _i64p, _i64p,
                                    _i64p, _i64p, _i64p, _i64p, _i64p,
                                    _f64p, _f64p, _i64p]
+        lib.greedy_scan.restype = _i64
+        lib.greedy_scan.argtypes = [_i64, _i64, _i64, _i64,
+                                    _f64p, _f64p, _i64p, _i64p, _u8p,
+                                    _f64p, _f64p, _f64p, _f64p, _f64p,
+                                    _f64p, _f64p, _i64p, _i64p, _i64p,
+                                    ctypes.c_double, ctypes.c_double,
+                                    _i64p, _f64p]
 
     def ff_fill(self, item_agg, elem_ok, item_order, bin_order,
                 loads, load_sum, cap_tol, assignment):
@@ -636,6 +887,18 @@ class _NativeKernels:
             item_dim_perm, pp_order0, pp_order1, st_packer, st_item,
             st_bin, st_hetero, st_w, st_choose, st_cfg, scan, loads,
             load_sum, assignment)
+
+    def greedy_scan(self, req_agg, req_agg_sum, need_dim, req_dim,
+                    elem_ok, bin_agg, bin_agg_sum, cap_tol, req_elem,
+                    need_elem, need_agg, bin_elem, orders, pass_order,
+                    pass_pick, feas_atol, feas_rtol, placements,
+                    min_yields):
+        return self._lib.greedy_scan(
+            req_agg.shape[0], bin_agg.shape[0], req_agg.shape[1],
+            pass_order.shape[0], req_agg, req_agg_sum, need_dim, req_dim,
+            _u8(elem_ok), bin_agg, bin_agg_sum, cap_tol, req_elem,
+            need_elem, need_agg, bin_elem, orders, pass_order, pass_pick,
+            feas_atol, feas_rtol, placements, min_yields)
 
 
 def load_native_kernels() -> _NativeKernels:

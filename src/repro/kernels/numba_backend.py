@@ -20,7 +20,9 @@ The fused :data:`probe_scan` is built by jitting the
 cannot use the on-disk cache, so that one compile is per-process — it is
 attempted during :func:`warmup` and the binding degrades to ``None`` (the
 backend then reports ``supports_probe_scan = False``) if numba cannot
-compile it.
+compile it.  :data:`greedy_scan` is the :func:`._loops.make_greedy_scan`
+closure over the jitted :data:`pairwise_sum`, compiled and degraded the
+same way (``None`` makes the adapter run the numpy reference loop).
 """
 
 from __future__ import annotations
@@ -38,6 +40,8 @@ __all__ = [
     "batch_fit_thresholds",
     "incremental_best_fit",
     "probe_scan",
+    "pairwise_sum",
+    "greedy_scan",
     "warmup",
 ]
 
@@ -54,10 +58,13 @@ incremental_best_fit = _jit(_loops.incremental_best_fit)
 probe_scan = njit(nogil=True)(
     _loops.make_probe_scan(ff_fill, bf_pack, pp_fill_2d, pp_fill_general))
 
+pairwise_sum = _jit(_loops.pairwise_sum)
+greedy_scan = njit(nogil=True)(_loops.make_greedy_scan(pairwise_sum))
+
 
 def warmup() -> None:
     """Force compilation on tiny inputs so the first real solve is hot."""
-    global probe_scan
+    global probe_scan, greedy_scan
     import numpy as np
 
     item_agg = np.ones((2, 2))
@@ -109,3 +116,17 @@ def warmup() -> None:
         # The packer kernels above still work; only the fused scan is
         # lost, and the backend degrades to per-strategy dispatch.
         probe_scan = None
+    try:
+        # Instance arrays reach the scan read-only; warm that signature.
+        svc, node = item_agg.copy(), cap.copy()
+        svc.setflags(write=False)
+        node.setflags(write=False)
+        dim = np.zeros(2, dtype=np.int64)
+        one = np.zeros(1, dtype=np.int64)
+        greedy_scan(svc, svc.sum(axis=1), dim, dim, elem_ok, node,
+                    node.sum(axis=1), cap, svc, svc, svc, node,
+                    order[None], one, one, 0.0, 0.0,
+                    np.empty((1, 2), dtype=np.int64), np.empty(1))
+    except Exception:
+        # Same degradation: the adapter runs the numpy reference loop.
+        greedy_scan = None

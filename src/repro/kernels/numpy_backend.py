@@ -3,19 +3,23 @@
 This is the always-available reference implementation: the packer scalar
 paths run on Python floats over pre-extracted nested lists (per-item
 numpy calls cost more than the arithmetic at the paper's J≈100), the
-threshold table is a single ``(J, H, D)`` broadcast, and the dynamic
-newcomer fill is a per-item vectorized best-fit.  Every path handles any
-dimension count — backend choice never depends on D — and the compiled
-backends must reproduce these results bit-for-bit.
+threshold table is a single ``(J, H, D)`` broadcast, the dynamic
+newcomer fill is a per-item vectorized best-fit, and the greedy scan
+runs its passes one by one with a vectorized fit test per service.
+Every path handles any dimension count — backend choice never depends
+on D — and the compiled backends must reproduce these results
+bit-for-bit.
 """
 
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
 
-from .api import KernelBackend
+from .api import GreedyScanArgs, KernelBackend
 
-__all__ = ["NumpyKernelBackend"]
+__all__ = ["NumpyKernelBackend", "greedy_scan_reference"]
 
 _SENTINEL = np.iinfo(np.int64).max
 
@@ -36,6 +40,117 @@ def _bin_dim_rank_tuple(state, h: int, by_remaining: bool) -> tuple:
     rank = np.empty_like(perm)
     rank[perm] = np.arange(perm.shape[0])
     return tuple(int(r) for r in rank)
+
+
+# -- greedy passes ------------------------------------------------------
+# Node pickers by code (P1..P7): ``(args, cands, loads, j) -> node``.
+
+def _pick_p1(a, cands, loads, j):
+    d = a.need_dim[j]
+    return cands[int(np.argmax(a.bin_agg[cands, d] - loads[cands, d]))]
+
+
+def _pick_p2(a, cands, loads, j):
+    after = loads[cands].sum(axis=1) + a.req_agg_sum[j]
+    return cands[int(np.argmin(after / a.bin_agg_sum[cands]))]
+
+
+def _pick_p3(a, cands, loads, j):
+    d = a.req_dim[j]
+    return cands[int(np.argmin(a.bin_agg[cands, d] - loads[cands, d]))]
+
+
+def _pick_p4(a, cands, loads, j):
+    remaining = (a.bin_agg[cands] - loads[cands]).sum(axis=1)
+    return cands[int(np.argmin(remaining))]
+
+
+def _pick_p5(a, cands, loads, j):
+    d = a.req_dim[j]
+    return cands[int(np.argmax(a.bin_agg[cands, d] - loads[cands, d]))]
+
+
+def _pick_p6(a, cands, loads, j):
+    remaining = (a.bin_agg[cands] - loads[cands]).sum(axis=1)
+    return cands[int(np.argmax(remaining))]
+
+
+def _pick_p7(a, cands, loads, j):
+    return cands[0]
+
+
+_PICKERS = (_pick_p1, _pick_p2, _pick_p3, _pick_p4, _pick_p5, _pick_p6,
+            _pick_p7)
+
+
+def _greedy_pass(a: GreedyScanArgs, order: np.ndarray,
+                 pick: int) -> Optional[np.ndarray]:
+    """One pass: each service in *order* to its picker's fitting node."""
+    picker = _PICKERS[pick]
+    loads = np.zeros_like(a.bin_agg)
+    placement = np.full(order.shape[0], -1, dtype=np.int64)
+    for j in order:
+        j = int(j)
+        fits = a.elem_ok[j] & (loads + a.req_agg[j] <= a.cap_tol).all(axis=1)
+        cands = np.flatnonzero(fits)
+        if cands.size == 0:
+            return None
+        h = int(picker(a, cands, loads, j))
+        loads[h] += a.req_agg[j]
+        placement[j] = h
+    return placement
+
+
+def _node_yield(a: GreedyScanArgs, h: int, members: np.ndarray) -> float:
+    """Largest common yield of *members* on node *h*, -1 if infeasible.
+
+    The object model's ``max_min_yield_on_node``, restated over the scan
+    arguments (kernels do not import the object model).
+    """
+    cap_elem, cap_agg = a.bin_elem[h], a.bin_agg[h]
+    req_elem, need_elem = a.req_elem[members], a.need_elem[members]
+    if (req_elem > cap_elem + a.feas_atol).any():
+        return -1.0
+    agg_req = a.req_agg[members].sum(axis=0)
+    if (agg_req > cap_agg * (1 + a.feas_rtol) + a.feas_atol).any():
+        return -1.0
+    y = 1.0
+    mask = need_elem > 0
+    if mask.any():
+        y = min(y, ((cap_elem - req_elem)[mask] / need_elem[mask]).min())
+    agg_need = a.need_agg[members].sum(axis=0)
+    dmask = agg_need > 0
+    if dmask.any():
+        y = min(y, ((cap_agg - agg_req)[dmask] / agg_need[dmask]).min())
+    return float(min(1.0, max(0.0, y)))
+
+
+def _improved_min_yield(a: GreedyScanArgs, placement: np.ndarray) -> float:
+    """Minimum yield once every node's services get their common yield."""
+    yields = np.zeros(placement.shape[0])
+    for h in range(a.bin_agg.shape[0]):
+        members = np.flatnonzero(placement == h)
+        if members.size == 0:
+            continue
+        y = _node_yield(a, h, members)
+        if y >= 0:
+            yields[members] = np.maximum(yields[members], y)
+    return float(yields.min())
+
+
+def greedy_scan_reference(args: GreedyScanArgs
+                          ) -> tuple[np.ndarray, np.ndarray]:
+    """The greedy scan as a loop over passes (the reference result)."""
+    P = args.pass_order.shape[0]
+    placements = np.full((P, args.req_agg.shape[0]), -1, dtype=np.int64)
+    min_yields = np.full(P, -np.inf)
+    for p in range(P):
+        placement = _greedy_pass(args, args.orders[args.pass_order[p]],
+                                 int(args.pass_pick[p]))
+        if placement is not None:
+            placements[p] = placement
+            min_yields[p] = _improved_min_yield(args, placement)
+    return placements, min_yields
 
 
 class NumpyKernelBackend(KernelBackend):
@@ -245,3 +360,8 @@ class NumpyKernelBackend(KernelBackend):
             out[i] = h
             loads[h] += req_agg[i]
         return out
+
+    # -- greedy passes -------------------------------------------------
+    def greedy_scan(self, args: GreedyScanArgs
+                    ) -> tuple[np.ndarray, np.ndarray]:
+        return greedy_scan_reference(args)

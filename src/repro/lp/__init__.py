@@ -2,7 +2,8 @@
 
 from .formulation import MilpFormulation, build_formulation
 from .relaxation import placement_probabilities, relaxed_upper_bound
-from .solver import LpSolution, solve_exact, solve_relaxation
+from .solver import (LpSolution, shared_relaxations, solve_exact,
+                     solve_relaxation)
 
 __all__ = [
     "LpSolution",
@@ -10,6 +11,7 @@ __all__ = [
     "build_formulation",
     "placement_probabilities",
     "relaxed_upper_bound",
+    "shared_relaxations",
     "solve_exact",
     "solve_relaxation",
 ]

@@ -43,8 +43,7 @@ def placement_probabilities(solution: LpSolution, epsilon: float = 0.0
     if epsilon > 0.0:
         e[e == 0.0] = epsilon
     # Never propose placements that cannot satisfy rigid requirements.
-    from .formulation import _forbidden_pairs
-    e[_forbidden_pairs(solution.instance)] = 0.0
+    e[solution.forbidden] = 0.0
     totals = e.sum(axis=1, keepdims=True)
     # A row can be all-zero only if *no* node fits the service's
     # requirements; leave it zero and let the rounding algorithm fail fast.

@@ -9,7 +9,10 @@ unchanged — the substitution is solver-for-solver (see DESIGN.md §3).
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
+from typing import Iterator, Optional, Union
 
 import numpy as np
 from scipy.optimize import milp
@@ -19,7 +22,8 @@ from ..core.exceptions import InfeasibleProblemError, SolverError
 from ..core.instance import ProblemInstance
 from .formulation import MilpFormulation, build_formulation
 
-__all__ = ["LpSolution", "solve_exact", "solve_relaxation"]
+__all__ = ["LpSolution", "shared_relaxations", "solve_exact",
+           "solve_relaxation"]
 
 # HiGHS status codes surfaced by scipy.optimize.milp.
 _STATUS_OPTIMAL = 0
@@ -42,6 +46,9 @@ class LpSolution:
         Whether the solution came from the MILP (True) or relaxation.
     solve_seconds:
         Wall-clock solver time.
+    forbidden:
+        The formulation's ``(J, H)`` mask of placements fixed to zero
+        (requirements alone cannot fit).
     """
 
     instance: ProblemInstance
@@ -50,6 +57,7 @@ class LpSolution:
     y: np.ndarray
     integral: bool
     solve_seconds: float
+    forbidden: np.ndarray
 
     def placement(self) -> np.ndarray:
         """Node index per service (argmax of ``e``; exact for integral)."""
@@ -97,6 +105,7 @@ def _run(formulation: MilpFormulation, time_limit: float | None,
         y=y,
         integral=integral,
         solve_seconds=elapsed,
+        forbidden=formulation.forbidden,
     )
 
 
@@ -111,13 +120,57 @@ def solve_exact(instance: ProblemInstance, time_limit: float | None = None,
                 time_limit, mip_rel_gap, integral=True)
 
 
+#: A relaxation outcome: the solution, or the infeasibility it raised.
+_Outcome = Union[LpSolution, InfeasibleProblemError]
+
+#: The active :func:`shared_relaxations` memo: ``(id(instance),
+#: time_limit)`` → (instance, outcome).  The instance is kept so its id
+#: cannot be reused while the memo lives.
+_SHARED: ContextVar[Optional[dict]] = ContextVar("shared_relaxations",
+                                                 default=None)
+
+
+@contextmanager
+def shared_relaxations() -> Iterator[None]:
+    """Within the block, solve each instance's relaxation at most once.
+
+    :func:`solve_relaxation` answers a repeated call on the *same*
+    instance object (same ``time_limit``) with the first call's solution,
+    or re-raises its :class:`InfeasibleProblemError`.  The grid runner
+    wraps each warm-chain task in it, so RRND and RRNZ share one HiGHS
+    solve per instance; timing tables run without it, so every RRNZ
+    solve pays for its own LP.  The memo is per context (thread), and
+    the solution is shared, not copied: callers must not mutate it.
+    """
+    token = _SHARED.set({})
+    try:
+        yield
+    finally:
+        _SHARED.reset(token)
+
+
 def solve_relaxation(instance: ProblemInstance,
                      time_limit: float | None = None) -> LpSolution:
     """Solve the rational relaxation (all variables in [0, 1]).
 
     Polynomial time in practice.  The objective value is an upper bound on
     the exact optimum and the fractional ``e`` matrix drives the
-    randomized-rounding heuristics (§3.3).
+    randomized-rounding heuristics (§3.3).  Inside
+    :func:`shared_relaxations` each instance is solved once.
     """
-    return _run(build_formulation(instance, integral=False),
-                time_limit, None, integral=False)
+    memo = _SHARED.get()
+    key = (id(instance), time_limit)
+    outcome: _Outcome
+    if memo is not None and key in memo:
+        outcome = memo[key][1]
+    else:
+        try:
+            outcome = _run(build_formulation(instance, integral=False),
+                           time_limit, None, integral=False)
+        except InfeasibleProblemError as exc:
+            outcome = exc
+        if memo is not None:
+            memo[key] = (instance, outcome)
+    if isinstance(outcome, InfeasibleProblemError):
+        raise outcome
+    return outcome
