@@ -1,29 +1,32 @@
 # repro-fixture: rule=CC201 count=0 path=repro/service/example.py
 # ruff: noqa
-"""Known-good: solves stay on the sanctioned admit/depart paths; other
-lock regions touch in-memory state only."""
+"""Known-good: checkpoints and solves stay on the one transaction path
+(_transact); other lock regions touch in-memory state only."""
 import threading
 
 
 class Controller:
-    def __init__(self, solver):
+    def __init__(self, state, solver):
         self._lock = threading.RLock()
+        self.state = state
         self.solver = solver
-        self.live = {}
+
+    def _transact(self, mutate):
+        with self._lock:  # sanctioned: the one transaction path
+            snap = self.state.checkpoint()
+            try:
+                mutate()
+                return self.solver.solve_many([self.state.instance()])[0]
+            except BaseException:
+                self.state.restore(snap)
+                raise
 
     def admit(self, spec):
-        with self._lock:  # sanctioned: the re-solve request path
-            self.live[spec.sid] = spec
-            return self.solver.solve_with_hint(self._instance(), hint=None)
+        return self._transact(lambda: self.state.add(spec))
 
     def depart(self, sid):
-        with self._lock:  # sanctioned: the re-solve request path
-            self.live.pop(sid, None)
-            return self.solver.solve(self._instance())
+        return self._transact(lambda: self.state.remove(sid))
 
-    def snapshot(self):
+    def view(self):
         with self._lock:
-            return dict(self.live)
-
-    def _instance(self):
-        return tuple(self.live)
+            return len(self.state)

@@ -1,15 +1,15 @@
 """Concurrency rules (CC2xx).
 
 ``CC201`` — lock discipline in ``repro/service/``.  The
-``AllocationController`` serializes every state change behind one RLock;
-the *only* sanctioned places to spend time under it are the re-solve
-paths (``admit``/``depart``, the ``drain_node``/``add_node`` admin
-endpoints, and ``replay_events`` restart recovery).  The rule builds a
-call graph over
-the service package, finds every ``with self._lock:`` region, and flags
-lock-held code that can reach a solver entry point, blocking I/O, or a
-checkpoint write from any *other* function — the classic "quick getter
-grows a solve under the lock" regression.
+``AllocationController`` serializes every state change behind one RLock,
+and every state change runs through one transaction path,
+``_transact``: it is the *only* sanctioned place to spend time under the
+lock (admissions, departures, node drains and additions, and the journal
+replay that re-runs them all go through it).  The rule builds a call
+graph over the service package, finds every ``with self._lock:`` region,
+and flags lock-held code that can reach a solver entry point, blocking
+I/O, or a checkpoint write from any *other* function — the classic
+"quick getter grows a solve under the lock" regression.
 
 ``CC202`` — objects crossing ``parallel_imap`` worker boundaries.  The
 experiment engine ships picklable task descriptors to a process pool;
@@ -35,17 +35,15 @@ from ..core import (
 
 __all__ = ["LockDisciplineRule", "ParallelBoundaryRule"]
 
-#: Functions allowed to hold the controller lock across a solve: the
-#: state-changing request paths (and everything they call) — service
-#: admissions/departures, the node-churn admin endpoints, and journal
-#: replay on restart, which re-runs those solves before serving.
-_SANCTIONED_LOCK_HOLDERS = frozenset({"admit", "depart", "drain_node",
-                                      "add_node", "replay_events"})
+#: The one function allowed to hold the controller lock across a solve:
+#: the transaction every state-changing request (and journal replay on
+#: restart) runs through.
+_SANCTIONED_LOCK_HOLDERS = frozenset({"_transact"})
 
 #: Call patterns that must not run while the controller lock is held
-#: (outside the sanctioned paths).  Matched against the call's dotted
+#: (outside the transaction path).  Matched against the call's dotted
 #: name: its last attribute, or dotted prefixes for stdlib I/O.
-_SOLVER_TAILS = frozenset({"solve", "solve_with_hint",
+_SOLVER_TAILS = frozenset({"solve", "solve_with_hint", "solve_many",
                            "binary_search_max_yield"})
 _BLOCKING_EXACT = frozenset({"open", "time.sleep", "sleep"})
 _BLOCKING_PREFIXES = ("subprocess.", "socket.", "urllib.", "requests.",
@@ -125,9 +123,8 @@ class LockDisciplineRule(Rule):
     id = "CC201"
     name = "service-lock-discipline"
     summary = ("no solver calls, blocking I/O, or checkpoint writes while "
-               "the AllocationController lock is held outside the "
-               "sanctioned re-solve paths — admit/depart, node "
-               "drain/add, journal replay (repro/service/)")
+               "the AllocationController lock is held outside the one "
+               "transaction path, _transact (repro/service/)")
 
     #: transitive-call search depth through the service package.
     MAX_DEPTH = 6
@@ -155,8 +152,8 @@ class LockDisciplineRule(Rule):
                     yield self.finding(
                         info.module, with_stmt,
                         f"{info.qualname} holds the controller lock over "
-                        f"{kind} ({path}); only the sanctioned re-solve "
-                        "paths may — move the work outside the lock")
+                        f"{kind} ({path}); only the transaction path "
+                        "(_transact) may — move the work outside the lock")
 
     def _search(self, calls: list[tuple[str, int]],
                 by_method: dict[str, list[_FuncInfo]],

@@ -1,11 +1,13 @@
 """The allocation controller: serialized solves, warm starts, admission.
 
 One :class:`AllocationController` owns the cluster state and a solver
-lock.  Every arrival/departure runs under that lock — concurrent HTTP
-requests are *queued, not raced* (the ``max_concurrent_solves`` metric
-proves it stayed 1) — and triggers an incremental re-solve of the whole
-live set, warm-started from the incumbent placement's certified yield
-via ``binary_search_max_yield(hint=)``:
+lock.  Every state change (admit, depart, node drain, node add) runs as
+one transaction, :meth:`AllocationController._transact`, under that
+lock — concurrent HTTP requests are *queued, not raced* (the
+``max_concurrent_solves`` metric proves it stayed 1) — and triggers an
+incremental re-solve of the whole live set, warm-started from the
+incumbent placement's certified yield via
+``binary_search_max_yield(hint=)``:
 
 * The hint is the previous solve's certified uniform yield, *unscaled*.
   The dynamic simulator scales its epoch hints by the capacity-bound
@@ -38,27 +40,36 @@ via ``binary_search_max_yield(hint=)``:
   search-certified (``certified_yield`` is ``null`` until the next full
   solve).
 
-* **Robustness**: solver invocations run under a named bounded backoff
-  (:func:`repro.util.retry.retry_bounded`); only after the retry budget
-  is exhausted does an arrival fall back to the degraded greedy probe
-  (and a departure to the retained incumbent).  A solver failure never
-  loses the incumbent placement.
+* **Failure policy**: solver invocations run under a named bounded
+  backoff (:func:`repro.util.retry.retry_bounded`).  When the retry
+  budget is exhausted, or the solve finds no placement, each op falls
+  back in its own way — the one place the ops differ:
+
+  ==============  ======================  ======================
+  op              solver error            no placement
+  ==============  ======================  ======================
+  ``admit``       degraded greedy probe   409, counted rejection
+  ``depart``      retained placement      retained placement
+  ``drain_node``  409, drain refused      409, drain refused
+  ``add_node``    keep the incumbent      keep the incumbent
+  ==============  ======================  ======================
+
+  A solver failure never loses the incumbent placement.
 
 * **Durability**: with an :class:`~repro.service.journal.EventJournal`
   attached, every state-changing event (admit, depart, strategy switch,
   drain, node add) is fsynced to the journal *before* it commits and
-  before the client is answered.  A journal-write failure rolls the
-  whole event back (state, warm-start hint and all) and answers 503 —
-  the daemon never acknowledges an event it cannot replay.  Each record
-  carries the solve mode actually used, so :meth:`replay_events`
-  reproduces degraded-path decisions without re-evaluating latency
-  heuristics; replay runs with faults and journaling disabled and lands
-  on a :meth:`ClusterState.digest`-identical state.
-
-* **Operator actions**: ``drain_node`` evacuates a node (the re-solve
-  must fit the live set on the remaining nodes, else 409 and the drain
-  is refused); ``add_node`` grows the platform and re-solves
-  opportunistically, keeping the incumbent when the solver fails.
+  before the client is answered.  Any failure before the record is
+  durable — a refusal, an exception in the solve, a journal-write
+  failure (503) — restores the transaction's checkpoint (state,
+  warm-start hint and all): the daemon never acknowledges an event it
+  cannot replay, and never keeps one it has not journaled.  Each record
+  names the outcome the daemon took (``mode`` for admit/depart,
+  ``resolved`` for drain/add), and :meth:`replay_events` forces that
+  outcome rather than re-deciding it from latency or solver failures; a
+  replayed solve that fails aborts the replay.  Replay runs with faults
+  and journaling disabled and lands on a
+  :meth:`ClusterState.digest`-identical state.
 
 * **Observability**: all counters/gauges/histograms live in a
   :class:`repro.obs.MetricsRegistry` — :meth:`render_metrics` is the
@@ -76,11 +87,11 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, NoReturn, Sequence
 
 import numpy as np
 
-from .. import kernels, obs
+from .. import obs
 from ..algorithms.vector_packing.meta import (
     META_STRATEGY_FAMILIES,
     MetaSolver,
@@ -101,7 +112,7 @@ from ..workloads.google_model import DEFAULT_MODEL
 from ..workloads.registry import workload_id
 from .faults import FaultInjector
 from .journal import EventJournal
-from .state import ClusterState, ServiceSpec, StateSnapshot
+from .state import ClusterState, ServiceSpec
 
 __all__ = ["AllocationController", "ServiceError", "PROBATION_PERIOD"]
 
@@ -126,6 +137,12 @@ def _percentile(sorted_vals: list[float], q: float) -> float:
     return sorted_vals[min(int(q * len(sorted_vals)), len(sorted_vals) - 1)]
 
 
+def _no_placement(**error: str) -> tuple[None, dict, None]:
+    """Solver-error policy of the ops that treat a failed solve like one
+    that found no placement; the error joins the solve info."""
+    return None, error, None
+
+
 class AllocationController:
     """Serialized, warm-started placement over one live platform."""
 
@@ -137,7 +154,6 @@ class AllocationController:
                  cpu_need_scale: float = 0.05,
                  warm_start: bool = True,
                  rng: np.random.Generator | int | None = None,
-                 journal: EventJournal | None = None,
                  faults: FaultInjector | None = None,
                  solver_retry: BackoffPolicy = DEFAULT_BACKOFF):
         self.state = ClusterState(nodes)
@@ -153,7 +169,7 @@ class AllocationController:
         self._faults = faults
         self._solver_retry = solver_retry
         # Reentrant: set_strategy/sample_spec take it on their own when
-        # called from HTTP handler threads, and from inside admit/depart.
+        # called from HTTP handler threads, and from inside a transaction.
         self._lock = threading.RLock()
         self._solvers: dict[str, MetaSolver] = {}
         self._strategy = ""
@@ -209,12 +225,6 @@ class AllocationController:
             "commit, by SLA class.", ("class",))
         for name in SLA_NAMES:
             self._m_sla.labels(**{"class": name})
-        self._m_kernel_batch = reg.counter(
-            "repro_kernel_batch_total",
-            "Kernel batch dispatches (solve_many calls) by backend.",
-            ("backend",))
-        self._m_kernel_batch.labels(
-            backend=kernels.current_backend_name())  # scrape shows it at 0
         self._m_journal_errors = reg.counter(
             "repro_journal_errors_total",
             "Events refused because the journal write failed.")
@@ -241,8 +251,6 @@ class AllocationController:
         self._latencies: deque[float] = deque(maxlen=4096)
         self._busy = 0
         self.max_concurrent_solves = 0
-        if journal is not None:
-            self._journal = journal
 
     # -- strategy ------------------------------------------------------
     @property
@@ -258,20 +266,13 @@ class AllocationController:
                 400, f"unknown strategy {name!r}",
                 available=sorted(META_STRATEGY_FAMILIES))
         with self._lock:
-            prev = self._strategy
+            if name == self._strategy:
+                return
             if name not in self._solvers:
                 self._solvers[name] = named_meta_solver(name)
+            seq = self._append({"op": "strategy", "name": name},
+                               "strategy unchanged")
             self._strategy = name
-            if self._journal is None or name == prev:
-                return
-            try:
-                seq = self._journal.append({"op": "strategy", "name": name})
-            except Exception as exc:
-                self._strategy = prev
-                self._m_journal_errors.inc()
-                raise ServiceError(
-                    503, f"journal write failed; strategy unchanged: {exc}"
-                ) from exc
             self._after_commit(seq)
 
     # -- request plumbing ----------------------------------------------
@@ -322,25 +323,18 @@ class AllocationController:
             if self._journal is not None:
                 self._journal.close()
 
-    def _commit_event(self, event: dict, snap: StateSnapshot,
-                      hint_snap: tuple) -> int | None:
-        """Durably journal *event*, or roll the state back and refuse.
-
-        Runs between the solve and the state commit: if the journal
-        write fails, *snap*/*hint_snap* (captured before the event
-        started mutating anything) are restored and the client gets a
-        503 — nothing is acknowledged that replay could not reproduce.
-        """
+    def _append(self, event: dict, refusal: str) -> int | None:
+        """Durably journal *event* and return its sequence number, or
+        count a journal error and refuse the event with a 503 (the
+        caller has changed nothing yet, or rolls back)."""
         if self._journal is None:
             return None
         try:
             return self._journal.append(event)
         except Exception as exc:
-            self.state.restore(snap)
-            self._hint, self.last_full_solve = hint_snap
             self._m_journal_errors.inc()
             raise ServiceError(
-                503, f"journal write failed; event refused: {exc}") from exc
+                503, f"journal write failed; {refusal}: {exc}") from exc
 
     def _after_commit(self, seq: int | None) -> None:
         # Fault point: the event is durable and applied but the client
@@ -364,9 +358,11 @@ class AllocationController:
 
         Journaling and fault injection are suspended for the duration:
         replay must neither re-journal history nor re-trip the faults
-        that shaped it.  Each record's ``mode`` forces the solve path
-        the live daemon actually took, so the rebuilt state is digest-
-        identical regardless of replay-time latency.
+        that shaped it.  Each record names the outcome the live daemon
+        took, and replay forces it rather than re-deciding it, so the
+        rebuilt state is digest-identical regardless of replay-time
+        latency or the solver failures the live daemon met.  A replayed
+        solve that fails aborts the replay.
         """
         journal, faults = self._journal, self._faults
         self._journal, self._faults = None, None
@@ -396,22 +392,15 @@ class AllocationController:
             self.drain_node(str(event["node"]))
         elif op == "add_node":
             self.add_node(event["elementary"], event["aggregate"],
-                          event.get("name"))
+                          event.get("name"),
+                          mode=("full" if event.get("resolved", True)
+                                else "incumbent"))
         elif op == "strategy":
             self.set_strategy(event["name"])
         else:
             raise ValueError(f"journal event with unknown op {op!r}")
 
     # -- solving -------------------------------------------------------
-    def _enter_solver(self) -> None:
-        # Under self._lock; the counter proves requests were serialized.
-        self._busy += 1
-        self.max_concurrent_solves = max(self.max_concurrent_solves,
-                                         self._busy)
-
-    def _exit_solver(self) -> None:
-        self._busy -= 1
-
     def _use_degraded(self) -> bool:
         if self.deadline_ms is None or self._full_ms is None:
             return False
@@ -433,7 +422,7 @@ class AllocationController:
         The solver call runs under the bounded backoff: transient
         failures (including injected ones) are retried with increasing
         pauses, and only the exhausted retry budget propagates to the
-        caller's fallback path.
+        op's failure policy (:meth:`_solve_or`).
         """
         instance, node_map = self.state.solver_view()
         if instance is None:
@@ -447,11 +436,9 @@ class AllocationController:
             attempt_stats: dict = {}
             if self._faults is not None:
                 self._faults.on_solve()
-            result = solver.solve_many(
-                [instance], hints=[hint], stats=[attempt_stats])[0]
-            self._m_kernel_batch.labels(
-                backend=kernels.current_backend_name()).inc()
-            return result, attempt_stats
+            alloc = solver.solve_with_hint(instance, hint=hint,
+                                           stats=attempt_stats)
+            return alloc, attempt_stats
 
         def note_retry(attempt: int, exc: Exception) -> None:
             self._m_retries.inc()
@@ -496,11 +483,12 @@ class AllocationController:
             return None
         return Allocation.uniform(instance, assigned, 0.0).improve_yields()
 
-    def _greedy_admit(self, spec: ServiceSpec) -> tuple[Allocation | None,
-                                                        dict]:
+    def _greedy_admit(self, **extra: str) -> tuple[Allocation | None, dict,
+                                                   None]:
         """The degraded path: one best-fit probe for the newcomer against
         the incumbent's requirement loads; everything else stays put.
-        Drained nodes are masked out of the probe."""
+        Drained nodes are masked out of the probe.  *extra* joins the
+        solve info (the solver error that forced the fallback)."""
         instance = self.state.build_instance()
         assert instance is not None
         t0 = time.perf_counter()
@@ -529,284 +517,235 @@ class AllocationController:
         self._m_latency.observe(ms / 1e3)
         self._m_solves.labels(mode="degraded").inc()
         return alloc, {"probes": 0, "latency_ms": ms, "warm": False,
-                       "certified": None, "degraded": True}
+                       "certified": None, "degraded": True, **extra}, None
+
+    def _solve_or(self, fallback: Callable[..., tuple],
+                  replay: bool = False) -> tuple[Allocation | None, dict,
+                                                 np.ndarray | None]:
+        """:meth:`_full_solve` under an op's solver-error policy: once the
+        retry budget is exhausted, ``fallback(solver_error=...)`` decides
+        the outcome.  A *replay* runs the outcome its record names and
+        never falls back — a replayed solve that fails aborts the replay.
+        """
+        try:
+            return self._full_solve()
+        except Exception as exc:
+            if replay:
+                raise
+            return fallback(solver_error=str(exc))
+
+    # -- the one transaction path --------------------------------------
+    def _transact(self, count: Callable[[], None],
+                  mutate: Callable[[], None],
+                  solve: Callable[[], tuple[Allocation | None, dict,
+                                            np.ndarray | None, dict]],
+                  reply: Callable[[dict, dict, dict], dict]) -> dict:
+        """Run one state-changing event, all or nothing.
+
+        Under the lock, counted as one concurrent solve: checkpoint the
+        state and the warm-start hint, run the op's *mutate* step, then
+        its *solve* step — which applies the op's failure policy and
+        returns ``(allocation, info, node_map, record)`` — and journal
+        the record.  Any exception before the record is durable restores
+        the checkpoint, so a refused or failed event leaves no trace.
+        Then the allocation is adopted (``None`` keeps the incumbent),
+        *count* counts the event, SLAs are observed, ``reply(record,
+        info, summary)`` builds the answer, and the post-commit fault
+        hook fires.
+        """
+        with self._lock:
+            self._busy += 1
+            self.max_concurrent_solves = max(self.max_concurrent_solves,
+                                             self._busy)
+            try:
+                snap = self.state.checkpoint()
+                hint_snap = (self._hint, self.last_full_solve)
+                try:
+                    mutate()
+                    alloc, info, node_map, record = solve()
+                    seq = self._append(record, "event refused")
+                except BaseException:
+                    self.state.restore(snap)
+                    self._hint, self.last_full_solve = hint_snap
+                    raise
+                if alloc is not None:
+                    self.state.apply_allocation(
+                        alloc, info.get("certified"),
+                        trace_id=obs.current_trace_id(), node_map=node_map)
+                count()
+                summary = {"active": len(self.state),
+                           "minimum_yield": self.state.minimum_yield(),
+                           "certified_yield": self.state.certified,
+                           "sla_violations": self._observe_sla()}
+                response = reply(record, info, summary)
+                self._after_commit(seq)
+                return response
+            finally:
+                self._busy -= 1
 
     # -- the state-changing operations ---------------------------------
     def admit(self, spec: ServiceSpec, mode: str | None = None) -> dict:
         """Admit *spec*: re-solve (or greedy-probe) and adopt the result.
         Raises :class:`ServiceError` (409) when the service cannot be
         placed; the state is untouched in that case.  *mode* forces the
-        solve path during journal replay (``"full"``/``"greedy"``);
+        journaled solve path during replay (``"full"``/``"greedy"``);
         live requests leave it ``None`` and let admission control pick.
         """
-        with self._lock:
-            self._enter_solver()
+        trace_id = obs.current_trace_id()
+
+        def mutate() -> None:
+            if spec.sid in self.state:
+                raise ServiceError(409, "duplicate service id", id=spec.sid)
             try:
-                if spec.sid in self.state:
-                    raise ServiceError(409, "duplicate service id",
-                                       id=spec.sid)
-                snap = self.state.checkpoint()
-                hint_snap = (self._hint, self.last_full_solve)
-                try:
-                    self.state.add(spec)
-                except ValueError as exc:
-                    raise ServiceError(400, str(exc)) from None
-                degraded = (self._use_degraded() if mode is None
-                            else mode == "greedy")
-                node_map: np.ndarray | None = None
-                try:
-                    if degraded:
-                        alloc, info = self._greedy_admit(spec)
-                    else:
-                        try:
-                            alloc, info, node_map = self._full_solve()
-                        except ServiceError:
-                            raise
-                        except Exception as exc:
-                            if mode is not None:
-                                raise  # replayed solves must not fail
-                            # Retry budget exhausted: degrade rather
-                            # than refuse (the greedy probe is bounded
-                            # and solver-free).
-                            alloc, info = self._greedy_admit(spec)
-                            info = {**info, "solver_error": str(exc)}
-                            node_map = None
-                    if alloc is None:
-                        reason = ("no node fits the requirements "
-                                  "(degraded greedy probe)"
-                                  if info["degraded"] else
-                                  "no strategy packs the live set "
-                                  "even at yield 0")
-                        raise ServiceError(409, "admission rejected",
-                                           id=spec.sid, reason=reason)
-                except ServiceError:
-                    self.state.remove(spec.sid)
-                    self._m_rejected.inc()
-                    raise
-                mode_used = "greedy" if info["degraded"] else "full"
-                seq = self._commit_event(
-                    {"op": "admit", "service": spec.as_json(),
-                     "mode": mode_used}, snap, hint_snap)
-                trace_id = obs.current_trace_id()
-                self.state.apply_allocation(alloc, info["certified"],
-                                            trace_id=trace_id,
-                                            node_map=node_map)
-                if trace_id is not None:
-                    self.state.trace_ids[spec.sid] = trace_id
-                self._m_admitted.inc()
-                violations = self._observe_sla()
-                response = {
-                    "id": spec.sid,
-                    "sla": spec.sla,
-                    "node": self.state.placement[spec.sid],
-                    "node_name": self.state.nodes.names[
-                        self.state.placement[spec.sid]],
-                    "yield": self.state.yields[spec.sid],
-                    "minimum_yield": self.state.minimum_yield(),
-                    "certified_yield": self.state.certified,
-                    "active": len(self.state),
-                    "sla_violations": violations,
-                    "trace": trace_id,
-                    **info,
-                }
-                self._after_commit(seq)
-                return response
-            finally:
-                self._exit_solver()
+                self.state.add(spec)
+            except ValueError as exc:
+                raise ServiceError(400, str(exc)) from None
+            if trace_id is not None:
+                self.state.trace_ids[spec.sid] = trace_id
+
+        def solve() -> tuple:
+            greedy = self._use_degraded() if mode is None else mode == "greedy"
+            if greedy:
+                alloc, info, node_map = self._greedy_admit()
+            else:
+                # Retry budget exhausted: degrade rather than refuse (the
+                # greedy probe is bounded and solver-free).
+                alloc, info, node_map = self._solve_or(
+                    self._greedy_admit, replay=mode is not None)
+            if alloc is None:
+                self._m_rejected.inc()
+                raise ServiceError(
+                    409, "admission rejected", id=spec.sid,
+                    reason=("no node fits the requirements (degraded "
+                            "greedy probe)" if info["degraded"] else
+                            "no strategy packs the live set even at "
+                            "yield 0"))
+            return alloc, info, node_map, {
+                "op": "admit", "service": spec.as_json(),
+                "mode": "greedy" if info["degraded"] else "full"}
+
+        def reply(record: dict, info: dict, summary: dict) -> dict:
+            node = self.state.placement[spec.sid]
+            return {"id": spec.sid, "sla": spec.sla, "node": node,
+                    "node_name": self.state.nodes.names[node],
+                    "yield": self.state.yields[spec.sid], **summary,
+                    "trace": trace_id, **info}
+
+        return self._transact(self._m_admitted.inc, mutate, solve, reply)
 
     def depart(self, sid: str, mode: str | None = None) -> dict:
         """Remove service *sid* and re-solve the remaining set.  Raises
         :class:`ServiceError` (404) for an unknown id.  *mode* forces
-        the replayed solve path (``"full"``/``"retained"``/``"empty"``).
+        the journaled solve path during replay
+        (``"full"``/``"retained"``/``"empty"``).
         """
-        with self._lock:
-            self._enter_solver()
-            try:
-                if sid not in self.state:
-                    raise ServiceError(404, "unknown service id", id=sid)
-                snap = self.state.checkpoint()
-                hint_snap = (self._hint, self.last_full_solve)
-                self.state.remove(sid)
-                if len(self.state) == 0:
-                    seq = self._commit_event(
-                        {"op": "depart", "sid": sid, "mode": "empty"},
-                        snap, hint_snap)
-                    self.state.placement = {}
-                    self.state.yields = {}
-                    self._m_departed.inc()
-                    self._after_commit(seq)
-                    return {"id": sid, "active": 0, "minimum_yield": None,
-                            "certified_yield": None, "degraded": False}
-                info: dict = {"degraded": False}
-                alloc = None
-                node_map: np.ndarray | None = None
-                want_full = (not self._use_degraded() if mode is None
-                             else mode == "full")
-                if want_full:
-                    try:
-                        alloc, info, node_map = self._full_solve()
-                    except Exception as exc:
-                        if mode is not None:
-                            raise  # replayed solves must not fail
-                        info = {"degraded": False,
-                                "solver_error": str(exc)}
-                mode_used = "full"
-                if alloc is None:
-                    # Degraded mode, or the solver failed outright:
-                    # keep the incumbent placement (dropping a service
-                    # never invalidates it) and recompute yields.
-                    fallback = self._retained_allocation()
-                    if fallback is not None:
-                        if not info.get("degraded"):
-                            self._m_solves.labels(mode="fallback").inc()
-                        info = {**info, "certified": None,
-                                "degraded": True}
-                        alloc = fallback
-                        node_map = None
-                        mode_used = "retained"
-                if alloc is None:
-                    # Unreachable unless an incumbent was never placed;
-                    # surface rather than serve a broken placement.
+        def mutate() -> None:
+            if sid not in self.state:
+                raise ServiceError(404, "unknown service id", id=sid)
+            self.state.remove(sid)
+
+        def solve() -> tuple:
+            record = {"op": "depart", "sid": sid, "mode": "empty"}
+            if not len(self.state):
+                return None, {"degraded": False}, None, record
+            full = not self._use_degraded() if mode is None else mode == "full"
+            alloc, info, node_map = None, {}, None
+            if full:
+                alloc, info, node_map = self._solve_or(
+                    _no_placement, replay=mode is not None)
+            if alloc is None:
+                # Degraded mode, no placement, or a solver outage: keep
+                # the incumbent placement (dropping a service never
+                # invalidates it) and recompute yields.
+                alloc = self._retained_allocation()
+                if alloc is None:  # an incumbent was never placed
                     raise ServiceError(500, "re-solve failed after "
                                             "departure", id=sid)
-                seq = self._commit_event(
-                    {"op": "depart", "sid": sid, "mode": mode_used},
-                    snap, hint_snap)
-                self.state.apply_allocation(alloc, info.get("certified"),
-                                            trace_id=obs.current_trace_id(),
-                                            node_map=node_map)
-                self._m_departed.inc()
-                violations = self._observe_sla()
-                response = {
-                    "id": sid,
-                    "active": len(self.state),
-                    "minimum_yield": self.state.minimum_yield(),
-                    "certified_yield": self.state.certified,
-                    "sla_violations": violations,
-                    **info,
-                }
-                self._after_commit(seq)
-                return response
-            finally:
-                self._exit_solver()
+                self._m_solves.labels(mode="fallback").inc()
+                info = {**info, "certified": None, "degraded": True}
+                node_map = None
+            record["mode"] = "retained" if info["degraded"] else "full"
+            return alloc, info, node_map, record
+
+        def reply(record: dict, info: dict, summary: dict) -> dict:
+            return {"id": sid, **summary, **info}
+
+        return self._transact(self._m_departed.inc, mutate, solve, reply)
 
     def drain_node(self, ident: str) -> dict:
         """Evacuate node *ident* (index or name): re-solve the live set
         over the remaining nodes and adopt the result.  Refused with 409
         when the survivors cannot host the live set — a drain never
         degrades the placement below feasibility."""
-        with self._lock:
-            self._enter_solver()
+        idx = -1
+
+        def mutate() -> None:
+            nonlocal idx
             try:
-                try:
-                    idx = self.state.resolve_node(ident)
-                except KeyError as exc:
-                    raise ServiceError(404, str(exc)) from None
-                snap = self.state.checkpoint()
-                hint_snap = (self._hint, self.last_full_solve)
-                try:
-                    self.state.drain_node(idx)
-                except ValueError as exc:
-                    raise ServiceError(409, str(exc)) from None
-                resolved = False
-                alloc, info, node_map = None, {"certified": None}, None
-                if len(self.state):
-                    try:
-                        alloc, info, node_map = self._full_solve()
-                    except ServiceError:
-                        raise
-                    except Exception as exc:
-                        alloc = None
-                        info = {"certified": None,
-                                "solver_error": str(exc)}
-                    if alloc is None:
-                        self.state.restore(snap)
-                        self._hint, self.last_full_solve = hint_snap
-                        raise ServiceError(
-                            409, "drain refused: remaining nodes cannot "
-                                 "host the live set", node=idx,
-                            **({"solver_error": info["solver_error"]}
-                               if "solver_error" in info else {}))
-                    resolved = True
-                seq = self._commit_event(
-                    {"op": "drain", "node": idx, "resolved": resolved},
-                    snap, hint_snap)
-                if resolved:
-                    assert alloc is not None
-                    self.state.apply_allocation(
-                        alloc, info.get("certified"),
-                        trace_id=obs.current_trace_id(), node_map=node_map)
-                self._m_node_events.labels(kind="drain").inc()
-                violations = self._observe_sla()
-                response = {
-                    "node": idx,
-                    "node_name": self.state.nodes.names[idx],
+                idx = self.state.resolve_node(ident)
+            except KeyError as exc:
+                raise ServiceError(404, str(exc)) from None
+            try:
+                self.state.drain_node(idx)
+            except ValueError as exc:
+                raise ServiceError(409, str(exc)) from None
+
+        def refuse(**error: str) -> NoReturn:
+            raise ServiceError(409, "drain refused: remaining nodes cannot "
+                                    "host the live set", node=idx, **error)
+
+        def solve() -> tuple:
+            alloc, info, node_map = None, {}, None
+            if len(self.state):
+                alloc, info, node_map = self._solve_or(refuse)
+                if alloc is None:
+                    refuse()
+            return alloc, info, node_map, {
+                "op": "drain", "node": idx, "resolved": alloc is not None}
+
+        def reply(record: dict, info: dict, summary: dict) -> dict:
+            return {"node": idx, "node_name": self.state.nodes.names[idx],
                     "drained": sorted(self.state.drained),
-                    "resolved": resolved,
-                    "active": len(self.state),
-                    "minimum_yield": self.state.minimum_yield(),
-                    "certified_yield": self.state.certified,
-                    "sla_violations": violations,
-                }
-                self._after_commit(seq)
-                return response
-            finally:
-                self._exit_solver()
+                    "resolved": record["resolved"], **summary}
+
+        return self._transact(self._m_node_events.labels(kind="drain").inc,
+                              mutate, solve, reply)
 
     def add_node(self, elementary: Sequence[float],
                  aggregate: Sequence[float],
-                 name: str | None = None) -> dict:
+                 name: str | None = None, mode: str | None = None) -> dict:
         """Grow the platform by one node and re-solve opportunistically.
-        The incumbent placement is kept when the solver fails — adding
-        capacity never invalidates it."""
-        with self._lock:
-            self._enter_solver()
+        The incumbent placement is kept when the solver fails or finds
+        no placement — adding capacity never invalidates it.  *mode*
+        forces the journaled outcome during replay (``"full"`` re-solves,
+        ``"incumbent"`` keeps the incumbent placement)."""
+        idx = -1
+
+        def mutate() -> None:
+            nonlocal idx
             try:
-                snap = self.state.checkpoint()
-                hint_snap = (self._hint, self.last_full_solve)
-                try:
-                    idx = self.state.add_node(elementary, aggregate, name)
-                except ValueError as exc:
-                    raise ServiceError(400, str(exc)) from None
-                resolved = False
-                alloc, info, node_map = None, {"certified": None}, None
-                if len(self.state):
-                    try:
-                        alloc, info, node_map = self._full_solve()
-                    except ServiceError:
-                        raise
-                    except Exception as exc:
-                        alloc = None
-                        info = {"certified": None,
-                                "solver_error": str(exc)}
-                    resolved = alloc is not None
-                seq = self._commit_event(
-                    {"op": "add_node",
-                     "elementary": list(np.asarray(elementary, float)),
-                     "aggregate": list(np.asarray(aggregate, float)),
-                     "name": name, "resolved": resolved},
-                    snap, hint_snap)
-                if resolved:
-                    assert alloc is not None
-                    self.state.apply_allocation(
-                        alloc, info.get("certified"),
-                        trace_id=obs.current_trace_id(), node_map=node_map)
-                self._m_node_events.labels(kind="add").inc()
-                violations = self._observe_sla()
-                response = {
-                    "node": idx,
-                    "node_name": self.state.nodes.names[idx],
+                idx = self.state.add_node(elementary, aggregate, name)
+            except ValueError as exc:
+                raise ServiceError(400, str(exc)) from None
+
+        def solve() -> tuple:
+            alloc, info, node_map = None, {}, None
+            if len(self.state) and mode != "incumbent":
+                alloc, info, node_map = self._solve_or(
+                    _no_placement, replay=mode is not None)
+            return alloc, info, node_map, {
+                "op": "add_node",
+                "elementary": list(np.asarray(elementary, float)),
+                "aggregate": list(np.asarray(aggregate, float)),
+                "name": name, "resolved": alloc is not None}
+
+        def reply(record: dict, info: dict, summary: dict) -> dict:
+            return {"node": idx, "node_name": self.state.nodes.names[idx],
                     "hosts": len(self.state.nodes),
-                    "resolved": resolved,
-                    "active": len(self.state),
-                    "minimum_yield": self.state.minimum_yield(),
-                    "certified_yield": self.state.certified,
-                    "sla_violations": violations,
-                }
-                self._after_commit(seq)
-                return response
-            finally:
-                self._exit_solver()
+                    "resolved": record["resolved"], **summary}
+
+        return self._transact(self._m_node_events.labels(kind="add").inc,
+                              mutate, solve, reply)
 
     # -- read-side endpoints -------------------------------------------
     def snapshot(self) -> dict:

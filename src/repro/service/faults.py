@@ -101,9 +101,9 @@ def faults_from_env() -> "FaultInjector | None":
 class FaultInjector:
     """Counts fault points hit and fires the plan's injections.
 
-    The counters are mutated under the controller lock (solver and
-    journal fault points both live inside admit/depart/drain/add), so no
-    extra synchronization is needed.
+    The counters are mutated under the controller lock (the solver and
+    journal fault points live inside the controller's transaction path
+    and its strategy switch), so no extra synchronization is needed.
     """
 
     def __init__(self, plan: FaultPlan):

@@ -89,6 +89,8 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         trace_id = getattr(self, "_trace_id", None)
         if trace_id is not None:
             self.send_header("X-Repro-Trace", trace_id)
@@ -96,8 +98,17 @@ class _Handler(BaseHTTPRequestHandler):
         self.wfile.write(body)
 
     def _read_json(self) -> dict:
-        length = int(self.headers.get("Content-Length") or 0)
-        if length > MAX_BODY_BYTES:
+        try:
+            length = int(self.headers.get("Content-Length") or 0)
+        except ValueError:
+            length = -1
+        if not 0 <= length <= MAX_BODY_BYTES:
+            # The body is left unread, so the stream has lost its
+            # framing: answer, then close the connection.
+            self.close_connection = True
+            if length < 0:
+                raise ServiceError(
+                    400, "Content-Length must be a non-negative integer")
             raise ServiceError(413, "request body too large")
         raw = self.rfile.read(length) if length else b""
         if not raw:

@@ -21,9 +21,10 @@ Record format (one per line)::
 ``seq`` starts at 0 and must be contiguous — a gap means lost history
 and replay refuses to guess.  Replay correctness hinges on two
 controller invariants: events that never reach the journal also never
-mutate state (journal failure ⇒ full rollback + 503), and each journal
-record carries the solve *mode* actually used, so replay reproduces
-degraded-path decisions without re-evaluating latency heuristics.
+mutate state (any failure before the append ⇒ full rollback; a journal
+failure answers 503), and each journal record names the outcome
+actually taken (solve mode, ``resolved``), so replay forces it instead
+of re-evaluating latency heuristics or solver failures.
 """
 
 from __future__ import annotations

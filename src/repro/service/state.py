@@ -14,8 +14,8 @@ descriptor rows in the same order — no reordering, no rescaling.  And
 crash recovery replays the event journal into a fresh state that must
 :meth:`digest`-match the pre-crash daemon, so every mutation here is a
 deterministic function of the event stream: either it commits fully or
-it is rolled back from a :class:`StateSnapshot` (the journal-failure
-path), never half-applied.
+it is rolled back from a :class:`StateSnapshot` (any failure before the
+event is journaled), never half-applied.
 
 The platform is no longer immutable: operators can *drain* a node
 (evacuate and stop placing on it) or *add* one.  The solver never sees
@@ -99,8 +99,8 @@ class ServiceSpec:
 class StateSnapshot:
     """Everything :meth:`ClusterState.restore` needs to undo an event.
 
-    Captured *before* a mutation, restored when the event cannot be
-    journaled (the "never acknowledge what you cannot replay"
+    Captured *before* a mutation, restored when the event fails or
+    cannot be journaled (the "never acknowledge what you cannot replay"
     invariant).  Dict copies preserve insertion order, which is load-
     bearing: the solver instance row order *is* the services-dict order.
     """
@@ -220,7 +220,14 @@ class ClusterState:
             raise ValueError(
                 "aggregate capacity must cover elementary capacity")
         idx = len(self.nodes)
-        names = list(self.nodes.names) + [name if name else f"node{idx}"]
+        node_name = name if name else f"node{idx}"
+        # Names must resolve unambiguously (see resolve_node).
+        if node_name in self.nodes.names:
+            raise ValueError(f"node name {node_name!r} is already in use")
+        if node_name.isdigit():
+            raise ValueError(
+                f"node name {node_name!r} is all digits: it reads as an index")
+        names = list(self.nodes.names) + [node_name]
         self.nodes = NodeArray.from_arrays(
             np.vstack([self.nodes.elementary, elem[None, :]]),
             np.vstack([self.nodes.aggregate, agg[None, :]]),

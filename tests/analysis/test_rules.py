@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from pathlib import Path
 
+import pytest
+
 from repro.analysis.core import all_rules, load_module, run_check
 from repro.analysis.selftest import fixture_dir, iter_fixtures, run_selftest
 
@@ -145,14 +147,34 @@ def test_ly303_flags_object_model_import(tmp_path):
     assert "LY303" in _rules_fired(result)
 
 
-def test_cc201_sanctions_admit_and_depart(tmp_path):
+def test_cc201_sanctions_transact(tmp_path):
     result = _check_snippet(
         tmp_path, "repro/service/example.py",
         "class C:\n"
-        "    def admit(self, spec):\n"
+        "    def _transact(self, spec):\n"
         "        with self._lock:\n"
+        "            snap = self.state.checkpoint()\n"
         "            return self.solver.solve(spec)\n")
     assert "CC201" not in _rules_fired(result)
+
+
+@pytest.mark.parametrize("body", [
+    # an op holding the lock itself, outside the transaction path
+    "    def admit(self, spec):\n"
+    "        with self._lock:\n"
+    "            return self.solver.solve_many([spec])[0]\n",
+    # a read-side method reaching the solver through a helper
+    "    def _full_solve(self):\n"
+    "        return self.solver.solve_many([self.instance])[0]\n"
+    "\n"
+    "    def snapshot(self):\n"
+    "        with self._lock:\n"
+    "            return self._full_solve()\n",
+], ids=["admit", "via-helper"])
+def test_cc201_flags_solve_many_outside_transact(tmp_path, body):
+    result = _check_snippet(tmp_path, "repro/service/example.py",
+                            "class C:\n" + body)
+    assert "CC201" in _rules_fired(result)
 
 
 def test_cc201_flags_unsanctioned_solve_under_lock(tmp_path):

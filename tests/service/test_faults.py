@@ -20,8 +20,8 @@ from .conftest import make_controller
 
 def journaled(tmp_path, name="events.jsonl", faults=None, **kwargs):
     path = tmp_path / name
-    ctl = make_controller(journal=EventJournal(path, faults=faults),
-                          faults=faults, **kwargs)
+    ctl = make_controller(faults=faults, **kwargs)
+    ctl.attach_journal(EventJournal(path, faults=faults))
     return ctl, path
 
 

@@ -2,29 +2,49 @@
 
 from __future__ import annotations
 
+import http.client
 import json
 import threading
 import urllib.error
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 
 import pytest
 
 from repro.obs.promcheck import check_prometheus_text
-from repro.service import create_server
+from repro.service import EventJournal, create_server, load_journal
 
 from .conftest import make_controller
 
 
-@pytest.fixture
-def server():
-    srv = create_server(make_controller(hosts=8), port=0)
+@contextmanager
+def serving(controller):
+    srv = create_server(controller, port=0)
     thread = threading.Thread(target=srv.serve_forever, daemon=True)
     thread.start()
-    yield srv
-    srv.shutdown()
-    srv.server_close()
-    thread.join(timeout=5)
+    try:
+        yield srv
+    finally:
+        srv.shutdown()
+        srv.server_close()
+        thread.join(timeout=5)
+
+
+@pytest.fixture
+def server():
+    with serving(make_controller(hosts=8)) as srv:
+        yield srv
+
+
+@pytest.fixture
+def journaled_server(tmp_path):
+    """A served controller with a journal; yields (server, journal path)."""
+    ctl = make_controller(hosts=4)
+    path = tmp_path / "events.jsonl"
+    ctl.attach_journal(EventJournal(path))
+    with serving(ctl) as srv:
+        yield srv, path
 
 
 def call_full(srv, method: str, path: str, body: dict | None = None,
@@ -48,6 +68,21 @@ def call(srv, method: str, path: str, body: dict | None = None,
     """One request; returns (status, decoded JSON payload)."""
     status, _, payload = call_full(srv, method, path, body, raw)
     return status, json.loads(payload)
+
+
+def call_with_length(srv, method: str, path: str, length: str):
+    """One request with a hand-set Content-Length header and no body;
+    returns (status, headers, decoded JSON payload)."""
+    host, port = srv.server_address[:2]
+    conn = http.client.HTTPConnection(host, port, timeout=10)
+    try:
+        conn.putrequest(method, path)
+        conn.putheader("Content-Length", length)
+        conn.endheaders()
+        resp = conn.getresponse()
+        return resp.status, dict(resp.getheaders()), json.loads(resp.read())
+    finally:
+        conn.close()
 
 
 class TestEndpoints:
@@ -195,6 +230,41 @@ class TestErrors:
         assert "reason" in body
         _, state = call(server, "GET", "/state")
         assert state["active"] == 0
+
+
+class TestMalformedInput:
+    """Bad requests get a 4xx, change no state, and journal nothing."""
+
+    @staticmethod
+    def digest(srv) -> str:
+        return call(srv, "GET", "/state")[1]["digest"]
+
+    @pytest.mark.parametrize("length", ["abc", "-5", "-1"])
+    def test_bad_content_length_400(self, journaled_server, length):
+        srv, path = journaled_server
+        before = self.digest(srv)
+        status, headers, body = call_with_length(srv, "POST", "/alloc",
+                                                 length)
+        assert status == 400
+        assert "Content-Length" in body["error"]
+        # The unread body leaves the stream unframed: the server closes.
+        assert headers["Connection"] == "close"
+        assert self.digest(srv) == before
+        assert load_journal(path) == []
+
+    @pytest.mark.parametrize("name", ["node-0", "1"])
+    def test_ambiguous_node_name_400(self, journaled_server, name):
+        """A taken name would drain the first node of that name, and an
+        all-digit one would resolve as an index."""
+        srv, path = journaled_server
+        before = self.digest(srv)
+        status, body = call(srv, "POST", "/nodes",
+                            {"elementary": [0.1, 0.1],
+                             "aggregate": [0.2, 0.2], "name": name})
+        assert status == 400
+        assert repr(name) in body["error"]
+        assert self.digest(srv) == before
+        assert load_journal(path) == []
 
 
 class TestConcurrency:
