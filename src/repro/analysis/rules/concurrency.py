@@ -16,6 +16,15 @@ experiment engine ships picklable task descriptors to a process pool;
 a lambda or nested closure as the worker either fails to pickle (spawn)
 or silently captures parent state that workers mutate without effect
 (fork).  Workers must be module-level callables.
+
+``CC203`` — reads stay off the lock.  ``GET /state`` renders the
+snapshot the controller publishes at each commit, so a read never waits
+for a solve in flight.  The rule walks the same call graph from every
+GET route handler (``_Handler._get_*`` in ``repro/service/http.py``)
+and flags each ``with …lock`` region of the service package it can
+reach.  Calls on ``self.controller``, or on a local bound to it,
+resolve to ``AllocationController`` — without that, ``ctl.snapshot()``
+would be ambiguous between the controller's and ``ClusterState``'s.
 """
 
 from __future__ import annotations
@@ -33,7 +42,7 @@ from ..core import (
     register_rule,
 )
 
-__all__ = ["LockDisciplineRule", "ParallelBoundaryRule"]
+__all__ = ["LockDisciplineRule", "ParallelBoundaryRule", "ReadPathRule"]
 
 #: The one function allowed to hold the controller lock across a solve:
 #: the transaction every state-changing request (and journal replay on
@@ -48,6 +57,16 @@ _SOLVER_TAILS = frozenset({"solve", "solve_with_hint", "solve_many",
 _BLOCKING_EXACT = frozenset({"open", "time.sleep", "sleep"})
 _BLOCKING_PREFIXES = ("subprocess.", "socket.", "urllib.", "requests.",
                       "http.client.")
+
+
+#: The GET route handlers whose read paths CC203 keeps off the lock.
+_HTTP_MODULE = "repro/service/http.py"
+_HANDLER_CLASS = "_Handler"
+_GET_PREFIX = "_get_"
+
+#: The HTTP handler's controller, and the class its calls resolve to.
+_CONTROLLER = "self.controller"
+_CONTROLLER_CLASS = "AllocationController"
 
 
 def _call_class(name: str) -> str | None:
@@ -72,6 +91,9 @@ class _FuncInfo:
     node: ast.FunctionDef
     qualname: str          # "AllocationController.admit" or "run_server"
     cls: str | None
+    #: expressions naming the controller: ``self.controller`` and every
+    #: local bound to it
+    controller_names: frozenset[str] = frozenset()
     #: calls made anywhere in the body: (dotted name, line)
     calls: list[tuple[str, int]] = field(default_factory=list)
     #: lock-held regions: (with-stmt, calls inside the region)
@@ -96,6 +118,16 @@ def _calls_in(node: ast.AST) -> list[tuple[str, int]]:
     return out
 
 
+def _controller_names(func: ast.AST) -> frozenset[str]:
+    names = {_CONTROLLER}
+    for sub in ast.walk(func):
+        if (isinstance(sub, ast.Assign) and len(sub.targets) == 1
+                and isinstance(sub.targets[0], ast.Name)
+                and dotted_name(sub.value) == _CONTROLLER):
+            names.add(sub.targets[0].id)
+    return frozenset(names)
+
+
 def _collect_functions(module: Module) -> list[_FuncInfo]:
     infos: list[_FuncInfo] = []
 
@@ -106,7 +138,9 @@ def _collect_functions(module: Module) -> list[_FuncInfo]:
             elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 qual = f"{cls}.{child.name}" if cls else child.name
                 info = _FuncInfo(module=module, node=child, qualname=qual,
-                                 cls=cls, calls=_calls_in(child))
+                                 cls=cls,
+                                 controller_names=_controller_names(child),
+                                 calls=_calls_in(child))
                 for sub in ast.walk(child):
                     if isinstance(sub, ast.With) and \
                             any(_is_lock_context(i) for i in sub.items):
@@ -116,6 +150,50 @@ def _collect_functions(module: Module) -> list[_FuncInfo]:
 
     visit(module.tree, None)
     return infos
+
+
+def _service_call_graph(project: Project
+                        ) -> tuple[list[_FuncInfo],
+                                   dict[str, list[_FuncInfo]]]:
+    """Every service-package function, and the same keyed by name."""
+    functions: list[_FuncInfo] = []
+    for module in project.modules:
+        if module.in_package("service"):
+            functions.extend(_collect_functions(module))
+    by_method: dict[str, list[_FuncInfo]] = {}
+    for info in functions:
+        by_method.setdefault(info.node.name, []).append(info)
+    return functions, by_method
+
+
+def _resolve(name: str, by_method: dict[str, list[_FuncInfo]],
+             origin: _FuncInfo) -> _FuncInfo | None:
+    """Resolve a dotted call to a service-package function.
+
+    A call on the controller prefers an ``AllocationController`` method;
+    ``self.foo`` prefers a method of the caller's class; a bare name
+    prefers a function in the caller's module; otherwise the unique
+    service-package function of that name, if any.
+    """
+    parts = name.split(".")
+    candidates = by_method.get(parts[-1], [])
+    if not candidates:
+        return None
+    if ".".join(parts[:-1]) in origin.controller_names:
+        for cand in candidates:
+            if cand.cls == _CONTROLLER_CLASS:
+                return cand
+    if parts[0] == "self" and len(parts) == 2:
+        for cand in candidates:
+            if cand.cls == origin.cls:
+                return cand
+    if len(parts) == 1:
+        for cand in candidates:
+            if cand.module is origin.module and cand.cls is None:
+                return cand
+    if len(candidates) == 1:
+        return candidates[0]
+    return None
 
 
 @register_rule
@@ -130,16 +208,7 @@ class LockDisciplineRule(Rule):
     MAX_DEPTH = 6
 
     def check(self, project: Project) -> Iterator[Finding]:
-        functions: list[_FuncInfo] = []
-        for module in project.modules:
-            if module.in_package("service"):
-                functions.extend(_collect_functions(module))
-        if not functions:
-            return
-        by_method: dict[str, list[_FuncInfo]] = {}
-        for info in functions:
-            by_method.setdefault(info.node.name, []).append(info)
-
+        functions, by_method = _service_call_graph(project)
         for info in functions:
             if info.node.name in _SANCTIONED_LOCK_HOLDERS:
                 continue
@@ -171,7 +240,7 @@ class LockDisciplineRule(Rule):
         if depth == 0:
             return None
         for name, _line in calls:
-            callee = self._resolve(name, by_method, origin)
+            callee = _resolve(name, by_method, origin)
             if callee is None or callee.qualname in visited:
                 continue
             visited.add(callee.qualname)
@@ -182,30 +251,57 @@ class LockDisciplineRule(Rule):
                 return found
         return None
 
-    @staticmethod
-    def _resolve(name: str, by_method: dict[str, list[_FuncInfo]],
-                 origin: _FuncInfo) -> _FuncInfo | None:
-        """Resolve a dotted call to a service-package function.
 
-        ``self.foo`` prefers a method of the caller's class; a bare name
-        prefers a function in the caller's module; otherwise the unique
-        service-package function of that name, if any.
-        """
-        parts = name.split(".")
-        candidates = by_method.get(parts[-1], [])
-        if not candidates:
-            return None
-        if parts[0] == "self" and len(parts) == 2:
-            for cand in candidates:
-                if cand.cls == origin.cls:
-                    return cand
-        if len(parts) == 1:
-            for cand in candidates:
-                if cand.module is origin.module and cand.cls is None:
-                    return cand
-        if len(candidates) == 1:
-            return candidates[0]
-        return None
+
+@register_rule
+class ReadPathRule(Rule):
+    id = "CC203"
+    name = "reads-off-the-lock"
+    summary = ("no function reachable from a GET route handler "
+               "(_Handler._get_* in repro/service/http.py) may enter a lock "
+               "region of repro/service/ — reads serve the snapshot "
+               "published at commit and never wait for a solve")
+
+    #: transitive-call search depth through the service package.
+    MAX_DEPTH = 6
+
+    def check(self, project: Project) -> Iterator[Finding]:
+        functions, by_method = _service_call_graph(project)
+        flagged: set[int] = set()
+        for root in functions:
+            if not (root.module.is_file(_HTTP_MODULE)
+                    and root.cls == _HANDLER_CLASS
+                    and root.node.name.startswith(_GET_PREFIX)):
+                continue
+            for info, chain in self._reachable(root, by_method):
+                for with_stmt, _calls in info.lock_regions:
+                    if id(with_stmt) in flagged:
+                        continue
+                    flagged.add(id(with_stmt))
+                    yield self.finding(
+                        info.module, with_stmt,
+                        f"{info.qualname} takes a lock on the read path "
+                        f"{' -> '.join(chain)}; a GET must not wait for a "
+                        "solve — serve the snapshot published at commit")
+
+    def _reachable(self, root: _FuncInfo,
+                   by_method: dict[str, list[_FuncInfo]]
+                   ) -> Iterator[tuple[_FuncInfo, tuple[str, ...]]]:
+        """*root* and every function its calls reach, breadth first,
+        each with the call chain that reaches it."""
+        seen = {id(root.node)}
+        frontier = [(root, (root.qualname,))]
+        for _ in range(self.MAX_DEPTH + 1):
+            reached = []
+            for info, chain in frontier:
+                yield info, chain
+                for name, _line in info.calls:
+                    callee = _resolve(name, by_method, info)
+                    if callee is None or id(callee.node) in seen:
+                        continue
+                    seen.add(id(callee.node))
+                    reached.append((callee, chain + (callee.qualname,)))
+            frontier = reached
 
 
 #: The pool entry points whose first positional argument runs in worker

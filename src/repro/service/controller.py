@@ -7,7 +7,11 @@ lock — concurrent HTTP requests are *queued, not raced* (the
 ``max_concurrent_solves`` metric proves it stayed 1) — and triggers an
 incremental re-solve of the whole live set, warm-started from the
 incumbent placement's certified yield via
-``binary_search_max_yield(hint=)``:
+``binary_search_max_yield(hint=)``.  Reads never take the lock: each
+commit publishes the state as an immutable
+:class:`~repro.service.state.StateSnapshot`, and ``GET /state``
+renders the latest one, so a read never waits for a solve in flight,
+shows every acknowledged write, and never shows a refused one.
 
 * The hint is the previous solve's certified uniform yield, *unscaled*.
   The dynamic simulator scales its epoch hints by the capacity-bound
@@ -76,6 +80,13 @@ incumbent placement's certified yield via
   Prometheus text exposition served at ``GET /metrics``, while
   :meth:`metrics` keeps the legacy JSON view (exact p50/p90/p99 from a
   bounded sample window; fixed histogram buckets can't reproduce them).
+  :meth:`request` times every routed HTTP request
+  (``repro_request_seconds{endpoint}``) and splits each write request
+  into ``repro_request_part_seconds{part}``: ``lock_wait`` (entering
+  :meth:`_transact` until the lock is held), ``solve``, ``journal``
+  (the append's write + flush + fsync) and ``other`` (the rest of the
+  request: parsing, rollback or commit, the reply), so the four parts
+  add up to the request.
   Each full/degraded solve runs under an obs span (``service.solve``),
   journal replay under ``service.recover``, and admissions record the
   request's trace id on the stored allocation so a slow client request
@@ -87,7 +98,8 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from typing import Callable, Mapping, NoReturn, Sequence
+from contextlib import contextmanager
+from typing import Callable, Iterator, Mapping, NoReturn, Sequence
 
 import numpy as np
 
@@ -112,7 +124,7 @@ from ..workloads.google_model import DEFAULT_MODEL
 from ..workloads.registry import workload_id
 from .faults import FaultInjector
 from .journal import EventJournal
-from .state import ClusterState, ServiceSpec
+from .state import ClusterState, ServiceSpec, StateSnapshot
 
 __all__ = ["AllocationController", "ServiceError", "PROBATION_PERIOD"]
 
@@ -122,6 +134,10 @@ PROBATION_PERIOD = 8
 
 #: CPU dimension of the 2-D evaluation setup (``cpu_need_scale`` target).
 CPU = 0
+
+#: The parts of a write request the controller times itself; the
+#: request's remainder is reported as a fourth part, ``other``.
+TIMED_PARTS = ("lock_wait", "solve", "journal")
 
 
 class ServiceError(Exception):
@@ -157,6 +173,9 @@ class AllocationController:
                  faults: FaultInjector | None = None,
                  solver_retry: BackoffPolicy = DEFAULT_BACKOFF):
         self.state = ClusterState(nodes)
+        #: The last committed state, replaced (never mutated) at the end
+        #: of every transaction; read-side endpoints use it lock-free.
+        self._committed: StateSnapshot = self.state.checkpoint()
         self.workload = workload
         self.deadline_ms = deadline_ms
         self.cpu_need_scale = cpu_need_scale
@@ -192,6 +211,18 @@ class AllocationController:
         reg = self.registry
         self._m_requests = reg.counter(
             "repro_requests_total", "HTTP requests handled.", ("endpoint",))
+        self._m_request = reg.histogram(
+            "repro_request_seconds",
+            "HTTP request latency, the whole request.", ("endpoint",))
+        self._m_parts = reg.histogram(
+            "repro_request_part_seconds",
+            "Write-request latency by part: lock wait, solve, journal "
+            "append (write + flush + fsync) and the rest; the parts add "
+            "up to the request.", ("part",))
+        for part in TIMED_PARTS + ("other",):
+            self._m_parts.labels(part=part)
+        # Per handler thread: the parts of the request in flight.
+        self._split = threading.local()
         self._m_admitted = reg.counter(
             "repro_admitted_total", "Services admitted.")
         self._m_rejected = reg.counter(
@@ -235,11 +266,11 @@ class AllocationController:
             "repro_solve_latency_seconds", "Placement solve latency.")
         reg.gauge("repro_active_services",
                   "Services currently placed.").set_function(
-            lambda: float(len(self.state)))
+            lambda: float(len(self._committed.services)))
         reg.gauge("repro_minimum_yield",
                   "Minimum yield of the incumbent placement "
                   "(0 when no services are active).").set_function(
-            lambda: float(self.state.minimum_yield() or 0.0))
+            lambda: min(self._committed.yields.values(), default=0.0))
         reg.gauge("repro_max_concurrent_solves",
                   "High-water mark of concurrent solves "
                   "(1 proves serialization).").set_function(
@@ -276,8 +307,36 @@ class AllocationController:
             self._after_commit(seq)
 
     # -- request plumbing ----------------------------------------------
-    def count_request(self, endpoint: str) -> None:
+    @contextmanager
+    def request(self, endpoint: str | None, write: bool) -> Iterator[None]:
+        """Count and time one HTTP request to *endpoint* (``None``: an
+        unrouted request, neither counted nor timed).  A *write* also
+        observes its four parts; ``other`` is the request minus the
+        parts :meth:`_note` timed, so the parts add up to the request."""
+        if endpoint is None:
+            yield
+            return
         self._m_requests.labels(endpoint=endpoint).inc()
+        parts = self._split.parts = dict.fromkeys(TIMED_PARTS, 0.0)
+        t0 = time.perf_counter()
+        try:
+            yield
+        finally:
+            total = time.perf_counter() - t0
+            self._split.parts = None
+            self._m_request.labels(endpoint=endpoint).observe(total)
+            if write:
+                for part, seconds in parts.items():
+                    self._m_parts.labels(part=part).observe(seconds)
+                self._m_parts.labels(part="other").observe(
+                    max(0.0, total - sum(parts.values())))
+
+    def _note(self, part: str, since: float) -> None:
+        """Add the time since *since* to *part* of the request in flight
+        on this thread (none during journal replay)."""
+        parts = getattr(self._split, "parts", None)
+        if parts is not None:
+            parts[part] += time.perf_counter() - since
 
     def next_service_id(self) -> str:
         with self._lock:
@@ -329,12 +388,15 @@ class AllocationController:
         caller has changed nothing yet, or rolls back)."""
         if self._journal is None:
             return None
+        t0 = time.perf_counter()
         try:
             return self._journal.append(event)
         except Exception as exc:
             self._m_journal_errors.inc()
             raise ServiceError(
                 503, f"journal write failed; {refusal}: {exc}") from exc
+        finally:
+            self._note("journal", t0)
 
     def _after_commit(self, seq: int | None) -> None:
         # Fault point: the event is durable and applied but the client
@@ -548,12 +610,15 @@ class AllocationController:
         returns ``(allocation, info, node_map, record)`` — and journal
         the record.  Any exception before the record is durable restores
         the checkpoint, so a refused or failed event leaves no trace.
-        Then the allocation is adopted (``None`` keeps the incumbent),
+        Then the allocation is adopted (``None`` keeps the incumbent)
+        and the committed state is published for lock-free reads;
         *count* counts the event, SLAs are observed, ``reply(record,
         info, summary)`` builds the answer, and the post-commit fault
         hook fires.
         """
+        t0 = time.perf_counter()
         with self._lock:
+            self._note("lock_wait", t0)
             self._busy += 1
             self.max_concurrent_solves = max(self.max_concurrent_solves,
                                              self._busy)
@@ -562,7 +627,11 @@ class AllocationController:
                 hint_snap = (self._hint, self.last_full_solve)
                 try:
                     mutate()
-                    alloc, info, node_map, record = solve()
+                    t1 = time.perf_counter()
+                    try:
+                        alloc, info, node_map, record = solve()
+                    finally:
+                        self._note("solve", t1)
                     seq = self._append(record, "event refused")
                 except BaseException:
                     self.state.restore(snap)
@@ -572,6 +641,7 @@ class AllocationController:
                     self.state.apply_allocation(
                         alloc, info.get("certified"),
                         trace_id=obs.current_trace_id(), node_map=node_map)
+                self._committed = self.state.checkpoint()
                 count()
                 summary = {"active": len(self.state),
                            "minimum_yield": self.state.minimum_yield(),
@@ -749,8 +819,12 @@ class AllocationController:
 
     # -- read-side endpoints -------------------------------------------
     def snapshot(self) -> dict:
-        with self._lock:
-            snap = self.state.snapshot()
+        """``GET /state``: the last committed state, rendered without
+        the lock (the published snapshot is never mutated)."""
+        committed = self._committed
+        view = ClusterState(committed.nodes)
+        view.restore(committed)
+        snap = view.snapshot()
         snap["strategy"] = self._strategy
         snap["workload"] = workload_id(self.workload)
         return snap
@@ -758,7 +832,7 @@ class AllocationController:
     def healthz(self) -> dict:
         return {"status": "ok",
                 "uptime_s": time.monotonic() - self._started,
-                "active": len(self.state)}
+                "active": len(self._committed.services)}
 
     def render_metrics(self) -> str:
         """Prometheus text exposition of the registry (``GET /metrics``)."""
@@ -789,7 +863,7 @@ class AllocationController:
             "admission": {"admitted": int(self._m_admitted.value),
                           "rejected": int(self._m_rejected.value),
                           "departed": int(self._m_departed.value),
-                          "active": len(self.state)},
+                          "active": len(self._committed.services)},
             "solver": {"strategy": self._strategy,
                        "deadline_ms": self.deadline_ms,
                        "full_solves": self._solve_count("full"),

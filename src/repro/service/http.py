@@ -4,6 +4,20 @@ A :class:`ThreadingHTTPServer` (one thread per connection, no new
 dependencies) routing to an :class:`AllocationController`.  The HTTP
 layer is deliberately thin: parse JSON, call the controller, serialize
 the answer — all placement logic and locking lives in the controller.
+Read endpoints take no lock: ``GET /state`` renders the snapshot the
+controller published at its last commit, so a read never waits for a
+solve in flight.
+
+Every accepted socket gets ``TCP_NODELAY`` (``disable_nagle_algorithm``).
+A reply is two writes, the headers and then the body.  On a keep-alive
+connection Nagle's algorithm holds the body back until the client ACKs
+the headers, and the client delays that ACK (~40 ms on Linux), so
+without it every request after the first on a connection stalled for
+the delayed-ACK timeout, several times the cost of a solve.
+
+A request line the stdlib rejects — bad syntax (``400``) or an
+unsupported HTTP version (``505``) — is answered with a status line and
+``Connection: close``.
 
 Endpoints::
 
@@ -43,6 +57,7 @@ import logging
 import signal
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from typing import Callable
 from urllib.parse import parse_qs
 
 from .. import obs
@@ -74,6 +89,10 @@ class AllocationHTTPServer(ThreadingHTTPServer):
 class _Handler(BaseHTTPRequestHandler):
     server_version = "repro-serve/0.2"
     protocol_version = "HTTP/1.1"  # keep-alive; every reply sets a length
+    disable_nagle_algorithm = True  # TCP_NODELAY: see the module docstring
+    # A rejected request line is answered with a status line; the stdlib
+    # default, HTTP/0.9, would send a bare HTML body.
+    default_request_version = "HTTP/1.0"
 
     # -- plumbing ------------------------------------------------------
     @property
@@ -123,28 +142,23 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _route(self, method: str) -> None:
         path = self.path.split("?", 1)[0].rstrip("/") or "/"
+        endpoint, handler = _resolve(method, path)
         # One trace id per request, even with tracing disabled — the
-        # X-Repro-Trace header must always be answerable.
-        with obs.trace_context() as tc:
+        # X-Repro-Trace header must always be answerable.  The request
+        # is counted and timed from here until its reply is sent.
+        with obs.trace_context() as tc, \
+                self.controller.request(endpoint, write=method != "GET"):
             self._trace_id = tc.trace_id
             if not obs.enabled():
-                return self._dispatch(method, path)
+                return self._dispatch(method, path, handler)
             with obs.span("http.request") as sp:
                 sp.annotate(method=method, path=path)
-                self._dispatch(method, path)
+                self._dispatch(method, path, handler)
 
-    def _dispatch(self, method: str, path: str) -> None:
+    def _dispatch(self, method: str, path: str,
+                  handler: Callable[["_Handler"], None]) -> None:
         try:
-            handler = _ROUTES.get((method, path))
-            if handler is not None:
-                return handler(self)
-            if method == "DELETE" and path.startswith("/alloc/"):
-                return self._delete_alloc(path[len("/alloc/"):])
-            if (method == "POST" and path.startswith("/nodes/")
-                    and path.endswith("/drain")):
-                ident = path[len("/nodes/"):-len("/drain")]
-                return self._post_drain(ident)
-            raise ServiceError(404, f"no route for {method} {path}")
+            handler(self)
         except ServiceError as exc:
             self._reply(exc.status, exc.payload)
         except Exception as exc:  # never kill the connection thread
@@ -164,19 +178,17 @@ class _Handler(BaseHTTPRequestHandler):
         # Request lines go through the ``repro.serve`` logger (text or
         # JSON, per ``repro serve --log-json``); the health/metrics
         # pollers CI loops run are demoted to DEBUG under both formats.
-        path = self.path.split("?", 1)[0].rstrip("/") or "/"
+        # A request line the stdlib rejected never set ``path``.
+        path = getattr(self, "path", "").split("?", 1)[0].rstrip("/") or "/"
         level = (logging.DEBUG if path in _QUIET_PATHS else logging.INFO)
         logger.log(level, "%s %s", self.address_string(), format % args)
 
     # -- endpoints -----------------------------------------------------
     def _get_healthz(self) -> None:
-        ctl = self.controller
-        ctl.count_request("healthz")
-        self._reply(200, ctl.healthz())
+        self._reply(200, self.controller.healthz())
 
     def _get_metrics(self) -> None:
         ctl = self.controller
-        ctl.count_request("metrics")
         query = parse_qs(self.path.partition("?")[2])
         if query.get("format", [""])[0] == "json":
             return self._reply(200, ctl.metrics())
@@ -185,19 +197,15 @@ class _Handler(BaseHTTPRequestHandler):
             "text/plain; version=0.0.4; charset=utf-8")
 
     def _get_state(self) -> None:
-        ctl = self.controller
-        ctl.count_request("state")
-        self._reply(200, ctl.snapshot())
+        self._reply(200, self.controller.snapshot())
 
     def _get_strategy(self) -> None:
         ctl = self.controller
-        ctl.count_request("strategy")
         self._reply(200, {"strategy": ctl.strategy,
                           "available": list(ctl.available_strategies())})
 
     def _post_strategy(self) -> None:
         ctl = self.controller
-        ctl.count_request("strategy")
         body = self._read_json()
         name = body.get("strategy")
         if not isinstance(name, str):
@@ -208,7 +216,6 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _post_alloc(self) -> None:
         ctl = self.controller
-        ctl.count_request("alloc")
         body = self._read_json()
         sid = body.get("id")
         if sid is not None and not isinstance(sid, str):
@@ -238,14 +245,12 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _delete_alloc(self, sid: str) -> None:
         ctl = self.controller
-        ctl.count_request("delete")
         if not sid:
             raise ServiceError(400, "DELETE /alloc/{id} needs a service id")
         self._reply(200, ctl.depart(sid))
 
     def _post_nodes(self) -> None:
         ctl = self.controller
-        ctl.count_request("nodes")
         body = self._read_json()
         missing = [k for k in ("elementary", "aggregate") if k not in body]
         if missing:
@@ -261,22 +266,43 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _post_drain(self, ident: str) -> None:
         ctl = self.controller
-        ctl.count_request("drain")
         if not ident:
             raise ServiceError(400, "POST /nodes/{id}/drain needs a node "
                                     "index or name")
         self._reply(200, ctl.drain_node(ident))
 
 
-_ROUTES = {
-    ("GET", "/healthz"): _Handler._get_healthz,
-    ("GET", "/metrics"): _Handler._get_metrics,
-    ("GET", "/state"): _Handler._get_state,
-    ("GET", "/strategy"): _Handler._get_strategy,
-    ("POST", "/strategy"): _Handler._post_strategy,
-    ("POST", "/alloc"): _Handler._post_alloc,
-    ("POST", "/nodes"): _Handler._post_nodes,
+_Route = tuple[str | None, Callable[[_Handler], None]]
+
+#: ``(method, path)`` -> (endpoint label, handler).
+_ROUTES: dict[tuple[str, str], _Route] = {
+    ("GET", "/healthz"): ("healthz", _Handler._get_healthz),
+    ("GET", "/metrics"): ("metrics", _Handler._get_metrics),
+    ("GET", "/state"): ("state", _Handler._get_state),
+    ("GET", "/strategy"): ("strategy", _Handler._get_strategy),
+    ("POST", "/strategy"): ("strategy", _Handler._post_strategy),
+    ("POST", "/alloc"): ("alloc", _Handler._post_alloc),
+    ("POST", "/nodes"): ("nodes", _Handler._post_nodes),
 }
+
+
+def _resolve(method: str, path: str) -> _Route:
+    """The endpoint label and handler of a request; an unrouted one gets
+    no label and a handler that answers 404."""
+    route = _ROUTES.get((method, path))
+    if route is not None:
+        return route
+    if method == "DELETE" and path.startswith("/alloc/"):
+        sid = path[len("/alloc/"):]
+        return "delete", lambda handler: handler._delete_alloc(sid)
+    if (method == "POST" and path.startswith("/nodes/")
+            and path.endswith("/drain")):
+        ident = path[len("/nodes/"):-len("/drain")]
+        return "drain", lambda handler: handler._post_drain(ident)
+
+    def unrouted(handler: _Handler) -> None:
+        raise ServiceError(404, f"no route for {method} {path}")
+    return None, unrouted
 
 
 def create_server(controller: AllocationController,

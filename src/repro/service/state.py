@@ -3,8 +3,9 @@
 The daemon's single source of truth: the platform, the admitted services
 (in arrival order, so the instance handed to the solver is reproducible
 offline), the incumbent placement and the per-service yields.  The
-controller mutates it only under its solver lock; the HTTP layer reads
-snapshots.
+controller mutates it only under its solver lock, and at each commit
+publishes a :class:`StateSnapshot`; ``GET /state`` renders the latest
+published one without the lock.
 
 Byte-identical replay is a design requirement twice over.  The CI smoke
 job solves the daemon's final instance offline and compares certified
@@ -103,6 +104,8 @@ class StateSnapshot:
     cannot be journaled (the "never acknowledge what you cannot replay"
     invariant).  Dict copies preserve insertion order, which is load-
     bearing: the solver instance row order *is* the services-dict order.
+    Captured again *after* a commit, it is the state reads see; nothing
+    mutates a snapshot once taken.
     """
 
     services: dict[str, ServiceSpec]

@@ -10,13 +10,22 @@ from repro.analysis.core import all_rules, load_module, run_check
 from repro.analysis.selftest import fixture_dir, iter_fixtures, run_selftest
 
 
+def _check_modules(tmp_path: Path, modules: dict[str, str]):
+    """Run all rules over each body as though it lived at its virtual
+    path (one project: rules see the modules together)."""
+    paths = []
+    for i, (virtual_path, body) in enumerate(modules.items()):
+        path = tmp_path / f"snippet{i}.py"
+        path.write_text(
+            f"# repro-fixture: rule=DT101 count=0 path={virtual_path}\n"
+            + body, encoding="utf-8")
+        paths.append(path)
+    return run_check(paths)
+
+
 def _check_snippet(tmp_path: Path, virtual_path: str, body: str):
     """Run all rules over *body* as though it lived at *virtual_path*."""
-    path = tmp_path / "snippet.py"
-    path.write_text(
-        f"# repro-fixture: rule=DT101 count=0 path={virtual_path}\n" + body,
-        encoding="utf-8")
-    return run_check([path])
+    return _check_modules(tmp_path, {virtual_path: body})
 
 
 def _rules_fired(result) -> list[str]:
@@ -185,3 +194,70 @@ def test_cc201_flags_unsanctioned_solve_under_lock(tmp_path):
         "        with self._lock:\n"
         "            return self.solver.solve(None)\n")
     assert "CC201" in _rules_fired(result)
+
+
+def _state_read(get_state: str, snapshot: str) -> dict[str, str]:
+    """The ``GET /state`` path across the service modules: the handler
+    body *get_state*, the controller's ``snapshot`` body, and the
+    ``ClusterState.snapshot`` that makes the method name ambiguous."""
+    return {
+        "repro/service/http.py": (
+            "class _Handler:\n"
+            "    @property\n"
+            "    def controller(self):\n"
+            "        return self.server.controller\n"
+            "\n"
+            "    def _get_state(self):\n" + get_state),
+        "repro/service/controller.py": (
+            "class AllocationController:\n"
+            "    def count_request(self, endpoint):\n"
+            "        self._m_requests.labels(endpoint=endpoint).inc()\n"
+            "\n"
+            "    def snapshot(self):\n" + snapshot),
+        "repro/service/state.py": (
+            "class ClusterState:\n"
+            "    def snapshot(self):\n"
+            "        return {'active': len(self._services)}\n"),
+    }
+
+
+#: The controller's ``snapshot`` before reads left the lock.
+_LOCKED_SNAPSHOT = (
+    "        with self._lock:\n"
+    "            snap = self.state.snapshot()\n"
+    "        snap['strategy'] = self._strategy\n"
+    "        return snap\n")
+
+
+@pytest.mark.parametrize("get_state", [
+    # the handler before reads left the lock
+    "        ctl = self.controller\n"
+    "        ctl.count_request('state')\n"
+    "        self._reply(200, ctl.snapshot())\n",
+    "        self._reply(200, self.controller.snapshot())\n",
+], ids=["local", "attribute"])
+def test_cc203_flags_a_state_read_under_the_lock(tmp_path, get_state):
+    result = _check_modules(tmp_path,
+                            _state_read(get_state, _LOCKED_SNAPSHOT))
+    [finding] = [f for f in result.findings if f.rule == "CC203"]
+    assert finding.path == "repro/service/controller.py"
+    assert "_Handler._get_state -> AllocationController.snapshot" \
+        in finding.message
+
+
+def test_cc203_allows_the_published_snapshot(tmp_path):
+    result = _check_modules(tmp_path, _state_read(
+        "        self._reply(200, self.controller.snapshot())\n",
+        "        view = ClusterState(self._committed.nodes)\n"
+        "        view.restore(self._committed)\n"
+        "        return view.snapshot()\n"))
+    assert "CC203" not in _rules_fired(result)
+
+
+def test_cc203_leaves_write_handlers_alone(tmp_path):
+    modules = _state_read("        self._reply(200, {})\n", _LOCKED_SNAPSHOT)
+    modules["repro/service/http.py"] += (
+        "\n"
+        "    def _post_alloc(self):\n"
+        "        self._reply(200, self.controller.snapshot())\n")
+    assert "CC203" not in _rules_fired(_check_modules(tmp_path, modules))

@@ -3,6 +3,9 @@ admission control, deadline degradation, state consistency."""
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -209,3 +212,50 @@ class TestLifecycle:
         caps = np.asarray(snap["node_capacity"])
         assert loads.shape == caps.shape
         assert (loads <= caps + 1e-9).all()
+
+    def test_snapshots_race_commits(self):
+        """Lock-free reads racing two admitting writers, with a shortened
+        switch interval: every read is one whole committed state (each
+        service placed, counts agree), and no reader sees an older
+        commit after a newer one."""
+        ctl = make_controller(hosts=8)
+        specs = scripted_specs(20, hosts=8)
+        stop = threading.Event()
+        errors: list[str] = []
+
+        def read() -> None:
+            seen = 0
+            while not stop.is_set():
+                snap = ctl.snapshot()
+                services = snap["services"].values()
+                if snap["active"] != len(snap["services"]) or any(
+                        s["node"] is None or s["yield"] is None
+                        for s in services):
+                    errors.append(f"uncommitted state: {snap}")
+                if snap["active"] < seen:
+                    errors.append(f"went back from {seen} to "
+                                  f"{snap['active']} services")
+                seen = snap["active"]
+
+        def write(chunk) -> None:
+            for spec in chunk:
+                ctl.admit(spec)
+
+        readers = [threading.Thread(target=read) for _ in range(4)]
+        writers = [threading.Thread(target=write, args=(specs[i::2],))
+                   for i in range(2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in readers + writers:
+                thread.start()
+            for thread in writers:
+                thread.join(120)
+        finally:
+            stop.set()
+            for thread in readers:
+                thread.join(30)
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in readers + writers)
+        assert errors == []
+        assert ctl.snapshot()["active"] == len(specs)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import http.client
 import json
+import socket
 import threading
 import urllib.error
 import urllib.request
@@ -12,8 +13,16 @@ from contextlib import contextmanager
 
 import pytest
 
+from repro.algorithms.vector_packing import meta
 from repro.obs.promcheck import check_prometheus_text
-from repro.service import EventJournal, create_server, load_journal
+from repro.service import (
+    EventJournal,
+    FaultInjector,
+    FaultPlan,
+    create_server,
+    load_journal,
+)
+from repro.service.http import _Handler
 
 from .conftest import make_controller
 
@@ -38,13 +47,23 @@ def server():
 
 
 @pytest.fixture
-def journaled_server(tmp_path):
-    """A served controller with a journal; yields (server, journal path)."""
-    ctl = make_controller(hosts=4)
+def faulty_server(tmp_path):
+    """A served controller with a journal and a fault injector the test
+    may arm; yields (server, injector, journal path)."""
+    faults = FaultInjector(FaultPlan())
+    ctl = make_controller(hosts=4, faults=faults)
     path = tmp_path / "events.jsonl"
-    ctl.attach_journal(EventJournal(path))
+    ctl.attach_journal(EventJournal(path, faults=faults))
     with serving(ctl) as srv:
-        yield srv, path
+        yield srv, faults, path
+    ctl.quiesce()
+
+
+@pytest.fixture
+def journaled_server(faulty_server):
+    """A served controller with a journal; yields (server, journal path)."""
+    srv, _, path = faulty_server
+    return srv, path
 
 
 def call_full(srv, method: str, path: str, body: dict | None = None,
@@ -68,6 +87,25 @@ def call(srv, method: str, path: str, body: dict | None = None,
     """One request; returns (status, decoded JSON payload)."""
     status, _, payload = call_full(srv, method, path, body, raw)
     return status, json.loads(payload)
+
+
+def raw_exchange(srv, request: bytes) -> str:
+    """Send raw *request* bytes on a fresh socket; return everything the
+    server sends back until it closes the connection."""
+    host, port = srv.server_address[:2]
+    with socket.create_connection((host, port), timeout=10) as sock:
+        sock.sendall(request)
+        chunks = []
+        while chunk := sock.recv(4096):
+            chunks.append(chunk)
+    return b"".join(chunks).decode("iso-8859-1")
+
+
+def scrape(text: str) -> dict[str, float]:
+    """Prometheus exposition text -> {series: value}."""
+    return {series: float(value) for series, value in
+            (line.rsplit(" ", 1) for line in text.splitlines()
+             if line and not line.startswith("#"))}
 
 
 def call_with_length(srv, method: str, path: str, length: str):
@@ -167,6 +205,30 @@ class TestEndpoints:
         assert "# TYPE repro_solve_latency_seconds histogram" in text
         assert 'le="+Inf"' in text
 
+    def test_accepted_sockets_set_tcp_nodelay(self, server, monkeypatch):
+        """A reply is two writes (headers, body); with Nagle on, a
+        keep-alive reply's body waits for the client's delayed ACK."""
+        nodelay = []
+        setup = _Handler.setup
+
+        def recording_setup(handler):
+            setup(handler)
+            nodelay.append(handler.connection.getsockopt(
+                socket.IPPROTO_TCP, socket.TCP_NODELAY))
+
+        monkeypatch.setattr(_Handler, "setup", recording_setup)
+        host, port = server.server_address[:2]
+        conn = http.client.HTTPConnection(host, port, timeout=10)
+        try:
+            for _ in range(2):  # back to back on one keep-alive socket
+                conn.request("GET", "/healthz")
+                resp = conn.getresponse()
+                resp.read()
+                assert resp.status == 200
+        finally:
+            conn.close()
+        assert nodelay and all(nodelay), nodelay
+
     def test_trace_header_on_every_reply(self, server):
         traces = set()
         for method, path, body in (
@@ -252,6 +314,27 @@ class TestMalformedInput:
         assert self.digest(srv) == before
         assert load_journal(path) == []
 
+    @pytest.mark.parametrize("line, status", [
+        (b"GARBAGE", 400),
+        (b"GET", 400),
+        (b"GET /healthz HTTP/9.9", 505),
+    ], ids=["garbage", "no-path", "http-9.9"])
+    def test_malformed_request_line(self, journaled_server, capsys,
+                                    line, status):
+        """A request line the stdlib rejects gets an HTTP/1.1 status
+        line and a close, not a dropped connection."""
+        srv, path = journaled_server
+        before = self.digest(srv)
+        reply = raw_exchange(srv, line + b"\r\n\r\n")
+        status_line, _, rest = reply.partition("\r\n")
+        headers = rest.partition("\r\n\r\n")[0].lower().splitlines()
+        assert status_line.startswith(f"HTTP/1.1 {status} "), reply
+        assert "connection: close" in headers
+        assert self.digest(srv) == before
+        assert load_journal(path) == []
+        assert call(srv, "GET", "/healthz")[0] == 200
+        assert "Traceback" not in capsys.readouterr().err
+
     @pytest.mark.parametrize("name", ["node-0", "1"])
     def test_ambiguous_node_name_400(self, journaled_server, name):
         """A taken name would drain the first node of that name, and an
@@ -288,3 +371,137 @@ class TestConcurrency:
         _, state = call(server, "GET", "/state")
         assert state["active"] == 24
         assert set(state["services"]) == ids
+
+
+class TestReadsOffTheLock:
+    """``GET /state`` never waits for a solve in flight: it serves the
+    last committed state, which holds every acknowledged write and no
+    refused one."""
+
+    @staticmethod
+    def read_state(srv) -> dict:
+        """``GET /state`` with a 5 s client timeout (a read queued
+        behind the blocked solve times out instead of hanging)."""
+        host, port = srv.server_address[:2]
+        conn = http.client.HTTPConnection(host, port, timeout=5)
+        try:
+            conn.request("GET", "/state")
+            resp = conn.getresponse()
+            assert resp.status == 200
+            return json.loads(resp.read())
+        finally:
+            conn.close()
+
+    @pytest.mark.parametrize("outcome", [200, 409, 503],
+                             ids=["admitted", "rejected", "journal-failure"])
+    def test_read_while_an_admit_solves(self, faulty_server, monkeypatch,
+                                        outcome):
+        srv, faults, path = faulty_server
+        solving, release = threading.Event(), threading.Event()
+        make_engine = meta.make_engine
+
+        def blocking_engine(instance, strategies, *args):
+            """The real oracle (or, for the rejection, one that never
+            packs) behind a gate the test opens."""
+            oracle = make_engine(instance, strategies, *args)
+
+            def probe(instance, y):
+                solving.set()
+                release.wait(60)
+                return None if outcome == 409 else oracle(instance, y)
+            return probe
+
+        replies: list = []
+        assert call(srv, "POST", "/alloc", {"sample": True})[0] == 200
+        before = self.read_state(srv)
+        if outcome == 503:
+            faults.plan = FaultPlan(journal_fail=faults.journal_writes + 1)
+        monkeypatch.setattr(meta, "make_engine", blocking_engine)
+        writer = threading.Thread(target=lambda: replies.append(
+            call(srv, "POST", "/alloc", {"id": "late", "sample": True})))
+        writer.start()
+        try:
+            assert solving.wait(30), "the admit never reached its solve"
+            during = self.read_state(srv)
+        finally:
+            release.set()
+            writer.join(60)
+        assert not writer.is_alive()
+        assert during["digest"] == before["digest"]
+        assert "late" not in during["services"]
+
+        [(status, reply)] = replies
+        assert status == outcome, reply
+        after = self.read_state(srv)
+        if outcome == 200:  # read-your-writes
+            assert after["digest"] != before["digest"]
+            assert after["services"]["late"]["node"] == reply["node"]
+        else:
+            assert after["digest"] == before["digest"]
+            assert "late" not in after["services"]
+        assert len(load_journal(path)) == (2 if outcome == 200 else 1)
+
+
+class TestRequestSplit:
+    PARTS = ("lock_wait", "solve", "journal", "other")
+
+    def test_write_parts_add_up_to_the_request(self, journaled_server):
+        """Over a scripted mix on one keep-alive connection, every write
+        request observes each part once and the parts sum to the write
+        endpoints' request time."""
+        srv, _ = journaled_server
+        host, port = srv.server_address[:2]
+        conn = http.client.HTTPConnection(host, port, timeout=30)
+
+        def send(method: str, target: str, body: bytes | None = None):
+            conn.request(method, target, body=body)
+            resp = conn.getresponse()
+            return resp.status, resp.read()
+
+        admit = json.dumps({"sample": True}).encode()
+        writes = reads = 0
+        ids = []
+        try:
+            for step in range(8):
+                status, body = send("POST", "/alloc", admit)
+                assert status == 200
+                ids.append(json.loads(body)["id"])
+                writes += 1
+                if step % 2:
+                    assert send("GET", "/state")[0] == 200
+                    assert send("GET", "/healthz")[0] == 200
+                    reads += 2
+            for sid in ids[:3]:
+                assert send("DELETE", f"/alloc/{sid}")[0] == 200
+                writes += 1
+            # Refusals are write requests too: their time is "other".
+            assert send("DELETE", "/alloc/ghost")[0] == 404
+            assert send("POST", "/alloc", b"{not json")[0] == 400
+            writes += 2
+            # On the same connection, so every request above has been
+            # observed before this one is handled.
+            status, body = send("GET", "/metrics")
+            assert status == 200
+        finally:
+            conn.close()
+
+        text = body.decode()
+        assert check_prometheus_text(text) == []
+        series = scrape(text)
+        part = 'repro_request_part_seconds_{}{{part="{}"}}'
+        request = 'repro_request_seconds_{}{{endpoint="{}"}}'
+        for name in self.PARTS:
+            assert series[part.format("count", name)] == writes, name
+        assert series[part.format("sum", "solve")] > 0
+        assert series[part.format("sum", "journal")] > 0
+        parts_sum = sum(series[part.format("sum", name)]
+                        for name in self.PARTS)
+        write_sum = sum(series[request.format("sum", endpoint)]
+                        for endpoint in ("alloc", "delete"))
+        assert parts_sum == pytest.approx(write_sum, rel=0,
+                                          abs=1e-6 * writes)
+        assert sum(series[request.format("count", endpoint)]
+                   for endpoint in ("alloc", "delete")) == writes
+        for endpoint, n in (("state", reads // 2), ("healthz", reads // 2)):
+            assert series[request.format("count", endpoint)] == n
+            assert series[f'repro_requests_total{{endpoint="{endpoint}"}}'] == n
