@@ -103,11 +103,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "instead of recomputing them")
     parser.add_argument("--window", type=int, default=None,
                         help="max tasks in flight (default: 4 x workers)")
-    parser.add_argument("--batch", type=int, default=1,
-                        help="tasks per worker dispatch; >1 routes warm "
-                             "META* solves through the batched kernel "
-                             "entry point (same results, less per-solve "
-                             "overhead)")
     parser.add_argument("--progress", action="store_true",
                         help="force live progress on stderr (auto when "
                              "stderr is a terminal)")
@@ -294,7 +289,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="combine shard checkpoints and render the final table/figure "
              "(repro merge --from A.jsonl --from B.jsonl COMMAND ...)")
     mg.add_argument("--from", dest="sources", action="append", required=True,
-                    metavar="PATH", help="a shard checkpoint (repeatable)")
+                    metavar="PATH",
+                    help="a shard checkpoint, only read (repeatable; where "
+                         "files disagree on a task, the first listed wins)")
     mg.add_argument("--into", default=None, metavar="PATH",
                     help="also write the de-duplicated union of the "
                          "shards to this JSONL file")
@@ -311,9 +308,9 @@ def build_parser() -> argparse.ArgumentParser:
                          "rewriting in place")
     co.add_argument("--kinds", nargs="+", default=None,
                     help="record kinds to keep ('task' for grid results, "
-                         "plus JsonlCheckpoint kinds such as "
-                         "'error-figure', 'strategy-rank'); other kinds "
-                         "are dropped as foreign.  Default: keep all")
+                         "plus payload kinds such as 'error-figure', "
+                         "'strategy-rank'); other kinds are dropped as "
+                         "foreign.  Default: keep all")
 
     return parser
 
@@ -366,7 +363,6 @@ def _run_kwargs(args: argparse.Namespace, label: str) -> dict:
         "checkpoint": args.checkpoint,
         "resume": args.resume,
         "window": args.window,
-        "batch": max(1, args.batch),
         "progress": _Progress(label, enabled=_progress_enabled(args)),
     }
 

@@ -29,8 +29,7 @@ from .metrics import (
     success_rate,
 )
 from .persistence import (
-    JsonlCheckpoint,
-    ResultStore,
+    CheckpointStore,
     append_results,
     load_results,
     merge_checkpoints,
@@ -49,9 +48,7 @@ from .runner import (
     run_grid,
 )
 from .spec import (
-    CheckpointExperiment,
     ExperimentSpec,
-    GridExperiment,
     IncompleteResultsError,
     Shard,
     shard_index,
@@ -68,21 +65,18 @@ from .table2 import (
 __all__ = [
     "ALGORITHM_FACTORIES",
     "AlgorithmResult",
-    "CheckpointExperiment",
+    "CheckpointStore",
     "CovFigureData",
     "CovFigureSpec",
     "ErrorFigureData",
     "ErrorFigureSpec",
     "ExperimentSpec",
-    "GridExperiment",
     "GridSpec",
     "IncompleteResultsError",
-    "JsonlCheckpoint",
     "MeanCI",
     "PAPER_GRID",
     "PairwiseComparison",
     "QUICK_GRID",
-    "ResultStore",
     "SMOKE_GRID",
     "Shard",
     "Table1Data",

@@ -23,14 +23,16 @@ import dataclasses
 import hashlib
 import json
 from dataclasses import dataclass
+from functools import partial
 from typing import Mapping
 
 import numpy as np
 
 from ..util.rng import derive_seed
 from ..workloads import DEFAULT_WORKLOAD, generate_platform, parse_workload
+from .persistence import PayloadRecords
 from .report import format_table
-from .spec import CheckpointExperiment
+from .spec import ExperimentSpec
 
 CHECKPOINT_KIND = "failure-sweep"
 
@@ -204,24 +206,22 @@ def format_failure_sweep(data: dict) -> str:
                f"{spec.recovery_rate:g} ({spec.instances} instances)"))
 
 
-def failure_sweep_experiment(spec: FailureSweepSpec) -> CheckpointExperiment:
+def failure_sweep_experiment(spec: FailureSweepSpec) -> ExperimentSpec:
     """Declare the failure sweep as a shardable experiment spec."""
-    tasks = []
+    cells = []
     index = 0
     for rate in spec.failure_rates:
         for mix in spec.sla_mixes:
             for idx in range(spec.instances):
-                tasks.append(_CellTask(spec, rate, mix, idx, index))
+                cells.append(_CellTask(spec, rate, mix, idx, index))
                 index += 1
-    return CheckpointExperiment(
+    fingerprint = _spec_fingerprint(spec)
+    return ExperimentSpec(
         name="failure-sweep",
-        kind=CHECKPOINT_KIND,
-        fingerprint=_spec_fingerprint(spec),
-        tasks=tuple(tasks),
+        tasks=lambda: cells,
+        key=lambda task: [fingerprint, task.index],
         worker=_run_cell,
-        index_of=lambda task: task.index,
-        encode=lambda payload: payload,
-        decode=lambda index, payload: payload,
-        reduce=lambda exp, payloads: _reduce(spec, payloads),
+        codec=PayloadRecords(CHECKPOINT_KIND),
+        reduce=partial(_reduce, spec),
         formatter=format_failure_sweep,
     )

@@ -6,7 +6,7 @@ difference from METAHVP for one competitor algorithm, with per-CoV
 averages overlaid.  Figures 3 and 4 pin CPU (resp. memory) capacities at
 the median.  Points below zero mean METAHVP was beaten on that instance.
 
-Declared as a :class:`~.spec.GridExperiment` via
+Declared as a grid :class:`~.spec.ExperimentSpec` via
 :func:`cov_figure_experiment`; :func:`run_cov_figure` is the wrapper kept
 for existing callers.
 """
@@ -14,6 +14,7 @@ for existing callers.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterator, Mapping
 
 import numpy as np
@@ -21,7 +22,7 @@ import numpy as np
 from ..workloads import DEFAULT_WORKLOAD, ScenarioConfig, parse_workload
 from .report import format_table, write_csv
 from .runner import ProgressCallback, TaskResult
-from .spec import GridExperiment
+from .spec import ExperimentSpec, grid_experiment
 
 __all__ = ["CovFigureSpec", "CovFigureData", "run_cov_figure",
            "format_cov_figure", "cov_figure_experiment",
@@ -109,15 +110,11 @@ def _reduce_cov(spec: CovFigureSpec,
     )
 
 
-def cov_figure_experiment(spec: CovFigureSpec) -> GridExperiment:
+def cov_figure_experiment(spec: CovFigureSpec) -> ExperimentSpec:
     """Declare one CoV figure as a shardable experiment spec."""
-    return GridExperiment(
-        name="fig-cov",
-        configs=spec.configs,
-        algorithms=tuple(spec.competitors) + (BASELINE,),
-        reduce=lambda exp, stream: _reduce_cov(spec, stream),
-        formatter=format_cov_figure,
-    )
+    return grid_experiment("fig-cov", spec.configs,
+                           tuple(spec.competitors) + (BASELINE,),
+                           partial(_reduce_cov, spec), format_cov_figure)
 
 
 def run_cov_figure(spec: CovFigureSpec,

@@ -21,6 +21,7 @@ import dataclasses
 import hashlib
 import json
 from dataclasses import dataclass
+from functools import partial
 from typing import Mapping, Optional
 
 import numpy as np
@@ -39,9 +40,10 @@ from ..workloads import (
     generate_instance,
     parse_workload,
 )
+from .persistence import PayloadRecords
 from .report import format_table, write_csv
 from .runner import ALGORITHM_FACTORIES
-from .spec import CheckpointExperiment
+from .spec import ExperimentSpec
 
 CHECKPOINT_KIND = "error-figure"
 
@@ -211,18 +213,18 @@ def _reduce_error(spec: ErrorFigureSpec, payloads) -> ErrorFigureData:
     return ErrorFigureData(spec, series, solved_instances=len(per_instance))
 
 
-def error_figure_experiment(spec: ErrorFigureSpec) -> CheckpointExperiment:
+def error_figure_experiment(spec: ErrorFigureSpec) -> ExperimentSpec:
     """Declare one error figure as a shardable experiment spec."""
-    return CheckpointExperiment(
+    fingerprint = _spec_fingerprint(spec)
+    return ExperimentSpec(
         name="fig-error",
-        kind=CHECKPOINT_KIND,
-        fingerprint=_spec_fingerprint(spec),
-        tasks=tuple(_InstanceTask(spec, i) for i in range(spec.instances)),
+        tasks=lambda: (_InstanceTask(spec, i) for i in range(spec.instances)),
+        key=lambda task: [fingerprint, task.index],
         worker=_run_instance,
-        index_of=lambda task: task.index,
-        encode=_encode_payload,
-        decode=lambda index, payload: _decode_payload(payload),
-        reduce=lambda exp, payloads: _reduce_error(spec, payloads),
+        codec=PayloadRecords(
+            CHECKPOINT_KIND, encode=_encode_payload,
+            decode=lambda key, payload: _decode_payload(payload)),
+        reduce=partial(_reduce_error, spec),
         formatter=format_error_figure,
     )
 

@@ -1,31 +1,38 @@
-"""Persistence of grid results and streaming checkpoints.
+"""Persistence of experiment results: one JSONL store, two record codecs.
 
-The full paper grid is expensive; persisting per-instance results as
-JSON-lines lets long runs be split across sessions/machines and merged
-afterwards.  Each line is self-describing: the scenario coordinates plus
-every algorithm's outcome, so files from different grids can be safely
-concatenated and re-filtered.
+Every experiment checkpoint is a JSON-lines file with one *record* per
+completed task.  A *record codec* turns one task's result into a record
+and back; there are two:
 
-Two kinds of line share the ``.jsonl`` files:
+* :data:`TASK_RECORDS` — grid task records (``{"v": 1, "config": ...,
+  "results": ...}``), one :class:`~.runner.TaskResult` each, keyed by
+  :func:`task_key`; :func:`save_results` / :func:`append_results` write
+  them too.
+* :class:`PayloadRecords` — keyed payload records (``{"v": 1, "kind":
+  ..., "key": ..., "payload": ...}``), one per task of a payload spec
+  (error figure, strategy ranking, failure sweep), keyed by ``key``.
 
-* **task records** (``{"v": 1, "config": ..., "results": ...}``) — one
-  :class:`~.runner.TaskResult` each; written by :func:`save_results` /
-  :func:`append_results` and by :class:`ResultStore`.
-* **checkpoint records** (``{"v": 1, "kind": ..., "key": ...,
-  "payload": ...}``) — generic key→payload entries used by the error-figure
-  and strategy-ranking drivers via :class:`JsonlCheckpoint`.
-
-Loaders skip lines of the other kind, so one file can serve as a shared
-checkpoint.  Checkpoint loads also tolerate a truncated *final* line — the
-signature of a run killed mid-write — by ignoring it; the interrupted task
-simply reruns on resume.
+:class:`CheckpointStore` is the one resume-and-append store for both.  A
+store owns only its codec's records, so several experiments (and other
+tools' kind-tagged records, such as the service journal's) can share one
+file.  Every record's identity is :func:`record_key`: its kind plus the
+canonical JSON of its task key.  One rule decides between records with
+the same identity: within a file the *last* record is current, and across
+several files the *first file listed* wins.  Resume, ``collect``,
+:func:`compact_checkpoint` and :func:`merge_checkpoints` all read
+through one reader, :func:`_read_records`, and apply that rule.  Readers
+skip a partial final line — the signature of a run killed mid-write; the
+interrupted task simply reruns.  Only a store opened for appending
+repairs such a tail in place.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from typing import IO, Callable, Iterable, Iterator, Optional, Sequence
+from dataclasses import dataclass
+from typing import (IO, Any, Callable, Iterable, Mapping, Optional,
+                    Protocol, Sequence)
 
 from .. import obs
 from ..workloads import (
@@ -38,19 +45,22 @@ from .runner import AlgorithmResult, TaskResult
 
 __all__ = [
     "FORMAT_VERSION",
+    "TASK_RECORDS",
+    "CheckpointStore",
     "CompactStats",
-    "JsonlCheckpoint",
-    "ResultStore",
+    "PayloadRecords",
+    "RecordCodec",
     "append_results",
-    "as_jsonl_checkpoint",
     "as_result_store",
+    "canonical_key",
     "compact_checkpoint",
     "durable_append",
-    "fingerprinted_cache",
     "load_results",
     "merge_checkpoints",
     "merge_results",
     "open_append",
+    "read_completed",
+    "record_key",
     "recover_records",
     "save_results",
     "scenario_key",
@@ -61,11 +71,14 @@ __all__ = [
 
 FORMAT_VERSION = 1
 
+#: One parsed JSONL line.
+Record = dict[str, Any]
+
 _CONFIG_FIELDS = ("hosts", "services", "cov", "slack", "cpu_homogeneous",
                   "mem_homogeneous", "seed", "instance_index")
 
 
-def scenario_key(config: ScenarioConfig) -> tuple:
+def scenario_key(config: ScenarioConfig) -> tuple[Any, ...]:
     """The grid coordinates identifying one scenario cell.
 
     The workload model's canonical id is part of the key, so a checkpoint
@@ -78,7 +91,8 @@ def scenario_key(config: ScenarioConfig) -> tuple:
         + (workload_id(config.model),)
 
 
-def task_key(config: ScenarioConfig, algorithms: Sequence[str]) -> tuple:
+def task_key(config: ScenarioConfig,
+             algorithms: Sequence[str]) -> tuple[Any, ...]:
     """Checkpoint identity of one task: scenario cell + algorithm set.
 
     Including the algorithm tuple keeps a Table-1 checkpoint (5 algorithms)
@@ -88,7 +102,14 @@ def task_key(config: ScenarioConfig, algorithms: Sequence[str]) -> tuple:
     return scenario_key(config) + (tuple(algorithms),)
 
 
-def task_to_dict(task: TaskResult) -> dict:
+def canonical_key(key: object) -> str:
+    """The canonical JSON text of a task key.  Shards hash it, and
+    checkpoint indexes are keyed by it, so tuples and lists are
+    interchangeable."""
+    return json.dumps(key, sort_keys=True)
+
+
+def task_to_dict(task: TaskResult) -> Record:
     cfg = task.config
     config = {f: getattr(cfg, f) for f in _CONFIG_FIELDS}
     config["workload"] = workload_to_json(cfg.model)
@@ -103,7 +124,7 @@ def task_to_dict(task: TaskResult) -> dict:
     }
 
 
-def task_from_dict(data: dict) -> TaskResult:
+def task_from_dict(data: Record) -> TaskResult:
     if data.get("v") != FORMAT_VERSION:
         raise ValueError(f"unsupported results format version: {data.get('v')!r}")
     fields = dict(data["config"])
@@ -114,6 +135,95 @@ def task_from_dict(data: dict) -> TaskResult:
         for r in data["results"]
     )
     return TaskResult(cfg, results)
+
+
+class RecordCodec(Protocol):
+    """Turns one task's result into a JSONL record and back.
+
+    ``kind`` names the records for ``repro compact --kinds``; ``owns``
+    tells this codec's records from others sharing a file.
+    """
+
+    @property
+    def kind(self) -> str: ...
+
+    def owns(self, rec: Record) -> bool: ...
+
+    def read(self, rec: Record) -> tuple[object, Any]:
+        """The record's task key and the result it holds."""
+        ...
+
+    def write(self, key: object, value: Any) -> Record: ...
+
+
+class _TaskRecords:
+    """Codec of grid task records, keyed by :func:`task_key`."""
+
+    kind = "task"
+
+    def owns(self, rec: Record) -> bool:
+        return "kind" not in rec
+
+    def read(self, rec: Record) -> tuple[object, TaskResult]:
+        task = task_from_dict(rec)
+        algorithms = tuple(r.algorithm for r in task.results)
+        return task_key(task.config, algorithms), task
+
+    def write(self, key: object, value: TaskResult) -> Record:
+        return task_to_dict(value)
+
+
+TASK_RECORDS = _TaskRecords()
+
+
+def _same(value: Any) -> Any:
+    return value
+
+
+def _payload(key: Any, payload: Any) -> Any:
+    return payload
+
+
+@dataclass(frozen=True)
+class PayloadRecords:
+    """Codec of keyed payload records of one *kind*.
+
+    ``encode`` turns a worker's result into its JSON payload, and
+    ``decode(key, payload)`` turns it back (*key* is the record's JSON
+    task key).  Both default to the identity.
+    """
+
+    kind: str
+    encode: Callable[[Any], Any] = _same
+    decode: Callable[[Any, Any], Any] = _payload
+
+    def owns(self, rec: Record) -> bool:
+        return rec.get("kind") == self.kind
+
+    def read(self, rec: Record) -> tuple[object, Any]:
+        if rec.get("v") != FORMAT_VERSION:
+            raise ValueError(
+                f"unsupported checkpoint version: {rec.get('v')!r}")
+        return rec["key"], self.decode(rec["key"], rec["payload"])
+
+    def write(self, key: object, value: Any) -> Record:
+        return {"v": FORMAT_VERSION, "kind": self.kind, "key": key,
+                "payload": self.encode(value)}
+
+
+def record_key(rec: Record) -> Optional[tuple[str, str]]:
+    """The identity of *rec*: its kind (``"task"`` for task records) and
+    the canonical JSON of its task key.
+
+    ``None`` for a kind-tagged record without a key, which belongs to
+    some other tool (a service journal event, say); such records are
+    kept verbatim and never deduplicated.
+    """
+    if TASK_RECORDS.owns(rec):
+        return (TASK_RECORDS.kind, canonical_key(TASK_RECORDS.read(rec)[0]))
+    if "key" not in rec:
+        return None
+    return (rec["kind"], canonical_key(rec["key"]))
 
 
 def _open_append(path: str) -> IO[str]:
@@ -142,62 +252,19 @@ def _durable_append(fh: IO[str], line: str) -> None:
         os.fsync(fh.fileno())
 
 
-def _rewrite_keeping(path: str, keep: Callable[[dict], bool]) -> None:
-    """Rewrite *path* with only the records matching *keep* (a predicate).
-
-    Used by the ``resume=False`` stores: "truncate" means dropping *this
-    store's* records while preserving foreign ones, since several
-    checkpoints may share one file.  A partial final line is dropped.
-    """
-    kept = [rec for rec in _iter_records(path, tolerate_partial=True)
-            if keep(rec)]
-    if not kept:
-        os.remove(path)
-        return
-    with open(path, "w") as fh:
-        for rec in kept:
-            fh.write(json.dumps(rec) + "\n")
-
-
-def _iter_records(path: str, tolerate_partial: bool = False
-                  ) -> Iterator[dict]:
-    """Yield parsed JSON records from *path*.
-
-    With ``tolerate_partial``, an unparseable *final* line is ignored (a
-    crash mid-append leaves exactly that); garbage anywhere else still
-    raises, since it means the file is not one of ours.
-    """
-    with open(path) as fh:
-        lines = fh.readlines()
-    for lineno, line in enumerate(lines):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            yield json.loads(line)
-        except json.JSONDecodeError as exc:
-            if tolerate_partial and lineno == len(lines) - 1:
-                return
-            raise ValueError(
-                f"{path}:{lineno + 1}: not a results/checkpoint record "
-                f"({exc})") from exc
-
-
-def _recover_records(path: str) -> list[dict]:
-    """Read records for a store that will *append* to *path*, repairing a
-    crash-damaged tail in place.
+def _read_records(path: str, repair: bool = False) -> list[Record]:
+    """Parse every record in *path*, skipping a partial final line.
 
     A run killed mid-append leaves either a partial final line or a final
-    record missing its newline.  Reading alone isn't enough — the next
-    append would glue onto that tail, corrupting the record (and, once
-    more lines follow, the whole file).  So: an unparseable final line is
-    truncated away (that task simply reruns); a parseable final record
-    merely missing its newline gets the newline restored.  Garbage
-    anywhere else still raises.
+    record missing its newline.  Readers skip the partial line (that task
+    simply reruns).  With *repair* — for a store about to append — the
+    tail is also fixed in place: the partial line is truncated away and a
+    missing final newline restored, so the next append cannot glue onto
+    it.  Garbage anywhere else raises: the file is not one of ours.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
-    records: list[dict] = []
+    records: list[Record] = []
     good_end = 0
     offset = 0
     for line in raw.splitlines(keepends=True):
@@ -207,20 +274,25 @@ def _recover_records(path: str) -> list[dict]:
             try:
                 records.append(json.loads(stripped))
             except json.JSONDecodeError as exc:
-                if offset >= len(raw):  # partial final line: drop it
+                if offset >= len(raw):  # partial final line
                     break
                 lineno = raw[:offset].count(b"\n")
                 raise ValueError(
                     f"{path}:{lineno}: not a results/checkpoint record "
                     f"({exc})") from exc
         good_end = offset
-    if good_end < len(raw):
+    if repair and good_end < len(raw):
         with open(path, "r+b") as fh:
             fh.truncate(good_end)
-    elif raw and not raw.endswith(b"\n"):  # complete record, no newline
+    elif repair and raw and not raw.endswith(b"\n"):
         with open(path, "ab") as fh:
             fh.write(b"\n")
     return records
+
+
+def recover_records(path: str) -> list[Record]:
+    """Read *path* for appending: :func:`_read_records` with tail repair."""
+    return _read_records(path, repair=True)
 
 
 # The append-only JSONL discipline — durable line writes plus tail repair
@@ -228,7 +300,44 @@ def _recover_records(path: str) -> list[dict]:
 # (``repro.service.journal``) builds on the same primitives.
 open_append = _open_append
 durable_append = _durable_append
-recover_records = _recover_records
+
+
+def _write_records_atomic(out_path: str, records: Iterable[Record]) -> None:
+    """Write *records* as JSONL via a temp file + fsync + rename, so a
+    crash mid-rewrite never leaves a half-written checkpoint."""
+    parent = os.path.dirname(out_path)
+    if parent:
+        os.makedirs(parent, exist_ok=True)
+    tmp = out_path + ".rewrite-tmp"
+    with open(tmp, "w") as fh:
+        for rec in records:
+            fh.write(json.dumps(rec) + "\n")
+        fh.flush()
+        os.fsync(fh.fileno())
+    os.replace(tmp, out_path)
+
+
+def _index(records: Iterable[Record], codec: RecordCodec) -> dict[str, Any]:
+    """*codec*'s results in *records* by canonical task key; the last
+    record for a key is current."""
+    completed: dict[str, Any] = {}
+    for rec in records:
+        if codec.owns(rec):
+            key, value = codec.read(rec)
+            completed[canonical_key(key)] = value
+    return completed
+
+
+def read_completed(paths: Sequence[str],
+                   codec: RecordCodec) -> dict[str, Any]:
+    """*codec*'s results across checkpoint files, by canonical task key,
+    without writing any of them: within a file the last record for a key
+    is current, and across files the first file listed wins."""
+    found: dict[str, Any] = {}
+    for path in paths:
+        for key, value in _index(_read_records(path), codec).items():
+            found.setdefault(key, value)
+    return found
 
 
 def save_results(results: Sequence[TaskResult], path: str) -> None:
@@ -249,14 +358,13 @@ def append_results(results: Sequence[TaskResult], path: str) -> None:
 
 
 def load_results(path: str) -> list[TaskResult]:
-    """Load every task record in *path* (checkpoint records are skipped).
+    """Load every task record in *path* (other records are skipped).
 
     A partial final line — the signature of a run killed mid-append — is
     ignored, so checkpoints from dead machines merge without repair.
     """
-    return [task_from_dict(rec)
-            for rec in _iter_records(path, tolerate_partial=True)
-            if "kind" not in rec]
+    return [task_from_dict(rec) for rec in _read_records(path)
+            if TASK_RECORDS.owns(rec)]
 
 
 def merge_results(result_sets: Iterable[Sequence[TaskResult]]
@@ -267,7 +375,7 @@ def merge_results(result_sets: Iterable[Sequence[TaskResult]]
     re-run on top of an older file and keep the fresh values by passing
     the re-run first.
     """
-    seen: set = set()
+    seen: set[tuple[Any, ...]] = set()
     merged: list[TaskResult] = []
     for results in result_sets:
         for task in results:
@@ -279,49 +387,49 @@ def merge_results(result_sets: Iterable[Sequence[TaskResult]]
     return merged
 
 
-class ResultStore:
-    """Append-only JSONL checkpoint of :class:`TaskResult`s.
+class CheckpointStore:
+    """Append-only JSONL checkpoint of one codec's records.
 
     Each completed task is written, flushed and fsynced immediately, so a
-    killed run loses at most the tasks still in flight.  Construction with
-    ``resume=True`` indexes every task already in the file (keyed by
-    :func:`task_key`); ``resume=False`` drops the file's task records while
-    preserving any :class:`JsonlCheckpoint` records sharing it.  The file
-    stays loadable by :func:`load_results`, so finished checkpoints double
-    as result files.
-
-    Appended results are *not* retained in memory — only counted — keeping
-    checkpointed sweeps as memory-flat as unchecked ones; ``completed``
-    holds just the tasks indexed at construction.
+    killed run loses at most the tasks still in flight.  With
+    ``resume=True`` the file's records of this codec are indexed first
+    (after repairing a crash-damaged tail); ``resume=False`` drops them
+    while keeping every other record sharing the file.  Appended results
+    are counted but not retained, keeping checkpointed sweeps as
+    memory-flat as unchecked ones; ``completed`` holds just the results
+    indexed at construction.
     """
 
-    def __init__(self, path: str, resume: bool = False):
+    def __init__(self, path: str, codec: RecordCodec,
+                 resume: bool = False):
         self.path = path
-        self._completed: dict[tuple, TaskResult] = {}
+        self.codec = codec
+        self._completed: dict[str, Any] = {}
         self._appended = 0
         if resume and os.path.exists(path):
-            for rec in _recover_records(path):
-                if "kind" in rec:
-                    continue
-                task = task_from_dict(rec)
-                algos = tuple(r.algorithm for r in task.results)
-                self._completed[task_key(task.config, algos)] = task
+            self._completed = _index(recover_records(path), codec)
         elif not resume and os.path.exists(path):
-            _rewrite_keeping(path, lambda rec: "kind" in rec)
+            kept = [rec for rec in _read_records(path)
+                    if not codec.owns(rec)]
+            if kept:
+                _write_records_atomic(path, kept)
+            else:
+                os.remove(path)
         self._fh: Optional[IO[str]] = None
 
     @property
-    def completed(self) -> dict[tuple, TaskResult]:
-        """Tasks on disk at construction time, keyed by :func:`task_key`."""
+    def completed(self) -> Mapping[str, Any]:
+        """Results on disk at construction, by canonical task key."""
         return self._completed
 
     def __len__(self) -> int:
         return len(self._completed) + self._appended
 
-    def append(self, task: TaskResult) -> None:
+    def append(self, key: object, value: Any) -> None:
         if self._fh is None:
             self._fh = _open_append(self.path)
-        _durable_append(self._fh, json.dumps(task_to_dict(task)) + "\n")
+        _durable_append(self._fh,
+                        json.dumps(self.codec.write(key, value)) + "\n")
         self._appended += 1
 
     def close(self) -> None:
@@ -329,103 +437,32 @@ class ResultStore:
             self._fh.close()
             self._fh = None
 
-    def __enter__(self) -> "ResultStore":
+    def __enter__(self) -> "CheckpointStore":
         return self
 
     def __exit__(self, *exc: object) -> None:
         self.close()
 
 
-def as_result_store(checkpoint: "str | ResultStore | None",
-                    resume: bool = False) -> Optional[ResultStore]:
-    """Normalize a checkpoint argument: paths are opened (truncating unless
-    *resume*), stores pass through, ``None`` stays ``None``.
+def as_result_store(checkpoint: "str | CheckpointStore | None",
+                    resume: bool = False,
+                    codec: RecordCodec = TASK_RECORDS
+                    ) -> Optional[CheckpointStore]:
+    """Normalize a checkpoint argument: paths are opened as a store of
+    *codec* (dropping its old records unless *resume*), stores pass
+    through, ``None`` stays ``None``.
 
     Drivers that run several grids against one checkpoint file open the
     store once with this and hand the *store* down, so the truncation
     decision happens exactly once.
     """
-    if checkpoint is None or isinstance(checkpoint, ResultStore):
+    if checkpoint is None or isinstance(checkpoint, CheckpointStore):
         return checkpoint
-    return ResultStore(checkpoint, resume=resume)
-
-
-class JsonlCheckpoint:
-    """Generic append-only key→payload checkpoint for non-grid sweeps.
-
-    Records carry a ``kind`` tag so several checkpoints (and task records)
-    can share one file; loading filters to this instance's kind, and
-    ``resume=False`` drops only this kind's records from a shared file.
-    Keys are JSON values (typically ``[fingerprint, index]`` lists)
-    compared after a canonical round-trip, so tuples and lists are
-    interchangeable.  As with :class:`ResultStore`, appends are counted
-    but not retained in memory.
-    """
-
-    def __init__(self, path: str, kind: str, resume: bool = False):
-        self.path = path
-        self.kind = kind
-        self._completed: dict[str, object] = {}
-        self._appended = 0
-        if resume and os.path.exists(path):
-            for rec in _recover_records(path):
-                if rec.get("kind") != kind:
-                    continue
-                if rec.get("v") != FORMAT_VERSION:
-                    raise ValueError(
-                        f"unsupported checkpoint version: {rec.get('v')!r}")
-                self._completed[self._canon(rec["key"])] = rec["payload"]
-        elif not resume and os.path.exists(path):
-            _rewrite_keeping(path, lambda rec: rec.get("kind") != kind)
-        self._fh: Optional[IO[str]] = None
-
-    @staticmethod
-    def _canon(key: object) -> str:
-        return json.dumps(key, sort_keys=True)
-
-    @property
-    def completed(self) -> dict:
-        """Payloads on disk at construction, keyed by canonical JSON key."""
-        return self._completed
-
-    def key(self, key: object) -> str:
-        """Canonical form of *key* for ``completed`` lookups."""
-        return self._canon(key)
-
-    def __len__(self) -> int:
-        return len(self._completed) + self._appended
-
-    def append(self, key: object, payload: object) -> None:
-        if self._fh is None:
-            self._fh = _open_append(self.path)
-        record = {"v": FORMAT_VERSION, "kind": self.kind,
-                  "key": key, "payload": payload}
-        _durable_append(self._fh, json.dumps(record) + "\n")
-        self._appended += 1
-
-    def close(self) -> None:
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
-
-    def __enter__(self) -> "JsonlCheckpoint":
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.close()
-
-
-def as_jsonl_checkpoint(checkpoint: "str | JsonlCheckpoint | None",
-                        kind: str,
-                        resume: bool = False) -> Optional[JsonlCheckpoint]:
-    """:func:`as_result_store`'s analogue for :class:`JsonlCheckpoint`."""
-    if checkpoint is None or isinstance(checkpoint, JsonlCheckpoint):
-        return checkpoint
-    return JsonlCheckpoint(checkpoint, kind=kind, resume=resume)
+    return CheckpointStore(checkpoint, codec, resume=resume)
 
 
 class CompactStats:
-    """Outcome of :func:`compact_checkpoint`."""
+    """Outcome of :func:`compact_checkpoint` and :func:`merge_checkpoints`."""
 
     def __init__(self, kept: int, superseded: int, foreign: int):
         self.kept = kept
@@ -437,20 +474,16 @@ class CompactStats:
                 f"superseded={self.superseded}, foreign={self.foreign})")
 
 
-def _record_identity(rec: dict, ordinal: int) -> tuple:
-    """The key under which a resume loader would index *rec*.
-
-    A kind-tagged record without a ``key`` field belongs to some other
-    tool; it gets a per-occurrence identity (*ordinal*) so it is
-    preserved verbatim and never deduplicated.
-    """
-    if "kind" in rec:
-        if "key" not in rec:
-            return ("opaque", ordinal)
-        return ("ckpt", rec.get("kind"), JsonlCheckpoint._canon(rec["key"]))
-    task = task_from_dict(rec)  # validates the format version
-    algos = tuple(r.algorithm for r in task.results)
-    return ("task", task_key(task.config, algos))
+def _current(records: Sequence[Record],
+             first: int = 0) -> dict[object, Record]:
+    """The current record per identity — the last one, at the position
+    where its identity first appears.  A record without an identity is
+    keyed by its ordinal (counted from *first*), so each one survives."""
+    current: dict[object, Record] = {}
+    for ordinal, rec in enumerate(records, start=first):
+        identity = record_key(rec)
+        current[ordinal if identity is None else identity] = rec
+    return current
 
 
 def compact_checkpoint(path: str, output: Optional[str] = None,
@@ -458,88 +491,43 @@ def compact_checkpoint(path: str, output: Optional[str] = None,
     """Garbage-collect a JSONL checkpoint.
 
     Resumed-over-resumed (or crash-repaired) files accumulate superseded
-    records: several lines with the same identity, of which a resume
-    loader only ever uses the *last*.  This rewrite keeps exactly that
-    surviving record per identity (task records keyed by scenario cell +
-    algorithm set, checkpoint records by kind + key), in first-appearance
-    order, dropping a partial final line as the loaders do.  With *kinds*
-    given, records of any other kind — "foreign" entries sharing the file
-    — are dropped as well (task records compact under the pseudo-kind
-    ``"task"``).
+    records: several lines with the same :func:`record_key`, of which
+    only the *last* is current.  This rewrite keeps exactly the current
+    record per identity, in first-appearance order, dropping a partial
+    final line as the readers do.  With *kinds* given, records of any
+    other kind — "foreign" entries sharing the file — are dropped as well
+    (task records compact under the pseudo-kind ``"task"``).
 
     The rewrite is atomic (temp file + rename).  *output* redirects it;
     default is in place.  Returns :class:`CompactStats`.
     """
-    survivors: dict[tuple, dict] = {}
-    foreign = 0
-    total = 0
-    keep_kinds = None if kinds is None else set(kinds)
-    for rec in _iter_records(path, tolerate_partial=True):
-        total += 1
-        kind = rec.get("kind", "task")
-        if keep_kinds is not None and kind not in keep_kinds:
-            foreign += 1
-            continue
-        # Later duplicates replace the payload in place: the loader would
-        # use the newest record, while dict insertion order preserves the
-        # identity's first appearance in the file.
-        survivors[_record_identity(rec, total)] = rec
-    superseded = total - foreign - len(survivors)
+    records = _read_records(path)
+    mine = [rec for rec in records
+            if kinds is None or rec.get("kind", TASK_RECORDS.kind) in kinds]
+    survivors = _current(mine)
     _write_records_atomic(output or path, survivors.values())
-    return CompactStats(len(survivors), superseded, foreign)
-
-
-def _write_records_atomic(out_path: str, records: Iterable[dict]) -> None:
-    """Write *records* as JSONL via a temp file + fsync + rename, so a
-    crash mid-rewrite never leaves a half-written checkpoint."""
-    parent = os.path.dirname(out_path)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
-    tmp = out_path + ".rewrite-tmp"
-    with open(tmp, "w") as fh:
-        for rec in records:
-            fh.write(json.dumps(rec) + "\n")
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, out_path)
+    return CompactStats(len(survivors), len(mine) - len(survivors),
+                        len(records) - len(mine))
 
 
 def merge_checkpoints(paths: Sequence[str], output: str) -> CompactStats:
-    """Concatenate shard checkpoints into one de-duplicated file.
+    """Combine shard checkpoints into one de-duplicated file.
 
-    Records are read from *paths* in order; the first occurrence of each
-    identity wins (mirroring :func:`merge_results`), so layering a re-run
-    over older shards keeps the fresh values by listing the re-run first.
-    Task records and :class:`JsonlCheckpoint` records both merge; a
-    partial final line in any shard — a run killed mid-append — is
-    skipped.  The merged file is written atomically and stays loadable by
-    every resume/collect path, so it doubles as a combined result file.
+    Within each file the last record per identity is current, as in
+    :func:`compact_checkpoint`; across files the first file listed wins,
+    so layering a re-run over older shards keeps the fresh values by
+    listing the re-run first.  Records of every kind merge, a partial
+    final line in any shard is skipped, and no source is written.  The
+    merged file is written atomically and stays loadable by every
+    resume/collect path, so it doubles as a combined result file.
     """
-    survivors: dict[tuple, dict] = {}
+    survivors: dict[object, Record] = {}
     total = 0
     for path in paths:
-        for rec in _iter_records(path, tolerate_partial=True):
-            total += 1
-            survivors.setdefault(_record_identity(rec, total), rec)
+        records = _read_records(path)
+        for identity, rec in _current(records, first=total).items():
+            survivors.setdefault(identity, rec)
+        total += len(records)
     _write_records_atomic(output, survivors.values())
     return CompactStats(kept=len(survivors),
                         superseded=total - len(survivors), foreign=0)
-
-
-def fingerprinted_cache(ckpt: Optional[JsonlCheckpoint], fingerprint: str,
-                        decode: Callable[[list, object], object]) -> dict:
-    """Rebuild a ``parallel_imap_cached`` cache from a checkpoint.
-
-    Keys follow the ``[fingerprint, index]`` convention; only this
-    fingerprint's payloads are decoded (a shared file may hold payloads of
-    other sweeps, whose keys can never match).  ``decode(key, payload)``
-    turns a stored payload back into the in-memory value.
-    """
-    cache: dict = {}
-    if ckpt is None:
-        return cache
-    for canon, payload in ckpt.completed.items():
-        key = json.loads(canon)
-        if key[0] == fingerprint:
-            cache[canon] = decode(key, payload)
-    return cache

@@ -12,14 +12,18 @@ appends every completed :class:`TaskResult` to a JSONL checkpoint, and on
 ``resume=True`` answers already-completed coordinates from the checkpoint
 instead of recomputing — yielding results in input order either way, so a
 resumed sweep is identical to an uninterrupted one.  :func:`run_grid` is
-the materializing wrapper kept for existing callers.
+the materializing wrapper kept for existing callers.  Both stream through
+:func:`stream_tasks`, the checkpointed loop every
+:class:`~.spec.ExperimentSpec` runs on as well.
 """
 
 from __future__ import annotations
 
+import json
 from contextlib import AbstractContextManager, nullcontext
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
+from typing import (TYPE_CHECKING, Any, Callable, Iterable, Iterator,
+                    Optional, Sequence, Union)
 
 import numpy as np
 
@@ -40,8 +44,12 @@ from ..util.rng import derive_seed
 from ..util.timing import timed_call
 from ..workloads import ScenarioConfig, generate_instance
 
+if TYPE_CHECKING:
+    from .persistence import CheckpointStore, RecordCodec
+
 __all__ = ["ALGORITHM_FACTORIES", "AlgorithmResult", "TaskResult",
-           "iter_grid", "run_grid", "make_algorithms"]
+           "grid_task_key", "iter_grid", "run_grid", "make_algorithms",
+           "stream_tasks"]
 
 #: Callback invoked per yielded result: ``progress(result, cached)`` where
 #: *cached* is True when the result came from the checkpoint.
@@ -233,12 +241,59 @@ def _run_task_batch(tasks: Sequence[_Task]) -> list[TaskResult]:
                 for i, t in enumerate(tasks)]
 
 
+def grid_task_key(task: _Task) -> tuple:
+    """Checkpoint and shard key of one grid task (see
+    :func:`~.persistence.task_key`)."""
+    from .persistence import task_key  # deferred: circular
+    return task_key(task.config, task.algorithms)
+
+
+def stream_tasks(worker: Callable[[Any], Any], tasks: Iterable[Any],
+                 key: Callable[[Any], object], codec: "RecordCodec",
+                 workers: int | None = None,
+                 *,
+                 window: int | None = None,
+                 checkpoint: Union[str, "CheckpointStore", None] = None,
+                 resume: bool = False,
+                 progress: Optional[Callable[[Any, bool], None]] = None,
+                 **dispatch: Any) -> Iterator[Any]:
+    """Stream ``worker(task)`` for every task, in input order, through an
+    optional checkpoint of *codec* records.
+
+    *key* maps a task to its JSON-able key.  With *checkpoint* (a JSONL
+    path or an open :class:`~.persistence.CheckpointStore`), every
+    computed result is appended — flushed and fsynced — before it is
+    yielded, so an interrupted run loses at most the tasks still in
+    flight.  With ``resume=True`` the checkpoint is indexed first and
+    tasks whose key it holds are answered from it instead of recomputed.
+    A path with ``resume=False`` drops the codec's old records.
+    *dispatch* (``chunk``/``chunk_fn``) passes through to
+    :func:`parallel_imap_cached`.
+    """
+    from .persistence import as_result_store, canonical_key  # circular
+
+    store = as_result_store(checkpoint, resume=resume, codec=codec)
+    stream = parallel_imap_cached(
+        worker, tasks, {} if store is None else store.completed,
+        key=lambda task: canonical_key(key(task)),
+        workers=workers, window=window,
+        on_computed=None if store is None else (
+            lambda canon, value: store.append(json.loads(canon), value)),
+        progress=progress, **dispatch)
+    try:
+        yield from stream
+    finally:
+        stream.close()
+        if store is not None and store is not checkpoint:
+            store.close()  # we opened it from a path, so we close it
+
+
 def iter_grid(configs: Iterable[ScenarioConfig],
               algorithms: Sequence[str],
               workers: int | None = None,
               *,
               window: int | None = None,
-              checkpoint: Union[str, "ResultStore", None] = None,
+              checkpoint: Union[str, "CheckpointStore", None] = None,
               resume: bool = False,
               progress: Optional[ProgressCallback] = None,
               warm_chain: bool = True,
@@ -255,42 +310,25 @@ def iter_grid(configs: Iterable[ScenarioConfig],
     Python strategy scan) — results, checkpoint rows, and resume
     behavior are identical to ``batch=1`` apart from wall-clock.
 
-    With *checkpoint* (a JSONL path or an open
-    :class:`~.persistence.ResultStore`), every completed result is
-    appended — flushed and fsynced — before being yielded, so an
-    interrupted run loses at most the tasks still in flight.  With
-    ``resume=True`` the checkpoint is indexed first and tasks whose
-    coordinates (scenario cell + algorithm tuple) are already present are
-    yielded from it without recomputation; because instances are
+    *checkpoint* and *resume* work as in :func:`stream_tasks`: a task is
+    answered from the checkpoint when its coordinates (scenario cell +
+    algorithm tuple) are already present, and because instances are
     regenerated from their coordinates, the resumed stream is exactly the
-    uninterrupted one.  A path with ``resume=False`` is truncated.
+    uninterrupted one.
 
     *progress* is invoked as ``progress(result, cached)`` for every
     yielded result.
     """
-    from .persistence import as_result_store, task_key  # deferred: circular
+    from .persistence import TASK_RECORDS  # deferred: circular
 
     algorithms = tuple(algorithms)
     make_algorithms(algorithms)  # validate names up front
-
-    store = as_result_store(checkpoint, resume=resume)
-    cache = store.completed if store is not None else {}
-    on_computed = None if store is None else (
-        lambda key, result: store.append(result))
-
     tasks = (_Task(cfg, algorithms, warm_chain) for cfg in configs)
-    stream = parallel_imap_cached(
-        _run_task, tasks, cache,
-        key=lambda task: task_key(task.config, task.algorithms),
-        workers=workers, window=window, on_computed=on_computed,
+    yield from stream_tasks(
+        _run_task, tasks, grid_task_key, TASK_RECORDS, workers,
+        window=window, checkpoint=checkpoint, resume=resume,
         progress=progress, chunk=batch,
         chunk_fn=_run_task_batch if batch > 1 else None)
-    try:
-        yield from stream
-    finally:
-        stream.close()
-        if store is not None and store is not checkpoint:
-            store.close()  # we opened it from a path, so we close it
 
 
 def run_grid(configs: Iterable[ScenarioConfig],
@@ -298,7 +336,7 @@ def run_grid(configs: Iterable[ScenarioConfig],
              workers: int | None = None,
              *,
              window: int | None = None,
-             checkpoint: Union[str, "ResultStore", None] = None,
+             checkpoint: Union[str, "CheckpointStore", None] = None,
              resume: bool = False,
              progress: Optional[ProgressCallback] = None,
              warm_chain: bool = True,

@@ -18,7 +18,8 @@ import hashlib
 import json
 from collections import Counter
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from functools import partial
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -31,9 +32,9 @@ from ..algorithms.vector_packing import (
 )
 from ..algorithms.yield_search import binary_search_max_yield
 from ..workloads import ScenarioConfig, generate_instance
-from .persistence import scenario_key
+from .persistence import PayloadRecords, scenario_key
 from .report import format_table
-from .spec import CheckpointExperiment
+from .spec import ExperimentSpec
 
 CHECKPOINT_KIND = "strategy-rank"
 
@@ -158,7 +159,8 @@ def _encode_stats(stats: StrategyStats) -> dict:
             "attempts": stats.attempts, "average_yield": stats.average_yield}
 
 
-def _decode_stats(index: int, data: dict) -> StrategyStats:
+def _decode_stats(key: list, data: dict) -> StrategyStats:
+    index = key[1]
     strategy = hvp_strategies()[index]
     if data["strategy"] != strategy.name:
         raise ValueError(
@@ -169,32 +171,30 @@ def _decode_stats(index: int, data: dict) -> StrategyStats:
                          average_yield=data["average_yield"])
 
 
-def _reduce_ranking(exp: CheckpointExperiment,
-                    stats: Sequence[StrategyStats]) -> StrategyRanking:
+def _reduce_ranking(stats: Iterable[StrategyStats]) -> StrategyRanking:
     ordered = tuple(sorted(stats, key=StrategyStats.sort_key, reverse=True))
     return StrategyRanking(ordered)
 
 
 def strategy_ranking_experiment(configs: Sequence[ScenarioConfig],
                                 warm_start: bool = True,
-                                top_n: int = 25) -> CheckpointExperiment:
+                                top_n: int = 25) -> ExperimentSpec:
     """Declare the §5.1 exploration as a shardable experiment spec.
 
     One task per basic HVP strategy; *top_n* only affects the rendering.
     """
     configs = tuple(configs)
-    return CheckpointExperiment(
+    fingerprint = _configs_fingerprint(configs, warm_start)
+    return ExperimentSpec(
         name="rank-strategies",
-        kind=CHECKPOINT_KIND,
-        fingerprint=_configs_fingerprint(configs, warm_start),
-        tasks=tuple(_StrategyTask(i, configs, warm_start)
-                    for i in range(len(hvp_strategies()))),
+        tasks=lambda: (_StrategyTask(i, configs, warm_start)
+                       for i in range(len(hvp_strategies()))),
+        key=lambda task: [fingerprint, task.strategy_index],
         worker=_evaluate_strategy,
-        index_of=lambda task: task.strategy_index,
-        encode=_encode_stats,
-        decode=_decode_stats,
+        codec=PayloadRecords(CHECKPOINT_KIND, encode=_encode_stats,
+                             decode=_decode_stats),
         reduce=_reduce_ranking,
-        formatter=lambda ranking: format_ranking(ranking, top_n=top_n),
+        formatter=partial(format_ranking, top_n=top_n),
     )
 
 

@@ -7,7 +7,7 @@ percentage points.  The paper's Table 1 covers RRND, RRNZ, METAGREEDY,
 METAVP and METAHVP; §5.1's METAHVP-vs-METAHVPLIGHT numbers come from the
 same machinery with ``--include-light``.
 
-The experiment is declared as a :class:`~.spec.GridExperiment`
+The experiment is declared as a grid :class:`~.spec.ExperimentSpec`
 (:func:`table1_experiment`): the grid's configs are the task list, the
 reducer streams yields per service count, and :func:`format_table1`
 renders the matrices.  :func:`run_table1` is the materializing wrapper
@@ -17,6 +17,7 @@ kept for existing callers.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterator, Mapping, Sequence
 
 from .config import GridSpec
@@ -28,7 +29,7 @@ from .metrics import (
 )
 from .report import format_matrix, format_table
 from .runner import ProgressCallback, TaskResult
-from .spec import GridExperiment
+from .spec import ExperimentSpec, grid_experiment
 
 __all__ = ["Table1Data", "run_table1", "format_table1", "table1_experiment",
            "DEFAULT_TABLE1_ALGORITHMS"]
@@ -48,14 +49,13 @@ class Table1Data:
     instance_counts: Mapping[int, int]
 
 
-def _reduce_table1(spec: GridExperiment,
+def _reduce_table1(algorithms: tuple[str, ...],
                    stream: Iterator[TaskResult]) -> Table1Data:
     """Fold the in-order result stream into the Table-1 matrices.
 
     Only per-algorithm yield columns are retained (grouped by service
     count as they arrive), not the TaskResults themselves.
     """
-    algorithms = spec.algorithms
     yields_by_j: dict[int, dict[str, list[float | None]]] = {}
     counts: dict[int, int] = {}
     for task in stream:
@@ -80,15 +80,12 @@ def _reduce_table1(spec: GridExperiment,
 
 def table1_experiment(grid: GridSpec,
                       algorithms: Sequence[str] = DEFAULT_TABLE1_ALGORITHMS
-                      ) -> GridExperiment:
+                      ) -> ExperimentSpec:
     """Declare Table 1 over *grid* as a shardable experiment spec."""
-    return GridExperiment(
-        name="table1",
-        configs=grid.configs,
-        algorithms=tuple(algorithms),
-        reduce=_reduce_table1,
-        formatter=format_table1,
-    )
+    algorithms = tuple(algorithms)
+    return grid_experiment("table1", grid.configs, algorithms,
+                           partial(_reduce_table1, algorithms),
+                           format_table1)
 
 
 def run_table1(grid: GridSpec,

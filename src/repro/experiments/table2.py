@@ -7,7 +7,7 @@ reproduced claims are the *relative* ordering — RRNZ ≫ METAHVP > METAVP ≫
 METAGREEDY — the ≈3× METAHVP/METAVP ratio and the ≈10× METAHVPLIGHT
 speed-up of §5.1.
 
-Declared as a :class:`~.spec.GridExperiment` with ``warm_chain=False``:
+Declared as a grid :class:`~.spec.ExperimentSpec` with ``warm_chain=False``:
 Table 2 reports *standalone* run times, so a solve must not be
 accelerated by a sibling algorithm's answer.
 """
@@ -15,6 +15,7 @@ accelerated by a sibling algorithm's answer.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
@@ -22,7 +23,7 @@ import numpy as np
 from .config import GridSpec
 from .report import format_table
 from .runner import ProgressCallback, TaskResult
-from .spec import GridExperiment
+from .spec import ExperimentSpec, grid_experiment
 
 __all__ = ["Table2Data", "run_table2", "format_table2", "table2_experiment",
            "DEFAULT_TABLE2_ALGORITHMS"]
@@ -37,33 +38,29 @@ class Table2Data:
     instance_counts: Mapping[int, int]
 
 
-def _reduce_table2(spec: GridExperiment,
+def _reduce_table2(algorithms: tuple[str, ...],
                    stream: Iterator[TaskResult]) -> Table2Data:
     per_j: dict[int, dict[str, list[float]]] = {}
     counts: dict[int, int] = {}
     for task in stream:
         J = task.config.services
-        per_algo = per_j.setdefault(J, {a: [] for a in spec.algorithms})
+        per_algo = per_j.setdefault(J, {a: [] for a in algorithms})
         counts[J] = counts.get(J, 0) + 1
         for r in task.results:
             per_algo[r.algorithm].append(r.seconds)
     means = {J: {a: float(np.mean(v)) for a, v in per_algo.items()}
              for J, per_algo in per_j.items()}
-    return Table2Data(spec.algorithms, means, counts)
+    return Table2Data(algorithms, means, counts)
 
 
 def table2_experiment(grid: GridSpec,
                       algorithms: Sequence[str] = DEFAULT_TABLE2_ALGORITHMS
-                      ) -> GridExperiment:
+                      ) -> ExperimentSpec:
     """Declare Table 2 over *grid* as a shardable experiment spec."""
-    return GridExperiment(
-        name="table2",
-        configs=grid.configs,
-        algorithms=tuple(algorithms),
-        reduce=_reduce_table2,
-        formatter=format_table2,
-        warm_chain=False,
-    )
+    algorithms = tuple(algorithms)
+    return grid_experiment("table2", grid.configs, algorithms,
+                           partial(_reduce_table2, algorithms),
+                           format_table2, warm_chain=False)
 
 
 def run_table2(grid: GridSpec,

@@ -1,16 +1,15 @@
-"""Batched grid dispatch ≡ sequential: rows, rendering, shard round trip.
+"""Batched grid dispatch ≡ sequential: results, checkpoint rows, resume.
 
-``--batch N`` groups tasks into kernel batches per worker dispatch.  The
-contract: everything observable except wall-clock is unchanged —
-checkpoint rows (modulo the timed ``seconds`` field), rendered tables,
-resume behavior, and the shard/merge round trip.
+``run_grid(batch=N)`` groups tasks into kernel batches per worker
+dispatch.  The contract: everything observable except wall-clock is
+unchanged — results, checkpoint rows (modulo the timed ``seconds``
+field) and resume behavior.
 """
 
 import json
 
 import pytest
 
-from repro.experiments import SMOKE_GRID, Shard, table1_experiment
 from repro.experiments.runner import run_grid
 from repro.workloads import ScenarioConfig
 
@@ -63,23 +62,3 @@ class TestBatchedRunEquivalence:
                             resume=True, batch=4)
         assert _yields(finished) == _yields(bat)
 
-
-class TestBatchedSpecRendering:
-    def test_table1_renders_identically(self):
-        spec = table1_experiment(SMOKE_GRID, ("METAGREEDY", "METAVP"))
-        sequential = spec.render(spec.run(workers=1))
-        batched = spec.render(spec.run(workers=1, batch=8))
-        assert batched == sequential
-
-    def test_shard_merge_round_trip_batched(self, tmp_path):
-        """Batched shards collect to the sequential unsharded render."""
-        spec = table1_experiment(SMOKE_GRID, ("METAGREEDY", "METAVP"))
-        unsharded = spec.render(spec.run(workers=1))
-        paths = []
-        for i in range(2):
-            path = str(tmp_path / f"shard{i}.jsonl")
-            spec.run_shard(Shard(i, 2), workers=1, checkpoint=path,
-                           batch=3)
-            paths.append(path)
-        merged = spec.render(spec.collect(paths))
-        assert merged == unsharded

@@ -13,8 +13,10 @@ import pytest
 
 from repro.experiments import SMOKE_GRID, run_grid
 from repro.experiments.persistence import (
-    JsonlCheckpoint,
-    ResultStore,
+    TASK_RECORDS,
+    CheckpointStore,
+    PayloadRecords,
+    canonical_key,
     load_results,
     task_key,
     task_to_dict,
@@ -211,26 +213,34 @@ class TestIterGrid:
         assert events == [True, True, False, False]
 
 
-class TestResultStore:
+def task_store(path, resume=False):
+    return CheckpointStore(path, TASK_RECORDS, resume=resume)
+
+
+def payload_store(path, kind, resume=False):
+    return CheckpointStore(path, PayloadRecords(kind), resume=resume)
+
+
+class TestTaskRecordStore:
     def test_shared_store_across_grids(self, tmp_path):
         """Drivers pass one open store through several iter_grid calls
         (table1's per-J loop); all results land in one file without the
         second call truncating the first's."""
         path = str(tmp_path / "ck.jsonl")
-        with ResultStore(path) as store:
+        with task_store(path) as store:
             list(iter_grid(SMOKE_GRID.configs(), ("METAGREEDY",), 1,
                            checkpoint=store))
             list(iter_grid(SMOKE_GRID.configs(), ("METAVP",), 1,
                            checkpoint=store))
             assert len(store) == 8
         assert len(load_results(path)) == 8
-        reopened = ResultStore(path, resume=True)
+        reopened = task_store(path, resume=True)
         assert len(reopened) == 8
 
     def test_append_does_not_retain_results(self, tmp_path):
         """Fresh sweeps stay memory-flat: appends are counted, not kept."""
         path = str(tmp_path / "ck.jsonl")
-        with ResultStore(path) as store:
+        with task_store(path) as store:
             list(iter_grid(SMOKE_GRID.configs(), ALGOS, 1, checkpoint=store))
             assert len(store) == 4
             assert store.completed == {}  # nothing held in memory
@@ -239,64 +249,64 @@ class TestResultStore:
         """resume=False drops task records but keeps other checkpoints
         sharing the file."""
         path = str(tmp_path / "shared.jsonl")
-        with JsonlCheckpoint(path, kind="other") as ck:
+        with payload_store(path, "other") as ck:
             ck.append(["fp", 0], {"x": 1})
         list(iter_grid(SMOKE_GRID.configs(), ALGOS, 1, checkpoint=path))
         list(iter_grid(SMOKE_GRID.configs(), ALGOS, 1, checkpoint=path))
         assert len(load_results(path)) == 4  # second run truncated the first
-        ck = JsonlCheckpoint(path, kind="other", resume=True)
-        assert ck.completed[ck.key(["fp", 0])] == {"x": 1}  # but not this
+        ck = payload_store(path, "other", resume=True)
+        assert ck.completed[canonical_key(["fp", 0])] == {"x": 1}  # not this
 
     def test_fresh_checkpoint_preserves_task_records(self, tmp_path):
         path = str(tmp_path / "shared.jsonl")
         list(iter_grid(SMOKE_GRID.configs(), ALGOS, 1, checkpoint=path))
-        with JsonlCheckpoint(path, kind="k") as ck:  # resume=False
+        with payload_store(path, "k") as ck:  # resume=False
             ck.append([0], 1)
-        with JsonlCheckpoint(path, kind="k") as ck2:  # drops only kind "k"
+        with payload_store(path, "k") as ck2:  # drops only kind "k"
             assert len(ck2) == 0
         assert len(load_results(path)) == 4
 
     def test_store_load_ignores_checkpoint_records(self, tmp_path):
         path = str(tmp_path / "mixed.jsonl")
-        with JsonlCheckpoint(path, kind="other") as ck:
+        with payload_store(path, "other") as ck:
             ck.append(["fp", 0], {"x": 1})
-        list(iter_grid(SMOKE_GRID.configs(), ALGOS, 1, checkpoint=ResultStore(
-            path, resume=True)))
-        store = ResultStore(path, resume=True)
+        with task_store(path, resume=True) as store:
+            list(iter_grid(SMOKE_GRID.configs(), ALGOS, 1, checkpoint=store))
+        store = task_store(path, resume=True)
         assert len(store) == 4
         assert len(load_results(path)) == 4
         # and the foreign record survived alongside
-        ck = JsonlCheckpoint(path, kind="other", resume=True)
-        assert ck.completed[ck.key(["fp", 0])] == {"x": 1}
+        ck = payload_store(path, "other", resume=True)
+        assert ck.completed[canonical_key(["fp", 0])] == {"x": 1}
 
 
-class TestJsonlCheckpoint:
+class TestPayloadRecordStore:
     def test_round_trip(self, tmp_path):
         path = str(tmp_path / "ck.jsonl")
-        with JsonlCheckpoint(path, kind="demo") as ck:
+        with payload_store(path, "demo") as ck:
             ck.append(["fp", 1], {"value": 0.25})
             ck.append(["fp", 2], None)
-        loaded = JsonlCheckpoint(path, kind="demo", resume=True)
-        assert loaded.completed[loaded.key(["fp", 1])] == {"value": 0.25}
-        assert loaded.completed[loaded.key(["fp", 2])] is None
+        loaded = payload_store(path, "demo", resume=True)
+        assert loaded.completed[canonical_key(["fp", 1])] == {"value": 0.25}
+        assert loaded.completed[canonical_key(["fp", 2])] is None
         assert len(loaded) == 2
 
     def test_kind_filtering(self, tmp_path):
         path = str(tmp_path / "ck.jsonl")
-        with JsonlCheckpoint(path, kind="a") as ck_a:
+        with payload_store(path, "a") as ck_a:
             ck_a.append([0], 1)
-        with JsonlCheckpoint(path, kind="b", resume=True) as ck_b:
+        with payload_store(path, "b", resume=True) as ck_b:
             ck_b.append([0], 2)
-        assert len(JsonlCheckpoint(path, kind="a", resume=True)) == 1
-        assert len(JsonlCheckpoint(path, kind="b", resume=True)) == 1
+        assert len(payload_store(path, "a", resume=True)) == 1
+        assert len(payload_store(path, "b", resume=True)) == 1
 
     def test_truncated_final_line_tolerated(self, tmp_path):
         path = str(tmp_path / "ck.jsonl")
-        with JsonlCheckpoint(path, kind="demo") as ck:
+        with payload_store(path, "demo") as ck:
             ck.append([1], "ok")
         with open(path, "a") as fh:
             fh.write('{"v": 1, "kind": "demo", "key": [2]')
-        loaded = JsonlCheckpoint(path, kind="demo", resume=True)
+        loaded = payload_store(path, "demo", resume=True)
         assert len(loaded) == 1
 
 

@@ -2,26 +2,32 @@
 
 A compacted checkpoint must be indistinguishable from the original to
 every consumer: ``load_results``/``merge_results`` see the same task set,
-a resumed ``ResultStore``/``JsonlCheckpoint`` sees the same completed
+a resumed ``CheckpointStore`` of either codec sees the same completed
 map, and the file shrinks by exactly the superseded/foreign records.
 """
 
+import dataclasses
 import json
 
 from repro.cli import main
-from repro.experiments import SMOKE_GRID, run_grid
+from repro.experiments import (SMOKE_GRID, ErrorFigureSpec,
+                               error_figure_experiment, run_grid,
+                               table2_experiment)
 from repro.experiments.persistence import (
-    JsonlCheckpoint,
-    ResultStore,
+    TASK_RECORDS,
+    CheckpointStore,
+    PayloadRecords,
     append_results,
     compact_checkpoint,
     load_results,
+    merge_checkpoints,
     merge_results,
     save_results,
     scenario_key,
 )
 
 ALGOS = ("METAGREEDY",)
+OTHER = PayloadRecords("other-sweep")
 
 
 def _write_duplicated(tmp_path, dupes=2):
@@ -32,7 +38,7 @@ def _write_duplicated(tmp_path, dupes=2):
     save_results(results, path)
     for _ in range(dupes):
         append_results(results, path)
-    with JsonlCheckpoint(path, kind="other-sweep") as ck:
+    with CheckpointStore(path, OTHER) as ck:
         ck.append(["fp", 0], {"value": 1})
         ck.append(["fp", 0], {"value": 2})  # supersedes the first
         ck.append(["fp", 1], {"value": 3})
@@ -53,13 +59,13 @@ class TestCompact:
 
     def test_resume_view_unchanged(self, tmp_path):
         path, _ = _write_duplicated(tmp_path)
-        before_tasks = ResultStore(path, resume=True).completed
-        before_ck = JsonlCheckpoint(path, kind="other-sweep",
-                                    resume=True).completed
+        before_tasks = CheckpointStore(path, TASK_RECORDS,
+                                       resume=True).completed
+        before_ck = CheckpointStore(path, OTHER, resume=True).completed
         compact_checkpoint(path)
-        after_tasks = ResultStore(path, resume=True).completed
-        after_ck = JsonlCheckpoint(path, kind="other-sweep",
-                                   resume=True).completed
+        after_tasks = CheckpointStore(path, TASK_RECORDS,
+                                      resume=True).completed
+        after_ck = CheckpointStore(path, OTHER, resume=True).completed
         assert set(after_tasks) == set(before_tasks)
         assert after_ck == before_ck
 
@@ -68,8 +74,7 @@ class TestCompact:
         stats = compact_checkpoint(path, kinds=["task"])
         assert stats.foreign == 3  # all other-sweep records dropped
         assert stats.kept == len(results)
-        assert JsonlCheckpoint(path, kind="other-sweep",
-                               resume=True).completed == {}
+        assert CheckpointStore(path, OTHER, resume=True).completed == {}
         assert len(load_results(path)) == len(results)
 
     def test_output_path_leaves_original_untouched(self, tmp_path):
@@ -114,3 +119,52 @@ class TestCompact:
         # But the kinds filter can drop them.
         stats = compact_checkpoint(path, kinds=["task"])
         assert stats.foreign == 4  # 2 alien + 2 other-sweep
+
+
+class TestLastRecordIsCurrent:
+    """Within one file the last record for a task is current, for every
+    reader: compaction keeps exactly that record, so it changes neither
+    what ``collect`` renders nor what ``merge_checkpoints`` writes."""
+
+    @staticmethod
+    def assert_compaction_invisible(spec, path, tmp_path):
+        before = str(tmp_path / "merged-before.jsonl")
+        merge_checkpoints([path], before)
+        rendered = spec.render(spec.collect([path]))
+        compact_checkpoint(path)
+        after = str(tmp_path / "merged-after.jsonl")
+        merge_checkpoints([path], after)
+        assert spec.render(spec.collect([path])) == rendered
+        with open(before) as fh_before, open(after) as fh_after:
+            assert fh_after.read() == fh_before.read()
+        return rendered
+
+    def test_grid_rerun_appended(self, tmp_path):
+        """A Table 2 checkpoint holding a run and an appended re-run of
+        the same tasks renders the re-run's times."""
+        spec = table2_experiment(SMOKE_GRID, ("METAGREEDY", "METAVP"))
+        path = str(tmp_path / "t2.jsonl")
+        spec.run(workers=1, checkpoint=path)
+        rerun = [dataclasses.replace(t, results=tuple(
+            dataclasses.replace(r, seconds=r.seconds + 1.0)
+            for r in t.results)) for t in load_results(path)]
+        append_results(rerun, path)
+        only_rerun = str(tmp_path / "rerun.jsonl")
+        save_results(rerun, only_rerun)
+        rendered = self.assert_compaction_invisible(spec, path, tmp_path)
+        assert rendered == spec.render(spec.collect([only_rerun]))
+
+    def test_payload_superseded(self, tmp_path):
+        spec = error_figure_experiment(ErrorFigureSpec(
+            hosts=8, services=16, instances=2, error_values=(0.0, 0.1),
+            thresholds=(0.0,), placer="METAGREEDY", seed=5))
+        path = str(tmp_path / "err.jsonl")
+        spec.run(workers=1, checkpoint=path)
+        with open(path) as fh:
+            record = json.loads(fh.readline())
+        for _, curve in record["payload"]["series"]:
+            for point in curve:
+                point[1] /= 2  # a re-run that certified different yields
+        with open(path, "a") as fh:
+            fh.write(json.dumps(record) + "\n")
+        self.assert_compaction_invisible(spec, path, tmp_path)

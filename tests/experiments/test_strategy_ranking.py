@@ -122,13 +122,13 @@ class TestWarmStart:
         path = str(tmp_path / "ck.jsonl")
         rank_strategies(configs[:1], workers=1, checkpoint=path,
                         warm_start=True)
-        from repro.experiments.persistence import JsonlCheckpoint
-        before = len(JsonlCheckpoint(path, kind="strategy-rank",
-                                     resume=True))
+        from repro.experiments.persistence import (CheckpointStore,
+                                                   PayloadRecords)
+        kind = PayloadRecords("strategy-rank")
+        before = len(CheckpointStore(path, kind, resume=True))
         rank_strategies(configs[:1], workers=1, checkpoint=path,
                         resume=True, warm_start=False)
-        after = len(JsonlCheckpoint(path, kind="strategy-rank",
-                                    resume=True))
+        after = len(CheckpointStore(path, kind, resume=True))
         assert after == before + 253  # everything recomputed, nothing aliased
 
 

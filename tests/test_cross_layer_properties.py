@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.algorithms import metagreedy, metahvp_light
+from repro.algorithms import metagreedy, metahvp_light, rrnd, rrnz
 from repro.algorithms.vector_packing import (
     MetaProbeEngine,
     MetaSolver,
@@ -80,19 +80,24 @@ class TestPackingValidity:
 
 class TestLpDominance:
     @settings(**COMMON)
-    @given(instances())
-    def test_no_heuristic_beats_the_lp_bound(self, inst):
+    @given(instances(), st.integers(min_value=0, max_value=2**31))
+    def test_no_heuristic_beats_the_lp_bound(self, inst, seed):
         """The relaxed LP optimum upper-bounds every feasible allocation's
-        minimum yield — heuristics included."""
+        minimum yield — heuristics and the LP's own randomized roundings
+        (RRND, RRNZ) included — and every returned allocation validates."""
+        algorithms = (metagreedy(), metahvp_light(), rrnd(), rrnz())
         try:
             bound = solve_relaxation(inst).min_yield
         except InfeasibleProblemError:
             # Requirements unsatisfiable: heuristics must fail too.
             assert metagreedy()(inst) is None
+            for algo in algorithms[2:]:
+                assert algo(inst, rng=np.random.default_rng(seed)) is None
             return
-        for algo in (metagreedy(), metahvp_light()):
-            alloc = algo(inst)
+        for algo in algorithms:
+            alloc = algo(inst, rng=np.random.default_rng(seed))
             if alloc is not None:
+                alloc.validate()
                 assert alloc.minimum_yield() <= bound + 1e-6
 
 
