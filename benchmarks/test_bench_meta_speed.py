@@ -1,17 +1,24 @@
-"""Benchmark: the per-strategy METAHVP engine's work and tracing cost.
+"""Benchmark: the METAHVP engines' work, the waste cut, and tracing cost.
 
 Solves the reference instances with the per-strategy engine
 (:class:`MetaProbeEngine` — the engine the selector picks on the numpy
 backend and for PP codes too wide for an int64), asserts the engine
 selector certifies exactly the same results, and records wall-clock and
-work numbers to ``benchmarks/output/BENCH_meta.json``.  The committed
-baseline ``benchmarks/BENCH_meta.json`` anchors two gates:
+work numbers to ``benchmarks/output/BENCH_meta.json``.  When the backend
+has a fused ``probe_scan`` kernel, the grid is solved again with
+:class:`FusedProbeEngine`, which must certify the same results; its
+record adds the strategy runs of failed probes and the runs (of failed
+and feasible probes) that stopped at the waste cut.  The committed baseline
+``benchmarks/BENCH_meta.json`` anchors three gates:
 
 * a deterministic work gate — total strategy executions on the
   reference grid are machine-invariant, so growing >20% over the
   committed baseline means the engine structurally regressed (lost
   memoization or adaptive-ordering effectiveness), not that the host was
   noisy;
+* a deterministic cut gate — the fused engine's cut runs on the grid
+  may not fall below 80% of the committed baseline: a failing FF or
+  PP/CP run that no longer stops at the cut runs to its end again;
 * a disabled-observability budget — with tracing off, instrumentation
   may cost at most 2% of the sweep (a same-run ratio).
 
@@ -27,8 +34,9 @@ import time
 import numpy as np
 import pytest
 
-from repro import obs
+from repro import kernels, obs
 from repro.algorithms.vector_packing import (
+    FusedProbeEngine,
     MetaProbeEngine,
     MetaSolver,
     hvp_strategies,
@@ -41,6 +49,9 @@ BASELINE_PATH = os.path.join(os.path.dirname(__file__), "BENCH_meta.json")
 
 #: Deterministic regression gate: strategy executions may grow this much.
 MAX_WORK_GROWTH = 1.2
+
+#: Deterministic cut gate: the fused engine's cut runs may shrink this much.
+MIN_CUT_SHARE = 0.8
 
 REFERENCE_INSTANCES = [
     ScenarioConfig(hosts=12, services=48, cov=cov, slack=slack,
@@ -74,8 +85,44 @@ def sweep():
     return rows
 
 
-def test_selector_certifies_identical_results(sweep):
-    for row in sweep:
+@pytest.fixture(scope="module")
+def fused_sweep(sweep):
+    """The grid on the fused engine, timed, with the strategy runs of its
+    failed probes counted; ``None`` when the backend has no fused scan."""
+    if not kernels.get_backend().supports_probe_scan:
+        return None
+    strategies = hvp_strategies()
+    rows = []
+    for cfg, ref in zip(REFERENCE_INSTANCES, sweep):
+        inst = generate_instance(cfg)
+        engine = FusedProbeEngine(inst, strategies)
+        failed_runs = 0
+
+        def oracle(instance, y):
+            nonlocal failed_runs
+            before = engine.strategy_runs
+            placement = engine(instance, y)
+            if placement is None:
+                failed_runs += engine.strategy_runs - before
+            return placement
+
+        t0 = time.perf_counter()
+        alloc = binary_search_max_yield(inst, oracle, improve=False)
+        seconds = time.perf_counter() - t0
+        rows.append({
+            "label": cfg.label(),
+            "seconds": seconds,
+            "probes": engine.probes,
+            "strategy_runs": engine.strategy_runs,
+            "failed_probe_runs": failed_runs,
+            "cut_runs": engine.cut_runs,
+            "_allocs": (ref["_allocs"][0], alloc),
+        })
+    return rows
+
+
+def test_selector_certifies_identical_results(sweep, fused_sweep):
+    for row in sweep + (fused_sweep or []):
         alloc, selected = row["_allocs"]
         assert (alloc is None) == (selected is None), row["label"]
         if alloc is not None:
@@ -85,7 +132,12 @@ def test_selector_certifies_identical_results(sweep):
                 row["label"]
 
 
-def test_strategy_runs_and_record(sweep, emit, output_dir):
+def _public(rows):
+    return [{k: v for k, v in r.items() if not k.startswith("_")}
+            for r in rows]
+
+
+def test_strategy_runs_and_record(sweep, fused_sweep, emit, output_dir):
     total = sum(r["seconds"] for r in sweep)
     total_runs = sum(r["strategy_runs"] for r in sweep)
 
@@ -99,14 +151,29 @@ def test_strategy_runs_and_record(sweep, emit, output_dir):
               f"{total:.2f}s")
     emit("meta_speed", table)
 
+    fused = None
+    if fused_sweep is not None:
+        fused = {
+            "backend": kernels.get_backend().name,
+            "instances": _public(fused_sweep),
+            "total_seconds": round(sum(r["seconds"] for r in fused_sweep),
+                                   3),
+            "failed_probe_runs": sum(r["failed_probe_runs"]
+                                     for r in fused_sweep),
+            "cut_runs": sum(r["cut_runs"] for r in fused_sweep),
+        }
+        print(f"fused engine: {fused['cut_runs']} strategy runs stopped "
+              f"at the waste cut; failed probes ran "
+              f"{fused['failed_probe_runs']}; {fused['total_seconds']:.3f}s")
+
     record = {
         "suite": "metahvp-per-strategy-engine",
         "engine": "per-strategy MetaProbeEngine: shared-probe factory + "
                   "adaptive strategy ordering + vectorized kernels",
-        "instances": [{k: v for k, v in r.items() if not k.startswith("_")}
-                      for r in sweep],
+        "instances": _public(sweep),
         "total_seconds": round(total, 3),
         "strategy_runs": total_runs,
+        "fused": fused,
     }
     with open(os.path.join(output_dir, "BENCH_meta.json"), "w") as fh:
         json.dump(record, fh, indent=2)
@@ -125,6 +192,12 @@ def test_strategy_runs_and_record(sweep, emit, output_dir):
             f"per-strategy engine work regressed: {total_runs} strategy "
             f"executions vs committed baseline {baseline['strategy_runs']} "
             f"(ceiling {ceiling:.0f})")
+        if fused is not None and baseline.get("fused"):
+            floor = MIN_CUT_SHARE * baseline["fused"]["cut_runs"]
+            assert fused["cut_runs"] >= floor, (
+                f"the waste cut fires less: {fused['cut_runs']} cut runs "
+                f"vs committed baseline {baseline['fused']['cut_runs']} "
+                f"(floor {floor:.0f})")
         # Cross-machine wall-clock drift is informational only — the
         # committed timings were measured on a different host.
         print(f"sweep {total:.2f}s vs committed baseline "

@@ -31,6 +31,7 @@ from __future__ import annotations
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
+from itertools import groupby
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -44,8 +45,8 @@ from ...kernels.batch import BatchInstances
 from ..yield_search import DEFAULT_TOLERANCE, binary_search_max_yield
 from .permutation_pack import codes_overflow, packed_codes
 from .probe_engine import MetaProbeEngine, YieldProbeFactory
-from .sorting import order_indices
-from .state import capacity_tolerance
+from .sorting import SCALAR_METRICS, metric_values, order_indices
+from .state import capacity_tolerance, waste_limit
 from .strategies import BF, CP, FF, PP, VPStrategy
 
 __all__ = ["FusedProbeEngine", "make_engine", "solve_many"]
@@ -58,6 +59,11 @@ class FusedProbeEngine:
     backend's ``probe_scan`` kernel consumes.  Build it through
     :func:`make_engine`, which only picks it for backend/instance pairs
     that can run fused.
+
+    Each probe hands the kernel the instance's spare capacity as a waste
+    limit, so a FF or PP/CP run that cannot pack stops as soon as its
+    closed bins leave more capacity unused (``cut_runs`` counts them);
+    outcomes and ``strategy_runs`` are those of full runs.
     """
 
     def __init__(self, instance: ProblemInstance,
@@ -72,6 +78,7 @@ class FusedProbeEngine:
         self.hint: Optional[int] = None
         self.probes = 0
         self.strategy_runs = 0
+        self.cut_runs = 0
 
         nd = instance.nodes
         J = len(instance.services)
@@ -80,22 +87,28 @@ class FusedProbeEngine:
         self._J, self._H, self._D = J, H, D
         self._cap_tol = np.ascontiguousarray(
             nd.aggregate + capacity_tolerance(nd.aggregate))
+        self._cap_tol_total = self._cap_tol.sum(axis=0)
         self._bin_agg = np.ascontiguousarray(nd.aggregate, dtype=np.float64)
         self._bin_agg_sum = np.ascontiguousarray(
             self._bin_agg.sum(axis=1))
 
-        # Unique item sorts / bin sorts in first-appearance order.
-        self._item_sorts: list = []
-        item_index: dict = {}
-        bin_sorts: list = []
-        bin_index: dict = {}
-        for st in self.strategies:
-            if st.item_sort not in item_index:
-                item_index[st.item_sort] = len(self._item_sorts)
-                self._item_sorts.append(st.item_sort)
-            if st.packer != BF and st.bin_sort not in bin_index:
-                bin_index[st.bin_sort] = len(bin_sorts)
-                bin_sorts.append(st.bin_sort)
+        # Unique item sorts / bin sorts in first-appearance order, the item
+        # sorts on a scalar metric first: their orders come from one
+        # stacked argsort per probe (LEX and NONE keep order_indices).
+        self._item_sorts = sorted(
+            dict.fromkeys(st.item_sort for st in self.strategies),
+            key=lambda sort: sort.metric not in SCALAR_METRICS)
+        item_index = {sort: i for i, sort in enumerate(self._item_sorts)}
+        scalar = [sort for sort in self._item_sorts
+                  if sort.metric in SCALAR_METRICS]
+        self._metrics = tuple(dict.fromkeys(sort.metric for sort in scalar))
+        self._key_rows = np.array(
+            [self._metrics.index(sort.metric) for sort in scalar], np.int64)
+        self._key_signs = np.array(
+            [[-1.0 if sort.descending else 1.0] for sort in scalar])
+        bin_sorts = list(dict.fromkeys(
+            st.bin_sort for st in self.strategies if st.packer != BF))
+        bin_index = {sort: i for i, sort in enumerate(bin_sorts)}
         if bin_sorts:
             self._bin_orders = np.ascontiguousarray(
                 np.stack([self.factory.bin_order(s) for s in bin_sorts]),
@@ -107,8 +120,7 @@ class FusedProbeEngine:
         S = len(self.strategies)
         cols = {name: np.empty(S, dtype=np.int64) for name in
                 ("packer", "item", "bin", "hetero", "w", "choose", "cfg")}
-        self._cfgs: list = []        # (item_sort_row, w, choose) for D==2
-        cfg_index: dict = {}
+        walks = {}
         for s, st in enumerate(self.strategies):
             cols["item"][s] = item_index[st.item_sort]
             cols["hetero"][s] = 1 if st.hetero else 0
@@ -129,13 +141,17 @@ class FusedProbeEngine:
                 choose = st.packer == CP
                 cols["choose"][s] = 1 if choose else 0
                 if D == 2:
-                    key = (int(cols["item"][s]), w, choose)
-                    row = cfg_index.get(key)
-                    if row is None:
-                        row = cfg_index[key] = len(self._cfgs)
-                        self._cfgs.append(key)
-                    cols["cfg"][s] = row
+                    walks[s] = (w, choose, int(cols["item"][s]))
+        # D == 2 walk configs, numbered by (w, choose, item row): each
+        # (w, choose) group is a run of rows that one argsort serves.
+        cfgs = sorted(set(walks.values()))
+        for s, key in walks.items():
+            cols["cfg"][s] = cfgs.index(key)
         self._cols = cols
+        self._n_cfgs = len(cfgs)
+        self._walk_groups = [
+            (w, choose, np.array([row for _, _, row in group], np.int64))
+            for (w, choose), group in groupby(cfgs, key=lambda k: k[:2])]
         self._scan_cold = np.arange(S, dtype=np.int64)
 
     @property
@@ -150,50 +166,70 @@ class FusedProbeEngine:
         if not obs.enabled():
             return self._probe(y)
         runs_before = self.strategy_runs
+        cuts_before = self.cut_runs
         hint_before = self.hint
         with obs.span("meta.probe") as sp:
             placement = self._probe(y)
             sp.annotate(y=round(y, 6), feasible=placement is not None,
                         strategy_runs=self.strategy_runs - runs_before,
+                        cut_runs=self.cut_runs - cuts_before,
                         hint_hit=(placement is not None
                                   and self.hint == hint_before
                                   and hint_before is not None))
         return placement
 
-    def _probe(self, y: float) -> Optional[np.ndarray]:
-        """One fused feasibility probe."""
-        self.probes += 1
-        if y > self.factory.infeasible_above:
-            return None
+    def _scan_args(self, y: float, scan: np.ndarray) -> ProbeScanArgs:
+        """The ``probe_scan`` inputs for scanning *scan* at yield *y*."""
         sv = self.instance.services
         J, D = self._J, self._D
         item_agg = np.ascontiguousarray(sv.req_agg + y * sv.need_agg)
         item_agg_sum = item_agg.sum(axis=1)
         elem_ok = np.ascontiguousarray(self.factory.y_elem_max >= y)
         SI = len(self._item_sorts)
+        n = len(self._key_rows)
         item_orders = np.empty((SI, J), dtype=np.int64)
+        if n:
+            values = np.stack([metric_values(item_agg, metric)
+                               for metric in self._metrics])
+            item_orders[:n] = np.argsort(
+                values[self._key_rows] * self._key_signs, axis=1,
+                kind="stable")
+        for row in range(n, SI):
+            item_orders[row] = order_indices(item_agg, self._item_sorts[row])
         tie_ranks = np.empty((SI, J), dtype=np.int64)
-        arange_j = np.arange(J, dtype=np.int64)
-        for i, sort in enumerate(self._item_sorts):
-            order = order_indices(item_agg, sort)
-            item_orders[i] = order
-            tie_ranks[i][order] = arange_j
+        np.put_along_axis(tie_ranks, item_orders, np.broadcast_to(
+            np.arange(J, dtype=np.int64), (SI, J)), axis=1)
         item_dim_perm = np.ascontiguousarray(
             np.argsort(-item_agg, axis=1, kind="stable"), dtype=np.int64)
-        NC = len(self._cfgs)
-        if NC:
-            pp_order0 = np.empty((NC, J), dtype=np.int64)
-            pp_order1 = np.empty((NC, J), dtype=np.int64)
-            for c, (row, w, choose) in enumerate(self._cfgs):
-                perm_w = item_dim_perm[:, :w]
-                tie = tie_ranks[row]
-                pp_order0[c] = np.argsort(
-                    packed_codes(perm_w, (0, 1), D, J, tie, choose))
-                pp_order1[c] = np.argsort(
-                    packed_codes(perm_w, (1, 0), D, J, tie, choose))
-        else:
-            pp_order0 = np.empty((0, J), dtype=np.int64)
-            pp_order1 = pp_order0
+        # pp_orders[k, c] walks config c under ranking (0, 1) for k = 0,
+        # (1, 0) for k = 1: one argsort per (w, choose) group.
+        pp_orders = np.empty((2, self._n_cfgs, J), dtype=np.int64)
+        lo = 0
+        for w, choose, rows in self._walk_groups:
+            perm_w = item_dim_perm[:, :w]
+            pp_orders[:, lo:lo + len(rows)] = np.argsort(np.stack([
+                packed_codes(perm_w, ranking, D, J, tie_ranks[rows], choose)
+                for ranking in ((0, 1), (1, 0))]), axis=2)
+            lo += len(rows)
+        cols = self._cols
+        return ProbeScanArgs(
+            item_agg=item_agg, item_agg_sum=item_agg_sum, elem_ok=elem_ok,
+            cap_tol=self._cap_tol, bin_agg=self._bin_agg,
+            bin_agg_sum=self._bin_agg_sum,
+            waste_limit=waste_limit(self._cap_tol_total,
+                                    item_agg.sum(axis=0)),
+            item_orders=item_orders, tie_ranks=tie_ranks,
+            bin_orders=self._bin_orders, item_dim_perm=item_dim_perm,
+            pp_order0=pp_orders[0], pp_order1=pp_orders[1],
+            st_packer=cols["packer"], st_item=cols["item"],
+            st_bin=cols["bin"], st_hetero=cols["hetero"], st_w=cols["w"],
+            st_choose=cols["choose"], st_cfg=cols["cfg"], scan=scan)
+
+    def _probe(self, y: float) -> Optional[np.ndarray]:
+        """One fused feasibility probe."""
+        self.probes += 1
+        if y > self.factory.infeasible_above:
+            return None
         S = self._scan_cold.shape[0]
         hint = self.hint
         if hint is None:
@@ -204,17 +240,9 @@ class FusedProbeEngine:
             scan[0] = hint
             scan[1:hint + 1] = self._scan_cold[:hint]
             scan[hint + 1:] = self._scan_cold[hint + 1:]
-        cols = self._cols
-        si, assignment = self.backend.probe_scan(ProbeScanArgs(
-            item_agg=item_agg, item_agg_sum=item_agg_sum, elem_ok=elem_ok,
-            cap_tol=self._cap_tol, bin_agg=self._bin_agg,
-            bin_agg_sum=self._bin_agg_sum, item_orders=item_orders,
-            tie_ranks=tie_ranks, bin_orders=self._bin_orders,
-            item_dim_perm=item_dim_perm, pp_order0=pp_order0,
-            pp_order1=pp_order1, st_packer=cols["packer"],
-            st_item=cols["item"], st_bin=cols["bin"],
-            st_hetero=cols["hetero"], st_w=cols["w"],
-            st_choose=cols["choose"], st_cfg=cols["cfg"], scan=scan))
+        si, assignment, cuts = self.backend.probe_scan(
+            self._scan_args(y, scan))
+        self.cut_runs += cuts
         if si < 0:
             self.strategy_runs += S
             return None

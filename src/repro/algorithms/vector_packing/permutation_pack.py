@@ -105,7 +105,8 @@ def packed_codes(item_perm_w: np.ndarray, ranking, D: int, J: int,
     dimension permutation; the code is the ``w`` mapped key digits (base
     ``D``) followed by the item-sort tie-break rank.  Shared by the
     strategy-run path below and the fused batch probe
-    (:mod:`.batch_solve`), so the two can never drift.
+    (:mod:`.batch_solve`), so the two can never drift.  A ``(R, J)``
+    *tie_rank* (one row per item sort) gives ``(R, J)`` codes.
     """
     rank_arr = np.asarray(ranking, dtype=np.int64)
     keys = rank_arr[item_perm_w]                         # (J, w)

@@ -26,7 +26,14 @@ import numpy as np
 from ...core.instance import ProblemInstance
 from ...core.resources import FEASIBILITY_ATOL, FEASIBILITY_RTOL
 
-__all__ = ["PackingState", "capacity_tolerance"]
+__all__ = ["PackingState", "capacity_tolerance", "waste_limit",
+           "WASTE_MARGIN_RTOL"]
+
+#: Relative margin of :func:`waste_limit`, on the sum of the capacity and
+#: demand totals.  The float error of those totals, of the bins' loads
+#: and of the running waste is a few ulps per item and bin, far below
+#: this for any instance with fewer than ~10**6 items and bins.
+WASTE_MARGIN_RTOL = 1e-9
 
 
 def capacity_tolerance(capacity: np.ndarray) -> np.ndarray:
@@ -37,6 +44,22 @@ def capacity_tolerance(capacity: np.ndarray) -> np.ndarray:
     validator (and vice versa at the boundary).
     """
     return FEASIBILITY_RTOL * np.maximum(capacity, 1.0) + FEASIBILITY_ATOL
+
+
+def waste_limit(cap_tol_total: np.ndarray,
+                demand_total: np.ndarray) -> np.ndarray:
+    """Per-dimension capacity an instance can spare: the total fit bound
+    ``cap_tol_total`` (bins' ``loads`` may reach it) minus the total
+    ``demand_total`` of the items, plus :data:`WASTE_MARGIN_RTOL` of
+    their sum for float rounding.
+
+    A fill that packs every item leaves exactly this much unused over all
+    bins, so a bin-major fill whose closed bins already leave more cannot
+    pack (the fused probe's waste cut, see
+    :func:`repro.kernels._loops.make_probe_scan`).
+    """
+    return (cap_tol_total - demand_total
+            + WASTE_MARGIN_RTOL * (cap_tol_total + demand_total))
 
 
 class PackingState:

@@ -32,6 +32,14 @@ list of greedy passes and returns each pass's placement and its minimum
 yield after the per-node closed-form improvement.  Where the numpy
 reference *sums* arrays, :func:`pairwise_sum` reproduces numpy's
 summation order, so those sums match bit for bit too.
+
+The three *bin-major* fills (:func:`ff_fill`, :func:`pp_fill_2d`,
+:func:`pp_fill_general`) fill one bin at a time in bin order and never
+reopen a closed bin.  Each takes a per-dimension ``waste_limit``: once
+the capacity its closed bins left unused exceeds the limit in some
+dimension, the run stops and returns :data:`CUT` (see
+:func:`make_probe_scan` for why that never changes an outcome).  An
+infinite limit never cuts.
 """
 
 from __future__ import annotations
@@ -51,12 +59,18 @@ __all__ = [
     "pairwise_sum",
     "make_greedy_scan",
     "greedy_scan",
+    "CUT",
 ]
+
+#: A bin-major fill's result when its closed bins wasted more capacity
+#: than ``waste_limit`` allows: the run cannot pack, so it stopped.
+CUT = -2
 
 
 def ff_fill(item_agg, elem_ok, item_order, bin_order,
-            loads, load_sum, cap_tol, assignment):
-    """First-Fit greedy per-bin fill (any D).  Returns the unplaced count.
+            loads, load_sum, cap_tol, waste_limit, assignment):
+    """First-Fit greedy per-bin fill (any D).  Returns the unplaced count,
+    or :data:`CUT` when the closed bins waste more than ``waste_limit``.
 
     Mirrors the numpy backend's scalar fast path: bins are filled one at a
     time, each taking every pending item (in item order) that fits the
@@ -70,9 +84,13 @@ def ff_fill(item_agg, elem_ok, item_order, bin_order,
         pending[i] = item_order[i]
     npend = J
     load = np.empty(D, np.float64)
+    waste = np.zeros(D, np.float64)
     for bi in range(bin_order.shape[0]):
         if npend == 0:
             break
+        for d in range(D):
+            if waste[d] > waste_limit[d]:
+                return CUT
         h = bin_order[bi]
         for d in range(D):
             load[d] = loads[h, d]
@@ -101,6 +119,8 @@ def ff_fill(item_agg, elem_ok, item_order, bin_order,
                 s += load[d]
             load_sum[h] = s
         npend = nrest
+        for d in range(D):
+            waste[d] += cap_tol[h, d] - load[d]
     return npend
 
 
@@ -147,8 +167,9 @@ def bf_pack(item_agg, item_agg_sum, elem_ok, item_order,
 
 def pp_fill_2d(item_agg, elem_ok, order0, order1, bin_order,
                loads, load_sum, cap_tol, bin_agg, by_remaining,
-               assignment):
-    """Permutation/Choose-Pack 2-D pointer walk.  Returns the unplaced count.
+               waste_limit, assignment):
+    """Permutation/Choose-Pack 2-D pointer walk.  Returns the unplaced
+    count, or :data:`CUT` (as :func:`ff_fill`).
 
     ``order0``/``order1`` are the items sorted by their packed selection
     code under dimension ranking (0, 1) resp. (1, 0), over *all* items;
@@ -162,9 +183,13 @@ def pp_fill_2d(item_agg, elem_ok, order0, order1, bin_order,
         if assignment[j] < 0:
             unplaced += 1
     dead = np.zeros(J, np.uint8)
+    w0 = 0.0
+    w1 = 0.0
     for bi in range(bin_order.shape[0]):
         if unplaced == 0:
             break
+        if w0 > waste_limit[0] or w1 > waste_limit[1]:
+            return CUT
         h = bin_order[bi]
         l0 = loads[h, 0]
         l1 = loads[h, 1]
@@ -230,14 +255,17 @@ def pp_fill_2d(item_agg, elem_ok, order0, order1, bin_order,
             loads[h, 0] = l0
             loads[h, 1] = l1
             load_sum[h] = l0 + l1
+        w0 += c0 - l0
+        w1 += c1 - l1
     return unplaced
 
 
 def pp_fill_general(item_agg, item_agg_sum, elem_ok, item_dim_perm,
                     tie_rank, w, choose_pack, bin_order, loads, load_sum,
-                    cap_tol, bin_agg, by_remaining, assignment):
+                    cap_tol, bin_agg, by_remaining, waste_limit,
+                    assignment):
     """Permutation/Choose-Pack selection loop for any D.  Returns the
-    unplaced count.
+    unplaced count, or :data:`CUT` (as :func:`ff_fill`).
 
     Per bin: candidates are the unplaced items that fit the bin's current
     remaining capacity.  Each selection recomputes the bin's dimension
@@ -262,9 +290,13 @@ def pp_fill_general(item_agg, item_agg_sum, elem_ok, item_dim_perm,
     perm = np.empty(D, np.int64)
     rank = np.empty(D, np.int64)
     keys = np.empty(w, np.int64)
+    waste = np.zeros(D, np.float64)
     for bi in range(bin_order.shape[0]):
         if unplaced == 0:
             break
+        for d in range(D):
+            if waste[d] > waste_limit[d]:
+                return CUT
         h = bin_order[bi]
         K = 0
         for j in range(J):
@@ -343,6 +375,8 @@ def pp_fill_general(item_agg, item_agg_sum, elem_ok, item_dim_perm,
                         dead[q] = 1
                         nlive -= 1
                         break
+        for d in range(D):
+            waste[d] += cap_tol[h, d] - loads[h, d]
     return unplaced
 
 
@@ -455,7 +489,20 @@ def make_probe_scan(ff_fill, bf_pack, pp_fill_2d, pp_fill_general):
     packer with the precomputed orders from the strategy table, stopping at
     the first full packing.  Returns the *position in* ``scan`` of the
     winning strategy (its placement is left in ``assignment``), or -1 when
-    no strategy packs.
+    no strategy packs (the C translation returns -2 when it cannot
+    allocate its scratch).  ``cut_runs[0]`` receives the number of runs
+    that stopped at the waste cut.
+
+    **The waste cut.**  ``waste_limit[d]`` is the capacity the whole
+    instance can spare in dimension *d*: the sum of ``cap_tol`` over the
+    bins minus the sum of ``item_agg`` over the items, plus a margin for
+    float rounding.  FF and PP/CP fill bins one at a time and never reopen
+    a closed bin, every bin ends at or below ``cap_tol``, and a run that
+    packs leaves exactly the spare capacity unused over all bins; so the
+    unused capacity of the bins closed so far never exceeds the limit in
+    a run that packs.  A run whose closed bins exceed it cannot pack, and
+    stops there as failed: only failing runs end early, and a run that
+    packs is untouched.  BF places item by item and is not cut.
 
     Strategy table columns (all int64, one row per strategy):
 
@@ -470,13 +517,15 @@ def make_probe_scan(ff_fill, bf_pack, pp_fill_2d, pp_fill_general):
     """
 
     def probe_scan(item_agg, item_agg_sum, elem_ok, cap_tol, bin_agg,
-                   bin_agg_sum, item_orders, tie_ranks, bin_orders,
-                   item_dim_perm, pp_order0, pp_order1,
+                   bin_agg_sum, waste_limit, item_orders, tie_ranks,
+                   bin_orders, item_dim_perm, pp_order0, pp_order1,
                    st_packer, st_item, st_bin, st_hetero, st_w,
-                   st_choose, st_cfg, scan, loads, load_sum, assignment):
+                   st_choose, st_cfg, scan, loads, load_sum, assignment,
+                   cut_runs):
         J = item_agg.shape[0]
         H = cap_tol.shape[0]
         D = item_agg.shape[1]
+        cut_runs[0] = 0
         for si in range(scan.shape[0]):
             s = scan[si]
             for h in range(H):
@@ -488,28 +537,33 @@ def make_probe_scan(ff_fill, bf_pack, pp_fill_2d, pp_fill_general):
             packer = st_packer[s]
             item_order = item_orders[st_item[s]]
             hetero = st_hetero[s] != 0
+            if packer == 1:
+                if bf_pack(item_agg, item_agg_sum, elem_ok, item_order,
+                           loads, load_sum, cap_tol, bin_agg_sum, hetero,
+                           assignment) == 1:
+                    return si
+                continue
             if packer == 0:
-                ok = ff_fill(item_agg, elem_ok, item_order,
-                             bin_orders[st_bin[s]], loads, load_sum,
-                             cap_tol, assignment) == 0
-            elif packer == 1:
-                ok = bf_pack(item_agg, item_agg_sum, elem_ok, item_order,
-                             loads, load_sum, cap_tol, bin_agg_sum,
-                             hetero, assignment) == 1
+                left = ff_fill(item_agg, elem_ok, item_order,
+                               bin_orders[st_bin[s]], loads, load_sum,
+                               cap_tol, waste_limit, assignment)
             elif D == 2:
-                ok = pp_fill_2d(item_agg, elem_ok, pp_order0[st_cfg[s]],
-                                pp_order1[st_cfg[s]], bin_orders[st_bin[s]],
-                                loads, load_sum, cap_tol, bin_agg,
-                                hetero, assignment) == 0
+                left = pp_fill_2d(item_agg, elem_ok, pp_order0[st_cfg[s]],
+                                  pp_order1[st_cfg[s]],
+                                  bin_orders[st_bin[s]], loads, load_sum,
+                                  cap_tol, bin_agg, hetero, waste_limit,
+                                  assignment)
             else:
-                ok = pp_fill_general(item_agg, item_agg_sum, elem_ok,
-                                     item_dim_perm, tie_ranks[st_item[s]],
-                                     st_w[s], st_choose[s] != 0,
-                                     bin_orders[st_bin[s]], loads,
-                                     load_sum, cap_tol, bin_agg, hetero,
-                                     assignment) == 0
-            if ok:
+                left = pp_fill_general(item_agg, item_agg_sum, elem_ok,
+                                       item_dim_perm, tie_ranks[st_item[s]],
+                                       st_w[s], st_choose[s] != 0,
+                                       bin_orders[st_bin[s]], loads,
+                                       load_sum, cap_tol, bin_agg, hetero,
+                                       waste_limit, assignment)
+            if left == 0:
                 return si
+            if left == CUT:
+                cut_runs[0] += 1
         return -1
 
     return probe_scan

@@ -56,6 +56,7 @@ class ProbeScanArgs:
     cap_tol: np.ndarray         # (H, D) float64
     bin_agg: np.ndarray         # (H, D) float64
     bin_agg_sum: np.ndarray     # (H,)   float64
+    waste_limit: np.ndarray     # (D,)   float64 spare capacity (waste cut)
     item_orders: np.ndarray     # (SI, J) distinct item orders
     tie_ranks: np.ndarray       # (SI, J) rank of each item per order
     bin_orders: np.ndarray      # (SB, H) distinct bin orders
@@ -155,11 +156,14 @@ class KernelBackend:
         """True when :meth:`probe_scan` is backed by a fused kernel."""
         return False
 
-    def probe_scan(self, args: ProbeScanArgs) -> Tuple[int, np.ndarray]:
-        """Run one fused probe; returns ``(scan position, assignment)``.
+    def probe_scan(self, args: ProbeScanArgs
+                   ) -> Tuple[int, np.ndarray, int]:
+        """Run one fused probe; returns ``(scan position, assignment,
+        cut runs)``.
 
         The position indexes ``args.scan`` (-1 when no strategy packs);
-        the assignment array is freshly allocated per call.
+        the assignment array is freshly allocated per call; cut runs
+        counts the strategy runs that stopped at ``args.waste_limit``.
         """
         raise NotImplementedError
 
@@ -180,6 +184,21 @@ def _i64(arr: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(arr, dtype=np.int64)
 
 
+def _no_limit(state: Any) -> np.ndarray:
+    """An infinite waste limit: a standalone fill runs to its end, so the
+    state's loads and ``unplaced_count`` stay those of the whole run."""
+    return np.full(state.item_agg.shape[1], np.inf)
+
+
+def _filled(unplaced: int, kernel: str) -> int:
+    """A fill kernel's unplaced count.  Called without a limit no run is
+    cut, so a negative count means the C translation could not allocate
+    its scratch."""
+    if unplaced < 0:
+        raise MemoryError(f"{kernel} could not allocate its work arrays")
+    return int(unplaced)
+
+
 class ArrayKernelBackend(KernelBackend):
     """State-level adapter over flat-array loop kernels.
 
@@ -198,11 +217,12 @@ class ArrayKernelBackend(KernelBackend):
     # -- packers -------------------------------------------------------
     def first_fit(self, state: Any, item_order: np.ndarray,
                   bin_order: np.ndarray) -> bool:
-        unplaced = self._k.ff_fill(
+        unplaced = _filled(self._k.ff_fill(
             state.item_agg, state.elem_ok, _i64(item_order),
             _i64(bin_order), state.loads, state.load_sum,
-            state.bin_cap_tol, state.assignment)
-        state.unplaced_count = int(unplaced)
+            state.bin_cap_tol, _no_limit(state), state.assignment),
+            "ff_fill")
+        state.unplaced_count = unplaced
         return unplaced == 0
 
     def best_fit(self, state: Any, item_order: np.ndarray,
@@ -226,19 +246,20 @@ class ArrayKernelBackend(KernelBackend):
             # candidates in the same sequence.
             order0 = np.argsort(pp.codes_for((0, 1)))
             order1 = np.argsort(pp.codes_for((1, 0)))
-            unplaced = self._k.pp_fill_2d(
+            unplaced = _filled(self._k.pp_fill_2d(
                 state.item_agg, state.elem_ok, _i64(order0), _i64(order1),
                 _i64(bin_order), state.loads, state.load_sum,
                 state.bin_cap_tol, state.bin_agg, bool(by_remaining),
-                state.assignment)
+                _no_limit(state), state.assignment), "pp_fill_2d")
         else:
-            unplaced = self._k.pp_fill_general(
+            unplaced = _filled(self._k.pp_fill_general(
                 state.item_agg, state.item_agg_sum, state.elem_ok,
                 _i64(state.item_dim_perm), _i64(pp.tie_rank), int(pp.w),
                 bool(pp.choose_pack), _i64(bin_order), state.loads,
                 state.load_sum, state.bin_cap_tol, state.bin_agg,
-                bool(by_remaining), state.assignment)
-        state.unplaced_count = int(unplaced)
+                bool(by_remaining), _no_limit(state), state.assignment),
+                "pp_fill_general")
+        state.unplaced_count = unplaced
         return unplaced == 0
 
     # -- probe factory -------------------------------------------------
@@ -280,20 +301,25 @@ class ArrayKernelBackend(KernelBackend):
     def supports_probe_scan(self) -> bool:
         return getattr(self._k, "probe_scan", None) is not None
 
-    def probe_scan(self, args: ProbeScanArgs) -> Tuple[int, np.ndarray]:
+    def probe_scan(self, args: ProbeScanArgs
+                   ) -> Tuple[int, np.ndarray, int]:
         J, D = args.item_agg.shape
         H = args.cap_tol.shape[0]
         loads = np.zeros((H, D), dtype=np.float64)
         load_sum = np.zeros(H, dtype=np.float64)
         assignment = np.full(J, -1, dtype=np.int64)
+        cut_runs = np.zeros(1, dtype=np.int64)
         si = self._k.probe_scan(
             args.item_agg, args.item_agg_sum, args.elem_ok, args.cap_tol,
-            args.bin_agg, args.bin_agg_sum, args.item_orders,
-            args.tie_ranks, args.bin_orders, args.item_dim_perm,
-            args.pp_order0, args.pp_order1, args.st_packer, args.st_item,
-            args.st_bin, args.st_hetero, args.st_w, args.st_choose,
-            args.st_cfg, args.scan, loads, load_sum, assignment)
-        return int(si), assignment
+            args.bin_agg, args.bin_agg_sum, args.waste_limit,
+            args.item_orders, args.tie_ranks, args.bin_orders,
+            args.item_dim_perm, args.pp_order0, args.pp_order1,
+            args.st_packer, args.st_item, args.st_bin, args.st_hetero,
+            args.st_w, args.st_choose, args.st_cfg, args.scan, loads,
+            load_sum, assignment, cut_runs)
+        if si < -1:
+            raise MemoryError("probe_scan could not allocate its work arrays")
+        return int(si), assignment, int(cut_runs[0])
 
     # -- greedy passes -------------------------------------------------
     def greedy_scan(self, args: GreedyScanArgs

@@ -1,7 +1,11 @@
 """Native (C via ctypes) kernel backend.
 
 A line-for-line translation of :mod:`._loops` compiled on demand with the
-system C compiler (``$CC`` or ``cc``).  Compilation happens once per
+system C compiler (``$CC`` or ``cc``).  One structural difference: the
+bodies of the bin-major fills are ``static`` functions that take their
+scratch arrays from the caller.  The exported fills allocate it per call
+and return -1 when they cannot; ``probe_scan`` allocates it once per
+call and returns -2 when it cannot.  Compilation happens once per
 source revision: the shared object is cached under
 ``$REPRO_NATIVE_CACHE`` (default ``~/.cache/repro-kernels``) keyed by a
 hash of the source, the compiler flags *and* the compiler identity
@@ -32,19 +36,45 @@ _C_SOURCE = r"""
 #include <stdlib.h>
 #include <math.h>
 
-int64_t ff_fill(int64_t J, int64_t H, int64_t NB, int64_t D,
-                const double *item_agg, const uint8_t *elem_ok,
-                const int64_t *item_order, const int64_t *bin_order,
-                double *loads, double *load_sum,
-                const double *cap_tol, int64_t *assignment)
+#define CUT (-2)
+#define NOMEM (-1)
+
+/* The bin-major fills' bodies take their scratch from the caller:
+   probe_scan allocates it once per call, the exported fills per call.
+   i: J + 3*D int64 (FF pending; PP cand, perm, rank, keys with w <= D),
+   f: 2*D doubles (FF load; PP key; then the waste), dead: J bytes. */
+typedef struct { int64_t *i; double *f; uint8_t *dead; } scratch_t;
+
+static int scratch_alloc(scratch_t *s, int64_t J, int64_t D)
 {
-    int64_t *pending = malloc((size_t)J * sizeof(int64_t));
-    double *load = malloc((size_t)D * sizeof(double));
+    s->i = malloc((size_t)(J + 3*D) * sizeof(int64_t));
+    s->f = malloc((size_t)(2*D) * sizeof(double));
+    s->dead = malloc((size_t)J + 1);
+    return s->i && s->f && s->dead;
+}
+
+static void scratch_free(scratch_t *s)
+{
+    free(s->i);
+    free(s->f);
+    free(s->dead);
+}
+
+static int64_t ff_run(int64_t J, int64_t H, int64_t NB, int64_t D,
+                      const double *item_agg, const uint8_t *elem_ok,
+                      const int64_t *item_order, const int64_t *bin_order,
+                      double *loads, double *load_sum,
+                      const double *cap_tol, const double *waste_limit,
+                      int64_t *assignment, int64_t *pending, double *load,
+                      double *waste)
+{
     int64_t npend = J;
-    if (!pending || !load) { free(pending); free(load); return -1; }
     for (int64_t i = 0; i < J; i++) pending[i] = item_order[i];
+    for (int64_t d = 0; d < D; d++) waste[d] = 0.0;
     for (int64_t bi = 0; bi < NB; bi++) {
         if (npend == 0) break;
+        for (int64_t d = 0; d < D; d++)
+            if (waste[d] > waste_limit[d]) return CUT;
         int64_t h = bin_order[bi];
         for (int64_t d = 0; d < D; d++) load[d] = loads[h*D+d];
         int64_t ntaken = 0, nrest = 0;
@@ -76,10 +106,26 @@ int64_t ff_fill(int64_t J, int64_t H, int64_t NB, int64_t D,
             load_sum[h] = s;
         }
         npend = nrest;
+        for (int64_t d = 0; d < D; d++) waste[d] += cap_tol[h*D+d] - load[d];
     }
-    free(pending);
-    free(load);
     return npend;
+}
+
+int64_t ff_fill(int64_t J, int64_t H, int64_t NB, int64_t D,
+                const double *item_agg, const uint8_t *elem_ok,
+                const int64_t *item_order, const int64_t *bin_order,
+                double *loads, double *load_sum,
+                const double *cap_tol, const double *waste_limit,
+                int64_t *assignment)
+{
+    scratch_t sc;
+    int64_t r = NOMEM;
+    if (scratch_alloc(&sc, J, D))
+        r = ff_run(J, H, NB, D, item_agg, elem_ok, item_order, bin_order,
+                   loads, load_sum, cap_tol, waste_limit, assignment,
+                   sc.i, sc.f, sc.f + D);
+    scratch_free(&sc);
+    return r;
 }
 
 int64_t bf_pack(int64_t J, int64_t H, int64_t D,
@@ -119,21 +165,22 @@ int64_t bf_pack(int64_t J, int64_t H, int64_t D,
     return 1;
 }
 
-int64_t pp_fill_2d(int64_t J, int64_t H, int64_t NB,
-                   const double *item_agg, const uint8_t *elem_ok,
-                   const int64_t *order0, const int64_t *order1,
-                   const int64_t *bin_order,
-                   double *loads, double *load_sum,
-                   const double *cap_tol, const double *bin_agg,
-                   int64_t by_remaining, int64_t *assignment)
+static int64_t pp_2d_run(int64_t J, int64_t H, int64_t NB,
+                         const double *item_agg, const uint8_t *elem_ok,
+                         const int64_t *order0, const int64_t *order1,
+                         const int64_t *bin_order,
+                         double *loads, double *load_sum,
+                         const double *cap_tol, const double *bin_agg,
+                         int64_t by_remaining, const double *waste_limit,
+                         int64_t *assignment, uint8_t *dead)
 {
     int64_t unplaced = 0;
-    uint8_t *dead = malloc((size_t)J);
-    if (!dead) return -1;
     for (int64_t j = 0; j < J; j++)
         if (assignment[j] < 0) unplaced++;
+    double w0 = 0.0, w1 = 0.0;
     for (int64_t bi = 0; bi < NB; bi++) {
         if (unplaced == 0) break;
+        if (w0 > waste_limit[0] || w1 > waste_limit[1]) return CUT;
         int64_t h = bin_order[bi];
         double l0 = loads[h*2+0], l1 = loads[h*2+1];
         double c0 = cap_tol[h*2+0], c1 = cap_tol[h*2+1];
@@ -190,36 +237,57 @@ int64_t pp_fill_2d(int64_t J, int64_t H, int64_t NB,
             loads[h*2+1] = l1;
             load_sum[h] = l0 + l1;
         }
+        w0 += c0 - l0;
+        w1 += c1 - l1;
     }
-    free(dead);
     return unplaced;
 }
 
-int64_t pp_fill_general(int64_t J, int64_t H, int64_t NB, int64_t D,
-                        int64_t w, int64_t choose_pack,
-                        const double *item_agg, const double *item_agg_sum,
-                        const uint8_t *elem_ok, const int64_t *item_dim_perm,
-                        const int64_t *tie_rank, const int64_t *bin_order,
-                        double *loads, double *load_sum,
-                        const double *cap_tol, const double *bin_agg,
-                        int64_t by_remaining, int64_t *assignment)
+int64_t pp_fill_2d(int64_t J, int64_t H, int64_t NB,
+                   const double *item_agg, const uint8_t *elem_ok,
+                   const int64_t *order0, const int64_t *order1,
+                   const int64_t *bin_order,
+                   double *loads, double *load_sum,
+                   const double *cap_tol, const double *bin_agg,
+                   int64_t by_remaining, const double *waste_limit,
+                   int64_t *assignment)
+{
+    scratch_t sc;
+    int64_t r = NOMEM;
+    if (scratch_alloc(&sc, J, 2))
+        r = pp_2d_run(J, H, NB, item_agg, elem_ok, order0, order1,
+                      bin_order, loads, load_sum, cap_tol, bin_agg,
+                      by_remaining, waste_limit, assignment, sc.dead);
+    scratch_free(&sc);
+    return r;
+}
+
+static int64_t pp_general_run(int64_t J, int64_t H, int64_t NB, int64_t D,
+                              int64_t w, int64_t choose_pack,
+                              const double *item_agg,
+                              const double *item_agg_sum,
+                              const uint8_t *elem_ok,
+                              const int64_t *item_dim_perm,
+                              const int64_t *tie_rank,
+                              const int64_t *bin_order,
+                              double *loads, double *load_sum,
+                              const double *cap_tol, const double *bin_agg,
+                              int64_t by_remaining,
+                              const double *waste_limit,
+                              int64_t *assignment, int64_t *iscr,
+                              double *fscr, uint8_t *dead)
 {
     int64_t unplaced = 0;
-    int64_t *cand = malloc((size_t)J * sizeof(int64_t));
-    uint8_t *dead = malloc((size_t)J);
-    double *key = malloc((size_t)D * sizeof(double));
-    int64_t *perm = malloc((size_t)D * sizeof(int64_t));
-    int64_t *rank = malloc((size_t)D * sizeof(int64_t));
-    int64_t *keys = malloc((size_t)w * sizeof(int64_t));
-    if (!cand || !dead || !key || !perm || !rank || !keys) {
-        free(cand); free(dead); free(key); free(perm); free(rank);
-        free(keys);
-        return -1;
-    }
+    int64_t *cand = iscr, *perm = iscr + J, *rank = iscr + J + D;
+    int64_t *keys = iscr + J + 2*D;
+    double *key = fscr, *waste = fscr + D;
     for (int64_t j = 0; j < J; j++)
         if (assignment[j] < 0) unplaced++;
+    for (int64_t d = 0; d < D; d++) waste[d] = 0.0;
     for (int64_t bi = 0; bi < NB; bi++) {
         if (unplaced == 0) break;
+        for (int64_t d = 0; d < D; d++)
+            if (waste[d] > waste_limit[d]) return CUT;
         int64_t h = bin_order[bi];
         int64_t K = 0;
         for (int64_t j = 0; j < J; j++) {
@@ -307,9 +375,32 @@ int64_t pp_fill_general(int64_t J, int64_t H, int64_t NB, int64_t D,
                 }
             }
         }
+        for (int64_t d = 0; d < D; d++)
+            waste[d] += cap_tol[h*D+d] - loads[h*D+d];
     }
-    free(cand); free(dead); free(key); free(perm); free(rank); free(keys);
     return unplaced;
+}
+
+int64_t pp_fill_general(int64_t J, int64_t H, int64_t NB, int64_t D,
+                        int64_t w, int64_t choose_pack,
+                        const double *item_agg, const double *item_agg_sum,
+                        const uint8_t *elem_ok, const int64_t *item_dim_perm,
+                        const int64_t *tie_rank, const int64_t *bin_order,
+                        double *loads, double *load_sum,
+                        const double *cap_tol, const double *bin_agg,
+                        int64_t by_remaining, const double *waste_limit,
+                        int64_t *assignment)
+{
+    scratch_t sc;
+    int64_t r = NOMEM;
+    if (scratch_alloc(&sc, J, D))
+        r = pp_general_run(J, H, NB, D, w, choose_pack, item_agg,
+                           item_agg_sum, elem_ok, item_dim_perm, tie_rank,
+                           bin_order, loads, load_sum, cap_tol, bin_agg,
+                           by_remaining, waste_limit, assignment, sc.i,
+                           sc.f, sc.dead);
+    scratch_free(&sc);
+    return r;
 }
 
 int64_t affine_fit_thresholds(int64_t J, int64_t H, int64_t D,
@@ -406,6 +497,7 @@ int64_t probe_scan(int64_t J, int64_t H, int64_t D, int64_t S,
                    const double *item_agg, const double *item_agg_sum,
                    const uint8_t *elem_ok, const double *cap_tol,
                    const double *bin_agg, const double *bin_agg_sum,
+                   const double *waste_limit,
                    const int64_t *item_orders, const int64_t *tie_ranks,
                    const int64_t *bin_orders, const int64_t *item_dim_perm,
                    const int64_t *pp_order0, const int64_t *pp_order1,
@@ -413,9 +505,13 @@ int64_t probe_scan(int64_t J, int64_t H, int64_t D, int64_t S,
                    const int64_t *st_bin, const int64_t *st_hetero,
                    const int64_t *st_w, const int64_t *st_choose,
                    const int64_t *st_cfg, const int64_t *scan,
-                   double *loads, double *load_sum, int64_t *assignment)
+                   double *loads, double *load_sum, int64_t *assignment,
+                   int64_t *cut_runs)
 {
-    for (int64_t si = 0; si < S; si++) {
+    scratch_t sc;
+    int64_t found = scratch_alloc(&sc, J, D) ? -1 : -2;
+    cut_runs[0] = 0;
+    for (int64_t si = 0; si < S && found == -1; si++) {
         int64_t s = scan[si];
         for (int64_t h = 0; h < H; h++) {
             load_sum[h] = 0.0;
@@ -425,32 +521,40 @@ int64_t probe_scan(int64_t J, int64_t H, int64_t D, int64_t S,
         int64_t packer = st_packer[s];
         const int64_t *item_order = item_orders + st_item[s]*J;
         int64_t hetero = st_hetero[s];
-        int64_t ok;
-        if (packer == 0) {
-            ok = ff_fill(J, H, H, D, item_agg, elem_ok, item_order,
-                         bin_orders + st_bin[s]*H, loads, load_sum,
-                         cap_tol, assignment) == 0;
-        } else if (packer == 1) {
-            ok = bf_pack(J, H, D, item_agg, item_agg_sum, elem_ok,
-                         item_order, loads, load_sum, cap_tol,
-                         bin_agg_sum, hetero, assignment) == 1;
-        } else if (D == 2) {
-            ok = pp_fill_2d(J, H, H, item_agg, elem_ok,
-                            pp_order0 + st_cfg[s]*J,
-                            pp_order1 + st_cfg[s]*J,
-                            bin_orders + st_bin[s]*H, loads, load_sum,
-                            cap_tol, bin_agg, hetero, assignment) == 0;
-        } else {
-            ok = pp_fill_general(J, H, H, D, st_w[s], st_choose[s],
-                                 item_agg, item_agg_sum, elem_ok,
-                                 item_dim_perm, tie_ranks + st_item[s]*J,
-                                 bin_orders + st_bin[s]*H, loads,
-                                 load_sum, cap_tol, bin_agg, hetero,
-                                 assignment) == 0;
+        int64_t left;
+        if (packer == 1) {
+            if (bf_pack(J, H, D, item_agg, item_agg_sum, elem_ok,
+                        item_order, loads, load_sum, cap_tol,
+                        bin_agg_sum, hetero, assignment) == 1)
+                found = si;
+            continue;
         }
-        if (ok) return si;
+        if (packer == 0) {
+            left = ff_run(J, H, H, D, item_agg, elem_ok, item_order,
+                          bin_orders + st_bin[s]*H, loads, load_sum,
+                          cap_tol, waste_limit, assignment, sc.i, sc.f,
+                          sc.f + D);
+        } else if (D == 2) {
+            left = pp_2d_run(J, H, H, item_agg, elem_ok,
+                             pp_order0 + st_cfg[s]*J,
+                             pp_order1 + st_cfg[s]*J,
+                             bin_orders + st_bin[s]*H, loads, load_sum,
+                             cap_tol, bin_agg, hetero, waste_limit,
+                             assignment, sc.dead);
+        } else {
+            left = pp_general_run(J, H, H, D, st_w[s], st_choose[s],
+                                  item_agg, item_agg_sum, elem_ok,
+                                  item_dim_perm, tie_ranks + st_item[s]*J,
+                                  bin_orders + st_bin[s]*H, loads,
+                                  load_sum, cap_tol, bin_agg, hetero,
+                                  waste_limit, assignment, sc.i, sc.f,
+                                  sc.dead);
+        }
+        if (left == 0) found = si;
+        else if (left == CUT) cut_runs[0]++;
     }
-    return -1;
+    scratch_free(&sc);
+    return found;
 }
 
 double pairwise_sum(const double *buf, int64_t n,
@@ -786,7 +890,8 @@ class _NativeKernels:
         self._lib = lib
         lib.ff_fill.restype = _i64
         lib.ff_fill.argtypes = [_i64, _i64, _i64, _i64, _f64p, _u8p,
-                                _i64p, _i64p, _f64p, _f64p, _f64p, _i64p]
+                                _i64p, _i64p, _f64p, _f64p, _f64p, _f64p,
+                                _i64p]
         lib.bf_pack.restype = _i64
         lib.bf_pack.argtypes = [_i64, _i64, _i64, _f64p, _f64p, _u8p,
                                 _i64p, _f64p, _f64p, _f64p, _f64p, _i64,
@@ -794,12 +899,12 @@ class _NativeKernels:
         lib.pp_fill_2d.restype = _i64
         lib.pp_fill_2d.argtypes = [_i64, _i64, _i64, _f64p, _u8p, _i64p,
                                    _i64p, _i64p, _f64p, _f64p, _f64p,
-                                   _f64p, _i64, _i64p]
+                                   _f64p, _i64, _f64p, _i64p]
         lib.pp_fill_general.restype = _i64
         lib.pp_fill_general.argtypes = [_i64, _i64, _i64, _i64, _i64,
                                         _i64, _f64p, _f64p, _u8p, _i64p,
                                         _i64p, _i64p, _f64p, _f64p,
-                                        _f64p, _f64p, _i64, _i64p]
+                                        _f64p, _f64p, _i64, _f64p, _i64p]
         lib.affine_fit_thresholds.restype = _i64
         lib.affine_fit_thresholds.argtypes = [_i64, _i64, _i64, _f64p,
                                               _f64p, _f64p, _f64p]
@@ -814,10 +919,10 @@ class _NativeKernels:
         lib.probe_scan.restype = _i64
         lib.probe_scan.argtypes = [_i64, _i64, _i64, _i64,
                                    _f64p, _f64p, _u8p, _f64p, _f64p,
-                                   _f64p, _i64p, _i64p, _i64p, _i64p,
+                                   _f64p, _f64p, _i64p, _i64p, _i64p,
                                    _i64p, _i64p, _i64p, _i64p, _i64p,
                                    _i64p, _i64p, _i64p, _i64p, _i64p,
-                                   _f64p, _f64p, _i64p]
+                                   _i64p, _f64p, _f64p, _i64p, _i64p]
         lib.greedy_scan.restype = _i64
         lib.greedy_scan.argtypes = [_i64, _i64, _i64, _i64,
                                     _f64p, _f64p, _i64p, _i64p, _u8p,
@@ -827,11 +932,11 @@ class _NativeKernels:
                                     _i64p, _f64p]
 
     def ff_fill(self, item_agg, elem_ok, item_order, bin_order,
-                loads, load_sum, cap_tol, assignment):
+                loads, load_sum, cap_tol, waste_limit, assignment):
         return self._lib.ff_fill(
             item_order.shape[0], loads.shape[0], bin_order.shape[0],
             item_agg.shape[1], item_agg, _u8(elem_ok), item_order,
-            bin_order, loads, load_sum, cap_tol, assignment)
+            bin_order, loads, load_sum, cap_tol, waste_limit, assignment)
 
     def bf_pack(self, item_agg, item_agg_sum, elem_ok, item_order,
                 loads, load_sum, cap_tol, bin_agg_sum, by_remaining,
@@ -843,22 +948,23 @@ class _NativeKernels:
 
     def pp_fill_2d(self, item_agg, elem_ok, order0, order1, bin_order,
                    loads, load_sum, cap_tol, bin_agg, by_remaining,
-                   assignment):
+                   waste_limit, assignment):
         return self._lib.pp_fill_2d(
             item_agg.shape[0], loads.shape[0], bin_order.shape[0],
             item_agg, _u8(elem_ok), order0, order1, bin_order, loads,
-            load_sum, cap_tol, bin_agg, int(by_remaining), assignment)
+            load_sum, cap_tol, bin_agg, int(by_remaining), waste_limit,
+            assignment)
 
     def pp_fill_general(self, item_agg, item_agg_sum, elem_ok,
                         item_dim_perm, tie_rank, w, choose_pack,
                         bin_order, loads, load_sum, cap_tol, bin_agg,
-                        by_remaining, assignment):
+                        by_remaining, waste_limit, assignment):
         return self._lib.pp_fill_general(
             item_agg.shape[0], loads.shape[0], bin_order.shape[0],
             item_agg.shape[1], int(w), int(choose_pack), item_agg,
             item_agg_sum, _u8(elem_ok), item_dim_perm, tie_rank,
             bin_order, loads, load_sum, cap_tol, bin_agg,
-            int(by_remaining), assignment)
+            int(by_remaining), waste_limit, assignment)
 
     def affine_fit_thresholds(self, req, need, cap, out):
         return self._lib.affine_fit_thresholds(
@@ -876,17 +982,18 @@ class _NativeKernels:
             _u8(elem_fit), loads, agg, cap_tol, out)
 
     def probe_scan(self, item_agg, item_agg_sum, elem_ok, cap_tol,
-                   bin_agg, bin_agg_sum, item_orders, tie_ranks,
-                   bin_orders, item_dim_perm, pp_order0, pp_order1,
-                   st_packer, st_item, st_bin, st_hetero, st_w,
-                   st_choose, st_cfg, scan, loads, load_sum, assignment):
+                   bin_agg, bin_agg_sum, waste_limit, item_orders,
+                   tie_ranks, bin_orders, item_dim_perm, pp_order0,
+                   pp_order1, st_packer, st_item, st_bin, st_hetero, st_w,
+                   st_choose, st_cfg, scan, loads, load_sum, assignment,
+                   cut_runs):
         return self._lib.probe_scan(
             item_agg.shape[0], cap_tol.shape[0], item_agg.shape[1],
             scan.shape[0], item_agg, item_agg_sum, _u8(elem_ok), cap_tol,
-            bin_agg, bin_agg_sum, item_orders, tie_ranks, bin_orders,
-            item_dim_perm, pp_order0, pp_order1, st_packer, st_item,
-            st_bin, st_hetero, st_w, st_choose, st_cfg, scan, loads,
-            load_sum, assignment)
+            bin_agg, bin_agg_sum, waste_limit, item_orders, tie_ranks,
+            bin_orders, item_dim_perm, pp_order0, pp_order1, st_packer,
+            st_item, st_bin, st_hetero, st_w, st_choose, st_cfg, scan,
+            loads, load_sum, assignment, cut_runs)
 
     def greedy_scan(self, req_agg, req_agg_sum, need_dim, req_dim,
                     elem_ok, bin_agg, bin_agg_sum, cap_tol, req_elem,

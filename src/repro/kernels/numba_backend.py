@@ -75,7 +75,8 @@ def warmup() -> None:
     load_sum = np.zeros(1)
     cap = np.full((1, 2), 8.0)
     assignment = np.full(2, -1, dtype=np.int64)
-    ff_fill(item_agg, elem_ok, order, bins, loads, load_sum, cap,
+    limit = np.full(2, np.inf)
+    ff_fill(item_agg, elem_ok, order, bins, loads, load_sum, cap, limit,
             assignment)
     assignment[:] = -1
     loads[:] = 0.0
@@ -86,14 +87,14 @@ def warmup() -> None:
     loads[:] = 0.0
     load_sum[:] = 0.0
     pp_fill_2d(item_agg, elem_ok, order, order, bins, loads, load_sum,
-               cap, cap, True, assignment)
+               cap, cap, True, limit, assignment)
     assignment[:] = -1
     loads[:] = 0.0
     load_sum[:] = 0.0
     dim_perm = np.tile(np.arange(2, dtype=np.int64), (2, 1))
     pp_fill_general(item_agg, item_agg.sum(axis=1), elem_ok, dim_perm,
                     order, 2, True, bins, loads, load_sum, cap, cap,
-                    True, assignment)
+                    True, limit, assignment)
     out = np.empty((2, 1))
     affine_fit_thresholds(item_agg, item_agg, cap, out)
     batch_fit_thresholds(item_agg[None], item_agg[None], cap[None],
@@ -108,10 +109,11 @@ def warmup() -> None:
         assignment[:] = -1
         st0 = np.zeros(1, dtype=np.int64)
         probe_scan(item_agg, item_agg.sum(axis=1), elem_ok, cap, cap,
-                   cap.sum(axis=1), order[None], order[None], bins[None],
-                   dim_perm, order[None], order[None], st0, st0,
-                   st0, st0, np.full(1, 2, dtype=np.int64), st0,
-                   st0, st0, loads, load_sum, assignment)
+                   cap.sum(axis=1), limit, order[None], order[None],
+                   bins[None], dim_perm, order[None], order[None], st0,
+                   st0, st0, st0, np.full(1, 2, dtype=np.int64), st0,
+                   st0, st0, loads, load_sum, assignment,
+                   np.zeros(1, dtype=np.int64))
     except Exception:
         # The packer kernels above still work; only the fused scan is
         # lost, and the backend degrades to per-strategy dispatch.
