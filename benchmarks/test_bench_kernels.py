@@ -1,4 +1,4 @@
-"""Benchmark: kernel backends (numpy vs numba/native) + warm-started search.
+"""Benchmark: kernel backends (numpy vs native) + warm-started search.
 
 Part 1 solves the reference METAHVP instances under every *available*
 kernel backend and asserts the backends are interchangeable: identical

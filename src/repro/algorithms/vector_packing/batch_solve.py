@@ -22,8 +22,8 @@ a Python-level kernel round trip per strategy tried.
 selector: one batched kernel call builds every instance's yield-threshold
 tables (:class:`~repro.kernels.batch.BatchInstances` +
 ``batch_fit_thresholds``), then the per-instance searches run — from a
-thread pool when multiple cores are available; the ``nogil`` numba
-kernels and the C loops release the GIL for the scan itself.
+thread pool when multiple cores are available; ctypes releases the GIL
+around every C kernel call, so the scans themselves run in parallel.
 """
 
 from __future__ import annotations
@@ -116,7 +116,7 @@ class FusedProbeEngine:
         else:
             self._bin_orders = np.empty((0, H), dtype=np.int64)
 
-        # The strategy table (see _loops.make_probe_scan for semantics).
+        # The strategy table (see _loops.probe_scan for semantics).
         S = len(self.strategies)
         cols = {name: np.empty(S, dtype=np.int64) for name in
                 ("packer", "item", "bin", "hetero", "w", "choose", "cfg")}

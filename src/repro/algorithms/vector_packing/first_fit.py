@@ -10,9 +10,9 @@ time — an item lands on bin *h* iff it fits the load built by the earlier
 items already on *h*, a decision independent of every other bin.  Filling
 one bin greedily in item order is then a straight scan.  The scan
 dispatches to the active kernel backend for any dimension count
-(:mod:`repro.kernels`: numpy scalar loop, numba JIT, or native C — all
-bit-identical); backend choice never depends on D.  The seed per-item
-kernel survives in :mod:`.legacy` as the equivalence baseline.
+(:mod:`repro.kernels`: numpy scalar loop or native C — bit-identical);
+backend choice never depends on D.  The seed per-item kernel survives in
+:mod:`.legacy` as the equivalence baseline.
 """
 
 from __future__ import annotations

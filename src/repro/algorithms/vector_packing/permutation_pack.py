@@ -27,8 +27,8 @@ serves dimension counts whose packed codes overflow an int64):
   (two, in the paper's 2-D setting), so they are computed once per
   ranking per strategy run;
 * the whole selection dispatches to the active kernel backend for any
-  dimension count (:mod:`repro.kernels`: numpy, numba JIT, or native C —
-  all bit-identical).  Every backend shares the same internal split: on
+  dimension count (:mod:`repro.kernels`: numpy or native C —
+  bit-identical).  Every backend shares the same internal split: on
   2-D instances each bin is filled by walking the (at most two)
   code-sorted candidate lists with per-ranking pointers — a candidate
   that fails a fit check is dead for this bin forever, so each is

@@ -56,7 +56,7 @@ def waste_limit(cap_tol_total: np.ndarray,
     A fill that packs every item leaves exactly this much unused over all
     bins, so a bin-major fill whose closed bins already leave more cannot
     pack (the fused probe's waste cut, see
-    :func:`repro.kernels._loops.make_probe_scan`).
+    :func:`repro.kernels._loops.probe_scan`).
     """
     return (cap_tol_total - demand_total
             + WASTE_MARGIN_RTOL * (cap_tol_total + demand_total))

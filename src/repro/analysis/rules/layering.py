@@ -10,17 +10,18 @@ every hand-rolled counter dict onto the shared registry; this rule keeps
 them from growing back.
 
 ``LY303`` — kernels stay leaf modules.  ``repro/kernels/`` may import
-the stdlib, numpy, numba, and its own package — nothing else.  A kernel
-that reaches into the object model drags python back into the hot loop
-and breaks the "backends are interchangeable array programs" contract.
+the stdlib, numpy, and its own package — nothing else.  A kernel that
+reaches into the object model drags python back into the hot loop and
+breaks the "backends are interchangeable array programs" contract.
+``repro/kernels/batch.py`` is left to LY304, whose list is stricter.
 
 ``LY304`` — the batch container stays standalone.
 ``repro/kernels/batch.py`` is the structure-of-arrays container every
 backend (and the solver layer above) shares; it may import the stdlib
-and numpy, *nothing else* — not numba, not sibling kernel modules, no
-relative imports.  Stricter than LY303 because any dependency here
-becomes a dependency of every backend and an import-cycle hazard for
-the solvers that build batches.
+and numpy, *nothing else* — not sibling kernel modules, no relative
+imports.  Stricter than LY303 because any dependency here becomes a
+dependency of every backend and an import-cycle hazard for the solvers
+that build batches.
 """
 
 from __future__ import annotations
@@ -178,20 +179,23 @@ class MetricsDisciplineRule(Rule):
 
 
 #: Absolute imports a kernel module may use besides the stdlib.
-_KERNEL_THIRD_PARTY = frozenset({"numpy", "numba"})
+_KERNEL_THIRD_PARTY = frozenset({"numpy"})
+#: The one file LY304 governs (and LY303 therefore skips).
+_BATCH_CONTAINER = "repro/kernels/batch.py"
 
 
 @register_rule
 class KernelImportRule(Rule):
     id = "LY303"
     name = "kernel-leaf-imports"
-    summary = ("repro/kernels/ imports only the stdlib, numpy, numba, and "
-               "its own package — kernels are leaf array programs")
+    summary = ("repro/kernels/ imports only the stdlib, numpy, and its "
+               "own package — kernels are leaf array programs")
 
     def check(self, project: Project) -> Iterator[Finding]:
         stdlib = sys.stdlib_module_names
         for module in project.modules:
-            if not module.in_package("kernels"):
+            if not module.in_package("kernels") \
+                    or module.relpath == _BATCH_CONTAINER:
                 continue
             for node in ast.walk(module.tree):
                 if isinstance(node, ast.Import):
@@ -202,7 +206,7 @@ class KernelImportRule(Rule):
                             yield self.finding(
                                 module, node,
                                 f"kernel imports {alias.name!r}; kernels "
-                                "may import only stdlib/numpy/numba and "
+                                "may import only stdlib/numpy and "
                                 "repro.kernels itself")
                 elif isinstance(node, ast.ImportFrom):
                     if node.level >= 2:
@@ -226,13 +230,9 @@ class KernelImportRule(Rule):
                             yield self.finding(
                                 module, node,
                                 f"kernel imports {node.module!r}; kernels "
-                                "may import only stdlib/numpy/numba and "
+                                "may import only stdlib/numpy and "
                                 "repro.kernels itself")
     # (relative level-1 imports stay inside the package by construction)
-
-
-#: The one file LY304 governs.
-_BATCH_CONTAINER = "repro/kernels/batch.py"
 
 
 @register_rule

@@ -110,7 +110,8 @@ def build_parser() -> argparse.ArgumentParser:
                         choices=kernels.backend_names(), default=None,
                         help="packing-kernel implementation (default: the "
                              "REPRO_KERNEL_BACKEND env var, else 'auto' = "
-                             "fastest available of numba/native/numpy)")
+                             "native where the C kernels build, else "
+                             "numpy)")
     parser.add_argument("--workload", default="google", metavar="NAME[:k=v,...]",
                         help="workload model for every scenario "
                              f"(registered: {', '.join(workload_names())}; "

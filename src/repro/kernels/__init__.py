@@ -6,15 +6,12 @@ through a process-wide :class:`~.api.KernelBackend`:
 
 ``numpy``
     Always available — the PR-3 pure numpy/Python fast paths, moved here.
-``numba``
-    ``@njit(cache=True)`` ports of the same loops; needs the optional
-    ``numba`` extra.
 ``native``
     The same loops as C, compiled on demand with the system compiler and
-    cached; needs a working ``cc``.
+    cached; needs a working ``$CC`` (default ``cc``).
 ``loops``
-    The uncompiled jittable source (:mod:`._loops`) — the slow reference
-    the compiled backends are diffed against; useful for debugging only.
+    The uncompiled scalar source (:mod:`._loops`) — the slow reference
+    the C translation is diffed against; useful for debugging only.
 
 All backends produce **bit-identical** placements, loads and threshold
 tables, so the choice affects wall-clock only.  Selection:
@@ -22,7 +19,7 @@ tables, so the choice affects wall-clock only.  Selection:
 1. :func:`use_backend` (explicit, e.g. from ``--kernel-backend``);
 2. the ``REPRO_KERNEL_BACKEND`` environment variable (inherited by
    experiment worker processes, so one setting covers a whole sweep);
-3. ``auto``: the fastest available of ``numba`` → ``native`` → ``numpy``.
+3. ``auto``: ``native`` where the C kernels build, else ``numpy``.
 
 Unavailable backends raise :class:`KernelBackendUnavailable` when asked
 for explicitly and are silently skipped under ``auto``.
@@ -53,7 +50,7 @@ __all__ = [
 ENV_VAR = "REPRO_KERNEL_BACKEND"
 
 #: Preference order under ``auto`` (first available wins).
-AUTO_ORDER = ("numba", "native", "numpy")
+AUTO_ORDER = ("native", "numpy")
 
 
 class KernelBackendUnavailable(RuntimeError):
@@ -63,17 +60,6 @@ class KernelBackendUnavailable(RuntimeError):
 def _make_numpy() -> KernelBackend:
     from .numpy_backend import NumpyKernelBackend
     return NumpyKernelBackend()
-
-
-def _make_numba() -> KernelBackend:
-    try:
-        from . import numba_backend
-    except ImportError as exc:
-        raise KernelBackendUnavailable(
-            "the 'numba' kernel backend needs the numba package "
-            "(pip install repro-vm-allocation[numba])") from exc
-    return ArrayKernelBackend("numba", numba_backend,
-                              warmup=numba_backend.warmup)
 
 
 def _make_native() -> KernelBackend:
@@ -94,7 +80,6 @@ def _make_loops() -> KernelBackend:
 
 _FACTORIES: dict[str, Callable[[], KernelBackend]] = {
     "numpy": _make_numpy,
-    "numba": _make_numba,
     "native": _make_native,
     "loops": _make_loops,
 }
@@ -109,7 +94,7 @@ _active: Optional[KernelBackend] = None
 
 def backend_names() -> tuple[str, ...]:
     """All registry names, available or not (excludes the debug ``loops``)."""
-    return ("auto", "numpy", "numba", "native")
+    return ("auto", "numpy", "native")
 
 
 def resolve_backend(name: str) -> KernelBackend:
@@ -139,7 +124,7 @@ def resolve_backend(name: str) -> KernelBackend:
 def available_backends() -> dict[str, Optional[str]]:
     """Name → ``None`` if usable, else the reason it is not."""
     out: dict[str, Optional[str]] = {}
-    for name in ("numpy", "numba", "native"):
+    for name in ("numpy", "native"):
         try:
             resolve_backend(name)
             out[name] = None

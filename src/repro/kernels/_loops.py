@@ -1,16 +1,14 @@
-"""Scalar loop kernels — the jittable source of truth.
+"""Scalar loop kernels — the source of truth for the compiled backend.
 
 These are the hot inner loops of the vector packers and the probe
-factory, written in the restricted numpy-scalar style that ``numba.njit``
-compiles directly (no Python containers, no closures, no fancy indexing).
-Three consumers share them:
+factory, written in a restricted numpy-scalar style that maps one to one
+onto C (no Python containers, no closures, no fancy indexing).  Two
+consumers share them:
 
-* :mod:`.numba_backend` wraps each function with ``@njit(cache=True,
-  nogil=True)``;
 * :mod:`.native_backend` is a line-for-line C translation (same IEEE
   float64 operation order, so results are bit-identical);
 * the tests run them *uncompiled* as the ``loops`` reference backend, so
-  the logic is exercised even on machines without numba or a C compiler.
+  the logic is exercised even on machines without a C compiler.
 
 Every kernel mutates its output arrays in place and performs float
 arithmetic in exactly the same order as the numpy backend
@@ -24,10 +22,10 @@ same *placements* but accumulate bin loads in a different float order
 (per-bin commit vs per-item update), so the split is an internal detail
 every backend shares — backend choice itself never depends on D.
 
-:func:`make_probe_scan` builds the fused META* probe: one kernel call
-that scans a whole strategy table at a fixed yield, eliminating the
+:func:`probe_scan` is the fused META* probe: one kernel call that
+scans a whole strategy table at a fixed yield, eliminating the
 per-strategy Python dispatch that dominates batched solving.
-:func:`make_greedy_scan` does the same for METAGREEDY: one call runs a
+:func:`greedy_scan` does the same for METAGREEDY: one call runs a
 list of greedy passes and returns each pass's placement and its minimum
 yield after the per-node closed-form improvement.  Where the numpy
 reference *sums* arrays, :func:`pairwise_sum` reproduces numpy's
@@ -38,7 +36,7 @@ The three *bin-major* fills (:func:`ff_fill`, :func:`pp_fill_2d`,
 reopen a closed bin.  Each takes a per-dimension ``waste_limit``: once
 the capacity its closed bins left unused exceeds the limit in some
 dimension, the run stops and returns :data:`CUT` (see
-:func:`make_probe_scan` for why that never changes an outcome).  An
+:func:`probe_scan` for why that never changes an outcome).  An
 infinite limit never cuts.
 """
 
@@ -54,10 +52,8 @@ __all__ = [
     "affine_fit_thresholds",
     "batch_fit_thresholds",
     "incremental_best_fit",
-    "make_probe_scan",
     "probe_scan",
     "pairwise_sum",
-    "make_greedy_scan",
     "greedy_scan",
     "CUT",
 ]
@@ -476,22 +472,21 @@ def incremental_best_fit(req_agg, elem_fit, loads, agg, cap_tol, out):
     return placed
 
 
-def make_probe_scan(ff_fill, bf_pack, pp_fill_2d, pp_fill_general):
-    """Build the fused META* probe scan over concrete packer kernels.
+def probe_scan(item_agg, item_agg_sum, elem_ok, cap_tol, bin_agg,
+               bin_agg_sum, waste_limit, item_orders, tie_ranks,
+               bin_orders, item_dim_perm, pp_order0, pp_order1,
+               st_packer, st_item, st_bin, st_hetero, st_w,
+               st_choose, st_cfg, scan, loads, load_sum, assignment,
+               cut_runs):
+    """The fused META* feasibility probe: one call scans a strategy table.
 
-    The numba backend calls this with its jitted kernels and jits the
-    closure (closures cannot use the on-disk cache, so that compile is
-    per-process); the ``loops`` reference backend uses the module-level
-    :data:`probe_scan` built from the uncompiled functions.
-
-    The returned function runs one feasibility probe: for each strategy in
-    ``scan`` order it resets the scratch state and executes the strategy's
-    packer with the precomputed orders from the strategy table, stopping at
-    the first full packing.  Returns the *position in* ``scan`` of the
-    winning strategy (its placement is left in ``assignment``), or -1 when
-    no strategy packs (the C translation returns -2 when it cannot
-    allocate its scratch).  ``cut_runs[0]`` receives the number of runs
-    that stopped at the waste cut.
+    For each strategy in ``scan`` order it resets the scratch state and
+    executes the strategy's packer with the precomputed orders from the
+    strategy table, stopping at the first full packing.  Returns the
+    *position in* ``scan`` of the winning strategy (its placement is left
+    in ``assignment``), or -1 when no strategy packs (the C translation
+    returns -2 when it cannot allocate its scratch).  ``cut_runs[0]``
+    receives the number of runs that stopped at the waste cut.
 
     **The waste cut.**  ``waste_limit[d]`` is the capacity the whole
     instance can spare in dimension *d*: the sum of ``cap_tol`` over the
@@ -515,62 +510,49 @@ def make_probe_scan(ff_fill, bf_pack, pp_fill_2d, pp_fill_general):
     * ``st_cfg``    — row into ``pp_order0``/``pp_order1`` for the 2-D
       PP/CP walk (-1 when unused, i.e. FF/BF or D != 2).
     """
-
-    def probe_scan(item_agg, item_agg_sum, elem_ok, cap_tol, bin_agg,
-                   bin_agg_sum, waste_limit, item_orders, tie_ranks,
-                   bin_orders, item_dim_perm, pp_order0, pp_order1,
-                   st_packer, st_item, st_bin, st_hetero, st_w,
-                   st_choose, st_cfg, scan, loads, load_sum, assignment,
-                   cut_runs):
-        J = item_agg.shape[0]
-        H = cap_tol.shape[0]
-        D = item_agg.shape[1]
-        cut_runs[0] = 0
-        for si in range(scan.shape[0]):
-            s = scan[si]
-            for h in range(H):
-                load_sum[h] = 0.0
-                for d in range(D):
-                    loads[h, d] = 0.0
-            for j in range(J):
-                assignment[j] = -1
-            packer = st_packer[s]
-            item_order = item_orders[st_item[s]]
-            hetero = st_hetero[s] != 0
-            if packer == 1:
-                if bf_pack(item_agg, item_agg_sum, elem_ok, item_order,
-                           loads, load_sum, cap_tol, bin_agg_sum, hetero,
-                           assignment) == 1:
-                    return si
-                continue
-            if packer == 0:
-                left = ff_fill(item_agg, elem_ok, item_order,
-                               bin_orders[st_bin[s]], loads, load_sum,
-                               cap_tol, waste_limit, assignment)
-            elif D == 2:
-                left = pp_fill_2d(item_agg, elem_ok, pp_order0[st_cfg[s]],
-                                  pp_order1[st_cfg[s]],
-                                  bin_orders[st_bin[s]], loads, load_sum,
-                                  cap_tol, bin_agg, hetero, waste_limit,
-                                  assignment)
-            else:
-                left = pp_fill_general(item_agg, item_agg_sum, elem_ok,
-                                       item_dim_perm, tie_ranks[st_item[s]],
-                                       st_w[s], st_choose[s] != 0,
-                                       bin_orders[st_bin[s]], loads,
-                                       load_sum, cap_tol, bin_agg, hetero,
-                                       waste_limit, assignment)
-            if left == 0:
+    J = item_agg.shape[0]
+    H = cap_tol.shape[0]
+    D = item_agg.shape[1]
+    cut_runs[0] = 0
+    for si in range(scan.shape[0]):
+        s = scan[si]
+        for h in range(H):
+            load_sum[h] = 0.0
+            for d in range(D):
+                loads[h, d] = 0.0
+        for j in range(J):
+            assignment[j] = -1
+        packer = st_packer[s]
+        item_order = item_orders[st_item[s]]
+        hetero = st_hetero[s] != 0
+        if packer == 1:
+            if bf_pack(item_agg, item_agg_sum, elem_ok, item_order,
+                       loads, load_sum, cap_tol, bin_agg_sum, hetero,
+                       assignment) == 1:
                 return si
-            if left == CUT:
-                cut_runs[0] += 1
-        return -1
-
-    return probe_scan
-
-
-#: Uncompiled fused probe (the ``loops`` reference backend's version).
-probe_scan = make_probe_scan(ff_fill, bf_pack, pp_fill_2d, pp_fill_general)
+            continue
+        if packer == 0:
+            left = ff_fill(item_agg, elem_ok, item_order,
+                           bin_orders[st_bin[s]], loads, load_sum,
+                           cap_tol, waste_limit, assignment)
+        elif D == 2:
+            left = pp_fill_2d(item_agg, elem_ok, pp_order0[st_cfg[s]],
+                              pp_order1[st_cfg[s]],
+                              bin_orders[st_bin[s]], loads, load_sum,
+                              cap_tol, bin_agg, hetero, waste_limit,
+                              assignment)
+        else:
+            left = pp_fill_general(item_agg, item_agg_sum, elem_ok,
+                                   item_dim_perm, tie_ranks[st_item[s]],
+                                   st_w[s], st_choose[s] != 0,
+                                   bin_orders[st_bin[s]], loads,
+                                   load_sum, cap_tol, bin_agg, hetero,
+                                   waste_limit, assignment)
+        if left == 0:
+            return si
+        if left == CUT:
+            cut_runs[0] += 1
+    return -1
 
 
 def pairwise_sum(buf, n, frames, partial):
@@ -583,8 +565,8 @@ def pairwise_sum(buf, n, frames, partial):
     summed the same way, left plus right.  The recursion runs on the
     caller-owned stack — ``frames`` (int64, ``(128, 3)`` rows of
     start, length, combine flag) and ``partial`` (float64, 64 partial
-    sums), enough for any ``n < 2**63`` — so the function jits as is
-    and allocates nothing.
+    sums), enough for any ``n < 2**63`` — so the function translates
+    to C as is and allocates nothing.
 
     numpy sums this way along the last axis of ``sum(axis=1)``, and down
     a ``(K, 1)`` column (one contiguous run) in ``sum(axis=0)``; with
@@ -650,14 +632,13 @@ def pairwise_sum(buf, n, frames, partial):
     return 0.0 + partial[0]
 
 
-def make_greedy_scan(pairwise_sum):
-    """Build the METAGREEDY pass scan over a concrete :func:`pairwise_sum`.
+def greedy_scan(req_agg, req_agg_sum, need_dim, req_dim, elem_ok,
+                bin_agg, bin_agg_sum, cap_tol, req_elem, need_elem,
+                need_agg, bin_elem, orders, pass_order, pass_pick,
+                feas_atol, feas_rtol, placements, min_yields):
+    """METAGREEDY's passes in one call.
 
-    Same construction as :func:`make_probe_scan`: the numba backend jits
-    the closure over its jitted ``pairwise_sum``; the ``loops`` reference
-    backend uses the module-level :data:`greedy_scan`.
-
-    The returned function runs every pass ``p`` — service order
+    Runs every pass ``p`` — service order
     ``orders[pass_order[p]]``, node picker ``pass_pick[p]`` — and writes
     the pass's placement to ``placements[p]`` and its minimum yield to
     ``min_yields[p]``.  A pass that cannot place some service gets a
@@ -686,159 +667,150 @@ def make_greedy_scan(pairwise_sum):
     Members are visited in ascending service index and summed in numpy's
     order, so the yield equals the object model's bit for bit.
     """
-
-    def greedy_scan(req_agg, req_agg_sum, need_dim, req_dim, elem_ok,
-                    bin_agg, bin_agg_sum, cap_tol, req_elem, need_elem,
-                    need_agg, bin_elem, orders, pass_order, pass_pick,
-                    feas_atol, feas_rtol, placements, min_yields):
-        J = req_agg.shape[0]
-        H = bin_agg.shape[0]
-        D = req_agg.shape[1]
-        loads = np.empty((H, D), np.float64)
-        buf = np.empty(J + D, np.float64)
-        count = np.empty(H, np.int64)
-        start = np.empty(H, np.int64)
-        members = np.empty(J, np.int64)
-        col_req = np.empty(D, np.float64)
-        col_need = np.empty(D, np.float64)
-        frames = np.empty((128, 3), np.int64)
-        partial = np.empty(64, np.float64)
-        agg_scale = 1.0 + feas_rtol
-        feasible = 0
-        for p in range(pass_order.shape[0]):
-            pick = pass_pick[p]
-            order = orders[pass_order[p]]
+    J = req_agg.shape[0]
+    H = bin_agg.shape[0]
+    D = req_agg.shape[1]
+    loads = np.empty((H, D), np.float64)
+    buf = np.empty(J + D, np.float64)
+    count = np.empty(H, np.int64)
+    start = np.empty(H, np.int64)
+    members = np.empty(J, np.int64)
+    col_req = np.empty(D, np.float64)
+    col_need = np.empty(D, np.float64)
+    frames = np.empty((128, 3), np.int64)
+    partial = np.empty(64, np.float64)
+    agg_scale = 1.0 + feas_rtol
+    feasible = 0
+    for p in range(pass_order.shape[0]):
+        pick = pass_pick[p]
+        order = orders[pass_order[p]]
+        for h in range(H):
+            for d in range(D):
+                loads[h, d] = 0.0
+        for j in range(J):
+            placements[p, j] = -1
+        placed = True
+        for i in range(J):
+            j = order[i]
+            best = -1
+            best_v = 0.0
             for h in range(H):
-                for d in range(D):
-                    loads[h, d] = 0.0
-            for j in range(J):
-                placements[p, j] = -1
-            placed = True
-            for i in range(J):
-                j = order[i]
-                best = -1
-                best_v = 0.0
-                for h in range(H):
-                    if not elem_ok[j, h]:
-                        continue
-                    fits = True
-                    for d in range(D):
-                        if loads[h, d] + req_agg[j, d] > cap_tol[h, d]:
-                            fits = False
-                            break
-                    if not fits:
-                        continue
-                    if pick == 6:
-                        best = h
-                        break
-                    if pick == 0:
-                        v = bin_agg[h, need_dim[j]] - loads[h, need_dim[j]]
-                    elif pick == 2 or pick == 4:
-                        v = bin_agg[h, req_dim[j]] - loads[h, req_dim[j]]
-                    elif pick == 1:
-                        for d in range(D):
-                            buf[d] = loads[h, d]
-                        v = ((pairwise_sum(buf, D, frames, partial)
-                              + req_agg_sum[j]) / bin_agg_sum[h])
-                    else:
-                        for d in range(D):
-                            buf[d] = bin_agg[h, d] - loads[h, d]
-                        v = pairwise_sum(buf, D, frames, partial)
-                    if v != v:  # NaN: numpy's argmin/argmax stop here
-                        best = h
-                        break
-                    if best < 0:
-                        best = h
-                        best_v = v
-                    elif pick == 0 or pick == 4 or pick == 5:
-                        if v > best_v:
-                            best = h
-                            best_v = v
-                    elif v < best_v:
-                        best = h
-                        best_v = v
-                if best < 0:
-                    placed = False
-                    break
-                for d in range(D):
-                    loads[best, d] += req_agg[j, d]
-                placements[p, j] = best
-            if not placed:
-                for j in range(J):
-                    placements[p, j] = -1
-                min_yields[p] = -np.inf
-                continue
-            feasible += 1
-            # Members of each node in ascending service index.
-            for h in range(H):
-                count[h] = 0
-            for j in range(J):
-                count[placements[p, j]] += 1
-            s = 0
-            for h in range(H):
-                start[h] = s
-                s += count[h]
-                count[h] = 0
-            for j in range(J):
-                h = placements[p, j]
-                members[start[h] + count[h]] = j
-                count[h] += 1
-            y_min = np.inf
-            for h in range(H):
-                K = count[h]
-                if K == 0:
+                if not elem_ok[j, h]:
                     continue
-                base = start[h]
-                if D == 1:
-                    for q in range(K):
-                        buf[q] = req_agg[members[base + q], 0]
-                    col_req[0] = pairwise_sum(buf, K, frames, partial)
-                    for q in range(K):
-                        buf[q] = need_agg[members[base + q], 0]
-                    col_need[0] = pairwise_sum(buf, K, frames, partial)
+                fits = True
+                for d in range(D):
+                    if loads[h, d] + req_agg[j, d] > cap_tol[h, d]:
+                        fits = False
+                        break
+                if not fits:
+                    continue
+                if pick == 6:
+                    best = h
+                    break
+                if pick == 0:
+                    v = bin_agg[h, need_dim[j]] - loads[h, need_dim[j]]
+                elif pick == 2 or pick == 4:
+                    v = bin_agg[h, req_dim[j]] - loads[h, req_dim[j]]
+                elif pick == 1:
+                    for d in range(D):
+                        buf[d] = loads[h, d]
+                    v = ((pairwise_sum(buf, D, frames, partial)
+                          + req_agg_sum[j]) / bin_agg_sum[h])
                 else:
                     for d in range(D):
-                        col_req[d] = 0.0
-                        col_need[d] = 0.0
-                    for q in range(K):
-                        j = members[base + q]
-                        for d in range(D):
-                            col_req[d] += req_agg[j, d]
-                            col_need[d] += need_agg[j, d]
-                ok = True
+                        buf[d] = bin_agg[h, d] - loads[h, d]
+                    v = pairwise_sum(buf, D, frames, partial)
+                if v != v:  # NaN: numpy's argmin/argmax stop here
+                    best = h
+                    break
+                if best < 0:
+                    best = h
+                    best_v = v
+                elif pick == 0 or pick == 4 or pick == 5:
+                    if v > best_v:
+                        best = h
+                        best_v = v
+                elif v < best_v:
+                    best = h
+                    best_v = v
+            if best < 0:
+                placed = False
+                break
+            for d in range(D):
+                loads[best, d] += req_agg[j, d]
+            placements[p, j] = best
+        if not placed:
+            for j in range(J):
+                placements[p, j] = -1
+            min_yields[p] = -np.inf
+            continue
+        feasible += 1
+        # Members of each node in ascending service index.
+        for h in range(H):
+            count[h] = 0
+        for j in range(J):
+            count[placements[p, j]] += 1
+        s = 0
+        for h in range(H):
+            start[h] = s
+            s += count[h]
+            count[h] = 0
+        for j in range(J):
+            h = placements[p, j]
+            members[start[h] + count[h]] = j
+            count[h] += 1
+        y_min = np.inf
+        for h in range(H):
+            K = count[h]
+            if K == 0:
+                continue
+            base = start[h]
+            if D == 1:
+                for q in range(K):
+                    buf[q] = req_agg[members[base + q], 0]
+                col_req[0] = pairwise_sum(buf, K, frames, partial)
+                for q in range(K):
+                    buf[q] = need_agg[members[base + q], 0]
+                col_need[0] = pairwise_sum(buf, K, frames, partial)
+            else:
+                for d in range(D):
+                    col_req[d] = 0.0
+                    col_need[d] = 0.0
                 for q in range(K):
                     j = members[base + q]
                     for d in range(D):
-                        if req_elem[j, d] > bin_elem[h, d] + feas_atol:
-                            ok = False
+                        col_req[d] += req_agg[j, d]
+                        col_need[d] += need_agg[j, d]
+            ok = True
+            for q in range(K):
+                j = members[base + q]
                 for d in range(D):
-                    if col_req[d] > bin_agg[h, d] * agg_scale + feas_atol:
+                    if req_elem[j, d] > bin_elem[h, d] + feas_atol:
                         ok = False
-                y = 0.0
-                if ok:
-                    y = 1.0
-                    for q in range(K):
-                        j = members[base + q]
-                        for d in range(D):
-                            nd = need_elem[j, d]
-                            if nd > 0:
-                                t = (bin_elem[h, d] - req_elem[j, d]) / nd
-                                if t < y:
-                                    y = t
+            for d in range(D):
+                if col_req[d] > bin_agg[h, d] * agg_scale + feas_atol:
+                    ok = False
+            y = 0.0
+            if ok:
+                y = 1.0
+                for q in range(K):
+                    j = members[base + q]
                     for d in range(D):
-                        if col_need[d] > 0:
-                            t = (bin_agg[h, d] - col_req[d]) / col_need[d]
+                        nd = need_elem[j, d]
+                        if nd > 0:
+                            t = (bin_elem[h, d] - req_elem[j, d]) / nd
                             if t < y:
                                 y = t
-                    if not y > 0.0:
-                        y = 0.0
-                if y < y_min:
-                    y_min = y
-            min_yields[p] = y_min
-        return feasible
+                for d in range(D):
+                    if col_need[d] > 0:
+                        t = (bin_agg[h, d] - col_req[d]) / col_need[d]
+                        if t < y:
+                            y = t
+                if not y > 0.0:
+                    y = 0.0
+            if y < y_min:
+                y_min = y
+        min_yields[p] = y_min
+    return feasible
 
-    return greedy_scan
 
-
-#: Uncompiled greedy scan (the ``loops`` reference backend's version).
-greedy_scan = make_greedy_scan(pairwise_sum)

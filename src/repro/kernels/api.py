@@ -15,9 +15,9 @@ and the dynamic simulator dispatch to (see :mod:`repro.kernels`):
   table over a padded ``(B, ...)`` batch of instances;
 * ``incremental_best_fit(req_agg, elem_fit, loads, agg, cap_tol)`` —
   the dynamic simulator's newcomer placement;
-* optionally ``probe_scan(args)`` — the fused META* feasibility probe
-  (one call scans a whole strategy table; advertised via
-  ``supports_probe_scan``);
+* ``probe_scan(args)`` — the fused META* feasibility probe (one call
+  scans a whole strategy table; advertised via ``supports_probe_scan``,
+  which only the numpy backend leaves off);
 * ``greedy_scan(args)`` — METAGREEDY's passes in one call: each pass's
   placement and its minimum yield after the per-node improvement.
 
@@ -27,15 +27,15 @@ equivalence tests), so switching backends never changes results — only
 wall-clock.  Backend selection never depends on the dimension count.
 
 :class:`ArrayKernelBackend` adapts the flat-array loop kernels of
-:mod:`._loops` (or any compiled equivalent with the same signatures) to
-this state-level interface; the numba and native backends are instances
-of it.
+:mod:`._loops` (or the C translation with the same signatures) to this
+state-level interface; the native and loops backends are instances of
+it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Optional, Tuple
+from typing import Any, Tuple
 
 import numpy as np
 
@@ -46,7 +46,7 @@ __all__ = ["KernelBackend", "ArrayKernelBackend", "GreedyScanArgs",
 @dataclass(frozen=True)
 class ProbeScanArgs:
     """Inputs of one fused probe: the instance at a fixed yield plus the
-    precomputed strategy table (see :func:`._loops.make_probe_scan` for
+    precomputed strategy table (see :func:`._loops.probe_scan` for
     the column semantics).  All arrays C-contiguous; index columns int64.
     """
 
@@ -76,7 +76,7 @@ class ProbeScanArgs:
 @dataclass(frozen=True)
 class GreedyScanArgs:
     """Inputs of one greedy scan: an instance's static tables plus the
-    passes to run (see :func:`._loops.make_greedy_scan` for the picker
+    passes to run (see :func:`._loops.greedy_scan` for the picker
     codes and the yield).  All arrays C-contiguous; index columns int64.
     Per-row sums are numpy's (``sum(axis=1)``), so they match the
     reference bit for bit.
@@ -104,7 +104,7 @@ class GreedyScanArgs:
 class KernelBackend:
     """Base class: names the backend and documents the dispatch surface."""
 
-    #: Registry name (``numpy``, ``numba``, ``native``, ``loops``).
+    #: Registry name (``numpy``, ``native``, ``loops``).
     name: str = "?"
 
     def first_fit(self, state: Any, item_order: np.ndarray,
@@ -203,16 +203,13 @@ class ArrayKernelBackend(KernelBackend):
     """State-level adapter over flat-array loop kernels.
 
     *kernels* is any namespace exposing the functions of :mod:`._loops`
-    with identical signatures — the uncompiled module itself, its
-    ``numba.njit`` wrapping, or the ctypes shims of the native backend.
+    with identical signatures — the uncompiled module itself or the
+    ctypes shims of the native backend.
     """
 
-    def __init__(self, name: str, kernels: Any,
-                 warmup: Optional[Callable[[], None]] = None):
+    def __init__(self, name: str, kernels: Any):
         self.name = name
         self._k = kernels
-        if warmup is not None:
-            warmup()
 
     # -- packers -------------------------------------------------------
     def first_fit(self, state: Any, item_order: np.ndarray,
@@ -299,7 +296,7 @@ class ArrayKernelBackend(KernelBackend):
     # -- fused probe ---------------------------------------------------
     @property
     def supports_probe_scan(self) -> bool:
-        return getattr(self._k, "probe_scan", None) is not None
+        return True
 
     def probe_scan(self, args: ProbeScanArgs
                    ) -> Tuple[int, np.ndarray, int]:
@@ -324,16 +321,11 @@ class ArrayKernelBackend(KernelBackend):
     # -- greedy passes -------------------------------------------------
     def greedy_scan(self, args: GreedyScanArgs
                     ) -> Tuple[np.ndarray, np.ndarray]:
-        kernel = getattr(self._k, "greedy_scan", None)
-        if kernel is None:
-            # A scan numba failed to compile: same results, numpy speed.
-            from .numpy_backend import greedy_scan_reference
-            return greedy_scan_reference(args)
         J = args.req_agg.shape[0]
         P = args.pass_order.shape[0]
         placements = np.empty((P, J), dtype=np.int64)
         min_yields = np.empty(P, dtype=np.float64)
-        feasible = kernel(
+        feasible = self._k.greedy_scan(
             args.req_agg, args.req_agg_sum, args.need_dim, args.req_dim,
             args.elem_ok, args.bin_agg, args.bin_agg_sum, args.cap_tol,
             args.req_elem, args.need_elem, args.need_agg, args.bin_elem,

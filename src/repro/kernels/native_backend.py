@@ -24,6 +24,7 @@ from __future__ import annotations
 import ctypes
 import hashlib
 import os
+import shlex
 import subprocess
 import tempfile
 
@@ -813,25 +814,35 @@ def _cache_dir() -> str:
 _CC_IDENTITY: dict = {}
 
 
-def _compiler_identity(cc: str) -> str:
-    """Stable identity string for *cc* (path + first ``--version`` line).
+def _compiler() -> list[str]:
+    """``$CC`` as an argv prefix: split like a shell word list, so
+    ``ccache gcc`` or ``gcc -m64`` work; unset or blank means ``cc``."""
+    try:
+        return shlex.split(os.environ.get("CC", "")) or ["cc"]
+    except ValueError as exc:
+        raise NativeBuildError(f"cannot parse CC: {exc}") from exc
+
+
+def _compiler_identity(cc: list[str]) -> str:
+    """Stable identity string for *cc* (command + first ``--version`` line).
 
     Part of the shared-object cache key: a compiler upgrade changes the
     version banner, so the stale ``.so`` built by the old compiler is
     never picked up.  Unresolvable compilers hash as ``unknown`` — the
     subsequent compile step reports the real error.
     """
-    ident = _CC_IDENTITY.get(cc)
+    command = " ".join(cc)
+    ident = _CC_IDENTITY.get(command)
     if ident is None:
         try:
-            proc = subprocess.run([cc, "--version"], capture_output=True,
+            proc = subprocess.run([*cc, "--version"], capture_output=True,
                                   text=True, timeout=10)
             lines = (proc.stdout or proc.stderr).splitlines()
             ident = lines[0].strip() if lines else "unknown"
         except Exception:
             ident = "unknown"
-        _CC_IDENTITY[cc] = ident
-    return f"{cc}|{ident}"
+        _CC_IDENTITY[command] = ident
+    return f"{command}|{ident}"
 
 
 #: Compiler flags; part of the cache key like the source.
@@ -840,7 +851,7 @@ _CFLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
 
 def _build_library() -> str:
     """Compile (or reuse) the shared object; returns its path."""
-    cc = os.environ.get("CC", "cc")
+    cc = _compiler()
     key = "\0".join((_C_SOURCE, " ".join(_CFLAGS), _compiler_identity(cc)))
     digest = hashlib.sha1(key.encode()).hexdigest()[:16]
     cache = _cache_dir()
@@ -855,11 +866,11 @@ def _build_library() -> str:
             with open(src, "w") as fh:
                 fh.write(_C_SOURCE)
             proc = subprocess.run(
-                [cc, *_CFLAGS, "-o", obj, src],
+                [*cc, *_CFLAGS, "-o", obj, src],
                 capture_output=True, text=True, timeout=120)
             if proc.returncode != 0:
                 raise NativeBuildError(
-                    f"{cc} failed ({proc.returncode}): "
+                    f"{' '.join(cc)} failed ({proc.returncode}): "
                     f"{proc.stderr.strip()[:500]}")
             # Atomic publish: concurrent builders race benignly.
             os.replace(obj, lib_path)

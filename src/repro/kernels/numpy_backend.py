@@ -19,7 +19,7 @@ import numpy as np
 
 from .api import GreedyScanArgs, KernelBackend
 
-__all__ = ["NumpyKernelBackend", "greedy_scan_reference"]
+__all__ = ["NumpyKernelBackend"]
 
 _SENTINEL = np.iinfo(np.int64).max
 
@@ -136,21 +136,6 @@ def _improved_min_yield(a: GreedyScanArgs, placement: np.ndarray) -> float:
         if y >= 0:
             yields[members] = np.maximum(yields[members], y)
     return float(yields.min())
-
-
-def greedy_scan_reference(args: GreedyScanArgs
-                          ) -> tuple[np.ndarray, np.ndarray]:
-    """The greedy scan as a loop over passes (the reference result)."""
-    P = args.pass_order.shape[0]
-    placements = np.full((P, args.req_agg.shape[0]), -1, dtype=np.int64)
-    min_yields = np.full(P, -np.inf)
-    for p in range(P):
-        placement = _greedy_pass(args, args.orders[args.pass_order[p]],
-                                 int(args.pass_pick[p]))
-        if placement is not None:
-            placements[p] = placement
-            min_yields[p] = _improved_min_yield(args, placement)
-    return placements, min_yields
 
 
 class NumpyKernelBackend(KernelBackend):
@@ -364,4 +349,14 @@ class NumpyKernelBackend(KernelBackend):
     # -- greedy passes -------------------------------------------------
     def greedy_scan(self, args: GreedyScanArgs
                     ) -> tuple[np.ndarray, np.ndarray]:
-        return greedy_scan_reference(args)
+        """The greedy scan as a loop over passes (the reference result)."""
+        P = args.pass_order.shape[0]
+        placements = np.full((P, args.req_agg.shape[0]), -1, dtype=np.int64)
+        min_yields = np.full(P, -np.inf)
+        for p in range(P):
+            placement = _greedy_pass(args, args.orders[args.pass_order[p]],
+                                     int(args.pass_pick[p]))
+            if placement is not None:
+                placements[p] = placement
+                min_yields[p] = _improved_min_yield(args, placement)
+        return placements, min_yields

@@ -6,8 +6,7 @@ returns on the numpy backend (which runs the per-strategy engine; the
 others run the fused one), and ``MetaSolver.solve_many`` returns exactly
 what a loop of ``solve_with_hint`` calls returns — placements,
 per-service yields, certified yields, probe counts — with hints honored
-the same way.  The numba leg skips cleanly when the extra isn't
-installed.
+the same way.  The native leg skips cleanly where no C compiler exists.
 """
 
 import json
@@ -38,7 +37,7 @@ DIMS = (1, 2, 3, 5)
 
 def _backend_params():
     out = []
-    for name in ("numpy", "native", "numba", "loops"):
+    for name in ("numpy", "native", "loops"):
         reason = AVAILABILITY.get(name)
         marks = (pytest.mark.skip(reason=reason),) if reason else ()
         out.append(pytest.param(name, marks=marks))
@@ -180,14 +179,8 @@ class TestSolveManyEquivalence:
 
 def _expected_engine(backend):
     """The engine the selector must pick on ordinary instances: numpy has
-    no fused kernel, native and loops always do, numba does whenever it
-    compiled one."""
-    if backend == "numba":
-        with kernels.kernel_backend(backend):
-            fused = kernels.get_backend().supports_probe_scan
-    else:
-        fused = backend != "numpy"
-    return "fused" if fused else "per-strategy"
+    no fused kernel, native and loops do."""
+    return "per-strategy" if backend == "numpy" else "fused"
 
 
 @pytest.mark.parametrize("backend", _backend_params())

@@ -4,7 +4,7 @@ Every backend must return, pass for pass, the numpy reference's
 placement and minimum yield *bit for bit*, and each yield must equal the
 object model's ``Allocation.uniform(...).improve_yields().minimum_yield()``.
 ``loops`` (the uncompiled source) always runs; ``native`` wherever a C
-compiler exists; ``numba`` only when it is installed.
+compiler exists.
 
 D = 1 is the case that needs numpy's summation order: a one-column
 ``sum(axis=0)`` is one contiguous run, which numpy adds pairwise (eight
@@ -12,8 +12,6 @@ accumulators once 8 or more elements remain) rather than in order, so a
 node with 9 or more services exposes any kernel that sums sequentially.
 The pickers' row sums (P2/P4/P6) follow the same rule at D >= 8.
 """
-
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -26,7 +24,6 @@ from repro.core.allocation import Allocation
 from repro.core.node import NodeArray
 from repro.core.service import ServiceArray
 from repro.kernels import _loops
-from repro.kernels.api import ArrayKernelBackend
 from repro.workloads import ScenarioConfig, generate_instance
 
 AVAILABILITY = kernels.available_backends()
@@ -35,7 +32,7 @@ AVAILABILITY["loops"] = None
 
 def _backends():
     out = []
-    for name in ("native", "numba", "loops"):
+    for name in ("native", "loops"):
         reason = AVAILABILITY.get(name)
         marks = () if reason is None else (pytest.mark.skip(reason=reason),)
         out.append(pytest.param(name, marks=marks))
@@ -170,16 +167,6 @@ class TestBackendsMatchNumpy:
             assert np.array_equal(got.yields, ref.yields), name
         with kernels.kernel_backend(backend):
             assert metagreedy()(CASES["infeasible"]) is None
-
-
-def test_backend_without_a_scan_kernel_runs_the_reference(reference):
-    """What a backend whose scan failed to compile (numba) answers."""
-    backend = ArrayKernelBackend("stub", SimpleNamespace(greedy_scan=None))
-    for name, instance in CASES.items():
-        placements, ys = backend.greedy_scan(
-            greedy._scan_args(instance, greedy._ALL_PASSES))
-        assert np.array_equal(placements, reference[name][0]), name
-        assert np.array_equal(ys, reference[name][1]), name
 
 
 def test_metagreedy_keeps_first_best_pass():

@@ -3,9 +3,8 @@
 Every available backend must produce *bit-identical* results — placements,
 loads, load sums, threshold tables, dynamic best-fit choices — for
 identical inputs.  The ``numpy`` backend is the reference; ``loops`` (the
-uncompiled jittable source) always runs; ``native`` runs wherever a C
-compiler exists; ``numba`` runs when the optional extra is installed and
-is skipped cleanly otherwise.
+uncompiled scalar source) always runs; ``native`` runs wherever a C
+compiler exists and is skipped cleanly otherwise.
 """
 
 import numpy as np
@@ -20,13 +19,17 @@ from repro.algorithms.vector_packing import (
 )
 from repro.algorithms.vector_packing.strategies import ProbeContext
 from repro.algorithms.yield_search import binary_search_max_yield
+from repro.kernels import _loops
+from repro.kernels.native_backend import NativeBuildError, load_native_kernels
 from repro.workloads import ScenarioConfig, generate_instance
 
 AVAILABILITY = kernels.available_backends()
+#: What ``auto`` must resolve to here: native wherever the C kernels build.
+AUTO = "native" if AVAILABILITY["native"] is None else "numpy"
 
 
 def _backend_params(include_loops: bool = True):
-    names = ["numpy", "native", "numba"] + (["loops"] if include_loops else [])
+    names = ["numpy", "native"] + (["loops"] if include_loops else [])
     out = []
     for name in names:
         reason = AVAILABILITY.get(name)
@@ -72,14 +75,28 @@ class TestRegistry:
     def test_numpy_always_available(self):
         assert AVAILABILITY["numpy"] is None
 
+    def test_registry_names(self):
+        assert kernels.backend_names() == ("auto", "numpy", "native")
+
     def test_unknown_backend_rejected(self):
-        with pytest.raises(kernels.KernelBackendUnavailable,
-                           match="unknown kernel backend"):
-            kernels.resolve_backend("fortran")
+        for name in ("fortran", "numba"):
+            with pytest.raises(kernels.KernelBackendUnavailable,
+                               match="unknown kernel backend"):
+                kernels.resolve_backend(name)
 
     def test_auto_resolves(self):
-        backend = kernels.resolve_backend("auto")
-        assert backend.name in ("numba", "native", "numpy")
+        assert kernels.resolve_backend("auto").name == AUTO
+
+    def test_auto_falls_back_to_numpy_without_native(self, monkeypatch):
+        def no_compiler():
+            raise kernels.KernelBackendUnavailable("no C compiler")
+
+        monkeypatch.setitem(kernels._FACTORIES, "native", no_compiler)
+        monkeypatch.delitem(kernels._instances, "native", raising=False)
+        assert kernels.resolve_backend("auto").name == "numpy"
+        with pytest.raises(kernels.KernelBackendUnavailable,
+                           match="no C compiler"):
+            kernels.resolve_backend("native")
 
     def test_context_manager_restores(self):
         before = kernels.current_backend_name()
@@ -88,23 +105,50 @@ class TestRegistry:
             assert kernels.current_backend_name() == "numpy"
         assert kernels.current_backend_name() == before
 
-    def test_missing_numba_raises_helpfully(self):
-        if AVAILABILITY["numba"] is None:
-            pytest.skip("numba installed here")
-        with pytest.raises(kernels.KernelBackendUnavailable,
-                           match="numba"):
-            kernels.resolve_backend("numba")
-
     def test_bad_env_var_falls_back(self, monkeypatch):
-        monkeypatch.setenv(kernels.ENV_VAR, "no-such-backend")
+        """A removed backend name left in the environment warns, then
+        runs what ``auto`` picks."""
+        monkeypatch.setenv(kernels.ENV_VAR, "numba")
         monkeypatch.setattr(kernels, "_active", None)
         monkeypatch.setattr(kernels, "_selected", None)
         with pytest.warns(RuntimeWarning, match="falling back to auto"):
             backend = kernels.get_backend()
-        assert backend.name in ("numba", "native", "numpy")
+        assert backend.name == AUTO
         # Reset the cached resolution for later tests.
         monkeypatch.delenv(kernels.ENV_VAR)
         kernels._active = None
+
+
+@pytest.mark.skipif(AVAILABILITY["native"] is not None,
+                    reason=str(AVAILABILITY["native"]))
+@pytest.mark.parametrize("cc", ["env cc", ""])
+def test_native_build_splits_cc(cc, tmp_path, monkeypatch):
+    """``$CC`` is a word list (``ccache gcc``, ``gcc -m64``) and a blank
+    one means ``cc``: either must build, not drop ``auto`` to numpy."""
+    monkeypatch.setenv("CC", cc)
+    monkeypatch.setenv("REPRO_NATIVE_CACHE", str(tmp_path))
+    native = load_native_kernels()
+    assert list(tmp_path.glob("repro_kernels_*.so"))
+
+    def fill(k):
+        loads, load_sum = np.zeros((2, 2)), np.zeros(2)
+        assignment = np.full(3, -1, dtype=np.int64)
+        left = k.ff_fill(np.full((3, 2), 0.5), np.ones((3, 2), dtype=bool),
+                         np.arange(3), np.arange(2), loads, load_sum,
+                         np.ones((2, 2)), np.full(2, np.inf), assignment)
+        return left, assignment.tolist(), loads.tolist()
+
+    assert fill(native) == fill(_loops) == (0, [0, 0, 1],
+                                            [[1.0, 1.0], [0.5, 0.5]])
+
+
+def test_unparsable_cc_is_a_build_error(tmp_path, monkeypatch):
+    """An unbalanced quote in ``$CC`` makes native unavailable (so
+    ``auto`` falls back) instead of escaping as a ``ValueError``."""
+    monkeypatch.setenv("CC", 'cc "')
+    monkeypatch.setenv("REPRO_NATIVE_CACHE", str(tmp_path))
+    with pytest.raises(NativeBuildError, match="cannot parse CC"):
+        load_native_kernels()
 
 
 @pytest.mark.parametrize("backend", _backend_params())

@@ -6,8 +6,7 @@ unused stops as failed.  Every strategy scanned alone must still pack
 exactly when ``execute_strategy`` packs it on a fresh state — with the
 same placement — on tight instances whose demand is 85–110% of the
 capacity, many of them on a 0.05 grid so exact fits happen.  ``native``
-and the uncompiled ``loops`` source always run; ``numba`` only when it
-is installed.
+(wherever a C compiler exists) and the uncompiled ``loops`` source run.
 
 Also here: the kernel's allocation-failure codes, which the adapter
 turns into ``MemoryError`` instead of "no strategy packs".
@@ -66,7 +65,7 @@ STRATEGIES = (hvp_strategies()[::4] + vp_strategies(window=1)[::2]
 
 def _backends():
     out = []
-    for name in ("native", "numba", "loops"):
+    for name in ("native", "loops"):
         reason = AVAILABILITY.get(name)
         marks = () if reason is None else (pytest.mark.skip(reason=reason),)
         out.append(pytest.param(name, marks=marks))
