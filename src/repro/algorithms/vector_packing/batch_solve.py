@@ -13,10 +13,14 @@ equivalence tests).
 
 :class:`FusedProbeEngine` answers each probe with **one** kernel call:
 the strategy list is compiled once into an int64 strategy table (packer
-id, item/bin order rows, window, flags) and the backend's ``probe_scan``
-kernel scans it at the probed yield, returning the first strategy that
-packs together with its placement.  The per-strategy engine instead pays
-a Python-level kernel round trip per strategy tried.
+id, item/bin order rows, window, flags) and bound, with the instance's
+yield-independent arrays and every buffer a probe fills, into one
+kernel table.  Each probe passes the backend's ``probe_scan`` only the
+yield, the scan order and an assignment buffer; the kernel builds the
+probe's demands, fit mask, waste limit and sort orders itself and
+returns the first strategy that packs together with its placement.  The
+per-strategy engine instead pays a Python-level kernel round trip per
+strategy tried.
 
 :func:`solve_many` carries a whole batch of instances through the
 selector: one batched kernel call builds every instance's yield-threshold
@@ -31,7 +35,6 @@ from __future__ import annotations
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from itertools import groupby
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -40,13 +43,12 @@ from ... import obs
 from ...core.allocation import Allocation
 from ...core.instance import ProblemInstance
 from ...kernels import get_backend
-from ...kernels.api import ProbeScanArgs
+from ...kernels.api import SORT_METRICS, ProbeScanArgs
 from ...kernels.batch import BatchInstances
 from ..yield_search import DEFAULT_TOLERANCE, binary_search_max_yield
-from .permutation_pack import codes_overflow, packed_codes
+from .permutation_pack import codes_overflow
 from .probe_engine import MetaProbeEngine, YieldProbeFactory
-from .sorting import SCALAR_METRICS, metric_values, order_indices
-from .state import capacity_tolerance, waste_limit
+from .state import WASTE_MARGIN_RTOL, capacity_tolerance
 from .strategies import BF, CP, FF, PP, VPStrategy
 
 __all__ = ["FusedProbeEngine", "make_engine", "solve_many"]
@@ -55,15 +57,16 @@ __all__ = ["FusedProbeEngine", "make_engine", "solve_many"]
 class FusedProbeEngine:
     """One-kernel-call-per-probe META* feasibility oracle.
 
-    Construction compiles the strategy list into the flat table the
-    backend's ``probe_scan`` kernel consumes.  Build it through
-    :func:`make_engine`, which only picks it for backend/instance pairs
-    that can run fused.
+    Construction compiles the strategy list into a flat table and binds
+    it, with the instance's yield-independent arrays, to the backend's
+    ``probe_scan`` kernel once (``backend.bind_probe_scan``).  Build it
+    through :func:`make_engine`, which only picks it for backend/instance
+    pairs that can run fused.
 
-    Each probe hands the kernel the instance's spare capacity as a waste
-    limit, so a FF or PP/CP run that cannot pack stops as soon as its
-    closed bins leave more capacity unused (``cut_runs`` counts them);
-    outcomes and ``strategy_runs`` are those of full runs.
+    The kernel derives each probe's spare capacity as a waste limit, so
+    a FF or PP/CP run that cannot pack stops as soon as its closed bins
+    leave more capacity unused (``cut_runs`` counts them); outcomes and
+    ``strategy_runs`` are those of full runs.
     """
 
     def __init__(self, instance: ProblemInstance,
@@ -80,47 +83,33 @@ class FusedProbeEngine:
         self.strategy_runs = 0
         self.cut_runs = 0
 
-        nd = instance.nodes
-        J = len(instance.services)
-        H = len(nd)
-        D = instance.services.req_agg.shape[1]
-        self._J, self._H, self._D = J, H, D
-        self._cap_tol = np.ascontiguousarray(
+        sv, nd = instance.services, instance.nodes
+        J, H = len(sv), len(nd)
+        D = sv.req_agg.shape[1]
+        self._J = J
+        cap_tol = np.ascontiguousarray(
             nd.aggregate + capacity_tolerance(nd.aggregate))
-        self._cap_tol_total = self._cap_tol.sum(axis=0)
-        self._bin_agg = np.ascontiguousarray(nd.aggregate, dtype=np.float64)
-        self._bin_agg_sum = np.ascontiguousarray(
-            self._bin_agg.sum(axis=1))
+        bin_agg = np.ascontiguousarray(nd.aggregate, dtype=np.float64)
 
-        # Unique item sorts / bin sorts in first-appearance order, the item
-        # sorts on a scalar metric first: their orders come from one
-        # stacked argsort per probe (LEX and NONE keep order_indices).
-        self._item_sorts = sorted(
-            dict.fromkeys(st.item_sort for st in self.strategies),
-            key=lambda sort: sort.metric not in SCALAR_METRICS)
+        # Unique item sorts / bin sorts in first-appearance order.
+        self._item_sorts = list(dict.fromkeys(
+            st.item_sort for st in self.strategies))
         item_index = {sort: i for i, sort in enumerate(self._item_sorts)}
-        scalar = [sort for sort in self._item_sorts
-                  if sort.metric in SCALAR_METRICS]
-        self._metrics = tuple(dict.fromkeys(sort.metric for sort in scalar))
-        self._key_rows = np.array(
-            [self._metrics.index(sort.metric) for sort in scalar], np.int64)
-        self._key_signs = np.array(
-            [[-1.0 if sort.descending else 1.0] for sort in scalar])
         bin_sorts = list(dict.fromkeys(
             st.bin_sort for st in self.strategies if st.packer != BF))
         bin_index = {sort: i for i, sort in enumerate(bin_sorts)}
         if bin_sorts:
-            self._bin_orders = np.ascontiguousarray(
+            bin_orders = np.ascontiguousarray(
                 np.stack([self.factory.bin_order(s) for s in bin_sorts]),
                 dtype=np.int64)
         else:
-            self._bin_orders = np.empty((0, H), dtype=np.int64)
+            bin_orders = np.empty((0, H), dtype=np.int64)
 
         # The strategy table (see _loops.probe_scan for semantics).
         S = len(self.strategies)
         cols = {name: np.empty(S, dtype=np.int64) for name in
                 ("packer", "item", "bin", "hetero", "w", "choose", "cfg")}
-        walks = {}
+        cfgs: dict = {}  # D == 2 walk configs: (w, choose, item row)
         for s, st in enumerate(self.strategies):
             cols["item"][s] = item_index[st.item_sort]
             cols["hetero"][s] = 1 if st.hetero else 0
@@ -138,20 +127,32 @@ class FusedProbeEngine:
                 cols["bin"][s] = bin_index[st.bin_sort]
                 w = D if st.window is None else max(1, min(st.window, D))
                 cols["w"][s] = w
-                choose = st.packer == CP
-                cols["choose"][s] = 1 if choose else 0
+                choose = 1 if st.packer == CP else 0
+                cols["choose"][s] = choose
                 if D == 2:
-                    walks[s] = (w, choose, int(cols["item"][s]))
-        # D == 2 walk configs, numbered by (w, choose, item row): each
-        # (w, choose) group is a run of rows that one argsort serves.
-        cfgs = sorted(set(walks.values()))
-        for s, key in walks.items():
-            cols["cfg"][s] = cfgs.index(key)
-        self._cols = cols
-        self._n_cfgs = len(cfgs)
-        self._walk_groups = [
-            (w, choose, np.array([row for _, _, row in group], np.int64))
-            for (w, choose), group in groupby(cfgs, key=lambda k: k[:2])]
+                    cols["cfg"][s] = cfgs.setdefault(
+                        (w, choose, int(cols["item"][s])), len(cfgs))
+        cfg = np.array(list(cfgs), dtype=np.int64).reshape(len(cfgs), 3)
+        self._table = self.backend.bind_probe_scan(ProbeScanArgs(
+            req_agg=np.ascontiguousarray(sv.req_agg, dtype=np.float64),
+            need_agg=np.ascontiguousarray(sv.need_agg, dtype=np.float64),
+            y_elem_max=np.ascontiguousarray(self.factory.y_elem_max,
+                                            dtype=np.float64),
+            cap_tol=cap_tol, cap_tol_total=cap_tol.sum(axis=0),
+            bin_agg=bin_agg,
+            bin_agg_sum=np.ascontiguousarray(bin_agg.sum(axis=1)),
+            bin_orders=bin_orders,
+            sort_metric=np.array([SORT_METRICS.index(sort.metric)
+                                  for sort in self._item_sorts], np.int64),
+            sort_desc=np.array([sort.descending
+                                for sort in self._item_sorts], np.int64),
+            st_packer=cols["packer"], st_item=cols["item"],
+            st_bin=cols["bin"], st_hetero=cols["hetero"], st_w=cols["w"],
+            st_choose=cols["choose"], st_cfg=cols["cfg"],
+            cfg_w=np.ascontiguousarray(cfg[:, 0]),
+            cfg_choose=np.ascontiguousarray(cfg[:, 1]),
+            cfg_item=np.ascontiguousarray(cfg[:, 2]),
+            waste_rtol=WASTE_MARGIN_RTOL))
         self._scan_cold = np.arange(S, dtype=np.int64)
 
     @property
@@ -178,73 +179,22 @@ class FusedProbeEngine:
                                   and hint_before is not None))
         return placement
 
-    def _scan_args(self, y: float, scan: np.ndarray) -> ProbeScanArgs:
-        """The ``probe_scan`` inputs for scanning *scan* at yield *y*."""
-        sv = self.instance.services
-        J, D = self._J, self._D
-        item_agg = np.ascontiguousarray(sv.req_agg + y * sv.need_agg)
-        item_agg_sum = item_agg.sum(axis=1)
-        elem_ok = np.ascontiguousarray(self.factory.y_elem_max >= y)
-        SI = len(self._item_sorts)
-        n = len(self._key_rows)
-        item_orders = np.empty((SI, J), dtype=np.int64)
-        if n:
-            values = np.stack([metric_values(item_agg, metric)
-                               for metric in self._metrics])
-            item_orders[:n] = np.argsort(
-                values[self._key_rows] * self._key_signs, axis=1,
-                kind="stable")
-        for row in range(n, SI):
-            item_orders[row] = order_indices(item_agg, self._item_sorts[row])
-        tie_ranks = np.empty((SI, J), dtype=np.int64)
-        np.put_along_axis(tie_ranks, item_orders, np.broadcast_to(
-            np.arange(J, dtype=np.int64), (SI, J)), axis=1)
-        item_dim_perm = np.ascontiguousarray(
-            np.argsort(-item_agg, axis=1, kind="stable"), dtype=np.int64)
-        # pp_orders[k, c] walks config c under ranking (0, 1) for k = 0,
-        # (1, 0) for k = 1: one argsort per (w, choose) group.
-        pp_orders = np.empty((2, self._n_cfgs, J), dtype=np.int64)
-        lo = 0
-        for w, choose, rows in self._walk_groups:
-            perm_w = item_dim_perm[:, :w]
-            pp_orders[:, lo:lo + len(rows)] = np.argsort(np.stack([
-                packed_codes(perm_w, ranking, D, J, tie_ranks[rows], choose)
-                for ranking in ((0, 1), (1, 0))]), axis=2)
-            lo += len(rows)
-        cols = self._cols
-        return ProbeScanArgs(
-            item_agg=item_agg, item_agg_sum=item_agg_sum, elem_ok=elem_ok,
-            cap_tol=self._cap_tol, bin_agg=self._bin_agg,
-            bin_agg_sum=self._bin_agg_sum,
-            waste_limit=waste_limit(self._cap_tol_total,
-                                    item_agg.sum(axis=0)),
-            item_orders=item_orders, tie_ranks=tie_ranks,
-            bin_orders=self._bin_orders, item_dim_perm=item_dim_perm,
-            pp_order0=pp_orders[0], pp_order1=pp_orders[1],
-            st_packer=cols["packer"], st_item=cols["item"],
-            st_bin=cols["bin"], st_hetero=cols["hetero"], st_w=cols["w"],
-            st_choose=cols["choose"], st_cfg=cols["cfg"], scan=scan)
-
     def _probe(self, y: float) -> Optional[np.ndarray]:
         """One fused feasibility probe."""
         self.probes += 1
         if y > self.factory.infeasible_above:
             return None
-        S = self._scan_cold.shape[0]
         hint = self.hint
-        if hint is None:
-            scan = self._scan_cold
-        else:
+        scan = self._scan_cold
+        if hint is not None:
             # Hint-first, then list order — the MetaProbeEngine scan.
-            scan = np.empty(S, dtype=np.int64)
-            scan[0] = hint
-            scan[1:hint + 1] = self._scan_cold[:hint]
-            scan[hint + 1:] = self._scan_cold[hint + 1:]
-        si, assignment, cuts = self.backend.probe_scan(
-            self._scan_args(y, scan))
+            scan = np.concatenate(
+                (scan[hint:hint + 1], scan[:hint], scan[hint + 1:]))
+        assignment = np.empty(self._J, dtype=np.int64)
+        si, cuts = self.backend.probe_scan(self._table, y, scan, assignment)
         self.cut_runs += cuts
         if si < 0:
-            self.strategy_runs += S
+            self.strategy_runs += scan.shape[0]
             return None
         self.strategy_runs += si + 1
         self.hint = int(scan[si])

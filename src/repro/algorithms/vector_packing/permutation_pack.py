@@ -103,10 +103,10 @@ def packed_codes(item_perm_w: np.ndarray, ranking, D: int, J: int,
 
     ``item_perm_w`` is the hoisted ``(J, w)`` window of each item's
     dimension permutation; the code is the ``w`` mapped key digits (base
-    ``D``) followed by the item-sort tie-break rank.  Shared by the
-    strategy-run path below and the fused batch probe
-    (:mod:`.batch_solve`), so the two can never drift.  A ``(R, J)``
-    *tie_rank* (one row per item sort) gives ``(R, J)`` codes.
+    ``D``) followed by the item-sort tie-break rank.  The strategy-run
+    path below sorts by these codes; the fused probe's kernel builds its
+    2-D walk orders without them, and the tests diff those walks against
+    ``argsort`` of these codes.
     """
     rank_arr = np.asarray(ranking, dtype=np.int64)
     keys = rank_arr[item_perm_w]                         # (J, w)

@@ -56,7 +56,9 @@ def waste_limit(cap_tol_total: np.ndarray,
     A fill that packs every item leaves exactly this much unused over all
     bins, so a bin-major fill whose closed bins already leave more cannot
     pack (the fused probe's waste cut, see
-    :func:`repro.kernels._loops.probe_scan`).
+    :func:`repro.kernels._loops.probe_scan`).  The fused probe's kernel
+    computes the limit itself (:func:`repro.kernels._loops.probe_inputs`);
+    this is the reference the tests diff it against.
     """
     return (cap_tol_total - demand_total
             + WASTE_MARGIN_RTOL * (cap_tol_total + demand_total))

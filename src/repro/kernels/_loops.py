@@ -23,8 +23,12 @@ same *placements* but accumulate bin loads in a different float order
 every backend shares — backend choice itself never depends on D.
 
 :func:`probe_scan` is the fused META* probe: one kernel call that
-scans a whole strategy table at a fixed yield, eliminating the
-per-strategy Python dispatch that dominates batched solving.
+builds the probe's inputs at the probed yield (:func:`probe_inputs`,
+then each strategy's item order, dimension permutation and 2-D walk
+orders on first use) and scans a whole strategy table, with no
+per-strategy Python dispatch and no per-probe numpy work.  Its
+yield-independent arrays and buffers come bound in one table
+(:class:`repro.kernels.api.ProbeTable`).
 :func:`greedy_scan` does the same for METAGREEDY: one call runs a
 list of greedy passes and returns each pass's placement and its minimum
 yield after the per-node closed-form improvement.  Where the numpy
@@ -52,7 +56,12 @@ __all__ = [
     "affine_fit_thresholds",
     "batch_fit_thresholds",
     "incremental_best_fit",
+    "bind_probe_table",
     "probe_scan",
+    "probe_inputs",
+    "build_item_order",
+    "build_dim_perm",
+    "build_walk_orders",
     "pairwise_sum",
     "greedy_scan",
     "CUT",
@@ -472,21 +481,28 @@ def incremental_best_fit(req_agg, elem_fit, loads, agg, cap_tol, out):
     return placed
 
 
-def probe_scan(item_agg, item_agg_sum, elem_ok, cap_tol, bin_agg,
-               bin_agg_sum, waste_limit, item_orders, tie_ranks,
-               bin_orders, item_dim_perm, pp_order0, pp_order1,
-               st_packer, st_item, st_bin, st_hetero, st_w,
-               st_choose, st_cfg, scan, loads, load_sum, assignment,
-               cut_runs):
-    """The fused META* feasibility probe: one call scans a strategy table.
+def bind_probe_table(t):
+    """The handle :func:`probe_scan` takes besides table *t*: none, since
+    this reference reads the table's arrays directly (the C translation
+    binds a struct of their pointers instead)."""
+    return None
 
-    For each strategy in ``scan`` order it resets the scratch state and
-    executes the strategy's packer with the precomputed orders from the
-    strategy table, stopping at the first full packing.  Returns the
-    *position in* ``scan`` of the winning strategy (its placement is left
-    in ``assignment``), or -1 when no strategy packs (the C translation
-    returns -2 when it cannot allocate its scratch).  ``cut_runs[0]``
-    receives the number of runs that stopped at the waste cut.
+
+def probe_scan(t, y, scan, assignment):
+    """The fused META* feasibility probe: one call builds the probe's
+    inputs at yield *y* and scans a strategy table.
+
+    *t* is a bound table (:class:`repro.kernels.api.ProbeTable`): the
+    instance's yield-independent arrays, the strategy table, and the
+    buffers this function fills.  :func:`probe_inputs` first builds the
+    per-probe arrays every strategy shares; then, for each strategy in
+    ``scan`` order, the strategy's item order (and, for PP/CP, the
+    dimension permutation and 2-D walk orders) is built on first use,
+    the scratch state is reset and the strategy's packer runs, stopping
+    at the first full packing.  Returns the *position in* ``scan`` of the
+    winning strategy (its placement is left in ``assignment``), or -1
+    when no strategy packs.  ``t.cut_runs[0]`` receives the number of
+    runs that stopped at the waste cut.
 
     **The waste cut.**  ``waste_limit[d]`` is the capacity the whole
     instance can spare in dimension *d*: the sum of ``cap_tol`` over the
@@ -510,49 +526,281 @@ def probe_scan(item_agg, item_agg_sum, elem_ok, cap_tol, bin_agg,
     * ``st_cfg``    — row into ``pp_order0``/``pp_order1`` for the 2-D
       PP/CP walk (-1 when unused, i.e. FF/BF or D != 2).
     """
-    J = item_agg.shape[0]
-    H = cap_tol.shape[0]
-    D = item_agg.shape[1]
-    cut_runs[0] = 0
+    J = t.J
+    H = t.H
+    D = t.D
+    probe_inputs(t, y)
+    t.cut_runs[0] = 0
     for si in range(scan.shape[0]):
         s = scan[si]
+        packer = t.st_packer[s]
+        if t.built[t.st_item[s]] == 0:
+            build_item_order(t, t.st_item[s])
+        if packer == 2:
+            if t.built[t.SI] == 0:
+                build_dim_perm(t)
+            if D == 2 and t.built[t.SI + 1 + t.st_cfg[s]] == 0:
+                build_walk_orders(t, t.st_cfg[s])
         for h in range(H):
-            load_sum[h] = 0.0
+            t.load_sum[h] = 0.0
             for d in range(D):
-                loads[h, d] = 0.0
+                t.loads[h, d] = 0.0
         for j in range(J):
             assignment[j] = -1
-        packer = st_packer[s]
-        item_order = item_orders[st_item[s]]
-        hetero = st_hetero[s] != 0
+        item_order = t.item_orders[t.st_item[s]]
+        hetero = t.st_hetero[s] != 0
         if packer == 1:
-            if bf_pack(item_agg, item_agg_sum, elem_ok, item_order,
-                       loads, load_sum, cap_tol, bin_agg_sum, hetero,
-                       assignment) == 1:
+            if bf_pack(t.item_agg, t.item_agg_sum, t.elem_ok, item_order,
+                       t.loads, t.load_sum, t.cap_tol, t.bin_agg_sum,
+                       hetero, assignment) == 1:
                 return si
             continue
         if packer == 0:
-            left = ff_fill(item_agg, elem_ok, item_order,
-                           bin_orders[st_bin[s]], loads, load_sum,
-                           cap_tol, waste_limit, assignment)
+            left = ff_fill(t.item_agg, t.elem_ok, item_order,
+                           t.bin_orders[t.st_bin[s]], t.loads, t.load_sum,
+                           t.cap_tol, t.waste_limit, assignment)
         elif D == 2:
-            left = pp_fill_2d(item_agg, elem_ok, pp_order0[st_cfg[s]],
-                              pp_order1[st_cfg[s]],
-                              bin_orders[st_bin[s]], loads, load_sum,
-                              cap_tol, bin_agg, hetero, waste_limit,
-                              assignment)
+            left = pp_fill_2d(t.item_agg, t.elem_ok,
+                              t.pp_order0[t.st_cfg[s]],
+                              t.pp_order1[t.st_cfg[s]],
+                              t.bin_orders[t.st_bin[s]], t.loads,
+                              t.load_sum, t.cap_tol, t.bin_agg, hetero,
+                              t.waste_limit, assignment)
         else:
-            left = pp_fill_general(item_agg, item_agg_sum, elem_ok,
-                                   item_dim_perm, tie_ranks[st_item[s]],
-                                   st_w[s], st_choose[s] != 0,
-                                   bin_orders[st_bin[s]], loads,
-                                   load_sum, cap_tol, bin_agg, hetero,
-                                   waste_limit, assignment)
+            left = pp_fill_general(t.item_agg, t.item_agg_sum, t.elem_ok,
+                                   t.item_dim_perm, t.tie_ranks[t.st_item[s]],
+                                   t.st_w[s], t.st_choose[s] != 0,
+                                   t.bin_orders[t.st_bin[s]], t.loads,
+                                   t.load_sum, t.cap_tol, t.bin_agg, hetero,
+                                   t.waste_limit, assignment)
         if left == 0:
             return si
         if left == CUT:
-            cut_runs[0] += 1
+            t.cut_runs[0] += 1
     return -1
+
+
+def probe_inputs(t, y):
+    """The per-probe arrays every strategy shares, built from yield *y*.
+
+    Each equals what numpy builds from the same inputs, bit for bit:
+
+    * ``item_agg = req_agg + y * need_agg``;
+    * ``item_agg_sum = item_agg.sum(axis=1)`` — :func:`pairwise_sum` over
+      each row, so rows of 8 or more use numpy's blocked order;
+    * ``elem_ok = y_elem_max >= y``;
+    * ``waste_limit`` — ``vector_packing.state.waste_limit`` of
+      ``cap_tol_total`` and ``item_agg.sum(axis=0)``.  numpy sums a
+      ``(J, 1)`` column pairwise (one contiguous run) but adds the rows
+      of a ``(J, D >= 2)`` array in order, and so does this.
+
+    It also marks every lazily built row (item orders, dimension
+    permutation, walk orders) stale for this probe.
+    """
+    J = t.J
+    H = t.H
+    D = t.D
+    for j in range(J):
+        for d in range(D):
+            t.item_agg[j, d] = t.req_agg[j, d] + y * t.need_agg[j, d]
+        t.item_agg_sum[j] = pairwise_sum(t.item_agg[j], D, t.frames,
+                                         t.partial)
+        for h in range(H):
+            t.elem_ok[j, h] = t.y_elem_max[j, h] >= y
+    if D == 1:
+        t.waste_limit[0] = pairwise_sum(t.item_agg[:, 0], J, t.frames,
+                                        t.partial)
+    else:
+        for d in range(D):
+            t.waste_limit[d] = 0.0
+        for j in range(J):
+            for d in range(D):
+                t.waste_limit[d] += t.item_agg[j, d]
+    for d in range(D):
+        total = t.waste_limit[d]
+        t.waste_limit[d] = (t.cap_tol_total[d] - total
+                            + t.waste_rtol * (t.cap_tol_total[d] + total))
+    for i in range(t.SI + 1 + t.NC):
+        t.built[i] = 0
+    return 0
+
+
+def sort_value(t, j, metric):
+    """``metric_values`` of item *j* (metric codes: 0 MAX, 1 SUM,
+    2 MAXRATIO, 3 MAXDIFFERENCE): the maximum and minimum propagate NaN
+    as numpy's do, and MAXRATIO is ``+inf`` for a zero minimum under a
+    positive maximum and 1 where neither applies."""
+    if metric == 1:
+        return t.item_agg_sum[j]
+    hi = t.item_agg[j, 0]
+    lo = hi
+    for d in range(1, t.D):
+        v = t.item_agg[j, d]
+        if not (hi >= v or hi != hi):
+            hi = v
+        if not (lo <= v or lo != lo):
+            lo = v
+    if metric == 0:
+        return hi
+    if metric == 3:
+        return hi - lo
+    if lo > 0:
+        return hi / lo
+    if lo == 0 and hi > 0:
+        return np.inf
+    return 1.0
+
+
+def sorts_before(t, a, b, lex, desc):
+    """Whether item *a* sorts strictly before item *b*: on ``sort_key``,
+    or (LEX) on the demand rows compared from dimension 0, negated when
+    *desc*.  Floats compare in numpy's sort order, NaN after every
+    number, so equal keys (and 0.0 against -0.0) are ties."""
+    if not lex:
+        u = t.sort_key[a]
+        v = t.sort_key[b]
+        return u < v or (v != v and u == u)
+    for d in range(t.D):
+        u = t.item_agg[a, d]
+        v = t.item_agg[b, d]
+        if desc:
+            u = -u
+            v = -v
+        if u < v or (v != v and u == u):
+            return True
+        if v < u or (u != u and v == v):
+            return False
+    return False
+
+
+def build_item_order(t, r):
+    """Item order *r* of the probe and its tie ranks, equal to
+    ``order_indices(item_agg, sort)`` and ``rank_from_order`` of it.
+
+    ``sort_metric[r]`` codes the sort's metric (0 MAX, 1 SUM, 2 MAXRATIO,
+    3 MAXDIFFERENCE, 4 LEX, 5 NONE) and ``sort_desc[r]`` its direction.
+    A stable bottom-up merge sort on the metric's value (negated when
+    descending) or on the LEX rows gives numpy's stable ``argsort`` and
+    ``lexsort`` orders: a stable sort's result is unique.
+    """
+    J = t.J
+    metric = t.sort_metric[r]
+    desc = t.sort_desc[r] != 0
+    order = t.item_orders[r]
+    for j in range(J):
+        order[j] = j
+    if metric != 5:
+        lex = metric == 4
+        if not lex:
+            for j in range(J):
+                v = sort_value(t, j, metric)
+                t.sort_key[j] = -v if desc else v
+        src = order
+        dst = t.sort_tmp
+        width = 1
+        while width < J:
+            lo = 0
+            while lo < J:
+                mid = min(lo + width, J)
+                hi = min(lo + 2 * width, J)
+                a = lo
+                b = mid
+                k = lo
+                while a < mid and b < hi:
+                    if sorts_before(t, src[b], src[a], lex, desc):
+                        dst[k] = src[b]
+                        b += 1
+                    else:
+                        dst[k] = src[a]
+                        a += 1
+                    k += 1
+                while a < mid:
+                    dst[k] = src[a]
+                    a += 1
+                    k += 1
+                while b < hi:
+                    dst[k] = src[b]
+                    b += 1
+                    k += 1
+                lo = hi
+            tmp = src
+            src = dst
+            dst = tmp
+            width *= 2
+        if src is not order:
+            for i in range(J):
+                order[i] = src[i]
+    for i in range(J):
+        t.tie_ranks[r, order[i]] = i
+    t.built[r] = 1
+    return 0
+
+
+def build_dim_perm(t):
+    """Each item's dimensions by descending demand, ties in dimension
+    order: ``np.argsort(-item_agg, axis=1, kind="stable")``."""
+    for j in range(t.J):
+        for d in range(t.D):
+            t.item_dim_perm[j, d] = d
+        for a in range(1, t.D):  # stable insertion sort on -demand
+            pd = t.item_dim_perm[j, a]
+            kv = -t.item_agg[j, pd]
+            b = a - 1
+            while b >= 0:
+                u = -t.item_agg[j, t.item_dim_perm[j, b]]
+                if not (kv < u or (u != u and kv == kv)):
+                    break
+                t.item_dim_perm[j, b + 1] = t.item_dim_perm[j, b]
+                b -= 1
+            t.item_dim_perm[j, b + 1] = pd
+    t.built[t.SI] = 1
+    return 0
+
+
+def build_walk_orders(t, c):
+    """The 2-D PP/CP walk orders of config *c*: ``pp_order0[c]`` and
+    ``pp_order1[c]`` equal ``np.argsort(packed_codes(...))`` under the
+    dimension rankings (0, 1) and (1, 0).
+
+    Config *c* packs ``cfg_w[c]`` key digits (Choose-Pack when
+    ``cfg_choose[c]``) ahead of the tie ranks of item order
+    ``cfg_item[c]``.  A code sorts by its digits, then by tie rank, so
+    the walk lists the items of each digit value in turn, each in item
+    order.  At D = 2 a dimension's key under ranking (1, 0) is one minus
+    its key under (0, 1), and there are at most 2**2 digit values.
+    """
+    J = t.J
+    w = t.cfg_w[c]
+    choose = t.cfg_choose[c] != 0
+    r = t.cfg_item[c]
+    if t.built[r] == 0:
+        build_item_order(t, r)
+    order = t.item_orders[r]
+    digit = t.sort_tmp
+    for k in range(2):
+        walk = t.pp_order0[c] if k == 0 else t.pp_order1[c]
+        for i in range(J):
+            j = order[i]
+            k0 = t.item_dim_perm[j, 0]
+            if k == 1:
+                k0 = 1 - k0
+            if w == 1:
+                digit[i] = k0
+            else:
+                k1 = t.item_dim_perm[j, 1]
+                if k == 1:
+                    k1 = 1 - k1
+                if choose and k1 < k0:
+                    k0, k1 = k1, k0
+                digit[i] = 2 * k0 + k1
+        n = 0
+        for v in range(2 if w == 1 else 4):
+            for i in range(J):
+                if digit[i] == v:
+                    walk[n] = order[i]
+                    n += 1
+    t.built[t.SI + 1 + c] = 1
+    return 0
 
 
 def pairwise_sum(buf, n, frames, partial):

@@ -15,9 +15,15 @@ and the dynamic simulator dispatch to (see :mod:`repro.kernels`):
   table over a padded ``(B, ...)`` batch of instances;
 * ``incremental_best_fit(req_agg, elem_fit, loads, agg, cap_tol)`` —
   the dynamic simulator's newcomer placement;
-* ``probe_scan(args)`` — the fused META* feasibility probe (one call
-  scans a whole strategy table; advertised via ``supports_probe_scan``,
-  which only the numpy backend leaves off);
+* ``bind_probe_scan(args)`` / ``probe_scan(table, y, scan, assignment)``
+  — the fused META* feasibility probe.  An engine binds its
+  yield-independent tables once (:class:`ProbeScanArgs`, checked for
+  dtype, contiguity, shape and index ranges at bind time) into a
+  :class:`ProbeTable`; each probe then passes only the yield, the scan
+  order and an assignment buffer, and the kernel builds the probe's
+  inputs itself and scans the whole strategy table in one call
+  (advertised via ``supports_probe_scan``, which only the numpy backend
+  leaves off);
 * ``greedy_scan(args)`` — METAGREEDY's passes in one call: each pass's
   placement and its minimum yield after the per-node improvement.
 
@@ -34,43 +40,161 @@ it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Tuple
+from dataclasses import dataclass, field, fields
+from typing import Any, Dict, Tuple
 
 import numpy as np
 
 __all__ = ["KernelBackend", "ArrayKernelBackend", "GreedyScanArgs",
-           "ProbeScanArgs"]
+           "ProbeScanArgs", "ProbeTable", "SORT_METRICS"]
+
+#: Item-sort metrics in the order of ``ProbeScanArgs.sort_metric`` codes.
+SORT_METRICS = ("MAX", "SUM", "MAXRATIO", "MAXDIFFERENCE", "LEX", "NONE")
+
+
+def _array(dtype: type, *shape: str) -> Any:
+    """A :class:`ProbeScanArgs` array field: its dtype and its shape in
+    the table's dimension names, checked at bind time."""
+    return field(metadata={"dtype": np.dtype(dtype), "shape": shape})
 
 
 @dataclass(frozen=True)
 class ProbeScanArgs:
-    """Inputs of one fused probe: the instance at a fixed yield plus the
-    precomputed strategy table (see :func:`._loops.probe_scan` for
-    the column semantics).  All arrays C-contiguous; index columns int64.
+    """The yield-independent inputs of the fused probe: one instance and
+    one compiled strategy list (see :func:`._loops.probe_scan` for the
+    strategy table's columns).
+
+    Dimensions: J items, H bins, D resource dimensions, S strategies,
+    SI distinct item sorts, SB distinct bin orders, NC 2-D walk configs.
+    Every array must be C-contiguous with exactly the dtype and shape
+    declared here; :class:`ProbeTable` checks that once, at bind time.
     """
 
-    item_agg: np.ndarray        # (J, D) float64
-    item_agg_sum: np.ndarray    # (J,)   float64
-    elem_ok: np.ndarray         # (J, H) bool
-    cap_tol: np.ndarray         # (H, D) float64
-    bin_agg: np.ndarray         # (H, D) float64
-    bin_agg_sum: np.ndarray     # (H,)   float64
-    waste_limit: np.ndarray     # (D,)   float64 spare capacity (waste cut)
-    item_orders: np.ndarray     # (SI, J) distinct item orders
-    tie_ranks: np.ndarray       # (SI, J) rank of each item per order
-    bin_orders: np.ndarray      # (SB, H) distinct bin orders
-    item_dim_perm: np.ndarray   # (J, D) per-item dimension permutation
-    pp_order0: np.ndarray       # (NC, J) 2-D walk order, ranking (0, 1)
-    pp_order1: np.ndarray       # (NC, J) 2-D walk order, ranking (1, 0)
-    st_packer: np.ndarray       # (S,) 0=FF 1=BF 2=PP/CP
-    st_item: np.ndarray         # (S,) row into item_orders/tie_ranks
-    st_bin: np.ndarray          # (S,) row into bin_orders (-1 for BF)
-    st_hetero: np.ndarray       # (S,) heterogeneous flag
-    st_w: np.ndarray            # (S,) effective PP/CP window
-    st_choose: np.ndarray       # (S,) 1 for Choose-Pack
-    st_cfg: np.ndarray          # (S,) row into pp_order0/1 (-1 if unused)
-    scan: np.ndarray            # scan order over strategy rows
+    req_agg: np.ndarray = _array(np.float64, "J", "D")
+    need_agg: np.ndarray = _array(np.float64, "J", "D")
+    #: Largest yield at which each item fits each bin elementarily.
+    y_elem_max: np.ndarray = _array(np.float64, "J", "H")
+    #: Aggregate fit bound (capacity plus tolerance) and its column sums.
+    cap_tol: np.ndarray = _array(np.float64, "H", "D")
+    cap_tol_total: np.ndarray = _array(np.float64, "D")
+    bin_agg: np.ndarray = _array(np.float64, "H", "D")
+    bin_agg_sum: np.ndarray = _array(np.float64, "H")
+    #: The distinct bin orders (static: capacities do not move).
+    bin_orders: np.ndarray = _array(np.int64, "SB", "H")
+    #: Each distinct item sort: its metric (index into
+    #: :data:`SORT_METRICS`) and 1 when descending.
+    sort_metric: np.ndarray = _array(np.int64, "SI")
+    sort_desc: np.ndarray = _array(np.int64, "SI")
+    #: The strategy table, one row per strategy.
+    st_packer: np.ndarray = _array(np.int64, "S")  # 0 FF, 1 BF, 2 PP/CP
+    st_item: np.ndarray = _array(np.int64, "S")    # item sort row
+    st_bin: np.ndarray = _array(np.int64, "S")     # bin order row (BF: -1)
+    st_hetero: np.ndarray = _array(np.int64, "S")  # heterogeneous flag
+    st_w: np.ndarray = _array(np.int64, "S")       # effective PP/CP window
+    st_choose: np.ndarray = _array(np.int64, "S")  # 1 for Choose-Pack
+    st_cfg: np.ndarray = _array(np.int64, "S")     # 2-D walk config or -1
+    #: Each 2-D PP/CP walk config: window, Choose-Pack flag, item sort row.
+    cfg_w: np.ndarray = _array(np.int64, "NC")
+    cfg_choose: np.ndarray = _array(np.int64, "NC")
+    cfg_item: np.ndarray = _array(np.int64, "NC")
+    #: Relative float margin of the waste limit (``WASTE_MARGIN_RTOL``).
+    waste_rtol: float
+
+
+def _bad(name: str, what: str) -> ValueError:
+    return ValueError(f"probe table: {name} {what}")
+
+
+def _check_probe_args(args: ProbeScanArgs) -> Dict[str, int]:
+    """The table's dimensions, after checking every array's dtype,
+    contiguity and shape, and every index the kernel follows."""
+    dims: Dict[str, int] = {}
+    for f in fields(args):
+        shape = f.metadata.get("shape")
+        if shape is None:
+            continue
+        arr = getattr(args, f.name)
+        if not isinstance(arr, np.ndarray) or arr.dtype != f.metadata["dtype"]:
+            raise TypeError(f"probe table: {f.name} must be a "
+                            f"{f.metadata['dtype']} array, not "
+                            f"{getattr(arr, 'dtype', type(arr).__name__)}")
+        if not arr.flags.c_contiguous:
+            raise _bad(f.name, "is not C-contiguous")
+        if arr.ndim != len(shape):
+            raise _bad(f.name, f"has shape {arr.shape}, expected "
+                               f"({', '.join(shape)})")
+        for dim, n in zip(shape, arr.shape):
+            if dims.setdefault(dim, n) != n:
+                raise _bad(f.name, f"has {dim} = {n}, expected {dims[dim]}")
+    D, J = dims["D"], dims["J"]
+    if D < 1:
+        raise _bad("req_agg", "has no resource dimension")
+    packer = args.st_packer
+    fill = packer != 1
+    pp = packer == 2
+    walk = pp if D == 2 else np.zeros_like(pp)
+    checks: Tuple[Tuple[str, np.ndarray, int, int], ...] = (
+        ("bin_orders", args.bin_orders, 0, dims["H"]),
+        ("sort_metric", args.sort_metric, 0, len(SORT_METRICS)),
+        ("st_packer", packer, 0, 3),
+        ("st_item", args.st_item, 0, dims["SI"]),
+        ("st_bin", args.st_bin[fill], 0, dims["SB"]),
+        ("st_w", args.st_w[pp], 1, D + 1),
+        ("st_cfg", args.st_cfg[walk], 0, dims["NC"]),
+        ("cfg_w", args.cfg_w, 1, 3 if D == 2 else 1),
+        ("cfg_item", args.cfg_item, 0, dims["SI"]),
+    )
+    for name, values, lo, hi in checks:
+        if values.size and (values.min() < lo or values.max() >= hi):
+            raise _bad(name, f"has an entry outside [{lo}, {hi})")
+    if pp.any() and D ** int(args.st_w[pp].max()) * (J + 1) >= 2 ** 62:
+        raise _bad("st_w", "gives PP/CP codes that overflow an int64")
+    return dims
+
+
+class ProbeTable:
+    """A fused probe's bound table: the checked :class:`ProbeScanArgs`
+    plus every buffer a probe fills, allocated once.
+
+    The kernel writes the probe's inputs into ``item_agg``,
+    ``item_agg_sum``, ``elem_ok`` (uint8), ``waste_limit``,
+    ``item_orders``/``tie_ranks`` (``(SI, J)``), ``item_dim_perm`` and
+    ``pp_order0``/``pp_order1`` (``(NC, J)``), each lazily built row
+    marked in ``built``; the rest is scratch.  ``handle`` is what a
+    compiled backend binds (the C struct of these arrays' pointers); the
+    table holds every array it points into, so they live as long as it.
+    """
+
+    def __init__(self, args: ProbeScanArgs):
+        dims = _check_probe_args(args)
+        J, H, D = dims["J"], dims["H"], dims["D"]
+        SI, NC = dims["SI"], dims["NC"]
+        self.J, self.H, self.D = J, H, D
+        self.S, self.SI, self.SB, self.NC = dims["S"], SI, dims["SB"], NC
+        for f in fields(args):
+            setattr(self, f.name, getattr(args, f.name))
+        self.waste_rtol = float(args.waste_rtol)
+        self.item_agg = np.zeros((J, D))
+        self.item_agg_sum = np.zeros(J)
+        self.elem_ok = np.zeros((J, H), dtype=np.uint8)
+        self.waste_limit = np.zeros(D)
+        self.item_orders = np.zeros((SI, J), dtype=np.int64)
+        self.tie_ranks = np.zeros((SI, J), dtype=np.int64)
+        self.item_dim_perm = np.zeros((J, D), dtype=np.int64)
+        self.pp_order0 = np.zeros((NC, J), dtype=np.int64)
+        self.pp_order1 = np.zeros((NC, J), dtype=np.int64)
+        self.built = np.zeros(SI + 1 + NC, dtype=np.uint8)
+        self.loads = np.zeros((H, D))
+        self.load_sum = np.zeros(H)
+        self.sort_key = np.zeros(J)
+        self.sort_tmp = np.zeros(J, dtype=np.int64)
+        self.work_i = np.zeros(J + 3 * D, dtype=np.int64)
+        self.work_f = np.zeros(2 * D)
+        self.dead = np.zeros(J, dtype=np.uint8)
+        self.frames = np.zeros((128, 3), dtype=np.int64)
+        self.partial = np.zeros(64)
+        self.cut_runs = np.zeros(1, dtype=np.int64)
+        self.handle: Any = None
 
 
 @dataclass(frozen=True)
@@ -156,14 +280,20 @@ class KernelBackend:
         """True when :meth:`probe_scan` is backed by a fused kernel."""
         return False
 
-    def probe_scan(self, args: ProbeScanArgs
-                   ) -> Tuple[int, np.ndarray, int]:
-        """Run one fused probe; returns ``(scan position, assignment,
+    def bind_probe_scan(self, args: ProbeScanArgs) -> ProbeTable:
+        """Check *args* and bind them, with the buffers a probe fills,
+        into one table for :meth:`probe_scan`; once per engine."""
+        raise NotImplementedError
+
+    def probe_scan(self, table: ProbeTable, y: float, scan: np.ndarray,
+                   assignment: np.ndarray) -> Tuple[int, int]:
+        """Run one fused probe at yield *y*; returns ``(scan position,
         cut runs)``.
 
-        The position indexes ``args.scan`` (-1 when no strategy packs);
-        the assignment array is freshly allocated per call; cut runs
-        counts the strategy runs that stopped at ``args.waste_limit``.
+        *scan* (int64) lists the strategy rows to try, in order; the
+        position indexes it (-1 when no strategy packs), and the winning
+        placement is left in *assignment* (``(J,)`` int64, overwritten).
+        Cut runs counts the strategy runs that stopped at the waste cut.
         """
         raise NotImplementedError
 
@@ -298,25 +428,24 @@ class ArrayKernelBackend(KernelBackend):
     def supports_probe_scan(self) -> bool:
         return True
 
-    def probe_scan(self, args: ProbeScanArgs
-                   ) -> Tuple[int, np.ndarray, int]:
-        J, D = args.item_agg.shape
-        H = args.cap_tol.shape[0]
-        loads = np.zeros((H, D), dtype=np.float64)
-        load_sum = np.zeros(H, dtype=np.float64)
-        assignment = np.full(J, -1, dtype=np.int64)
-        cut_runs = np.zeros(1, dtype=np.int64)
-        si = self._k.probe_scan(
-            args.item_agg, args.item_agg_sum, args.elem_ok, args.cap_tol,
-            args.bin_agg, args.bin_agg_sum, args.waste_limit,
-            args.item_orders, args.tie_ranks, args.bin_orders,
-            args.item_dim_perm, args.pp_order0, args.pp_order1,
-            args.st_packer, args.st_item, args.st_bin, args.st_hetero,
-            args.st_w, args.st_choose, args.st_cfg, args.scan, loads,
-            load_sum, assignment, cut_runs)
-        if si < -1:
-            raise MemoryError("probe_scan could not allocate its work arrays")
-        return int(si), assignment, int(cut_runs[0])
+    def bind_probe_scan(self, args: ProbeScanArgs) -> ProbeTable:
+        table = ProbeTable(args)
+        table.handle = self._k.bind_probe_table(table)
+        return table
+
+    def probe_scan(self, table: ProbeTable, y: float, scan: np.ndarray,
+                   assignment: np.ndarray) -> Tuple[int, int]:
+        if (scan.dtype != np.int64 or scan.ndim != 1
+                or not scan.flags.c_contiguous):
+            raise ValueError("scan must be a C-contiguous int64 vector")
+        if (assignment.dtype != np.int64
+                or assignment.shape != (table.J,)
+                or not assignment.flags.c_contiguous
+                or not assignment.flags.writeable):
+            raise ValueError("assignment must be a writable C-contiguous "
+                             f"int64 vector of {table.J} items")
+        si = self._k.probe_scan(table, float(y), scan, assignment)
+        return int(si), int(table.cut_runs[0])
 
     # -- greedy passes -------------------------------------------------
     def greedy_scan(self, args: GreedyScanArgs

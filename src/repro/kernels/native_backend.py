@@ -1,11 +1,14 @@
 """Native (C via ctypes) kernel backend.
 
 A line-for-line translation of :mod:`._loops` compiled on demand with the
-system C compiler (``$CC`` or ``cc``).  One structural difference: the
+system C compiler (``$CC`` or ``cc``).  Two structural differences: the
 bodies of the bin-major fills are ``static`` functions that take their
-scratch arrays from the caller.  The exported fills allocate it per call
-and return -1 when they cannot; ``probe_scan`` allocates it once per
-call and returns -2 when it cannot.  Compilation happens once per
+scratch arrays from the caller (the exported fills allocate it per call
+and return -1 when they cannot), and ``probe_scan`` takes its table as
+one ``probe_table_t`` struct of dimensions and data pointers, built once
+per engine by :meth:`_NativeKernels.bind_probe_table` from a
+:class:`~.api.ProbeTable` that owns every array it points into, scratch
+included, so the probe allocates nothing.  Compilation happens once per
 source revision: the shared object is cached under
 ``$REPRO_NATIVE_CACHE`` (default ``~/.cache/repro-kernels``) keyed by a
 hash of the source, the compiler flags *and* the compiler identity
@@ -32,7 +35,7 @@ import numpy as np
 
 __all__ = ["load_native_kernels", "NativeBuildError"]
 
-_C_SOURCE = r"""
+_C_KERNELS = r"""
 #include <stdint.h>
 #include <stdlib.h>
 #include <math.h>
@@ -41,7 +44,7 @@ _C_SOURCE = r"""
 #define NOMEM (-1)
 
 /* The bin-major fills' bodies take their scratch from the caller:
-   probe_scan allocates it once per call, the exported fills per call.
+   probe_scan from its bound table, the exported fills per call.
    i: J + 3*D int64 (FF pending; PP cand, perm, rank, keys with w <= D),
    f: 2*D doubles (FF load; PP key; then the waste), dead: J bytes. */
 typedef struct { int64_t *i; double *f; uint8_t *dead; } scratch_t;
@@ -494,70 +497,6 @@ int64_t incremental_best_fit(int64_t K, int64_t H, int64_t D,
     return placed;
 }
 
-int64_t probe_scan(int64_t J, int64_t H, int64_t D, int64_t S,
-                   const double *item_agg, const double *item_agg_sum,
-                   const uint8_t *elem_ok, const double *cap_tol,
-                   const double *bin_agg, const double *bin_agg_sum,
-                   const double *waste_limit,
-                   const int64_t *item_orders, const int64_t *tie_ranks,
-                   const int64_t *bin_orders, const int64_t *item_dim_perm,
-                   const int64_t *pp_order0, const int64_t *pp_order1,
-                   const int64_t *st_packer, const int64_t *st_item,
-                   const int64_t *st_bin, const int64_t *st_hetero,
-                   const int64_t *st_w, const int64_t *st_choose,
-                   const int64_t *st_cfg, const int64_t *scan,
-                   double *loads, double *load_sum, int64_t *assignment,
-                   int64_t *cut_runs)
-{
-    scratch_t sc;
-    int64_t found = scratch_alloc(&sc, J, D) ? -1 : -2;
-    cut_runs[0] = 0;
-    for (int64_t si = 0; si < S && found == -1; si++) {
-        int64_t s = scan[si];
-        for (int64_t h = 0; h < H; h++) {
-            load_sum[h] = 0.0;
-            for (int64_t d = 0; d < D; d++) loads[h*D+d] = 0.0;
-        }
-        for (int64_t j = 0; j < J; j++) assignment[j] = -1;
-        int64_t packer = st_packer[s];
-        const int64_t *item_order = item_orders + st_item[s]*J;
-        int64_t hetero = st_hetero[s];
-        int64_t left;
-        if (packer == 1) {
-            if (bf_pack(J, H, D, item_agg, item_agg_sum, elem_ok,
-                        item_order, loads, load_sum, cap_tol,
-                        bin_agg_sum, hetero, assignment) == 1)
-                found = si;
-            continue;
-        }
-        if (packer == 0) {
-            left = ff_run(J, H, H, D, item_agg, elem_ok, item_order,
-                          bin_orders + st_bin[s]*H, loads, load_sum,
-                          cap_tol, waste_limit, assignment, sc.i, sc.f,
-                          sc.f + D);
-        } else if (D == 2) {
-            left = pp_2d_run(J, H, H, item_agg, elem_ok,
-                             pp_order0 + st_cfg[s]*J,
-                             pp_order1 + st_cfg[s]*J,
-                             bin_orders + st_bin[s]*H, loads, load_sum,
-                             cap_tol, bin_agg, hetero, waste_limit,
-                             assignment, sc.dead);
-        } else {
-            left = pp_general_run(J, H, H, D, st_w[s], st_choose[s],
-                                  item_agg, item_agg_sum, elem_ok,
-                                  item_dim_perm, tie_ranks + st_item[s]*J,
-                                  bin_orders + st_bin[s]*H, loads,
-                                  load_sum, cap_tol, bin_agg, hetero,
-                                  waste_limit, assignment, sc.i, sc.f,
-                                  sc.dead);
-        }
-        if (left == 0) found = si;
-        else if (left == CUT) cut_runs[0]++;
-    }
-    scratch_free(&sc);
-    return found;
-}
-
 double pairwise_sum(const double *buf, int64_t n,
                     int64_t *frames, double *partial)
 {
@@ -797,6 +736,262 @@ int64_t greedy_scan(int64_t J, int64_t H, int64_t D, int64_t P,
 }
 """
 
+#: The fused probe's bound table as one C struct, in member order:
+#: ``(name, C type)``.  Every name is a :class:`~.api.ProbeTable`
+#: attribute; the C typedef and its ctypes mirror are both generated from
+#: this list, so they cannot drift apart.
+_TABLE_FIELDS = (
+    *((dim, "int64_t") for dim in ("J", "H", "D", "S", "SI", "SB", "NC")),
+    ("waste_rtol", "double"),
+    *((name, "const double *") for name in (
+        "req_agg", "need_agg", "y_elem_max", "cap_tol", "cap_tol_total",
+        "bin_agg", "bin_agg_sum")),
+    *((name, "const int64_t *") for name in (
+        "bin_orders", "sort_metric", "sort_desc", "st_packer", "st_item",
+        "st_bin", "st_hetero", "st_w", "st_choose", "st_cfg", "cfg_w",
+        "cfg_choose", "cfg_item")),
+    *((name, "double *") for name in (
+        "item_agg", "item_agg_sum", "waste_limit", "loads", "load_sum",
+        "sort_key", "work_f", "partial")),
+    *((name, "int64_t *") for name in (
+        "item_orders", "tie_ranks", "item_dim_perm", "pp_order0",
+        "pp_order1", "sort_tmp", "work_i", "frames", "cut_runs")),
+    *((name, "uint8_t *") for name in ("elem_ok", "built", "dead")),
+)
+
+_TABLE_TYPEDEF = "typedef struct {\n%s} probe_table_t;\n" % "".join(
+    f"    {ctype}{'' if ctype.endswith('*') else ' '}{name};\n"
+    for name, ctype in _TABLE_FIELDS)
+
+_C_PROBE = r"""
+/* numpy's sort order on float64: NaN after every number. */
+static int lt(double a, double b)
+{
+    return a < b || (b != b && a == a);
+}
+
+static int64_t probe_inputs(const probe_table_t *t, double y)
+{
+    int64_t J = t->J, H = t->H, D = t->D;
+    for (int64_t j = 0; j < J; j++) {
+        for (int64_t d = 0; d < D; d++)
+            t->item_agg[j*D+d] = t->req_agg[j*D+d] + y * t->need_agg[j*D+d];
+        t->item_agg_sum[j] = pairwise_sum(t->item_agg + j*D, D, t->frames,
+                                          t->partial);
+        for (int64_t h = 0; h < H; h++)
+            t->elem_ok[j*H+h] = t->y_elem_max[j*H+h] >= y;
+    }
+    if (D == 1) {
+        t->waste_limit[0] = pairwise_sum(t->item_agg, J, t->frames,
+                                         t->partial);
+    } else {
+        for (int64_t d = 0; d < D; d++) t->waste_limit[d] = 0.0;
+        for (int64_t j = 0; j < J; j++)
+            for (int64_t d = 0; d < D; d++)
+                t->waste_limit[d] += t->item_agg[j*D+d];
+    }
+    for (int64_t d = 0; d < D; d++) {
+        double total = t->waste_limit[d];
+        t->waste_limit[d] = t->cap_tol_total[d] - total
+                            + t->waste_rtol * (t->cap_tol_total[d] + total);
+    }
+    for (int64_t i = 0; i < t->SI + 1 + t->NC; i++) t->built[i] = 0;
+    return 0;
+}
+
+static double sort_value(const probe_table_t *t, int64_t j, int64_t metric)
+{
+    if (metric == 1) return t->item_agg_sum[j];
+    double hi = t->item_agg[j*t->D], lo = hi;
+    for (int64_t d = 1; d < t->D; d++) {
+        double v = t->item_agg[j*t->D+d];
+        if (!(hi >= v || hi != hi)) hi = v;
+        if (!(lo <= v || lo != lo)) lo = v;
+    }
+    if (metric == 0) return hi;
+    if (metric == 3) return hi - lo;
+    if (lo > 0) return hi / lo;
+    if (lo == 0 && hi > 0) return INFINITY;
+    return 1.0;
+}
+
+static int sorts_before(const probe_table_t *t, int64_t a, int64_t b,
+                        int lex, int desc)
+{
+    if (!lex) return lt(t->sort_key[a], t->sort_key[b]);
+    for (int64_t d = 0; d < t->D; d++) {
+        double u = t->item_agg[a*t->D+d], v = t->item_agg[b*t->D+d];
+        if (desc) {
+            u = -u;
+            v = -v;
+        }
+        if (lt(u, v)) return 1;
+        if (lt(v, u)) return 0;
+    }
+    return 0;
+}
+
+static void build_item_order(const probe_table_t *t, int64_t r)
+{
+    int64_t J = t->J;
+    int64_t metric = t->sort_metric[r];
+    int desc = t->sort_desc[r] != 0;
+    int64_t *order = t->item_orders + r*J;
+    for (int64_t j = 0; j < J; j++) order[j] = j;
+    if (metric != 5) {
+        int lex = metric == 4;
+        if (!lex) {
+            for (int64_t j = 0; j < J; j++) {
+                double v = sort_value(t, j, metric);
+                t->sort_key[j] = desc ? -v : v;
+            }
+        }
+        int64_t *src = order, *dst = t->sort_tmp;
+        for (int64_t width = 1; width < J; width *= 2) {
+            int64_t lo = 0;
+            while (lo < J) {
+                int64_t mid = lo + width < J ? lo + width : J;
+                int64_t hi = lo + 2*width < J ? lo + 2*width : J;
+                int64_t a = lo, b = mid, k = lo;
+                while (a < mid && b < hi) {
+                    if (sorts_before(t, src[b], src[a], lex, desc))
+                        dst[k++] = src[b++];
+                    else
+                        dst[k++] = src[a++];
+                }
+                while (a < mid) dst[k++] = src[a++];
+                while (b < hi) dst[k++] = src[b++];
+                lo = hi;
+            }
+            int64_t *tmp = src;
+            src = dst;
+            dst = tmp;
+        }
+        if (src != order)
+            for (int64_t i = 0; i < J; i++) order[i] = src[i];
+    }
+    for (int64_t i = 0; i < J; i++) t->tie_ranks[r*J+order[i]] = i;
+    t->built[r] = 1;
+}
+
+static void build_dim_perm(const probe_table_t *t)
+{
+    int64_t D = t->D;
+    for (int64_t j = 0; j < t->J; j++) {
+        int64_t *perm = t->item_dim_perm + j*D;
+        const double *row = t->item_agg + j*D;
+        for (int64_t d = 0; d < D; d++) perm[d] = d;
+        for (int64_t a = 1; a < D; a++) {
+            int64_t pd = perm[a];
+            double kv = -row[pd];
+            int64_t b = a - 1;
+            while (b >= 0 && lt(kv, -row[perm[b]])) {
+                perm[b+1] = perm[b];
+                b--;
+            }
+            perm[b+1] = pd;
+        }
+    }
+    t->built[t->SI] = 1;
+}
+
+static void build_walk_orders(const probe_table_t *t, int64_t c)
+{
+    int64_t J = t->J;
+    int64_t w = t->cfg_w[c];
+    int choose = t->cfg_choose[c] != 0;
+    int64_t r = t->cfg_item[c];
+    if (!t->built[r]) build_item_order(t, r);
+    const int64_t *order = t->item_orders + r*J;
+    int64_t *digit = t->sort_tmp;
+    for (int64_t k = 0; k < 2; k++) {
+        int64_t *walk = (k == 0 ? t->pp_order0 : t->pp_order1) + c*J;
+        for (int64_t i = 0; i < J; i++) {
+            int64_t j = order[i];
+            int64_t k0 = t->item_dim_perm[j*2];
+            if (k == 1) k0 = 1 - k0;
+            if (w == 1) {
+                digit[i] = k0;
+            } else {
+                int64_t k1 = t->item_dim_perm[j*2+1];
+                if (k == 1) k1 = 1 - k1;
+                if (choose && k1 < k0) {
+                    int64_t tmp = k0;
+                    k0 = k1;
+                    k1 = tmp;
+                }
+                digit[i] = 2*k0 + k1;
+            }
+        }
+        int64_t n = 0;
+        for (int64_t v = 0; v < (w == 1 ? 2 : 4); v++)
+            for (int64_t i = 0; i < J; i++)
+                if (digit[i] == v) walk[n++] = order[i];
+    }
+    t->built[t->SI+1+c] = 1;
+}
+
+int64_t probe_scan(const probe_table_t *t, double y, const int64_t *scan,
+                   int64_t S, int64_t *assignment)
+{
+    int64_t J = t->J, H = t->H, D = t->D;
+    probe_inputs(t, y);
+    t->cut_runs[0] = 0;
+    for (int64_t si = 0; si < S; si++) {
+        int64_t s = scan[si];
+        int64_t packer = t->st_packer[s];
+        if (!t->built[t->st_item[s]]) build_item_order(t, t->st_item[s]);
+        if (packer == 2) {
+            if (!t->built[t->SI]) build_dim_perm(t);
+            if (D == 2 && !t->built[t->SI+1+t->st_cfg[s]])
+                build_walk_orders(t, t->st_cfg[s]);
+        }
+        for (int64_t h = 0; h < H; h++) {
+            t->load_sum[h] = 0.0;
+            for (int64_t d = 0; d < D; d++) t->loads[h*D+d] = 0.0;
+        }
+        for (int64_t j = 0; j < J; j++) assignment[j] = -1;
+        const int64_t *item_order = t->item_orders + t->st_item[s]*J;
+        int64_t hetero = t->st_hetero[s];
+        int64_t left;
+        if (packer == 1) {
+            if (bf_pack(J, H, D, t->item_agg, t->item_agg_sum, t->elem_ok,
+                        item_order, t->loads, t->load_sum, t->cap_tol,
+                        t->bin_agg_sum, hetero, assignment) == 1)
+                return si;
+            continue;
+        }
+        if (packer == 0) {
+            left = ff_run(J, H, H, D, t->item_agg, t->elem_ok, item_order,
+                          t->bin_orders + t->st_bin[s]*H, t->loads,
+                          t->load_sum, t->cap_tol, t->waste_limit,
+                          assignment, t->work_i, t->work_f, t->work_f + D);
+        } else if (D == 2) {
+            left = pp_2d_run(J, H, H, t->item_agg, t->elem_ok,
+                             t->pp_order0 + t->st_cfg[s]*J,
+                             t->pp_order1 + t->st_cfg[s]*J,
+                             t->bin_orders + t->st_bin[s]*H, t->loads,
+                             t->load_sum, t->cap_tol, t->bin_agg, hetero,
+                             t->waste_limit, assignment, t->dead);
+        } else {
+            left = pp_general_run(J, H, H, D, t->st_w[s], t->st_choose[s],
+                                  t->item_agg, t->item_agg_sum, t->elem_ok,
+                                  t->item_dim_perm,
+                                  t->tie_ranks + t->st_item[s]*J,
+                                  t->bin_orders + t->st_bin[s]*H, t->loads,
+                                  t->load_sum, t->cap_tol, t->bin_agg,
+                                  hetero, t->waste_limit, assignment,
+                                  t->work_i, t->work_f, t->dead);
+        }
+        if (left == 0) return si;
+        if (left == CUT) t->cut_runs[0]++;
+    }
+    return -1;
+}
+"""
+
+_C_SOURCE = _C_KERNELS + _TABLE_TYPEDEF + _C_PROBE
+
 
 class NativeBuildError(RuntimeError):
     """The native kernels could not be compiled or loaded."""
@@ -894,6 +1089,14 @@ def _u8(mask: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(mask, dtype=np.uint8)
 
 
+class _ProbeTable(ctypes.Structure):
+    """ctypes mirror of the C ``probe_table_t``."""
+
+    _fields_ = [(name, {"int64_t": ctypes.c_int64,
+                        "double": ctypes.c_double}.get(ctype, ctypes.c_void_p))
+                for name, ctype in _TABLE_FIELDS]
+
+
 class _NativeKernels:
     """ctypes shims with the :mod:`._loops` signatures."""
 
@@ -928,12 +1131,9 @@ class _NativeKernels:
                                              _u8p, _f64p, _f64p, _f64p,
                                              _i64p]
         lib.probe_scan.restype = _i64
-        lib.probe_scan.argtypes = [_i64, _i64, _i64, _i64,
-                                   _f64p, _f64p, _u8p, _f64p, _f64p,
-                                   _f64p, _f64p, _i64p, _i64p, _i64p,
-                                   _i64p, _i64p, _i64p, _i64p, _i64p,
-                                   _i64p, _i64p, _i64p, _i64p, _i64p,
-                                   _i64p, _f64p, _f64p, _i64p, _i64p]
+        lib.probe_scan.argtypes = [ctypes.POINTER(_ProbeTable),
+                                   ctypes.c_double, ctypes.c_void_p, _i64,
+                                   ctypes.c_void_p]
         lib.greedy_scan.restype = _i64
         lib.greedy_scan.argtypes = [_i64, _i64, _i64, _i64,
                                     _f64p, _f64p, _i64p, _i64p, _u8p,
@@ -992,19 +1192,16 @@ class _NativeKernels:
             req_agg.shape[0], loads.shape[0], req_agg.shape[1], req_agg,
             _u8(elem_fit), loads, agg, cap_tol, out)
 
-    def probe_scan(self, item_agg, item_agg_sum, elem_ok, cap_tol,
-                   bin_agg, bin_agg_sum, waste_limit, item_orders,
-                   tie_ranks, bin_orders, item_dim_perm, pp_order0,
-                   pp_order1, st_packer, st_item, st_bin, st_hetero, st_w,
-                   st_choose, st_cfg, scan, loads, load_sum, assignment,
-                   cut_runs):
-        return self._lib.probe_scan(
-            item_agg.shape[0], cap_tol.shape[0], item_agg.shape[1],
-            scan.shape[0], item_agg, item_agg_sum, _u8(elem_ok), cap_tol,
-            bin_agg, bin_agg_sum, waste_limit, item_orders, tie_ranks,
-            bin_orders, item_dim_perm, pp_order0, pp_order1, st_packer,
-            st_item, st_bin, st_hetero, st_w, st_choose, st_cfg, scan,
-            loads, load_sum, assignment, cut_runs)
+    def bind_probe_table(self, t):
+        """The C struct of table *t*: its dimensions and margin, and the
+        data pointers of its arrays, which *t* keeps alive."""
+        return _ProbeTable(*(
+            getattr(t, name).ctypes.data if ctype.endswith("*")
+            else getattr(t, name) for name, ctype in _TABLE_FIELDS))
+
+    def probe_scan(self, t, y, scan, assignment):
+        return self._lib.probe_scan(t.handle, y, scan.ctypes.data,
+                                    scan.shape[0], assignment.ctypes.data)
 
     def greedy_scan(self, req_agg, req_agg_sum, need_dim, req_dim,
                     elem_ok, bin_agg, bin_agg_sum, cap_tol, req_elem,

@@ -8,8 +8,9 @@ same placement — on tight instances whose demand is 85–110% of the
 capacity, many of them on a 0.05 grid so exact fits happen.  ``native``
 (wherever a C compiler exists) and the uncompiled ``loops`` source run.
 
-Also here: the kernel's allocation-failure codes, which the adapter
-turns into ``MemoryError`` instead of "no strategy packs".
+Also here: the fills' allocation-failure codes, which the adapter turns
+into ``MemoryError`` instead of "no strategy packs" (``probe_scan``
+allocates nothing: its scratch is bound with the engine's table).
 """
 
 import json
@@ -101,9 +102,12 @@ def tight_instances(draw, D):
 
 
 def scan_alone(engine, y, s):
-    """``probe_scan`` over strategy *s* alone at yield *y*."""
-    return engine.backend.probe_scan(
-        engine._scan_args(y, np.array([s], dtype=np.int64)))
+    """``probe_scan`` over strategy *s* alone at yield *y*: ``(scan
+    position, assignment, cut runs)``."""
+    assignment = np.empty(len(engine.instance.services), dtype=np.int64)
+    si, cuts = engine.backend.probe_scan(
+        engine._table, y, np.array([s], dtype=np.int64), assignment)
+    return si, assignment, cuts
 
 
 def uncut(engine, y, strategy):
@@ -206,8 +210,8 @@ def _state(D=2):
 
 
 class TestAllocationFailure:
-    """A C kernel that cannot allocate its scratch returns a negative
-    code; the adapter raises instead of reading it as a failed run."""
+    """A C fill that cannot allocate its scratch returns a negative code;
+    the adapter raises instead of reading it as a failed run."""
 
     def test_fill_codes_raise(self):
         fail = SimpleNamespace(ff_fill=lambda *a: -1,
@@ -225,12 +229,3 @@ class TestAllocationFailure:
         with pytest.raises(MemoryError, match="pp_fill_general"):
             backend.permutation_pack(_state(3), pp, bins, True)
 
-    def test_probe_scan_code_raises(self):
-        instance = instance_of(np.ones((2, 2)), np.full((3, 2), 0.2))
-        with kernels.kernel_backend("loops"):
-            engine = FusedProbeEngine(instance, STRATEGIES)
-        engine.backend = ArrayKernelBackend(
-            "stub", SimpleNamespace(probe_scan=lambda *a: -2))
-        with pytest.raises(MemoryError, match="probe_scan"):
-            engine(instance, 0.0)
-        assert engine.strategy_runs == 0
