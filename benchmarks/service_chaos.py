@@ -93,7 +93,6 @@ def spawn_daemon(args, journal: str, faults: str):
         cmd += ["--faults", faults]
     env = dict(os.environ)
     env.setdefault("PYTHONUNBUFFERED", "1")
-    env.pop("REPRO_FAULTS", None)
     src = os.path.join(os.path.dirname(__file__), "..", "src")
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)

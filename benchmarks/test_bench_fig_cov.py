@@ -11,7 +11,11 @@ import dataclasses
 
 import pytest
 
-from repro.experiments import CovFigureSpec, format_cov_figure, run_cov_figure
+from repro.experiments import (
+    CovFigureSpec,
+    cov_figure_experiment,
+    format_cov_figure,
+)
 
 # Reduced headline spec (paper: 64 hosts, 500 services, 100 instances/CoV).
 FIG2_SPEC = CovFigureSpec(
@@ -23,7 +27,7 @@ FIG2_SPEC = CovFigureSpec(
 
 
 def _run_and_emit(benchmark, emit, spec, name):
-    data = benchmark.pedantic(run_cov_figure, args=(spec,),
+    data = benchmark.pedantic(cov_figure_experiment(spec).run,
                               kwargs={"workers": 1}, rounds=1, iterations=1)
     emit(name, format_cov_figure(data))
     return data

@@ -14,8 +14,8 @@ import pytest
 
 from repro.experiments import (
     ErrorFigureSpec,
+    error_figure_experiment,
     format_error_figure,
-    run_error_figure,
 )
 
 # Reduced headline spec (paper: 64 hosts, 100/250/500 services, slack 0.4,
@@ -29,7 +29,7 @@ FIG5_SPEC = ErrorFigureSpec(
 
 
 def _run_and_emit(benchmark, emit, spec, name):
-    data = benchmark.pedantic(run_error_figure, args=(spec,),
+    data = benchmark.pedantic(error_figure_experiment(spec).run,
                               kwargs={"workers": 1}, rounds=1, iterations=1)
     emit(name, format_error_figure(data))
     return data
@@ -80,7 +80,7 @@ def test_alloccaps_collapse(benchmark, emit):
     spec = dataclasses.replace(
         FIG5_SPEC, include_caps=True, thresholds=(0.0,),
         error_values=(0.0, 0.3), instances=3)
-    data = benchmark.pedantic(run_error_figure, args=(spec,),
+    data = benchmark.pedantic(error_figure_experiment(spec).run,
                               kwargs={"workers": 1}, rounds=1, iterations=1)
     emit("fig_error_alloccaps", format_error_figure(data))
     caps = data.series.get("caps, min=0.00", {})

@@ -13,7 +13,7 @@ import pytest
 from repro.experiments.strategy_ranking import (
     format_ranking,
     light_set_audit,
-    rank_strategies,
+    strategy_ranking_experiment,
 )
 from repro.workloads import ScenarioConfig
 
@@ -28,11 +28,11 @@ CONFIGS = [
 
 @pytest.fixture(scope="module")
 def ranking():
-    return rank_strategies(CONFIGS, workers=1)
+    return strategy_ranking_experiment(CONFIGS).run(workers=1)
 
 
 def test_strategy_ranking(benchmark, ranking, emit):
-    benchmark.pedantic(rank_strategies, args=(CONFIGS[:1],),
+    benchmark.pedantic(strategy_ranking_experiment(CONFIGS[:1]).run,
                        kwargs={"workers": 1}, rounds=1, iterations=1)
     emit("strategy_ranking", format_ranking(ranking, top_n=25))
 

@@ -8,7 +8,7 @@ RRND's success column is the worst of all algorithms.
 
 import pytest
 
-from repro.experiments import GridSpec, format_table1, run_table1
+from repro.experiments import GridSpec, format_table1, table1_experiment
 
 BENCH_GRID = GridSpec(
     hosts=12,
@@ -24,7 +24,7 @@ ALGORITHMS = ("RRND", "RRNZ", "METAGREEDY", "METAVP", "METAHVP")
 
 @pytest.fixture(scope="module")
 def table1_data():
-    return run_table1(BENCH_GRID, ALGORITHMS, workers=1)
+    return table1_experiment(BENCH_GRID, ALGORITHMS).run(workers=1)
 
 
 def test_table1(benchmark, table1_data, emit):
@@ -33,7 +33,7 @@ def test_table1(benchmark, table1_data, emit):
         hosts=BENCH_GRID.hosts, services=(24,), cov_values=(0.5,),
         slack_values=(0.5,), instances=1, seed=2012)
     benchmark.pedantic(
-        run_table1, args=(single_cell, ALGORITHMS),
+        table1_experiment(single_cell, ALGORITHMS).run,
         kwargs={"workers": 1}, rounds=1, iterations=1)
     emit("table1", format_table1(table1_data))
 

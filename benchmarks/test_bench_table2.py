@@ -8,7 +8,7 @@ printed table aggregates means over several instances per cell.
 import numpy as np
 import pytest
 
-from repro.experiments import GridSpec, format_table2, run_table2
+from repro.experiments import GridSpec, format_table2, table2_experiment
 from repro.experiments.runner import ALGORITHM_FACTORIES
 from repro.util.rng import derive_seed
 from repro.workloads import ScenarioConfig, generate_instance
@@ -43,7 +43,7 @@ def test_algorithm_runtime(benchmark, name, instance_48):
 def test_table2_report(benchmark, emit):
     """Regenerates the full (reduced) Table 2 and prints it."""
     data = benchmark.pedantic(
-        run_table2, args=(BENCH_GRID, ALGORITHMS), kwargs={"workers": 1},
+        table2_experiment(BENCH_GRID, ALGORITHMS).run, kwargs={"workers": 1},
         rounds=1, iterations=1)
     emit("table2", format_table2(data))
     # Relative-ordering assertions from §5/§5.1 at the larger size:

@@ -26,7 +26,7 @@ from .core import (
     VectorPair,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 __all__ = [
     "Allocation",

@@ -306,15 +306,14 @@ class ReadPathRule(Rule):
 
 #: The pool entry points whose first positional argument runs in worker
 #: processes.
-_POOL_ENTRY_POINTS = frozenset({"parallel_imap", "parallel_imap_cached",
-                                "parallel_map"})
+_POOL_ENTRY_POINTS = frozenset({"parallel_imap", "parallel_imap_cached"})
 
 
 @register_rule
 class ParallelBoundaryRule(Rule):
     id = "CC202"
     name = "picklable-pool-workers"
-    summary = ("parallel_imap/parallel_map workers must be module-level "
+    summary = ("parallel_imap workers must be module-level "
                "callables — lambdas and nested closures capture shared "
                "mutable state that does not survive the process boundary")
 

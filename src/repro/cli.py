@@ -253,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     sv.add_argument("--faults", default=None, metavar="SPEC",
                     help="fault injection for chaos testing, e.g. "
                          "'solver_fail=2,journal_fail=1,crash_at_event=10,"
-                         "solver_delay_ms=50' (also via REPRO_FAULTS)")
+                         "solver_delay_ms=50'")
 
     from .analysis.cli import add_check_arguments
     add_check_arguments(sub)
@@ -756,21 +756,19 @@ def _cmd_serve(args) -> None:
         JournalError,
         ServiceError,
         create_server,
-        faults_from_env,
         load_journal,
         run_server,
     )
     from .workloads import generate_platform
     setup_logging(level=args.log_level, json_lines=args.log_json)
     nodes = generate_platform(hosts=args.hosts, cov=args.cov, rng=args.seed)
+    injector = None
     if args.faults:
         try:
             plan = FaultPlan.parse(args.faults)
         except ValueError as exc:
             raise SystemExit(f"repro serve: --faults: {exc}")
         injector = FaultInjector(plan) if plan.active() else None
-    else:
-        injector = faults_from_env()
     try:
         controller = AllocationController(
             nodes, strategy=args.strategy,

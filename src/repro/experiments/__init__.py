@@ -13,14 +13,12 @@ from .figures_cov import (
     CovFigureSpec,
     cov_figure_experiment,
     format_cov_figure,
-    run_cov_figure,
 )
 from .figures_error import (
     ErrorFigureData,
     ErrorFigureSpec,
     error_figure_experiment,
     format_error_figure,
-    run_error_figure,
 )
 from .metrics import (
     PairwiseComparison,
@@ -30,11 +28,8 @@ from .metrics import (
 )
 from .persistence import (
     CheckpointStore,
-    append_results,
     load_results,
     merge_checkpoints,
-    merge_results,
-    save_results,
     scenario_key,
     task_key,
 )
@@ -53,14 +48,8 @@ from .spec import (
     Shard,
     shard_index,
 )
-from .table1 import Table1Data, format_table1, run_table1, table1_experiment
-from .table2 import (
-    Table2Data,
-    format_table2,
-    run_table2,
-    table2_experiment,
-    table2_from_results,
-)
+from .table1 import Table1Data, format_table1, table1_experiment
+from .table2 import Table2Data, format_table2, table2_experiment
 
 __all__ = [
     "ALGORITHM_FACTORIES",
@@ -82,7 +71,6 @@ __all__ = [
     "Table1Data",
     "Table2Data",
     "TaskResult",
-    "append_results",
     "average_yield",
     "bootstrap_mean_ci",
     "cov_figure_experiment",
@@ -98,22 +86,15 @@ __all__ = [
     "load_results",
     "make_algorithms",
     "merge_checkpoints",
-    "merge_results",
     "paired_difference_ci",
     "pairwise_comparison",
-    "run_cov_figure",
-    "run_error_figure",
     "run_grid",
-    "run_table1",
-    "run_table2",
-    "save_results",
     "scenario_key",
     "shard_index",
     "sparkline",
     "success_rate",
     "table1_experiment",
     "table2_experiment",
-    "table2_from_results",
     "task_key",
     "win_loss_tie",
     "write_csv",

@@ -7,8 +7,7 @@ averages overlaid.  Figures 3 and 4 pin CPU (resp. memory) capacities at
 the median.  Points below zero mean METAHVP was beaten on that instance.
 
 Declared as a grid :class:`~.spec.ExperimentSpec` via
-:func:`cov_figure_experiment`; :func:`run_cov_figure` is the wrapper kept
-for existing callers.
+:func:`cov_figure_experiment`.
 """
 
 from __future__ import annotations
@@ -21,12 +20,11 @@ import numpy as np
 
 from ..workloads import DEFAULT_WORKLOAD, ScenarioConfig, parse_workload
 from .report import format_table, write_csv
-from .runner import ProgressCallback, TaskResult
+from .runner import TaskResult
 from .spec import ExperimentSpec, grid_experiment
 
-__all__ = ["CovFigureSpec", "CovFigureData", "run_cov_figure",
-           "format_cov_figure", "cov_figure_experiment",
-           "DEFAULT_COV_COMPETITORS"]
+__all__ = ["CovFigureSpec", "CovFigureData", "format_cov_figure",
+           "cov_figure_experiment", "DEFAULT_COV_COMPETITORS"]
 
 DEFAULT_COV_COMPETITORS = ("RRNZ", "METAGREEDY", "METAVP")
 BASELINE = "METAHVP"
@@ -115,18 +113,6 @@ def cov_figure_experiment(spec: CovFigureSpec) -> ExperimentSpec:
     return grid_experiment("fig-cov", spec.configs,
                            tuple(spec.competitors) + (BASELINE,),
                            partial(_reduce_cov, spec), format_cov_figure)
-
-
-def run_cov_figure(spec: CovFigureSpec,
-                   workers: int | None = None,
-                   *,
-                   checkpoint=None,
-                   resume: bool = False,
-                   window: int | None = None,
-                   progress: ProgressCallback | None = None) -> CovFigureData:
-    return cov_figure_experiment(spec).run(
-        workers, checkpoint=checkpoint, resume=resume, window=window,
-        progress=progress)
 
 
 def format_cov_figure(data: CovFigureData) -> str:

@@ -47,8 +47,8 @@ from .spec import ExperimentSpec
 
 CHECKPOINT_KIND = "error-figure"
 
-__all__ = ["ErrorFigureSpec", "ErrorFigureData", "run_error_figure",
-           "format_error_figure", "error_figure_experiment"]
+__all__ = ["ErrorFigureSpec", "ErrorFigureData", "format_error_figure",
+           "error_figure_experiment"]
 
 DEFAULT_ERRORS = tuple(round(0.02 * i, 6) for i in range(16))  # 0 .. 0.30
 DEFAULT_THRESHOLDS = (0.0, 0.1, 0.3)
@@ -227,18 +227,6 @@ def error_figure_experiment(spec: ErrorFigureSpec) -> ExperimentSpec:
         reduce=partial(_reduce_error, spec),
         formatter=format_error_figure,
     )
-
-
-def run_error_figure(spec: ErrorFigureSpec,
-                     workers: int | None = None,
-                     *,
-                     checkpoint=None,
-                     resume: bool = False,
-                     window: int | None = None,
-                     progress=None) -> ErrorFigureData:
-    return error_figure_experiment(spec).run(
-        workers, checkpoint=checkpoint, resume=resume, window=window,
-        progress=progress)
 
 
 def format_error_figure(data: ErrorFigureData, chart: bool = True) -> str:

@@ -6,8 +6,7 @@ and back; there are two:
 
 * :data:`TASK_RECORDS` — grid task records (``{"v": 1, "config": ...,
   "results": ...}``), one :class:`~.runner.TaskResult` each, keyed by
-  :func:`task_key`; :func:`save_results` / :func:`append_results` write
-  them too.
+  :func:`task_key`.
 * :class:`PayloadRecords` — keyed payload records (``{"v": 1, "kind":
   ..., "key": ..., "payload": ...}``), one per task of a payload spec
   (error figure, strategy ranking, failure sweep), keyed by ``key``.
@@ -50,19 +49,16 @@ __all__ = [
     "CompactStats",
     "PayloadRecords",
     "RecordCodec",
-    "append_results",
     "as_result_store",
     "canonical_key",
     "compact_checkpoint",
     "durable_append",
     "load_results",
     "merge_checkpoints",
-    "merge_results",
     "open_append",
     "read_completed",
     "record_key",
     "recover_records",
-    "save_results",
     "scenario_key",
     "task_from_dict",
     "task_key",
@@ -340,23 +336,6 @@ def read_completed(paths: Sequence[str],
     return found
 
 
-def save_results(results: Sequence[TaskResult], path: str) -> None:
-    """Write results as JSON-lines (overwrites *path*)."""
-    parent = os.path.dirname(path)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
-    with open(path, "w") as fh:
-        for task in results:
-            fh.write(json.dumps(task_to_dict(task)) + "\n")
-
-
-def append_results(results: Sequence[TaskResult], path: str) -> None:
-    """Append results to an existing JSON-lines file (or create it)."""
-    with _open_append(path) as fh:
-        for task in results:
-            fh.write(json.dumps(task_to_dict(task)) + "\n")
-
-
 def load_results(path: str) -> list[TaskResult]:
     """Load every task record in *path* (other records are skipped).
 
@@ -365,26 +344,6 @@ def load_results(path: str) -> list[TaskResult]:
     """
     return [task_from_dict(rec) for rec in _read_records(path)
             if TASK_RECORDS.owns(rec)]
-
-
-def merge_results(result_sets: Iterable[Sequence[TaskResult]]
-                  ) -> list[TaskResult]:
-    """Concatenate result sets, dropping duplicate scenario coordinates.
-
-    The *first* occurrence of each (config) wins, so callers can layer a
-    re-run on top of an older file and keep the fresh values by passing
-    the re-run first.
-    """
-    seen: set[tuple[Any, ...]] = set()
-    merged: list[TaskResult] = []
-    for results in result_sets:
-        for task in results:
-            key = scenario_key(task.config)
-            if key in seen:
-                continue
-            seen.add(key)
-            merged.append(task)
-    return merged
 
 
 class CheckpointStore:

@@ -24,11 +24,11 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from ..algorithms.vector_packing import (
-    MetaProbeEngine,
     VPStrategy,
     YieldProbeFactory,
     hvp_light_strategies,
     hvp_strategies,
+    make_engine,
 )
 from ..algorithms.yield_search import binary_search_max_yield
 from ..workloads import ScenarioConfig, generate_instance
@@ -38,8 +38,8 @@ from .spec import ExperimentSpec
 
 CHECKPOINT_KIND = "strategy-rank"
 
-__all__ = ["StrategyRanking", "rank_strategies", "format_ranking",
-           "light_set_audit", "strategy_ranking_experiment"]
+__all__ = ["StrategyRanking", "format_ranking", "light_set_audit",
+           "strategy_ranking_experiment"]
 
 
 @dataclass(frozen=True)
@@ -117,12 +117,8 @@ def _evaluate_strategy(task: _StrategyTask) -> StrategyStats:
     # cold search after every failed config.
     hint: float | None = None
     for cfg in task.configs:
-        # A one-strategy scan runs faster on the per-strategy engine,
-        # over the worker's cached factory, than on the fused engine,
-        # whose per-probe setup outweighs its scan.
         factory = _probe_factory(cfg)
-        oracle = MetaProbeEngine(factory.instance, (strategy,),
-                                 factory=factory)
+        oracle = make_engine(factory.instance, (strategy,), factory)
         stats: dict = {}
         alloc = binary_search_max_yield(
             factory.instance, oracle,
@@ -181,7 +177,9 @@ def strategy_ranking_experiment(configs: Sequence[ScenarioConfig],
                                 top_n: int = 25) -> ExperimentSpec:
     """Declare the §5.1 exploration as a shardable experiment spec.
 
-    One task per basic HVP strategy; *top_n* only affects the rendering.
+    One task per basic HVP strategy; *warm_start* chains each strategy's
+    yield searches across *configs* (cold again after a failure), and
+    *top_n* only affects the rendering.
     """
     configs = tuple(configs)
     fingerprint = _configs_fingerprint(configs, warm_start)
@@ -196,28 +194,6 @@ def strategy_ranking_experiment(configs: Sequence[ScenarioConfig],
         reduce=_reduce_ranking,
         formatter=partial(format_ranking, top_n=top_n),
     )
-
-
-def rank_strategies(configs: Sequence[ScenarioConfig],
-                    workers: int | None = None,
-                    *,
-                    checkpoint=None,
-                    resume: bool = False,
-                    window: int | None = None,
-                    progress=None,
-                    warm_start: bool = True) -> StrategyRanking:
-    """Evaluate every basic HVP strategy on *configs* and rank them.
-
-    With *checkpoint*/``resume=True``, per-strategy stats are persisted as
-    they complete and already-evaluated strategies (for this exact config
-    set and warm-start policy) are answered from disk.  All strategies
-    evaluated in a worker process share each instance's probe
-    precomputation.  *warm_start* chains each strategy's yield searches
-    across its configs (cold fallback after failures).
-    """
-    return strategy_ranking_experiment(configs, warm_start).run(
-        workers, checkpoint=checkpoint, resume=resume, window=window,
-        progress=progress)
 
 
 def light_set_audit(ranking: StrategyRanking, top_n: int = 50

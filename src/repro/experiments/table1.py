@@ -10,8 +10,7 @@ same machinery with ``--include-light``.
 The experiment is declared as a grid :class:`~.spec.ExperimentSpec`
 (:func:`table1_experiment`): the grid's configs are the task list, the
 reducer streams yields per service count, and :func:`format_table1`
-renders the matrices.  :func:`run_table1` is the materializing wrapper
-kept for existing callers.
+renders the matrices.
 """
 
 from __future__ import annotations
@@ -28,10 +27,10 @@ from .metrics import (
     success_rate,
 )
 from .report import format_matrix, format_table
-from .runner import ProgressCallback, TaskResult
+from .runner import TaskResult
 from .spec import ExperimentSpec, grid_experiment
 
-__all__ = ["Table1Data", "run_table1", "format_table1", "table1_experiment",
+__all__ = ["Table1Data", "format_table1", "table1_experiment",
            "DEFAULT_TABLE1_ALGORITHMS"]
 
 DEFAULT_TABLE1_ALGORITHMS = ("RRND", "RRNZ", "METAGREEDY", "METAVP",
@@ -86,24 +85,6 @@ def table1_experiment(grid: GridSpec,
     return grid_experiment("table1", grid.configs, algorithms,
                            partial(_reduce_table1, algorithms),
                            format_table1)
-
-
-def run_table1(grid: GridSpec,
-               algorithms: Sequence[str] = DEFAULT_TABLE1_ALGORITHMS,
-               workers: int | None = None,
-               *,
-               checkpoint=None,
-               resume: bool = False,
-               window: int | None = None,
-               progress: ProgressCallback | None = None) -> Table1Data:
-    """Run the grid and assemble the Table-1 matrices.
-
-    Results stream in and, with *checkpoint*, are appended to a JSONL
-    file as they complete; ``resume=True`` skips coordinates already in it.
-    """
-    return table1_experiment(grid, algorithms).run(
-        workers, checkpoint=checkpoint, resume=resume, window=window,
-        progress=progress)
 
 
 def format_table1(data: Table1Data) -> str:

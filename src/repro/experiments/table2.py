@@ -22,10 +22,10 @@ import numpy as np
 
 from .config import GridSpec
 from .report import format_table
-from .runner import ProgressCallback, TaskResult
+from .runner import TaskResult
 from .spec import ExperimentSpec, grid_experiment
 
-__all__ = ["Table2Data", "run_table2", "format_table2", "table2_experiment",
+__all__ = ["Table2Data", "format_table2", "table2_experiment",
            "DEFAULT_TABLE2_ALGORITHMS"]
 
 DEFAULT_TABLE2_ALGORITHMS = ("RRNZ", "METAGREEDY", "METAVP", "METAHVP")
@@ -61,37 +61,6 @@ def table2_experiment(grid: GridSpec,
     return grid_experiment("table2", grid.configs, algorithms,
                            partial(_reduce_table2, algorithms),
                            format_table2, warm_chain=False)
-
-
-def run_table2(grid: GridSpec,
-               algorithms: Sequence[str] = DEFAULT_TABLE2_ALGORITHMS,
-               workers: int | None = None,
-               *,
-               checkpoint=None,
-               resume: bool = False,
-               window: int | None = None,
-               progress: ProgressCallback | None = None) -> Table2Data:
-    return table2_experiment(grid, algorithms).run(
-        workers, checkpoint=checkpoint, resume=resume, window=window,
-        progress=progress)
-
-
-def table2_from_results(results_by_j: Mapping[int, Sequence[TaskResult]],
-                        algorithms: Sequence[str]) -> Table2Data:
-    """Build Table 2 from results already collected (e.g. by Table 1)."""
-    algorithms = tuple(algorithms)
-    means: dict[int, dict[str, float]] = {}
-    counts: dict[int, int] = {}
-    for J, results in results_by_j.items():
-        per_algo: dict[str, list[float]] = {a: [] for a in algorithms}
-        for task in results:
-            for r in task.results:
-                if r.algorithm in per_algo:
-                    per_algo[r.algorithm].append(r.seconds)
-        means[J] = {a: float(np.mean(v)) if v else 0.0
-                    for a, v in per_algo.items()}
-        counts[J] = len(results)
-    return Table2Data(algorithms, means, counts)
 
 
 def format_table2(data: Table2Data) -> str:

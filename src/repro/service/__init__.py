@@ -8,10 +8,10 @@ admission-control path degrades to a bounded-time greedy probe when the
 solve-latency budget is exceeded.  With ``--journal FILE`` every
 acknowledged event is fsynced to an append-only log before the reply,
 and a restart replays the log back to a digest-identical cluster state;
-``--faults``/``REPRO_FAULTS`` inject solver and journal failures for
-chaos testing.  See :mod:`.controller` for the solving semantics,
-:mod:`.http` for the endpoint surface, :mod:`.journal` for the
-durability discipline and :mod:`.faults` for the injection knobs.
+``--faults`` injects solver and journal failures for chaos testing.
+See :mod:`.controller` for the solving semantics, :mod:`.http` for the
+endpoint surface, :mod:`.journal` for the durability discipline and
+:mod:`.faults` for the injection knobs.
 """
 
 from .controller import PROBATION_PERIOD, AllocationController, ServiceError
@@ -21,7 +21,6 @@ from .faults import (
     FaultPlan,
     InjectedFault,
     InjectedJournalError,
-    faults_from_env,
 )
 from .http import AllocationHTTPServer, create_server, run_server
 from .journal import EventJournal, JournalError, load_journal
@@ -43,7 +42,6 @@ __all__ = [
     "ServiceSpec",
     "StateSnapshot",
     "create_server",
-    "faults_from_env",
     "load_journal",
     "run_server",
 ]

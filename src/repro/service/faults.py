@@ -3,9 +3,9 @@
 Chaos testing needs *controllable* failure: a solver that hangs or
 throws, a journal write that hits a full disk, a process that dies
 between an fsync and its HTTP reply.  This module is that control
-surface — a :class:`FaultPlan` parsed from ``--faults`` or the
-``REPRO_FAULTS`` environment variable, and a :class:`FaultInjector` the
-controller and journal consult at their fault points:
+surface — a :class:`FaultPlan` parsed from ``repro serve --faults``,
+and a :class:`FaultInjector` the controller and journal consult at their
+fault points:
 
 * ``solver_delay_ms=X``  — every solver call sleeps X ms first.
 * ``solver_fail=N``      — the first N solver calls raise
@@ -35,14 +35,11 @@ __all__ = [
     "FaultInjector",
     "InjectedFault",
     "InjectedJournalError",
-    "faults_from_env",
 ]
 
 #: Exit status of an injected crash — distinguishable from a clean stop
 #: (0) and from Python tracebacks (1) in the chaos driver and CI logs.
 CRASH_EXIT_CODE = 86
-
-ENV_VAR = "REPRO_FAULTS"
 
 
 class InjectedFault(RuntimeError):
@@ -87,15 +84,6 @@ class FaultPlan:
     def active(self) -> bool:
         return (self.solver_delay_ms > 0 or self.solver_fail > 0
                 or self.journal_fail > 0 or self.crash_at_event is not None)
-
-
-def faults_from_env() -> "FaultInjector | None":
-    """The injector configured via ``REPRO_FAULTS``, if any."""
-    spec = os.environ.get(ENV_VAR, "").strip()
-    if not spec:
-        return None
-    plan = FaultPlan.parse(spec)
-    return FaultInjector(plan) if plan.active() else None
 
 
 class FaultInjector:

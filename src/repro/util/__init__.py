@@ -1,16 +1,14 @@
-"""Shared utilities: deterministic RNG streams, timing, parallel map."""
+"""Shared utilities: deterministic RNG streams, timing, the sweep pool
+(:mod:`.parallel`)."""
 
-from .parallel import default_workers, parallel_map
+from .parallel import default_workers
 from .rng import as_generator, derive_seed, spawn_generators
-from .timing import Stopwatch, timed_call, timer
+from .timing import timed_call
 
 __all__ = [
-    "Stopwatch",
     "as_generator",
     "default_workers",
     "derive_seed",
-    "parallel_map",
     "spawn_generators",
     "timed_call",
-    "timer",
 ]

@@ -7,13 +7,11 @@ The experiment grids (thousands of independent instances) are the classic
 regenerates its instance locally — the same discipline an MPI scatter would
 impose, without requiring an MPI runtime.
 
-Two entry points:
-
-* :func:`parallel_map` — materialize every result (small sweeps, chunked
-  ``pool.map`` dispatch).
-* :func:`parallel_imap` — a *streaming* generator that keeps only a bounded
-  window of tasks in flight, so million-task grids run in constant memory
-  and each result can be checkpointed the moment it completes.
+:func:`parallel_imap` is a *streaming* generator that keeps only a
+bounded window of tasks in flight, so million-task grids run in constant
+memory and each result can be checkpointed the moment it completes;
+:func:`parallel_imap_cached` answers already-completed tasks from a cache
+(the resume path) on the same windowed loop.
 
 Worker failures are wrapped in :class:`TaskError`, which records the index
 and a summary of the offending task — with thousands of grid cells, a bare
@@ -40,7 +38,7 @@ from typing import (
 from .. import obs
 
 __all__ = ["TaskError", "default_workers", "parallel_imap",
-           "parallel_imap_cached", "parallel_map"]
+           "parallel_imap_cached"]
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -112,30 +110,6 @@ def default_workers() -> int:
     return os.cpu_count() or 1
 
 
-def parallel_map(fn: Callable[[T], R], tasks: Sequence[T],
-                 workers: int | None = None,
-                 chunksize: int | None = None) -> list[R]:
-    """Map *fn* over *tasks*, preserving order.
-
-    Falls back to a serial loop when only one worker is requested or there
-    is a single task — this keeps tracebacks readable in tests and avoids
-    pool start-up cost for small sweeps.  Worker exceptions are re-raised
-    as :class:`TaskError` naming the failing task.
-    """
-    tasks = list(tasks)
-    if not tasks:
-        return []
-    workers = workers if workers is not None else default_workers()
-    workers = min(workers, len(tasks))
-    call = _IndexedCall(fn)
-    if workers <= 1:
-        return [call(pair) for pair in enumerate(tasks)]
-    if chunksize is None:
-        chunksize = max(1, len(tasks) // (workers * 8))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(call, enumerate(tasks), chunksize=chunksize))
-
-
 def _imap_pairs(fn: Callable[[T], R], pairs: Iterable[tuple[int, T]],
                 workers: int, window: int | None) -> Iterator[R]:
     """Core windowed submit loop over pre-indexed ``(index, task)`` pairs.
@@ -154,9 +128,13 @@ def _imap_pairs(fn: Callable[[T], R], pairs: Iterable[tuple[int, T]],
         window = workers * 4
     window = max(1, window)
     call = _IndexedCall(fn)
-    head = list(itertools.islice(pairs, 1))
+    head = list(itertools.islice(pairs, window))
     if not head:  # empty input: never start a pool
         return
+    # Under the ``fork`` start method the pool starts all its workers at
+    # the first submit, and no more than one window of tasks is ever in
+    # flight: a stream shorter than the pool gets one process per task.
+    workers = min(workers, len(head))
     pool = ProcessPoolExecutor(max_workers=workers)
     # A long-lived span here would leak trace context into the consumer
     # across every ``yield``, so the sweep is summarized by a single
@@ -165,7 +143,7 @@ def _imap_pairs(fn: Callable[[T], R], pairs: Iterable[tuple[int, T]],
     completed = 0
     try:
         inflight: deque = deque()
-        for pair in itertools.chain(head, itertools.islice(pairs, window - 1)):
+        for pair in head:
             inflight.append(pool.submit(call, pair))
         while inflight:
             result = inflight.popleft().result()
@@ -189,11 +167,11 @@ def parallel_imap(fn: Callable[[T], R], tasks: Iterable[T],
                   window: int | None = None) -> Iterator[R]:
     """Stream ``fn(task)`` results in input order with bounded look-ahead.
 
-    Unlike :func:`parallel_map`, *tasks* may be an arbitrarily long (even
-    infinite) iterable: at most *window* tasks are pulled ahead of the
-    consumer and held in flight, so memory stays constant regardless of
-    grid size.  Results are yielded strictly in submission order — the
-    contract checkpoint/resume relies on.
+    *tasks* may be an arbitrarily long (even infinite) iterable: at most
+    *window* tasks are pulled ahead of the consumer and held in flight, so
+    memory stays constant regardless of grid size.  Results are yielded
+    strictly in submission order — the contract checkpoint/resume relies
+    on.
 
     With one worker the pool is bypassed entirely and tasks are pulled
     lazily one at a time.  Closing the generator early cancels all not-yet-

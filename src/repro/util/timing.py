@@ -1,49 +1,21 @@
-"""Wall-clock timing helpers for the run-time experiments (Table 2).
+"""Wall-clock timing for the run-time experiments (Table 2).
 
-Thin wrappers over :func:`repro.obs.timed_span`, so Table 2 timings and
-``--obs-log`` traces share one clock path (``time.perf_counter`` reads
-inside the span).  The API is unchanged from the pre-obs version; with
-tracing disabled the spans measure without emitting, and with tracing
-enabled every lap/call/timer region additionally lands in the trace as
-a ``stopwatch.lap`` / ``timed.call`` / ``timer`` span.
+:func:`timed_call` is a thin wrapper over :func:`repro.obs.timed_span`,
+so Table 2 timings and ``--obs-log`` traces share one clock path
+(``time.perf_counter`` reads inside the span).  With tracing disabled the
+span measures without emitting; with tracing enabled every call also
+lands in the trace as a ``timed.call`` span.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import Callable, Iterator, TypeVar
+from typing import Callable, TypeVar
 
 from .. import obs
 
-__all__ = ["Stopwatch", "timed_call", "timer"]
+__all__ = ["timed_call"]
 
 T = TypeVar("T")
-
-
-@dataclass
-class Stopwatch:
-    """Accumulating stopwatch; each ``lap`` records one duration in seconds."""
-
-    laps: list[float] = field(default_factory=list)
-
-    @contextmanager
-    def lap(self) -> Iterator[None]:
-        span = obs.timed_span("stopwatch.lap")
-        try:
-            with span:
-                yield
-        finally:
-            # A raising lap still records its duration, as before.
-            self.laps.append(span.duration)
-
-    @property
-    def total(self) -> float:
-        return sum(self.laps)
-
-    @property
-    def mean(self) -> float:
-        return self.total / len(self.laps) if self.laps else 0.0
 
 
 def timed_call(fn: Callable[..., T], *args, **kwargs) -> tuple[T, float]:
@@ -52,14 +24,3 @@ def timed_call(fn: Callable[..., T], *args, **kwargs) -> tuple[T, float]:
     with span:
         result = fn(*args, **kwargs)
     return result, span.duration
-
-
-@contextmanager
-def timer() -> Iterator[Callable[[], float]]:
-    """``with timer() as t: ...; elapsed = t()`` — reads final elapsed time."""
-    span = obs.timed_span("timer")
-    span.__enter__()
-    try:
-        yield lambda: span.duration
-    finally:
-        span.__exit__(None, None, None)

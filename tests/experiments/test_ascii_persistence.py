@@ -6,11 +6,12 @@ import pytest
 from repro.experiments import SMOKE_GRID, run_grid
 from repro.experiments.ascii_plot import line_chart, sparkline
 from repro.experiments.persistence import (
-    append_results,
+    TASK_RECORDS,
     load_results,
-    merge_results,
-    save_results,
+    read_completed,
 )
+
+from .conftest import append_tasks
 
 
 class TestSparkline:
@@ -61,7 +62,7 @@ class TestPersistence:
 
     def test_round_trip(self, results, tmp_path):
         path = str(tmp_path / "results.jsonl")
-        save_results(results, path)
+        append_tasks(path, results)
         loaded = load_results(path)
         assert len(loaded) == len(results)
         for a, b in zip(results, loaded):
@@ -70,21 +71,30 @@ class TestPersistence:
 
     def test_append(self, results, tmp_path):
         path = str(tmp_path / "results.jsonl")
-        save_results(results[:2], path)
-        append_results(results[2:], path)
+        append_tasks(path, results[:2])
+        append_tasks(path, results[2:])
         assert len(load_results(path)) == len(results)
 
-    def test_merge_deduplicates(self, results):
-        merged = merge_results([results, results])
-        assert len(merged) == len(results)
+    def test_duplicates_read_once(self, results, tmp_path):
+        path = str(tmp_path / "results.jsonl")
+        append_tasks(path, results)
+        append_tasks(path, results)
+        assert len(load_results(path)) == 2 * len(results)
+        assert list(read_completed([path], TASK_RECORDS).values()) == results
 
-    def test_merge_first_wins(self, results):
+    def test_merge_first_wins(self, results, tmp_path):
+        """Read together, checkpoint files merge with the first file
+        listed winning each task they share."""
         from repro.experiments.runner import AlgorithmResult, TaskResult
         modified = [TaskResult(results[0].config,
                                (AlgorithmResult("METAGREEDY", 0.123, 0.0),))]
-        merged = merge_results([modified, results])
+        fresh = str(tmp_path / "fresh.jsonl")
+        stale = str(tmp_path / "stale.jsonl")
+        append_tasks(fresh, modified)
+        append_tasks(stale, results)
+        merged = list(read_completed([fresh, stale], TASK_RECORDS).values())
         assert merged[0].results[0].min_yield == 0.123
-        assert len(merged) == len(results)
+        assert merged[1:] == results[1:]
 
     def test_version_check(self, tmp_path):
         path = str(tmp_path / "bad.jsonl")
@@ -97,7 +107,7 @@ class TestPersistence:
         """Persisted results drive the same Table-1 pipeline."""
         from repro.experiments.metrics import success_rate
         path = str(tmp_path / "results.jsonl")
-        save_results(results, path)
+        append_tasks(path, results)
         loaded = load_results(path)
         yields = [t.by_algorithm()["METAGREEDY"].min_yield for t in loaded]
         assert 0.0 <= success_rate(yields) <= 1.0

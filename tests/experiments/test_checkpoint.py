@@ -312,37 +312,38 @@ class TestPayloadRecordStore:
 
 class TestDriverResume:
     def test_error_figure_resume_identical(self, tmp_path):
-        from repro.experiments import ErrorFigureSpec, run_error_figure
-        spec = ErrorFigureSpec(hosts=8, services=16, instances=2,
-                               error_values=(0.0, 0.1),
-                               thresholds=(0.0,), placer="METAGREEDY")
+        from repro.experiments import (ErrorFigureSpec,
+                                       error_figure_experiment)
+        spec = error_figure_experiment(ErrorFigureSpec(
+            hosts=8, services=16, instances=2, error_values=(0.0, 0.1),
+            thresholds=(0.0,), placer="METAGREEDY"))
         path = str(tmp_path / "ck.jsonl")
-        fresh = run_error_figure(spec, workers=1, checkpoint=path)
-        resumed = run_error_figure(spec, workers=1, checkpoint=path,
-                                   resume=True)
+        fresh = spec.run(workers=1, checkpoint=path)
+        resumed = spec.run(workers=1, checkpoint=path, resume=True)
         assert resumed.series == fresh.series
         assert resumed.solved_instances == fresh.solved_instances
 
     def test_strategy_ranking_resume_identical(self, tmp_path):
-        from repro.experiments.strategy_ranking import rank_strategies
+        from repro.experiments.strategy_ranking import (
+            strategy_ranking_experiment)
         from repro.workloads import ScenarioConfig
-        configs = [ScenarioConfig(hosts=4, services=8, cov=0.5, slack=0.5,
-                                  seed=7, instance_index=0)]
+        spec = strategy_ranking_experiment([ScenarioConfig(
+            hosts=4, services=8, cov=0.5, slack=0.5, seed=7,
+            instance_index=0)])
         path = str(tmp_path / "ck.jsonl")
-        fresh = rank_strategies(configs, workers=1, checkpoint=path)
-        resumed = rank_strategies(configs, workers=1, checkpoint=path,
-                                  resume=True)
+        fresh = spec.run(workers=1, checkpoint=path)
+        resumed = spec.run(workers=1, checkpoint=path, resume=True)
         assert [s.strategy.name for s in resumed.stats] == \
             [s.strategy.name for s in fresh.stats]
         assert [s.average_yield for s in resumed.stats] == \
             [s.average_yield for s in fresh.stats]
 
     def test_table1_checkpoint_resume(self, tmp_path):
-        from repro.experiments import SMOKE_GRID, run_table1
+        from repro.experiments import SMOKE_GRID, table1_experiment
+        spec = table1_experiment(SMOKE_GRID, ALGOS)
         path = str(tmp_path / "ck.jsonl")
-        fresh = run_table1(SMOKE_GRID, ALGOS, workers=1, checkpoint=path)
-        resumed = run_table1(SMOKE_GRID, ALGOS, workers=1, checkpoint=path,
-                             resume=True)
+        fresh = spec.run(workers=1, checkpoint=path)
+        resumed = spec.run(workers=1, checkpoint=path, resume=True)
         assert resumed.success_rates == fresh.success_rates
         assert resumed.average_yields == fresh.average_yields
 

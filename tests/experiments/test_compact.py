@@ -1,7 +1,7 @@
 """Tests for ``repro compact`` — JSONL checkpoint garbage collection.
 
 A compacted checkpoint must be indistinguishable from the original to
-every consumer: ``load_results``/``merge_results`` see the same task set,
+every consumer: ``load_results``/``read_completed`` see the same task set,
 a resumed ``CheckpointStore`` of either codec sees the same completed
 map, and the file shrinks by exactly the superseded/foreign records.
 """
@@ -17,14 +17,13 @@ from repro.experiments.persistence import (
     TASK_RECORDS,
     CheckpointStore,
     PayloadRecords,
-    append_results,
     compact_checkpoint,
     load_results,
     merge_checkpoints,
-    merge_results,
-    save_results,
-    scenario_key,
+    read_completed,
 )
+
+from .conftest import append_tasks
 
 ALGOS = ("METAGREEDY",)
 OTHER = PayloadRecords("other-sweep")
@@ -35,9 +34,8 @@ def _write_duplicated(tmp_path, dupes=2):
     checkpoint-kind records (one of them superseded)."""
     results = run_grid(SMOKE_GRID.configs(), ALGOS, workers=1)
     path = str(tmp_path / "ck.jsonl")
-    save_results(results, path)
-    for _ in range(dupes):
-        append_results(results, path)
+    for _ in range(dupes + 1):
+        append_tasks(path, results)
     with CheckpointStore(path, OTHER) as ck:
         ck.append(["fp", 0], {"value": 1})
         ck.append(["fp", 0], {"value": 2})  # supersedes the first
@@ -46,13 +44,12 @@ def _write_duplicated(tmp_path, dupes=2):
 
 
 class TestCompact:
-    def test_roundtrip_against_merge_results(self, tmp_path):
+    def test_roundtrip_against_read_completed(self, tmp_path):
         path, results = _write_duplicated(tmp_path)
-        merged_before = merge_results([load_results(path)])
+        before = read_completed([path], TASK_RECORDS)
         stats = compact_checkpoint(path)
-        merged_after = merge_results([load_results(path)])
-        assert ([scenario_key(t.config) for t in merged_after]
-                == [scenario_key(t.config) for t in merged_before])
+        after = read_completed([path], TASK_RECORDS)
+        assert list(after.items()) == list(before.items())
         assert len(load_results(path)) == len(results)
         assert stats.superseded == 2 * len(results) + 1
         assert stats.foreign == 0
@@ -148,9 +145,9 @@ class TestLastRecordIsCurrent:
         rerun = [dataclasses.replace(t, results=tuple(
             dataclasses.replace(r, seconds=r.seconds + 1.0)
             for r in t.results)) for t in load_results(path)]
-        append_results(rerun, path)
+        append_tasks(path, rerun)
         only_rerun = str(tmp_path / "rerun.jsonl")
-        save_results(rerun, only_rerun)
+        append_tasks(only_rerun, rerun)
         rendered = self.assert_compaction_invisible(spec, path, tmp_path)
         assert rendered == spec.render(spec.collect([only_rerun]))
 

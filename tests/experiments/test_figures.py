@@ -7,10 +7,10 @@ import pytest
 from repro.experiments import (
     CovFigureSpec,
     ErrorFigureSpec,
+    cov_figure_experiment,
+    error_figure_experiment,
     format_cov_figure,
     format_error_figure,
-    run_cov_figure,
-    run_error_figure,
 )
 
 SMOKE_COV = CovFigureSpec(
@@ -30,7 +30,7 @@ SMOKE_ERROR = ErrorFigureSpec(
 
 class TestCovFigure:
     def test_runs_and_structures(self):
-        data = run_cov_figure(SMOKE_COV, workers=1)
+        data = cov_figure_experiment(SMOKE_COV).run(workers=1)
         assert set(data.points) == {"METAGREEDY", "METAVP"}
         for pts in data.points.values():
             for cov, diff in pts:
@@ -41,19 +41,19 @@ class TestCovFigure:
         """§5: points below -0.002 vs METAHVP should be essentially absent
         for METAVP (METAHVP's strategy set is a superset at equal yields up
         to binary-search discretization)."""
-        data = run_cov_figure(SMOKE_COV, workers=1)
+        data = cov_figure_experiment(SMOKE_COV).run(workers=1)
         for cov, diff in data.points.get("METAVP", ()):
             assert diff <= 0.01
 
     def test_averages_consistent_with_points(self):
-        data = run_cov_figure(SMOKE_COV, workers=1)
+        data = cov_figure_experiment(SMOKE_COV).run(workers=1)
         for algo, avg in data.averages.items():
             for cov, value in avg.items():
                 pts = [d for c, d in data.points[algo] if c == cov]
                 assert value == pytest.approx(sum(pts) / len(pts))
 
     def test_format_and_csv(self, tmp_path):
-        data = run_cov_figure(SMOKE_COV, workers=1)
+        data = cov_figure_experiment(SMOKE_COV).run(workers=1)
         text = format_cov_figure(data)
         assert "Min-yield difference" in text
         csv_path = os.path.join(tmp_path, "fig.csv")
@@ -67,13 +67,13 @@ class TestCovFigure:
         import dataclasses
         spec = dataclasses.replace(SMOKE_COV, cpu_homogeneous=True,
                                    cov_values=(0.0, 1.0))
-        data = run_cov_figure(spec, workers=1)
+        data = cov_figure_experiment(spec).run(workers=1)
         assert data.spec.cpu_homogeneous
 
 
 class TestErrorFigure:
     def test_runs_and_has_all_series(self):
-        data = run_error_figure(SMOKE_ERROR, workers=1)
+        data = error_figure_experiment(SMOKE_ERROR).run(workers=1)
         assert data.solved_instances >= 1
         assert "ideal" in data.series
         assert "zero-knowledge" in data.series
@@ -81,21 +81,21 @@ class TestErrorFigure:
         assert "equal, min=0.10" in data.series
 
     def test_ideal_is_error_independent(self):
-        data = run_error_figure(SMOKE_ERROR, workers=1)
+        data = error_figure_experiment(SMOKE_ERROR).run(workers=1)
         values = set(round(v, 9) for v in data.series["ideal"].values())
         assert len(values) == 1
 
     def test_zero_error_weight_matches_ideal(self):
         """With no error and no threshold, ALLOCWEIGHTS realizes the
         perfect-knowledge placement's yield (up to sharing epsilon)."""
-        data = run_error_figure(SMOKE_ERROR, workers=1)
+        data = error_figure_experiment(SMOKE_ERROR).run(workers=1)
         ideal = next(iter(data.series["ideal"].values()))
         weight0 = data.series["weight, min=0.00"].get(0.0)
         assert weight0 is not None
         assert weight0 >= ideal - 0.02
 
     def test_yields_within_unit_interval(self):
-        data = run_error_figure(SMOKE_ERROR, workers=1)
+        data = error_figure_experiment(SMOKE_ERROR).run(workers=1)
         for curve in data.series.values():
             for v in curve.values():
                 assert -1e-9 <= v <= 1.0 + 1e-9
@@ -104,11 +104,11 @@ class TestErrorFigure:
         import dataclasses
         spec = dataclasses.replace(SMOKE_ERROR, include_caps=True,
                                    error_values=(0.0, 0.2))
-        data = run_error_figure(spec, workers=1)
+        data = error_figure_experiment(spec).run(workers=1)
         assert "caps, min=0.00" in data.series
 
     def test_format_and_csv(self, tmp_path):
-        data = run_error_figure(SMOKE_ERROR, workers=1)
+        data = error_figure_experiment(SMOKE_ERROR).run(workers=1)
         text = format_error_figure(data)
         assert "Min actual yield vs max error" in text
         csv_path = os.path.join(tmp_path, "err.csv")

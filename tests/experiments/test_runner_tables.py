@@ -5,6 +5,7 @@ runs in seconds while still exercising every code path.
 """
 
 
+import numpy as np
 import pytest
 
 from repro.experiments import (
@@ -13,11 +14,11 @@ from repro.experiments import (
     format_table1,
     format_table2,
     run_grid,
-    run_table1,
-    run_table2,
+    table1_experiment,
+    table2_experiment,
 )
+from repro.experiments.persistence import load_results
 from repro.experiments.runner import ALGORITHM_FACTORIES, make_algorithms
-from repro.experiments.table2 import table2_from_results
 
 FAST_ALGOS = ("METAGREEDY", "METAVP", "METAHVPLIGHT")
 
@@ -88,7 +89,7 @@ class TestRunner:
 
 class TestTable1:
     def test_smoke_table1(self):
-        data = run_table1(SMOKE_GRID, FAST_ALGOS, workers=1)
+        data = table1_experiment(SMOKE_GRID, FAST_ALGOS).run(workers=1)
         assert data.algorithms == FAST_ALGOS
         assert set(data.matrices) == {16}
         matrix = data.matrices[16]
@@ -99,7 +100,7 @@ class TestTable1:
             assert cmp.yield_gain_pct >= 0.0
 
     def test_format_table1_renders(self):
-        data = run_table1(SMOKE_GRID, FAST_ALGOS, workers=1)
+        data = table1_experiment(SMOKE_GRID, FAST_ALGOS).run(workers=1)
         text = format_table1(data)
         assert "16 services" in text
         for algo in FAST_ALGOS:
@@ -108,18 +109,28 @@ class TestTable1:
 
 class TestTable2:
     def test_smoke_table2(self):
-        data = run_table2(SMOKE_GRID, FAST_ALGOS, workers=1)
+        data = table2_experiment(SMOKE_GRID, FAST_ALGOS).run(workers=1)
         means = data.mean_seconds[16]
         assert set(means) == set(FAST_ALGOS)
         assert all(v >= 0 for v in means.values())
 
-    def test_table2_from_results_reuses_runs(self):
-        results = run_grid(SMOKE_GRID.configs(), FAST_ALGOS, workers=1)
-        data = table2_from_results({16: results}, FAST_ALGOS)
-        assert set(data.mean_seconds[16]) == set(FAST_ALGOS)
+    def test_table2_from_results_reuses_runs(self, tmp_path):
+        """Table 2 reads its times off a Table 1 checkpoint of the same
+        algorithms: both specs key a task by its cell and algorithm set,
+        so ``collect`` needs no new run."""
+        path = str(tmp_path / "table1.jsonl")
+        table1_experiment(SMOKE_GRID, FAST_ALGOS).run(workers=1,
+                                                      checkpoint=path)
+        data = table2_experiment(SMOKE_GRID, FAST_ALGOS).collect([path])
+        tasks = load_results(path)
+        assert data.instance_counts == {16: len(tasks)}
+        for algo in FAST_ALGOS:
+            seconds = [t.by_algorithm()[algo].seconds for t in tasks]
+            assert data.mean_seconds[16][algo] == \
+                pytest.approx(np.mean(seconds), rel=1e-12)
 
     def test_format_table2_renders(self):
-        data = run_table2(SMOKE_GRID, FAST_ALGOS, workers=1)
+        data = table2_experiment(SMOKE_GRID, FAST_ALGOS).run(workers=1)
         text = format_table2(data)
         assert "16 tasks" in text
         assert "METAVP" in text

@@ -36,6 +36,8 @@ from repro.experiments import runner as runner_module
 from repro.experiments.strategy_ranking import strategy_ranking_experiment
 from repro.workloads import HeavyTailedWorkloadModel, ScenarioConfig
 
+from .conftest import append_tasks
+
 ALGOS = ("METAGREEDY", "METAVP")
 
 TINY_COV = CovFigureSpec(hosts=8, services=16, slack=0.5, instances=2,
@@ -137,10 +139,9 @@ class TestMergeByteIdentical:
         tasks = load_results(whole)
         assert len(tasks) == len(keys)
         paths = [str(tmp_path / f"s{i}.jsonl") for i in range(2)]
-        from repro.experiments import save_results
         for i, path in enumerate(paths):
-            save_results([t for t, k in zip(tasks, keys)
-                          if shard_index(k, 2) == i], path)
+            append_tasks(path, [t for t, k in zip(tasks, keys)
+                                if shard_index(k, 2) == i])
         assert spec.render(spec.collect(paths)) == spec.render(data)
 
     def test_collect_rejects_incomplete(self, tmp_path):
@@ -179,7 +180,6 @@ class TestMergeCheckpoints:
             spec.render(spec.run(workers=1))
 
     def test_first_file_wins(self, tmp_path):
-        from repro.experiments import save_results
         spec = table1_experiment(SMOKE_GRID, ALGOS)
         paths = run_shards(spec, 1, tmp_path)
         fresh = load_results(paths[0])
@@ -187,7 +187,7 @@ class TestMergeCheckpoints:
             t, results=tuple(dataclasses.replace(r, seconds=999.0)
                              for r in t.results)) for t in fresh]
         stale_path = str(tmp_path / "stale.jsonl")
-        save_results(stale, stale_path)
+        append_tasks(stale_path, stale)
         out = str(tmp_path / "m.jsonl")
         merge_checkpoints([paths[0], stale_path], out)
         assert all(r.seconds != 999.0

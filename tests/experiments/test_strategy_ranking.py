@@ -1,25 +1,32 @@
 """Tests for the §5.1 strategy-ranking exploration."""
 
+import json
+
 import pytest
 
+from repro import kernels, obs
 from repro.experiments.strategy_ranking import (
     _configs_fingerprint,
     format_ranking,
     light_set_audit,
-    rank_strategies,
+    strategy_ranking_experiment,
 )
 from repro.algorithms.vector_packing import hvp_strategies
 from repro.workloads import ScenarioConfig
 
+CONFIGS = [
+    ScenarioConfig(hosts=6, services=15, cov=cov, slack=0.5,
+                   seed=31, instance_index=0)
+    for cov in (0.25, 0.75)
+]
+NATIVE_MISSING = kernels.available_backends()["native"]
+needs_native = pytest.mark.skipif(NATIVE_MISSING is not None,
+                                  reason=str(NATIVE_MISSING))
+
 
 @pytest.fixture(scope="module")
 def ranking():
-    configs = [
-        ScenarioConfig(hosts=6, services=15, cov=cov, slack=0.5,
-                       seed=31, instance_index=0)
-        for cov in (0.25, 0.75)
-    ]
-    return rank_strategies(configs, workers=1)
+    return strategy_ranking_experiment(CONFIGS).run(workers=1)
 
 
 class TestRanking:
@@ -62,6 +69,39 @@ class TestRanking:
         assert "LIGHT members" in text
 
 
+class TestOracles:
+    """Each strategy's oracle comes from ``make_engine``, like every
+    other META* solve's."""
+
+    @pytest.mark.parametrize("backend, engine", [
+        pytest.param("native", "fused", marks=needs_native),
+        ("numpy", "per-strategy"),
+    ])
+    def test_engine_follows_backend(self, tmp_path, backend, engine):
+        spec = strategy_ranking_experiment(CONFIGS)
+        task = next(iter(spec.tasks()))
+        sink = tmp_path / "trace.jsonl"
+        obs.configure(str(sink))
+        try:
+            with kernels.kernel_backend(backend):
+                spec.worker(task)
+        finally:
+            obs.disable()
+        records = [json.loads(line) for line in sink.read_text().splitlines()]
+        engines = [r["tags"]["engine"] for r in records
+                   if r["name"] == "meta.engine"]
+        assert engines == [engine] * len(CONFIGS)
+
+    @needs_native
+    def test_ranking_identical_on_every_backend(self):
+        runs = {}
+        for backend in ("native", "numpy"):
+            with kernels.kernel_backend(backend):
+                runs[backend] = strategy_ranking_experiment(CONFIGS).run(
+                    workers=1)
+        assert runs["native"].stats == runs["numpy"].stats
+
+
 class TestWarmStart:
     """The per-strategy hint chain: each config's yield search is seeded
     with the previous config's certified yield for the same strategy,
@@ -78,14 +118,17 @@ class TestWarmStart:
 
     @pytest.fixture(scope="class")
     def warm(self, configs):
-        return rank_strategies(configs, workers=1, warm_start=True)
+        return strategy_ranking_experiment(configs, warm_start=True).run(
+            workers=1)
 
     @pytest.fixture(scope="class")
     def cold(self, configs):
-        return rank_strategies(configs, workers=1, warm_start=False)
+        return strategy_ranking_experiment(configs, warm_start=False).run(
+            workers=1)
 
     def test_warm_is_deterministic(self, configs, warm):
-        again = rank_strategies(configs, workers=1, warm_start=True)
+        again = strategy_ranking_experiment(configs, warm_start=True).run(
+            workers=1)
         assert [(s.strategy.name, s.successes, s.average_yield)
                 for s in warm.stats] == \
             [(s.strategy.name, s.successes, s.average_yield)
@@ -120,14 +163,14 @@ class TestWarmStart:
         """Warm and cold runs have distinct fingerprints, so a cold
         resume never reuses warm payloads (and vice versa)."""
         path = str(tmp_path / "ck.jsonl")
-        rank_strategies(configs[:1], workers=1, checkpoint=path,
-                        warm_start=True)
+        strategy_ranking_experiment(configs[:1], warm_start=True).run(
+            workers=1, checkpoint=path)
         from repro.experiments.persistence import (CheckpointStore,
                                                    PayloadRecords)
         kind = PayloadRecords("strategy-rank")
         before = len(CheckpointStore(path, kind, resume=True))
-        rank_strategies(configs[:1], workers=1, checkpoint=path,
-                        resume=True, warm_start=False)
+        strategy_ranking_experiment(configs[:1], warm_start=False).run(
+            workers=1, checkpoint=path, resume=True)
         after = len(CheckpointStore(path, kind, resume=True))
         assert after == before + 253  # everything recomputed, nothing aliased
 

@@ -1,6 +1,6 @@
-"""The timing helpers are folded onto obs spans: API and semantics of
-``Stopwatch`` / ``timed_call`` / ``timer`` are unchanged with tracing
-disabled, and each region additionally lands in the trace when enabled.
+"""``timed_call`` is folded onto obs spans: its API and semantics are
+unchanged with tracing disabled, and each call additionally lands in the
+trace when enabled.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ import time
 import pytest
 
 from repro import obs
-from repro.util.timing import Stopwatch, timed_call, timer
+from repro.util.timing import timed_call
 
 
 @pytest.fixture
@@ -26,63 +26,37 @@ def read_records(path):
     return [json.loads(line) for line in path.read_text().splitlines()]
 
 
+def _fail(message):
+    raise RuntimeError(message)
+
+
 class TestDisabledEquivalence:
     """With tracing off, behaviour matches the pre-obs implementation."""
-
-    def test_stopwatch_records_positive_laps(self):
-        sw = Stopwatch()
-        with sw.lap():
-            time.sleep(0.001)
-        with sw.lap():
-            pass
-        assert len(sw.laps) == 2
-        assert sw.laps[0] >= 0.001
-        assert sw.total == pytest.approx(sum(sw.laps))
-        assert sw.mean == pytest.approx(sw.total / 2)
-
-    def test_raising_lap_still_appends(self):
-        sw = Stopwatch()
-        with pytest.raises(RuntimeError):
-            with sw.lap():
-                raise RuntimeError
-        assert len(sw.laps) == 1
-        assert sw.laps[0] >= 0.0
 
     def test_timed_call_returns_result_and_seconds(self):
         result, seconds = timed_call(lambda x: x * 2, 21)
         assert result == 42
         assert seconds >= 0.0
 
-    def test_timer_freezes_after_exit(self):
-        with timer() as read:
-            time.sleep(0.001)
-            running = read()
-        frozen = read()
-        assert running >= 0.001
-        assert frozen >= running
-        assert read() == frozen  # no longer advancing
+    def test_raising_call_propagates(self):
+        with pytest.raises(RuntimeError, match="boom"):
+            timed_call(_fail, "boom")
 
 
 class TestEnabledEmission:
-    def test_each_helper_emits_its_span(self, sink):
-        sw = Stopwatch()
-        with sw.lap():
-            pass
+    def test_timed_call_emits_its_span(self, sink):
         timed_call(lambda: None)
-        with timer():
-            pass
         names = [r["name"] for r in read_records(sink)]
-        assert names == ["stopwatch.lap", "timed.call", "timer"]
+        assert names == ["timed.call"]
 
     def test_reported_duration_matches_trace_record(self, sink):
         _, seconds = timed_call(time.sleep, 0.002)
         (record,) = read_records(sink)
         assert record["dur_ms"] == pytest.approx(seconds * 1e3, rel=1e-6)
 
-    def test_lap_duration_matches_trace_record(self, sink):
-        sw = Stopwatch()
-        with sw.lap():
-            time.sleep(0.001)
+    def test_raising_call_still_emits_its_span(self, sink):
+        with pytest.raises(RuntimeError):
+            timed_call(_fail, "boom")
         (record,) = read_records(sink)
-        assert record["dur_ms"] == pytest.approx(sw.laps[0] * 1e3,
-                                                 rel=1e-6)
+        assert record["name"] == "timed.call"
+        assert record["error"] == "RuntimeError"

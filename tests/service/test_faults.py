@@ -10,7 +10,6 @@ from repro.service import (
     FaultInjector,
     FaultPlan,
     ServiceError,
-    faults_from_env,
     load_journal,
 )
 from repro.util.retry import BackoffPolicy
@@ -56,14 +55,6 @@ class TestFaultPlan:
     def test_malformed_pair_rejected(self):
         with pytest.raises(ValueError):
             FaultPlan.parse("solver_fail")
-
-    def test_env_constructor(self, monkeypatch):
-        monkeypatch.delenv("REPRO_FAULTS", raising=False)
-        assert faults_from_env() is None
-        monkeypatch.setenv("REPRO_FAULTS", "solver_fail=1")
-        injector = faults_from_env()
-        assert isinstance(injector, FaultInjector)
-        assert injector.plan.solver_fail == 1
 
 
 class TestSolverFaults:

@@ -30,7 +30,6 @@ def spawn_daemon(journal=None, faults=None, extra=()):
     env = dict(os.environ)
     env["PYTHONPATH"] = "src"
     env.setdefault("PYTHONUNBUFFERED", "1")
-    env.pop("REPRO_FAULTS", None)
     cmd = [sys.executable, "-m", "repro.cli", "--seed", "7",
            "serve", "--port", "0", "--hosts", "4"]
     if journal is not None:
@@ -157,3 +156,18 @@ class TestCrashRecovery:
         survivor.send_signal(signal.SIGTERM)
         assert survivor.wait(timeout=30) == 0
         assert len(load_journal(journal)) == len(events) + 1
+
+    def test_environment_cannot_arm_faults(self, tmp_path, reaper,
+                                           monkeypatch):
+        """``--faults`` is the one way to inject faults: a stray
+        ``REPRO_FAULTS`` in the daemon's environment is ignored."""
+        monkeypatch.setenv("REPRO_FAULTS", "crash_at_event=1")
+        journal = tmp_path / "events.jsonl"
+        proc = spawn_daemon(journal=journal)
+        reaper(proc)
+        host, port = await_port(proc)
+        for _ in range(3):
+            request(host, port, "POST", "/alloc", {"sample": True})
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(timeout=30) == 0
+        assert len(load_journal(journal)) == 3

@@ -1,14 +1,17 @@
 """Tests for the streaming pool primitives: parallel_imap, the cached
 variant, and TaskError failure context."""
 
+import json
+
 import pytest
 
+from repro import obs
+from repro.util import parallel
 from repro.util.parallel import (
     TaskError,
     default_workers,
     parallel_imap,
     parallel_imap_cached,
-    parallel_map,
 )
 
 
@@ -20,6 +23,20 @@ def _fail_on_three(x: int) -> int:
     if x == 3:
         raise ValueError("boom")
     return x
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """The ``max_workers`` of every process pool the stream opens."""
+    sizes = []
+    real = parallel.ProcessPoolExecutor
+
+    def recording(max_workers):
+        sizes.append(max_workers)
+        return real(max_workers=max_workers)
+
+    monkeypatch.setattr(parallel, "ProcessPoolExecutor", recording)
+    return sizes
 
 
 class TestParallelImap:
@@ -75,10 +92,10 @@ class TestParallelImap:
         stream.close()
         assert len(pulled) < 10  # nowhere near the full input
 
-    def test_matches_parallel_map(self):
+    def test_parallel_matches_serial(self):
         tasks = list(range(17))
         assert list(parallel_imap(_square, tasks, workers=4)) == \
-            parallel_map(_square, tasks, workers=4)
+            list(parallel_imap(_square, tasks, workers=1))
 
 
 class TestTaskError:
@@ -95,25 +112,15 @@ class TestTaskError:
             list(parallel_imap(_fail_on_three, range(10), workers=2))
         assert exc_info.value.index == 3
 
-    def test_parallel_map_failure_context(self):
-        with pytest.raises(TaskError) as exc_info:
-            parallel_map(_fail_on_three, range(10), workers=2)
-        assert exc_info.value.index == 3
-
-    def test_parallel_map_serial_failure_context(self):
-        with pytest.raises(TaskError) as exc_info:
-            parallel_map(_fail_on_three, range(10), workers=1)
-        assert exc_info.value.index == 3
-
     def test_original_exception_chained_when_serial(self):
         with pytest.raises(TaskError) as exc_info:
             list(parallel_imap(_fail_on_three, [3], workers=1))
         assert isinstance(exc_info.value.__cause__, ValueError)
 
     def test_long_task_repr_truncated(self):
-        with pytest.raises(TaskError) as exc_info:
-            parallel_map(_fail_on_three, [3], workers=1)
-        assert len(exc_info.value.task_summary) <= 200
+        with pytest.raises(TaskError) as exc_info:  # str * str: TypeError
+            list(parallel_imap(_square, ["x" * 500], workers=1))
+        assert len(exc_info.value.task_summary) == 200
 
 
 class TestParallelImapCached:
@@ -139,6 +146,14 @@ class TestParallelImapCached:
         out = list(parallel_imap_cached(_square, range(40), cache,
                                         key=lambda t: t, workers=3))
         assert out == [i * i for i in range(40)]
+
+    def test_resume_pool_sized_to_misses(self, pool_sizes):
+        """A resume with one task left to compute starts one worker."""
+        cache = {i: i * i for i in range(10) if i != 4}
+        out = list(parallel_imap_cached(_square, range(10), cache,
+                                        key=lambda t: t, workers=4))
+        assert out == [i * i for i in range(10)]
+        assert pool_sizes == [1]
 
     def test_none_is_a_valid_cached_value(self):
         cache = {2: None}
@@ -178,7 +193,7 @@ class TestParallelImapCached:
         assert exc_info.value.index == 3
 
 
-class TestWorkersAndChunksize:
+class TestWorkersAndWindow:
     def test_env_override(self, monkeypatch):
         monkeypatch.setenv("REPRO_WORKERS", "5")
         assert default_workers() == 5
@@ -199,17 +214,40 @@ class TestWorkersAndChunksize:
         monkeypatch.setenv("REPRO_WORKERS", "")
         assert default_workers() >= 1
 
-    def test_chunksize_larger_than_tasks(self):
-        assert parallel_map(_square, range(4), workers=2, chunksize=100) == \
-            [0, 1, 4, 9]
-
-    def test_chunksize_one(self):
-        assert parallel_map(_square, range(6), workers=2, chunksize=1) == \
-            [i * i for i in range(6)]
-
-    def test_more_workers_than_tasks(self):
-        assert parallel_map(_square, [7], workers=16) == [49]
-
     def test_window_smaller_than_workers(self):
         assert list(parallel_imap(_square, range(6), workers=4, window=1)) == \
             [i * i for i in range(6)]
+
+    def test_window_larger_than_tasks(self):
+        assert list(parallel_imap(_square, range(4), workers=2,
+                                  window=100)) == [0, 1, 4, 9]
+
+    def test_more_workers_than_tasks(self):
+        assert list(parallel_imap(_square, [7], workers=16)) == [49]
+
+    @pytest.mark.parametrize("tasks, workers, window, pool", [
+        (1, 16, None, 1),  # one task never starts a second process
+        (3, 4, None, 3),
+        (10, 2, None, 2),  # a long stream keeps every worker busy
+        (10, 4, 2, 2),  # no more processes than tasks in flight
+    ])
+    def test_pool_sized_to_the_stream(self, pool_sizes, tasks, workers,
+                                      window, pool):
+        assert list(parallel_imap(_square, range(tasks), workers=workers,
+                                  window=window)) == \
+            [i * i for i in range(tasks)]
+        assert pool_sizes == [pool]
+
+    def test_sweep_event_reports_the_pool(self, tmp_path):
+        sink = tmp_path / "trace.jsonl"
+        obs.configure(str(sink))
+        try:
+            assert list(parallel_imap(_square, range(3), workers=8)) == \
+                [0, 1, 4]
+        finally:
+            obs.disable()
+        records = [json.loads(line) for line in sink.read_text().splitlines()]
+        (sweep,) = [r for r in records if r["name"] == "parallel.sweep"]
+        assert sweep["tags"]["tasks"] == 3
+        assert sweep["tags"]["workers"] == 3
+        assert sweep["tags"]["window"] == 32

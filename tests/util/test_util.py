@@ -1,13 +1,10 @@
-"""Tests for the shared utilities: RNG plumbing, timing, parallel map."""
-
-import time
+"""Tests for the shared utilities: RNG plumbing, timing, worker count."""
 
 import numpy as np
-import pytest
 
-from repro.util.parallel import default_workers, parallel_map
+from repro.util.parallel import default_workers
 from repro.util.rng import as_generator, derive_seed, spawn_generators
-from repro.util.timing import Stopwatch, timed_call, timer
+from repro.util.timing import timed_call
 
 
 class TestRng:
@@ -50,54 +47,13 @@ class TestRng:
 
 
 class TestTiming:
-    def test_stopwatch_accumulates(self):
-        sw = Stopwatch()
-        for _ in range(3):
-            with sw.lap():
-                time.sleep(0.001)
-        assert len(sw.laps) == 3
-        assert sw.total >= 0.003
-        assert sw.mean == pytest.approx(sw.total / 3)
-
-    def test_stopwatch_empty_mean(self):
-        assert Stopwatch().mean == 0.0
-
     def test_timed_call(self):
         result, seconds = timed_call(lambda x: x * 2, 21)
         assert result == 42
         assert seconds >= 0.0
 
-    def test_timer_context(self):
-        with timer() as read:
-            time.sleep(0.001)
-            mid = read()
-        final = read()
-        assert 0.0 < mid <= final
-        # After exit the reading is frozen.
-        time.sleep(0.002)
-        assert read() == final
 
-
-def _square(x: int) -> int:
-    return x * x
-
-
-class TestParallelMap:
-    def test_serial_path(self):
-        assert parallel_map(_square, [1, 2, 3], workers=1) == [1, 4, 9]
-
-    def test_empty(self):
-        assert parallel_map(_square, [], workers=4) == []
-
-    def test_parallel_matches_serial(self):
-        tasks = list(range(20))
-        assert (parallel_map(_square, tasks, workers=2)
-                == parallel_map(_square, tasks, workers=1))
-
-    def test_order_preserved(self):
-        results = parallel_map(_square, list(range(10)), workers=2)
-        assert results == [i * i for i in range(10)]
-
+class TestDefaultWorkers:
     def test_default_workers_env_override(self, monkeypatch):
         monkeypatch.setenv("REPRO_WORKERS", "3")
         assert default_workers() == 3
