@@ -39,6 +39,7 @@ from repro.algorithms.vector_packing import (
     FusedProbeEngine,
     MetaProbeEngine,
     MetaSolver,
+    StrategyTable,
     hvp_strategies,
 )
 from repro.algorithms.yield_search import binary_search_max_yield
@@ -95,7 +96,7 @@ def fused_sweep(sweep):
     rows = []
     for cfg, ref in zip(REFERENCE_INSTANCES, sweep):
         inst = generate_instance(cfg)
-        engine = FusedProbeEngine(inst, strategies)
+        engine = FusedProbeEngine(inst, StrategyTable(strategies))
         failed_runs = 0
 
         def oracle(instance, y):

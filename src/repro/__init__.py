@@ -14,8 +14,15 @@ Public API layout:
 * :mod:`repro.workloads` — platform and Google-trace-like workload
   generators with the paper's scaling pipeline (§4).
 * :mod:`repro.experiments` — drivers that regenerate every table and figure.
+
+:mod:`repro.core` imports nothing outside itself, so this package root
+installs the ``allocation.improve`` span (:mod:`repro.obs`) around
+:meth:`Allocation.improve_yields`.
 """
 
+from typing import ContextManager
+
+from . import obs as _obs
 from .core import (
     Allocation,
     Node,
@@ -25,8 +32,23 @@ from .core import (
     ServiceArray,
     VectorPair,
 )
+from .core import allocation as _allocation
 
 __version__ = "0.2.0"
+
+
+def _improve_span(allocation: Allocation) -> ContextManager[object]:
+    """One ``allocation.improve`` span per pass, tagged only when tracing."""
+    if not _obs.enabled():
+        return _obs.span("allocation.improve")
+    from .kernels import current_backend_name
+    inst = allocation.instance
+    return _obs.span("allocation.improve", {
+        "backend": current_backend_name(),
+        "services": inst.num_services, "nodes": inst.num_nodes})
+
+
+_allocation.improve_span = _improve_span
 
 __all__ = [
     "Allocation",

@@ -1,6 +1,11 @@
 """Vector-packing heuristics (§3.5): FF/BF/PP/CP, sorts, and META* combinators."""
 
-from .batch_solve import FusedProbeEngine, make_engine, solve_many
+from .batch_solve import (
+    FusedProbeEngine,
+    StrategyTable,
+    make_engine,
+    solve_many,
+)
 from .best_fit import best_fit
 from .first_fit import first_fit
 from .meta import (
@@ -45,6 +50,7 @@ __all__ = [
     "PackingState",
     "ProbeContext",
     "SortStrategy",
+    "StrategyTable",
     "VPStrategy",
     "YieldProbeFactory",
     "best_fit",

@@ -12,15 +12,16 @@ same observable behavior — same placements, certified yields,
 equivalence tests).
 
 :class:`FusedProbeEngine` answers each probe with **one** kernel call:
-the strategy list is compiled once into an int64 strategy table (packer
-id, item/bin order rows, window, flags) and bound, with the instance's
-yield-independent arrays and every buffer a probe fills, into one
-kernel table.  Each probe passes the backend's ``probe_scan`` only the
-yield, the scan order and an assignment buffer; the kernel builds the
-probe's demands, fit mask, waste limit and sort orders itself and
-returns the first strategy that packs together with its placement.  The
-per-strategy engine instead pays a Python-level kernel round trip per
-strategy tried.
+the strategy list is compiled into an int64 strategy table (packer id,
+item/bin order rows, window, flags; :class:`StrategyTable`, which a
+:class:`~.meta.MetaSolver` keeps for all its solves) and bound,
+with the instance's yield-independent arrays and every buffer a probe
+fills, into one kernel table.  Each probe passes the backend's
+``probe_scan`` only the yield, the scan order and an assignment buffer;
+the kernel builds the probe's demands, fit mask, waste limit and sort
+orders itself and returns the first strategy that packs together with
+its placement.  The per-strategy engine instead pays a Python-level
+kernel round trip per strategy tried.
 
 :func:`solve_many` carries a whole batch of instances through the
 selector: one batched kernel call builds every instance's yield-threshold
@@ -35,7 +36,7 @@ from __future__ import annotations
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -49,67 +50,59 @@ from ..yield_search import DEFAULT_TOLERANCE, binary_search_max_yield
 from .permutation_pack import codes_overflow
 from .probe_engine import MetaProbeEngine, YieldProbeFactory
 from .state import WASTE_MARGIN_RTOL, capacity_tolerance
-from .strategies import BF, CP, FF, PP, VPStrategy
+from .strategies import BF, CP, FF, VPStrategy
 
-__all__ = ["FusedProbeEngine", "make_engine", "solve_many"]
+__all__ = ["FusedProbeEngine", "StrategyTable", "make_engine", "solve_many"]
 
 
-class FusedProbeEngine:
-    """One-kernel-call-per-probe META* feasibility oracle.
+class StrategyTable:
+    """A META* strategy list compiled for the fused probe kernel: the
+    instance-independent part of a fused probe table.
 
-    Construction compiles the strategy list into a flat table and binds
-    it, with the instance's yield-independent arrays, to the backend's
-    ``probe_scan`` kernel once (``backend.bind_probe_scan``).  Build it
-    through :func:`make_engine`, which only picks it for backend/instance
-    pairs that can run fused.
-
-    The kernel derives each probe's spare capacity as a waste limit, so
-    a FF or PP/CP run that cannot pack stops as soon as its closed bins
-    leave more capacity unused (``cut_runs`` counts them); outcomes and
-    ``strategy_runs`` are those of full runs.
+    It holds the distinct item sorts and bin sorts in first-appearance
+    order and, per dimension count, the table's columns: the strategy
+    columns, the item sorts as metric codes and directions and, at two
+    dimensions, the PP/CP walk configs (see :func:`._loops.probe_scan`
+    for their meaning).  Each dimension count is compiled on first use
+    and kept; the arrays are read-only, since every engine built from
+    the table shares them.  A :class:`~.meta.MetaSolver` keeps one table
+    for all its solves.
     """
 
-    def __init__(self, instance: ProblemInstance,
-                 strategies: Sequence[VPStrategy],
-                 factory: Optional[YieldProbeFactory] = None):
-        if factory is not None and factory.instance is not instance:
-            raise ValueError("factory was built for a different instance")
+    def __init__(self, strategies: Sequence[VPStrategy]):
         self.strategies = tuple(strategies)
-        self.factory = factory or YieldProbeFactory(instance)
-        self.instance = instance
-        self.backend = get_backend()
-        self.hint: Optional[int] = None
-        self.probes = 0
-        self.strategy_runs = 0
-        self.cut_runs = 0
-
-        sv, nd = instance.services, instance.nodes
-        J, H = len(sv), len(nd)
-        D = sv.req_agg.shape[1]
-        self._J = J
-        cap_tol = np.ascontiguousarray(
-            nd.aggregate + capacity_tolerance(nd.aggregate))
-        bin_agg = np.ascontiguousarray(nd.aggregate, dtype=np.float64)
-
-        # Unique item sorts / bin sorts in first-appearance order.
-        self._item_sorts = list(dict.fromkeys(
+        self.item_sorts = list(dict.fromkeys(
             st.item_sort for st in self.strategies))
-        item_index = {sort: i for i, sort in enumerate(self._item_sorts)}
-        bin_sorts = list(dict.fromkeys(
+        self.bin_sorts = list(dict.fromkeys(
             st.bin_sort for st in self.strategies if st.packer != BF))
-        bin_index = {sort: i for i, sort in enumerate(bin_sorts)}
-        if bin_sorts:
-            bin_orders = np.ascontiguousarray(
-                np.stack([self.factory.bin_order(s) for s in bin_sorts]),
-                dtype=np.int64)
-        else:
-            bin_orders = np.empty((0, H), dtype=np.int64)
+        # dims -> (the ProbeScanArgs columns, the widest PP/CP window).
+        self._compiled: Dict[int, Tuple[Dict[str, np.ndarray], int]] = {}
 
-        # The strategy table (see _loops.probe_scan for semantics).
+    def columns(self, dims: int) -> Dict[str, np.ndarray]:
+        """The :class:`~repro.kernels.api.ProbeScanArgs` fields the list
+        fills for instances of *dims* resource dimensions."""
+        return self._compile(dims)[0]
+
+    def codes_fit_int64(self, dims: int, num_services: int) -> bool:
+        """Whether every PP/CP selection code fits an int64 for an
+        instance of *dims* dimensions and *num_services*; the ones that
+        do not run the legacy PP kernel, which only the per-strategy
+        engine reaches."""
+        max_window = self._compile(dims)[1]
+        return (max_window == 0
+                or not codes_overflow(dims, max_window, num_services))
+
+    def _compile(self, dims: int) -> Tuple[Dict[str, np.ndarray], int]:
+        compiled = self._compiled.get(dims)
+        if compiled is not None:
+            return compiled
+        item_index = {sort: i for i, sort in enumerate(self.item_sorts)}
+        bin_index = {sort: i for i, sort in enumerate(self.bin_sorts)}
         S = len(self.strategies)
         cols = {name: np.empty(S, dtype=np.int64) for name in
                 ("packer", "item", "bin", "hetero", "w", "choose", "cfg")}
-        cfgs: dict = {}  # D == 2 walk configs: (w, choose, item row)
+        cfgs: dict = {}  # dims == 2 walk configs: (w, choose, item row)
+        max_window = 0
         for s, st in enumerate(self.strategies):
             cols["item"][s] = item_index[st.item_sort]
             cols["hetero"][s] = 1 if st.hetero else 0
@@ -125,35 +118,78 @@ class FusedProbeEngine:
             else:
                 cols["packer"][s] = 2
                 cols["bin"][s] = bin_index[st.bin_sort]
-                w = D if st.window is None else max(1, min(st.window, D))
+                w = dims if st.window is None else max(1, min(st.window, dims))
                 cols["w"][s] = w
+                max_window = max(max_window, w)
                 choose = 1 if st.packer == CP else 0
                 cols["choose"][s] = choose
-                if D == 2:
+                if dims == 2:
                     cols["cfg"][s] = cfgs.setdefault(
                         (w, choose, int(cols["item"][s])), len(cfgs))
         cfg = np.array(list(cfgs), dtype=np.int64).reshape(len(cfgs), 3)
+        columns = {
+            "sort_metric": np.array([SORT_METRICS.index(sort.metric)
+                                     for sort in self.item_sorts], np.int64),
+            "sort_desc": np.array([sort.descending
+                                   for sort in self.item_sorts], np.int64),
+            **{f"st_{name}": col for name, col in cols.items()},
+            "cfg_w": np.ascontiguousarray(cfg[:, 0]),
+            "cfg_choose": np.ascontiguousarray(cfg[:, 1]),
+            "cfg_item": np.ascontiguousarray(cfg[:, 2]),
+        }
+        for arr in columns.values():
+            arr.flags.writeable = False
+        compiled = self._compiled[dims] = (columns, max_window)
+        return compiled
+
+
+class FusedProbeEngine:
+    """One-kernel-call-per-probe META* feasibility oracle.
+
+    Construction binds the compiled strategy list (:class:`StrategyTable`)
+    and the instance's yield-independent arrays to the backend's
+    ``probe_scan`` kernel once (``backend.bind_probe_scan``).  Build it
+    through :func:`make_engine`, which only picks it for backend/instance
+    pairs that can run fused.
+
+    The kernel derives each probe's spare capacity as a waste limit, so
+    a FF or PP/CP run that cannot pack stops as soon as its closed bins
+    leave more capacity unused (``cut_runs`` counts them); outcomes and
+    ``strategy_runs`` are those of full runs.
+    """
+
+    def __init__(self, instance: ProblemInstance, table: StrategyTable,
+                 factory: Optional[YieldProbeFactory] = None):
+        if factory is not None and factory.instance is not instance:
+            raise ValueError("factory was built for a different instance")
+        self.strategies = table.strategies
+        self.factory = factory or YieldProbeFactory(instance)
+        self.instance = instance
+        self.backend = get_backend()
+        self.hint: Optional[int] = None
+        self.probes = 0
+        self.strategy_runs = 0
+        self.cut_runs = 0
+
+        sv, nd = instance.services, instance.nodes
+        self._J = len(sv)
+        self._item_sorts = table.item_sorts
+        if table.bin_sorts:
+            bin_orders = np.stack([self.factory.bin_order(sort)
+                                   for sort in table.bin_sorts])
+        else:
+            bin_orders = np.empty((0, len(nd)), dtype=np.int64)
+        # The object model's arrays are C-contiguous float64 already, and
+        # the bind checks (and copies) every one.
+        cap_tol = self.factory.cap_tol
         self._table = self.backend.bind_probe_scan(ProbeScanArgs(
-            req_agg=np.ascontiguousarray(sv.req_agg, dtype=np.float64),
-            need_agg=np.ascontiguousarray(sv.need_agg, dtype=np.float64),
-            y_elem_max=np.ascontiguousarray(self.factory.y_elem_max,
-                                            dtype=np.float64),
+            req_agg=sv.req_agg, need_agg=sv.need_agg,
+            y_elem_max=self.factory.y_elem_max,
             cap_tol=cap_tol, cap_tol_total=cap_tol.sum(axis=0),
-            bin_agg=bin_agg,
-            bin_agg_sum=np.ascontiguousarray(bin_agg.sum(axis=1)),
-            bin_orders=bin_orders,
-            sort_metric=np.array([SORT_METRICS.index(sort.metric)
-                                  for sort in self._item_sorts], np.int64),
-            sort_desc=np.array([sort.descending
-                                for sort in self._item_sorts], np.int64),
-            st_packer=cols["packer"], st_item=cols["item"],
-            st_bin=cols["bin"], st_hetero=cols["hetero"], st_w=cols["w"],
-            st_choose=cols["choose"], st_cfg=cols["cfg"],
-            cfg_w=np.ascontiguousarray(cfg[:, 0]),
-            cfg_choose=np.ascontiguousarray(cfg[:, 1]),
-            cfg_item=np.ascontiguousarray(cfg[:, 2]),
+            bin_agg=nd.aggregate, bin_agg_sum=nd.aggregate.sum(axis=1),
+            bin_orders=bin_orders, **table.columns(instance.dims),
             waste_rtol=WASTE_MARGIN_RTOL))
-        self._scan_cold = np.arange(S, dtype=np.int64)
+        self._scan_cold = np.arange(len(self.strategies), dtype=np.int64)
 
     @property
     def hint_strategy(self) -> Optional[VPStrategy]:
@@ -201,46 +237,32 @@ class FusedProbeEngine:
         return assignment
 
 
-def _codes_fit_int64(instance: ProblemInstance,
-                     strategies: Sequence[VPStrategy]) -> bool:
-    """Whether every PP/CP strategy's packed selection codes fit an int64;
-    the ones that do not run the legacy PP kernel, which only the
-    per-strategy engine reaches."""
-    J = len(instance.services)
-    D = instance.services.req_agg.shape[1]
-    for st in strategies:
-        if st.packer in (PP, CP):
-            w = D if st.window is None else max(1, min(st.window, D))
-            if codes_overflow(D, w, J):
-                return False
-    return True
-
-
-def make_engine(instance: ProblemInstance,
-                strategies: Sequence[VPStrategy],
+def make_engine(instance: ProblemInstance, table: StrategyTable,
                 factory: Optional[YieldProbeFactory] = None):
-    """The META* feasibility oracle for *strategies* on *instance*.
+    """The META* feasibility oracle for the strategy list *table* on
+    *instance*.
 
     The fused engine when the active backend has a ``probe_scan`` kernel
     and every PP/CP code fits an int64, else the per-strategy adaptive
     engine — identical observable behavior.  The choice is made before
-    either engine compiles anything, and traced as one ``meta.engine``
+    either engine binds anything, and traced as one ``meta.engine``
     event per oracle.
     """
     backend = get_backend()
     fused = (backend.supports_probe_scan
-             and _codes_fit_int64(instance, strategies))
+             and table.codes_fit_int64(instance.dims,
+                                       len(instance.services)))
     if obs.enabled():
         obs.event("meta.engine", {
             "engine": "fused" if fused else "per-strategy",
-            "strategies": len(strategies),
+            "strategies": len(table.strategies),
             "backend": backend.name,
             "services": len(instance.services),
             "hosts": len(instance.nodes),
         })
     if fused:
-        return FusedProbeEngine(instance, strategies, factory)
-    return MetaProbeEngine(instance, strategies, factory)
+        return FusedProbeEngine(instance, table, factory)
+    return MetaProbeEngine(instance, table.strategies, factory)
 
 
 def _batched_factories(
@@ -278,7 +300,7 @@ def _batched_factories(
 
 def solve_many(
     instances: Sequence[ProblemInstance],
-    strategies: Sequence[VPStrategy],
+    table: StrategyTable,
     *,
     tolerance: float = DEFAULT_TOLERANCE,
     improve: bool = True,
@@ -286,7 +308,8 @@ def solve_many(
     stats: Optional[Sequence[dict]] = None,
     threads: Optional[int] = None,
 ) -> List[Optional[Allocation]]:
-    """Solve a batch of instances with one META* strategy list.
+    """Solve a batch of instances with one META* strategy list, compiled
+    as *table*.
 
     Equivalent to (and bit-identical with) a loop of per-instance
     ``MetaSolver.solve_with_hint`` calls, but with shared batched
@@ -311,8 +334,8 @@ def solve_many(
             factories = _batched_factories(instances)
         else:
             factories = [None] * B  # engines build their own
-        engines = [make_engine(inst, strategies, factories[i])
-                   for i, inst in enumerate(instances)]
+        engines = [make_engine(inst, table, factory)
+                   for inst, factory in zip(instances, factories)]
         fused = sum(1 for e in engines if isinstance(e, FusedProbeEngine))
         if obs.enabled():
             sp.annotate(batch=B, backend=backend.name,

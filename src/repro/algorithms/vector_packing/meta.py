@@ -10,7 +10,9 @@ The oracle comes from one selector, :func:`~.batch_solve.make_engine`:
 the fused ``probe_scan`` engine when the kernel backend has it, the
 per-strategy adaptive engine of :mod:`.probe_engine` otherwise.  Both
 engines certify the same yields with the same placements and probe
-counts, so the selector only changes wall-clock.
+counts, so the selector only changes wall-clock.  A :class:`MetaSolver`
+keeps its strategy list compiled (:class:`~.batch_solve.StrategyTable`,
+once per dimension count), so a solve binds only the instance.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from ...core.allocation import Allocation
 from ...core.instance import ProblemInstance
 from ..base import NamedAlgorithm
 from ..yield_search import DEFAULT_TOLERANCE, binary_search_max_yield
-from .batch_solve import make_engine, solve_many as _solve_many
+from .batch_solve import StrategyTable, make_engine, solve_many as _solve_many
 from .strategies import (
     VPStrategy,
     hvp_light_strategies,
@@ -63,12 +65,15 @@ class MetaSolver:
         self.strategies = tuple(strategies)
         self.tolerance = tolerance
         self.improve = improve
+        #: The strategy list compiled for the fused kernel, kept across
+        #: solves (it compiles each dimension count once).
+        self.table = StrategyTable(self.strategies)
 
     def solve_with_hint(self, instance: ProblemInstance,
                         hint: Optional[float] = None,
                         stats: Optional[dict] = None
                         ) -> Optional[Allocation]:
-        oracle = make_engine(instance, self.strategies)
+        oracle = make_engine(instance, self.table)
         return binary_search_max_yield(
             instance, oracle, tolerance=self.tolerance,
             improve=self.improve, hint=hint, stats=stats)
@@ -90,7 +95,7 @@ class MetaSolver:
         (that instance's solve wall-clock).
         """
         return _solve_many(
-            instances, self.strategies, tolerance=self.tolerance,
+            instances, self.table, tolerance=self.tolerance,
             improve=self.improve, hints=hints, stats=stats,
             threads=threads)
 

@@ -79,6 +79,8 @@ class YieldProbeFactory:
                  thresholds: Optional[tuple] = None):
         sv, nd = instance.services, instance.nodes
         self.instance = instance
+        #: Aggregate fit bound: each bin's capacity plus its tolerance.
+        self.cap_tol = nd.aggregate + capacity_tolerance(nd.aggregate)
         with obs.span("meta.factory") as sp:
             if thresholds is not None:
                 # Precomputed (elementary, aggregate) threshold tables —
@@ -90,8 +92,7 @@ class YieldProbeFactory:
                     sv.req_elem, sv.need_elem,
                     nd.elementary + capacity_tolerance(nd.elementary))
                 y_agg_max = affine_fit_thresholds(
-                    sv.req_agg, sv.need_agg,
-                    nd.aggregate + capacity_tolerance(nd.aggregate))
+                    sv.req_agg, sv.need_agg, self.cap_tol)
             # Largest yield at which every item still has *some* bin that
             # fits it in isolation; above it the probe is trivially
             # infeasible.

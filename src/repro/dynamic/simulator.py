@@ -29,10 +29,14 @@ array over all trace descriptors (−1 = not placed) and one ``(H, D)``
 node-load array maintained incrementally across steps — departures
 subtract their demand, arrivals add theirs, and a full re-allocation
 rebuilds both.  Newcomer best-fit dispatches to the active kernel
-backend (:mod:`repro.kernels`).  Full re-allocations are *warm-started*:
+backend (:mod:`repro.kernels`), and so does the per-step sharing
+evaluation: ``evaluate_actual_yields`` shares every node in one
+``share_nodes`` kernel call.  Full re-allocations are *warm-started*:
 each epoch's yield search is seeded with the previous epoch's certified
 yield, cutting the probe count by ~2× at matching certified yields (see
-:mod:`repro.algorithms.yield_search`).
+:mod:`repro.algorithms.yield_search`); the placer compiles its strategy
+table once (:class:`~repro.algorithms.vector_packing.StrategyTable`), and
+its closing ``improve_yields`` is one array pass.
 """
 
 from __future__ import annotations

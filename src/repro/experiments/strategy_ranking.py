@@ -24,6 +24,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from ..algorithms.vector_packing import (
+    StrategyTable,
     VPStrategy,
     YieldProbeFactory,
     hvp_light_strategies,
@@ -116,9 +117,10 @@ def _evaluate_strategy(task: _StrategyTask) -> StrategyStats:
     # fail often, and a failure certifies nothing — the chain resets to a
     # cold search after every failed config.
     hint: float | None = None
+    table = StrategyTable((strategy,))
     for cfg in task.configs:
         factory = _probe_factory(cfg)
-        oracle = make_engine(factory.instance, (strategy,), factory)
+        oracle = make_engine(factory.instance, table, factory)
         stats: dict = {}
         alloc = binary_search_max_yield(
             factory.instance, oracle,

@@ -1,11 +1,13 @@
 """Pluggable kernel backends for the packing hot paths.
 
 The vector packers (:mod:`repro.algorithms.vector_packing`), the probe
-factory and the dynamic simulator dispatch their scalar inner loops
+factory, METAGREEDY, the dynamic simulator and the §6 sharing
+evaluation (:mod:`repro.sharing`) dispatch their scalar inner loops
 through a process-wide :class:`~.api.KernelBackend`:
 
 ``numpy``
-    Always available — the PR-3 pure numpy/Python fast paths, moved here.
+    Always available — the pure numpy/Python fast paths (and, for the
+    sharing evaluation, the :mod:`._loops` source run on Python lists).
 ``native``
     The same loops as C, compiled on demand with the system compiler and
     cached; needs a working ``$CC`` (default ``cc``).
@@ -13,8 +15,8 @@ through a process-wide :class:`~.api.KernelBackend`:
     The uncompiled scalar source (:mod:`._loops`) — the slow reference
     the C translation is diffed against; useful for debugging only.
 
-All backends produce **bit-identical** placements, loads and threshold
-tables, so the choice affects wall-clock only.  Selection:
+All backends produce **bit-identical** placements, loads, threshold
+tables and yields, so the choice affects wall-clock only.  Selection:
 
 1. :func:`use_backend` (explicit, e.g. from ``--kernel-backend``);
 2. the ``REPRO_KERNEL_BACKEND`` environment variable (inherited by

@@ -34,6 +34,10 @@ list of greedy passes and returns each pass's placement and its minimum
 yield after the per-node closed-form improvement.  Where the numpy
 reference *sums* arrays, :func:`pairwise_sum` reproduces numpy's
 summation order, so those sums match bit for bit too.
+:func:`share_nodes` is the §6 runtime sharing evaluation: one call shares
+every node's fluid capacity under a policy, work-conserving rounds
+included, and writes each service's actual yield.  Besides the C, the
+numpy backend runs it too, on Python lists.
 
 The three *bin-major* fills (:func:`ff_fill`, :func:`pp_fill_2d`,
 :func:`pp_fill_general`) fill one bin at a time in bin order and never
@@ -64,6 +68,8 @@ __all__ = [
     "build_walk_orders",
     "pairwise_sum",
     "greedy_scan",
+    "share_nodes",
+    "share_rounds",
     "CUT",
 ]
 
@@ -389,26 +395,29 @@ def affine_fit_thresholds(req, need, cap, out):
     """``out[j, h]`` = largest yield at which item *j* fits bin *h*.
 
     Same contract as the numpy broadcast version, but with no ``(J, H, D)``
-    temporaries.
+    temporaries.  Dimensions run outermost per item, so each need divides
+    a whole row; every ``(j, h)`` still meets the dimensions in order, so
+    it keeps the minimum a per-pair loop keeps (a need of 0 or less
+    gives ``+inf``, which changes nothing, or ``-inf``).
     """
     J = req.shape[0]
     H = cap.shape[0]
     D = req.shape[1]
     for j in range(J):
         for h in range(H):
-            m = np.inf
-            for d in range(D):
-                slack = cap[h, d] - req[j, d]
-                nd = need[j, d]
-                if nd > 0:
-                    t = slack / nd
-                elif slack >= 0:
-                    t = np.inf
-                else:
-                    t = -np.inf
-                if t < m:
-                    m = t
-            out[j, h] = m
+            out[j, h] = np.inf
+        for d in range(D):
+            r = req[j, d]
+            nd = need[j, d]
+            if nd > 0:
+                for h in range(H):
+                    t = (cap[h, d] - r) / nd
+                    if t < out[j, h]:
+                        out[j, h] = t
+            else:
+                for h in range(H):
+                    if not cap[h, d] - r >= 0:
+                        out[j, h] = -np.inf
     return 0
 
 
@@ -420,26 +429,11 @@ def batch_fit_thresholds(req, need, cap, n_items, n_bins, out):
     rows.  Thresholds land in ``out[b, :n_items[b], :n_bins[b]]``; the
     padding is left untouched.
     """
-    B = req.shape[0]
-    D = req.shape[2]
-    for b in range(B):
+    for b in range(req.shape[0]):
         J = n_items[b]
         H = n_bins[b]
-        for j in range(J):
-            for h in range(H):
-                m = np.inf
-                for d in range(D):
-                    slack = cap[b, h, d] - req[b, j, d]
-                    nd = need[b, j, d]
-                    if nd > 0:
-                        t = slack / nd
-                    elif slack >= 0:
-                        t = np.inf
-                    else:
-                        t = -np.inf
-                    if t < m:
-                        m = t
-                out[b, j, h] = m
+        affine_fit_thresholds(req[b, :J], need[b, :J], cap[b, :H],
+                              out[b, :J, :H])
     return 0
 
 
@@ -1062,3 +1056,169 @@ def greedy_scan(req_agg, req_agg_sum, need_dim, req_dim, elem_ok,
     return feasible
 
 
+
+
+def share_nodes(order, counts, req, need, est_need, elem_req, elem_need,
+                node_agg, node_elem, policy, epsilon, share_atol, yields,
+                buf, dem, wts, cons, unsat, frames, partial):
+    """The §6 runtime sharing of one fluid dimension on every node, in
+    one call: each service's actual yield under *policy*.
+
+    Services arrive grouped by node: node ``h`` hosts the next
+    ``counts[h]`` entries of ``order`` (ascending service index within a
+    node).  The per-service inputs are columns of the sharing dimension:
+    rigid aggregate requirement ``req``, true and estimated aggregate
+    needs ``need``/``est_need``, elementary requirement and need
+    ``elem_req``/``elem_need``; ``node_agg``/``node_elem`` are the
+    nodes' capacities.  *policy* is 0 (ALLOCCAPS), 1 (ALLOCWEIGHTS) or 2
+    (EQUALWEIGHTS).  ``yields`` (service-indexed) receives the result;
+    ``buf``, ``dem``, ``wts``, ``cons`` (floats) and ``unsat`` (flags)
+    are scratch of one entry per service, ``frames``/``partial`` are
+    :func:`pairwise_sum`'s stack.  Every argument may be a numpy array
+    or, save ``frames``, a Python list: the numpy backend runs this
+    source on lists.
+
+    Per node this is ``sharing.baseline``'s problem and policy, bit for
+    bit: capacity is the node's aggregate minus its members' summed
+    requirements (floored at 0 as Python's ``max(capacity, 0.0)``
+    does); each demand is the true need clipped by the elementary
+    ceiling; weights are the estimate-based allocations (ALLOCCAPS caps
+    consumption at them) or all ones; the work-conserving rounds of
+    ``work_conserving_shares`` share the capacity; and yields are
+    consumption over true need, clipped to [0, 1].  Every sum is
+    :func:`pairwise_sum` (numpy's order), and ties and NaNs follow
+    numpy: ``np.minimum``/``np.maximum`` return the second operand on a
+    tie and propagate NaN, and ``np.clip(x, 0, 1)`` keeps ``x``.
+    """
+    H = len(counts)
+    base = 0
+    for h in range(H):
+        K = counts[h]
+        if K == 0:
+            continue
+        for q in range(K):
+            buf[q] = req[order[base + q]]
+        capacity = node_agg[h] - pairwise_sum(buf, K, frames, partial)
+        if 0.0 > capacity:
+            capacity = 0.0
+        # Demands: np.minimum(need, np.minimum(y_cap, 1.0) * need) with
+        # y_cap = np.maximum(room, 0.0) / elem_need where elem_need > 0.
+        for q in range(K):
+            j = order[base + q]
+            y_cap = 1.0
+            if elem_need[j] > 0:
+                room = node_elem[h] - elem_req[j]
+                if not (room > 0.0 or room != room):
+                    room = 0.0
+                y_cap = room / elem_need[j]
+            if not (y_cap < 1.0 or y_cap != y_cap):
+                y_cap = 1.0
+            useful = y_cap * need[j]
+            d = need[j]
+            if not (d < useful or d != d):
+                d = useful
+            dem[q] = d
+        # Weights: the estimate-based allocations, or equal weights.
+        if policy == 2:
+            for q in range(K):
+                wts[q] = 1.0
+        else:
+            for q in range(K):
+                buf[q] = est_need[order[base + q]]
+            total = pairwise_sum(buf, K, frames, partial)
+            if total <= 0:
+                for q in range(K):
+                    wts[q] = 0.0
+            else:
+                y_hat = capacity / total
+                if not y_hat < 1.0:
+                    y_hat = 1.0
+                for q in range(K):
+                    wts[q] = y_hat * est_need[order[base + q]]
+        if policy == 0:
+            # ALLOCCAPS: consumption capped at the allocations.
+            for q in range(K):
+                c = wts[q]
+                if not (c < dem[q] or c != c):
+                    c = dem[q]
+                cons[q] = c
+        else:
+            for q in range(K):
+                cons[q] = 0.0
+            if not capacity <= 0.0:  # no capacity: nothing consumed
+                for q in range(K):
+                    buf[q] = dem[q]
+                if pairwise_sum(buf, K, frames, partial) <= capacity:
+                    for q in range(K):
+                        cons[q] = dem[q]
+                else:
+                    share_rounds(K, dem, wts, capacity, epsilon, share_atol,
+                                 buf, cons, unsat, frames, partial)
+        for q in range(K):
+            j = order[base + q]
+            y = 1.0
+            if need[j] > 0:
+                y = cons[q] / need[j]
+                if y < 0.0:
+                    y = 0.0
+                elif y > 1.0:
+                    y = 1.0
+            yields[j] = y
+        base += K
+    return 0
+
+
+def share_rounds(K, dem, wts, capacity, epsilon, share_atol, buf, cons,
+                 unsat, frames, partial):
+    """``work_conserving_shares``' redistribution rounds on one node
+    whose ``K`` demands sum to more than ``capacity`` (``cons`` enters
+    all zero).  Each round offers the pool to the unsatisfied members by
+    weight (normalized by the largest, or equal when no weight is
+    positive); members whose remaining demand fits their share take it
+    and leave, the others take their share, and when none fits every
+    share is final.  Ends with ``np.minimum(cons, dem)``."""
+    left = K
+    for q in range(K):
+        unsat[q] = 1
+    pool = capacity
+    while pool > epsilon and left > 0:
+        wmax = -np.inf
+        for q in range(K):
+            if unsat[q]:
+                v = wts[q]
+                if v > wmax or v != v:
+                    wmax = v
+        n = 0
+        for q in range(K):
+            if unsat[q]:
+                if wmax <= 0.0:
+                    buf[n] = 1.0
+                else:
+                    buf[n] = wts[q] / wmax
+                n += 1
+        wsum = pairwise_sum(buf, n, frames, partial)
+        n = 0
+        done = 0
+        for q in range(K):
+            if unsat[q]:
+                share = pool * (buf[n] / wsum)
+                need_left = dem[q] - cons[q]
+                take = share
+                if need_left <= share + share_atol:
+                    take = need_left
+                    unsat[q] = 0
+                    done += 1
+                cons[q] += take
+                buf[n] = take
+                n += 1
+        if done == 0:
+            pool = 0.0
+            break
+        pool = pool - pairwise_sum(buf, n, frames, partial)
+        left -= done
+    for q in range(K):
+        c = cons[q]
+        if not (c < dem[q] or c != c):
+            c = dem[q]
+        cons[q] = c
+    return 0

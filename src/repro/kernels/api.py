@@ -25,12 +25,15 @@ and the dynamic simulator dispatch to (see :mod:`repro.kernels`):
   (advertised via ``supports_probe_scan``, which only the numpy backend
   leaves off);
 * ``greedy_scan(args)`` — METAGREEDY's passes in one call: each pass's
-  placement and its minimum yield after the per-node improvement.
+  placement and its minimum yield after the per-node improvement;
+* ``share_nodes(args)`` — the §6 runtime sharing evaluation in one call:
+  every node's CPU shared by one policy (:data:`SHARE_POLICIES`), and
+  each service's actual yield.
 
-All implementations are *bit-compatible*: identical placements, loads and
-threshold tables for identical inputs (asserted by the cross-backend
-equivalence tests), so switching backends never changes results — only
-wall-clock.  Backend selection never depends on the dimension count.
+All implementations are *bit-compatible*: identical placements, loads,
+threshold tables and yields for identical inputs (asserted by the
+cross-backend equivalence tests), so switching backends never changes
+results — only wall-clock.  Backend selection never depends on the dimension count.
 
 :class:`ArrayKernelBackend` adapts the flat-array loop kernels of
 :mod:`._loops` (or the C translation with the same signatures) to this
@@ -40,16 +43,21 @@ it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 from typing import Any, Dict, Tuple
 
 import numpy as np
 
 __all__ = ["KernelBackend", "ArrayKernelBackend", "GreedyScanArgs",
-           "ProbeScanArgs", "ProbeTable", "SORT_METRICS"]
+           "ProbeScanArgs", "ProbeTable", "ShareNodesArgs", "SHARE_POLICIES",
+           "SORT_METRICS"]
 
 #: Item-sort metrics in the order of ``ProbeScanArgs.sort_metric`` codes.
 SORT_METRICS = ("MAX", "SUM", "MAXRATIO", "MAXDIFFERENCE", "LEX", "NONE")
+
+#: §6 sharing policies in the order of ``ShareNodesArgs.policy`` codes.
+SHARE_POLICIES = ("ALLOCCAPS", "ALLOCWEIGHTS", "EQUALWEIGHTS")
 
 
 def _array(dtype: type, *shape: str) -> Any:
@@ -101,6 +109,16 @@ class ProbeScanArgs:
     waste_rtol: float
 
 
+#: Each :class:`ProbeScanArgs` array field (all but the float margin):
+#: its name, dtype and shape in dimension names.
+_ARRAY_SPECS = tuple((f.name, f.metadata["dtype"], f.metadata["shape"])
+                     for f in fields(ProbeScanArgs) if "shape" in f.metadata)
+_F8, _I8, _U1 = np.dtype(np.float64), np.dtype(np.int64), np.dtype(np.uint8)
+#: The array fields of each dtype, as a :class:`ProbeTable` lays them out.
+_INPUTS = {dtype: tuple(name for name, dt, _ in _ARRAY_SPECS if dt == dtype)
+           for dtype in (_F8, _I8, _U1)}
+
+
 def _bad(name: str, what: str) -> ValueError:
     return ValueError(f"probe table: {name} {what}")
 
@@ -109,23 +127,19 @@ def _check_probe_args(args: ProbeScanArgs) -> Dict[str, int]:
     """The table's dimensions, after checking every array's dtype,
     contiguity and shape, and every index the kernel follows."""
     dims: Dict[str, int] = {}
-    for f in fields(args):
-        shape = f.metadata.get("shape")
-        if shape is None:
-            continue
-        arr = getattr(args, f.name)
-        if not isinstance(arr, np.ndarray) or arr.dtype != f.metadata["dtype"]:
-            raise TypeError(f"probe table: {f.name} must be a "
-                            f"{f.metadata['dtype']} array, not "
-                            f"{getattr(arr, 'dtype', type(arr).__name__)}")
+    for name, dtype, shape in _ARRAY_SPECS:
+        arr = getattr(args, name)
+        if not isinstance(arr, np.ndarray) or arr.dtype != dtype:
+            raise TypeError(f"probe table: {name} must be a {dtype} array, "
+                            f"not {getattr(arr, 'dtype', type(arr).__name__)}")
         if not arr.flags.c_contiguous:
-            raise _bad(f.name, "is not C-contiguous")
+            raise _bad(name, "is not C-contiguous")
         if arr.ndim != len(shape):
-            raise _bad(f.name, f"has shape {arr.shape}, expected "
-                               f"({', '.join(shape)})")
+            raise _bad(name, f"has shape {arr.shape}, expected "
+                             f"({', '.join(shape)})")
         for dim, n in zip(shape, arr.shape):
             if dims.setdefault(dim, n) != n:
-                raise _bad(f.name, f"has {dim} = {n}, expected {dims[dim]}")
+                raise _bad(name, f"has {dim} = {n}, expected {dims[dim]}")
     D, J = dims["D"], dims["J"]
     if D < 1:
         raise _bad("req_agg", "has no resource dimension")
@@ -154,15 +168,20 @@ def _check_probe_args(args: ProbeScanArgs) -> Dict[str, int]:
 
 class ProbeTable:
     """A fused probe's bound table: the checked :class:`ProbeScanArgs`
-    plus every buffer a probe fills, allocated once.
+    plus every buffer a probe fills, in one block per dtype.
 
     The kernel writes the probe's inputs into ``item_agg``,
     ``item_agg_sum``, ``elem_ok`` (uint8), ``waste_limit``,
     ``item_orders``/``tie_ranks`` (``(SI, J)``), ``item_dim_perm`` and
     ``pp_order0``/``pp_order1`` (``(NC, J)``), each lazily built row
-    marked in ``built``; the rest is scratch.  ``handle`` is what a
-    compiled backend binds (the C struct of these arrays' pointers); the
-    table holds every array it points into, so they live as long as it.
+    marked in ``built``; the rest is scratch.  Every array, the args'
+    arrays copied in, lives in ``blocks`` (float64, int64, uint8), and
+    ``layout`` gives each array's dtype (its block), byte offset and
+    shape, so a compiled backend binds ``handle`` (the C struct of the
+    arrays' pointers) from three base addresses.  An array attribute is a view
+    into its block, made on first access (the compiled kernels need none:
+    they read through ``handle``).  The table owns its blocks, so every
+    pointer lives as long as it.
     """
 
     def __init__(self, args: ProbeScanArgs):
@@ -171,30 +190,51 @@ class ProbeTable:
         SI, NC = dims["SI"], dims["NC"]
         self.J, self.H, self.D = J, H, D
         self.S, self.SI, self.SB, self.NC = dims["S"], SI, dims["SB"], NC
-        for f in fields(args):
-            setattr(self, f.name, getattr(args, f.name))
         self.waste_rtol = float(args.waste_rtol)
-        self.item_agg = np.zeros((J, D))
-        self.item_agg_sum = np.zeros(J)
-        self.elem_ok = np.zeros((J, H), dtype=np.uint8)
-        self.waste_limit = np.zeros(D)
-        self.item_orders = np.zeros((SI, J), dtype=np.int64)
-        self.tie_ranks = np.zeros((SI, J), dtype=np.int64)
-        self.item_dim_perm = np.zeros((J, D), dtype=np.int64)
-        self.pp_order0 = np.zeros((NC, J), dtype=np.int64)
-        self.pp_order1 = np.zeros((NC, J), dtype=np.int64)
-        self.built = np.zeros(SI + 1 + NC, dtype=np.uint8)
-        self.loads = np.zeros((H, D))
-        self.load_sum = np.zeros(H)
-        self.sort_key = np.zeros(J)
-        self.sort_tmp = np.zeros(J, dtype=np.int64)
-        self.work_i = np.zeros(J + 3 * D, dtype=np.int64)
-        self.work_f = np.zeros(2 * D)
-        self.dead = np.zeros(J, dtype=np.uint8)
-        self.frames = np.zeros((128, 3), dtype=np.int64)
-        self.partial = np.zeros(64)
-        self.cut_runs = np.zeros(1, dtype=np.int64)
+        # The buffers a probe fills, after the copied args in each block.
+        buffers: Dict[np.dtype[Any],
+                      Tuple[Tuple[str, Tuple[int, ...]], ...]] = {
+            _F8: (("item_agg", (J, D)), ("item_agg_sum", (J,)),
+                  ("waste_limit", (D,)), ("loads", (H, D)),
+                  ("load_sum", (H,)), ("sort_key", (J,)),
+                  ("work_f", (2 * D,)), ("partial", (64,))),
+            _I8: (("item_orders", (SI, J)), ("tie_ranks", (SI, J)),
+                  ("item_dim_perm", (J, D)), ("pp_order0", (NC, J)),
+                  ("pp_order1", (NC, J)), ("sort_tmp", (J,)),
+                  ("work_i", (J + 3 * D,)), ("frames", (128, 3)),
+                  ("cut_runs", (1,))),
+            _U1: (("elem_ok", (J, H)), ("built", (SI + 1 + NC,)),
+                  ("dead", (J,)))}
+        self.blocks: Dict[np.dtype[Any], np.ndarray] = {}
+        self.layout: Dict[str,
+                          Tuple[np.dtype[Any], int, Tuple[int, ...]]] = {}
+        for dtype, members in buffers.items():
+            inputs = [getattr(args, name) for name in _INPUTS[dtype]]
+            size = 0
+            for name, arr in zip(_INPUTS[dtype], inputs):
+                self.layout[name] = (dtype, size * dtype.itemsize, arr.shape)
+                size += arr.size
+            copied = size
+            for name, shape in members:
+                self.layout[name] = (dtype, size * dtype.itemsize, shape)
+                size += math.prod(shape)
+            block = self.blocks[dtype] = np.zeros(size, dtype)
+            if inputs:
+                np.concatenate([arr.reshape(-1) for arr in inputs],
+                               out=block[:copied])
         self.handle: Any = None
+
+    def __getattr__(self, name: str) -> np.ndarray:
+        """Array *name*: a view into its block, made once."""
+        layout = self.__dict__.get("layout")
+        if layout is None or name not in layout:
+            raise AttributeError(name)
+        dtype, offset, shape = layout[name]
+        start = offset // dtype.itemsize
+        view: np.ndarray = self.blocks[dtype][
+            start:start + math.prod(shape)].reshape(shape)
+        self.__dict__[name] = view
+        return view
 
 
 @dataclass(frozen=True)
@@ -223,6 +263,64 @@ class GreedyScanArgs:
     pass_pick: np.ndarray    # (P,) node picker code, 0..6 for P1..P7
     feas_atol: float         # the yield step's feasibility tolerances
     feas_rtol: float
+
+
+@dataclass(frozen=True)
+class ShareNodesArgs:
+    """Inputs of one sharing evaluation over every node (see
+    :func:`._loops.share_nodes`): one fluid dimension's columns, the
+    services grouped by node, and the policy.  Arrays are C-contiguous
+    and 1-D; ``order`` and ``counts`` are int64, the rest float64.
+    ``order``/``counts`` must group ``range(J)`` by node.  The kernel
+    follows them, so the adapter refuses a count outside ``[0, J]``,
+    counts that do not sum to ``J`` and an order entry outside
+    ``[0, J)``.
+    """
+
+    order: np.ndarray      # (J,) services by node, ascending within one
+    counts: np.ndarray     # (H,) services on each node
+    req: np.ndarray        # (J,) rigid aggregate requirements
+    need: np.ndarray       # (J,) true aggregate needs
+    est_need: np.ndarray   # (J,) estimated aggregate needs
+    elem_req: np.ndarray   # (J,) elementary requirements
+    elem_need: np.ndarray  # (J,) elementary needs
+    node_agg: np.ndarray   # (H,) aggregate capacities
+    node_elem: np.ndarray  # (H,) elementary capacities
+    policy: int            # index into SHARE_POLICIES
+    epsilon: float         # rounds stop once the pool is this small
+    share_atol: float      # slack of "the remaining demand fits"
+
+
+def _check_share_args(args: ShareNodesArgs) -> Tuple[int, int]:
+    """``(J, H)`` after checking every array's dtype, layout and length,
+    every index the kernel follows, and the policy code."""
+    J, H = args.order.shape[0], args.counts.shape[0]
+    for name, arr, n, dtype in (
+            ("order", args.order, J, np.int64),
+            ("counts", args.counts, H, np.int64),
+            ("req", args.req, J, np.float64),
+            ("need", args.need, J, np.float64),
+            ("est_need", args.est_need, J, np.float64),
+            ("elem_req", args.elem_req, J, np.float64),
+            ("elem_need", args.elem_need, J, np.float64),
+            ("node_agg", args.node_agg, H, np.float64),
+            ("node_elem", args.node_elem, H, np.float64)):
+        if (not isinstance(arr, np.ndarray) or arr.dtype != dtype
+                or arr.shape != (n,) or not arr.flags.c_contiguous):
+            raise ValueError(f"share_nodes: {name} must be a C-contiguous "
+                             f"{np.dtype(dtype)} vector of {n}")
+    # Each count within [0, J] first, so their sum cannot wrap.
+    if H and (args.counts.min() < 0 or args.counts.max() > J):
+        raise ValueError(f"share_nodes: counts has an entry outside "
+                         f"[0, {J}]")
+    if int(args.counts.sum()) != J:
+        raise ValueError(f"share_nodes: counts sums to "
+                         f"{int(args.counts.sum())}, not {J}")
+    if J and (args.order.min() < 0 or args.order.max() >= J):
+        raise ValueError(f"share_nodes: order has an entry outside [0, {J})")
+    if not 0 <= args.policy < len(SHARE_POLICIES):
+        raise ValueError(f"share_nodes: no policy code {args.policy}")
+    return J, H
 
 
 class KernelBackend:
@@ -303,6 +401,13 @@ class KernelBackend:
 
         ``placements`` is ``(P, J)`` and ``min_yields`` ``(P,)``; a pass
         that cannot place every service has a row of -1 and ``-inf``.
+        """
+        raise NotImplementedError
+
+    def share_nodes(self, args: ShareNodesArgs) -> np.ndarray:
+        """Share every node's fluid dimension under ``args.policy``;
+        returns each service's actual yield (``(J,)`` float64, service
+        order), bit-identical to ``sharing.policies`` run node by node.
         """
         raise NotImplementedError
 
@@ -390,11 +495,17 @@ class ArrayKernelBackend(KernelBackend):
         return unplaced == 0
 
     # -- probe factory -------------------------------------------------
+    # The kernels follow the shapes, so they are checked here.
     def affine_fit_thresholds(self, req: np.ndarray, need: np.ndarray,
                               cap: np.ndarray) -> np.ndarray:
         req = np.ascontiguousarray(req, dtype=np.float64)
         need = np.ascontiguousarray(need, dtype=np.float64)
         cap = np.ascontiguousarray(cap, dtype=np.float64)
+        if (req.ndim != 2 or need.shape != req.shape or cap.ndim != 2
+                or cap.shape[1] != req.shape[1]):
+            raise ValueError(f"affine_fit_thresholds: req {req.shape}, "
+                             f"need {need.shape} and cap {cap.shape} must "
+                             f"be (J, D), (J, D) and (H, D)")
         out = np.empty((req.shape[0], cap.shape[0]), dtype=np.float64)
         self._k.affine_fit_thresholds(req, need, cap, out)
         return out
@@ -405,10 +516,22 @@ class ArrayKernelBackend(KernelBackend):
         req = np.ascontiguousarray(req, dtype=np.float64)
         need = np.ascontiguousarray(need, dtype=np.float64)
         cap = np.ascontiguousarray(cap, dtype=np.float64)
-        out = np.zeros((req.shape[0], req.shape[1], cap.shape[1]),
-                       dtype=np.float64)
-        self._k.batch_fit_thresholds(req, need, cap, _i64(n_items),
-                                     _i64(n_bins), out)
+        n_items, n_bins = _i64(n_items), _i64(n_bins)
+        B = req.shape[0] if req.ndim == 3 else -1
+        if (B < 0 or need.shape != req.shape or cap.ndim != 3
+                or cap.shape[0] != B or cap.shape[2] != req.shape[2]
+                or n_items.shape != (B,) or n_bins.shape != (B,)):
+            raise ValueError(f"batch_fit_thresholds: req {req.shape}, "
+                             f"need {need.shape}, cap {cap.shape}, n_items "
+                             f"{n_items.shape} and n_bins {n_bins.shape} "
+                             f"must be (B, N, D), (B, N, D), (B, H, D), "
+                             f"(B,) and (B,)")
+        if B and (n_items.min() < 0 or n_items.max() > req.shape[1]
+                  or n_bins.min() < 0 or n_bins.max() > cap.shape[1]):
+            raise ValueError("batch_fit_thresholds: an item or bin count "
+                             "is negative or past the padding")
+        out = np.zeros((B, req.shape[1], cap.shape[1]), dtype=np.float64)
+        self._k.batch_fit_thresholds(req, need, cap, n_items, n_bins, out)
         return out
 
     # -- dynamic simulator ---------------------------------------------
@@ -464,3 +587,16 @@ class ArrayKernelBackend(KernelBackend):
         if feasible < 0:
             raise MemoryError("greedy_scan could not allocate its work arrays")
         return placements, min_yields
+
+    # -- §6 sharing ----------------------------------------------------
+    def share_nodes(self, args: ShareNodesArgs) -> np.ndarray:
+        J, _ = _check_share_args(args)
+        yields = np.empty(J)
+        self._k.share_nodes(
+            args.order, args.counts, args.req, args.need, args.est_need,
+            args.elem_req, args.elem_need, args.node_agg, args.node_elem,
+            int(args.policy), float(args.epsilon), float(args.share_atol),
+            yields, np.empty(J), np.empty(J), np.empty(J), np.empty(J),
+            np.empty(J, dtype=np.uint8), np.empty((128, 3), dtype=np.int64),
+            np.empty(64))
+        return yields

@@ -407,25 +407,39 @@ int64_t pp_fill_general(int64_t J, int64_t H, int64_t NB, int64_t D,
     return r;
 }
 
+/* Rows of J items' thresholds against H bins, row j at out + j*ld.
+   Dimensions run outermost per item, so each need divides a whole row;
+   every (j, h) still meets d in order, so it keeps the minimum the
+   per-pair loop keeps.  A need of 0 or less gives +inf (no change) or,
+   unless the slack is >= 0, -inf. */
+static void fit_rows(int64_t J, int64_t H, int64_t D, const double *req,
+                     const double *need, const double *cap, double *out,
+                     int64_t ld)
+{
+    for (int64_t j = 0; j < J; j++) {
+        double *m = out + j*ld;
+        for (int64_t h = 0; h < H; h++) m[h] = INFINITY;
+        for (int64_t d = 0; d < D; d++) {
+            double r = req[j*D+d];
+            double nd = need[j*D+d];
+            if (nd > 0) {
+                for (int64_t h = 0; h < H; h++) {
+                    double t = (cap[h*D+d] - r) / nd;
+                    if (t < m[h]) m[h] = t;
+                }
+            } else {
+                for (int64_t h = 0; h < H; h++)
+                    if (!(cap[h*D+d] - r >= 0)) m[h] = -INFINITY;
+            }
+        }
+    }
+}
+
 int64_t affine_fit_thresholds(int64_t J, int64_t H, int64_t D,
                               const double *req, const double *need,
                               const double *cap, double *out)
 {
-    for (int64_t j = 0; j < J; j++) {
-        for (int64_t h = 0; h < H; h++) {
-            double m = INFINITY;
-            for (int64_t d = 0; d < D; d++) {
-                double slack = cap[h*D+d] - req[j*D+d];
-                double nd = need[j*D+d];
-                double t;
-                if (nd > 0) t = slack / nd;
-                else if (slack >= 0) t = INFINITY;
-                else t = -INFINITY;
-                if (t < m) m = t;
-            }
-            out[j*H+h] = m;
-        }
-    }
+    fit_rows(J, H, D, req, need, cap, out, H);
     return 0;
 }
 
@@ -434,29 +448,9 @@ int64_t batch_fit_thresholds(int64_t B, int64_t N, int64_t Hm, int64_t D,
                              const double *cap, const int64_t *n_items,
                              const int64_t *n_bins, double *out)
 {
-    for (int64_t b = 0; b < B; b++) {
-        int64_t J = n_items[b];
-        int64_t H = n_bins[b];
-        const double *breq = req + b*N*D;
-        const double *bneed = need + b*N*D;
-        const double *bcap = cap + b*Hm*D;
-        double *bout = out + b*N*Hm;
-        for (int64_t j = 0; j < J; j++) {
-            for (int64_t h = 0; h < H; h++) {
-                double m = INFINITY;
-                for (int64_t d = 0; d < D; d++) {
-                    double slack = bcap[h*D+d] - breq[j*D+d];
-                    double nd = bneed[j*D+d];
-                    double t;
-                    if (nd > 0) t = slack / nd;
-                    else if (slack >= 0) t = INFINITY;
-                    else t = -INFINITY;
-                    if (t < m) m = t;
-                }
-                bout[j*Hm+h] = m;
-            }
-        }
-    }
+    for (int64_t b = 0; b < B; b++)
+        fit_rows(n_items[b], n_bins[b], D, req + b*N*D, need + b*N*D,
+                 cap + b*Hm*D, out + b*N*Hm, Hm);
     return 0;
 }
 
@@ -734,6 +728,139 @@ int64_t greedy_scan(int64_t J, int64_t H, int64_t D, int64_t P,
     free(col_req); free(col_need);
     return feasible;
 }
+
+static void share_rounds(int64_t K, const double *dem, const double *wts,
+                         double capacity, double epsilon, double share_atol,
+                         double *buf, double *cons, uint8_t *unsat,
+                         int64_t *frames, double *partial)
+{
+    int64_t left = K;
+    for (int64_t q = 0; q < K; q++) unsat[q] = 1;
+    double pool = capacity;
+    while (pool > epsilon && left > 0) {
+        double wmax = -INFINITY;
+        for (int64_t q = 0; q < K; q++) {
+            if (unsat[q]) {
+                double v = wts[q];
+                if (v > wmax || v != v) wmax = v;
+            }
+        }
+        int64_t n = 0;
+        for (int64_t q = 0; q < K; q++) {
+            if (unsat[q]) {
+                if (wmax <= 0.0) buf[n] = 1.0;
+                else buf[n] = wts[q] / wmax;
+                n++;
+            }
+        }
+        double wsum = pairwise_sum(buf, n, frames, partial);
+        n = 0;
+        int64_t done = 0;
+        for (int64_t q = 0; q < K; q++) {
+            if (unsat[q]) {
+                double share = pool * (buf[n] / wsum);
+                double need_left = dem[q] - cons[q];
+                double take = share;
+                if (need_left <= share + share_atol) {
+                    take = need_left;
+                    unsat[q] = 0;
+                    done++;
+                }
+                cons[q] += take;
+                buf[n] = take;
+                n++;
+            }
+        }
+        if (done == 0) {
+            pool = 0.0;
+            break;
+        }
+        pool = pool - pairwise_sum(buf, n, frames, partial);
+        left -= done;
+    }
+    for (int64_t q = 0; q < K; q++) {
+        double c = cons[q];
+        if (!(c < dem[q] || c != c)) c = dem[q];
+        cons[q] = c;
+    }
+}
+
+int64_t share_nodes(int64_t H, const int64_t *order, const int64_t *counts,
+                    const double *req, const double *need,
+                    const double *est_need, const double *elem_req,
+                    const double *elem_need, const double *node_agg,
+                    const double *node_elem, int64_t policy, double epsilon,
+                    double share_atol, double *yields, double *buf,
+                    double *dem, double *wts, double *cons, uint8_t *unsat,
+                    int64_t *frames, double *partial)
+{
+    int64_t base = 0;
+    for (int64_t h = 0; h < H; h++) {
+        int64_t K = counts[h];
+        if (K == 0) continue;
+        for (int64_t q = 0; q < K; q++) buf[q] = req[order[base+q]];
+        double capacity = node_agg[h] - pairwise_sum(buf, K, frames, partial);
+        if (0.0 > capacity) capacity = 0.0;
+        for (int64_t q = 0; q < K; q++) {
+            int64_t j = order[base+q];
+            double y_cap = 1.0;
+            if (elem_need[j] > 0) {
+                double room = node_elem[h] - elem_req[j];
+                if (!(room > 0.0 || room != room)) room = 0.0;
+                y_cap = room / elem_need[j];
+            }
+            if (!(y_cap < 1.0 || y_cap != y_cap)) y_cap = 1.0;
+            double useful = y_cap * need[j];
+            double d = need[j];
+            if (!(d < useful || d != d)) d = useful;
+            dem[q] = d;
+        }
+        if (policy == 2) {
+            for (int64_t q = 0; q < K; q++) wts[q] = 1.0;
+        } else {
+            for (int64_t q = 0; q < K; q++) buf[q] = est_need[order[base+q]];
+            double total = pairwise_sum(buf, K, frames, partial);
+            if (total <= 0) {
+                for (int64_t q = 0; q < K; q++) wts[q] = 0.0;
+            } else {
+                double y_hat = capacity / total;
+                if (!(y_hat < 1.0)) y_hat = 1.0;
+                for (int64_t q = 0; q < K; q++)
+                    wts[q] = y_hat * est_need[order[base+q]];
+            }
+        }
+        if (policy == 0) {
+            for (int64_t q = 0; q < K; q++) {
+                double c = wts[q];
+                if (!(c < dem[q] || c != c)) c = dem[q];
+                cons[q] = c;
+            }
+        } else {
+            for (int64_t q = 0; q < K; q++) cons[q] = 0.0;
+            if (!(capacity <= 0.0)) {
+                for (int64_t q = 0; q < K; q++) buf[q] = dem[q];
+                if (pairwise_sum(buf, K, frames, partial) <= capacity) {
+                    for (int64_t q = 0; q < K; q++) cons[q] = dem[q];
+                } else {
+                    share_rounds(K, dem, wts, capacity, epsilon, share_atol,
+                                 buf, cons, unsat, frames, partial);
+                }
+            }
+        }
+        for (int64_t q = 0; q < K; q++) {
+            int64_t j = order[base+q];
+            double y = 1.0;
+            if (need[j] > 0) {
+                y = cons[q] / need[j];
+                if (y < 0.0) y = 0.0;
+                else if (y > 1.0) y = 1.0;
+            }
+            yields[j] = y;
+        }
+        base += K;
+    }
+    return 0;
+}
 """
 
 #: The fused probe's bound table as one C struct, in member order:
@@ -758,6 +885,10 @@ _TABLE_FIELDS = (
         "pp_order1", "sort_tmp", "work_i", "frames", "cut_runs")),
     *((name, "uint8_t *") for name in ("elem_ok", "built", "dead")),
 )
+
+#: Each member's name and whether it is a data pointer.
+_TABLE_MEMBERS = tuple((name, ctype.endswith("*"))
+                       for name, ctype in _TABLE_FIELDS)
 
 _TABLE_TYPEDEF = "typedef struct {\n%s} probe_table_t;\n" % "".join(
     f"    {ctype}{'' if ctype.endswith('*') else ' '}{name};\n"
@@ -1120,12 +1251,11 @@ class _NativeKernels:
                                         _i64p, _i64p, _f64p, _f64p,
                                         _f64p, _f64p, _i64, _f64p, _i64p]
         lib.affine_fit_thresholds.restype = _i64
-        lib.affine_fit_thresholds.argtypes = [_i64, _i64, _i64, _f64p,
-                                              _f64p, _f64p, _f64p]
+        lib.affine_fit_thresholds.argtypes = ([_i64, _i64, _i64]
+                                              + [ctypes.c_void_p] * 4)
         lib.batch_fit_thresholds.restype = _i64
-        lib.batch_fit_thresholds.argtypes = [_i64, _i64, _i64, _i64,
-                                             _f64p, _f64p, _f64p, _i64p,
-                                             _i64p, _f64p]
+        lib.batch_fit_thresholds.argtypes = ([_i64, _i64, _i64, _i64]
+                                             + [ctypes.c_void_p] * 6)
         lib.incremental_best_fit.restype = _i64
         lib.incremental_best_fit.argtypes = [_i64, _i64, _i64, _f64p,
                                              _u8p, _f64p, _f64p, _f64p,
@@ -1141,6 +1271,12 @@ class _NativeKernels:
                                     _f64p, _f64p, _i64p, _i64p, _i64p,
                                     ctypes.c_double, ctypes.c_double,
                                     _i64p, _f64p]
+        lib.share_nodes.restype = _i64
+        lib.share_nodes.argtypes = [_i64, _i64p, _i64p, _f64p, _f64p,
+                                    _f64p, _f64p, _f64p, _f64p, _f64p,
+                                    _i64, ctypes.c_double, ctypes.c_double,
+                                    _f64p, _f64p, _f64p, _f64p, _f64p,
+                                    _u8p, _i64p, _f64p]
 
     def ff_fill(self, item_agg, elem_ok, item_order, bin_order,
                 loads, load_sum, cap_tol, waste_limit, assignment):
@@ -1177,14 +1313,19 @@ class _NativeKernels:
             bin_order, loads, load_sum, cap_tol, bin_agg,
             int(by_remaining), waste_limit, assignment)
 
+    # The threshold kernels run twice per solve's set-up, on arrays the
+    # adapter has made C-contiguous float64/int64 and checked for shape:
+    # they take raw addresses, which cost a third of ndpointer's checks.
     def affine_fit_thresholds(self, req, need, cap, out):
         return self._lib.affine_fit_thresholds(
-            req.shape[0], cap.shape[0], req.shape[1], req, need, cap, out)
+            req.shape[0], cap.shape[0], req.shape[1], req.ctypes.data,
+            need.ctypes.data, cap.ctypes.data, out.ctypes.data)
 
     def batch_fit_thresholds(self, req, need, cap, n_items, n_bins, out):
         return self._lib.batch_fit_thresholds(
             req.shape[0], req.shape[1], cap.shape[1], req.shape[2],
-            req, need, cap, n_items, n_bins, out)
+            req.ctypes.data, need.ctypes.data, cap.ctypes.data,
+            n_items.ctypes.data, n_bins.ctypes.data, out.ctypes.data)
 
     def incremental_best_fit(self, req_agg, elem_fit, loads, agg,
                              cap_tol, out):
@@ -1194,10 +1335,13 @@ class _NativeKernels:
 
     def bind_probe_table(self, t):
         """The C struct of table *t*: its dimensions and margin, and the
-        data pointers of its arrays, which *t* keeps alive."""
+        data pointers of its arrays, offsets into the blocks *t* keeps
+        alive."""
+        base = {dtype: block.ctypes.data for dtype, block in t.blocks.items()}
+        layout = t.layout
         return _ProbeTable(*(
-            getattr(t, name).ctypes.data if ctype.endswith("*")
-            else getattr(t, name) for name, ctype in _TABLE_FIELDS))
+            base[layout[name][0]] + layout[name][1] if pointer
+            else getattr(t, name) for name, pointer in _TABLE_MEMBERS))
 
     def probe_scan(self, t, y, scan, assignment):
         return self._lib.probe_scan(t.handle, y, scan.ctypes.data,
@@ -1214,6 +1358,15 @@ class _NativeKernels:
             _u8(elem_ok), bin_agg, bin_agg_sum, cap_tol, req_elem,
             need_elem, need_agg, bin_elem, orders, pass_order, pass_pick,
             feas_atol, feas_rtol, placements, min_yields)
+
+    def share_nodes(self, order, counts, req, need, est_need, elem_req,
+                    elem_need, node_agg, node_elem, policy, epsilon,
+                    share_atol, yields, buf, dem, wts, cons, unsat, frames,
+                    partial):
+        return self._lib.share_nodes(
+            counts.shape[0], order, counts, req, need, est_need, elem_req,
+            elem_need, node_agg, node_elem, policy, epsilon, share_atol,
+            yields, buf, dem, wts, cons, unsat, frames, partial)
 
 
 def load_native_kernels() -> _NativeKernels:

@@ -5,7 +5,9 @@ paths run on Python floats over pre-extracted nested lists (per-item
 numpy calls cost more than the arithmetic at the paper's J≈100), the
 threshold table is a single ``(J, H, D)`` broadcast, the dynamic
 newcomer fill is a per-item vectorized best-fit, and the greedy scan
-runs its passes one by one with a vectorized fit test per service.
+runs its passes one by one with a vectorized fit test per service.  The
+§6 sharing evaluation runs the :mod:`._loops` source itself on Python
+lists, which beats per-node numpy calls on a few services per node.
 Every path handles any dimension count — backend choice never depends
 on D — and the compiled backends must reproduce these results
 bit-for-bit.
@@ -17,7 +19,9 @@ from typing import Optional
 
 import numpy as np
 
-from .api import GreedyScanArgs, KernelBackend
+from . import _loops
+from .api import (GreedyScanArgs, KernelBackend, ShareNodesArgs,
+                  _check_share_args)
 
 __all__ = ["NumpyKernelBackend"]
 
@@ -360,3 +364,19 @@ class NumpyKernelBackend(KernelBackend):
                 placements[p] = placement
                 min_yields[p] = _improved_min_yield(args, placement)
         return placements, min_yields
+
+    # -- §6 sharing ----------------------------------------------------
+    def share_nodes(self, args: ShareNodesArgs) -> np.ndarray:
+        """The loop kernel on Python lists (the reference arithmetic on
+        Python floats, which are the same IEEE doubles)."""
+        J, _ = _check_share_args(args)
+        yields = [0.0] * J
+        _loops.share_nodes(
+            args.order.tolist(), args.counts.tolist(), args.req.tolist(),
+            args.need.tolist(), args.est_need.tolist(),
+            args.elem_req.tolist(), args.elem_need.tolist(),
+            args.node_agg.tolist(), args.node_elem.tolist(),
+            int(args.policy), float(args.epsilon), float(args.share_atol),
+            yields, [0.0] * J, [0.0] * J, [0.0] * J, [0.0] * J, [0] * J,
+            np.zeros((128, 3), dtype=np.int64), [0.0] * 64)
+        return np.array(yields, dtype=np.float64)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["work_conserving_shares", "DEFAULT_EPSILON"]
+__all__ = ["work_conserving_shares", "DEFAULT_EPSILON", "SHARE_ATOL"]
 
 DEFAULT_EPSILON = 1e-4
 
@@ -22,7 +22,7 @@ DEFAULT_EPSILON = 1e-4
 # offered share.  Shares are normalized to the max weight before division
 # (see below), so round-off lives near machine epsilon — any looser and
 # barely-unsatisfied services would grab a full extra round.
-_SHARE_ATOL = 1e-15
+SHARE_ATOL = 1e-15
 
 
 def work_conserving_shares(
@@ -94,7 +94,7 @@ def work_conserving_shares(
             w = w / wmax
         share = pool * (w / w.sum())
         need_left = demands[unsatisfied] - consumed[unsatisfied]
-        newly_satisfied = need_left <= share + _SHARE_ATOL
+        newly_satisfied = need_left <= share + SHARE_ATOL
         if not newly_satisfied.any():
             # Nobody satisfied: give everyone their share and finish.
             consumed[unsatisfied] += share

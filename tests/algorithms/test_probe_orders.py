@@ -19,6 +19,7 @@ import pytest
 from repro import kernels
 from repro.algorithms.vector_packing import (
     FusedProbeEngine,
+    StrategyTable,
     VPStrategy,
     hvp_strategies,
     rank_from_order,
@@ -109,7 +110,7 @@ def test_kernel_inputs_equal_numpy_reference(backend, D, J, name):
     instance = tied_instance(D, J)
     sv = instance.services
     with kernels.kernel_backend(backend):
-        engine = FusedProbeEngine(instance, strategies)
+        engine = FusedProbeEngine(instance, StrategyTable(strategies))
     table = engine._table
     cap_tol_total = table.cap_tol.sum(axis=0)
     assignment = np.empty(J, dtype=np.int64)

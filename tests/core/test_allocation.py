@@ -13,6 +13,8 @@ from repro.core import (
 )
 from repro.core.allocation import max_min_yield_on_node, node_loads
 from repro.core.exceptions import InvalidAllocationError
+from repro.core.node import NodeArray
+from repro.core.service import ServiceArray
 
 
 def two_node_instance():
@@ -205,7 +207,75 @@ class TestMaxMinYieldOnNode:
                 assert not (elem_ok and agg_ok)
 
 
+def per_node_improve(alloc):
+    """``improve_yields`` as a loop of :func:`max_min_yield_on_node` over
+    nodes, each on its members in ascending service order: the oracle
+    the one-pass version must match bit for bit."""
+    inst, sv = alloc.instance, alloc.instance.services
+    new_yields = alloc.yields.copy()
+    for h in range(inst.num_nodes):
+        members = np.flatnonzero(alloc.placement == h)
+        if members.size == 0:
+            continue
+        y = max_min_yield_on_node(
+            inst.nodes.elementary[h], inst.nodes.aggregate[h],
+            sv.req_elem[members], sv.req_agg[members],
+            sv.need_elem[members], sv.need_agg[members])
+        if y >= 0:
+            new_yields[members] = np.maximum(new_yields[members], y)
+    return new_yields
+
+
+@st.composite
+def improvable_allocations(draw):
+    """Any-D allocations with unplaced services, empty nodes, nodes
+    whose requirements do not fit, and (at D = 1, where numpy sums a
+    node's column pairwise) nodes of 9 and of more than 128 members."""
+    D = draw(st.sampled_from([1, 2, 3, 5]))
+    H = draw(st.integers(1, 6))
+    big = draw(st.sampled_from([0, 9, 40, 150]))
+    J = big + draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    amounts = np.array([0.0, -0.0, 0.001, 0.02, 0.05, 0.1, 0.3, 0.6])
+    req = rng.choice(amounts, size=(J, D)) * 0.2
+    need = rng.choice(amounts, size=(J, D))
+    cap = rng.uniform(0.0, 2.0, size=(H, D)) * rng.choice([0.05, 1.0, 8.0])
+    elem = cap * rng.choice([0.02, 0.3, 1.0], size=(H, 1))
+    inst = ProblemInstance(NodeArray.from_arrays(elem, cap),
+                           ServiceArray.from_arrays(req, req, need, need))
+    placement = rng.integers(-1, H, size=J)
+    placement[:big] = 0            # one crowded node
+    if H > 1:
+        placement[placement == H - 1] = H - 2   # one empty node
+    yields = np.where(placement >= 0,
+                      rng.choice([0.0, -0.0, 0.25, 1.0], size=J), 0.0)
+    return Allocation(inst, placement, yields)
+
+
 class TestImproveYields:
+    @settings(max_examples=150, deadline=None)
+    @given(alloc=improvable_allocations())
+    def test_matches_the_per_node_loop_bit_for_bit(self, alloc):
+        got = alloc.improve_yields()
+        assert got.yields.tobytes() == per_node_improve(alloc).tobytes()
+        assert np.array_equal(got.placement, alloc.placement)
+
+    def test_crowded_d1_node_sums_pairwise(self):
+        """At D = 1 a node's requirements are one column, which numpy
+        sums pairwise; 150 members on a binding node expose any other
+        order."""
+        rng = np.random.default_rng(5)
+        J = 150
+        req = rng.uniform(0.0, 0.01, size=(J, 1))
+        need = rng.uniform(0.0, 0.03, size=(J, 1))
+        cap = np.array([[req.sum() + need.sum() * 0.6], [1.0]])
+        inst = ProblemInstance(NodeArray.from_arrays(cap, cap),
+                               ServiceArray.from_arrays(req, req, need, need))
+        alloc = Allocation.uniform(inst, np.zeros(J, dtype=np.int64), 0.0)
+        got = alloc.improve_yields().yields
+        assert got.tobytes() == per_node_improve(alloc).tobytes()
+        assert 0.0 < got[0] < 1.0
+
     def test_improve_raises_to_node_optimum(self):
         inst = two_node_instance()
         alloc = Allocation.uniform(inst, [1], 0.3).improve_yields()

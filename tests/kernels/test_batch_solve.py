@@ -19,6 +19,7 @@ from repro.algorithms.vector_packing import (
     FusedProbeEngine,
     MetaProbeEngine,
     MetaSolver,
+    StrategyTable,
     hvp_light_strategies,
     hvp_strategies,
     make_engine,
@@ -188,7 +189,7 @@ class TestEngineSelector:
     def test_selector_tracks_backend(self, backend):
         inst = synthetic_instance(2)
         with kernels.kernel_backend(backend):
-            engine = make_engine(inst, hvp_light_strategies())
+            engine = make_engine(inst, StrategyTable(hvp_light_strategies()))
         expected = (FusedProbeEngine if _expected_engine(backend) == "fused"
                     else MetaProbeEngine)
         assert type(engine) is expected
@@ -220,7 +221,7 @@ class TestEngineSelector:
         with kernels.kernel_backend(backend):
             if not kernels.get_backend().supports_probe_scan:
                 pytest.skip("backend has no fused probe scan")
-            fused = FusedProbeEngine(inst, strategies)
+            fused = FusedProbeEngine(inst, StrategyTable(strategies))
             plain = MetaProbeEngine(inst, strategies)
             for y in (0.0, 0.3, 0.7, 0.3, 1.4):
                 a = fused(inst, y)
@@ -248,7 +249,7 @@ class TestEngineSelector:
 
         monkeypatch.setattr(legacy, "legacy_permutation_pack", counting)
         with kernels.kernel_backend(backend):
-            assert type(make_engine(inst, solver.strategies)) \
+            assert type(make_engine(inst, solver.table)) \
                 is MetaProbeEngine
             seq, sstats = _solve_sequential(solver, [inst], [None])
             bstats = [{}]
@@ -260,6 +261,51 @@ class TestEngineSelector:
         assert sstats[0]["certified"] == pytest.approx(0.2478, abs=1e-4)
         _assert_same(seq, sstats, ref, rstats, (backend, "seq"))
         _assert_equivalent(got, bstats, seq, sstats, backend)
+
+
+class TestCompiledStrategyTable:
+    """A solver keeps its strategy list compiled, once per dimension
+    count; every engine shares the compiled columns, so they are
+    read-only."""
+
+    def test_solver_compiles_once_per_dimension_count(self, monkeypatch):
+        compiled = []
+        compile_ = StrategyTable._compile
+
+        def counting(table, dims):
+            if dims not in table._compiled:
+                compiled.append(dims)
+            return compile_(table, dims)
+
+        monkeypatch.setattr(StrategyTable, "_compile", counting)
+        solver = MetaSolver(hvp_light_strategies())
+        with kernels.kernel_backend("loops"):
+            for seed in range(3):
+                solver.solve_with_hint(synthetic_instance(2, seed=seed))
+            solver.solve_with_hint(synthetic_instance(3))
+            solver.solve_many([synthetic_instance(2, seed=7),
+                               synthetic_instance(3, seed=8)], threads=1)
+        assert compiled == [2, 3]
+
+    def test_columns_are_read_only(self):
+        table = StrategyTable(hvp_light_strategies())
+        for name, column in table.columns(2).items():
+            assert not column.flags.writeable, name
+            with pytest.raises(ValueError):
+                column[...] = 0
+
+    def test_a_shared_table_binds_what_a_fresh_one_binds(self):
+        strategies = hvp_strategies()
+        shared = StrategyTable(strategies)
+        with kernels.kernel_backend("loops"):
+            for dims in DIMS + DIMS:
+                inst = synthetic_instance(dims)
+                fresh = FusedProbeEngine(inst, StrategyTable(strategies))
+                reused = FusedProbeEngine(inst, shared)
+                assert reused.strategies == fresh.strategies
+                for name in fresh._table.layout:
+                    assert np.array_equal(getattr(reused._table, name),
+                                          getattr(fresh._table, name)), name
 
 
 class TestSolveManyEdgeCases:

@@ -7,6 +7,8 @@ uncompiled scalar source) always runs; ``native`` runs wherever a C
 compiler exists and is skipped cleanly otherwise.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,7 @@ from repro.algorithms.vector_packing import (
 from repro.algorithms.vector_packing.strategies import ProbeContext
 from repro.algorithms.yield_search import binary_search_max_yield
 from repro.kernels import _loops
+from repro.kernels.api import ArrayKernelBackend
 from repro.kernels.native_backend import NativeBuildError, load_native_kernels
 from repro.workloads import ScenarioConfig, generate_instance
 
@@ -50,6 +53,27 @@ INSTANCES = [
 #: three packers and a spread of sort pairs).
 STRATEGIES = hvp_strategies()[::11]
 YIELDS = (0.0, 0.35, 0.8)
+
+
+def per_pair_thresholds(req, need, cap):
+    """The yield-threshold table, one (item, bin) pair at a time over the
+    dimensions in order: the order every backend's minimum must match."""
+    out = np.empty((req.shape[0], cap.shape[0]))
+    for j in range(req.shape[0]):
+        for h in range(cap.shape[0]):
+            m = np.inf
+            for d in range(req.shape[1]):
+                slack = cap[h, d] - req[j, d]
+                if need[j, d] > 0:
+                    t = slack / need[j, d]
+                elif slack >= 0:
+                    t = np.inf
+                else:
+                    t = -np.inf
+                if t < m:
+                    m = t
+            out[j, h] = m
+    return out
 
 
 def _run_all_strategies(instance, y):
@@ -179,6 +203,56 @@ class TestBitEquivalence:
             assert np.array_equal(ref.y_elem_max, got.y_elem_max), cfg
             assert ref.infeasible_above == got.infeasible_above, cfg
 
+    def test_thresholds_match_the_per_pair_loop_byte_for_byte(self,
+                                                               backend):
+        """The compiled and loop kernels divide a whole row per need;
+        every (item, bin) must still keep the per-pair loop's minimum.
+        Zero, negative and signed-zero needs and slacks, infinities and
+        NaNs included.  numpy's ``min`` propagates a NaN the loops skip
+        and keeps the later of two tied zeros, so the numpy backend gets
+        finite inputs and skips the tie (a threshold is only compared,
+        where 0.0 equals -0.0)."""
+        rng = np.random.default_rng(23)
+        special = [0.0, -0.0, 1e-300, -1e-300, 5e-324, 1.0, -1.0]
+        if backend != "numpy":
+            special += [np.inf, -np.inf, np.nan]
+
+        def draw(*shape):
+            a = rng.normal(size=shape) * rng.choice([1e-3, 1.0, 1e3])
+            mask = rng.random(shape) < 0.3
+            a[mask] = rng.choice(special, size=int(mask.sum()))
+            return a
+
+        # Slacks 0.0 and -0.0 over equal needs tie: the first one stays.
+        tie = (np.zeros((1, 2)), np.ones((1, 2)),
+               np.array([[0.0, -0.0], [-0.0, 0.0]]))
+        with kernels.kernel_backend(backend), np.errstate(all="ignore"):
+            be = kernels.get_backend()
+            if backend != "numpy":
+                ref = per_pair_thresholds(*tie).tobytes()
+                assert be.affine_fit_thresholds(*tie).tobytes() == ref
+                got = be.batch_fit_thresholds(
+                    *[a[None] for a in tie], np.array([1]), np.array([2]))
+                assert got[0].tobytes() == ref
+            for _ in range(60):
+                J, H, D = rng.integers(0, 9), rng.integers(0, 6), \
+                    rng.integers(1, 5)
+                req, need, cap = draw(J, D), draw(J, D), draw(H, D)
+                got = be.affine_fit_thresholds(req, need, cap)
+                ref = per_pair_thresholds(req, need, cap)
+                assert got.tobytes() == ref.tobytes()
+                B = int(rng.integers(1, 4))
+                n_items = rng.integers(0, J + 1, size=B).astype(np.int64)
+                n_bins = rng.integers(0, H + 1, size=B).astype(np.int64)
+                reqs, needs, caps = draw(B, J, D), draw(B, J, D), \
+                    draw(B, H, D)
+                got = be.batch_fit_thresholds(reqs, needs, caps, n_items,
+                                              n_bins)
+                for b, (j, h) in enumerate(zip(n_items, n_bins)):
+                    ref = per_pair_thresholds(reqs[b, :j], needs[b, :j],
+                                              caps[b, :h])
+                    assert got[b, :j, :h].tobytes() == ref.tobytes()
+
     def test_incremental_best_fit(self, backend):
         rng = np.random.default_rng(42)
         H, D, K = 5, 2, 12
@@ -237,3 +311,51 @@ class TestBitEquivalence:
                 # equality is exact, not approximate.
                 assert got.minimum_yield() == ref.minimum_yield(), cfg
                 assert (got.placement == ref.placement).all(), cfg
+
+
+class TestThresholdShapesRefusedBeforeTheKernel:
+    """The threshold kernels follow the arrays' shapes and the batch's
+    item and bin counts, so the adapter refuses any that disagree."""
+
+    @staticmethod
+    def stub():
+        calls = []
+        record = lambda *a: calls.append(a) or 0  # noqa: E731
+        return ArrayKernelBackend("stub", SimpleNamespace(
+            affine_fit_thresholds=record, batch_fit_thresholds=record)), \
+            calls
+
+    def test_good_shapes_reach_the_kernels(self):
+        backend, calls = self.stub()
+        backend.affine_fit_thresholds(np.ones((4, 2)), np.ones((4, 2)),
+                                      np.ones((3, 2)))
+        backend.batch_fit_thresholds(np.ones((2, 4, 2)), np.ones((2, 4, 2)),
+                                     np.ones((2, 3, 2)), [4, 1], [3, 0])
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("req,need,cap", [
+        ((4, 2), (5, 2), (3, 2)), ((4, 2), (4, 3), (3, 2)),
+        ((4, 2), (4, 2), (3, 3)), ((4,), (4,), (3,)),
+        ((4, 2), (4, 2), (6,))])
+    def test_affine_shapes(self, req, need, cap):
+        backend, calls = self.stub()
+        with pytest.raises(ValueError, match="affine_fit_thresholds"):
+            backend.affine_fit_thresholds(np.ones(req), np.ones(need),
+                                          np.ones(cap))
+        assert calls == []
+
+    @pytest.mark.parametrize("need,cap,n_items,n_bins", [
+        ((2, 5, 2), (2, 3, 2), [4, 1], [3, 0]),
+        ((2, 4, 2), (3, 3, 2), [4, 1], [3, 0]),
+        ((2, 4, 2), (2, 3, 1), [4, 1], [3, 0]),
+        ((2, 4, 2), (2, 3, 2), [4], [3, 0]),
+        ((2, 4, 2), (2, 3, 2), [5, 1], [3, 0]),
+        ((2, 4, 2), (2, 3, 2), [4, -1], [3, 0]),
+        ((2, 4, 2), (2, 3, 2), [4, 1], [4, 0]),
+        ((2, 4, 2), (2, 3, 2), [4, 1], [3, -1])])
+    def test_batch_shapes_and_counts(self, need, cap, n_items, n_bins):
+        backend, calls = self.stub()
+        with pytest.raises(ValueError, match="batch_fit_thresholds"):
+            backend.batch_fit_thresholds(np.ones((2, 4, 2)), np.ones(need),
+                                         np.ones(cap), n_items, n_bins)
+        assert calls == []

@@ -21,17 +21,19 @@ import numpy as np
 import pytest
 
 from repro import kernels
-from repro.algorithms.vector_packing import FusedProbeEngine, hvp_strategies
+from repro.algorithms.vector_packing import (FusedProbeEngine,
+                                             StrategyTable, hvp_strategies)
 from repro.algorithms.yield_search import binary_search_max_yield
 from repro.core.instance import ProblemInstance
 from repro.core.node import NodeArray
 from repro.core.service import ServiceArray
-from repro.kernels.api import ArrayKernelBackend, ProbeScanArgs
+from repro.kernels.api import ArrayKernelBackend, ProbeScanArgs, ProbeTable
 
 AVAILABILITY = kernels.available_backends()
 AVAILABILITY["loops"] = None
 
 STRATEGIES = hvp_strategies()[::5]
+TABLE = StrategyTable(STRATEGIES)
 YIELDS = np.linspace(0.0, 1.0, 11)
 
 
@@ -87,7 +89,7 @@ def recording_backend():
 @pytest.fixture(scope="module")
 def good_args():
     with kernels.kernel_backend("loops"):
-        return args_of(FusedProbeEngine(random_instance(), STRATEGIES))
+        return args_of(FusedProbeEngine(random_instance(), TABLE))
 
 
 BAD = {
@@ -151,7 +153,7 @@ def test_bad_probe_buffers_raise_before_the_kernel(good_args):
 def test_engine_answers_the_same_after_its_inputs_are_dropped(backend):
     def build():
         # Fresh arrays only this engine can keep alive.
-        return FusedProbeEngine(random_instance(), STRATEGIES)
+        return FusedProbeEngine(random_instance(), TABLE)
 
     with kernels.kernel_backend(backend):
         first = build()
@@ -195,7 +197,7 @@ def test_engine_and_table_form_no_cycle(backend):
     with kernels.kernel_backend(backend):
         gc.disable()
         try:
-            engine = FusedProbeEngine(instance, STRATEGIES)
+            engine = FusedProbeEngine(instance, TABLE)
             binary_search_max_yield(instance, engine)
             refs = [weakref.ref(engine), weakref.ref(engine._table),
                     weakref.ref(engine._table.item_orders)]
@@ -203,6 +205,34 @@ def test_engine_and_table_form_no_cycle(backend):
             assert [r() for r in refs] == [None, None, None]
         finally:
             gc.enable()
+
+
+def test_every_array_lives_in_one_block_per_dtype(good_args):
+    """The table copies the args in and carves its buffers from three
+    blocks; each array is the view its layout entry names."""
+    table = ProbeTable(good_args)
+    assert sorted(table.blocks) == sorted(
+        np.dtype(t) for t in (np.float64, np.int64, np.uint8))
+    for name, (dtype, offset, shape) in table.layout.items():
+        arr = getattr(table, name)
+        block = table.blocks[dtype]
+        assert arr.dtype == dtype and arr.shape == shape, name
+        if arr.size:
+            assert arr.ctypes.data == block.ctypes.data + offset, name
+    for f in dataclasses.fields(ProbeScanArgs):
+        if f.name != "waste_rtol":
+            assert np.array_equal(getattr(table, f.name),
+                                  getattr(good_args, f.name)), f.name
+
+
+@pytest.mark.skipif(AVAILABILITY.get("native") is not None,
+                    reason="native kernels unavailable")
+def test_native_handle_points_into_the_blocks(good_args):
+    backend = kernels.resolve_backend("native")
+    table = backend.bind_probe_scan(good_args)
+    for name, (dtype, offset, _) in table.layout.items():
+        assert getattr(table.handle, name) == \
+            table.blocks[dtype].ctypes.data + offset, name
 
 
 @pytest.mark.skipif(AVAILABILITY.get("native") is not None,

@@ -25,6 +25,7 @@ from repro.algorithms.vector_packing import (
     FusedProbeEngine,
     PackingState,
     SortStrategy,
+    StrategyTable,
     VPStrategy,
     hvp_strategies,
     vp_strategies,
@@ -131,7 +132,7 @@ def uncut(engine, y, strategy):
 def test_cut_never_changes_an_outcome(backend, D, data):
     instance = data.draw(tight_instances(D))
     with kernels.kernel_backend(backend):
-        engine = FusedProbeEngine(instance, STRATEGIES)
+        engine = FusedProbeEngine(instance, StrategyTable(STRATEGIES))
         for s, strategy in enumerate(STRATEGIES):
             si, assignment, cuts = scan_alone(engine, 0.0, s)
             ref = uncut(engine, 0.0, strategy)
@@ -151,7 +152,7 @@ class TestCutFires:
                                [[0.6], [0.6], [0.9], [0.8]])
         ff = VPStrategy(FF, NONE_SORT, NONE_SORT, hetero=True)
         with kernels.kernel_backend(backend):
-            engine = FusedProbeEngine(instance, [ff])
+            engine = FusedProbeEngine(instance, StrategyTable([ff]))
             si, assignment, cuts = scan_alone(engine, 0.0, 0)
             assert (si, cuts) == (-1, 1)
             assert assignment.tolist() == [0, -1, -1, -1]
@@ -175,7 +176,7 @@ class TestCutFires:
         instance = instance_of(agg, items)
         strategy = VPStrategy(packer, NONE_SORT, NONE_SORT, hetero=True)
         with kernels.kernel_backend(backend):
-            engine = FusedProbeEngine(instance, [strategy])
+            engine = FusedProbeEngine(instance, StrategyTable([strategy]))
             placement = engine(instance, 0.0)
         assert placement is not None
         assert placement.tolist() == [0, 0, 1, 1]
@@ -192,7 +193,7 @@ def test_probe_spans_carry_cut_runs(tmp_path):
                                ServiceArray.from_arrays(req, req, need, need))
     path = tmp_path / "trace.jsonl"
     with kernels.kernel_backend("loops"):
-        engine = FusedProbeEngine(instance, STRATEGIES)
+        engine = FusedProbeEngine(instance, StrategyTable(STRATEGIES))
         obs.configure(str(path))
         try:
             binary_search_max_yield(instance, engine)
