@@ -65,7 +65,6 @@ def binary_search_max_yield(
     tolerance: float = DEFAULT_TOLERANCE,
     improve: bool = True,
     hint: Optional[float] = None,
-    hint_window: float = DEFAULT_HINT_WINDOW,
     stats: Optional[dict] = None,
 ) -> Optional[Allocation]:
     """Maximize the uniform yield achievable by *packer*.
@@ -88,9 +87,8 @@ def binary_search_max_yield(
     hint:
         Optional advisory guess at the answer (see module docstring).  A
         hint outside ``(0, upper bound)`` is ignored.  Correctness never
-        depends on the hint — a bad one only costs probes.
-    hint_window:
-        Initial warm-bracket width in multiples of *tolerance*.
+        depends on the hint — a bad one only costs probes.  The warm
+        bracket starts :data:`DEFAULT_HINT_WINDOW` tolerances wide.
     stats:
         Optional dict; on return it holds ``probes`` (oracle calls),
         ``certified`` (the search's feasible lower bound, before
@@ -102,13 +100,13 @@ def binary_search_max_yield(
     """
     if not obs.enabled():
         return _binary_search_impl(instance, packer, tolerance, improve,
-                                   hint, hint_window, stats)
+                                   hint, stats)
     # Tracing on: run with a stats dict (borrowing the caller's when
     # given) so the span can report the probe accounting.
     local = stats if stats is not None else {}
     with obs.span("yield.search") as sp:
         alloc = _binary_search_impl(instance, packer, tolerance, improve,
-                                    hint, hint_window, local)
+                                    hint, local)
         certified = local.get("certified")
         sp.annotate(
             services=len(instance.services),
@@ -127,7 +125,6 @@ def _binary_search_impl(
     tolerance: float,
     improve: bool,
     hint: Optional[float],
-    hint_window: float,
     stats: Optional[dict],
 ) -> Optional[Allocation]:
     """The search itself; :func:`binary_search_max_yield` adds tracing."""
@@ -171,9 +168,9 @@ def _binary_search_impl(
     best_placement = None
     if use_hint:
         # Descend the cold search's dyadic grid — probe-free — to the
-        # bracket of width ~hint_window*tolerance containing the hint.
-        # The stacks remember the ancestor boundaries for expansion.
-        target = max(hint_window * tolerance, tolerance)
+        # bracket of width ~DEFAULT_HINT_WINDOW*tolerance containing the
+        # hint.  The stacks remember the ancestor boundaries for expansion.
+        target = DEFAULT_HINT_WINDOW * tolerance
         los = [0.0]
         his = [hi]
         lo, hi_w = 0.0, hi

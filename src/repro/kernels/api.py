@@ -1,4 +1,5 @@
-"""Kernel-backend interface and the array-kernel adapter.
+"""Kernel-backend interface, the kernels' declared inputs, and the
+array-kernel adapter.
 
 A :class:`KernelBackend` implements the hot scalar kernels the packers
 and the dynamic simulator dispatch to (see :mod:`repro.kernels`):
@@ -17,13 +18,11 @@ and the dynamic simulator dispatch to (see :mod:`repro.kernels`):
   the dynamic simulator's newcomer placement;
 * ``bind_probe_scan(args)`` / ``probe_scan(table, y, scan, assignment)``
   — the fused META* feasibility probe.  An engine binds its
-  yield-independent tables once (:class:`ProbeScanArgs`, checked for
-  dtype, contiguity, shape and index ranges at bind time) into a
-  :class:`ProbeTable`; each probe then passes only the yield, the scan
-  order and an assignment buffer, and the kernel builds the probe's
-  inputs itself and scans the whole strategy table in one call
-  (advertised via ``supports_probe_scan``, which only the numpy backend
-  leaves off);
+  yield-independent tables once into a :class:`ProbeTable`; each probe
+  then passes only the yield, the scan order and an assignment buffer,
+  and the kernel builds the probe's inputs itself and scans the whole
+  strategy table in one call (advertised via ``supports_probe_scan``,
+  which only the numpy backend leaves off);
 * ``greedy_scan(args)`` — METAGREEDY's passes in one call: each pass's
   placement and its minimum yield after the per-node improvement;
 * ``share_nodes(args)`` — the §6 runtime sharing evaluation in one call:
@@ -35,6 +34,15 @@ threshold tables and yields for identical inputs (asserted by the
 cross-backend equivalence tests), so switching backends never changes
 results — only wall-clock.  Backend selection never depends on the dimension count.
 
+Each kernel's inputs are declared once, as a frozen dataclass of its
+arguments whose arrays carry dtype and shape (:func:`_array`) and which
+lists the index ranges the kernel follows — :class:`ProbeScanArgs`,
+:class:`GreedyScanArgs`, :class:`ShareNodesArgs`, :class:`ThresholdArgs`,
+:class:`BatchThresholdArgs`, :class:`IncrementalBestFitArgs` and the
+fills' :class:`FirstFitArgs`, :class:`BestFitArgs`, :class:`PackWalkArgs`
+and :class:`PackArgs` — and checked by :func:`check_args` before the
+kernel runs, so the compiled backend passes raw addresses.
+
 :class:`ArrayKernelBackend` adapts the flat-array loop kernels of
 :mod:`._loops` (or the C translation with the same signatures) to this
 state-level interface; the native and loops backends are instances of
@@ -44,8 +52,9 @@ it.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field, fields
-from typing import Any, Dict, Tuple
+from typing import Any, ClassVar, Dict, Tuple
 
 import numpy as np
 
@@ -59,24 +68,52 @@ SORT_METRICS = ("MAX", "SUM", "MAXRATIO", "MAXDIFFERENCE", "LEX", "NONE")
 #: §6 sharing policies in the order of ``ShareNodesArgs.policy`` codes.
 SHARE_POLICIES = ("ALLOCCAPS", "ALLOCWEIGHTS", "EQUALWEIGHTS")
 
+#: A declaration's dimensions, by name.
+Dims = Dict[str, int]
+#: An index range a kernel follows: the field, its int64 values, and the
+#: half-open interval ``[lo, hi)`` every value must lie in.
+Range = Tuple[str, np.ndarray, int, int]
 
-def _array(dtype: type, *shape: str) -> Any:
-    """A :class:`ProbeScanArgs` array field: its dtype and its shape in
-    the table's dimension names, checked at bind time."""
-    return field(metadata={"dtype": np.dtype(dtype), "shape": shape})
+
+def _array(dtype: type, *shape: str, out: bool = False) -> Any:
+    """A declared array field: its dtype, its shape in the declaration's
+    dimension names, and whether the kernel writes it (*out*), in which
+    case it must be writable and is never copied."""
+    return field(metadata={"dtype": np.dtype(dtype), "shape": shape,
+                           "out": out})
+
+
+def _refuse(kernel: str, name: str, what: str) -> ValueError:
+    return ValueError(f"{kernel}: {name} {what}")
+
+
+class _Declaration:
+    """Base of every kernel's declared inputs (see :func:`check_args`):
+    its fields are the kernel's leading arguments, in order."""
+
+    #: The kernel the arrays go to; every refusal names it.
+    kernel: ClassVar[str]
+
+    def _ranges(self, dims: Dims) -> Tuple[Range, ...]:
+        """Each index the kernel follows, with the range it must lie in."""
+        return ()
+
+    def _conditions(self, dims: Dims) -> None:
+        """Refuse what is not a dtype, a shape or an index range."""
 
 
 @dataclass(frozen=True)
-class ProbeScanArgs:
+class ProbeScanArgs(_Declaration):
     """The yield-independent inputs of the fused probe: one instance and
     one compiled strategy list (see :func:`._loops.probe_scan` for the
     strategy table's columns).
 
     Dimensions: J items, H bins, D resource dimensions, S strategies,
     SI distinct item sorts, SB distinct bin orders, NC 2-D walk configs.
-    Every array must be C-contiguous with exactly the dtype and shape
-    declared here; :class:`ProbeTable` checks that once, at bind time.
+    :class:`ProbeTable` checks them once, at bind time.
     """
+
+    kernel: ClassVar[str] = "probe_scan"
 
     req_agg: np.ndarray = _array(np.float64, "J", "D")
     need_agg: np.ndarray = _array(np.float64, "J", "D")
@@ -108,61 +145,69 @@ class ProbeScanArgs:
     #: Relative float margin of the waste limit (``WASTE_MARGIN_RTOL``).
     waste_rtol: float
 
+    def _ranges(self, dims: Dims) -> Tuple[Range, ...]:
+        D = dims["D"]
+        packer = self.st_packer
+        fill = packer != 1
+        pp = packer == 2
+        walk = pp if D == 2 else np.zeros_like(pp)
+        return (
+            ("bin_orders", self.bin_orders, 0, dims["H"]),
+            ("sort_metric", self.sort_metric, 0, len(SORT_METRICS)),
+            ("st_packer", packer, 0, 3),
+            ("st_item", self.st_item, 0, dims["SI"]),
+            ("st_bin", self.st_bin[fill], 0, dims["SB"]),
+            ("st_w", self.st_w[pp], 1, D + 1),
+            ("st_cfg", self.st_cfg[walk], 0, dims["NC"]),
+            ("cfg_w", self.cfg_w, 1, 3 if D == 2 else 1),
+            ("cfg_item", self.cfg_item, 0, dims["SI"]),
+        )
 
-#: Each :class:`ProbeScanArgs` array field (all but the float margin):
-#: its name, dtype and shape in dimension names.
-_ARRAY_SPECS = tuple((f.name, f.metadata["dtype"], f.metadata["shape"])
-                     for f in fields(ProbeScanArgs) if "shape" in f.metadata)
-_F8, _I8, _U1 = np.dtype(np.float64), np.dtype(np.int64), np.dtype(np.uint8)
-#: The array fields of each dtype, as a :class:`ProbeTable` lays them out.
-_INPUTS = {dtype: tuple(name for name, dt, _ in _ARRAY_SPECS if dt == dtype)
-           for dtype in (_F8, _I8, _U1)}
+    def _conditions(self, dims: Dims) -> None:
+        D, J = dims["D"], dims["J"]
+        if D < 1:
+            raise _refuse(self.kernel, "req_agg", "has no resource dimension")
+        # Every window is at most D (a range above), so only an instance
+        # whose widest codes overflow needs the windows in use.
+        if D ** D * (J + 1) < 2 ** 62:
+            return
+        pp = self.st_packer == 2
+        if pp.any() and D ** int(self.st_w[pp].max()) * (J + 1) >= 2 ** 62:
+            raise _refuse(self.kernel, "st_w",
+                          "gives PP/CP codes that overflow an int64")
 
 
-def _bad(name: str, what: str) -> ValueError:
-    return ValueError(f"probe table: {name} {what}")
-
-
-def _check_probe_args(args: ProbeScanArgs) -> Dict[str, int]:
-    """The table's dimensions, after checking every array's dtype,
-    contiguity and shape, and every index the kernel follows."""
-    dims: Dict[str, int] = {}
-    for name, dtype, shape in _ARRAY_SPECS:
+def check_args(args: _Declaration) -> Dims:
+    """The dimensions of *args*, once each array's type and dtype (else
+    :class:`TypeError`), C-contiguity, shape by dimension name, an
+    output's writability, each index range and each further condition
+    pass (else :class:`ValueError`, naming the kernel and the field)."""
+    kernel = args.kernel
+    dims: Dims = {}
+    for name, dtype, shape, out in _SPECS[type(args)]:
         arr = getattr(args, name)
-        if not isinstance(arr, np.ndarray) or arr.dtype != dtype:
-            raise TypeError(f"probe table: {name} must be a {dtype} array, "
+        if not isinstance(arr, np.ndarray) or (arr.dtype is not dtype
+                                               and arr.dtype != dtype):
+            raise TypeError(f"{kernel}: {name} must be a {dtype} array, "
                             f"not {getattr(arr, 'dtype', type(arr).__name__)}")
         if not arr.flags.c_contiguous:
-            raise _bad(name, "is not C-contiguous")
+            raise _refuse(kernel, name, "is not C-contiguous")
+        if out and not arr.flags.writeable:
+            raise _refuse(kernel, name, "is read-only")
         if arr.ndim != len(shape):
-            raise _bad(name, f"has shape {arr.shape}, expected "
-                             f"({', '.join(shape)})")
+            raise _refuse(kernel, name, f"has shape {arr.shape}, expected "
+                                        f"({', '.join(shape)})")
         for dim, n in zip(shape, arr.shape):
             if dims.setdefault(dim, n) != n:
-                raise _bad(name, f"has {dim} = {n}, expected {dims[dim]}")
-    D, J = dims["D"], dims["J"]
-    if D < 1:
-        raise _bad("req_agg", "has no resource dimension")
-    packer = args.st_packer
-    fill = packer != 1
-    pp = packer == 2
-    walk = pp if D == 2 else np.zeros_like(pp)
-    checks: Tuple[Tuple[str, np.ndarray, int, int], ...] = (
-        ("bin_orders", args.bin_orders, 0, dims["H"]),
-        ("sort_metric", args.sort_metric, 0, len(SORT_METRICS)),
-        ("st_packer", packer, 0, 3),
-        ("st_item", args.st_item, 0, dims["SI"]),
-        ("st_bin", args.st_bin[fill], 0, dims["SB"]),
-        ("st_w", args.st_w[pp], 1, D + 1),
-        ("st_cfg", args.st_cfg[walk], 0, dims["NC"]),
-        ("cfg_w", args.cfg_w, 1, 3 if D == 2 else 1),
-        ("cfg_item", args.cfg_item, 0, dims["SI"]),
-    )
-    for name, values, lo, hi in checks:
-        if values.size and (values.min() < lo or values.max() >= hi):
-            raise _bad(name, f"has an entry outside [{lo}, {hi})")
-    if pp.any() and D ** int(args.st_w[pp].max()) * (J + 1) >= 2 ** 62:
-        raise _bad("st_w", "gives PP/CP codes that overflow an int64")
+                raise _refuse(kernel, name,
+                              f"has {dim} = {n}, expected {dims[dim]}")
+    for name, values, lo, hi in args._ranges(dims):
+        # Shifted by lo and read unsigned, an entry below lo wraps past
+        # hi - lo: one maximum checks both ends.
+        if values.size and (values - lo if lo else values).view(
+                np.uint64).max() >= hi - lo:
+            raise _refuse(kernel, name, f"has an entry outside [{lo}, {hi})")
+    args._conditions(dims)
     return dims
 
 
@@ -185,7 +230,7 @@ class ProbeTable:
     """
 
     def __init__(self, args: ProbeScanArgs):
-        dims = _check_probe_args(args)
+        dims = check_args(args)
         J, H, D = dims["J"], dims["H"], dims["D"]
         SI, NC = dims["SI"], dims["NC"]
         self.J, self.H, self.D = J, H, D
@@ -238,89 +283,298 @@ class ProbeTable:
 
 
 @dataclass(frozen=True)
-class GreedyScanArgs:
+class GreedyScanArgs(_Declaration):
     """Inputs of one greedy scan: an instance's static tables plus the
     passes to run (see :func:`._loops.greedy_scan` for the picker
-    codes and the yield).  All arrays C-contiguous; index columns int64.
-    Per-row sums are numpy's (``sum(axis=1)``), so they match the
-    reference bit for bit.
+    codes and the yield).  Dimensions: J services, H nodes, D
+    dimensions, SO distinct service orders, P passes.  Per-row sums are
+    numpy's (``sum(axis=1)``), so they match the reference bit for bit.
     """
 
-    req_agg: np.ndarray      # (J, D) float64 aggregate requirements
-    req_agg_sum: np.ndarray  # (J,)   float64 their row sums
-    need_dim: np.ndarray     # (J,)   argmax of each aggregate need (P1)
-    req_dim: np.ndarray      # (J,)   argmax of each requirement (P3/P5)
-    elem_ok: np.ndarray      # (J, H) bool, requirements fit elementarily
-    bin_agg: np.ndarray      # (H, D) float64 aggregate capacities
-    bin_agg_sum: np.ndarray  # (H,)   float64 their row sums
-    cap_tol: np.ndarray      # (H, D) float64 aggregate fit bound
-    req_elem: np.ndarray     # (J, D) float64 elementary requirements
-    need_elem: np.ndarray    # (J, D) float64 elementary needs
-    need_agg: np.ndarray     # (J, D) float64 aggregate needs
-    bin_elem: np.ndarray     # (H, D) float64 elementary capacities
-    orders: np.ndarray       # (SO, J) distinct service orders
-    pass_order: np.ndarray   # (P,) row into orders
-    pass_pick: np.ndarray    # (P,) node picker code, 0..6 for P1..P7
+    kernel: ClassVar[str] = "greedy_scan"
+
+    req_agg: np.ndarray = _array(np.float64, "J", "D")  # requirements
+    req_agg_sum: np.ndarray = _array(np.float64, "J")   # their row sums
+    need_dim: np.ndarray = _array(np.int64, "J")  # argmax of each need (P1)
+    req_dim: np.ndarray = _array(np.int64, "J")   # and requirement (P3/P5)
+    elem_ok: np.ndarray = _array(np.bool_, "J", "H")  # requirement fits
+    bin_agg: np.ndarray = _array(np.float64, "H", "D")  # capacities
+    bin_agg_sum: np.ndarray = _array(np.float64, "H")   # their row sums
+    cap_tol: np.ndarray = _array(np.float64, "H", "D")  # fit bound
+    req_elem: np.ndarray = _array(np.float64, "J", "D")
+    need_elem: np.ndarray = _array(np.float64, "J", "D")
+    need_agg: np.ndarray = _array(np.float64, "J", "D")
+    bin_elem: np.ndarray = _array(np.float64, "H", "D")
+    orders: np.ndarray = _array(np.int64, "SO", "J")  # permutations
+    pass_order: np.ndarray = _array(np.int64, "P")  # row into orders
+    pass_pick: np.ndarray = _array(np.int64, "P")   # 0..6 for P1..P7
     feas_atol: float         # the yield step's feasibility tolerances
     feas_rtol: float
 
+    def _ranges(self, dims: Dims) -> Tuple[Range, ...]:
+        J, D = dims["J"], dims["D"]
+        return (("need_dim", self.need_dim, 0, D),
+                ("req_dim", self.req_dim, 0, D),
+                ("orders", self.orders, 0, J),
+                ("pass_order", self.pass_order, 0, dims["SO"]),
+                ("pass_pick", self.pass_pick, 0, 7))
+
+    def _conditions(self, dims: Dims) -> None:
+        # A repeated service leaves another one unplaced, and the kernel
+        # would then count that service's -1 node.
+        J = dims["J"]
+        if not (np.sort(self.orders, axis=1) == np.arange(J)).all():
+            raise _refuse(self.kernel, "orders", f"has a row that is not a "
+                                                 f"permutation of range({J})")
+
 
 @dataclass(frozen=True)
-class ShareNodesArgs:
+class ShareNodesArgs(_Declaration):
     """Inputs of one sharing evaluation over every node (see
-    :func:`._loops.share_nodes`): one fluid dimension's columns, the
-    services grouped by node, and the policy.  Arrays are C-contiguous
-    and 1-D; ``order`` and ``counts`` are int64, the rest float64.
-    ``order``/``counts`` must group ``range(J)`` by node.  The kernel
-    follows them, so the adapter refuses a count outside ``[0, J]``,
-    counts that do not sum to ``J`` and an order entry outside
-    ``[0, J)``.
+    :func:`._loops.share_nodes`): one fluid dimension's columns of J
+    services and H nodes, the services grouped by node, and the policy.
+    ``order``/``counts`` must group ``range(J)`` by node: the kernel
+    follows them.
     """
 
-    order: np.ndarray      # (J,) services by node, ascending within one
-    counts: np.ndarray     # (H,) services on each node
-    req: np.ndarray        # (J,) rigid aggregate requirements
-    need: np.ndarray       # (J,) true aggregate needs
-    est_need: np.ndarray   # (J,) estimated aggregate needs
-    elem_req: np.ndarray   # (J,) elementary requirements
-    elem_need: np.ndarray  # (J,) elementary needs
-    node_agg: np.ndarray   # (H,) aggregate capacities
-    node_elem: np.ndarray  # (H,) elementary capacities
+    kernel: ClassVar[str] = "share_nodes"
+
+    order: np.ndarray = _array(np.int64, "J")  # by node, ascending in one
+    counts: np.ndarray = _array(np.int64, "H")  # services on each node
+    req: np.ndarray = _array(np.float64, "J")  # rigid requirements
+    need: np.ndarray = _array(np.float64, "J")  # true needs
+    est_need: np.ndarray = _array(np.float64, "J")  # estimated needs
+    elem_req: np.ndarray = _array(np.float64, "J")  # elementary ones
+    elem_need: np.ndarray = _array(np.float64, "J")
+    node_agg: np.ndarray = _array(np.float64, "H")  # capacities
+    node_elem: np.ndarray = _array(np.float64, "H")
     policy: int            # index into SHARE_POLICIES
     epsilon: float         # rounds stop once the pool is this small
     share_atol: float      # slack of "the remaining demand fits"
 
+    def _ranges(self, dims: Dims) -> Tuple[Range, ...]:
+        # Each count within [0, J] first, so their sum cannot wrap.
+        J = dims["J"]
+        return (("counts", self.counts, 0, J + 1),
+                ("order", self.order, 0, J))
 
-def _check_share_args(args: ShareNodesArgs) -> Tuple[int, int]:
-    """``(J, H)`` after checking every array's dtype, layout and length,
-    every index the kernel follows, and the policy code."""
-    J, H = args.order.shape[0], args.counts.shape[0]
-    for name, arr, n, dtype in (
-            ("order", args.order, J, np.int64),
-            ("counts", args.counts, H, np.int64),
-            ("req", args.req, J, np.float64),
-            ("need", args.need, J, np.float64),
-            ("est_need", args.est_need, J, np.float64),
-            ("elem_req", args.elem_req, J, np.float64),
-            ("elem_need", args.elem_need, J, np.float64),
-            ("node_agg", args.node_agg, H, np.float64),
-            ("node_elem", args.node_elem, H, np.float64)):
-        if (not isinstance(arr, np.ndarray) or arr.dtype != dtype
-                or arr.shape != (n,) or not arr.flags.c_contiguous):
-            raise ValueError(f"share_nodes: {name} must be a C-contiguous "
-                             f"{np.dtype(dtype)} vector of {n}")
-    # Each count within [0, J] first, so their sum cannot wrap.
-    if H and (args.counts.min() < 0 or args.counts.max() > J):
-        raise ValueError(f"share_nodes: counts has an entry outside "
-                         f"[0, {J}]")
-    if int(args.counts.sum()) != J:
-        raise ValueError(f"share_nodes: counts sums to "
-                         f"{int(args.counts.sum())}, not {J}")
-    if J and (args.order.min() < 0 or args.order.max() >= J):
-        raise ValueError(f"share_nodes: order has an entry outside [0, {J})")
-    if not 0 <= args.policy < len(SHARE_POLICIES):
-        raise ValueError(f"share_nodes: no policy code {args.policy}")
-    return J, H
+    def _conditions(self, dims: Dims) -> None:
+        total = int(self.counts.sum())
+        if total != dims["J"]:
+            raise _refuse(self.kernel, "counts",
+                          f"sums to {total}, not {dims['J']}")
+        if not 0 <= self.policy < len(SHARE_POLICIES):
+            raise _refuse(self.kernel, "policy", f"has no code {self.policy}")
+
+
+@dataclass(frozen=True)
+class ThresholdArgs(_Declaration):
+    """One yield-threshold table: J items, H bins, D dimensions."""
+
+    kernel: ClassVar[str] = "affine_fit_thresholds"
+
+    req: np.ndarray = _array(np.float64, "J", "D")
+    need: np.ndarray = _array(np.float64, "J", "D")
+    cap: np.ndarray = _array(np.float64, "H", "D")
+
+
+@dataclass(frozen=True)
+class BatchThresholdArgs(_Declaration):
+    """B threshold tables padded to N items and H bins (D dimensions)."""
+
+    kernel: ClassVar[str] = "batch_fit_thresholds"
+
+    req: np.ndarray = _array(np.float64, "B", "N", "D")
+    need: np.ndarray = _array(np.float64, "B", "N", "D")
+    cap: np.ndarray = _array(np.float64, "B", "H", "D")
+    n_items: np.ndarray = _array(np.int64, "B")
+    n_bins: np.ndarray = _array(np.int64, "B")
+
+    def _ranges(self, dims: Dims) -> Tuple[Range, ...]:
+        return (("n_items", self.n_items, 0, dims["N"] + 1),
+                ("n_bins", self.n_bins, 0, dims["H"] + 1))
+
+
+@dataclass(frozen=True)
+class IncrementalBestFitArgs(_Declaration):
+    """Inputs of the newcomer best-fit (see
+    :func:`._loops.incremental_best_fit`): K newcomers against H nodes
+    in D dimensions; ``loads`` is updated in place."""
+
+    kernel: ClassVar[str] = "incremental_best_fit"
+
+    req_agg: np.ndarray = _array(np.float64, "K", "D")
+    elem_fit: np.ndarray = _array(np.bool_, "K", "H")
+    loads: np.ndarray = _array(np.float64, "H", "D", out=True)
+    agg: np.ndarray = _array(np.float64, "H", "D")
+    cap_tol: np.ndarray = _array(np.float64, "H", "D")
+
+
+@dataclass(frozen=True)
+class FirstFitArgs(_Declaration):
+    """A standalone ``ff_fill`` of a packing state (see :mod:`._loops`
+    for this and the other fills): J items, H bins, D dimensions, K items
+    in the item order, NB bins in the bin order."""
+
+    kernel: ClassVar[str] = "ff_fill"
+
+    item_agg: np.ndarray = _array(np.float64, "J", "D")
+    elem_ok: np.ndarray = _array(np.bool_, "J", "H")
+    item_order: np.ndarray = _array(np.int64, "K")
+    bin_order: np.ndarray = _array(np.int64, "NB")
+    loads: np.ndarray = _array(np.float64, "H", "D", out=True)
+    load_sum: np.ndarray = _array(np.float64, "H", out=True)
+    cap_tol: np.ndarray = _array(np.float64, "H", "D")
+    waste_limit: np.ndarray = _array(np.float64, "D")
+    assignment: np.ndarray = _array(np.int64, "J", out=True)
+
+    def _ranges(self, dims: Dims) -> Tuple[Range, ...]:
+        return (("item_order", self.item_order, 0, dims["J"]),
+                ("bin_order", self.bin_order, 0, dims["H"]))
+
+
+@dataclass(frozen=True)
+class BestFitArgs(_Declaration):
+    """A standalone ``bf_pack`` (dimensions as :class:`FirstFitArgs`)."""
+
+    kernel: ClassVar[str] = "bf_pack"
+
+    item_agg: np.ndarray = _array(np.float64, "J", "D")
+    item_agg_sum: np.ndarray = _array(np.float64, "J")
+    elem_ok: np.ndarray = _array(np.bool_, "J", "H")
+    item_order: np.ndarray = _array(np.int64, "K")
+    loads: np.ndarray = _array(np.float64, "H", "D", out=True)
+    load_sum: np.ndarray = _array(np.float64, "H", out=True)
+    cap_tol: np.ndarray = _array(np.float64, "H", "D")
+    bin_agg_sum: np.ndarray = _array(np.float64, "H")
+    by_remaining: bool
+    assignment: np.ndarray = _array(np.int64, "J", out=True)
+
+    def _ranges(self, dims: Dims) -> Tuple[Range, ...]:
+        return (("item_order", self.item_order, 0, dims["J"]),)
+
+
+@dataclass(frozen=True)
+class PackWalkArgs(_Declaration):
+    """A standalone ``pp_fill_2d``: every item in code order under the
+    dimension rankings (0, 1) and (1, 0), at D = 2."""
+
+    kernel: ClassVar[str] = "pp_fill_2d"
+
+    item_agg: np.ndarray = _array(np.float64, "J", "D")
+    elem_ok: np.ndarray = _array(np.bool_, "J", "H")
+    order0: np.ndarray = _array(np.int64, "J")
+    order1: np.ndarray = _array(np.int64, "J")
+    bin_order: np.ndarray = _array(np.int64, "NB")
+    loads: np.ndarray = _array(np.float64, "H", "D", out=True)
+    load_sum: np.ndarray = _array(np.float64, "H", out=True)
+    cap_tol: np.ndarray = _array(np.float64, "H", "D")
+    bin_agg: np.ndarray = _array(np.float64, "H", "D")
+    by_remaining: bool
+    waste_limit: np.ndarray = _array(np.float64, "D")
+    assignment: np.ndarray = _array(np.int64, "J", out=True)
+
+    def _ranges(self, dims: Dims) -> Tuple[Range, ...]:
+        J = dims["J"]
+        return (("order0", self.order0, 0, J), ("order1", self.order1, 0, J),
+                ("bin_order", self.bin_order, 0, dims["H"]))
+
+    def _conditions(self, dims: Dims) -> None:
+        if dims["D"] != 2:
+            raise _refuse(self.kernel, "item_agg",
+                          f"has D = {dims['D']}, expected 2")
+
+
+@dataclass(frozen=True)
+class PackArgs(_Declaration):
+    """A standalone ``pp_fill_general``: codes of the first ``w`` digits
+    of each item's dimension permutation and its tie rank."""
+
+    kernel: ClassVar[str] = "pp_fill_general"
+
+    item_agg: np.ndarray = _array(np.float64, "J", "D")
+    item_agg_sum: np.ndarray = _array(np.float64, "J")
+    elem_ok: np.ndarray = _array(np.bool_, "J", "H")
+    item_dim_perm: np.ndarray = _array(np.int64, "J", "D")
+    tie_rank: np.ndarray = _array(np.int64, "J")
+    w: int
+    choose_pack: bool
+    bin_order: np.ndarray = _array(np.int64, "NB")
+    loads: np.ndarray = _array(np.float64, "H", "D", out=True)
+    load_sum: np.ndarray = _array(np.float64, "H", out=True)
+    cap_tol: np.ndarray = _array(np.float64, "H", "D")
+    bin_agg: np.ndarray = _array(np.float64, "H", "D")
+    by_remaining: bool
+    waste_limit: np.ndarray = _array(np.float64, "D")
+    assignment: np.ndarray = _array(np.int64, "J", out=True)
+
+    def _ranges(self, dims: Dims) -> Tuple[Range, ...]:
+        return (("item_dim_perm", self.item_dim_perm, 0, dims["D"]),
+                ("tie_rank", self.tie_rank, 0, dims["J"]),
+                ("bin_order", self.bin_order, 0, dims["H"]))
+
+    def _conditions(self, dims: Dims) -> None:
+        D = dims["D"]
+        if not 1 <= self.w <= D:
+            raise _refuse(self.kernel, "w", f"{self.w} is outside [1, {D}]")
+        if D ** self.w * (dims["J"] + 1) >= 2 ** 62:
+            raise _refuse(self.kernel, "w",
+                          "gives PP/CP codes that overflow an int64")
+
+
+_DECLARATIONS = (ProbeScanArgs, GreedyScanArgs, ShareNodesArgs,
+                 ThresholdArgs, BatchThresholdArgs, IncrementalBestFitArgs,
+                 FirstFitArgs, BestFitArgs, PackWalkArgs, PackArgs)
+#: Each declaration's array fields, computed once: name, dtype, shape in
+#: dimension names, and whether the kernel writes it.
+_SPECS: Dict[type, Tuple[Tuple[str, np.dtype[Any], Tuple[str, ...], bool],
+                         ...]] = {
+    cls: tuple((f.name, f.metadata["dtype"], f.metadata["shape"],
+                f.metadata["out"])
+               for f in fields(cls) if "shape" in f.metadata)
+    for cls in _DECLARATIONS}
+#: Each declaration's fields in order: its kernel's leading arguments.
+_ARGUMENTS = {cls: operator.attrgetter(*(f.name for f in fields(cls)))
+              for cls in _DECLARATIONS}
+
+
+_F8, _I8, _U1 = np.dtype(np.float64), np.dtype(np.int64), np.dtype(np.uint8)
+#: The array fields of each dtype, as a :class:`ProbeTable` lays them out.
+_INPUTS = {dtype: tuple(spec[0] for spec in _SPECS[ProbeScanArgs]
+                        if spec[1] == dtype)
+           for dtype in (_F8, _I8, _U1)}
+
+
+def _f8(arr: Any) -> np.ndarray:
+    return np.ascontiguousarray(arr, dtype=np.float64)
+
+
+def _i64(arr: Any) -> np.ndarray:
+    return np.ascontiguousarray(arr, dtype=np.int64)
+
+
+# The threshold and best-fit APIs take any array-likes: their inputs are
+# converted first, then checked (``loads`` is written, so never copied).
+def threshold_args(req: Any, need: Any, cap: Any
+                   ) -> Tuple[ThresholdArgs, Dims]:
+    args = ThresholdArgs(_f8(req), _f8(need), _f8(cap))
+    return args, check_args(args)
+
+
+def batch_threshold_args(req: Any, need: Any, cap: Any, n_items: Any,
+                         n_bins: Any) -> Tuple[BatchThresholdArgs, Dims]:
+    args = BatchThresholdArgs(_f8(req), _f8(need), _f8(cap), _i64(n_items),
+                              _i64(n_bins))
+    return args, check_args(args)
+
+
+def best_fit_args(req_agg: Any, elem_fit: Any, loads: np.ndarray,
+                  agg: np.ndarray, cap_tol: np.ndarray
+                  ) -> Tuple[IncrementalBestFitArgs, Dims]:
+    args = IncrementalBestFitArgs(
+        _f8(req_agg), np.ascontiguousarray(elem_fit, dtype=np.bool_), loads,
+        agg, cap_tol)
+    return args, check_args(args)
 
 
 class KernelBackend:
@@ -357,13 +611,12 @@ class KernelBackend:
         instance's block equals its ``affine_fit_thresholds`` exactly,
         so batched solving stays bit-identical by construction.
         """
-        B, N, _ = req.shape
-        H = cap.shape[1]
-        out = np.zeros((B, N, H), dtype=np.float64)
-        for b in range(B):
-            j, h = int(n_items[b]), int(n_bins[b])
+        args, dims = batch_threshold_args(req, need, cap, n_items, n_bins)
+        out = np.zeros((dims["B"], dims["N"], dims["H"]))
+        for b in range(dims["B"]):
+            j, h = int(args.n_items[b]), int(args.n_bins[b])
             out[b, :j, :h] = self.affine_fit_thresholds(
-                req[b, :j], need[b, :j], cap[b, :h])
+                args.req[b, :j], args.need[b, :j], args.cap[b, :h])
         return out
 
     def incremental_best_fit(self, req_agg: np.ndarray,
@@ -415,23 +668,10 @@ class KernelBackend:
         return f"<KernelBackend {self.name}>"
 
 
-def _i64(arr: np.ndarray) -> np.ndarray:
-    return np.ascontiguousarray(arr, dtype=np.int64)
-
-
 def _no_limit(state: Any) -> np.ndarray:
     """An infinite waste limit: a standalone fill runs to its end, so the
     state's loads and ``unplaced_count`` stay those of the whole run."""
     return np.full(state.item_agg.shape[1], np.inf)
-
-
-def _filled(unplaced: int, kernel: str) -> int:
-    """A fill kernel's unplaced count.  Called without a limit no run is
-    cut, so a negative count means the C translation could not allocate
-    its scratch."""
-    if unplaced < 0:
-        raise MemoryError(f"{kernel} could not allocate its work arrays")
-    return int(unplaced)
 
 
 class ArrayKernelBackend(KernelBackend):
@@ -439,32 +679,48 @@ class ArrayKernelBackend(KernelBackend):
 
     *kernels* is any namespace exposing the functions of :mod:`._loops`
     with identical signatures — the uncompiled module itself or the
-    ctypes shims of the native backend.
+    ctypes shims of the native backend.  Every kernel gets its
+    declaration's fields, checked (:func:`check_args`), then the outputs
+    and scratch the adapter allocates.
     """
 
     def __init__(self, name: str, kernels: Any):
         self.name = name
         self._k = kernels
 
-    # -- packers -------------------------------------------------------
-    def first_fit(self, state: Any, item_order: np.ndarray,
-                  bin_order: np.ndarray) -> bool:
-        unplaced = _filled(self._k.ff_fill(
-            state.item_agg, state.elem_ok, _i64(item_order),
-            _i64(bin_order), state.loads, state.load_sum,
-            state.bin_cap_tol, _no_limit(state), state.assignment),
-            "ff_fill")
+    def _call(self, args: _Declaration, *outputs: np.ndarray) -> Any:
+        """Kernel ``args.kernel`` on the checked *args*, then *outputs*."""
+        return getattr(self._k, args.kernel)(*_ARGUMENTS[type(args)](args),
+                                             *outputs)
+
+    def _fill(self, state: Any, args: _Declaration) -> bool:
+        check_args(args)
+        unplaced = int(self._call(args))
+        if unplaced < 0:
+            # Called without a limit no run is cut: the C translation
+            # could not allocate its scratch.
+            raise MemoryError(f"{args.kernel} could not allocate its work "
+                              f"arrays")
         state.unplaced_count = unplaced
         return unplaced == 0
 
+    # -- packers -------------------------------------------------------
+    def first_fit(self, state: Any, item_order: np.ndarray,
+                  bin_order: np.ndarray) -> bool:
+        return self._fill(state, FirstFitArgs(
+            state.item_agg, state.elem_ok, _i64(item_order),
+            _i64(bin_order), state.loads, state.load_sum, state.bin_cap_tol,
+            _no_limit(state), state.assignment))
+
     def best_fit(self, state: Any, item_order: np.ndarray,
                  by_remaining_capacity: bool) -> bool:
-        ok = self._k.bf_pack(
+        args = BestFitArgs(
             state.item_agg, state.item_agg_sum, state.elem_ok,
-            _i64(item_order), state.loads, state.load_sum,
-            state.bin_cap_tol, state.bin_agg_sum,
-            bool(by_remaining_capacity), state.assignment)
-        state.unplaced_count = int(np.count_nonzero(state.assignment < 0))
+            _i64(item_order), state.loads, state.load_sum, state.bin_cap_tol,
+            state.bin_agg_sum, bool(by_remaining_capacity), state.assignment)
+        check_args(args)
+        ok = self._call(args)
+        state.unplaced_count = int(np.count_nonzero(args.assignment < 0))
         return bool(ok)
 
     def permutation_pack(self, state: Any, pp: Any,
@@ -476,62 +732,34 @@ class ArrayKernelBackend(KernelBackend):
             # ranking replaces the numpy backend's per-bin sorts:
             # walking it while skipping already-placed items visits
             # candidates in the same sequence.
-            order0 = np.argsort(pp.codes_for((0, 1)))
-            order1 = np.argsort(pp.codes_for((1, 0)))
-            unplaced = _filled(self._k.pp_fill_2d(
-                state.item_agg, state.elem_ok, _i64(order0), _i64(order1),
-                _i64(bin_order), state.loads, state.load_sum,
-                state.bin_cap_tol, state.bin_agg, bool(by_remaining),
-                _no_limit(state), state.assignment), "pp_fill_2d")
-        else:
-            unplaced = _filled(self._k.pp_fill_general(
-                state.item_agg, state.item_agg_sum, state.elem_ok,
-                _i64(state.item_dim_perm), _i64(pp.tie_rank), int(pp.w),
-                bool(pp.choose_pack), _i64(bin_order), state.loads,
-                state.load_sum, state.bin_cap_tol, state.bin_agg,
-                bool(by_remaining), _no_limit(state), state.assignment),
-                "pp_fill_general")
-        state.unplaced_count = unplaced
-        return unplaced == 0
+            return self._fill(state, PackWalkArgs(
+                state.item_agg, state.elem_ok,
+                _i64(np.argsort(pp.codes_for((0, 1)))),
+                _i64(np.argsort(pp.codes_for((1, 0)))), _i64(bin_order),
+                state.loads, state.load_sum, state.bin_cap_tol,
+                state.bin_agg, bool(by_remaining), _no_limit(state),
+                state.assignment))
+        return self._fill(state, PackArgs(
+            state.item_agg, state.item_agg_sum, state.elem_ok,
+            _i64(state.item_dim_perm), _i64(pp.tie_rank), int(pp.w),
+            bool(pp.choose_pack), _i64(bin_order), state.loads,
+            state.load_sum, state.bin_cap_tol, state.bin_agg,
+            bool(by_remaining), _no_limit(state), state.assignment))
 
     # -- probe factory -------------------------------------------------
-    # The kernels follow the shapes, so they are checked here.
     def affine_fit_thresholds(self, req: np.ndarray, need: np.ndarray,
                               cap: np.ndarray) -> np.ndarray:
-        req = np.ascontiguousarray(req, dtype=np.float64)
-        need = np.ascontiguousarray(need, dtype=np.float64)
-        cap = np.ascontiguousarray(cap, dtype=np.float64)
-        if (req.ndim != 2 or need.shape != req.shape or cap.ndim != 2
-                or cap.shape[1] != req.shape[1]):
-            raise ValueError(f"affine_fit_thresholds: req {req.shape}, "
-                             f"need {need.shape} and cap {cap.shape} must "
-                             f"be (J, D), (J, D) and (H, D)")
-        out = np.empty((req.shape[0], cap.shape[0]), dtype=np.float64)
-        self._k.affine_fit_thresholds(req, need, cap, out)
+        args, dims = threshold_args(req, need, cap)
+        out = np.empty((dims["J"], dims["H"]), dtype=np.float64)
+        self._call(args, out)
         return out
 
     def batch_fit_thresholds(self, req: np.ndarray, need: np.ndarray,
                              cap: np.ndarray, n_items: np.ndarray,
                              n_bins: np.ndarray) -> np.ndarray:
-        req = np.ascontiguousarray(req, dtype=np.float64)
-        need = np.ascontiguousarray(need, dtype=np.float64)
-        cap = np.ascontiguousarray(cap, dtype=np.float64)
-        n_items, n_bins = _i64(n_items), _i64(n_bins)
-        B = req.shape[0] if req.ndim == 3 else -1
-        if (B < 0 or need.shape != req.shape or cap.ndim != 3
-                or cap.shape[0] != B or cap.shape[2] != req.shape[2]
-                or n_items.shape != (B,) or n_bins.shape != (B,)):
-            raise ValueError(f"batch_fit_thresholds: req {req.shape}, "
-                             f"need {need.shape}, cap {cap.shape}, n_items "
-                             f"{n_items.shape} and n_bins {n_bins.shape} "
-                             f"must be (B, N, D), (B, N, D), (B, H, D), "
-                             f"(B,) and (B,)")
-        if B and (n_items.min() < 0 or n_items.max() > req.shape[1]
-                  or n_bins.min() < 0 or n_bins.max() > cap.shape[1]):
-            raise ValueError("batch_fit_thresholds: an item or bin count "
-                             "is negative or past the padding")
-        out = np.zeros((B, req.shape[1], cap.shape[1]), dtype=np.float64)
-        self._k.batch_fit_thresholds(req, need, cap, n_items, n_bins, out)
+        args, dims = batch_threshold_args(req, need, cap, n_items, n_bins)
+        out = np.zeros((dims["B"], dims["N"], dims["H"]), dtype=np.float64)
+        self._call(args, out)
         return out
 
     # -- dynamic simulator ---------------------------------------------
@@ -539,11 +767,9 @@ class ArrayKernelBackend(KernelBackend):
                              elem_fit: np.ndarray,
                              loads: np.ndarray, agg: np.ndarray,
                              cap_tol: np.ndarray) -> np.ndarray:
-        out = np.empty(req_agg.shape[0], dtype=np.int64)
-        self._k.incremental_best_fit(
-            np.ascontiguousarray(req_agg, dtype=np.float64),
-            np.ascontiguousarray(elem_fit),
-            loads, agg, cap_tol, out)
+        args, dims = best_fit_args(req_agg, elem_fit, loads, agg, cap_tol)
+        out = np.empty(dims["K"], dtype=np.int64)
+        self._call(args, out)
         return out
 
     # -- fused probe ---------------------------------------------------
@@ -573,30 +799,18 @@ class ArrayKernelBackend(KernelBackend):
     # -- greedy passes -------------------------------------------------
     def greedy_scan(self, args: GreedyScanArgs
                     ) -> Tuple[np.ndarray, np.ndarray]:
-        J = args.req_agg.shape[0]
-        P = args.pass_order.shape[0]
-        placements = np.empty((P, J), dtype=np.int64)
-        min_yields = np.empty(P, dtype=np.float64)
-        feasible = self._k.greedy_scan(
-            args.req_agg, args.req_agg_sum, args.need_dim, args.req_dim,
-            args.elem_ok, args.bin_agg, args.bin_agg_sum, args.cap_tol,
-            args.req_elem, args.need_elem, args.need_agg, args.bin_elem,
-            args.orders, args.pass_order, args.pass_pick,
-            float(args.feas_atol), float(args.feas_rtol), placements,
-            min_yields)
-        if feasible < 0:
+        dims = check_args(args)
+        placements = np.empty((dims["P"], dims["J"]), dtype=np.int64)
+        min_yields = np.empty(dims["P"], dtype=np.float64)
+        if self._call(args, placements, min_yields) < 0:
             raise MemoryError("greedy_scan could not allocate its work arrays")
         return placements, min_yields
 
     # -- §6 sharing ----------------------------------------------------
     def share_nodes(self, args: ShareNodesArgs) -> np.ndarray:
-        J, _ = _check_share_args(args)
+        J = check_args(args)["J"]
         yields = np.empty(J)
-        self._k.share_nodes(
-            args.order, args.counts, args.req, args.need, args.est_need,
-            args.elem_req, args.elem_need, args.node_agg, args.node_elem,
-            int(args.policy), float(args.epsilon), float(args.share_atol),
-            yields, np.empty(J), np.empty(J), np.empty(J), np.empty(J),
-            np.empty(J, dtype=np.uint8), np.empty((128, 3), dtype=np.int64),
-            np.empty(64))
+        self._call(args, yields, np.empty(J), np.empty(J), np.empty(J),
+                   np.empty(J), np.empty(J, dtype=np.uint8),
+                   np.empty((128, 3), dtype=np.int64), np.empty(64))
         return yields

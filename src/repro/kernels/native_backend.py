@@ -26,10 +26,12 @@ from __future__ import annotations
 
 import ctypes
 import hashlib
+import operator
 import os
 import shlex
 import subprocess
 import tempfile
+from typing import Iterator
 
 import numpy as np
 
@@ -1207,17 +1209,28 @@ def _build_library() -> str:
     return lib_path
 
 
-_f64p = np.ctypeslib.ndpointer(dtype=np.float64, flags="C_CONTIGUOUS")
-_i64p = np.ctypeslib.ndpointer(dtype=np.int64, flags="C_CONTIGUOUS")
-_u8p = np.ctypeslib.ndpointer(dtype=np.uint8, flags="C_CONTIGUOUS")
-_i64 = ctypes.c_int64
+#: Each exported kernel's C arguments, in order: ``i`` an int64, ``d`` a
+#: double, ``p`` a raw data address (every array; see :class:`_NativeKernels`).
+_SIGNATURES = {
+    "ff_fill": "iiii" + "p" * 9,
+    "bf_pack": "iii" + "p" * 8 + "ip",
+    "pp_fill_2d": "iii" + "p" * 9 + "ipp",
+    "pp_fill_general": "iiiiii" + "p" * 10 + "ipp",
+    "affine_fit_thresholds": "iii" + "p" * 4,
+    "batch_fit_thresholds": "iiii" + "p" * 6,
+    "incremental_best_fit": "iii" + "p" * 6,
+    "greedy_scan": "iiii" + "p" * 15 + "ddpp",
+    "share_nodes": "i" + "p" * 9 + "idd" + "p" * 8,
+}
+_CTYPES = {"i": ctypes.c_int64, "d": ctypes.c_double, "p": ctypes.c_void_p}
 
 
-def _u8(mask: np.ndarray) -> np.ndarray:
-    """Bool mask as a uint8 view (no copy for contiguous bool arrays)."""
-    if mask.dtype == np.bool_:
-        return mask.view(np.uint8)
-    return np.ascontiguousarray(mask, dtype=np.uint8)
+_address = operator.attrgetter("ctypes.data")
+
+
+def _addresses(*arrays: np.ndarray) -> Iterator[int]:
+    """Each array's raw data address, in order."""
+    return map(_address, arrays)
 
 
 class _ProbeTable(ctypes.Structure):
@@ -1229,78 +1242,53 @@ class _ProbeTable(ctypes.Structure):
 
 
 class _NativeKernels:
-    """ctypes shims with the :mod:`._loops` signatures."""
+    """ctypes shims with the :mod:`._loops` signatures.
+
+    Every shim passes each array as a raw data address, after the
+    adapter checked the kernel's declaration (:func:`~.api.check_args`).
+    A raw address does not keep its array alive: a shim passes only its
+    own arguments, which the caller's checked declaration or a named
+    local holds until the call returns, never a temporary of its own.
+    The probe table's struct points into the blocks its
+    :class:`~.api.ProbeTable` owns.
+    """
 
     def __init__(self, lib: ctypes.CDLL):
         self._lib = lib
-        lib.ff_fill.restype = _i64
-        lib.ff_fill.argtypes = [_i64, _i64, _i64, _i64, _f64p, _u8p,
-                                _i64p, _i64p, _f64p, _f64p, _f64p, _f64p,
-                                _i64p]
-        lib.bf_pack.restype = _i64
-        lib.bf_pack.argtypes = [_i64, _i64, _i64, _f64p, _f64p, _u8p,
-                                _i64p, _f64p, _f64p, _f64p, _f64p, _i64,
-                                _i64p]
-        lib.pp_fill_2d.restype = _i64
-        lib.pp_fill_2d.argtypes = [_i64, _i64, _i64, _f64p, _u8p, _i64p,
-                                   _i64p, _i64p, _f64p, _f64p, _f64p,
-                                   _f64p, _i64, _f64p, _i64p]
-        lib.pp_fill_general.restype = _i64
-        lib.pp_fill_general.argtypes = [_i64, _i64, _i64, _i64, _i64,
-                                        _i64, _f64p, _f64p, _u8p, _i64p,
-                                        _i64p, _i64p, _f64p, _f64p,
-                                        _f64p, _f64p, _i64, _f64p, _i64p]
-        lib.affine_fit_thresholds.restype = _i64
-        lib.affine_fit_thresholds.argtypes = ([_i64, _i64, _i64]
-                                              + [ctypes.c_void_p] * 4)
-        lib.batch_fit_thresholds.restype = _i64
-        lib.batch_fit_thresholds.argtypes = ([_i64, _i64, _i64, _i64]
-                                             + [ctypes.c_void_p] * 6)
-        lib.incremental_best_fit.restype = _i64
-        lib.incremental_best_fit.argtypes = [_i64, _i64, _i64, _f64p,
-                                             _u8p, _f64p, _f64p, _f64p,
-                                             _i64p]
-        lib.probe_scan.restype = _i64
+        for name, signature in _SIGNATURES.items():
+            fn = getattr(lib, name)
+            fn.restype = ctypes.c_int64
+            fn.argtypes = [_CTYPES[code] for code in signature]
+        lib.probe_scan.restype = ctypes.c_int64
         lib.probe_scan.argtypes = [ctypes.POINTER(_ProbeTable),
-                                   ctypes.c_double, ctypes.c_void_p, _i64,
-                                   ctypes.c_void_p]
-        lib.greedy_scan.restype = _i64
-        lib.greedy_scan.argtypes = [_i64, _i64, _i64, _i64,
-                                    _f64p, _f64p, _i64p, _i64p, _u8p,
-                                    _f64p, _f64p, _f64p, _f64p, _f64p,
-                                    _f64p, _f64p, _i64p, _i64p, _i64p,
-                                    ctypes.c_double, ctypes.c_double,
-                                    _i64p, _f64p]
-        lib.share_nodes.restype = _i64
-        lib.share_nodes.argtypes = [_i64, _i64p, _i64p, _f64p, _f64p,
-                                    _f64p, _f64p, _f64p, _f64p, _f64p,
-                                    _i64, ctypes.c_double, ctypes.c_double,
-                                    _f64p, _f64p, _f64p, _f64p, _f64p,
-                                    _u8p, _i64p, _f64p]
+                                   ctypes.c_double, ctypes.c_void_p,
+                                   ctypes.c_int64, ctypes.c_void_p]
 
     def ff_fill(self, item_agg, elem_ok, item_order, bin_order,
                 loads, load_sum, cap_tol, waste_limit, assignment):
         return self._lib.ff_fill(
             item_order.shape[0], loads.shape[0], bin_order.shape[0],
-            item_agg.shape[1], item_agg, _u8(elem_ok), item_order,
-            bin_order, loads, load_sum, cap_tol, waste_limit, assignment)
+            item_agg.shape[1], *_addresses(
+                item_agg, elem_ok, item_order, bin_order, loads, load_sum,
+                cap_tol, waste_limit, assignment))
 
     def bf_pack(self, item_agg, item_agg_sum, elem_ok, item_order,
                 loads, load_sum, cap_tol, bin_agg_sum, by_remaining,
                 assignment):
         return self._lib.bf_pack(
             item_order.shape[0], loads.shape[0], item_agg.shape[1],
-            item_agg, item_agg_sum, _u8(elem_ok), item_order, loads,
-            load_sum, cap_tol, bin_agg_sum, int(by_remaining), assignment)
+            *_addresses(item_agg, item_agg_sum, elem_ok, item_order, loads,
+                        load_sum, cap_tol, bin_agg_sum),
+            int(by_remaining), assignment.ctypes.data)
 
     def pp_fill_2d(self, item_agg, elem_ok, order0, order1, bin_order,
                    loads, load_sum, cap_tol, bin_agg, by_remaining,
                    waste_limit, assignment):
         return self._lib.pp_fill_2d(
             item_agg.shape[0], loads.shape[0], bin_order.shape[0],
-            item_agg, _u8(elem_ok), order0, order1, bin_order, loads,
-            load_sum, cap_tol, bin_agg, int(by_remaining), waste_limit,
-            assignment)
+            *_addresses(item_agg, elem_ok, order0, order1, bin_order, loads,
+                        load_sum, cap_tol, bin_agg),
+            int(by_remaining), *_addresses(waste_limit, assignment))
 
     def pp_fill_general(self, item_agg, item_agg_sum, elem_ok,
                         item_dim_perm, tie_rank, w, choose_pack,
@@ -1308,30 +1296,26 @@ class _NativeKernels:
                         by_remaining, waste_limit, assignment):
         return self._lib.pp_fill_general(
             item_agg.shape[0], loads.shape[0], bin_order.shape[0],
-            item_agg.shape[1], int(w), int(choose_pack), item_agg,
-            item_agg_sum, _u8(elem_ok), item_dim_perm, tie_rank,
-            bin_order, loads, load_sum, cap_tol, bin_agg,
-            int(by_remaining), waste_limit, assignment)
+            item_agg.shape[1], int(w), int(choose_pack), *_addresses(
+                item_agg, item_agg_sum, elem_ok, item_dim_perm, tie_rank,
+                bin_order, loads, load_sum, cap_tol, bin_agg),
+            int(by_remaining), *_addresses(waste_limit, assignment))
 
-    # The threshold kernels run twice per solve's set-up, on arrays the
-    # adapter has made C-contiguous float64/int64 and checked for shape:
-    # they take raw addresses, which cost a third of ndpointer's checks.
     def affine_fit_thresholds(self, req, need, cap, out):
         return self._lib.affine_fit_thresholds(
-            req.shape[0], cap.shape[0], req.shape[1], req.ctypes.data,
-            need.ctypes.data, cap.ctypes.data, out.ctypes.data)
+            req.shape[0], cap.shape[0], req.shape[1],
+            *_addresses(req, need, cap, out))
 
     def batch_fit_thresholds(self, req, need, cap, n_items, n_bins, out):
         return self._lib.batch_fit_thresholds(
             req.shape[0], req.shape[1], cap.shape[1], req.shape[2],
-            req.ctypes.data, need.ctypes.data, cap.ctypes.data,
-            n_items.ctypes.data, n_bins.ctypes.data, out.ctypes.data)
+            *_addresses(req, need, cap, n_items, n_bins, out))
 
     def incremental_best_fit(self, req_agg, elem_fit, loads, agg,
                              cap_tol, out):
         return self._lib.incremental_best_fit(
-            req_agg.shape[0], loads.shape[0], req_agg.shape[1], req_agg,
-            _u8(elem_fit), loads, agg, cap_tol, out)
+            req_agg.shape[0], loads.shape[0], req_agg.shape[1],
+            *_addresses(req_agg, elem_fit, loads, agg, cap_tol, out))
 
     def bind_probe_table(self, t):
         """The C struct of table *t*: its dimensions and margin, and the
@@ -1354,19 +1338,22 @@ class _NativeKernels:
                     min_yields):
         return self._lib.greedy_scan(
             req_agg.shape[0], bin_agg.shape[0], req_agg.shape[1],
-            pass_order.shape[0], req_agg, req_agg_sum, need_dim, req_dim,
-            _u8(elem_ok), bin_agg, bin_agg_sum, cap_tol, req_elem,
-            need_elem, need_agg, bin_elem, orders, pass_order, pass_pick,
-            feas_atol, feas_rtol, placements, min_yields)
+            pass_order.shape[0], *_addresses(
+                req_agg, req_agg_sum, need_dim, req_dim, elem_ok, bin_agg,
+                bin_agg_sum, cap_tol, req_elem, need_elem, need_agg,
+                bin_elem, orders, pass_order, pass_pick),
+            feas_atol, feas_rtol, *_addresses(placements, min_yields))
 
     def share_nodes(self, order, counts, req, need, est_need, elem_req,
                     elem_need, node_agg, node_elem, policy, epsilon,
                     share_atol, yields, buf, dem, wts, cons, unsat, frames,
                     partial):
         return self._lib.share_nodes(
-            counts.shape[0], order, counts, req, need, est_need, elem_req,
-            elem_need, node_agg, node_elem, policy, epsilon, share_atol,
-            yields, buf, dem, wts, cons, unsat, frames, partial)
+            counts.shape[0], *_addresses(
+                order, counts, req, need, est_need, elem_req, elem_need,
+                node_agg, node_elem),
+            policy, epsilon, share_atol, *_addresses(
+                yields, buf, dem, wts, cons, unsat, frames, partial))
 
 
 def load_native_kernels() -> _NativeKernels:

@@ -3,14 +3,15 @@
 This is the always-available reference implementation: the packer scalar
 paths run on Python floats over pre-extracted nested lists (per-item
 numpy calls cost more than the arithmetic at the paper's J≈100), the
-threshold table is a single ``(J, H, D)`` broadcast, the dynamic
+threshold table is a running minimum over ``(J, H)`` planes, the dynamic
 newcomer fill is a per-item vectorized best-fit, and the greedy scan
 runs its passes one by one with a vectorized fit test per service.  The
 §6 sharing evaluation runs the :mod:`._loops` source itself on Python
 lists, which beats per-node numpy calls on a few services per node.
 Every path handles any dimension count — backend choice never depends
 on D — and the compiled backends must reproduce these results
-bit-for-bit.
+bit-for-bit.  The thresholds, best-fit, greedy scan and sharing check
+their declared inputs as the compiled backend does.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 
 from . import _loops
 from .api import (GreedyScanArgs, KernelBackend, ShareNodesArgs,
-                  _check_share_args)
+                  best_fit_args, check_args, threshold_args)
 
 __all__ = ["NumpyKernelBackend"]
 
@@ -325,19 +326,28 @@ class NumpyKernelBackend(KernelBackend):
 
     # -- probe factory -------------------------------------------------
     def affine_fit_thresholds(self, req, need, cap) -> np.ndarray:
-        slack = cap[None, :, :] - req[:, None, :]          # (J, H, D)
-        need_b = need[:, None, :]
-        rigid = np.where(slack >= 0, np.inf, -np.inf)
-        thr = np.where(need_b > 0,
-                       slack / np.where(need_b > 0, need_b, 1.0),
-                       rigid)
-        return thr.min(axis=2)
+        """The per-pair loop's minimum over the dimensions in order, one
+        ``(J, H)`` plane at a time: ``np.where(t < out, t, out)`` is the
+        loop's ``if t < m: m = t``, so a NaN threshold never replaces the
+        minimum and of two tied ones the first stays."""
+        args, dims = threshold_args(req, need, cap)
+        fluid = args.need > 0
+        need = np.where(fluid, args.need, 1.0)
+        out = np.full((dims["J"], dims["H"]), np.inf)
+        for d in range(dims["D"]):
+            slack = args.cap[:, d] - args.req[:, d, None]         # (J, H)
+            t = np.where(fluid[:, d, None], slack / need[:, d, None],
+                         np.where(slack >= 0, np.inf, -np.inf))
+            out = np.where(t < out, t, out)
+        return out
 
     # -- dynamic simulator ---------------------------------------------
     def incremental_best_fit(self, req_agg, elem_fit, loads, agg,
                              cap_tol) -> np.ndarray:
-        out = np.empty(req_agg.shape[0], dtype=np.int64)
-        for i in range(req_agg.shape[0]):
+        args, dims = best_fit_args(req_agg, elem_fit, loads, agg, cap_tol)
+        req_agg, elem_fit = args.req_agg, args.elem_fit
+        out = np.empty(dims["K"], dtype=np.int64)
+        for i in range(dims["K"]):
             fits = (elem_fit[i]
                     & (loads + req_agg[i] <= cap_tol).all(axis=1))
             cands = np.flatnonzero(fits)
@@ -354,8 +364,9 @@ class NumpyKernelBackend(KernelBackend):
     def greedy_scan(self, args: GreedyScanArgs
                     ) -> tuple[np.ndarray, np.ndarray]:
         """The greedy scan as a loop over passes (the reference result)."""
-        P = args.pass_order.shape[0]
-        placements = np.full((P, args.req_agg.shape[0]), -1, dtype=np.int64)
+        dims = check_args(args)
+        P = dims["P"]
+        placements = np.full((P, dims["J"]), -1, dtype=np.int64)
         min_yields = np.full(P, -np.inf)
         for p in range(P):
             placement = _greedy_pass(args, args.orders[args.pass_order[p]],
@@ -369,7 +380,7 @@ class NumpyKernelBackend(KernelBackend):
     def share_nodes(self, args: ShareNodesArgs) -> np.ndarray:
         """The loop kernel on Python lists (the reference arithmetic on
         Python floats, which are the same IEEE doubles)."""
-        J, _ = _check_share_args(args)
+        J = check_args(args)["J"]
         yields = [0.0] * J
         _loops.share_nodes(
             args.order.tolist(), args.counts.tolist(), args.req.tolist(),

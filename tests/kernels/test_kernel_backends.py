@@ -205,17 +205,14 @@ class TestBitEquivalence:
 
     def test_thresholds_match_the_per_pair_loop_byte_for_byte(self,
                                                                backend):
-        """The compiled and loop kernels divide a whole row per need;
-        every (item, bin) must still keep the per-pair loop's minimum.
-        Zero, negative and signed-zero needs and slacks, infinities and
-        NaNs included.  numpy's ``min`` propagates a NaN the loops skip
-        and keeps the later of two tied zeros, so the numpy backend gets
-        finite inputs and skips the tie (a threshold is only compared,
-        where 0.0 equals -0.0)."""
+        """The compiled and loop kernels divide a whole row per need, and
+        numpy reduces a (J, H) plane per dimension; every (item, bin)
+        must still keep the per-pair loop's minimum.  Zero, negative and
+        signed-zero needs and slacks, infinities and NaNs included: a NaN
+        threshold is skipped, and of two tied zeros the first stays."""
         rng = np.random.default_rng(23)
-        special = [0.0, -0.0, 1e-300, -1e-300, 5e-324, 1.0, -1.0]
-        if backend != "numpy":
-            special += [np.inf, -np.inf, np.nan]
+        special = [0.0, -0.0, 1e-300, -1e-300, 5e-324, 1.0, -1.0, np.inf,
+                   -np.inf, np.nan]
 
         def draw(*shape):
             a = rng.normal(size=shape) * rng.choice([1e-3, 1.0, 1e3])
@@ -228,12 +225,11 @@ class TestBitEquivalence:
                np.array([[0.0, -0.0], [-0.0, 0.0]]))
         with kernels.kernel_backend(backend), np.errstate(all="ignore"):
             be = kernels.get_backend()
-            if backend != "numpy":
-                ref = per_pair_thresholds(*tie).tobytes()
-                assert be.affine_fit_thresholds(*tie).tobytes() == ref
-                got = be.batch_fit_thresholds(
-                    *[a[None] for a in tie], np.array([1]), np.array([2]))
-                assert got[0].tobytes() == ref
+            ref = per_pair_thresholds(*tie).tobytes()
+            assert be.affine_fit_thresholds(*tie).tobytes() == ref
+            got = be.batch_fit_thresholds(
+                *[a[None] for a in tie], np.array([1]), np.array([2]))
+            assert got[0].tobytes() == ref
             for _ in range(60):
                 J, H, D = rng.integers(0, 9), rng.integers(0, 6), \
                     rng.integers(1, 5)
