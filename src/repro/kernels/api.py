@@ -359,10 +359,14 @@ class ShareNodesArgs(_Declaration):
                 ("order", self.order, 0, J))
 
     def _conditions(self, dims: Dims) -> None:
+        J = dims["J"]
         total = int(self.counts.sum())
-        if total != dims["J"]:
-            raise _refuse(self.kernel, "counts",
-                          f"sums to {total}, not {dims['J']}")
+        if total != J:
+            raise _refuse(self.kernel, "counts", f"sums to {total}, not {J}")
+        # A repeated service would leave another's yield unwritten.
+        if not (np.sort(self.order) == np.arange(J)).all():
+            raise _refuse(self.kernel, "order",
+                          f"is not a permutation of range({J})")
         if not 0 <= self.policy < len(SHARE_POLICIES):
             raise _refuse(self.kernel, "policy", f"has no code {self.policy}")
 
@@ -787,6 +791,10 @@ class ArrayKernelBackend(KernelBackend):
         if (scan.dtype != np.int64 or scan.ndim != 1
                 or not scan.flags.c_contiguous):
             raise ValueError("scan must be a C-contiguous int64 vector")
+        # Read unsigned, an entry below 0 wraps past S (check_args' idiom).
+        if scan.size and scan.view(np.uint64).max() >= table.S:
+            raise _refuse("probe_scan", "scan",
+                          f"has an entry outside [0, {table.S})")
         if (assignment.dtype != np.int64
                 or assignment.shape != (table.J,)
                 or not assignment.flags.c_contiguous

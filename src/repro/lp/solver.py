@@ -1,9 +1,18 @@
-"""Exact and relaxed solution of the Eq. 1-7 formulation.
+"""Exact and relaxed solution of the Eq. 1-7 formulation (§3.2).
 
-The paper used GLPK/CPLEX; we use scipy's bundled HiGHS, which exposes both
-a branch-and-bound MILP (``scipy.optimize.milp``) and an LP solver.  Both
-consume the :class:`~repro.lp.formulation.MilpFormulation` matrices
-unchanged — the substitution is solver-for-solver (see DESIGN.md §3).
+The paper solved the MILP and its rational relaxation with GLPK/CPLEX;
+this package uses HiGHS, through the binding scipy ships with it
+(``scipy.optimize._highspy._core``).  One function, :func:`_run`, solves
+both: it passes a :class:`~repro.lp.formulation.MilpFormulation`'s arrays
+to ``Highs::passModel`` as they are, runs HiGHS, and reads back the primal
+solution only.  It sets the options ``scipy.optimize.milp`` sets (console
+log off, plus ``time_limit`` and ``mip_rel_gap`` when given) and accepts
+the model statuses ``milp`` returns a solution for, so it returns the
+vertex ``milp`` returns on the same model, bit for bit
+(``tests/lp/test_highs_model.py``).
+
+The binding is private scipy API.  ``pyproject.toml``'s scipy floor is the
+first release that ships it with the array form of ``passModel``.
 """
 
 from __future__ import annotations
@@ -15,19 +24,22 @@ from dataclasses import dataclass
 from typing import Iterator, Optional, Union
 
 import numpy as np
-from scipy.optimize import milp
+from scipy.optimize._highspy import _core as highs_core
 
+from .. import obs
 from ..core.allocation import Allocation
 from ..core.exceptions import InfeasibleProblemError, SolverError
 from ..core.instance import ProblemInstance
-from .formulation import MilpFormulation, build_formulation
+from .formulation import build_formulation
 
 __all__ = ["LpSolution", "shared_relaxations", "solve_exact",
            "solve_relaxation"]
 
-# HiGHS status codes surfaced by scipy.optimize.milp.
-_STATUS_OPTIMAL = 0
-_STATUS_INFEASIBLE = 2
+_Status = highs_core.HighsModelStatus
+_ERROR = highs_core.HighsStatus.kError
+#: MILP statuses that still carry an incumbent when the objective is finite.
+_LIMITS = (_Status.kTimeLimit, _Status.kIterationLimit,
+           _Status.kSolutionLimit)
 
 
 @dataclass
@@ -76,36 +88,70 @@ class LpSolution:
         return Allocation(self.instance, self.placement(), self.yields())
 
 
-def _run(formulation: MilpFormulation, time_limit: float | None,
-         mip_rel_gap: float | None, integral: bool) -> LpSolution:
-    options: dict = {}
-    if time_limit is not None:
-        options["time_limit"] = float(time_limit)
-    if mip_rel_gap is not None:
-        options["mip_rel_gap"] = float(mip_rel_gap)
-    start = time.perf_counter()
-    res = milp(
-        c=formulation.objective,
-        constraints=formulation.constraints,
-        integrality=formulation.integrality,
-        bounds=formulation.bounds,
-        options=options or None,
-    )
-    elapsed = time.perf_counter() - start
-    if res.status == _STATUS_INFEASIBLE:
-        raise InfeasibleProblemError(
-            "no placement satisfies the rigid requirements")
-    if res.x is None:
-        raise SolverError(f"HiGHS failed: status={res.status} ({res.message})")
-    e, y, min_yield = formulation.split_solution(res.x)
+def _set_option(highs: highs_core._Highs, name: str,
+                value: Union[bool, float]) -> None:
+    if highs.setOptionValue(name, value) == _ERROR:
+        raise ValueError(f"HiGHS refuses {name} = {value!r}")
+
+
+def _run(instance: ProblemInstance, integral: bool,
+         time_limit: float | None, mip_rel_gap: float | None) -> LpSolution:
+    """Build *instance*'s model and solve it with HiGHS: the MILP when
+    *integral*, else its rational relaxation.
+
+    Raises :class:`InfeasibleProblemError` when HiGHS proves the model
+    infeasible, and :class:`SolverError` when HiGHS refuses the model,
+    fails, or stops without a solution: an LP only counts when optimal,
+    a MILP also at a time, iteration or solution limit with an incumbent.
+    """
+    with obs.span("lp.solve") as span:
+        if obs.enabled():
+            span.annotate(integral=integral,
+                          services=instance.num_services,
+                          nodes=instance.num_nodes)
+        form = build_formulation(instance, integral=integral)
+        start = time.perf_counter()
+        highs = highs_core._Highs()
+        _set_option(highs, "log_to_console", False)
+        if time_limit is not None:
+            _set_option(highs, "time_limit", float(time_limit))
+        if mip_rel_gap is not None:
+            _set_option(highs, "mip_rel_gap", float(mip_rel_gap))
+        if highs.passModel(
+                form.num_vars, form.num_rows, form.a_value.size,
+                highs_core.MatrixFormat.kColwise,
+                highs_core.ObjSense.kMinimize, 0.0, form.objective,
+                form.col_lower, form.col_upper, form.row_lower,
+                form.row_upper, form.a_start, form.a_index, form.a_value,
+                form.integrality) == _ERROR:
+            raise SolverError("HiGHS refused the model")
+        failed = highs.run() == _ERROR
+        status = highs.getModelStatus()
+        if obs.enabled():
+            span.annotate(status=status.name)
+        if failed:
+            raise SolverError(
+                f"HiGHS failed: {highs.modelStatusToString(status)}")
+        if status == _Status.kInfeasible:
+            raise InfeasibleProblemError(
+                "no placement satisfies the rigid requirements")
+        if not (status == _Status.kOptimal
+                or (integral and status in _LIMITS
+                    and highs.getInfo().objective_function_value
+                    != highs_core.kHighsInf)):
+            raise SolverError(f"HiGHS found no solution: "
+                              f"{highs.modelStatusToString(status)}")
+        x = np.array(highs.getSolution().col_value)
+        elapsed = time.perf_counter() - start
+    e, y, min_yield = form.split_solution(x)
     return LpSolution(
-        instance=formulation.instance,
+        instance=instance,
         min_yield=min_yield,
         e=e,
         y=y,
         integral=integral,
         solve_seconds=elapsed,
-        forbidden=formulation.forbidden,
+        forbidden=form.forbidden,
     )
 
 
@@ -116,8 +162,7 @@ def solve_exact(instance: ProblemInstance, time_limit: float | None = None,
     Raises :class:`InfeasibleProblemError` when the rigid requirements
     cannot all be met.
     """
-    return _run(build_formulation(instance, integral=True),
-                time_limit, mip_rel_gap, integral=True)
+    return _run(instance, True, time_limit, mip_rel_gap)
 
 
 #: A relaxation outcome: the solution, or the infeasibility it raised.
@@ -165,8 +210,7 @@ def solve_relaxation(instance: ProblemInstance,
         outcome = memo[key][1]
     else:
         try:
-            outcome = _run(build_formulation(instance, integral=False),
-                           time_limit, None, integral=False)
+            outcome = _run(instance, False, time_limit, None)
         except InfeasibleProblemError as exc:
             outcome = exc
         if memo is not None:

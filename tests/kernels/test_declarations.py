@@ -37,8 +37,8 @@ from tests.kernels.test_probe_bind import TABLE, args_of, random_instance
 
 KERNELS = ("ff_fill", "bf_pack", "pp_fill_2d", "pp_fill_general",
            "affine_fit_thresholds", "batch_fit_thresholds",
-           "incremental_best_fit", "bind_probe_table", "greedy_scan",
-           "share_nodes")
+           "incremental_best_fit", "bind_probe_table", "probe_scan",
+           "greedy_scan", "share_nodes")
 
 
 def recording_backend():
@@ -343,3 +343,21 @@ def test_walk_orders_of_another_length():
     with pytest.raises(ValueError, match="^pp_fill_2d: order0 "):
         backend.permutation_pack(state_of(a), pp, a.bin_order, False)
     assert calls == []
+
+
+@pytest.mark.parametrize("bad", ["-1", "S"])
+def test_scan_entries_outside_the_strategies(bad):
+    """Each probe's C follows every ``scan`` entry into the strategy
+    table, so an entry outside ``[0, S)`` never reaches it."""
+    backend, calls = recording_backend()
+    table = backend.bind_probe_scan(fresh(GOOD[ProbeScanArgs]))
+    S = table.S
+    assignment = np.zeros(table.J, dtype=np.int64)
+    backend.probe_scan(table, 0.5, np.arange(S, dtype=np.int64), assignment)
+    assert calls == ["bind_probe_table", "probe_scan"]
+    scan = np.arange(S, dtype=np.int64)
+    scan[-1] = {"-1": -1, "S": S}[bad]
+    with pytest.raises(ValueError, match=rf"^probe_scan: scan has an entry "
+                                         rf"outside \[0, {S}\)"):
+        backend.probe_scan(table, 0.5, scan, assignment)
+    assert calls == ["bind_probe_table", "probe_scan"]

@@ -267,9 +267,28 @@ class TestShareArgsRefusedBeforeTheKernel:
             backend.share_nodes(share_args(order, [2, 2]))
         assert calls == []
 
+    @pytest.mark.parametrize("order", [[0, 0, 1, 2], [3, 1, 1, 0]])
+    def test_order_that_is_not_a_permutation(self, order):
+        backend, calls = recording_backend()
+        with pytest.raises(ValueError, match="^share_nodes: order is not a "
+                                             "permutation"):
+            backend.share_nodes(share_args(order, [2, 2]))
+        assert calls == []
+
     @pytest.mark.parametrize("policy", [-1, 3])
     def test_unknown_policy_code(self, policy):
         backend, calls = recording_backend()
         with pytest.raises(ValueError, match="policy"):
             backend.share_nodes(share_args([0, 1, 2, 3], [2, 2], policy))
         assert calls == []
+
+
+@pytest.mark.parametrize("backend", _backends())
+def test_every_backend_refuses_an_order_that_is_not_a_permutation(backend):
+    """With service 0 twice in the order, service 3 is on no node's list:
+    its yield would be whatever memory the output array was given."""
+    with kernels.kernel_backend(backend):
+        with pytest.raises(ValueError, match="^share_nodes: order is not a "
+                                             "permutation"):
+            kernels.get_backend().share_nodes(share_args([0, 0, 1, 2],
+                                                         [2, 2]))

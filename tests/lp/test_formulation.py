@@ -67,13 +67,14 @@ class TestForbiddenPairs:
                                    [0.0, 0.0], [0.0, 0.0])
         inst = ProblemInstance(nodes, [svc])
         form = build_formulation(inst)
-        assert form.bounds.ub[form.e_index(0, 0)] == 0.0
-        assert form.bounds.ub[form.y_index(0, 0)] == 0.0
-        assert form.bounds.ub[form.e_index(0, 1)] == 1.0
+        assert form.col_upper[form.e_index(0, 0)] == 0.0
+        assert form.col_upper[form.y_index(0, 0)] == 0.0
+        assert form.col_upper[form.e_index(0, 1)] == 1.0
 
 
 class TestConstraintEvaluation:
-    """Evaluate constraint matrices against hand-built variable vectors."""
+    """Evaluate the CSC matrix and row bounds against hand-built variable
+    vectors."""
 
     def vector_for(self, form, placement, yields):
         """x encoding: each service j on placement[j] with yields[j]."""
@@ -85,13 +86,11 @@ class TestConstraintEvaluation:
         return x
 
     def all_satisfied(self, form, x, tol=1e-9):
-        for con in form.constraints:
-            val = con.A @ x
-            if (val < np.asarray(con.lb) - tol).any():
-                return False
-            if (val > np.asarray(con.ub) + tol).any():
-                return False
-        return True
+        col = np.repeat(np.arange(form.num_vars), np.diff(form.a_start))
+        val = np.zeros(form.num_rows)
+        np.add.at(val, form.a_index, form.a_value * x[col])
+        return bool((val >= form.row_lower - tol).all()
+                    and (val <= form.row_upper + tol).all())
 
     def test_feasible_point_satisfies_all(self):
         inst = small_instance()
@@ -133,13 +132,9 @@ class TestConstraintEvaluation:
 
 
 class TestRelaxed:
-    def test_relaxed_drops_integrality(self):
+    def test_build_integral_marks_the_e_columns(self):
         form = build_formulation(small_instance())
-        assert form.integrality.sum() == 4  # J * H e-variables
-        relaxed = form.relaxed()
-        assert relaxed.integrality.sum() == 0
-        # Shares matrices with the original.
-        assert relaxed.constraints is form.constraints
+        assert form.integrality.tolist() == [1] * 4 + [0] * 5  # J * H e's
 
     def test_build_non_integral(self):
         form = build_formulation(small_instance(), integral=False)

@@ -1,6 +1,7 @@
 """One LP relaxation per warm-chain task: RRND and RRNZ share it.
 
-HiGHS calls are counted by wrapping ``repro.lp.solver.milp``.  Inside a
+HiGHS solves are counted at the one ``run`` call in
+``repro.lp.solver._run``, through a subclass of the HiGHS binding.  Inside a
 warm-chain grid task both rounding algorithms round the same relaxation
 (one solve per instance, on the sequential and the batched runner path);
 cold tasks — the timing tables — still pay one solve per rounding run.
@@ -34,13 +35,13 @@ CONFIGS = [ScenarioConfig(hosts=6, services=12, cov=0.5, slack=slack,
 @pytest.fixture
 def highs_calls(monkeypatch):
     calls = []
-    milp = solver.milp
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return milp(*args, **kwargs)
+    class Counting(solver.highs_core._Highs):
+        def run(self):
+            calls.append(1)
+            return super().run()
 
-    monkeypatch.setattr(solver, "milp", counting)
+    monkeypatch.setattr(solver.highs_core, "_Highs", Counting)
     return calls
 
 

@@ -1,7 +1,9 @@
 """The per-node layers trace one span per call: ``allocation.improve``
 (every heuristic's closing ``improve_yields`` pass) and
 ``sharing.evaluate`` (the §6 sharing evaluation), each tagged with the
-kernel backend, the service count and the node count."""
+kernel backend, the service count and the node count.  The LP layer
+traces one ``lp.solve`` span per HiGHS solve, tagged with the problem
+kind, the sizes and HiGHS's model status."""
 
 from __future__ import annotations
 
@@ -17,7 +19,9 @@ import pytest
 from repro import kernels, obs
 from repro.core import Allocation, ProblemInstance
 from repro.core.node import NodeArray
+from repro.core.exceptions import InfeasibleProblemError
 from repro.core.service import ServiceArray
+from repro.lp import shared_relaxations, solve_exact, solve_relaxation
 from repro.sharing import evaluate_actual_yields
 
 ROOT = Path(__file__).resolve().parents[2]
@@ -60,6 +64,33 @@ def test_sharing_emits_one_tagged_span_per_call(sink):
     assert record["tags"] == {"backend": kernels.current_backend_name(),
                               "policy": "ALLOCWEIGHTS", "services": 6,
                               "nodes": 3}
+
+
+def test_lp_emits_one_tagged_span_per_solve(sink):
+    with shared_relaxations():
+        solve_relaxation(instance())
+        memo = instance(J=4)
+        for _ in range(3):
+            solve_relaxation(memo)  # solved once, then memo hits
+    solve_exact(instance(J=2, H=2))
+    recorded = spans(sink, "lp.solve")
+    assert [r["tags"] for r in recorded] == [
+        {"integral": False, "services": 6, "nodes": 3, "status": "kOptimal"},
+        {"integral": False, "services": 4, "nodes": 3, "status": "kOptimal"},
+        {"integral": True, "services": 2, "nodes": 2, "status": "kOptimal"}]
+    assert all("error" not in r for r in recorded)
+
+
+def test_an_infeasible_lp_span_carries_the_status(sink):
+    req = np.array([[0.2, 0.2], [1.2, 1.2]])
+    agg = np.array([[1.0, 1.0], [1.5, 0.5]])
+    infeasible = ProblemInstance(NodeArray.from_arrays(agg, agg),
+                                 ServiceArray.from_arrays(req, req, req, req))
+    with pytest.raises(InfeasibleProblemError):
+        solve_relaxation(infeasible)
+    (record,) = spans(sink, "lp.solve")
+    assert record["tags"]["status"] == "kInfeasible"
+    assert record["error"] == "InfeasibleProblemError"
 
 
 def test_a_traced_dynamic_run_reports_both_layers(tmp_path):
