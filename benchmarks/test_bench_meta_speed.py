@@ -7,9 +7,11 @@ selector certifies exactly the same results, and records wall-clock and
 work numbers to ``benchmarks/output/BENCH_meta.json``.  When the backend
 has a fused ``probe_scan`` kernel, the grid is solved again with
 :class:`FusedProbeEngine`, which must certify the same results; its
-record adds the strategy runs of failed probes and the runs (of failed
-and feasible probes) that stopped at the waste cut.  The committed baseline
-``benchmarks/BENCH_meta.json`` anchors three gates:
+record adds the strategy runs of failed probes, the runs (of failed
+and feasible probes) that stopped at the waste cut, and the work of the
+bin scans (``scanned``: pending entries First-Fit tested plus 2-D PP/CP
+walk positions visited).  The committed baseline
+``benchmarks/BENCH_meta.json`` anchors four gates:
 
 * a deterministic work gate — total strategy executions on the
   reference grid are machine-invariant, so growing >20% over the
@@ -19,6 +21,10 @@ and feasible probes) that stopped at the waste cut.  The committed baseline
 * a deterministic cut gate — the fused engine's cut runs on the grid
   may not fall below 80% of the committed baseline: a failing FF or
   PP/CP run that no longer stops at the cut runs to its end again;
+* a deterministic scan gate — the fused engine's ``scanned`` may grow
+  at most 20% over the committed baseline (the work gate's rule): a bin
+  scan that no longer stops where no item left can fit tests every
+  pending item again, with results unchanged;
 * a disabled-observability budget — with tracing off, instrumentation
   may cost at most 2% of the sweep (a same-run ratio).
 
@@ -48,7 +54,8 @@ from repro.workloads import ScenarioConfig, generate_instance
 
 BASELINE_PATH = os.path.join(os.path.dirname(__file__), "BENCH_meta.json")
 
-#: Deterministic regression gate: strategy executions may grow this much.
+#: Deterministic regression gates: strategy executions, and the fused bin
+#: scans' work, may grow this much.
 MAX_WORK_GROWTH = 1.2
 
 #: Deterministic cut gate: the fused engine's cut runs may shrink this much.
@@ -117,6 +124,7 @@ def fused_sweep(sweep):
             "strategy_runs": engine.strategy_runs,
             "failed_probe_runs": failed_runs,
             "cut_runs": engine.cut_runs,
+            "scanned": engine.scanned,
             "_allocs": (ref["_allocs"][0], alloc),
         })
     return rows
@@ -162,10 +170,12 @@ def test_strategy_runs_and_record(sweep, fused_sweep, emit, output_dir):
             "failed_probe_runs": sum(r["failed_probe_runs"]
                                      for r in fused_sweep),
             "cut_runs": sum(r["cut_runs"] for r in fused_sweep),
+            "scanned": sum(r["scanned"] for r in fused_sweep),
         }
         print(f"fused engine: {fused['cut_runs']} strategy runs stopped "
               f"at the waste cut; failed probes ran "
-              f"{fused['failed_probe_runs']}; {fused['total_seconds']:.3f}s")
+              f"{fused['failed_probe_runs']}; bin scans visited "
+              f"{fused['scanned']}; {fused['total_seconds']:.3f}s")
 
     record = {
         "suite": "metahvp-per-strategy-engine",
@@ -199,6 +209,11 @@ def test_strategy_runs_and_record(sweep, fused_sweep, emit, output_dir):
                 f"the waste cut fires less: {fused['cut_runs']} cut runs "
                 f"vs committed baseline {baseline['fused']['cut_runs']} "
                 f"(floor {floor:.0f})")
+            ceiling = MAX_WORK_GROWTH * baseline["fused"]["scanned"]
+            assert fused["scanned"] <= ceiling, (
+                f"the bin scans stop later: {fused['scanned']} entries "
+                f"and walk positions vs committed baseline "
+                f"{baseline['fused']['scanned']} (ceiling {ceiling:.0f})")
         # Cross-machine wall-clock drift is informational only — the
         # committed timings were measured on a different host.
         print(f"sweep {total:.2f}s vs committed baseline "

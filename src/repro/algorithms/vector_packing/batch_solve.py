@@ -154,7 +154,9 @@ class FusedProbeEngine:
 
     The kernel derives each probe's spare capacity as a waste limit, so
     a FF or PP/CP run that cannot pack stops as soon as its closed bins
-    leave more capacity unused (``cut_runs`` counts them); outcomes and
+    leave more capacity unused (``cut_runs`` counts them), and each bin
+    scan stops where no item left can fit (``scanned`` counts the
+    entries and walk positions the scans visited); outcomes and
     ``strategy_runs`` are those of full runs.
     """
 
@@ -170,6 +172,7 @@ class FusedProbeEngine:
         self.probes = 0
         self.strategy_runs = 0
         self.cut_runs = 0
+        self.scanned = 0
 
         sv, nd = instance.services, instance.nodes
         self._J = len(sv)
@@ -204,12 +207,14 @@ class FusedProbeEngine:
             return self._probe(y)
         runs_before = self.strategy_runs
         cuts_before = self.cut_runs
+        scanned_before = self.scanned
         hint_before = self.hint
         with obs.span("meta.probe") as sp:
             placement = self._probe(y)
             sp.annotate(y=round(y, 6), feasible=placement is not None,
                         strategy_runs=self.strategy_runs - runs_before,
                         cut_runs=self.cut_runs - cuts_before,
+                        scanned=self.scanned - scanned_before,
                         hint_hit=(placement is not None
                                   and self.hint == hint_before
                                   and hint_before is not None))
@@ -227,8 +232,10 @@ class FusedProbeEngine:
             scan = np.concatenate(
                 (scan[hint:hint + 1], scan[:hint], scan[hint + 1:]))
         assignment = np.empty(self._J, dtype=np.int64)
-        si, cuts = self.backend.probe_scan(self._table, y, scan, assignment)
+        si, cuts, scanned = self.backend.probe_scan(self._table, y, scan,
+                                                    assignment)
         self.cut_runs += cuts
+        self.scanned += scanned
         if si < 0:
             self.strategy_runs += scan.shape[0]
             return None

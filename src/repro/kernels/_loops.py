@@ -45,7 +45,11 @@ reopen a closed bin.  Each takes a per-dimension ``waste_limit``: once
 the capacity its closed bins left unused exceeds the limit in some
 dimension, the run stops and returns :data:`CUT` (see
 :func:`probe_scan` for why that never changes an outcome).  An
-infinite limit never cuts.
+infinite limit never cuts.  Within a bin, First-Fit's scan and the 2-D
+walk also stop once no item left can fit, read off the
+:func:`suffix_minima` of their orders; their bodies (:func:`ff_run`,
+:func:`pp_2d_run`) take those minima and their scratch from the caller,
+as the C translation's do.
 """
 
 from __future__ import annotations
@@ -54,8 +58,11 @@ import numpy as np
 
 __all__ = [
     "ff_fill",
+    "ff_run",
     "bf_pack",
     "pp_fill_2d",
+    "pp_2d_run",
+    "suffix_minima",
     "pp_fill_general",
     "affine_fit_thresholds",
     "batch_fit_thresholds",
@@ -83,19 +90,43 @@ def ff_fill(item_agg, elem_ok, item_order, bin_order,
     """First-Fit greedy per-bin fill (any D).  Returns the unplaced count,
     or :data:`CUT` when the closed bins waste more than ``waste_limit``.
 
+    The standalone export of :func:`ff_run`: it builds the item order's
+    suffix minima and the run's scratch per call.
+    """
+    K = item_order.shape[0]
+    D = item_agg.shape[1]
+    item_min = np.empty((K + 1, D), np.float64)
+    suffix_minima(item_agg, item_order, K, item_min)
+    return ff_run(item_agg, elem_ok, item_order, item_min, bin_order,
+                  loads, load_sum, cap_tol, waste_limit, assignment,
+                  np.empty(K, np.int64), np.empty(D, np.float64),
+                  np.empty(D, np.float64), np.zeros(1, np.int64))
+
+
+def ff_run(item_agg, elem_ok, item_order, item_min, bin_order,
+           loads, load_sum, cap_tol, waste_limit, assignment, pending,
+           load, waste, scanned):
+    """The First-Fit body, on caller-owned scratch: ``pending`` (one
+    entry per item in the order), ``load`` and ``waste`` (D each), and
+    ``scanned``, which gains the number of pending entries tested.
+
     Mirrors the numpy backend's scalar fast path: bins are filled one at a
     time, each taking every pending item (in item order) that fits the
     running load; the bin's load is accumulated in scalars and committed
-    once.
+    once.  ``pending`` holds *positions* in the item order, so each
+    tested entry first meets its row of ``item_min``
+    (:func:`suffix_minima` of the order): once the bin's load plus the
+    least demand from that position on exceeds ``cap_tol`` in some
+    dimension, no pending item left can fit, and the bin's scan stops
+    (see :func:`probe_scan`).
     """
     J = item_order.shape[0]
     D = item_agg.shape[1]
-    pending = np.empty(J, np.int64)
     for i in range(J):
-        pending[i] = item_order[i]
+        pending[i] = i
     npend = J
-    load = np.empty(D, np.float64)
-    waste = np.zeros(D, np.float64)
+    for d in range(D):
+        waste[d] = 0.0
     for bi in range(bin_order.shape[0]):
         if npend == 0:
             break
@@ -107,8 +138,19 @@ def ff_fill(item_agg, elem_ok, item_order, bin_order,
             load[d] = loads[h, d]
         ntaken = 0
         nrest = 0
-        for i in range(npend):
-            j = pending[i]
+        tested = 0
+        i = 0
+        while i < npend:
+            p = pending[i]
+            tested += 1
+            stop = False
+            for d in range(D):
+                if load[d] + item_min[p, d] > cap_tol[h, d]:
+                    stop = True
+                    break
+            if stop:
+                break
+            j = item_order[p]
             ok = elem_ok[j, h]
             if ok:
                 for d in range(D):
@@ -121,18 +163,41 @@ def ff_fill(item_agg, elem_ok, item_order, bin_order,
                 assignment[j] = h
                 ntaken += 1
             else:
-                pending[nrest] = j
+                pending[nrest] = p
                 nrest += 1
+            i += 1
+        scanned[0] += tested
         if ntaken > 0:
+            while i < npend:  # the untested rest stays pending, in order
+                pending[nrest] = pending[i]
+                nrest += 1
+                i += 1
             s = 0.0
             for d in range(D):
                 loads[h, d] = load[d]
                 s += load[d]
             load_sum[h] = s
-        npend = nrest
+            npend = nrest
         for d in range(D):
             waste[d] += cap_tol[h, d] - load[d]
     return npend
+
+
+def suffix_minima(item_agg, order, n, out):
+    """``out[i, d]`` = the least ``item_agg[order[k], d]`` over ``i <= k
+    < n``, and row *n* = ``+inf`` (none left).  A NaN demand propagates
+    to every row at or before its position (a NaN passes the fills'
+    ``load + a > cap`` test, so no row may rule it out)."""
+    D = item_agg.shape[1]
+    for d in range(D):
+        out[n, d] = np.inf
+    for i in range(n - 1, -1, -1):
+        j = order[i]
+        for d in range(D):
+            v = item_agg[j, d]
+            m = out[i + 1, d]
+            out[i, d] = v if (v < m or v != v) else m
+    return 0
 
 
 def bf_pack(item_agg, item_agg_sum, elem_ok, item_order,
@@ -182,24 +247,49 @@ def pp_fill_2d(item_agg, elem_ok, order0, order1, bin_order,
     """Permutation/Choose-Pack 2-D pointer walk.  Returns the unplaced
     count, or :data:`CUT` (as :func:`ff_fill`).
 
+    The standalone export of :func:`pp_2d_run`: it builds both walks'
+    suffix minima and the run's scratch per call.
+    """
+    J = item_agg.shape[0]
+    walk_min = np.empty((2, J + 1, 2), np.float64)
+    suffix_minima(item_agg, order0, J, walk_min[0])
+    suffix_minima(item_agg, order1, J, walk_min[1])
+    return pp_2d_run(item_agg, elem_ok, order0, order1, walk_min[0],
+                     walk_min[1], bin_order, loads, load_sum, cap_tol,
+                     bin_agg, by_remaining, waste_limit, assignment,
+                     np.empty(J, np.uint8), np.zeros(1, np.int64))
+
+
+def pp_2d_run(item_agg, elem_ok, order0, order1, min0, min1, bin_order,
+              loads, load_sum, cap_tol, bin_agg, by_remaining, waste_limit,
+              assignment, dead, scanned):
+    """The 2-D PP/CP walk body, on caller-owned scratch: ``dead`` (one
+    flag per item) and ``scanned``, which gains the number of walk
+    positions visited.
+
     ``order0``/``order1`` are the items sorted by their packed selection
     code under dimension ranking (0, 1) resp. (1, 0), over *all* items;
     already-placed items are skipped during the walk, which visits every
     candidate O(1) times per ranking per bin (an unfit candidate is dead
-    for the bin forever — remaining capacity never grows).
+    for the bin forever — remaining capacity never grows).  ``min0`` and
+    ``min1`` are the walks' :func:`suffix_minima`: a walk whose bin load
+    plus the least demand from its position on exceeds ``cap_tol`` in
+    some dimension ends there as if it had reached the end (see
+    :func:`probe_scan`).
     """
     J = item_agg.shape[0]
     unplaced = 0
     for j in range(J):
         if assignment[j] < 0:
             unplaced += 1
-    dead = np.zeros(J, np.uint8)
     w0 = 0.0
     w1 = 0.0
+    visited = 0
     for bi in range(bin_order.shape[0]):
         if unplaced == 0:
             break
         if w0 > waste_limit[0] or w1 > waste_limit[1]:
+            scanned[0] += visited
             return CUT
         h = bin_order[bi]
         l0 = loads[h, 0]
@@ -224,6 +314,10 @@ def pp_fill_2d(item_agg, elem_ok, order0, order1, bin_order,
             if k0 <= k1:
                 p = p0
                 while p < J:
+                    visited += 1
+                    if l0 + min0[p, 0] > c0 or l1 + min0[p, 1] > c1:
+                        p = J
+                        break
                     j = order0[p]
                     if assignment[j] >= 0 or dead[j] == 1:
                         p += 1
@@ -239,6 +333,10 @@ def pp_fill_2d(item_agg, elem_ok, order0, order1, bin_order,
             else:
                 p = p1
                 while p < J:
+                    visited += 1
+                    if l0 + min1[p, 0] > c0 or l1 + min1[p, 1] > c1:
+                        p = J
+                        break
                     j = order1[p]
                     if assignment[j] >= 0 or dead[j] == 1:
                         p += 1
@@ -268,6 +366,7 @@ def pp_fill_2d(item_agg, elem_ok, order0, order1, bin_order,
             load_sum[h] = l0 + l1
         w0 += c0 - l0
         w1 += c1 - l1
+    scanned[0] += visited
     return unplaced
 
 
@@ -496,7 +595,9 @@ def probe_scan(t, y, scan, assignment):
     at the first full packing.  Returns the *position in* ``scan`` of the
     winning strategy (its placement is left in ``assignment``), or -1
     when no strategy packs.  ``t.cut_runs[0]`` receives the number of
-    runs that stopped at the waste cut.
+    runs that stopped at the waste cut, and ``t.scanned[0]`` the work
+    of the bin scans: the pending entries First-Fit tested plus the
+    positions the 2-D PP/CP walks visited.
 
     **The waste cut.**  ``waste_limit[d]`` is the capacity the whole
     instance can spare in dimension *d*: the sum of ``cap_tol`` over the
@@ -508,6 +609,23 @@ def probe_scan(t, y, scan, assignment):
     a run that packs.  A run whose closed bins exceed it cannot pack, and
     stops there as failed: only failing runs end early, and a run that
     packs is untouched.  BF places item by item and is not cut.
+
+    **The stop.**  Each item order and each 2-D walk order comes with
+    its suffix minima (:func:`suffix_minima`, built with the order):
+    row *i* holds, per dimension, the least demand at positions *i* and
+    after.  A First-Fit bin scan stops at a pending entry, and a walk at
+    a position, once the bin's load plus that row exceeds ``cap_tol`` in
+    some dimension; the scan then ends as if it had tested every entry
+    left, and the bin closes as before.  This is exact: round-to-nearest
+    addition is monotone, so ``load + m > cap`` for the minimum *m*
+    gives ``load + a > cap`` for every demand ``a >= m`` behind it, and
+    no skipped item could have passed the fit test (a NaN demand, which
+    passes First-Fit's test, makes every row before it NaN, which never
+    stops).  The minima cover the whole order, items already placed
+    included, and are built once per probe, so they are stale within a
+    run: a placed item can only keep a minimum lower than the unplaced
+    items' own, which stops a scan later, never wrongly.  Placements,
+    loads, cut runs and every outcome are those of the full scans.
 
     Strategy table columns (all int64, one row per strategy):
 
@@ -525,6 +643,7 @@ def probe_scan(t, y, scan, assignment):
     D = t.D
     probe_inputs(t, y)
     t.cut_runs[0] = 0
+    t.scanned[0] = 0
     for si in range(scan.shape[0]):
         s = scan[si]
         packer = t.st_packer[s]
@@ -550,16 +669,19 @@ def probe_scan(t, y, scan, assignment):
                 return si
             continue
         if packer == 0:
-            left = ff_fill(t.item_agg, t.elem_ok, item_order,
-                           t.bin_orders[t.st_bin[s]], t.loads, t.load_sum,
-                           t.cap_tol, t.waste_limit, assignment)
+            left = ff_run(t.item_agg, t.elem_ok, item_order,
+                          t.item_min[t.st_item[s]],
+                          t.bin_orders[t.st_bin[s]], t.loads, t.load_sum,
+                          t.cap_tol, t.waste_limit, assignment, t.work_i,
+                          t.work_f[:D], t.work_f[D:], t.scanned)
         elif D == 2:
-            left = pp_fill_2d(t.item_agg, t.elem_ok,
-                              t.pp_order0[t.st_cfg[s]],
-                              t.pp_order1[t.st_cfg[s]],
-                              t.bin_orders[t.st_bin[s]], t.loads,
-                              t.load_sum, t.cap_tol, t.bin_agg, hetero,
-                              t.waste_limit, assignment)
+            c = t.st_cfg[s]
+            left = pp_2d_run(t.item_agg, t.elem_ok, t.pp_order0[c],
+                             t.pp_order1[c], t.walk_min[c, 0],
+                             t.walk_min[c, 1], t.bin_orders[t.st_bin[s]],
+                             t.loads, t.load_sum, t.cap_tol, t.bin_agg,
+                             hetero, t.waste_limit, assignment, t.dead,
+                             t.scanned)
         else:
             left = pp_fill_general(t.item_agg, t.item_agg_sum, t.elem_ok,
                                    t.item_dim_perm, t.tie_ranks[t.st_item[s]],
@@ -668,7 +790,8 @@ def sorts_before(t, a, b, lex, desc):
 
 
 def build_item_order(t, r):
-    """Item order *r* of the probe and its tie ranks, equal to
+    """Item order *r* of the probe, its tie ranks and its suffix minima
+    (``item_min[r]``, for First-Fit's stop), the first two equal to
     ``order_indices(item_agg, sort)`` and ``rank_from_order`` of it.
 
     ``sort_metric[r]`` codes the sort's metric (0 MAX, 1 SUM, 2 MAXRATIO,
@@ -726,6 +849,7 @@ def build_item_order(t, r):
                 order[i] = src[i]
     for i in range(J):
         t.tie_ranks[r, order[i]] = i
+    suffix_minima(t.item_agg, order, J, t.item_min[r])
     t.built[r] = 1
     return 0
 
@@ -754,7 +878,8 @@ def build_dim_perm(t):
 def build_walk_orders(t, c):
     """The 2-D PP/CP walk orders of config *c*: ``pp_order0[c]`` and
     ``pp_order1[c]`` equal ``np.argsort(packed_codes(...))`` under the
-    dimension rankings (0, 1) and (1, 0).
+    dimension rankings (0, 1) and (1, 0); ``walk_min[c, k]`` are walk
+    *k*'s suffix minima, for the walk's stop.
 
     Config *c* packs ``cfg_w[c]`` key digits (Choose-Pack when
     ``cfg_choose[c]``) ahead of the tie ranks of item order
@@ -793,6 +918,7 @@ def build_walk_orders(t, c):
                 if digit[i] == v:
                     walk[n] = order[i]
                     n += 1
+        suffix_minima(t.item_agg, walk, J, t.walk_min[c, k])
     t.built[t.SI + 1 + c] = 1
     return 0
 

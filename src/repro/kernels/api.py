@@ -217,13 +217,16 @@ class ProbeTable:
 
     The kernel writes the probe's inputs into ``item_agg``,
     ``item_agg_sum``, ``elem_ok`` (uint8), ``waste_limit``,
-    ``item_orders``/``tie_ranks`` (``(SI, J)``), ``item_dim_perm`` and
-    ``pp_order0``/``pp_order1`` (``(NC, J)``), each lazily built row
-    marked in ``built``; the rest is scratch.  Every array, the args'
-    arrays copied in, lives in ``blocks`` (float64, int64, uint8), and
-    ``layout`` gives each array's dtype (its block), byte offset and
-    shape, so a compiled backend binds ``handle`` (the C struct of the
-    arrays' pointers) from three base addresses.  An array attribute is a view
+    ``item_orders``/``tie_ranks`` (``(SI, J)``) with their suffix minima
+    ``item_min`` (``(SI, J + 1, D)``), ``item_dim_perm``, and
+    ``pp_order0``/``pp_order1`` (``(NC, J)``) with theirs, ``walk_min``
+    (``(NC, 2, J + 1, 2)``), each lazily built row marked in ``built``;
+    it counts into ``cut_runs`` and ``scanned``, and the rest is
+    scratch.  Every array, the args' arrays copied in, lives in
+    ``blocks`` (float64, int64, uint8), and ``layout`` gives each
+    array's dtype (its block), byte offset and shape, so a compiled
+    backend binds ``handle`` (the C struct of the arrays' pointers) from
+    three base addresses.  An array attribute is a view
     into its block, made on first access (the compiled kernels need none:
     they read through ``handle``).  The table owns its blocks, so every
     pointer lives as long as it.
@@ -242,12 +245,14 @@ class ProbeTable:
             _F8: (("item_agg", (J, D)), ("item_agg_sum", (J,)),
                   ("waste_limit", (D,)), ("loads", (H, D)),
                   ("load_sum", (H,)), ("sort_key", (J,)),
-                  ("work_f", (2 * D,)), ("partial", (64,))),
+                  ("work_f", (2 * D,)), ("partial", (64,)),
+                  ("item_min", (SI, J + 1, D)),
+                  ("walk_min", (NC, 2, J + 1, 2))),
             _I8: (("item_orders", (SI, J)), ("tie_ranks", (SI, J)),
                   ("item_dim_perm", (J, D)), ("pp_order0", (NC, J)),
                   ("pp_order1", (NC, J)), ("sort_tmp", (J,)),
                   ("work_i", (J + 3 * D,)), ("frames", (128, 3)),
-                  ("cut_runs", (1,))),
+                  ("cut_runs", (1,)), ("scanned", (1,))),
             _U1: (("elem_ok", (J, H)), ("built", (SI + 1 + NC,)),
                   ("dead", (J,)))}
         self.blocks: Dict[np.dtype[Any], np.ndarray] = {}
@@ -641,14 +646,16 @@ class KernelBackend:
         raise NotImplementedError
 
     def probe_scan(self, table: ProbeTable, y: float, scan: np.ndarray,
-                   assignment: np.ndarray) -> Tuple[int, int]:
+                   assignment: np.ndarray) -> Tuple[int, int, int]:
         """Run one fused probe at yield *y*; returns ``(scan position,
-        cut runs)``.
+        cut runs, scanned)``.
 
         *scan* (int64) lists the strategy rows to try, in order; the
         position indexes it (-1 when no strategy packs), and the winning
         placement is left in *assignment* (``(J,)`` int64, overwritten).
-        Cut runs counts the strategy runs that stopped at the waste cut.
+        Cut runs counts the strategy runs that stopped at the waste cut;
+        scanned counts the bin scans' work, the pending entries First-Fit
+        tested plus the positions the 2-D PP/CP walks visited.
         """
         raise NotImplementedError
 
@@ -787,7 +794,7 @@ class ArrayKernelBackend(KernelBackend):
         return table
 
     def probe_scan(self, table: ProbeTable, y: float, scan: np.ndarray,
-                   assignment: np.ndarray) -> Tuple[int, int]:
+                   assignment: np.ndarray) -> Tuple[int, int, int]:
         if (scan.dtype != np.int64 or scan.ndim != 1
                 or not scan.flags.c_contiguous):
             raise ValueError("scan must be a C-contiguous int64 vector")
@@ -802,7 +809,7 @@ class ArrayKernelBackend(KernelBackend):
             raise ValueError("assignment must be a writable C-contiguous "
                              f"int64 vector of {table.J} items")
         si = self._k.probe_scan(table, float(y), scan, assignment)
-        return int(si), int(table.cut_runs[0])
+        return int(si), int(table.cut_runs[0]), int(table.scanned[0])
 
     # -- greedy passes -------------------------------------------------
     def greedy_scan(self, args: GreedyScanArgs

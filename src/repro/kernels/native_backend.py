@@ -1,10 +1,12 @@
 """Native (C via ctypes) kernel backend.
 
 A line-for-line translation of :mod:`._loops` compiled on demand with the
-system C compiler (``$CC`` or ``cc``).  Two structural differences: the
-bodies of the bin-major fills are ``static`` functions that take their
-scratch arrays from the caller (the exported fills allocate it per call
-and return -1 when they cannot), and ``probe_scan`` takes its table as
+system C compiler (``$CC`` or ``cc``).  Two structural differences:
+every bin-major fill's body is a ``static`` function that takes its
+scratch arrays from the caller (:mod:`._loops` splits off only
+First-Fit's and the 2-D walk's), and the exported fills allocate that
+scratch per call, build their orders' suffix minima in it and return -1
+when they cannot allocate; and ``probe_scan`` takes its table as
 one ``probe_table_t`` struct of dimensions and data pointers, built once
 per engine by :meth:`_NativeKernels.bind_probe_table` from a
 :class:`~.api.ProbeTable` that owns every array it points into, scratch
@@ -48,15 +50,18 @@ _C_KERNELS = r"""
 /* The bin-major fills' bodies take their scratch from the caller:
    probe_scan from its bound table, the exported fills per call.
    i: J + 3*D int64 (FF pending; PP cand, perm, rank, keys with w <= D),
-   f: 2*D doubles (FF load; PP key; then the waste), dead: J bytes. */
-typedef struct { int64_t *i; double *f; uint8_t *dead; } scratch_t;
+   f: 2*D doubles (FF load; PP key; then the waste), dead: J bytes,
+   m: 2*(J+1)*D doubles (the suffix minima of FF's order or of the 2-D
+   walk's two orders). */
+typedef struct { int64_t *i; double *f; uint8_t *dead; double *m; } scratch_t;
 
 static int scratch_alloc(scratch_t *s, int64_t J, int64_t D)
 {
     s->i = malloc((size_t)(J + 3*D) * sizeof(int64_t));
     s->f = malloc((size_t)(2*D) * sizeof(double));
     s->dead = malloc((size_t)J + 1);
-    return s->i && s->f && s->dead;
+    s->m = malloc((size_t)(2*(J+1)*D) * sizeof(double));
+    return s->i && s->f && s->dead && s->m;
 }
 
 static void scratch_free(scratch_t *s)
@@ -64,18 +69,35 @@ static void scratch_free(scratch_t *s)
     free(s->i);
     free(s->f);
     free(s->dead);
+    free(s->m);
+}
+
+/* Row i of out: per dimension, the least demand at positions i..n-1 of
+   order; row n: +inf.  A NaN demand makes every row up to it NaN. */
+static void suffix_minima(const double *item_agg, const int64_t *order,
+                          int64_t n, int64_t D, double *out)
+{
+    for (int64_t d = 0; d < D; d++) out[n*D+d] = INFINITY;
+    for (int64_t i = n - 1; i >= 0; i--) {
+        int64_t j = order[i];
+        for (int64_t d = 0; d < D; d++) {
+            double v = item_agg[j*D+d], m = out[(i+1)*D+d];
+            out[i*D+d] = (v < m || v != v) ? v : m;
+        }
+    }
 }
 
 static int64_t ff_run(int64_t J, int64_t H, int64_t NB, int64_t D,
                       const double *item_agg, const uint8_t *elem_ok,
-                      const int64_t *item_order, const int64_t *bin_order,
+                      const int64_t *item_order, const double *item_min,
+                      const int64_t *bin_order,
                       double *loads, double *load_sum,
                       const double *cap_tol, const double *waste_limit,
                       int64_t *assignment, int64_t *pending, double *load,
-                      double *waste)
+                      double *waste, int64_t *scanned)
 {
     int64_t npend = J;
-    for (int64_t i = 0; i < J; i++) pending[i] = item_order[i];
+    for (int64_t i = 0; i < J; i++) pending[i] = i;
     for (int64_t d = 0; d < D; d++) waste[d] = 0.0;
     for (int64_t bi = 0; bi < NB; bi++) {
         if (npend == 0) break;
@@ -83,9 +105,19 @@ static int64_t ff_run(int64_t J, int64_t H, int64_t NB, int64_t D,
             if (waste[d] > waste_limit[d]) return CUT;
         int64_t h = bin_order[bi];
         for (int64_t d = 0; d < D; d++) load[d] = loads[h*D+d];
-        int64_t ntaken = 0, nrest = 0;
-        for (int64_t i = 0; i < npend; i++) {
-            int64_t j = pending[i];
+        int64_t ntaken = 0, nrest = 0, tested = 0, i = 0;
+        for (; i < npend; i++) {
+            int64_t p = pending[i];
+            tested++;
+            int stop = 0;
+            for (int64_t d = 0; d < D; d++) {
+                if (load[d] + item_min[p*D+d] > cap_tol[h*D+d]) {
+                    stop = 1;
+                    break;
+                }
+            }
+            if (stop) break;
+            int64_t j = item_order[p];
             int ok = elem_ok[j*H+h];
             if (ok) {
                 for (int64_t d = 0; d < D; d++) {
@@ -100,18 +132,20 @@ static int64_t ff_run(int64_t J, int64_t H, int64_t NB, int64_t D,
                 assignment[j] = h;
                 ntaken++;
             } else {
-                pending[nrest++] = j;
+                pending[nrest++] = p;
             }
         }
+        *scanned += tested;
         if (ntaken > 0) {
+            while (i < npend) pending[nrest++] = pending[i++];
             double s = 0.0;
             for (int64_t d = 0; d < D; d++) {
                 loads[h*D+d] = load[d];
                 s += load[d];
             }
             load_sum[h] = s;
+            npend = nrest;
         }
-        npend = nrest;
         for (int64_t d = 0; d < D; d++) waste[d] += cap_tol[h*D+d] - load[d];
     }
     return npend;
@@ -125,11 +159,13 @@ int64_t ff_fill(int64_t J, int64_t H, int64_t NB, int64_t D,
                 int64_t *assignment)
 {
     scratch_t sc;
-    int64_t r = NOMEM;
-    if (scratch_alloc(&sc, J, D))
-        r = ff_run(J, H, NB, D, item_agg, elem_ok, item_order, bin_order,
-                   loads, load_sum, cap_tol, waste_limit, assignment,
-                   sc.i, sc.f, sc.f + D);
+    int64_t r = NOMEM, scanned = 0;
+    if (scratch_alloc(&sc, J, D)) {
+        suffix_minima(item_agg, item_order, J, D, sc.m);
+        r = ff_run(J, H, NB, D, item_agg, elem_ok, item_order, sc.m,
+                   bin_order, loads, load_sum, cap_tol, waste_limit,
+                   assignment, sc.i, sc.f, sc.f + D, &scanned);
+    }
     scratch_free(&sc);
     return r;
 }
@@ -174,19 +210,24 @@ int64_t bf_pack(int64_t J, int64_t H, int64_t D,
 static int64_t pp_2d_run(int64_t J, int64_t H, int64_t NB,
                          const double *item_agg, const uint8_t *elem_ok,
                          const int64_t *order0, const int64_t *order1,
+                         const double *min0, const double *min1,
                          const int64_t *bin_order,
                          double *loads, double *load_sum,
                          const double *cap_tol, const double *bin_agg,
                          int64_t by_remaining, const double *waste_limit,
-                         int64_t *assignment, uint8_t *dead)
+                         int64_t *assignment, uint8_t *dead,
+                         int64_t *scanned)
 {
-    int64_t unplaced = 0;
+    int64_t unplaced = 0, visited = 0;
     for (int64_t j = 0; j < J; j++)
         if (assignment[j] < 0) unplaced++;
     double w0 = 0.0, w1 = 0.0;
     for (int64_t bi = 0; bi < NB; bi++) {
         if (unplaced == 0) break;
-        if (w0 > waste_limit[0] || w1 > waste_limit[1]) return CUT;
+        if (w0 > waste_limit[0] || w1 > waste_limit[1]) {
+            *scanned += visited;
+            return CUT;
+        }
         int64_t h = bin_order[bi];
         double l0 = loads[h*2+0], l1 = loads[h*2+1];
         double c0 = cap_tol[h*2+0], c1 = cap_tol[h*2+1];
@@ -200,6 +241,11 @@ static int64_t pp_2d_run(int64_t J, int64_t H, int64_t NB,
             if (k0 <= k1) {
                 int64_t p = p0;
                 while (p < J) {
+                    visited++;
+                    if (l0 + min0[p*2+0] > c0 || l1 + min0[p*2+1] > c1) {
+                        p = J;
+                        break;
+                    }
                     int64_t j = order0[p];
                     if (assignment[j] >= 0 || dead[j]) { p++; continue; }
                     if (elem_ok[j*H+h]
@@ -215,6 +261,11 @@ static int64_t pp_2d_run(int64_t J, int64_t H, int64_t NB,
             } else {
                 int64_t p = p1;
                 while (p < J) {
+                    visited++;
+                    if (l0 + min1[p*2+0] > c0 || l1 + min1[p*2+1] > c1) {
+                        p = J;
+                        break;
+                    }
                     int64_t j = order1[p];
                     if (assignment[j] >= 0 || dead[j]) { p++; continue; }
                     if (elem_ok[j*H+h]
@@ -246,6 +297,7 @@ static int64_t pp_2d_run(int64_t J, int64_t H, int64_t NB,
         w0 += c0 - l0;
         w1 += c1 - l1;
     }
+    *scanned += visited;
     return unplaced;
 }
 
@@ -259,11 +311,15 @@ int64_t pp_fill_2d(int64_t J, int64_t H, int64_t NB,
                    int64_t *assignment)
 {
     scratch_t sc;
-    int64_t r = NOMEM;
-    if (scratch_alloc(&sc, J, 2))
-        r = pp_2d_run(J, H, NB, item_agg, elem_ok, order0, order1,
-                      bin_order, loads, load_sum, cap_tol, bin_agg,
-                      by_remaining, waste_limit, assignment, sc.dead);
+    int64_t r = NOMEM, scanned = 0;
+    if (scratch_alloc(&sc, J, 2)) {
+        suffix_minima(item_agg, order0, J, 2, sc.m);
+        suffix_minima(item_agg, order1, J, 2, sc.m + (J+1)*2);
+        r = pp_2d_run(J, H, NB, item_agg, elem_ok, order0, order1, sc.m,
+                      sc.m + (J+1)*2, bin_order, loads, load_sum, cap_tol,
+                      bin_agg, by_remaining, waste_limit, assignment,
+                      sc.dead, &scanned);
+    }
     scratch_free(&sc);
     return r;
 }
@@ -881,10 +937,11 @@ _TABLE_FIELDS = (
         "cfg_choose", "cfg_item")),
     *((name, "double *") for name in (
         "item_agg", "item_agg_sum", "waste_limit", "loads", "load_sum",
-        "sort_key", "work_f", "partial")),
+        "sort_key", "work_f", "partial", "item_min", "walk_min")),
     *((name, "int64_t *") for name in (
         "item_orders", "tie_ranks", "item_dim_perm", "pp_order0",
-        "pp_order1", "sort_tmp", "work_i", "frames", "cut_runs")),
+        "pp_order1", "sort_tmp", "work_i", "frames", "cut_runs",
+        "scanned")),
     *((name, "uint8_t *") for name in ("elem_ok", "built", "dead")),
 )
 
@@ -1004,6 +1061,7 @@ static void build_item_order(const probe_table_t *t, int64_t r)
             for (int64_t i = 0; i < J; i++) order[i] = src[i];
     }
     for (int64_t i = 0; i < J; i++) t->tie_ranks[r*J+order[i]] = i;
+    suffix_minima(t->item_agg, order, J, t->D, t->item_min + r*(J+1)*t->D);
     t->built[r] = 1;
 }
 
@@ -1060,6 +1118,8 @@ static void build_walk_orders(const probe_table_t *t, int64_t c)
         for (int64_t v = 0; v < (w == 1 ? 2 : 4); v++)
             for (int64_t i = 0; i < J; i++)
                 if (digit[i] == v) walk[n++] = order[i];
+        suffix_minima(t->item_agg, walk, J, 2,
+                      t->walk_min + (c*2+k)*(J+1)*2);
     }
     t->built[t->SI+1+c] = 1;
 }
@@ -1070,6 +1130,7 @@ int64_t probe_scan(const probe_table_t *t, double y, const int64_t *scan,
     int64_t J = t->J, H = t->H, D = t->D;
     probe_inputs(t, y);
     t->cut_runs[0] = 0;
+    t->scanned[0] = 0;
     for (int64_t si = 0; si < S; si++) {
         int64_t s = scan[si];
         int64_t packer = t->st_packer[s];
@@ -1096,16 +1157,21 @@ int64_t probe_scan(const probe_table_t *t, double y, const int64_t *scan,
         }
         if (packer == 0) {
             left = ff_run(J, H, H, D, t->item_agg, t->elem_ok, item_order,
+                          t->item_min + t->st_item[s]*(J+1)*D,
                           t->bin_orders + t->st_bin[s]*H, t->loads,
                           t->load_sum, t->cap_tol, t->waste_limit,
-                          assignment, t->work_i, t->work_f, t->work_f + D);
+                          assignment, t->work_i, t->work_f, t->work_f + D,
+                          t->scanned);
         } else if (D == 2) {
+            int64_t c = t->st_cfg[s];
+            const double *walk_min = t->walk_min + c*2*(J+1)*2;
             left = pp_2d_run(J, H, H, t->item_agg, t->elem_ok,
-                             t->pp_order0 + t->st_cfg[s]*J,
-                             t->pp_order1 + t->st_cfg[s]*J,
+                             t->pp_order0 + c*J, t->pp_order1 + c*J,
+                             walk_min, walk_min + (J+1)*2,
                              t->bin_orders + t->st_bin[s]*H, t->loads,
                              t->load_sum, t->cap_tol, t->bin_agg, hetero,
-                             t->waste_limit, assignment, t->dead);
+                             t->waste_limit, assignment, t->dead,
+                             t->scanned);
         } else {
             left = pp_general_run(J, H, H, D, t->st_w[s], t->st_choose[s],
                                   t->item_agg, t->item_agg_sum, t->elem_ok,

@@ -106,7 +106,7 @@ def scan_alone(engine, y, s):
     """``probe_scan`` over strategy *s* alone at yield *y*: ``(scan
     position, assignment, cut runs)``."""
     assignment = np.empty(len(engine.instance.services), dtype=np.int64)
-    si, cuts = engine.backend.probe_scan(
+    si, cuts, _ = engine.backend.probe_scan(
         engine._table, y, np.array([s], dtype=np.int64), assignment)
     return si, assignment, cuts
 
@@ -184,7 +184,8 @@ class TestCutFires:
 
 
 def test_probe_spans_carry_cut_runs(tmp_path):
-    """Each traced ``meta.probe`` span reports its own cut runs."""
+    """Each traced ``meta.probe`` span reports its own cut runs and bin
+    scan work."""
     rng = np.random.default_rng(5)
     cap = rng.uniform(0.5, 1.0, size=(6, 2))
     req = rng.uniform(0.02, 0.1, size=(20, 2))
@@ -203,6 +204,7 @@ def test_probe_spans_carry_cut_runs(tmp_path):
              if r["name"] == "meta.probe"]
     assert len(spans) == engine.probes
     assert sum(r["tags"]["cut_runs"] for r in spans) == engine.cut_runs > 0
+    assert sum(r["tags"]["scanned"] for r in spans) == engine.scanned > 0
 
 
 def _state(D=2):
