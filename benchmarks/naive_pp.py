@@ -1,13 +1,14 @@
 """Reference implementation of Leinberger et al.'s original D!-list
 Permutation-Pack (§3.5.2).
 
-Kept for the ablation benchmark against the paper's improved key-mapping
-implementation (:mod:`.permutation_pack`): the original separates items
-into ``D!`` lists keyed by their dimension permutation and, for each bin,
-probes the lists in the lexicographic order induced by the bin's own
-dimension ranking — ``O(D!)`` list probes per selection versus the
-improved ``O(J·D)`` scan.  Both must select identical items; a test
-asserts bit-identical placements.
+Kept for the ablation benchmark (``test_bench_pp_impl.py``) against the
+paper's improved key-mapping implementation
+(:mod:`repro.algorithms.vector_packing.permutation_pack`): the original
+separates items into ``D!`` lists keyed by their dimension permutation
+and, for each bin, probes the lists in the lexicographic order induced
+by the bin's own dimension ranking — ``O(D!)`` list probes per selection
+versus the improved ``O(J·D)`` scan.  Both must select identical items;
+``test_naive_pp.py`` asserts bit-identical placements.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ from itertools import permutations
 
 import numpy as np
 
-from .permutation_pack import _bin_dim_rank
-from .state import PackingState
+from repro.algorithms.vector_packing.permutation_pack import _bin_dim_rank
+from repro.algorithms.vector_packing.state import PackingState
 
 __all__ = ["permutation_pack_naive"]
 

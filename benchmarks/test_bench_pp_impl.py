@@ -16,8 +16,9 @@ from repro.algorithms.vector_packing import (
     permutation_pack,
     rank_from_order,
 )
-from repro.algorithms.vector_packing.naive_pp import permutation_pack_naive
 from repro.workloads import ScenarioConfig, generate_instance
+
+from naive_pp import permutation_pack_naive
 
 
 @pytest.fixture(scope="module")

@@ -10,8 +10,9 @@ from repro.algorithms.vector_packing import (
     rank_from_order,
     permutation_pack,
 )
-from repro.algorithms.vector_packing.naive_pp import permutation_pack_naive
 from repro.core import Node, ProblemInstance, Service
+
+from naive_pp import permutation_pack_naive
 
 
 def random_instance(seed, hosts=5, services=14, dims_extra=False):

@@ -119,10 +119,6 @@ class PackingState:
         return self.assignment.shape[0]
 
     @property
-    def num_bins(self) -> int:
-        return self.bin_agg.shape[0]
-
-    @property
     def complete(self) -> bool:
         return self.unplaced_count == 0
 
@@ -181,14 +177,6 @@ class PackingState:
         self.load_sum[h] += self.item_agg_sum[j]
         self.assignment[j] = h
         self.unplaced_count -= 1
-
-    def place_many(self, items: np.ndarray, h: int) -> None:
-        """Place several items on bin *h* in one update (First-Fit's
-        per-bin batch)."""
-        self.loads[h] += self.item_agg[items].sum(axis=0)
-        self.load_sum[h] += self.item_agg_sum[items].sum()
-        self.assignment[items] = h
-        self.unplaced_count -= int(len(items))
 
     def commit_bin(self, items, h: int, new_load) -> None:
         """Batch-commit a whole bin fill with an exactly-known final load.

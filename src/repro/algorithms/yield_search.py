@@ -6,7 +6,8 @@ feasibility question "can all services be placed at yield ``y``?".  Since
 the objective is the *minimum* yield, it is WLOG to give all services the
 same yield during the search; we binary-search for the largest feasible
 ``y``, stopping when the bracket is narrower than ``tolerance`` (the paper
-uses 0.0001).
+uses 0.0001).  A search probes the capacity bound, then yield 0, then
+bisects between them.
 
 **Warm starts.**  A cold search spends ``2 + log2(ub/tolerance)`` probes
 (≈16 at the paper's tolerance).  When the caller already knows roughly
@@ -22,10 +23,10 @@ bisects only the remaining gap: ~4-6 probes for a good hint; an
 arbitrarily bad one costs at most the wasted warm probes over the cold
 count — bounded by the bracket depth plus the expansion budget, ~8
 probes at the defaults (fuzz-verified).  Because every probed value
-lies on the cold grid,
-a monotone oracle certifies *exactly* the cold yield; the META* oracles
-are monotone in practice, and warm ≡ cold equivalence is asserted by the
-test suite on reference grids.
+lies on the cold grid, a monotone oracle certifies *exactly* the cold
+yield; the META* oracles are monotone in practice, and warm ≡ cold
+equivalence is asserted by the test suite on reference grids.  A search
+with no hint *is* that cold restart, with nothing memoized yet.
 """
 
 from __future__ import annotations
@@ -80,7 +81,9 @@ def binary_search_max_yield(
         search treats any success as a new lower bound, exactly as in the
         paper.
     tolerance:
-        Stop when ``hi - lo`` falls below this (paper: 0.0001).
+        Stop when ``hi - lo`` falls below this (paper: 0.0001).  Must be
+        finite and positive: the bisection could not end at 0 or below,
+        and NaN or infinity would end it before it starts.
     improve:
         Post-process the final placement with the per-node closed-form
         max-min yield (never lowers the certified uniform yield).
@@ -96,8 +99,12 @@ def binary_search_max_yield(
         ``hint_used``.
 
     Returns the best allocation found, or ``None`` when even yield 0 (the
-    rigid requirements alone) cannot be packed.
+    rigid requirements alone) cannot be packed.  Raises ``ValueError``
+    for a *tolerance* that is not finite and positive, before any probe.
     """
+    if not (np.isfinite(tolerance) and tolerance > 0.0):
+        raise ValueError(
+            f"tolerance must be finite and positive, got {tolerance!r}")
     if not obs.enabled():
         return _binary_search_impl(instance, packer, tolerance, improve,
                                    hint, stats)
@@ -129,11 +136,17 @@ def _binary_search_impl(
 ) -> Optional[Allocation]:
     """The search itself; :func:`binary_search_max_yield` adds tracing."""
     probes = 0
+    # Every answer is memoized: a restart revisits the grid points the
+    # warm phase probed, and with a capacity bound of 0 the cold sequence
+    # asks for y = 0 twice.
+    seen: dict[float, Optional[np.ndarray]] = {}
 
     def probe(y: float) -> Optional[np.ndarray]:
         nonlocal probes
-        probes += 1
-        return packer(instance, y)
+        if y not in seen:
+            probes += 1
+            seen[y] = packer(instance, y)
+        return seen[y]
 
     def finish(placement, lo: float) -> Allocation:
         if stats is not None:
@@ -142,7 +155,12 @@ def _binary_search_impl(
         alloc = Allocation.uniform(instance, placement, lo)
         return alloc.improve_yields() if improve else alloc
 
-    hi = instance.yield_upper_bound()
+    def give_up() -> None:
+        if stats is not None:
+            stats["probes"] = probes
+        return None
+
+    hi_cap = hi = instance.yield_upper_bound()
     use_hint = (hint is not None and np.isfinite(hint)
                 and 0.0 < hint < hi)
     if stats is not None:
@@ -150,22 +168,8 @@ def _binary_search_impl(
         stats["certified"] = None
         stats["hint_used"] = use_hint
 
-    # Try the capacity bound outright: in slack instances (or when all
-    # needs are satisfiable) the search collapses to one probe.  A warm
-    # search defers this probe — a hint strictly below the bound says the
-    # caller expects the bound to be out of reach, so the probe happens
-    # only if the search actually climbs back up to it.
-    if hi > 0.0 and not use_hint:
-        placement = probe(hi)
-        if placement is not None:
-            return finish(placement, hi)
-
-    def give_up() -> None:
-        if stats is not None:
-            stats["probes"] = probes
-        return None
-
     best_placement = None
+    restart = not use_hint
     if use_hint:
         # Descend the cold search's dyadic grid — probe-free — to the
         # bracket of width ~DEFAULT_HINT_WINDOW*tolerance containing the
@@ -184,7 +188,7 @@ def _binary_search_impl(
             else:
                 hi_w = mid
                 his.append(mid)
-        hi_cap, hi = hi, hi_w
+        hi = hi_w
         # Optimistic bisection with deferred endpoint verification: the
         # bracket endpoints are *assumed* (lo feasible, hi infeasible)
         # until a probe answer depends on them.  A verified-wrong floor
@@ -194,22 +198,13 @@ def _binary_search_impl(
         # finishes the verified bracket.  Expansion is *bounded*: after
         # MAX_HINT_EXPANSIONS ancestor steps the hint is hopeless and
         # the search restarts as a plain cold bisection whose probes are
-        # answered from a memo where the warm phase already visited them
-        # — so a bad hint costs at most the wasted pre-restart probes
-        # (a small constant) over the cold count.  Every probed value
-        # lies on the cold search's dyadic grid, so a monotone oracle
-        # certifies exactly the cold yield.
-        seen: dict = {}
-
-        def probe_memo(y: float):
-            if y in seen:
-                return seen[y]
-            result = probe(y)
-            seen[y] = result
-            return result
-
+        # answered from the memo where the warm phase already visited
+        # them — so a bad hint costs at most the wasted pre-restart
+        # probes (a small constant) over the cold count.  Every probed
+        # value lies on the cold search's dyadic grid, so a monotone
+        # oracle certifies exactly the cold yield.
         hi_unverified = True  # nothing above the bracket is probed yet
-        failed = restart = False
+        failed = False
         expansions = 0
 
         def verify_floor() -> bool:
@@ -217,7 +212,7 @@ def _binary_search_impl(
             nonlocal lo, hi, hi_unverified, best_placement
             nonlocal expansions, restart
             while True:
-                placement = probe_memo(los[-1])
+                placement = probe(los[-1])
                 if placement is not None:
                     best_placement, lo = placement, los[-1]
                     return True
@@ -236,7 +231,7 @@ def _binary_search_impl(
             mid = 0.5 * (lo + hi)
             if not (lo < mid < hi):  # float exhaustion
                 break
-            placement = probe_memo(mid)
+            placement = probe(mid)
             if placement is not None:
                 lo, best_placement = mid, placement
                 continue
@@ -248,8 +243,7 @@ def _binary_search_impl(
                 # may itself be infeasible.
                 if not verify_floor():
                     failed = True
-                break_out = failed or restart
-                if break_out:
+                if failed or restart:
                     break
         if not failed and not restart and best_placement is None \
                 and not verify_floor():
@@ -260,10 +254,10 @@ def _binary_search_impl(
             # The assumed ceiling was never refuted by a probe — the
             # answer may lie above it.  Climb while it keeps packing
             # (reaching a packable capacity bound ends the search, as in
-            # the cold fast path), then bisect the last verified bracket.
+            # the cold sequence), then bisect the last verified bracket.
             while True:
                 top = his[-1]
-                placement = probe_memo(top)
+                placement = probe(top)
                 if placement is None:
                     hi = top
                     break
@@ -275,40 +269,29 @@ def _binary_search_impl(
                 if expansions > MAX_HINT_EXPANSIONS:
                     restart = True
                     break
-        if restart:
-            # The hint was wrong by far more than the bracket width:
-            # fall back to the exact cold sequence, reusing any probes
-            # the warm phase already made at the same grid points.
-            placement = probe_memo(hi_cap)
-            if placement is not None:
-                return finish(placement, hi_cap)
-            placement = probe_memo(0.0)
-            if placement is None:
-                return give_up()
-            best_placement, lo, hi = placement, 0.0, hi_cap
-        while hi - lo > tolerance:
-            mid = 0.5 * (lo + hi)
-            if not (lo < mid < hi):
-                break
-            placement = probe_memo(mid)
-            if placement is not None:
-                lo, best_placement = mid, placement
-            else:
-                hi = mid
-    else:
+    if restart:
+        # The cold sequence: a search with no hint, or one whose hint
+        # was wrong by far more than the bracket width.  Try the
+        # capacity bound outright — in slack instances (or when all
+        # needs are satisfiable) the search collapses to one probe; a
+        # warm search defers this probe, since a hint strictly below the
+        # bound says the caller expects the bound to be out of reach —
+        # then yield 0, then bisect between them.
+        placement = probe(hi_cap)
+        if placement is not None:
+            return finish(placement, hi_cap)
         placement = probe(0.0)
         if placement is None:
             return give_up()
-        best_placement = placement
-        lo = 0.0
-
-        while hi - lo > tolerance:
-            mid = 0.5 * (lo + hi)
-            placement = probe(mid)
-            if placement is not None:
-                lo = mid
-                best_placement = placement
-            else:
-                hi = mid
+        best_placement, lo, hi = placement, 0.0, hi_cap
+    while hi - lo > tolerance:
+        mid = 0.5 * (lo + hi)
+        if not (lo < mid < hi):  # float exhaustion
+            break
+        placement = probe(mid)
+        if placement is not None:
+            lo, best_placement = mid, placement
+        else:
+            hi = mid
 
     return finish(best_placement, lo)

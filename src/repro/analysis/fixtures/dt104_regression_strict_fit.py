@@ -2,10 +2,9 @@
 # ruff: noqa
 """Regression: the pre-fix greedy/rounding element-fit checks.
 
-Before this PR, ``algorithms/greedy.py``, ``rounding.py``, and
-``sharing/baseline.py`` each carried a private copy of the seed's
-``1e-12`` fit slack; ``core/service.py`` and ``core/priorities.py`` used
-it for the yield-domain bound.  They now share
+``algorithms/greedy.py``, ``rounding.py``, and ``sharing/baseline.py``
+once each carried a private copy of the seed's ``1e-12`` fit slack, and
+``core/service.py`` used it for the yield-domain bound.  They now share
 ``core.resources.STRICT_FIT_ATOL`` — this snippet preserves the old
 shape so the literals cannot quietly reappear.
 """

@@ -12,7 +12,6 @@ from .exceptions import (
 )
 from .instance import ProblemInstance
 from .node import Node, NodeArray
-from .priorities import apply_priorities, weighted_minimum_yield, weighted_yields
 from .resources import VectorPair
 from .service import Service, ServiceArray
 
@@ -32,9 +31,6 @@ __all__ = [
     "SolverError",
     "UNPLACED",
     "VectorPair",
-    "apply_priorities",
     "max_min_yield_on_node",
     "node_loads",
-    "weighted_minimum_yield",
-    "weighted_yields",
 ]

@@ -26,15 +26,9 @@ from .exceptions import InvalidAllocationError
 from .instance import ProblemInstance
 from .resources import FEASIBILITY_ATOL, FEASIBILITY_RTOL
 
-__all__ = ["Allocation", "max_min_yield_on_node", "node_loads", "uniform_yield_demands"]
+__all__ = ["Allocation", "max_min_yield_on_node", "node_loads"]
 
 UNPLACED = -1
-
-
-def uniform_yield_demands(instance: ProblemInstance, y: float) -> tuple[np.ndarray, np.ndarray]:
-    """``(J, D)`` elementary and aggregate demands at uniform yield *y*."""
-    sv = instance.services
-    return sv.req_elem + y * sv.need_elem, sv.req_agg + y * sv.need_agg
 
 
 def node_loads(instance: ProblemInstance, placement: np.ndarray,

@@ -12,7 +12,7 @@ these objects.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -123,16 +123,6 @@ class VectorPair:
         *factor* may be a scalar or a per-dimension vector.
         """
         return VectorPair(self.elementary * factor, self.aggregate * factor,
-                          require_dominance=self.require_dominance)
-
-    def with_aggregate(self, aggregate: Iterable[float]) -> "VectorPair":
-        """Return a copy with the aggregate component replaced."""
-        return VectorPair(self.elementary, as_vector(aggregate, self.dims),
-                          require_dominance=self.require_dominance)
-
-    def with_elementary(self, elementary: Iterable[float]) -> "VectorPair":
-        """Return a copy with the elementary component replaced."""
-        return VectorPair(as_vector(elementary, self.dims), self.aggregate,
                           require_dominance=self.require_dominance)
 
     def __add__(self, other: "VectorPair") -> "VectorPair":

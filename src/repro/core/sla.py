@@ -32,6 +32,7 @@ __all__ = [
     "SLA_FLOOR_ATOL",
     "sla_floor",
     "sla_floors",
+    "violates_floor",
     "draw_sla_classes",
 ]
 
@@ -47,9 +48,6 @@ class SLAClass:
 
     name: str
     min_yield: float
-
-    def violated_by(self, achieved: float) -> bool:
-        return achieved < self.min_yield - SLA_FLOOR_ATOL
 
 
 #: The three classes the reproduction models.  Floors are fractions of
@@ -80,6 +78,17 @@ def sla_floor(name: str) -> float:
 def sla_floors(names: Sequence[str]) -> np.ndarray:
     """``(N,)`` float64 floor vector for a per-service class list."""
     return np.array([sla_floor(n) for n in names], dtype=np.float64)
+
+
+def violates_floor(achieved: float | np.ndarray,
+                   floor: float | np.ndarray) -> bool | np.ndarray:
+    """Whether an *achieved* yield falls below its SLA *floor*.
+
+    Takes scalars (one service) or arrays (elementwise, numpy
+    broadcasting).  A yield within :data:`SLA_FLOOR_ATOL` below the floor
+    is not a violation.
+    """
+    return achieved < floor - SLA_FLOOR_ATOL
 
 
 def draw_sla_classes(count: int, mix: Mapping[str, float],

@@ -14,7 +14,6 @@ from .failures import (
 from .incremental import (
     INCREMENTAL_TOL,
     best_fit_newcomers,
-    elem_fit_table,
     masked_fit_tables,
     rebuild_loads,
 )
@@ -33,7 +32,6 @@ __all__ = [
     "StepRecord",
     "WorkloadTrace",
     "best_fit_newcomers",
-    "elem_fit_table",
     "generate_platform_events",
     "generate_trace",
     "masked_fit_tables",

@@ -116,7 +116,6 @@ class PlatformSchedule:
         scale.setflags(write=False)
         object.__setattr__(self, "_avail", avail)
         object.__setattr__(self, "_scale", scale)
-        object.__setattr__(self, "_by_step", by_step)
 
     def mask_at(self, t: int) -> np.ndarray:
         """``(H,)`` bool: which nodes are up during step *t*."""
@@ -125,9 +124,6 @@ class PlatformSchedule:
     def scale_at(self, t: int) -> np.ndarray:
         """``(H,)`` float64 capacity scale during step *t*."""
         return self._scale[t]  # type: ignore[attr-defined]
-
-    def events_at(self, t: int) -> tuple[PlatformEvent, ...]:
-        return tuple(self._by_step.get(t, ()))  # type: ignore[attr-defined]
 
     @property
     def total_failures(self) -> int:

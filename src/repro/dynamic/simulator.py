@@ -52,7 +52,7 @@ from ..core.instance import ProblemInstance
 from ..core.node import NodeArray
 from ..core.resources import FEASIBILITY_ATOL, FEASIBILITY_RTOL
 from ..core.service import ServiceArray
-from ..core.sla import SLA_FLOOR_ATOL, SLA_NAMES, sla_floors
+from ..core.sla import SLA_NAMES, sla_floors, violates_floor
 from ..sharing.adaptive import AdaptiveThreshold
 from ..sharing.baseline import evaluate_actual_yields
 from ..sharing.errors import apply_minimum_threshold, perturb_cpu_needs
@@ -62,7 +62,6 @@ from .failures import PlatformEvent, PlatformSchedule
 from .incremental import (
     INCREMENTAL_TOL as _INCREMENTAL_TOL,
     best_fit_newcomers,
-    elem_fit_table,
     masked_fit_tables,
     rebuild_loads,
 )
@@ -235,8 +234,6 @@ class DynamicSimulator:
         n = len(trace.services)
         self._assigned = np.full(n, -1, dtype=np.int64)
         self._loads = np.zeros_like(nodes.aggregate)
-        self._agg_cap_tol = nodes.aggregate + _INCREMENTAL_TOL
-        self._elem_fit: np.ndarray | None = None  # (N, H), lazy
         # Platform churn state: availability mask, capacity scale, the
         # displaced-service flags, and the caches they invalidate.
         self._failures = failures
@@ -289,22 +286,12 @@ class DynamicSimulator:
 
     def _set_estimates(self, estimates: ServiceArray) -> None:
         self._estimates = estimates
-        self._elem_fit = None  # rigid requirements changed
-        self._est_version += 1
-
-    def _elem_fit_table(self) -> np.ndarray:
-        """``(N, H)`` static "requirement fits one element" table for the
-        current estimates (newcomers are admitted at yield 0)."""
-        if self._elem_fit is None:
-            self._elem_fit = elem_fit_table(self._estimates.req_elem,
-                                            self.nodes)
-        return self._elem_fit
+        self._est_version += 1  # rigid requirements changed
 
     def _current_fit(self) -> tuple[np.ndarray, np.ndarray]:
         """Elementary-fit table and aggregate cap-with-slack for the
-        platform that is currently up (base tables when churn-free)."""
-        if self._failures is None:
-            return self._elem_fit_table(), self._agg_cap_tol
+        current estimates on the platform that is currently up (newcomers
+        are admitted at yield 0)."""
         key = (self._est_version, self._platform_version)
         if self._fit_key != key:
             self._fit_elem, self._fit_cap = masked_fit_tables(
@@ -469,7 +456,7 @@ class DynamicSimulator:
             chosen = best_fit_newcomers(
                 est.req_agg[newcomers],
                 elem_fit[newcomers],
-                self._loads, self.nodes, cap_tol=cap_tol)
+                self._loads, self.nodes, cap_tol)
             placed = chosen >= 0
             self._assigned[newcomers[placed]] = chosen[placed]
 
@@ -554,8 +541,8 @@ class DynamicSimulator:
                 achieved = np.zeros(self._assigned.shape[0])
                 if placed_ids.size:
                     achieved[placed_ids] = yields
-                violated = active_mask & (
-                    achieved < self._sla_floors - SLA_FLOOR_ATOL)
+                violated = active_mask & violates_floor(
+                    achieved, self._sla_floors)
                 sla_viol = int(np.count_nonzero(violated))
                 if sla_viol:
                     assert self._sla_codes is not None

@@ -6,7 +6,7 @@ from .analysis import (
     paired_difference_ci,
     win_loss_tie,
 )
-from .ascii_plot import line_chart, sparkline
+from .ascii_plot import line_chart
 from .config import PAPER_GRID, QUICK_GRID, SMOKE_GRID, GridSpec
 from .figures_cov import (
     CovFigureData,
@@ -91,7 +91,6 @@ __all__ = [
     "run_grid",
     "scenario_key",
     "shard_index",
-    "sparkline",
     "success_rate",
     "table1_experiment",
     "table2_experiment",

@@ -7,33 +7,13 @@ leaving the terminal (CSV output remains the machine-readable artifact).
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Mapping
 
-__all__ = ["line_chart", "sparkline"]
-
-_BLOCKS = "▁▂▃▄▅▆▇█"
+__all__ = ["line_chart"]
 
 # A data range narrower than this renders as flat: widen it to a unit span
 # so every point lands on one row/column instead of dividing by ~0.
 _FLAT_RANGE = 1e-12
-
-
-def sparkline(values: Sequence[float], lo: float | None = None,
-              hi: float | None = None) -> str:
-    """One-line bar rendering of a numeric series."""
-    vals = [float(v) for v in values]
-    if not vals:
-        return ""
-    lo = min(vals) if lo is None else lo
-    hi = max(vals) if hi is None else hi
-    span = hi - lo
-    if span <= 0:
-        return _BLOCKS[0] * len(vals)
-    out = []
-    for v in vals:
-        t = (v - lo) / span
-        out.append(_BLOCKS[min(len(_BLOCKS) - 1, int(t * len(_BLOCKS)))])
-    return "".join(out)
 
 
 def line_chart(series: Mapping[str, Mapping[float, float]],

@@ -38,13 +38,6 @@ class GridSpec:
     #: config in the grid carries the resolved model.
     workload: str = DEFAULT_WORKLOAD
 
-    def scenario_count(self) -> int:
-        return (len(self.services) * len(self.cov_values)
-                * len(self.slack_values))
-
-    def instance_count(self) -> int:
-        return self.scenario_count() * self.instances
-
     def configs(self, services: int | None = None) -> Iterator[ScenarioConfig]:
         """All scenario configs, optionally restricted to one service count."""
         model = parse_workload(self.workload)

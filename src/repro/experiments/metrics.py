@@ -37,9 +37,6 @@ class PairwiseComparison:
     only_b: int
     total: int
 
-    def as_pair(self) -> tuple[float, float]:
-        return (self.yield_gain_pct, self.success_gain_pct)
-
 
 def pairwise_comparison(results_a: Sequence[Result],
                         results_b: Sequence[Result]) -> PairwiseComparison:

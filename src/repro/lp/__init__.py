@@ -1,7 +1,7 @@
 """Exact MILP and rational relaxation of the placement problem (§3.1-3.2)."""
 
 from .formulation import MilpFormulation, build_formulation
-from .relaxation import placement_probabilities, relaxed_upper_bound
+from .relaxation import placement_probabilities
 from .solver import (LpSolution, shared_relaxations, solve_exact,
                      solve_relaxation)
 
@@ -10,7 +10,6 @@ __all__ = [
     "MilpFormulation",
     "build_formulation",
     "placement_probabilities",
-    "relaxed_upper_bound",
     "shared_relaxations",
     "solve_exact",
     "solve_relaxation",

@@ -1,28 +1,18 @@
-"""Helpers built on the rational relaxation (§3.2-3.3).
+"""The randomized-rounding probability table (§3.3).
 
-The relaxed solution serves two purposes in the paper:
-
-1. its objective value upper-bounds the exact optimum, which we expose as
-   :func:`relaxed_upper_bound` for evaluation normalization;
-2. its fractional placement matrix ``e`` is the probability table used by
-   the randomized-rounding heuristics; :func:`placement_probabilities`
-   normalizes it defensively and applies the RRNZ epsilon floor.
+The relaxed solution's fractional placement matrix ``e`` is the
+probability table used by the randomized-rounding heuristics;
+:func:`placement_probabilities` normalizes it defensively and applies
+the RRNZ epsilon floor.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..core.instance import ProblemInstance
-from .solver import LpSolution, solve_relaxation
+from .solver import LpSolution
 
-__all__ = ["relaxed_upper_bound", "placement_probabilities"]
-
-
-def relaxed_upper_bound(instance: ProblemInstance,
-                        time_limit: float | None = None) -> float:
-    """Upper bound on the maximum minimum yield, from the rational LP."""
-    return solve_relaxation(instance, time_limit=time_limit).min_yield
+__all__ = ["placement_probabilities"]
 
 
 def placement_probabilities(solution: LpSolution, epsilon: float = 0.0

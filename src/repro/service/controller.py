@@ -111,10 +111,9 @@ from ..algorithms.vector_packing.meta import (
 )
 from ..core.allocation import Allocation
 from ..core.node import NodeArray
-from ..core.sla import DEFAULT_SLA, SLA_FLOOR_ATOL, SLA_NAMES, sla_floor
+from ..core.sla import DEFAULT_SLA, SLA_NAMES, sla_floor, violates_floor
 from ..dynamic.incremental import (
     best_fit_newcomers,
-    elem_fit_table,
     masked_fit_tables,
     rebuild_loads,
 )
@@ -408,9 +407,8 @@ class AllocationController:
         """Count live services below their SLA floor (post-commit)."""
         counts: dict[str, int] = {}
         for spec in self.state.specs():
-            floor = sla_floor(spec.sla)
             achieved = self.state.yields.get(spec.sid, 0.0)
-            if achieved < floor - SLA_FLOOR_ATOL:
+            if violates_floor(achieved, sla_floor(spec.sla)):
                 self._m_sla.labels(**{"class": spec.sla}).inc()
                 counts[spec.sla] = counts.get(spec.sla, 0) + 1
         return counts
@@ -558,15 +556,9 @@ class AllocationController:
         j = len(assigned) - 1  # the newcomer is the last row
         loads = rebuild_loads(assigned, instance.services.req_agg,
                               self.state.nodes)
-        mask = self.state.available_mask()
-        if mask.all():
-            fit = elem_fit_table(instance.services.req_elem[j:j + 1],
-                                 self.state.nodes)
-            cap_tol = None
-        else:
-            fit, cap_tol = masked_fit_tables(
-                instance.services.req_elem[j:j + 1], self.state.nodes,
-                mask, np.ones(len(self.state.nodes)))
+        fit, cap_tol = masked_fit_tables(
+            instance.services.req_elem[j:j + 1], self.state.nodes,
+            self.state.available_mask(), np.ones(len(self.state.nodes)))
         chosen = best_fit_newcomers(instance.services.req_agg[j:j + 1],
                                     fit, loads, self.state.nodes, cap_tol)
         alloc = None

@@ -99,10 +99,6 @@ class EventJournal:
         self._closed = False
 
     @property
-    def next_seq(self) -> int:
-        return self._next_seq
-
-    @property
     def closed(self) -> bool:
         return self._closed
 

@@ -80,13 +80,6 @@ class ServiceSpec:
             arrays.append(arr)
         return cls(sid, arrays[0], arrays[1], arrays[2], arrays[3], sla)
 
-    @classmethod
-    def from_row(cls, sid: str, services: ServiceArray, j: int,
-                 sla: str = DEFAULT_SLA) -> "ServiceSpec":
-        """Spec for row *j* of a generated :class:`ServiceArray`."""
-        return cls(sid, services.req_elem[j], services.req_agg[j],
-                   services.need_elem[j], services.need_agg[j], sla)
-
     def as_json(self) -> dict:
         return {"id": self.sid,
                 "req_elem": self.req_elem.tolist(),

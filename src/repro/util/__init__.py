@@ -2,13 +2,12 @@
 (:mod:`.parallel`)."""
 
 from .parallel import default_workers
-from .rng import as_generator, derive_seed, spawn_generators
+from .rng import as_generator, derive_seed
 from .timing import timed_call
 
 __all__ = [
     "as_generator",
     "default_workers",
     "derive_seed",
-    "spawn_generators",
     "timed_call",
 ]

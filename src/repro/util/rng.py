@@ -3,9 +3,9 @@
 Every stochastic component in the library accepts either an integer seed or
 a ``numpy.random.Generator``.  Experiment drivers need *independent* streams
 per instance so that (a) results are reproducible regardless of execution
-order and (b) parallel workers do not share state.  We use numpy's
-``SeedSequence.spawn`` for that, which provides statistically independent
-child streams.
+order and (b) parallel workers do not share state.  :func:`derive_seed`
+gives each grid position its own ``SeedSequence`` spawn key, which
+provides statistically independent child streams.
 """
 
 from __future__ import annotations
@@ -13,9 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["as_generator", "spawn_generators", "derive_seed"]
-
-RngLike = "int | np.random.Generator | np.random.SeedSequence | None"
+__all__ = ["as_generator", "derive_seed"]
 
 
 def as_generator(rng: int | np.random.Generator | np.random.SeedSequence | None
@@ -30,13 +28,6 @@ def as_generator(rng: int | np.random.Generator | np.random.SeedSequence | None
     if isinstance(rng, np.random.SeedSequence):
         return np.random.default_rng(rng)
     return np.random.default_rng(rng)
-
-
-def spawn_generators(seed: int | np.random.SeedSequence, n: int
-                     ) -> list[np.random.Generator]:
-    """*n* independent generators derived from one root seed."""
-    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    return [np.random.default_rng(child) for child in ss.spawn(n)]
 
 
 def derive_seed(root: int, *path: int) -> np.random.SeedSequence:

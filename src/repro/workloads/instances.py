@@ -10,7 +10,7 @@ can be regenerated in any process without shipping arrays around.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -42,9 +42,6 @@ class ScenarioConfig:
     #: Workload model (any registered family — see ``workloads.registry``);
     #: must be a frozen dataclass exposing ``generate_services(n, rng)``.
     model: object = field(default=DEFAULT_MODEL)
-
-    def with_index(self, instance_index: int) -> "ScenarioConfig":
-        return replace(self, instance_index=instance_index)
 
     def label(self) -> str:
         parts = [f"H{self.hosts}", f"J{self.services}",

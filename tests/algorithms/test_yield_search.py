@@ -111,6 +111,95 @@ class TestDriverMechanics:
         assert alloc.minimum_yield() == 0.0
 
 
+def cold_reference(hi, tolerance, feasible):
+    """The probe sequence of a search with no hint, written out: the
+    capacity bound (unless it is 0), then yield 0, then plain bisection."""
+    probes = []
+
+    def probe(y):
+        probes.append(y)
+        return feasible(y)
+
+    if hi > 0.0 and probe(hi):
+        return probes
+    if not probe(0.0):
+        return probes
+    lo = 0.0
+    while hi - lo > tolerance:
+        mid = 0.5 * (lo + hi)
+        if probe(mid):
+            lo = mid
+        else:
+            hi = mid
+    return probes
+
+
+def single_service_instance(bound):
+    """One service on one node whose capacity bound is ~*bound*."""
+    return ProblemInstance(
+        [Node.multicore(4, 0.5, 1.0)],
+        [Service.from_vectors([0.0, 0.1], [2.0 - 2.0 * bound, 0.1],
+                              [0.0, 0.0], [2.0, 0.0])])
+
+
+class TestColdSequence:
+    """A search with no hint probes the bound, then 0, then bisects; at
+    bound 0 it probes y = 0 once."""
+
+    ORACLES = {
+        "threshold-low": lambda y: y <= 0.0371,
+        "threshold-high": lambda y: y <= 0.9,
+        "band": lambda y: not (0.2 < y < 0.3 or y > 0.6),
+        "parity": lambda y: int(y * 1e5) % 3 != 1,
+        "always": lambda y: True,
+        "never": lambda y: False,
+    }
+
+    @pytest.mark.parametrize("name", sorted(ORACLES))
+    @pytest.mark.parametrize("bound", [0.0, 5e-5, 0.42, 1.0])
+    @pytest.mark.parametrize("tolerance", [1e-2, DEFAULT_TOLERANCE, 1e-6])
+    def test_probes_match_the_reference(self, name, bound, tolerance):
+        feasible = self.ORACLES[name]
+        inst = single_service_instance(bound)
+        probes = []
+
+        def pack(instance, y):
+            probes.append(y)
+            return (np.zeros(instance.num_services, dtype=np.int64)
+                    if feasible(y) else None)
+
+        stats = {}
+        alloc = binary_search_max_yield(inst, pack, tolerance=tolerance,
+                                        improve=False, stats=stats)
+        expected = cold_reference(inst.yield_upper_bound(), tolerance,
+                                  feasible)
+        assert probes == expected
+        assert stats["probes"] == len(expected)
+        packed = [y for y in expected if feasible(y)]
+        if packed:
+            assert stats["certified"] == alloc.minimum_yield() == packed[-1]
+        else:
+            assert alloc is None and stats["certified"] is None
+
+
+class TestToleranceRefused:
+    @pytest.mark.parametrize("tolerance",
+                             [0.0, -1.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize("hint", [None, 0.25])
+    def test_refused_before_any_probe(self, tolerance, hint):
+        inst = shared_node_instance()
+        probes = []
+
+        def pack(instance, y):
+            probes.append(y)
+            return np.zeros(instance.num_services, dtype=np.int64)
+
+        with pytest.raises(ValueError, match="tolerance"):
+            binary_search_max_yield(inst, pack, tolerance=tolerance,
+                                    hint=hint)
+        assert probes == []
+
+
 class _CountingOracle:
     """Ideal monotone oracle (feasible iff y <= threshold) with a probe
     counter — the warm-start machinery's equivalence reference."""

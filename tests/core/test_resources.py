@@ -103,15 +103,6 @@ class TestVectorPair:
         assert vp.elementary.tolist() == [1.0, 0.5]
         assert vp.aggregate.tolist() == [2.0, 0.5]
 
-    def test_with_aggregate(self):
-        vp = VectorPair([0.5, 0.5], [1.0, 0.5]).with_aggregate([2.0, 0.5])
-        assert vp.aggregate.tolist() == [2.0, 0.5]
-        assert vp.elementary.tolist() == [0.5, 0.5]
-
-    def test_with_elementary(self):
-        vp = VectorPair([0.5, 0.5], [1.0, 0.5]).with_elementary([0.25, 0.5])
-        assert vp.elementary.tolist() == [0.25, 0.5]
-
     def test_add(self):
         a = VectorPair([0.5, 0.5], [1.0, 0.5])
         b = VectorPair([0.25, 0.0], [0.5, 0.0])

@@ -1,4 +1,4 @@
-"""SLA class vocabulary: floors, violation predicate, mix draws."""
+"""SLA class vocabulary: floors, violation rule, mix draws."""
 
 import numpy as np
 import pytest
@@ -11,6 +11,7 @@ from repro.core.sla import (
     draw_sla_classes,
     sla_floor,
     sla_floors,
+    violates_floor,
 )
 
 
@@ -35,19 +36,34 @@ class TestFloors:
         assert set(SLA_NAMES) == set(SLA_CLASSES)
 
 
-class TestViolationPredicate:
+class TestViolationRule:
     def test_exact_floor_is_not_violated(self):
-        assert not SLA_CLASSES["gold"].violated_by(0.5)
+        assert not violates_floor(0.5, sla_floor("gold"))
 
     def test_float_noise_on_the_floor_is_tolerated(self):
-        assert not SLA_CLASSES["gold"].violated_by(0.5 - SLA_FLOOR_ATOL / 2)
+        assert not violates_floor(0.5 - SLA_FLOOR_ATOL / 2, sla_floor("gold"))
+        assert not violates_floor(0.5 - SLA_FLOOR_ATOL, sla_floor("gold"))
+
+    def test_just_past_the_slack_violates(self):
+        assert violates_floor(0.5 - 2 * SLA_FLOOR_ATOL, sla_floor("gold"))
 
     def test_clearly_below_floor_violates(self):
-        assert SLA_CLASSES["gold"].violated_by(0.4)
-        assert SLA_CLASSES["silver"].violated_by(0.0)
+        assert violates_floor(0.4, sla_floor("gold"))
+        assert violates_floor(0.0, sla_floor("silver"))
 
     def test_best_effort_never_violates(self):
-        assert not SLA_CLASSES["best-effort"].violated_by(0.0)
+        assert not violates_floor(0.0, sla_floor("best-effort"))
+
+    def test_arrays_match_the_scalar_rule(self):
+        floors = sla_floors(("gold", "gold", "gold", "silver",
+                             "best-effort"))
+        achieved = np.array([0.5, 0.5 - SLA_FLOOR_ATOL / 2,
+                             0.5 - 2 * SLA_FLOOR_ATOL, 0.0, 0.0])
+        got = violates_floor(achieved, floors)
+        assert got.dtype == bool
+        assert got.tolist() == [violates_floor(float(a), float(f))
+                                for a, f in zip(achieved, floors)]
+        assert got.tolist() == [False, False, True, True, False]
 
 
 class TestMixDraws:

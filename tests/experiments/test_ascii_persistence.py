@@ -4,7 +4,7 @@
 import pytest
 
 from repro.experiments import SMOKE_GRID, run_grid
-from repro.experiments.ascii_plot import line_chart, sparkline
+from repro.experiments.ascii_plot import line_chart
 from repro.experiments.persistence import (
     TASK_RECORDS,
     load_results,
@@ -12,24 +12,6 @@ from repro.experiments.persistence import (
 )
 
 from .conftest import append_tasks
-
-
-class TestSparkline:
-    def test_monotone_series(self):
-        s = sparkline([0, 1, 2, 3, 4, 5, 6, 7])
-        assert len(s) == 8
-        assert s[0] == "▁"
-        assert s[-1] == "█"
-
-    def test_flat_series(self):
-        assert sparkline([2.0, 2.0, 2.0]) == "▁▁▁"
-
-    def test_empty(self):
-        assert sparkline([]) == ""
-
-    def test_explicit_bounds(self):
-        s = sparkline([0.5], lo=0.0, hi=1.0)
-        assert s in "▁▂▃▄▅▆▇█"
 
 
 class TestLineChart:

@@ -7,7 +7,6 @@ from repro.core import Node, ProblemInstance, Service
 from repro.core.exceptions import InfeasibleProblemError, SolverError
 from repro.lp import (
     placement_probabilities,
-    relaxed_upper_bound,
     solve_exact,
     solve_relaxation,
 )
@@ -96,10 +95,6 @@ class TestRelaxation:
         relaxed = solve_relaxation(inst)
         exact = solve_exact(inst)
         assert relaxed.min_yield >= exact.min_yield - 1e-9
-
-    def test_relaxed_upper_bound_helper(self):
-        inst = figure1_instance()
-        assert relaxed_upper_bound(inst) >= 1.0 - 1e-9
 
     def test_relaxed_e_is_fractional_distribution(self):
         inst = ProblemInstance(

@@ -46,7 +46,7 @@ def test_duplicate_sample_flagged():
 
 
 def test_unknown_type_flagged():
-    text = "# TYPE up sparkline\nup 1\n"
+    text = "# TYPE up heatmap\nup 1\n"
     assert any("type" in v.lower() for v in check_prometheus_text(text))
 
 

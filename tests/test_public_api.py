@@ -1,5 +1,7 @@
-"""The package's public surface: its version string and every ``__all__``."""
+"""The package's public surface: its version string, every ``__all__``,
+and no module that only tests import."""
 
+import ast
 import importlib
 import pkgutil
 import re
@@ -8,6 +10,11 @@ from pathlib import Path
 import repro
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+SRC = Path(repro.__file__).resolve().parent
+
+#: Modules run directly rather than imported: the console script, and the
+#: two that CI runs with ``python -m``.
+ENTRY_POINTS = {"repro.cli", "repro.obs.promcheck", "repro.analysis.ratchet"}
 
 
 def test_version_matches_pyproject():
@@ -36,3 +43,51 @@ def test_every_all_name_resolves():
                for name in getattr(m, "__all__", ())
                if not hasattr(m, name)]
     assert missing == []
+
+
+def _source_modules():
+    """``{module name: path}`` for every module under ``src/repro``,
+    lint fixtures (snippets that are parsed, never imported) excepted."""
+    out = {}
+    for path in sorted(SRC.rglob("*.py")):
+        parts = ("repro",) + path.relative_to(SRC).with_suffix("").parts
+        if parts[-1] == "__init__":
+            parts = parts[:-1]
+        name = ".".join(parts)
+        if not name.startswith("repro.analysis.fixtures."):
+            out[name] = path
+    return out
+
+
+def _imported_names(name, path):
+    """Absolute dotted names that *path*'s import statements name,
+    ``from`` targets' members included (they may be submodules)."""
+    package = name if path.name == "__init__.py" else name.rpartition(".")[0]
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                parent = package.rsplit(".", node.level - 1)[0]
+                base = f"{parent}.{base}" if base else parent
+            names.add(base)
+            names.update(f"{base}.{alias.name}" for alias in node.names)
+    return names
+
+
+def test_every_module_is_imported_by_the_program():
+    """A module that no other ``src/repro`` module imports, and that is
+    no entry point, runs only under its tests."""
+    modules = _source_modules()
+    imported = set()
+    for name, path in modules.items():
+        for target in _imported_names(name, path):
+            parts = target.split(".")
+            # Importing a.b.c runs a and a.b too.
+            imported.update(".".join(parts[:i])
+                            for i in range(1, len(parts) + 1)
+                            if ".".join(parts[:i]) != name)
+    orphans = sorted(set(modules) - imported - ENTRY_POINTS)
+    assert orphans == []

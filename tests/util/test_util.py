@@ -3,7 +3,7 @@
 import numpy as np
 
 from repro.util.parallel import default_workers
-from repro.util.rng import as_generator, derive_seed, spawn_generators
+from repro.util.rng import as_generator, derive_seed
 from repro.util.timing import timed_call
 
 
@@ -25,18 +25,6 @@ class TestRng:
 
     def test_none_gives_generator(self):
         assert isinstance(as_generator(None), np.random.Generator)
-
-    def test_spawn_generators_independent(self):
-        gens = spawn_generators(123, 4)
-        assert len(gens) == 4
-        draws = [g.random(8).tolist() for g in gens]
-        # All streams distinct.
-        assert len({tuple(d) for d in draws}) == 4
-
-    def test_spawn_deterministic(self):
-        a = [g.random() for g in spawn_generators(5, 3)]
-        b = [g.random() for g in spawn_generators(5, 3)]
-        assert a == b
 
     def test_derive_seed_stable_and_distinct(self):
         a = np.random.default_rng(derive_seed(1, 2, 3)).random()

@@ -1,5 +1,7 @@
 """Tests for instance scaling and the end-to-end scenario generator."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -102,7 +104,7 @@ class TestScenarioGeneration:
 
     def test_instance_index_varies_draws(self):
         a = generate_instance(config())
-        b = generate_instance(config().with_index(1))
+        b = generate_instance(dataclasses.replace(config(), instance_index=1))
         assert not np.array_equal(a.nodes.aggregate, b.nodes.aggregate)
 
     def test_changing_services_keeps_platform(self):
