@@ -4,7 +4,9 @@ engine.
 Part 1 solves the reference METAHVP instances three times under the
 active kernel backend — as a loop of
 ``binary_search_max_yield(inst, MetaProbeEngine(inst, strategies))``
-calls (the per-strategy engine), as a loop of ``solve_with_hint`` calls
+calls (the per-strategy engine, which runs the same numpy packers,
+``repro.kernels.packers``, on every backend), as a loop of
+``solve_with_hint`` calls
 (the engine selector: fused where the backend has the kernel), and
 through ``solve_many`` (shared threshold tables, one fused kernel call
 per probe) — and asserts the three are interchangeable: identical

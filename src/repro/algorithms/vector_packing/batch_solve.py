@@ -5,11 +5,11 @@ selector, :func:`make_engine`.  It picks :class:`FusedProbeEngine` when
 the backend has a fused ``probe_scan`` kernel and every PP/CP selection
 code fits an int64, and the per-strategy
 :class:`~.probe_engine.MetaProbeEngine` otherwise (the numpy backend, and
-PP/CP at astronomically high dimension counts).  Both engines have the
-same observable behavior — same placements, certified yields,
-``probes``/``strategy_runs`` counters and adaptive hint-first scan order
-— so the choice only changes wall-clock (asserted by the cross-backend
-equivalence tests).
+PP/CP whose codes overflow an int64, ``kernels.api.codes_overflow``).
+Both engines have the same observable behavior — same placements,
+certified yields, ``probes``/``strategy_runs`` counters and adaptive
+hint-first scan order — so the choice only changes wall-clock (asserted
+by the cross-backend equivalence tests).
 
 :class:`FusedProbeEngine` answers each probe with **one** kernel call:
 the strategy list is compiled into an int64 strategy table (packer id,
@@ -20,8 +20,9 @@ fills, into one kernel table.  Each probe passes the backend's
 ``probe_scan`` only the yield, the scan order and an assignment buffer;
 the kernel builds the probe's demands, fit mask, waste limit and sort
 orders itself and returns the first strategy that packs together with
-its placement.  The per-strategy engine instead pays a Python-level
-kernel round trip per strategy tried.
+its placement.  The per-strategy engine instead runs the packers
+every backend shares (:mod:`repro.kernels.packers`), one Python-level
+call per strategy tried.
 
 :func:`solve_many` carries a whole batch of instances through the
 selector: one batched kernel call builds every instance's yield-threshold
@@ -44,10 +45,9 @@ from ... import obs
 from ...core.allocation import Allocation
 from ...core.instance import ProblemInstance
 from ...kernels import get_backend
-from ...kernels.api import SORT_METRICS, ProbeScanArgs
+from ...kernels.api import SORT_METRICS, ProbeScanArgs, codes_overflow
 from ...kernels.batch import BatchInstances
 from ..yield_search import DEFAULT_TOLERANCE, binary_search_max_yield
-from .permutation_pack import codes_overflow
 from .probe_engine import MetaProbeEngine, YieldProbeFactory
 from .state import WASTE_MARGIN_RTOL, capacity_tolerance
 from .strategies import BF, CP, FF, VPStrategy

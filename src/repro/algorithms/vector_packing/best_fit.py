@@ -12,13 +12,14 @@ Best-Fit imposes its own (dynamic) bin order, so it takes no bin-sort
 strategy — this is why METAHVP counts ``11 + 2*11*11`` strategies, with
 Best-Fit contributing only the 11 item sorts.
 
-The per-item scoring loop dispatches to the active kernel backend
-(:mod:`repro.kernels`); ``load_sum`` is maintained incrementally in all
-of them, so scores cost O(H) per item instead of a fresh (H, D)
-reduction.  The accumulation order differs from the legacy reduction, so
-scores can drift by an ULP; an exact cross-bin score tie could then break
-toward a different (equally loaded) bin.  Engine equivalence is asserted
-on certified yields, which absorbs this.
+The per-item scoring loop dispatches to the active kernel backend, and
+every backend runs the same loop (:mod:`repro.kernels.packers`);
+``load_sum`` is maintained incrementally, so scores cost O(H) per item
+instead of a fresh (H, D) reduction.  The accumulation order differs
+from the legacy reduction, so scores can drift by an ULP; an exact
+cross-bin score tie could then break toward a different (equally loaded)
+bin.  Engine equivalence is asserted on certified yields, which absorbs
+this.
 """
 
 from __future__ import annotations

@@ -9,8 +9,8 @@ Kernel: item-by-item First-Fit is equivalent to filling the bins one at a
 time — an item lands on bin *h* iff it fits the load built by the earlier
 items already on *h*, a decision independent of every other bin.  Filling
 one bin greedily in item order is then a straight scan.  The scan
-dispatches to the active kernel backend for any dimension count
-(:mod:`repro.kernels`: numpy scalar loop or native C — bit-identical);
+dispatches to the active kernel backend for any dimension count, and
+every backend runs the same scalar loop (:mod:`repro.kernels.packers`);
 backend choice never depends on D.  The seed per-item kernel survives in
 :mod:`.legacy` as the equivalence baseline.
 """

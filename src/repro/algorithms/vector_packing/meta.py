@@ -8,9 +8,10 @@ least as large (§3.5.3).
 
 The oracle comes from one selector, :func:`~.batch_solve.make_engine`:
 the fused ``probe_scan`` engine when the kernel backend has it, the
-per-strategy adaptive engine of :mod:`.probe_engine` otherwise.  Both
-engines certify the same yields with the same placements and probe
-counts, so the selector only changes wall-clock.  A :class:`MetaSolver`
+per-strategy adaptive engine of :mod:`.probe_engine` otherwise (numpy's
+packers, on every backend).  Both engines certify the same yields with
+the same placements and probe counts, so the selector only changes
+wall-clock.  A :class:`MetaSolver`
 keeps its strategy list compiled (:class:`~.batch_solve.StrategyTable`,
 once per dimension count), so a solve binds only the instance.
 """

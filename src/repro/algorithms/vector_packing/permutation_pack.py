@@ -27,30 +27,27 @@ serves dimension counts whose packed codes overflow an int64):
   (two, in the paper's 2-D setting), so they are computed once per
   ranking per strategy run;
 * the whole selection dispatches to the active kernel backend for any
-  dimension count (:mod:`repro.kernels`: numpy or native C —
-  bit-identical).  Every backend shares the same internal split: on
-  2-D instances each bin is filled by walking the (at most two)
-  code-sorted candidate lists with per-ranking pointers — a candidate
-  that fails a fit check is dead for this bin forever, so each is
-  visited O(1) times per ranking — while the general-D loop recomputes
-  the bin ranking per selection and bulk-retires no-longer-fitting
-  candidates.
+  dimension count, and every backend runs the same selection
+  (:mod:`repro.kernels.packers`), split in two: on 2-D instances each
+  bin is filled by walking the (at most two) code-sorted candidate
+  lists with per-ranking pointers — a candidate that fails a fit check
+  is dead for this bin forever, so each is visited O(1) times per
+  ranking — while the general-D loop recomputes the bin ranking per
+  selection and bulk-retires no-longer-fitting candidates.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from ...kernels import get_backend
+from ...kernels.api import codes_overflow
 from .state import PackingState
 
-__all__ = ["permutation_pack", "rank_from_order", "packed_codes",
-           "PackedCodes", "codes_overflow"]
+__all__ = ["permutation_pack", "rank_from_order", "packed_codes"]
 
-_SENTINEL = np.iinfo(np.int64).max
 _MAX_CACHED_RANKINGS = 64
 
 
@@ -84,19 +81,6 @@ def _bin_dim_rank(state: PackingState, h: int, by_remaining: bool) -> np.ndarray
     return rank
 
 
-def _bin_dim_rank_tuple(state: PackingState, h: int,
-                        by_remaining: bool) -> tuple[int, ...]:
-    """:func:`_bin_dim_rank` as a hashable tuple."""
-    return tuple(int(r) for r in _bin_dim_rank(state, h, by_remaining))
-
-
-def codes_overflow(D: int, w: int, J: int) -> bool:
-    """Whether :func:`packed_codes` (``w`` base-``D`` key digits, then a
-    tie-break rank below ``J + 1``) would overflow an int64; such
-    instances run the seed kernel of :mod:`.legacy` instead."""
-    return D ** w * (J + 1) >= 2 ** 62
-
-
 def packed_codes(item_perm_w: np.ndarray, ranking, D: int, J: int,
                  tie_rank: np.ndarray, choose_pack: bool) -> np.ndarray:
     """Packed selection codes for one bin ranking (smaller = earlier).
@@ -118,25 +102,11 @@ def packed_codes(item_perm_w: np.ndarray, ranking, D: int, J: int,
     return code * (J + 1) + tie_rank
 
 
-@dataclass(frozen=True)
-class PackedCodes:
-    """One strategy run's selection-code inputs, handed to the backend.
-
-    ``codes_for`` serves the 2-D pointer walk (codes per explicit
-    ranking, memoized); ``tie_rank``/``w``/``choose_pack`` feed the
-    general-D kernel, which builds the codes in-loop from the bin's live
-    ranking.
-    """
-
-    codes_for: Callable[[tuple], np.ndarray]
-    tie_rank: np.ndarray
-    w: int
-    choose_pack: bool
-
-
 def _make_codes(state: PackingState, item_sort_rank: np.ndarray,
-                w: int, choose_pack: bool):
-    """Per-ranking packed-code builder for one strategy run."""
+                w: int, choose_pack: bool
+                ) -> Callable[[tuple[int, ...]], np.ndarray]:
+    """Per-ranking packed-code builder for one strategy run (codes per
+    explicit ranking, memoized), which is all the backend reads."""
     D = state.item_agg.shape[1]
     J = state.num_items
     item_perm_w = state.item_dim_perm[:, :w]             # (J, w), hoisted
@@ -152,7 +122,7 @@ def _make_codes(state: PackingState, item_sort_rank: np.ndarray,
                 cache[ranking] = codes
         return codes
 
-    return codes_for, tie_rank
+    return codes_for
 
 
 def permutation_pack(
@@ -190,7 +160,6 @@ def permutation_pack(
             state, item_sort_rank, bin_order, window=window,
             choose_pack=choose_pack,
             rank_bins_by_remaining=rank_bins_by_remaining)
-    codes_for, tie_rank = _make_codes(state, item_sort_rank, w, choose_pack)
-    pp = PackedCodes(codes_for, tie_rank, w, choose_pack)
     return get_backend().permutation_pack(
-        state, pp, bin_order, rank_bins_by_remaining)
+        state, _make_codes(state, item_sort_rank, w, choose_pack),
+        bin_order, rank_bins_by_remaining)

@@ -30,7 +30,9 @@ exploits three ways:
 
 :func:`~.batch_solve.make_engine` picks this engine when the fused
 ``probe_scan`` engine cannot run: on the numpy backend, and for PP/CP
-codes too wide for an int64.  The fused engine's factory is this
+codes too wide for an int64.  Its packers are the same functions on
+every backend (:mod:`repro.kernels.packers`), so it computes the same
+bits whichever backend is active.  The fused engine's factory is this
 module's :class:`YieldProbeFactory`.
 """
 

@@ -125,18 +125,6 @@ class PlatformSchedule:
         """``(H,)`` float64 capacity scale during step *t*."""
         return self._scale[t]  # type: ignore[attr-defined]
 
-    @property
-    def total_failures(self) -> int:
-        return sum(1 for e in self.events if isinstance(e, NodeFailure))
-
-    @property
-    def total_recoveries(self) -> int:
-        return sum(1 for e in self.events if isinstance(e, NodeRecovery))
-
-    @property
-    def total_capacity_changes(self) -> int:
-        return sum(1 for e in self.events if isinstance(e, CapacityChange))
-
 
 def generate_platform_events(horizon: int,
                              n_nodes: int,

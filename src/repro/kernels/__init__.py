@@ -15,8 +15,11 @@ through a process-wide :class:`~.api.KernelBackend`:
     The uncompiled scalar source (:mod:`._loops`) — the slow reference
     the C translation is diffed against; useful for debugging only.
 
-All backends produce **bit-identical** placements, loads, threshold
-tables and yields, so the choice affects wall-clock only.  Selection:
+The packers are one implementation on every backend (:mod:`.packers`);
+a compiled backend runs its own fills only inside the fused
+``probe_scan``.  All backends produce **bit-identical** placements,
+loads, threshold tables and yields, so the choice affects wall-clock
+only.  Selection:
 
 1. :func:`use_backend` (explicit, e.g. from ``--kernel-backend``);
 2. the ``REPRO_KERNEL_BACKEND`` environment variable (inherited by

@@ -11,16 +11,19 @@ consumers share them:
   the logic is exercised even on machines without a C compiler.
 
 Every kernel mutates its output arrays in place and performs float
-arithmetic in exactly the same order as the numpy backend
-(:mod:`.numpy_backend`), which is what makes cross-backend placements and
-loads bit-identical rather than merely close.
+arithmetic in exactly the same order as the numpy references
+(:mod:`.numpy_backend`, and :mod:`.packers` for the fills), which is
+what makes cross-backend placements and loads bit-identical rather than
+merely close.
 
 The packer kernels work for any dimension count D.  Permutation-Pack
-keeps the dedicated 2-D pointer walk (:func:`pp_fill_2d`) alongside the
+keeps the dedicated 2-D pointer walk (:func:`pp_2d_run`) alongside the
 general selection loop (:func:`pp_fill_general`): the two produce the
 same *placements* but accumulate bin loads in a different float order
-(per-bin commit vs per-item update), so the split is an internal detail
-every backend shares — backend choice itself never depends on D.
+(per-bin commit vs per-item update), as :mod:`.packers` does — backend
+choice itself never depends on D.  The fills run only inside
+:func:`probe_scan`; every backend's standalone packers are
+:mod:`.packers`.
 
 :func:`probe_scan` is the fused META* probe: one kernel call that
 builds the probe's inputs at the probed yield (:func:`probe_inputs`,
@@ -39,7 +42,7 @@ every node's fluid capacity under a policy, work-conserving rounds
 included, and writes each service's actual yield.  Besides the C, the
 numpy backend runs it too, on Python lists.
 
-The three *bin-major* fills (:func:`ff_fill`, :func:`pp_fill_2d`,
+The three *bin-major* fills (:func:`ff_run`, :func:`pp_2d_run`,
 :func:`pp_fill_general`) fill one bin at a time in bin order and never
 reopen a closed bin.  Each takes a per-dimension ``waste_limit``: once
 the capacity its closed bins left unused exceeds the limit in some
@@ -57,10 +60,8 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "ff_fill",
     "ff_run",
     "bf_pack",
-    "pp_fill_2d",
     "pp_2d_run",
     "suffix_minima",
     "pp_fill_general",
@@ -85,35 +86,19 @@ __all__ = [
 CUT = -2
 
 
-def ff_fill(item_agg, elem_ok, item_order, bin_order,
-            loads, load_sum, cap_tol, waste_limit, assignment):
-    """First-Fit greedy per-bin fill (any D).  Returns the unplaced count,
-    or :data:`CUT` when the closed bins waste more than ``waste_limit``.
-
-    The standalone export of :func:`ff_run`: it builds the item order's
-    suffix minima and the run's scratch per call.
-    """
-    K = item_order.shape[0]
-    D = item_agg.shape[1]
-    item_min = np.empty((K + 1, D), np.float64)
-    suffix_minima(item_agg, item_order, K, item_min)
-    return ff_run(item_agg, elem_ok, item_order, item_min, bin_order,
-                  loads, load_sum, cap_tol, waste_limit, assignment,
-                  np.empty(K, np.int64), np.empty(D, np.float64),
-                  np.empty(D, np.float64), np.zeros(1, np.int64))
-
-
 def ff_run(item_agg, elem_ok, item_order, item_min, bin_order,
            loads, load_sum, cap_tol, waste_limit, assignment, pending,
            load, waste, scanned):
-    """The First-Fit body, on caller-owned scratch: ``pending`` (one
-    entry per item in the order), ``load`` and ``waste`` (D each), and
-    ``scanned``, which gains the number of pending entries tested.
+    """First-Fit greedy per-bin fill (any D), on caller-owned scratch:
+    ``pending`` (one entry per item in the order), ``load`` and ``waste``
+    (D each), and ``scanned``, which gains the number of pending entries
+    tested.  Returns the unplaced count, or :data:`CUT` when the closed
+    bins waste more than ``waste_limit``.
 
-    Mirrors the numpy backend's scalar fast path: bins are filled one at a
-    time, each taking every pending item (in item order) that fits the
-    running load; the bin's load is accumulated in scalars and committed
-    once.  ``pending`` holds *positions* in the item order, so each
+    Mirrors the scalar fast path of :mod:`.packers`: bins are filled
+    one at a time, each taking every pending item (in item order) that
+    fits the running load; the bin's load is accumulated in scalars and
+    committed once.  ``pending`` holds *positions* in the item order, so each
     tested entry first meets its row of ``item_min``
     (:func:`suffix_minima` of the order): once the bin's load plus the
     least demand from that position on exceeds ``cap_tol`` in some
@@ -205,7 +190,7 @@ def bf_pack(item_agg, item_agg_sum, elem_ok, item_order,
             assignment):
     """Best-Fit with O(1)-update scores (any D).  Returns 1 on success.
 
-    Scan order and strict-< tie-breaking reproduce the numpy backend's
+    Scan order and strict-< tie-breaking reproduce the shared packer's
     masked ``argmin`` (first occurrence of the minimal score wins).
     """
     J = item_order.shape[0]
@@ -241,31 +226,13 @@ def bf_pack(item_agg, item_agg_sum, elem_ok, item_order,
     return 1
 
 
-def pp_fill_2d(item_agg, elem_ok, order0, order1, bin_order,
-               loads, load_sum, cap_tol, bin_agg, by_remaining,
-               waste_limit, assignment):
-    """Permutation/Choose-Pack 2-D pointer walk.  Returns the unplaced
-    count, or :data:`CUT` (as :func:`ff_fill`).
-
-    The standalone export of :func:`pp_2d_run`: it builds both walks'
-    suffix minima and the run's scratch per call.
-    """
-    J = item_agg.shape[0]
-    walk_min = np.empty((2, J + 1, 2), np.float64)
-    suffix_minima(item_agg, order0, J, walk_min[0])
-    suffix_minima(item_agg, order1, J, walk_min[1])
-    return pp_2d_run(item_agg, elem_ok, order0, order1, walk_min[0],
-                     walk_min[1], bin_order, loads, load_sum, cap_tol,
-                     bin_agg, by_remaining, waste_limit, assignment,
-                     np.empty(J, np.uint8), np.zeros(1, np.int64))
-
-
 def pp_2d_run(item_agg, elem_ok, order0, order1, min0, min1, bin_order,
               loads, load_sum, cap_tol, bin_agg, by_remaining, waste_limit,
               assignment, dead, scanned):
-    """The 2-D PP/CP walk body, on caller-owned scratch: ``dead`` (one
-    flag per item) and ``scanned``, which gains the number of walk
-    positions visited.
+    """The 2-D PP/CP pointer walk, on caller-owned scratch: ``dead``
+    (one flag per item) and ``scanned``, which gains the number of walk
+    positions visited.  Returns the unplaced count, or :data:`CUT` (as
+    :func:`ff_run`).
 
     ``order0``/``order1`` are the items sorted by their packed selection
     code under dimension ranking (0, 1) resp. (1, 0), over *all* items;
@@ -375,7 +342,7 @@ def pp_fill_general(item_agg, item_agg_sum, elem_ok, item_dim_perm,
                     cap_tol, bin_agg, by_remaining, waste_limit,
                     assignment):
     """Permutation/Choose-Pack selection loop for any D.  Returns the
-    unplaced count, or :data:`CUT` (as :func:`ff_fill`).
+    unplaced count, or :data:`CUT` (as :func:`ff_run`).
 
     Per bin: candidates are the unplaced items that fit the bin's current
     remaining capacity.  Each selection recomputes the bin's dimension

@@ -4,12 +4,11 @@ array-kernel adapter.
 A :class:`KernelBackend` implements the hot scalar kernels the packers
 and the dynamic simulator dispatch to (see :mod:`repro.kernels`):
 
-* ``first_fit(state, item_order, bin_order)`` — FF's per-bin fill (any D);
-* ``best_fit(state, item_order, by_remaining_capacity)`` — BF's
-  O(1)-update scoring loop (any D);
-* ``permutation_pack(state, pp, bin_order, by_remaining)`` — PP/CP's
-  packed-code selection (pointer walk at D=2, general selection loop
-  otherwise — an internal split every backend shares);
+* ``first_fit(state, item_order, bin_order)`` — FF's per-bin fill,
+  ``best_fit(state, item_order, by_remaining_capacity)`` — BF's
+  O(1)-update scoring loop, and ``permutation_pack(state, codes_for,
+  bin_order, by_remaining)`` — PP/CP's packed-code selection (any D):
+  one implementation, :mod:`.packers`, on every backend;
 * ``affine_fit_thresholds(req, need, cap)`` — the probe factory's
   yield-threshold table;
 * ``batch_fit_thresholds(req, need, cap, n_items, n_bins)`` — the same
@@ -38,15 +37,13 @@ Each kernel's inputs are declared once, as a frozen dataclass of its
 arguments whose arrays carry dtype and shape (:func:`_array`) and which
 lists the index ranges the kernel follows — :class:`ProbeScanArgs`,
 :class:`GreedyScanArgs`, :class:`ShareNodesArgs`, :class:`ThresholdArgs`,
-:class:`BatchThresholdArgs`, :class:`IncrementalBestFitArgs` and the
-fills' :class:`FirstFitArgs`, :class:`BestFitArgs`, :class:`PackWalkArgs`
-and :class:`PackArgs` — and checked by :func:`check_args` before the
-kernel runs, so the compiled backend passes raw addresses.
+:class:`BatchThresholdArgs` and :class:`IncrementalBestFitArgs` — and
+checked by :func:`check_args` before the kernel runs, so the compiled
+backend passes raw addresses.
 
 :class:`ArrayKernelBackend` adapts the flat-array loop kernels of
 :mod:`._loops` (or the C translation with the same signatures) to this
-state-level interface; the native and loops backends are instances of
-it.
+interface; the native and loops backends are instances of it.
 """
 
 from __future__ import annotations
@@ -54,13 +51,15 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field, fields
-from typing import Any, ClassVar, Dict, Tuple
+from typing import Any, Callable, ClassVar, Dict, Tuple
 
 import numpy as np
 
+from . import packers
+
 __all__ = ["KernelBackend", "ArrayKernelBackend", "GreedyScanArgs",
            "ProbeScanArgs", "ProbeTable", "ShareNodesArgs", "SHARE_POLICIES",
-           "SORT_METRICS"]
+           "SORT_METRICS", "codes_overflow"]
 
 #: Item-sort metrics in the order of ``ProbeScanArgs.sort_metric`` codes.
 SORT_METRICS = ("MAX", "SUM", "MAXRATIO", "MAXDIFFERENCE", "LEX", "NONE")
@@ -85,6 +84,14 @@ def _array(dtype: type, *shape: str, out: bool = False) -> Any:
 
 def _refuse(kernel: str, name: str, what: str) -> ValueError:
     return ValueError(f"{kernel}: {name} {what}")
+
+
+def codes_overflow(D: int, w: int, J: int) -> bool:
+    """Whether PP/CP selection codes of ``w`` base-``D`` key digits and
+    then a tie rank below ``J + 1`` overflow an int64.  The fused probe
+    refuses such a strategy list; the per-strategy engine runs its PP
+    with the seed kernel of ``vector_packing.legacy`` instead."""
+    return D ** w * (J + 1) >= 2 ** 62
 
 
 class _Declaration:
@@ -169,10 +176,10 @@ class ProbeScanArgs(_Declaration):
             raise _refuse(self.kernel, "req_agg", "has no resource dimension")
         # Every window is at most D (a range above), so only an instance
         # whose widest codes overflow needs the windows in use.
-        if D ** D * (J + 1) < 2 ** 62:
+        if not codes_overflow(D, D, J):
             return
         pp = self.st_packer == 2
-        if pp.any() and D ** int(self.st_w[pp].max()) * (J + 1) >= 2 ** 62:
+        if pp.any() and codes_overflow(D, int(self.st_w[pp].max()), J):
             raise _refuse(self.kernel, "st_w",
                           "gives PP/CP codes that overflow an int64")
 
@@ -419,121 +426,8 @@ class IncrementalBestFitArgs(_Declaration):
     cap_tol: np.ndarray = _array(np.float64, "H", "D")
 
 
-@dataclass(frozen=True)
-class FirstFitArgs(_Declaration):
-    """A standalone ``ff_fill`` of a packing state (see :mod:`._loops`
-    for this and the other fills): J items, H bins, D dimensions, K items
-    in the item order, NB bins in the bin order."""
-
-    kernel: ClassVar[str] = "ff_fill"
-
-    item_agg: np.ndarray = _array(np.float64, "J", "D")
-    elem_ok: np.ndarray = _array(np.bool_, "J", "H")
-    item_order: np.ndarray = _array(np.int64, "K")
-    bin_order: np.ndarray = _array(np.int64, "NB")
-    loads: np.ndarray = _array(np.float64, "H", "D", out=True)
-    load_sum: np.ndarray = _array(np.float64, "H", out=True)
-    cap_tol: np.ndarray = _array(np.float64, "H", "D")
-    waste_limit: np.ndarray = _array(np.float64, "D")
-    assignment: np.ndarray = _array(np.int64, "J", out=True)
-
-    def _ranges(self, dims: Dims) -> Tuple[Range, ...]:
-        return (("item_order", self.item_order, 0, dims["J"]),
-                ("bin_order", self.bin_order, 0, dims["H"]))
-
-
-@dataclass(frozen=True)
-class BestFitArgs(_Declaration):
-    """A standalone ``bf_pack`` (dimensions as :class:`FirstFitArgs`)."""
-
-    kernel: ClassVar[str] = "bf_pack"
-
-    item_agg: np.ndarray = _array(np.float64, "J", "D")
-    item_agg_sum: np.ndarray = _array(np.float64, "J")
-    elem_ok: np.ndarray = _array(np.bool_, "J", "H")
-    item_order: np.ndarray = _array(np.int64, "K")
-    loads: np.ndarray = _array(np.float64, "H", "D", out=True)
-    load_sum: np.ndarray = _array(np.float64, "H", out=True)
-    cap_tol: np.ndarray = _array(np.float64, "H", "D")
-    bin_agg_sum: np.ndarray = _array(np.float64, "H")
-    by_remaining: bool
-    assignment: np.ndarray = _array(np.int64, "J", out=True)
-
-    def _ranges(self, dims: Dims) -> Tuple[Range, ...]:
-        return (("item_order", self.item_order, 0, dims["J"]),)
-
-
-@dataclass(frozen=True)
-class PackWalkArgs(_Declaration):
-    """A standalone ``pp_fill_2d``: every item in code order under the
-    dimension rankings (0, 1) and (1, 0), at D = 2."""
-
-    kernel: ClassVar[str] = "pp_fill_2d"
-
-    item_agg: np.ndarray = _array(np.float64, "J", "D")
-    elem_ok: np.ndarray = _array(np.bool_, "J", "H")
-    order0: np.ndarray = _array(np.int64, "J")
-    order1: np.ndarray = _array(np.int64, "J")
-    bin_order: np.ndarray = _array(np.int64, "NB")
-    loads: np.ndarray = _array(np.float64, "H", "D", out=True)
-    load_sum: np.ndarray = _array(np.float64, "H", out=True)
-    cap_tol: np.ndarray = _array(np.float64, "H", "D")
-    bin_agg: np.ndarray = _array(np.float64, "H", "D")
-    by_remaining: bool
-    waste_limit: np.ndarray = _array(np.float64, "D")
-    assignment: np.ndarray = _array(np.int64, "J", out=True)
-
-    def _ranges(self, dims: Dims) -> Tuple[Range, ...]:
-        J = dims["J"]
-        return (("order0", self.order0, 0, J), ("order1", self.order1, 0, J),
-                ("bin_order", self.bin_order, 0, dims["H"]))
-
-    def _conditions(self, dims: Dims) -> None:
-        if dims["D"] != 2:
-            raise _refuse(self.kernel, "item_agg",
-                          f"has D = {dims['D']}, expected 2")
-
-
-@dataclass(frozen=True)
-class PackArgs(_Declaration):
-    """A standalone ``pp_fill_general``: codes of the first ``w`` digits
-    of each item's dimension permutation and its tie rank."""
-
-    kernel: ClassVar[str] = "pp_fill_general"
-
-    item_agg: np.ndarray = _array(np.float64, "J", "D")
-    item_agg_sum: np.ndarray = _array(np.float64, "J")
-    elem_ok: np.ndarray = _array(np.bool_, "J", "H")
-    item_dim_perm: np.ndarray = _array(np.int64, "J", "D")
-    tie_rank: np.ndarray = _array(np.int64, "J")
-    w: int
-    choose_pack: bool
-    bin_order: np.ndarray = _array(np.int64, "NB")
-    loads: np.ndarray = _array(np.float64, "H", "D", out=True)
-    load_sum: np.ndarray = _array(np.float64, "H", out=True)
-    cap_tol: np.ndarray = _array(np.float64, "H", "D")
-    bin_agg: np.ndarray = _array(np.float64, "H", "D")
-    by_remaining: bool
-    waste_limit: np.ndarray = _array(np.float64, "D")
-    assignment: np.ndarray = _array(np.int64, "J", out=True)
-
-    def _ranges(self, dims: Dims) -> Tuple[Range, ...]:
-        return (("item_dim_perm", self.item_dim_perm, 0, dims["D"]),
-                ("tie_rank", self.tie_rank, 0, dims["J"]),
-                ("bin_order", self.bin_order, 0, dims["H"]))
-
-    def _conditions(self, dims: Dims) -> None:
-        D = dims["D"]
-        if not 1 <= self.w <= D:
-            raise _refuse(self.kernel, "w", f"{self.w} is outside [1, {D}]")
-        if D ** self.w * (dims["J"] + 1) >= 2 ** 62:
-            raise _refuse(self.kernel, "w",
-                          "gives PP/CP codes that overflow an int64")
-
-
 _DECLARATIONS = (ProbeScanArgs, GreedyScanArgs, ShareNodesArgs,
-                 ThresholdArgs, BatchThresholdArgs, IncrementalBestFitArgs,
-                 FirstFitArgs, BestFitArgs, PackWalkArgs, PackArgs)
+                 ThresholdArgs, BatchThresholdArgs, IncrementalBestFitArgs)
 #: Each declaration's array fields, computed once: name, dtype, shape in
 #: dimension names, and whether the kernel writes it.
 _SPECS: Dict[type, Tuple[Tuple[str, np.dtype[Any], Tuple[str, ...], bool],
@@ -587,23 +481,26 @@ def best_fit_args(req_agg: Any, elem_fit: Any, loads: np.ndarray,
 
 
 class KernelBackend:
-    """Base class: names the backend and documents the dispatch surface."""
+    """Base class: names the backend, documents the dispatch surface,
+    and runs the packers of :mod:`.packers` for every backend."""
 
     #: Registry name (``numpy``, ``native``, ``loops``).
     name: str = "?"
 
     def first_fit(self, state: Any, item_order: np.ndarray,
                   bin_order: np.ndarray) -> bool:
-        raise NotImplementedError
+        return packers.first_fit(state, item_order, bin_order)
 
     def best_fit(self, state: Any, item_order: np.ndarray,
                  by_remaining_capacity: bool) -> bool:
-        raise NotImplementedError
+        return packers.best_fit(state, item_order, by_remaining_capacity)
 
-    def permutation_pack(self, state: Any, pp: Any,
+    def permutation_pack(self, state: Any,
+                         codes_for: Callable[[Tuple[int, ...]], np.ndarray],
                          bin_order: np.ndarray,
                          by_remaining: bool) -> bool:
-        raise NotImplementedError
+        return packers.permutation_pack(state, codes_for, bin_order,
+                                        by_remaining)
 
     def affine_fit_thresholds(self, req: np.ndarray, need: np.ndarray,
                               cap: np.ndarray) -> np.ndarray:
@@ -679,14 +576,8 @@ class KernelBackend:
         return f"<KernelBackend {self.name}>"
 
 
-def _no_limit(state: Any) -> np.ndarray:
-    """An infinite waste limit: a standalone fill runs to its end, so the
-    state's loads and ``unplaced_count`` stay those of the whole run."""
-    return np.full(state.item_agg.shape[1], np.inf)
-
-
 class ArrayKernelBackend(KernelBackend):
-    """State-level adapter over flat-array loop kernels.
+    """Adapter over flat-array loop kernels.
 
     *kernels* is any namespace exposing the functions of :mod:`._loops`
     with identical signatures — the uncompiled module itself or the
@@ -703,59 +594,6 @@ class ArrayKernelBackend(KernelBackend):
         """Kernel ``args.kernel`` on the checked *args*, then *outputs*."""
         return getattr(self._k, args.kernel)(*_ARGUMENTS[type(args)](args),
                                              *outputs)
-
-    def _fill(self, state: Any, args: _Declaration) -> bool:
-        check_args(args)
-        unplaced = int(self._call(args))
-        if unplaced < 0:
-            # Called without a limit no run is cut: the C translation
-            # could not allocate its scratch.
-            raise MemoryError(f"{args.kernel} could not allocate its work "
-                              f"arrays")
-        state.unplaced_count = unplaced
-        return unplaced == 0
-
-    # -- packers -------------------------------------------------------
-    def first_fit(self, state: Any, item_order: np.ndarray,
-                  bin_order: np.ndarray) -> bool:
-        return self._fill(state, FirstFitArgs(
-            state.item_agg, state.elem_ok, _i64(item_order),
-            _i64(bin_order), state.loads, state.load_sum, state.bin_cap_tol,
-            _no_limit(state), state.assignment))
-
-    def best_fit(self, state: Any, item_order: np.ndarray,
-                 by_remaining_capacity: bool) -> bool:
-        args = BestFitArgs(
-            state.item_agg, state.item_agg_sum, state.elem_ok,
-            _i64(item_order), state.loads, state.load_sum, state.bin_cap_tol,
-            state.bin_agg_sum, bool(by_remaining_capacity), state.assignment)
-        check_args(args)
-        ok = self._call(args)
-        state.unplaced_count = int(np.count_nonzero(args.assignment < 0))
-        return bool(ok)
-
-    def permutation_pack(self, state: Any, pp: Any,
-                         bin_order: np.ndarray,
-                         by_remaining: bool) -> bool:
-        if state.item_agg.shape[1] == 2:
-            # The packed codes are a total order (they embed the
-            # item-sort tie-break rank), so a single global argsort per
-            # ranking replaces the numpy backend's per-bin sorts:
-            # walking it while skipping already-placed items visits
-            # candidates in the same sequence.
-            return self._fill(state, PackWalkArgs(
-                state.item_agg, state.elem_ok,
-                _i64(np.argsort(pp.codes_for((0, 1)))),
-                _i64(np.argsort(pp.codes_for((1, 0)))), _i64(bin_order),
-                state.loads, state.load_sum, state.bin_cap_tol,
-                state.bin_agg, bool(by_remaining), _no_limit(state),
-                state.assignment))
-        return self._fill(state, PackArgs(
-            state.item_agg, state.item_agg_sum, state.elem_ok,
-            _i64(state.item_dim_perm), _i64(pp.tie_rank), int(pp.w),
-            bool(pp.choose_pack), _i64(bin_order), state.loads,
-            state.load_sum, state.bin_cap_tol, state.bin_agg,
-            bool(by_remaining), _no_limit(state), state.assignment))
 
     # -- probe factory -------------------------------------------------
     def affine_fit_thresholds(self, req: np.ndarray, need: np.ndarray,

@@ -2,11 +2,10 @@
 
 A line-for-line translation of :mod:`._loops` compiled on demand with the
 system C compiler (``$CC`` or ``cc``).  Two structural differences:
-every bin-major fill's body is a ``static`` function that takes its
-scratch arrays from the caller (:mod:`._loops` splits off only
-First-Fit's and the 2-D walk's), and the exported fills allocate that
-scratch per call, build their orders' suffix minima in it and return -1
-when they cannot allocate; and ``probe_scan`` takes its table as
+every bin-major fill's body is a ``static`` function that only
+``probe_scan`` calls, on scratch arrays it takes from the caller
+(:mod:`._loops` splits off only First-Fit's and the 2-D walk's; no fill
+is exported); and ``probe_scan`` takes its table as
 one ``probe_table_t`` struct of dimensions and data pointers, built once
 per engine by :meth:`_NativeKernels.bind_probe_table` from a
 :class:`~.api.ProbeTable` that owns every array it points into, scratch
@@ -45,32 +44,6 @@ _C_KERNELS = r"""
 #include <math.h>
 
 #define CUT (-2)
-#define NOMEM (-1)
-
-/* The bin-major fills' bodies take their scratch from the caller:
-   probe_scan from its bound table, the exported fills per call.
-   i: J + 3*D int64 (FF pending; PP cand, perm, rank, keys with w <= D),
-   f: 2*D doubles (FF load; PP key; then the waste), dead: J bytes,
-   m: 2*(J+1)*D doubles (the suffix minima of FF's order or of the 2-D
-   walk's two orders). */
-typedef struct { int64_t *i; double *f; uint8_t *dead; double *m; } scratch_t;
-
-static int scratch_alloc(scratch_t *s, int64_t J, int64_t D)
-{
-    s->i = malloc((size_t)(J + 3*D) * sizeof(int64_t));
-    s->f = malloc((size_t)(2*D) * sizeof(double));
-    s->dead = malloc((size_t)J + 1);
-    s->m = malloc((size_t)(2*(J+1)*D) * sizeof(double));
-    return s->i && s->f && s->dead && s->m;
-}
-
-static void scratch_free(scratch_t *s)
-{
-    free(s->i);
-    free(s->f);
-    free(s->dead);
-    free(s->m);
-}
 
 /* Row i of out: per dimension, the least demand at positions i..n-1 of
    order; row n: +inf.  A NaN demand makes every row up to it NaN. */
@@ -87,14 +60,20 @@ static void suffix_minima(const double *item_agg, const int64_t *order,
     }
 }
 
-static int64_t ff_run(int64_t J, int64_t H, int64_t NB, int64_t D,
-                      const double *item_agg, const uint8_t *elem_ok,
-                      const int64_t *item_order, const double *item_min,
-                      const int64_t *bin_order,
-                      double *loads, double *load_sum,
-                      const double *cap_tol, const double *waste_limit,
-                      int64_t *assignment, int64_t *pending, double *load,
-                      double *waste, int64_t *scanned)
+/* The four fill bodies below run only inside probe_scan, on scratch
+   from its bound table (work_i: FF pending, or PP cand, perm, rank and
+   w <= D keys; work_f: FF load or PP key, then the waste; dead).  With
+   that one caller GCC -O2 would inline all four into probe_scan and
+   triple its machine code; noinline keeps each body its own function. */
+static __attribute__((noinline))
+int64_t ff_run(int64_t J, int64_t H, int64_t NB, int64_t D,
+               const double *item_agg, const uint8_t *elem_ok,
+               const int64_t *item_order, const double *item_min,
+               const int64_t *bin_order,
+               double *loads, double *load_sum,
+               const double *cap_tol, const double *waste_limit,
+               int64_t *assignment, int64_t *pending, double *load,
+               double *waste, int64_t *scanned)
 {
     int64_t npend = J;
     for (int64_t i = 0; i < J; i++) pending[i] = i;
@@ -151,25 +130,7 @@ static int64_t ff_run(int64_t J, int64_t H, int64_t NB, int64_t D,
     return npend;
 }
 
-int64_t ff_fill(int64_t J, int64_t H, int64_t NB, int64_t D,
-                const double *item_agg, const uint8_t *elem_ok,
-                const int64_t *item_order, const int64_t *bin_order,
-                double *loads, double *load_sum,
-                const double *cap_tol, const double *waste_limit,
-                int64_t *assignment)
-{
-    scratch_t sc;
-    int64_t r = NOMEM, scanned = 0;
-    if (scratch_alloc(&sc, J, D)) {
-        suffix_minima(item_agg, item_order, J, D, sc.m);
-        r = ff_run(J, H, NB, D, item_agg, elem_ok, item_order, sc.m,
-                   bin_order, loads, load_sum, cap_tol, waste_limit,
-                   assignment, sc.i, sc.f, sc.f + D, &scanned);
-    }
-    scratch_free(&sc);
-    return r;
-}
-
+static __attribute__((noinline))
 int64_t bf_pack(int64_t J, int64_t H, int64_t D,
                 const double *item_agg, const double *item_agg_sum,
                 const uint8_t *elem_ok, const int64_t *item_order,
@@ -207,16 +168,17 @@ int64_t bf_pack(int64_t J, int64_t H, int64_t D,
     return 1;
 }
 
-static int64_t pp_2d_run(int64_t J, int64_t H, int64_t NB,
-                         const double *item_agg, const uint8_t *elem_ok,
-                         const int64_t *order0, const int64_t *order1,
-                         const double *min0, const double *min1,
-                         const int64_t *bin_order,
-                         double *loads, double *load_sum,
-                         const double *cap_tol, const double *bin_agg,
-                         int64_t by_remaining, const double *waste_limit,
-                         int64_t *assignment, uint8_t *dead,
-                         int64_t *scanned)
+static __attribute__((noinline))
+int64_t pp_2d_run(int64_t J, int64_t H, int64_t NB,
+                  const double *item_agg, const uint8_t *elem_ok,
+                  const int64_t *order0, const int64_t *order1,
+                  const double *min0, const double *min1,
+                  const int64_t *bin_order,
+                  double *loads, double *load_sum,
+                  const double *cap_tol, const double *bin_agg,
+                  int64_t by_remaining, const double *waste_limit,
+                  int64_t *assignment, uint8_t *dead,
+                  int64_t *scanned)
 {
     int64_t unplaced = 0, visited = 0;
     for (int64_t j = 0; j < J; j++)
@@ -301,43 +263,17 @@ static int64_t pp_2d_run(int64_t J, int64_t H, int64_t NB,
     return unplaced;
 }
 
-int64_t pp_fill_2d(int64_t J, int64_t H, int64_t NB,
-                   const double *item_agg, const uint8_t *elem_ok,
-                   const int64_t *order0, const int64_t *order1,
-                   const int64_t *bin_order,
-                   double *loads, double *load_sum,
-                   const double *cap_tol, const double *bin_agg,
-                   int64_t by_remaining, const double *waste_limit,
-                   int64_t *assignment)
-{
-    scratch_t sc;
-    int64_t r = NOMEM, scanned = 0;
-    if (scratch_alloc(&sc, J, 2)) {
-        suffix_minima(item_agg, order0, J, 2, sc.m);
-        suffix_minima(item_agg, order1, J, 2, sc.m + (J+1)*2);
-        r = pp_2d_run(J, H, NB, item_agg, elem_ok, order0, order1, sc.m,
-                      sc.m + (J+1)*2, bin_order, loads, load_sum, cap_tol,
-                      bin_agg, by_remaining, waste_limit, assignment,
-                      sc.dead, &scanned);
-    }
-    scratch_free(&sc);
-    return r;
-}
-
-static int64_t pp_general_run(int64_t J, int64_t H, int64_t NB, int64_t D,
-                              int64_t w, int64_t choose_pack,
-                              const double *item_agg,
-                              const double *item_agg_sum,
-                              const uint8_t *elem_ok,
-                              const int64_t *item_dim_perm,
-                              const int64_t *tie_rank,
-                              const int64_t *bin_order,
-                              double *loads, double *load_sum,
-                              const double *cap_tol, const double *bin_agg,
-                              int64_t by_remaining,
-                              const double *waste_limit,
-                              int64_t *assignment, int64_t *iscr,
-                              double *fscr, uint8_t *dead)
+static __attribute__((noinline))
+int64_t pp_general_run(int64_t J, int64_t H, int64_t NB, int64_t D,
+                       int64_t w, int64_t choose_pack,
+                       const double *item_agg, const double *item_agg_sum,
+                       const uint8_t *elem_ok, const int64_t *item_dim_perm,
+                       const int64_t *tie_rank, const int64_t *bin_order,
+                       double *loads, double *load_sum,
+                       const double *cap_tol, const double *bin_agg,
+                       int64_t by_remaining, const double *waste_limit,
+                       int64_t *assignment, int64_t *iscr, double *fscr,
+                       uint8_t *dead)
 {
     int64_t unplaced = 0;
     int64_t *cand = iscr, *perm = iscr + J, *rank = iscr + J + D;
@@ -441,28 +377,6 @@ static int64_t pp_general_run(int64_t J, int64_t H, int64_t NB, int64_t D,
             waste[d] += cap_tol[h*D+d] - loads[h*D+d];
     }
     return unplaced;
-}
-
-int64_t pp_fill_general(int64_t J, int64_t H, int64_t NB, int64_t D,
-                        int64_t w, int64_t choose_pack,
-                        const double *item_agg, const double *item_agg_sum,
-                        const uint8_t *elem_ok, const int64_t *item_dim_perm,
-                        const int64_t *tie_rank, const int64_t *bin_order,
-                        double *loads, double *load_sum,
-                        const double *cap_tol, const double *bin_agg,
-                        int64_t by_remaining, const double *waste_limit,
-                        int64_t *assignment)
-{
-    scratch_t sc;
-    int64_t r = NOMEM;
-    if (scratch_alloc(&sc, J, D))
-        r = pp_general_run(J, H, NB, D, w, choose_pack, item_agg,
-                           item_agg_sum, elem_ok, item_dim_perm, tie_rank,
-                           bin_order, loads, load_sum, cap_tol, bin_agg,
-                           by_remaining, waste_limit, assignment, sc.i,
-                           sc.f, sc.dead);
-    scratch_free(&sc);
-    return r;
 }
 
 /* Rows of J items' thresholds against H bins, row j at out + j*ld.
@@ -1278,10 +1192,6 @@ def _build_library() -> str:
 #: Each exported kernel's C arguments, in order: ``i`` an int64, ``d`` a
 #: double, ``p`` a raw data address (every array; see :class:`_NativeKernels`).
 _SIGNATURES = {
-    "ff_fill": "iiii" + "p" * 9,
-    "bf_pack": "iii" + "p" * 8 + "ip",
-    "pp_fill_2d": "iii" + "p" * 9 + "ipp",
-    "pp_fill_general": "iiiiii" + "p" * 10 + "ipp",
     "affine_fit_thresholds": "iii" + "p" * 4,
     "batch_fit_thresholds": "iiii" + "p" * 6,
     "incremental_best_fit": "iii" + "p" * 6,
@@ -1329,43 +1239,6 @@ class _NativeKernels:
         lib.probe_scan.argtypes = [ctypes.POINTER(_ProbeTable),
                                    ctypes.c_double, ctypes.c_void_p,
                                    ctypes.c_int64, ctypes.c_void_p]
-
-    def ff_fill(self, item_agg, elem_ok, item_order, bin_order,
-                loads, load_sum, cap_tol, waste_limit, assignment):
-        return self._lib.ff_fill(
-            item_order.shape[0], loads.shape[0], bin_order.shape[0],
-            item_agg.shape[1], *_addresses(
-                item_agg, elem_ok, item_order, bin_order, loads, load_sum,
-                cap_tol, waste_limit, assignment))
-
-    def bf_pack(self, item_agg, item_agg_sum, elem_ok, item_order,
-                loads, load_sum, cap_tol, bin_agg_sum, by_remaining,
-                assignment):
-        return self._lib.bf_pack(
-            item_order.shape[0], loads.shape[0], item_agg.shape[1],
-            *_addresses(item_agg, item_agg_sum, elem_ok, item_order, loads,
-                        load_sum, cap_tol, bin_agg_sum),
-            int(by_remaining), assignment.ctypes.data)
-
-    def pp_fill_2d(self, item_agg, elem_ok, order0, order1, bin_order,
-                   loads, load_sum, cap_tol, bin_agg, by_remaining,
-                   waste_limit, assignment):
-        return self._lib.pp_fill_2d(
-            item_agg.shape[0], loads.shape[0], bin_order.shape[0],
-            *_addresses(item_agg, elem_ok, order0, order1, bin_order, loads,
-                        load_sum, cap_tol, bin_agg),
-            int(by_remaining), *_addresses(waste_limit, assignment))
-
-    def pp_fill_general(self, item_agg, item_agg_sum, elem_ok,
-                        item_dim_perm, tie_rank, w, choose_pack,
-                        bin_order, loads, load_sum, cap_tol, bin_agg,
-                        by_remaining, waste_limit, assignment):
-        return self._lib.pp_fill_general(
-            item_agg.shape[0], loads.shape[0], bin_order.shape[0],
-            item_agg.shape[1], int(w), int(choose_pack), *_addresses(
-                item_agg, item_agg_sum, elem_ok, item_dim_perm, tie_rank,
-                bin_order, loads, load_sum, cap_tol, bin_agg),
-            int(by_remaining), *_addresses(waste_limit, assignment))
 
     def affine_fit_thresholds(self, req, need, cap, out):
         return self._lib.affine_fit_thresholds(

@@ -39,13 +39,11 @@ from .trace import (
     ENV_VAR,
     Span,
     configure,
-    current_span_id,
     current_trace_id,
     disable,
     enabled,
     event,
     new_trace_id,
-    sink_path,
     span,
     timed_span,
     trace_context,
@@ -55,13 +53,11 @@ __all__ = [
     "ENV_VAR",
     "Span",
     "configure",
-    "current_span_id",
     "current_trace_id",
     "disable",
     "enabled",
     "event",
     "new_trace_id",
-    "sink_path",
     "span",
     "timed_span",
     "trace_context",

@@ -188,10 +188,6 @@ class Gauge(_Family):
         with self._lock:
             self._value += amount
 
-    def dec(self, amount: float = 1.0) -> None:
-        with self._lock:
-            self._value -= amount
-
     def set_function(self, fn: Callable[[], float]) -> None:
         """Compute the value lazily at read time (e.g. uptime)."""
         self._fn = fn

@@ -50,13 +50,11 @@ __all__ = [
     "ENV_VAR",
     "Span",
     "configure",
-    "current_span_id",
     "current_trace_id",
     "disable",
     "enabled",
     "event",
     "new_trace_id",
-    "sink_path",
     "span",
     "timed_span",
     "trace_context",
@@ -146,22 +144,10 @@ def enabled() -> bool:
     return _enabled
 
 
-def sink_path() -> Optional[str]:
-    """The active sink's path, or ``None`` when tracing is disabled."""
-    sink = _sink
-    return None if sink is None else sink.path
-
-
 def current_trace_id() -> Optional[str]:
     """Trace id of the enclosing span/:class:`trace_context`, if any."""
     cur = _current.get()
     return None if cur is None else cur[0]
-
-
-def current_span_id() -> Optional[str]:
-    """Span id of the innermost active span, if any."""
-    cur = _current.get()
-    return None if cur is None else cur[1]
 
 
 class Span:

@@ -1,6 +1,5 @@
 """Platform churn: event generation, schedules, and simulator coupling."""
 
-import numpy as np
 import pytest
 
 from repro.algorithms import metahvp_light
@@ -112,16 +111,6 @@ class TestSchedule:
         with pytest.raises(ValueError, match="capacity factor"):
             PlatformSchedule(horizon=3, n_nodes=2, events=(
                 CapacityChange(time=1, node=0, factor=-1.0),))
-
-    def test_event_counts(self):
-        sched = PlatformSchedule(horizon=5, n_nodes=3, events=(
-            NodeFailure(time=1, node=0),
-            NodeRecovery(time=2, node=0),
-            CapacityChange(time=2, node=1, factor=0.75),
-        ))
-        assert sched.total_failures == 1
-        assert sched.total_recoveries == 1
-        assert sched.total_capacity_changes == 1
 
 
 class TestSimulatorChurn:

@@ -19,15 +19,20 @@ from repro.algorithms.vector_packing import (
     FusedProbeEngine,
     MetaProbeEngine,
     MetaSolver,
+    SortStrategy,
     StrategyTable,
+    VPStrategy,
     hvp_light_strategies,
     hvp_strategies,
     make_engine,
 )
 from repro.algorithms.vector_packing import legacy
+from repro.algorithms.vector_packing.sorting import SUM
+from repro.algorithms.vector_packing.strategies import PP
 from repro.core.instance import ProblemInstance
 from repro.core.node import NodeArray
 from repro.core.service import ServiceArray
+from repro.kernels.api import codes_overflow
 from repro.kernels.batch import BatchInstances
 from repro.workloads import ScenarioConfig, generate_instance
 
@@ -261,6 +266,27 @@ class TestEngineSelector:
         assert sstats[0]["certified"] == pytest.approx(0.2478, abs=1e-4)
         _assert_same(seq, sstats, ref, rstats, (backend, "seq"))
         _assert_equivalent(got, bstats, seq, sstats, backend)
+
+
+@pytest.mark.parametrize("backend", [
+    p for p in _backend_params() if p.values[0] != "numpy"])
+@pytest.mark.parametrize("J,fits", [(414, True), (415, False)])
+def test_int64_boundary_at_d14(backend, J, fits):
+    """One overflow rule, ``codes_overflow``: at D = w = 14 the widest
+    PP codes fit an int64 for J = 414 and overflow it for J = 415.
+    The selector then picks the fused engine and the per-strategy one,
+    and binding a fused table past the line refuses."""
+    assert codes_overflow(14, 14, J) is not fits
+    table = StrategyTable([VPStrategy(PP, SortStrategy(SUM, descending=True))])
+    assert table.codes_fit_int64(14, J) is fits
+    inst = synthetic_instance(14, J=J, H=2, seed=1)
+    with kernels.kernel_backend(backend):
+        engine = make_engine(inst, table)
+        assert type(engine) is (FusedProbeEngine if fits else MetaProbeEngine)
+        if not fits:
+            with pytest.raises(ValueError, match="^probe_scan: st_w gives "
+                                                 "PP/CP codes that overflow"):
+                FusedProbeEngine(inst, table)
 
 
 class TestCompiledStrategyTable:

@@ -4,14 +4,14 @@ Each case is one declaration of :mod:`repro.kernels.api` with good
 arguments and the backend call that takes them.  Behind
 :class:`~repro.kernels.api.ArrayKernelBackend` sits a stub whose kernels
 only record that they were called: the good arguments must reach it, and
-no corrupted array may — a wrong dtype, a wrong shape, a strided array,
-a read-only output, or an index at -1 or at the upper bound of its
-declared range.  An argument the adapter converts (the thresholds'
-inputs, the best-fit's newcomer rows, the fills' orders) is only
-refused for its shape and range; one it makes itself (a fill's waste
-limit, the 2-D walk orders) cannot be corrupted from outside.  The numpy
-backend runs no kernel, but refuses the same corrupted greedy, sharing,
-threshold and best-fit arguments.
+no corrupted array may — a wrong dtype, a wrong shape, a strided or
+column-major array, a read-only output, or an index at -1 or at the
+upper bound of its declared range.  An argument the adapter converts
+(the thresholds' inputs, the best-fit's newcomer rows) is only refused
+for its shape and range.  The numpy backend runs no kernel, but refuses
+the same corrupted greedy, sharing, threshold and best-fit arguments.
+The fused probe's per-call ``scan`` and ``assignment`` are checked on
+every probe.
 """
 
 import dataclasses
@@ -24,19 +24,16 @@ import pytest
 from repro import kernels
 from repro.algorithms.greedy import _ALL_PASSES, _scan_args
 from repro.algorithms.vector_packing import FusedProbeEngine
-from repro.algorithms.vector_packing.state import PackingState
 from repro.kernels import _loops
 from repro.kernels.api import (ArrayKernelBackend, BatchThresholdArgs,
-                               BestFitArgs, FirstFitArgs, GreedyScanArgs,
-                               IncrementalBestFitArgs, PackArgs,
-                               PackWalkArgs, ProbeScanArgs, ShareNodesArgs,
-                               ThresholdArgs, _SPECS, check_args)
+                               GreedyScanArgs, IncrementalBestFitArgs,
+                               ProbeScanArgs, ShareNodesArgs, ThresholdArgs,
+                               _SPECS, check_args)
 from repro.kernels.native_backend import _NativeKernels
 from repro.kernels.numpy_backend import NumpyKernelBackend
 from tests.kernels.test_probe_bind import TABLE, args_of, random_instance
 
-KERNELS = ("ff_fill", "bf_pack", "pp_fill_2d", "pp_fill_general",
-           "affine_fit_thresholds", "batch_fit_thresholds",
+KERNELS = ("affine_fit_thresholds", "batch_fit_thresholds",
            "incremental_best_fit", "bind_probe_table", "probe_scan",
            "greedy_scan", "share_nodes")
 
@@ -50,48 +47,6 @@ def recording_backend():
 
     return ArrayKernelBackend("stub", SimpleNamespace(
         **{name: stub(name) for name in KERNELS})), calls
-
-
-#: A fill declaration's field and the packing state attribute it comes
-#: from, where their names differ.
-STATE = {"cap_tol": "bin_cap_tol"}
-STATE_FIELDS = ("item_agg", "item_agg_sum", "elem_ok", "loads", "load_sum",
-                "cap_tol", "bin_agg", "bin_agg_sum", "assignment")
-
-
-def fill(cls, state, **orders):
-    """Fill declaration *cls* of packing *state*, with *orders*."""
-    return cls(**{f.name: orders[f.name] if f.name in orders
-                  else getattr(state, STATE.get(f.name, f.name))
-                  for f in dataclasses.fields(cls)})
-
-
-def state_of(a, **extra):
-    """A packing state holding a fill declaration's state arrays."""
-    return SimpleNamespace(**{STATE.get(name, name): getattr(a, name)
-                              for name in STATE_FIELDS if hasattr(a, name)},
-                           **extra)
-
-
-def good_fills():
-    s2 = PackingState(random_instance(D=2, J=6, H=3), 0.3)
-    s3 = PackingState(random_instance(D=3, J=6, H=3), 0.3)
-    orders = np.arange(6, dtype=np.int64)
-    bins = np.array([2, 0, 1], dtype=np.int64)
-    return {
-        FirstFitArgs: fill(FirstFitArgs, s2, item_order=orders[::-1].copy(),
-                           bin_order=bins, waste_limit=np.full(2, np.inf)),
-        BestFitArgs: fill(BestFitArgs, s2, item_order=orders,
-                          by_remaining=True),
-        PackWalkArgs: fill(PackWalkArgs, s2, order0=orders,
-                           order1=orders[::-1].copy(), bin_order=bins,
-                           waste_limit=np.full(2, np.inf),
-                           by_remaining=False),
-        PackArgs: fill(PackArgs, s3, item_dim_perm=s3.item_dim_perm,
-                       tie_rank=orders[::-1].copy(), bin_order=bins,
-                       waste_limit=np.full(3, np.inf), w=2,
-                       choose_pack=True, by_remaining=True),
-    }
 
 
 def good_args():
@@ -114,7 +69,6 @@ def good_args():
         IncrementalBestFitArgs: IncrementalBestFitArgs(
             rng.random((3, 2)), rng.random((3, 4)) < 0.7, np.zeros((4, 2)),
             np.ones((4, 2)), np.ones((4, 2))),
-        **good_fills(),
     }
 
 
@@ -128,19 +82,6 @@ CALLS = {
         a.req, a.need, a.cap, a.n_items, a.n_bins),
     IncrementalBestFitArgs: lambda be, a: be.incremental_best_fit(
         a.req_agg, a.elem_fit, a.loads, a.agg, a.cap_tol),
-    FirstFitArgs: lambda be, a: be.first_fit(state_of(a), a.item_order,
-                                             a.bin_order),
-    BestFitArgs: lambda be, a: be.best_fit(state_of(a), a.item_order,
-                                           a.by_remaining),
-    PackWalkArgs: lambda be, a: be.permutation_pack(
-        state_of(a), SimpleNamespace(codes_for=lambda ranking: np.argsort(
-            a.order0 if ranking == (0, 1) else a.order1)),
-        a.bin_order, a.by_remaining),
-    PackArgs: lambda be, a: be.permutation_pack(
-        state_of(a, item_dim_perm=a.item_dim_perm),
-        SimpleNamespace(tie_rank=a.tie_rank, w=a.w,
-                        choose_pack=a.choose_pack),
-        a.bin_order, a.by_remaining),
 }
 
 #: Arguments the adapter converts to its dtype and C order.
@@ -148,16 +89,6 @@ CONVERTED = {
     ThresholdArgs: {"req", "need", "cap"},
     BatchThresholdArgs: {"req", "need", "cap", "n_items", "n_bins"},
     IncrementalBestFitArgs: {"req_agg", "elem_fit"},
-    FirstFitArgs: {"item_order", "bin_order"},
-    BestFitArgs: {"item_order"},
-    PackWalkArgs: {"bin_order"},
-    PackArgs: {"item_dim_perm", "tie_rank", "bin_order"},
-}
-#: Arrays the adapter makes itself.
-MADE = {
-    FirstFitArgs: {"waste_limit"},
-    PackWalkArgs: {"order0", "order1", "waste_limit"},
-    PackArgs: {"waste_limit"},
 }
 #: The declarations the numpy backend checks.
 NUMPY_CHECKS = (GreedyScanArgs, ShareNodesArgs, ThresholdArgs,
@@ -168,8 +99,7 @@ GOOD = good_args()
 
 def fresh(args):
     """*args* with every array copied, so a call that writes (the
-    best-fit's loads, a fill's state) leaves the good arguments as
-    they were."""
+    best-fit's loads) leaves the good arguments as they were."""
     return dataclasses.replace(args, **{
         name: getattr(args, name).copy() for name, *_ in _SPECS[type(args)]})
 
@@ -190,24 +120,24 @@ def corruptions(cls):
     """``(label, field, corrupted value, error)`` for each array field of
     declaration *cls* the call lets a caller corrupt."""
     good = GOOD[cls]
-    skip = MADE.get(cls, set())
     converted = CONVERTED.get(cls, set())
     out = []
     for name, _, _, written in _SPECS[cls]:
-        if name in skip:
-            continue
         arr = getattr(good, name)
         if name not in converted:
             out.append(("dtype", name, _wrong_dtype(arr), TypeError))
             out.append(("strided", name, np.repeat(arr, 2, axis=-1)[..., ::2],
                         ValueError))
+            # One block of memory, but not in C order: two axes longer
+            # than 1 (a memoryview calls it contiguous).
+            column_major = np.asfortranarray(arr)
+            if not column_major.flags.c_contiguous:
+                out.append(("column-major", name, column_major, ValueError))
         out.append(("shape", name, np.ascontiguousarray(arr[..., None]),
                     ValueError))
         if written:
             out.append(("read-only", name, _read_only(arr), ValueError))
     for name, values, lo, hi in good._ranges(check_args(fresh(good))):
-        if name in skip:
-            continue
         for bad in (-1, hi):
             arr = getattr(good, name).copy()
             if values is getattr(good, name):
@@ -236,7 +166,7 @@ def test_good_arguments_reach_the_kernel(cls):
 def test_every_kernel_has_a_case():
     assert {cls.kernel for cls in CALLS} == {
         cls.kernel for cls in _SPECS}
-    assert len(_SPECS) == 10
+    assert len(_SPECS) == 6
 
 
 @pytest.mark.parametrize("cls", [cls for cls in CALLS
@@ -313,38 +243,6 @@ def test_greedy_inputs_the_kernel_would_follow_out_of_bounds(backend_name,
     assert calls == []
 
 
-@pytest.mark.parametrize("w", [0, 4])
-def test_pp_window_outside_the_dimensions(w):
-    backend, calls = recording_backend()
-    bad = dataclasses.replace(fresh(GOOD[PackArgs]), w=w)
-    with pytest.raises(ValueError, match="^pp_fill_general: w "):
-        CALLS[PackArgs](backend, bad)
-    assert calls == []
-
-
-def test_pp_codes_that_overflow_an_int64():
-    backend, calls = recording_backend()
-    a = GOOD[PackArgs]
-    state = state_of(a, item_dim_perm=np.zeros((6, 40), dtype=np.int64))
-    state.item_agg = np.zeros((6, 40))
-    state.loads = np.zeros((3, 40))
-    state.cap_tol = state.bin_cap_tol = np.zeros((3, 40))
-    state.bin_agg = np.zeros((3, 40))
-    pp = SimpleNamespace(tie_rank=a.tie_rank, w=40, choose_pack=False)
-    with pytest.raises(ValueError, match="overflow an int64"):
-        backend.permutation_pack(state, pp, a.bin_order, False)
-    assert calls == []
-
-
-def test_walk_orders_of_another_length():
-    backend, calls = recording_backend()
-    a = fresh(GOOD[PackWalkArgs])
-    pp = SimpleNamespace(codes_for=lambda ranking: np.arange(7))
-    with pytest.raises(ValueError, match="^pp_fill_2d: order0 "):
-        backend.permutation_pack(state_of(a), pp, a.bin_order, False)
-    assert calls == []
-
-
 @pytest.mark.parametrize("bad", ["-1", "S"])
 def test_scan_entries_outside_the_strategies(bad):
     """Each probe's C follows every ``scan`` entry into the strategy
@@ -360,4 +258,36 @@ def test_scan_entries_outside_the_strategies(bad):
     with pytest.raises(ValueError, match=rf"^probe_scan: scan has an entry "
                                          rf"outside \[0, {S}\)"):
         backend.probe_scan(table, 0.5, scan, assignment)
+    assert calls == ["bind_probe_table", "probe_scan"]
+
+
+#: A malformed per-probe buffer, by field, and how it is spoiled.
+PROBE_BUFFERS = {
+    "scan-dtype": ("scan", lambda a: a.astype(np.int32)),
+    "scan-shape": ("scan", lambda a: a[None, :].copy()),
+    "scan-strided": ("scan", lambda a: np.repeat(a, 2)[::2]),
+    "assignment-dtype": ("assignment", lambda a: a.astype(np.int32)),
+    "assignment-length": ("assignment", lambda a: a[:-1].copy()),
+    "assignment-shape": ("assignment", lambda a: a[None, :].copy()),
+    "assignment-strided": ("assignment", lambda a: np.repeat(a, 2)[::2]),
+    "assignment-read-only": ("assignment", _read_only),
+}
+
+
+@pytest.mark.parametrize("case", list(PROBE_BUFFERS))
+def test_malformed_probe_buffers_never_reach_the_kernel(case):
+    """``scan`` (read) and ``assignment`` (written) come with each probe,
+    not with the bound table, so ``probe_scan`` checks them on every
+    call: an int64 vector, C-contiguous, the assignment writable and one
+    entry per item."""
+    backend, calls = recording_backend()
+    table = backend.bind_probe_scan(fresh(GOOD[ProbeScanArgs]))
+    buffers = {"scan": np.arange(table.S, dtype=np.int64),
+               "assignment": np.zeros(table.J, dtype=np.int64)}
+    backend.probe_scan(table, 0.5, buffers["scan"], buffers["assignment"])
+    assert calls == ["bind_probe_table", "probe_scan"]
+    name, spoil = PROBE_BUFFERS[case]
+    buffers[name] = spoil(buffers[name])
+    with pytest.raises(ValueError, match=f"^{name} must be "):
+        backend.probe_scan(table, 0.5, buffers["scan"], buffers["assignment"])
     assert calls == ["bind_probe_table", "probe_scan"]

@@ -1,10 +1,13 @@
 """Cross-backend kernel equivalence and registry behavior.
 
-Every available backend must produce *bit-identical* results — placements,
-loads, load sums, threshold tables, dynamic best-fit choices — for
-identical inputs.  The ``numpy`` backend is the reference; ``loops`` (the
-uncompiled scalar source) always runs; ``native`` runs wherever a C
-compiler exists and is skipped cleanly otherwise.
+Every available backend must produce *bit-identical* results — threshold
+tables, dynamic best-fit choices, each strategy's placement, loads and
+load sums, META* yields — for identical inputs.  The ``numpy`` backend
+is the reference; ``loops`` (the uncompiled scalar source) always runs;
+``native`` runs wherever a C compiler exists and is skipped cleanly
+otherwise.  The per-strategy packers are one set of functions on every
+backend, so each strategy runs through the engine the backend's selector
+builds: the fused ``probe_scan`` on the compiled backends.
 """
 
 from types import SimpleNamespace
@@ -14,16 +17,27 @@ import pytest
 
 from repro import kernels
 from repro.algorithms.vector_packing import (
+    FusedProbeEngine,
     MetaProbeEngine,
+    StrategyTable,
     YieldProbeFactory,
     hvp_light_strategies,
     hvp_strategies,
+    make_engine,
 )
-from repro.algorithms.vector_packing.strategies import ProbeContext
+from repro.algorithms.vector_packing.strategies import (
+    BF,
+    ProbeContext,
+    execute_strategy,
+)
 from repro.algorithms.yield_search import binary_search_max_yield
 from repro.kernels import _loops
-from repro.kernels.api import ArrayKernelBackend
-from repro.kernels.native_backend import NativeBuildError, load_native_kernels
+from repro.kernels.api import ArrayKernelBackend, KernelBackend
+from repro.kernels.native_backend import (
+    _SIGNATURES,
+    NativeBuildError,
+    load_native_kernels,
+)
 from repro.workloads import ScenarioConfig, generate_instance
 
 AVAILABILITY = kernels.available_backends()
@@ -55,6 +69,54 @@ STRATEGIES = hvp_strategies()[::11]
 YIELDS = (0.0, 0.35, 0.8)
 
 
+def _outcome(placement, loads, load_sum):
+    """A run's placement, loads and load sums (``None`` when it does not
+    pack), in a form that compares bit for bit."""
+    if placement is None:
+        return None
+    return placement.tolist(), loads.tobytes(), load_sum.tobytes()
+
+
+def _reference_runs(instance, y):
+    """numpy's direct-comparison probe: every strategy alone on a clean
+    state."""
+    with kernels.kernel_backend("numpy"):
+        ctx = ProbeContext(instance, y)
+        return [_outcome(ctx.run(strategy), ctx.state.loads,
+                         ctx.state.load_sum) for strategy in STRATEGIES]
+
+
+def _engine_runs(instance, y):
+    """Every strategy alone at yield *y* through the engine the active
+    backend's selector builds for the whole list: the fused kernel
+    scanning one strategy, or the per-strategy engine's probe context
+    (its elementary fits and bin orders from the engine's factory, its
+    outcome memo bypassed so each run's loads stay to read)."""
+    engine = make_engine(instance, StrategyTable(STRATEGIES))
+    if isinstance(engine, FusedProbeEngine):
+        t = engine._table
+        outs = []
+        for s in range(len(STRATEGIES)):
+            assignment = np.empty(len(instance.services), dtype=np.int64)
+            si, _, _ = engine.backend.probe_scan(
+                t, y, np.array([s], dtype=np.int64), assignment)
+            outs.append(_outcome(assignment if si == 0 else None, t.loads,
+                                 t.load_sum))
+        return outs
+    ctx = engine.factory.probe(y)
+    if ctx is None:  # above every item's fit: nothing packs
+        return [None] * len(STRATEGIES)
+    return [_outcome(execute_strategy(
+        ctx.state, strategy, ctx.item_order(strategy.item_sort),
+        None if strategy.packer == BF else ctx.bin_order(strategy.bin_sort)),
+        ctx.state.loads, ctx.state.load_sum) for strategy in STRATEGIES]
+
+
+def _assert_runs_equal(ref, got, where):
+    for strategy, a, b in zip(STRATEGIES, ref, got):
+        assert b == a, (strategy.name, *where)
+
+
 def per_pair_thresholds(req, need, cap):
     """The yield-threshold table, one (item, bin) pair at a time over the
     dimensions in order: the order every backend's minimum must match."""
@@ -74,25 +136,6 @@ def per_pair_thresholds(req, need, cap):
                     m = t
             out[j, h] = m
     return out
-
-
-def _run_all_strategies(instance, y):
-    """(placements, loads, load_sum) under the active backend."""
-    ctx = ProbeContext(instance, y)
-    outs = []
-    for strategy in STRATEGIES:
-        placement = ctx.run(strategy)
-        outs.append(None if placement is None else placement.copy())
-    return outs, ctx.state.loads.copy(), ctx.state.load_sum.copy()
-
-
-@pytest.fixture(scope="module")
-def reference_runs():
-    with kernels.kernel_backend("numpy"):
-        return {
-            (cfg, y): _run_all_strategies(generate_instance(cfg), y)
-            for cfg in INSTANCES for y in YIELDS
-        }
 
 
 class TestRegistry:
@@ -154,16 +197,14 @@ def test_native_build_splits_cc(cc, tmp_path, monkeypatch):
     native = load_native_kernels()
     assert list(tmp_path.glob("repro_kernels_*.so"))
 
-    def fill(k):
-        loads, load_sum = np.zeros((2, 2)), np.zeros(2)
-        assignment = np.full(3, -1, dtype=np.int64)
-        left = k.ff_fill(np.full((3, 2), 0.5), np.ones((3, 2), dtype=bool),
-                         np.arange(3), np.arange(2), loads, load_sum,
-                         np.ones((2, 2)), np.full(2, np.inf), assignment)
-        return left, assignment.tolist(), loads.tolist()
+    def thresholds(k):
+        out = np.empty((2, 2))
+        k.affine_fit_thresholds(np.zeros((2, 1)), np.array([[1.0], [2.0]]),
+                                np.array([[1.0], [0.5]]), out)
+        return out.tolist()
 
-    assert fill(native) == fill(_loops) == (0, [0, 0, 1],
-                                            [[1.0, 1.0], [0.5, 0.5]])
+    assert thresholds(native) == thresholds(_loops) == [[1.0, 0.5],
+                                                        [0.5, 0.25]]
 
 
 def test_unparsable_cc_is_a_build_error(tmp_path, monkeypatch):
@@ -177,21 +218,15 @@ def test_unparsable_cc_is_a_build_error(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("backend", _backend_params())
 class TestBitEquivalence:
-    def test_packer_placements_loads(self, backend, reference_runs):
-        """All strategies, several yields: identical placements/loads."""
-        with kernels.kernel_backend(backend):
-            for (cfg, y), (ref_outs, ref_loads, ref_ls) in \
-                    reference_runs.items():
-                outs, loads, ls = _run_all_strategies(
-                    generate_instance(cfg), y)
-                for strategy, a, b in zip(STRATEGIES, ref_outs, outs):
-                    if a is None:
-                        assert b is None, (strategy.name, cfg, y)
-                    else:
-                        assert b is not None, (strategy.name, cfg, y)
-                        assert (a == b).all(), (strategy.name, cfg, y)
-                assert np.array_equal(ref_loads, loads), (cfg, y)
-                assert np.array_equal(ref_ls, ls), (cfg, y)
+    def test_packer_placements_loads(self, backend):
+        """All strategies, several yields: identical placements, loads
+        and load sums."""
+        for cfg in INSTANCES:
+            inst = generate_instance(cfg)
+            for y in YIELDS:
+                with kernels.kernel_backend(backend):
+                    got = _engine_runs(inst, y)
+                _assert_runs_equal(_reference_runs(inst, y), got, (cfg, y))
 
     def test_affine_thresholds(self, backend):
         for cfg in INSTANCES:
@@ -272,33 +307,31 @@ class TestBitEquivalence:
 
     @pytest.mark.parametrize("dims", (1, 3, 5))
     def test_any_d_strategies_match_numpy(self, backend, dims):
-        """General-D kernels: every packer bit-equals the numpy path."""
+        """General D: every strategy bit-equals the numpy path."""
         from tests.kernels.test_batch_solve import synthetic_instance
         inst = synthetic_instance(dims, J=15, H=5, seed=dims)
         for y in YIELDS:
-            with kernels.kernel_backend("numpy"):
-                ref_outs, ref_loads, ref_ls = _run_all_strategies(inst, y)
             with kernels.kernel_backend(backend):
-                outs, loads, ls = _run_all_strategies(inst, y)
-            for strategy, a, b in zip(STRATEGIES, ref_outs, outs):
-                if a is None:
-                    assert b is None, (strategy.name, dims, y)
-                else:
-                    assert b is not None, (strategy.name, dims, y)
-                    assert (a == b).all(), (strategy.name, dims, y)
-            assert np.array_equal(ref_loads, loads), (dims, y)
-            assert np.array_equal(ref_ls, ls), (dims, y)
+                got = _engine_runs(inst, y)
+            _assert_runs_equal(_reference_runs(inst, y), got, (dims, y))
 
     def test_meta_solve_certifies_identical_yields(self, backend):
-        strategies = hvp_light_strategies()
+        """The engine each backend's selector builds — fused on the
+        compiled backends, per-strategy on numpy — against numpy's
+        per-strategy engine: the same yield, placement and oracle work."""
+        table = StrategyTable(hvp_light_strategies())
         for cfg in INSTANCES[:2]:
             inst = generate_instance(cfg)
-            with kernels.kernel_backend("numpy"):
-                ref = binary_search_max_yield(
-                    inst, MetaProbeEngine(inst, strategies), improve=False)
-            with kernels.kernel_backend(backend):
-                got = binary_search_max_yield(
-                    inst, MetaProbeEngine(inst, strategies), improve=False)
+            runs = {}
+            for name in ("numpy", backend):
+                with kernels.kernel_backend(name):
+                    engine = make_engine(inst, table)
+                    runs[name] = (engine, binary_search_max_yield(
+                        inst, engine, improve=False))
+            (ref_engine, ref), (engine, got) = runs["numpy"], runs[backend]
+            assert isinstance(ref_engine, MetaProbeEngine)
+            fused = backend != "numpy"
+            assert isinstance(engine, FusedProbeEngine) is fused, cfg
             if ref is None:
                 assert got is None, cfg
             else:
@@ -307,6 +340,38 @@ class TestBitEquivalence:
                 # equality is exact, not approximate.
                 assert got.minimum_yield() == ref.minimum_yield(), cfg
                 assert (got.placement == ref.placement).all(), cfg
+            assert (engine.probes, engine.strategy_runs) == (
+                ref_engine.probes, ref_engine.strategy_runs), cfg
+
+
+class TestOnePackerPath:
+    """Every backend answers ``first_fit``, ``best_fit`` and
+    ``permutation_pack`` with the same functions, and a compiled backend
+    runs its fills only inside ``probe_scan``: neither the C library nor
+    the loops source exports a standalone fill."""
+
+    @pytest.mark.parametrize("method", ["first_fit", "best_fit",
+                                        "permutation_pack"])
+    def test_every_backend_runs_one_packer(self, method):
+        names = [name for name in ("numpy", "native", "loops")
+                 if AVAILABILITY.get(name) is None]
+        assert {getattr(kernels.resolve_backend(name), method).__func__
+                for name in names} == {getattr(KernelBackend, method)}
+
+    @pytest.mark.skipif(AVAILABILITY["native"] is not None,
+                        reason=str(AVAILABILITY["native"]))
+    def test_the_native_library_exports_no_fill(self):
+        lib = kernels.resolve_backend("native")._k._lib
+        for name in ("ff_fill", "bf_pack", "pp_fill_2d", "pp_fill_general"):
+            assert not hasattr(lib, name), name
+        assert len(_SIGNATURES) == 5
+        for name in (*_SIGNATURES, "probe_scan"):
+            assert hasattr(lib, name), name
+
+    def test_the_loops_source_exports_no_standalone_fill(self):
+        for name in ("ff_fill", "pp_fill_2d"):
+            assert name not in _loops.__all__, name
+            assert not hasattr(_loops, name), name
 
 
 class TestThresholdShapesRefusedBeforeTheKernel:

@@ -5,16 +5,14 @@ the capacity the instance can spare; a run whose closed bins leave more
 unused stops as failed.  Every strategy scanned alone must still pack
 exactly when ``execute_strategy`` packs it on a fresh state — with the
 same placement — on tight instances whose demand is 85–110% of the
-capacity, many of them on a 0.05 grid so exact fits happen.  ``native``
-(wherever a C compiler exists) and the uncompiled ``loops`` source run.
-
-Also here: the fills' allocation-failure codes, which the adapter turns
-into ``MemoryError`` instead of "no strategy packs" (``probe_scan``
-allocates nothing: its scratch is bound with the engine's table).
+capacity, many of them on a 0.05 grid so exact fits happen — and every
+strategy of the META*-light list on workload instances, at and around
+the yield its search certifies, where runs that pack and runs the cut
+stops lie closest together.  ``native`` (wherever a C compiler exists)
+and the uncompiled ``loops`` source run.
 """
 
 import json
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -23,10 +21,12 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro import kernels, obs
 from repro.algorithms.vector_packing import (
     FusedProbeEngine,
+    MetaProbeEngine,
     PackingState,
     SortStrategy,
     StrategyTable,
     VPStrategy,
+    hvp_light_strategies,
     hvp_strategies,
     vp_strategies,
 )
@@ -48,7 +48,7 @@ from repro.algorithms.yield_search import binary_search_max_yield
 from repro.core.instance import ProblemInstance
 from repro.core.node import NodeArray
 from repro.core.service import ServiceArray
-from repro.kernels.api import ArrayKernelBackend
+from repro.workloads import ScenarioConfig, generate_instance
 
 AVAILABILITY = kernels.available_backends()
 AVAILABILITY["loops"] = None
@@ -111,16 +111,21 @@ def scan_alone(engine, y, s):
     return si, assignment, cuts
 
 
-def uncut(engine, y, strategy):
+def uncut_run(engine, y, strategy):
     """What the per-strategy path answers: a full run on a fresh state
-    with the engine's elementary-fit table."""
+    with the engine's elementary-fit table; ``(placement, state)``."""
     state = PackingState(engine.instance, y,
                          elem_ok=engine.factory.y_elem_max >= y)
     bin_order = (None if strategy.packer == BF
                  else engine.factory.bin_order(strategy.bin_sort))
     return execute_strategy(state, strategy,
                             order_indices(state.item_agg, strategy.item_sort),
-                            bin_order)
+                            bin_order), state
+
+
+def uncut(engine, y, strategy):
+    """The placement of :func:`uncut_run`."""
+    return uncut_run(engine, y, strategy)[0]
 
 
 @pytest.mark.parametrize("backend", _backends())
@@ -141,6 +146,75 @@ def test_cut_never_changes_an_outcome(backend, D, data):
                 assert np.array_equal(assignment, ref), strategy.name
                 assert cuts == 0, strategy.name
             assert cuts <= (1 if strategy.packer != BF else 0)
+
+
+#: METAHVPLIGHT's strategy list, and workload instances to scan it on.
+LIGHT = hvp_light_strategies()
+WORKLOAD = tuple(ScenarioConfig(hosts=8, services=30, cov=cov, slack=slack,
+                                seed=seed, instance_index=0)
+                 for seed in (3, 9)
+                 for cov, slack in ((0.25, 0.4), (0.8, 0.6)))
+
+
+@pytest.fixture(scope="module")
+def certified():
+    """Each workload instance with the yields to scan it at: 0.9 times
+    the yield numpy's META*-light search certifies, that yield (where
+    some strategies pack and the cut stops others), and 1e-3 above it
+    (where none packs)."""
+    out = []
+    with kernels.kernel_backend("numpy"):
+        for cfg in WORKLOAD:
+            instance = generate_instance(cfg)
+            stats = {}
+            binary_search_max_yield(instance, MetaProbeEngine(instance, LIGHT),
+                                    improve=False, stats=stats)
+            y = stats["certified"]
+            out.append((instance, (0.9 * y, y, y + 1e-3)))
+    return out
+
+
+@pytest.fixture(scope="module")
+def light_engines(certified):
+    """Per backend, one fused engine of the whole light list per
+    workload instance, bound once."""
+    cache = {}
+
+    def engines(backend):
+        if backend not in cache:
+            with kernels.kernel_backend(backend):
+                cache[backend] = [FusedProbeEngine(instance,
+                                                   StrategyTable(LIGHT))
+                                  for instance, _ in certified]
+        return cache[backend]
+    return engines
+
+
+@pytest.mark.parametrize("backend", _backends())
+@pytest.mark.parametrize("s", range(len(LIGHT)),
+                         ids=[strategy.name for strategy in LIGHT])
+def test_light_strategy_around_the_certified_yield(backend, s, certified,
+                                                   light_engines):
+    """Strategy *s* scanned alone in the whole light table: it packs
+    exactly when the numpy packer does, with the same placement, loads
+    and load sums; a run that packs is never cut, and only a bin-major
+    run is."""
+    strategy = LIGHT[s]
+    for engine, (instance, yields) in zip(light_engines(backend), certified):
+        for y in yields:
+            si, assignment, cuts = scan_alone(engine, y, s)
+            with kernels.kernel_backend("numpy"):
+                ref, state = uncut_run(engine, y, strategy)
+            where = (strategy.name, y)
+            assert (si == 0) == (ref is not None), where
+            if ref is not None:
+                t = engine._table
+                assert np.array_equal(assignment, ref), where
+                assert t.loads.tobytes() == state.loads.tobytes(), where
+                assert t.load_sum.tobytes() == state.load_sum.tobytes(), \
+                    where
+                assert cuts == 0, where
+            assert cuts <= (1 if strategy.packer != BF else 0), where
 
 
 @pytest.mark.parametrize("backend", _backends())
@@ -205,30 +279,3 @@ def test_probe_spans_carry_cut_runs(tmp_path):
     assert len(spans) == engine.probes
     assert sum(r["tags"]["cut_runs"] for r in spans) == engine.cut_runs > 0
     assert sum(r["tags"]["scanned"] for r in spans) == engine.scanned > 0
-
-
-def _state(D=2):
-    return PackingState(instance_of(np.ones((2, D)), np.full((3, D), 0.2)),
-                        0.0)
-
-
-class TestAllocationFailure:
-    """A C fill that cannot allocate its scratch returns a negative code;
-    the adapter raises instead of reading it as a failed run."""
-
-    def test_fill_codes_raise(self):
-        fail = SimpleNamespace(ff_fill=lambda *a: -1,
-                               pp_fill_2d=lambda *a: -1,
-                               pp_fill_general=lambda *a: -1)
-        backend = ArrayKernelBackend("stub", fail)
-        order = np.arange(3)
-        bins = np.arange(2)
-        pp = SimpleNamespace(codes_for=lambda ranking: np.arange(3),
-                             tie_rank=np.arange(3), w=1, choose_pack=False)
-        with pytest.raises(MemoryError, match="ff_fill"):
-            backend.first_fit(_state(), order, bins)
-        with pytest.raises(MemoryError, match="pp_fill_2d"):
-            backend.permutation_pack(_state(2), pp, bins, True)
-        with pytest.raises(MemoryError, match="pp_fill_general"):
-            backend.permutation_pack(_state(3), pp, bins, True)
-

@@ -20,7 +20,6 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro import kernels
 from repro.algorithms.vector_packing import (
     FusedProbeEngine,
-    PackingState,
     SortStrategy,
     StrategyTable,
     VPStrategy,
@@ -30,15 +29,9 @@ from repro.algorithms.vector_packing.sorting import (
     MAX,
     NONE_SORT,
     SUM,
-    order_indices,
 )
 from repro.algorithms.vector_packing.state import capacity_tolerance
-from repro.algorithms.vector_packing.strategies import (
-    CP,
-    FF,
-    PP,
-    execute_strategy,
-)
+from repro.algorithms.vector_packing.strategies import CP, FF, PP
 from repro.core.instance import ProblemInstance
 from repro.core.node import NodeArray
 from repro.core.service import ServiceArray
@@ -289,34 +282,4 @@ def test_stopped_scans_pack_as_numpy(backend, D, data):
                 else:
                     assert numpy_packs(engine, y, strategy) is None
     assert all(len(seen) == 1 for seen in counts.values())
-
-
-@pytest.mark.parametrize("backend", _backends())
-@pytest.mark.parametrize("D", (1, 2, 3))
-@settings(max_examples=25, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow,
-                                 HealthCheck.function_scoped_fixture])
-@given(data=st.data())
-def test_standalone_fills_equal_the_numpy_packers(backend, D, data):
-    """The exported ``ff_fill``/``pp_fill_2d`` build their minima per
-    call; with no waste limit each run ends where numpy's does."""
-    instance = data.draw(tight_instances(D))
-    for strategy in FILLS:
-        if strategy.packer != FF and D != 2:
-            continue
-        got = {}
-        for name in ("numpy", backend):
-            with kernels.kernel_backend(name):
-                state = PackingState(instance, 0.0)
-                bin_order = order_indices(instance.nodes.aggregate,
-                                          strategy.bin_sort)
-                placement = execute_strategy(
-                    state, strategy,
-                    order_indices(state.item_agg, strategy.item_sort),
-                    bin_order)
-                got[name] = (None if placement is None
-                             else placement.tolist(),
-                             state.assignment.tolist(),
-                             state.unplaced_count)
-        assert got[backend] == got["numpy"], strategy.name
 

@@ -59,10 +59,12 @@ class TestCounter:
 
 class TestGauge:
     def test_set_inc_dec(self, registry):
+        """A gauge goes down by a negative ``inc`` (a counter refuses
+        one)."""
         g = registry.gauge("depth")
         g.set(10)
         g.inc(5)
-        g.dec(2)
+        g.inc(-2)
         assert g.value == 13
 
     def test_set_function_reads_at_scrape_time(self, registry):

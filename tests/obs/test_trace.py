@@ -74,10 +74,8 @@ class TestEnabled:
     def test_nesting_links_parent_and_shares_trace(self, sink):
         with obs.span("outer"):
             outer_trace = obs.current_trace_id()
-            outer_span = obs.current_span_id()
             with obs.span("inner"):
                 assert obs.current_trace_id() == outer_trace
-                assert obs.current_span_id() != outer_span
         inner, outer = read_records(sink)  # inner exits first
         assert inner["name"] == "inner"
         assert inner["trace"] == outer["trace"]
@@ -140,11 +138,9 @@ class TestEnabled:
         obs.configure(str(path), persist_env=True)
         try:
             assert os.environ[obs.ENV_VAR] == str(path)
-            assert obs.sink_path() == str(path)
         finally:
             obs.disable()
         assert obs.ENV_VAR not in os.environ
-        assert obs.sink_path() is None
         assert not obs.enabled()
 
     def test_concurrent_writes_interleave_whole_lines(self, sink):
