@@ -194,11 +194,6 @@ class FusedProbeEngine:
             waste_rtol=WASTE_MARGIN_RTOL))
         self._scan_cold = np.arange(len(self.strategies), dtype=np.int64)
 
-    @property
-    def hint_strategy(self) -> Optional[VPStrategy]:
-        """The strategy that packed the most recent feasible probe."""
-        return None if self.hint is None else self.strategies[self.hint]
-
     def __call__(self, instance: ProblemInstance,
                  y: float) -> Optional[np.ndarray]:
         if instance is not self.instance:

@@ -188,11 +188,6 @@ class MetaProbeEngine:
         self.probes = 0
         self.strategy_runs = 0
 
-    @property
-    def hint_strategy(self) -> Optional[VPStrategy]:
-        """The strategy that packed the most recent feasible probe."""
-        return None if self.hint is None else self.strategies[self.hint]
-
     def __call__(self, instance: ProblemInstance,
                  y: float) -> Optional[np.ndarray]:
         if instance is not self.factory.instance:

@@ -13,9 +13,11 @@ from .failures import (
 )
 from .incremental import (
     INCREMENTAL_TOL,
-    best_fit_newcomers,
+    load_caps,
     masked_fit_tables,
+    place_newcomers,
     rebuild_loads,
+    up_platform,
 )
 from .simulator import DynamicSimulator, SimulationResult, StepRecord
 
@@ -31,9 +33,11 @@ __all__ = [
     "SimulationResult",
     "StepRecord",
     "WorkloadTrace",
-    "best_fit_newcomers",
     "generate_platform_events",
     "generate_trace",
+    "load_caps",
     "masked_fit_tables",
+    "place_newcomers",
     "rebuild_loads",
+    "up_platform",
 ]

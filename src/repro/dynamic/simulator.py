@@ -28,10 +28,13 @@ floor is one SLA-violation service-step.
 array over all trace descriptors (−1 = not placed) and one ``(H, D)``
 node-load array maintained incrementally across steps — departures
 subtract their demand, arrivals add theirs, and a full re-allocation
-rebuilds both.  Newcomer best-fit dispatches to the active kernel
-backend (:mod:`repro.kernels`), and so does the per-step sharing
-evaluation: ``evaluate_actual_yields`` shares every node in one
-``share_nodes`` kernel call.  Full re-allocations are *warm-started*:
+rebuilds both.  The view of the up nodes (rebuilt only when the platform
+changes) and newcomer admission (fit rows for the newcomers alone) are
+the allocation daemon's rules too, from :mod:`repro.dynamic.incremental`.
+Newcomer best-fit dispatches to the active kernel backend
+(:mod:`repro.kernels`), and so does the per-step sharing evaluation:
+``evaluate_actual_yields`` shares every node in one ``share_nodes``
+kernel call.  Full re-allocations are *warm-started*:
 each epoch's yield search is seeded with the previous epoch's certified
 yield, cutting the probe count by ~2× at matching certified yields (see
 :mod:`repro.algorithms.yield_search`); the placer compiles its strategy
@@ -57,18 +60,12 @@ from ..sharing.adaptive import AdaptiveThreshold
 from ..sharing.baseline import evaluate_actual_yields
 from ..sharing.errors import apply_minimum_threshold, perturb_cpu_needs
 from ..util.rng import as_generator
+from ..workloads.scaling import scale_cpu_needs
 from .events import WorkloadTrace
 from .failures import PlatformEvent, PlatformSchedule
-from .incremental import (
-    INCREMENTAL_TOL as _INCREMENTAL_TOL,
-    best_fit_newcomers,
-    masked_fit_tables,
-    rebuild_loads,
-)
+from .incremental import load_caps, place_newcomers, rebuild_loads, up_platform
 
 __all__ = ["DynamicSimulator", "SimulationResult", "StepRecord"]
-
-CPU = 0
 
 
 @dataclass(frozen=True)
@@ -222,7 +219,7 @@ class DynamicSimulator:
         self.rng = as_generator(rng)
         self.warm_start = warm_start
         self.validate_loads = validate_loads
-        self._true = self._scaled_services(trace.services, cpu_need_scale)
+        self._true = scale_cpu_needs(trace.services, cpu_need_scale)
         # Estimates are drawn once per service (the manager's belief).
         self._noisy = (perturb_cpu_needs(self._true, max_error, rng=self.rng)
                        if max_error > 0 else self._true)
@@ -235,19 +232,13 @@ class DynamicSimulator:
         self._assigned = np.full(n, -1, dtype=np.int64)
         self._loads = np.zeros_like(nodes.aggregate)
         # Platform churn state: availability mask, capacity scale, the
-        # displaced-service flags, and the caches they invalidate.
+        # view of the up nodes they give, and the displaced-service flags.
         self._failures = failures
         self._avail = np.ones(len(nodes), dtype=bool)
         self._scale = np.ones(len(nodes), dtype=np.float64)
         self._platform_version = 0
+        self._up = up_platform(nodes, self._avail, self._scale)
         self._displaced = np.zeros(n, dtype=bool)
-        self._fit_key: tuple | None = None
-        self._fit_elem: np.ndarray | None = None
-        self._fit_cap: np.ndarray | None = None
-        self._eff_key = -1
-        self._eff_nodes: NodeArray | None = None
-        self._eff_idx: np.ndarray | None = None
-        self._eff_pos: np.ndarray | None = None
         # SLA floors (per descriptor) — default to the trace annotation.
         names = tuple(sla) if sla is not None else trace.sla
         if names is not None and len(names) != n:
@@ -267,16 +258,6 @@ class DynamicSimulator:
         self.search_probes = 0
         self.search_solves = 0
 
-    @staticmethod
-    def _scaled_services(services: ServiceArray, scale: float) -> ServiceArray:
-        need_elem = services.need_elem.copy()
-        need_agg = services.need_agg.copy()
-        need_elem[:, CPU] *= scale
-        need_agg[:, CPU] *= scale
-        return ServiceArray.from_arrays(
-            services.req_elem, services.req_agg, need_elem, need_agg,
-            names=services.names)
-
     # ------------------------------------------------------------------
     def _subset(self, services: ServiceArray, ids: np.ndarray) -> ServiceArray:
         return ServiceArray.from_arrays(
@@ -287,47 +268,6 @@ class DynamicSimulator:
     def _set_estimates(self, estimates: ServiceArray) -> None:
         self._estimates = estimates
         self._est_version += 1  # rigid requirements changed
-
-    def _current_fit(self) -> tuple[np.ndarray, np.ndarray]:
-        """Elementary-fit table and aggregate cap-with-slack for the
-        current estimates on the platform that is currently up (newcomers
-        are admitted at yield 0)."""
-        key = (self._est_version, self._platform_version)
-        if self._fit_key != key:
-            self._fit_elem, self._fit_cap = masked_fit_tables(
-                self._estimates.req_elem, self.nodes,
-                self._avail, self._scale)
-            self._fit_key = key
-        assert self._fit_elem is not None and self._fit_cap is not None
-        return self._fit_elem, self._fit_cap
-
-    def _eff_platform(self) -> tuple[NodeArray | None, np.ndarray, np.ndarray]:
-        """Effective platform: the up nodes at their current scale.
-
-        Returns ``(nodes, idx, pos)`` where *nodes* is a NodeArray over
-        the up nodes (``self.nodes`` itself when the platform is whole,
-        ``None`` when everything is down), *idx* maps effective → global
-        node indices and *pos* the inverse (−1 for down nodes).
-        """
-        if self._eff_key != self._platform_version:
-            idx = np.flatnonzero(self._avail)
-            if idx.size == 0:
-                self._eff_nodes = None
-            elif idx.size == len(self.nodes) and (self._scale == 1.0).all():
-                self._eff_nodes = self.nodes
-            else:
-                sc = self._scale[idx, None]
-                self._eff_nodes = NodeArray.from_arrays(
-                    self.nodes.elementary[idx] * sc,
-                    self.nodes.aggregate[idx] * sc,
-                    [self.nodes.names[i] for i in idx])
-            pos = np.full(len(self.nodes), -1, dtype=np.int64)
-            pos[idx] = np.arange(idx.size)
-            self._eff_idx = idx
-            self._eff_pos = pos
-            self._eff_key = self._platform_version
-        assert self._eff_idx is not None and self._eff_pos is not None
-        return self._eff_nodes, self._eff_idx, self._eff_pos
 
     def _apply_platform(self, t: int) -> int:
         """Bring churn state up to step *t*; evict displaced services.
@@ -347,6 +287,7 @@ class DynamicSimulator:
         self._avail = mask.copy()
         self._scale = scale.copy()
         self._platform_version += 1
+        self._up = up_platform(self.nodes, self._avail, self._scale)
         evicted = 0
         placed = np.flatnonzero(self._assigned >= 0)
         on_down = placed[~mask[self._assigned[placed]]]
@@ -356,7 +297,7 @@ class DynamicSimulator:
             self._assigned[on_down] = -1
             self._displaced[on_down] = True
             evicted += int(on_down.size)
-        cap = self.nodes.aggregate * scale[:, None] + _INCREMENTAL_TOL
+        cap = load_caps(self.nodes, mask, scale)
         for h in np.flatnonzero(mask):
             while bool((self._loads[h] > cap[h]).any()):
                 victims = np.flatnonzero(self._assigned == h)
@@ -420,17 +361,17 @@ class DynamicSimulator:
         if self.adaptive is not None:
             self._set_estimates(apply_minimum_threshold(
                 self._noisy, self.adaptive.value))
-        eff_nodes, eff_idx, _ = self._eff_platform()
-        if eff_nodes is None:
+        if self._up is None:
             return None  # whole platform down
+        up_nodes, up_idx = self._up
         est_instance = ProblemInstance(
-            eff_nodes, self._subset(self._estimates, active))
+            up_nodes, self._subset(self._estimates, active))
         self._active_key = active.tobytes()
         alloc = self._solve(est_instance)
         if alloc is None:
             return None
         self._assigned[:] = -1
-        self._assigned[active] = eff_idx[alloc.placement]
+        self._assigned[active] = up_idx[alloc.placement]
         self._loads = self._rebuild_loads()
         return alloc.minimum_yield()
 
@@ -439,10 +380,10 @@ class DynamicSimulator:
         """Retire departures, keep current placements, best-fit newcomers.
 
         The departed services' demands are subtracted from the
-        incrementally maintained loads; the newcomers go through the
-        kernel backend's best-fit (least total remaining capacity, ties
-        to the lowest node index) against the platform that is up.
-        Unplaceable newcomers stay pending and are retried next step.
+        incrementally maintained loads; the newcomers are admitted by
+        :func:`~repro.dynamic.incremental.place_newcomers` on the
+        platform that is up.  Unplaceable newcomers stay pending and are
+        retried next step.
         """
         est = self._estimates
         departed = np.flatnonzero((self._assigned >= 0) & ~active_mask)
@@ -452,11 +393,9 @@ class DynamicSimulator:
             self._assigned[departed] = -1
         newcomers = active[self._assigned[active] < 0]
         if newcomers.size:
-            elem_fit, cap_tol = self._current_fit()
-            chosen = best_fit_newcomers(
-                est.req_agg[newcomers],
-                elem_fit[newcomers],
-                self._loads, self.nodes, cap_tol)
+            chosen = place_newcomers(
+                est.req_elem[newcomers], est.req_agg[newcomers],
+                self._loads, self.nodes, self._avail, self._scale)
             placed = chosen >= 0
             self._assigned[newcomers[placed]] = chosen[placed]
 
@@ -513,13 +452,15 @@ class DynamicSimulator:
             pending = int(active.size - placed_ids.size)
             yields = None
             if placed_ids.size:
-                eval_nodes, _, eff_pos = self._eff_platform()
-                assert eval_nodes is not None  # placements imply up nodes
+                assert self._up is not None  # placements imply up nodes
+                up_nodes, up_idx = self._up
                 true_instance = ProblemInstance(
-                    eval_nodes, self._subset(self._true, placed_ids))
+                    up_nodes, self._subset(self._true, placed_ids))
                 est_instance = ProblemInstance(
-                    eval_nodes, self._subset(self._estimates, placed_ids))
-                placement_arr = eff_pos[self._assigned[placed_ids]]
+                    up_nodes, self._subset(self._estimates, placed_ids))
+                # up_idx ascends, so a node's rank in it is its view index
+                placement_arr = np.searchsorted(
+                    up_idx, self._assigned[placed_ids])
                 yields = evaluate_actual_yields(
                     true_instance, placement_arr, self.policy,
                     estimated_instance=est_instance)

@@ -463,6 +463,13 @@ int64_t incremental_best_fit(int64_t K, int64_t H, int64_t D,
     return placed;
 }
 
+/* numpy's pairwise summation order.  static: only this library calls it,
+   so the calls go direct rather than through the PLT.  noipa keeps the
+   callers' machine code that of a call to an exported function: with
+   noinline alone GCC -O2 lets each caller keep values in the registers
+   this body leaves alone, and three callers' code changes.  (Compilers
+   without noipa still get noinline.) */
+static __attribute__((noinline, noipa))
 double pairwise_sum(const double *buf, int64_t n,
                     int64_t *frames, double *partial)
 {

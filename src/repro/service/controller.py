@@ -112,15 +112,12 @@ from ..algorithms.vector_packing.meta import (
 from ..core.allocation import Allocation
 from ..core.node import NodeArray
 from ..core.sla import DEFAULT_SLA, SLA_NAMES, sla_floor, violates_floor
-from ..dynamic.incremental import (
-    best_fit_newcomers,
-    masked_fit_tables,
-    rebuild_loads,
-)
+from ..dynamic.incremental import place_newcomers, rebuild_loads
 from ..util.retry import DEFAULT_BACKOFF, BackoffPolicy, retry_bounded
 from ..util.rng import as_generator
 from ..workloads.google_model import DEFAULT_MODEL
 from ..workloads.registry import workload_id
+from ..workloads.scaling import scale_cpu_needs
 from .faults import FaultInjector
 from .journal import EventJournal
 from .state import ClusterState, ServiceSpec, StateSnapshot
@@ -130,9 +127,6 @@ __all__ = ["AllocationController", "ServiceError", "PROBATION_PERIOD"]
 #: Every Nth degrade-eligible request runs the full solve anyway, so the
 #: latency estimate refreshes and the controller can leave degraded mode.
 PROBATION_PERIOD = 8
-
-#: CPU dimension of the 2-D evaluation setup (``cpu_need_scale`` target).
-CPU = 0
 
 #: The parts of a write request the controller times itself; the
 #: request's remainder is reported as a fourth part, ``other``.
@@ -350,8 +344,9 @@ class AllocationController:
         """Draw one service from the configured workload model.
 
         CPU needs are scaled by ``cpu_need_scale`` (core units →
-        capacity units, exactly as the dynamic simulator scales its
-        traces); the other descriptors are used as generated.
+        capacity units) with the dynamic simulator's function,
+        :func:`repro.workloads.scaling.scale_cpu_needs`; the other
+        descriptors are used as generated.
         """
         if sla not in SLA_NAMES:
             raise ServiceError(
@@ -359,14 +354,12 @@ class AllocationController:
         with self._lock:  # the RNG is not safe to share across threads
             services = self.workload.generate_services(1, rng=self._rng)
             sid = sid or self.next_service_id()
-        need_elem = services.need_elem[0].copy()
-        need_agg = services.need_agg[0].copy()
-        need_elem[CPU] *= self.cpu_need_scale
-        need_agg[CPU] *= self.cpu_need_scale
+        services = scale_cpu_needs(services, self.cpu_need_scale)
         return ServiceSpec(sid,
                            services.req_elem[0].copy(),
                            services.req_agg[0].copy(),
-                           need_elem, need_agg, sla)
+                           services.need_elem[0].copy(),
+                           services.need_agg[0].copy(), sla)
 
     # -- durability plumbing -------------------------------------------
     def attach_journal(self, journal: EventJournal) -> None:
@@ -545,22 +538,22 @@ class AllocationController:
 
     def _greedy_admit(self, **extra: str) -> tuple[Allocation | None, dict,
                                                    None]:
-        """The degraded path: one best-fit probe for the newcomer against
-        the incumbent's requirement loads; everything else stays put.
-        Drained nodes are masked out of the probe.  *extra* joins the
-        solve info (the solver error that forced the fallback)."""
+        """The degraded path: the newcomer is admitted into the
+        incumbent's requirement loads the way the dynamic simulator
+        admits its arrivals (:func:`~repro.dynamic.incremental.
+        place_newcomers`, drained nodes down); everything else stays
+        put.  *extra* joins the solve info (the solver error that forced
+        the fallback)."""
         instance = self.state.build_instance()
         assert instance is not None
         t0 = time.perf_counter()
         assigned = self.state.assignment_array()
         j = len(assigned) - 1  # the newcomer is the last row
-        loads = rebuild_loads(assigned, instance.services.req_agg,
-                              self.state.nodes)
-        fit, cap_tol = masked_fit_tables(
-            instance.services.req_elem[j:j + 1], self.state.nodes,
-            self.state.available_mask(), np.ones(len(self.state.nodes)))
-        chosen = best_fit_newcomers(instance.services.req_agg[j:j + 1],
-                                    fit, loads, self.state.nodes, cap_tol)
+        services, nodes = instance.services, self.state.nodes
+        loads = rebuild_loads(assigned, services.req_agg, nodes)
+        chosen = place_newcomers(
+            services.req_elem[j:], services.req_agg[j:], loads, nodes,
+            self.state.available_mask(), np.ones(len(nodes)))
         alloc = None
         if chosen[0] >= 0:
             assigned[j] = chosen[0]

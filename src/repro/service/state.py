@@ -21,9 +21,11 @@ event is journaled), never half-applied.
 The platform is no longer immutable: operators can *drain* a node
 (evacuate and stop placing on it) or *add* one.  The solver never sees
 drained nodes — :meth:`solver_view` builds the instance over the
-available sub-platform and returns the index map back to global node
-ids, which :meth:`apply_allocation` uses so the incumbent placement
-always speaks global indices.
+available sub-platform, the view the dynamic simulator gives its placer
+after a node failure (:func:`repro.dynamic.incremental.up_platform`),
+and returns the index map back to global node ids, which
+:meth:`apply_allocation` uses so the incumbent placement always speaks
+global indices.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from ..core.instance import ProblemInstance
 from ..core.node import NodeArray
 from ..core.service import ServiceArray
 from ..core.sla import DEFAULT_SLA, SLA_NAMES
+from ..dynamic.incremental import up_platform
 
 __all__ = ["ServiceSpec", "ClusterState", "StateSnapshot"]
 
@@ -254,6 +257,8 @@ class ClusterState:
     def solver_view(self) -> tuple[ProblemInstance | None, np.ndarray | None]:
         """The solver's instance plus the map back to global node ids.
 
+        The platform is :func:`~repro.dynamic.incremental.up_platform`'s
+        view with the drained nodes down (every node at scale 1.0).
         With nothing drained this is exactly :meth:`build_instance` (and
         a ``None`` map) — byte-identical to the offline construction.
         With drained nodes the instance covers only the available
@@ -264,14 +269,12 @@ class ClusterState:
         instance = self.build_instance()
         if instance is None or not self._drained:
             return instance, None
-        mask = self.available_mask()
-        idx = np.flatnonzero(mask)
-        if idx.size == 0:
+        up = up_platform(self.nodes, self.available_mask(),
+                         np.ones(len(self.nodes)))
+        if up is None:
             return None, None
-        sub_nodes = NodeArray.from_arrays(
-            self.nodes.elementary[idx], self.nodes.aggregate[idx],
-            names=[self.nodes.names[i] for i in idx])
-        return ProblemInstance(sub_nodes, instance.services), idx
+        nodes, node_map = up
+        return ProblemInstance(nodes, instance.services), node_map
 
     def apply_allocation(self, alloc: Allocation,
                          certified: float | None,

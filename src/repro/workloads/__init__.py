@@ -14,7 +14,12 @@ from .registry import (
     workload_names,
     workload_to_json,
 )
-from .scaling import normalize_cpu_needs, scale_instance, scale_memory_to_slack
+from .scaling import (
+    normalize_cpu_needs,
+    scale_cpu_needs,
+    scale_instance,
+    scale_memory_to_slack,
+)
 from .trace import TraceWorkloadModel, dump_trace, load_trace
 
 __all__ = [
@@ -33,6 +38,7 @@ __all__ = [
     "normalize_cpu_needs",
     "parse_workload",
     "register_workload",
+    "scale_cpu_needs",
     "scale_instance",
     "scale_memory_to_slack",
     "workload_from_json",

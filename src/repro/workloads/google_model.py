@@ -18,7 +18,8 @@ proportional to its requested cores (one "core-unit" each before the
 normalization of §4 rescales the total), its **elementary CPU need** is
 the per-core share, and its **elementary CPU requirement** is one common
 reference value for all services.  Memory is a rigid requirement with no
-fluid need.
+fluid need.  :func:`services_from_marginals` is that construction, and
+every workload model in this package builds its descriptors with it.
 """
 
 from __future__ import annotations
@@ -31,10 +32,39 @@ from ..core.resources import FEASIBILITY_RTOL
 from ..core.service import ServiceArray
 from ..util.rng import as_generator
 
-__all__ = ["GoogleWorkloadModel", "DEFAULT_MODEL"]
+__all__ = ["CPU", "MEM", "GoogleWorkloadModel", "DEFAULT_MODEL",
+           "services_from_marginals"]
 
-#: CPU dimension index in the 2-D evaluation setup.
+#: Dimension indices of the 2-D evaluation setup, for every workload
+#: model and the §4 rescalings.
 CPU, MEM = 0, 1
+
+
+def services_from_marginals(cores: np.ndarray, mem: np.ndarray,
+                            elementary_cpu_requirement: float
+                            ) -> ServiceArray:
+    """Raw (pre-scaling) descriptors of services with *cores* requested
+    cores and memory fractions *mem*, by the paper's construction (see
+    the module docstring).
+
+    CPU needs are in "core units" (aggregate = requested cores,
+    elementary = 1), which :func:`repro.workloads.scaling.
+    normalize_cpu_needs` rescales against the platform; memory is a
+    rigid requirement whose aggregate equals its elementary value.
+    """
+    n = len(cores)
+    req_elem = np.zeros((n, 2))
+    req_agg = np.zeros((n, 2))
+    need_elem = np.zeros((n, 2))
+    need_agg = np.zeros((n, 2))
+
+    req_elem[:, CPU] = elementary_cpu_requirement
+    req_elem[:, MEM] = mem
+    req_agg[:, MEM] = mem              # memory pools: agg == elem
+    need_agg[:, CPU] = cores           # ∝ requested cores
+    need_elem[:, CPU] = 1.0            # per-core share of the need
+
+    return ServiceArray.from_arrays(req_elem, req_agg, need_elem, need_agg)
 
 
 @dataclass(frozen=True)
@@ -86,30 +116,15 @@ class GoogleWorkloadModel:
     def generate_services(self, n: int,
                           rng: np.random.Generator | int | None = None
                           ) -> ServiceArray:
-        """Draw *n* raw (pre-scaling) service descriptors.
-
-        CPU needs are expressed in "core units" (aggregate = requested
-        cores, elementary = 1); :func:`repro.workloads.scaling.
-        normalize_cpu_needs` rescales them against the platform.
-        """
+        """Draw *n* raw (pre-scaling) service descriptors
+        (:func:`services_from_marginals`)."""
         if n < 1:
             raise ValueError("need at least one service")
         rng = as_generator(rng)
         cores = self.sample_cores(rng, n).astype(np.float64)
         mem = self.sample_memory(rng, n)
-
-        req_elem = np.zeros((n, 2))
-        req_agg = np.zeros((n, 2))
-        need_elem = np.zeros((n, 2))
-        need_agg = np.zeros((n, 2))
-
-        req_elem[:, CPU] = self.elementary_cpu_requirement
-        req_elem[:, MEM] = mem
-        req_agg[:, MEM] = mem              # memory pools: agg == elem
-        need_agg[:, CPU] = cores           # ∝ requested cores
-        need_elem[:, CPU] = 1.0            # per-core share of the need
-
-        return ServiceArray.from_arrays(req_elem, req_agg, need_elem, need_agg)
+        return services_from_marginals(cores, mem,
+                                       self.elementary_cpu_requirement)
 
 
 #: Default model used by the experiment drivers.

@@ -11,11 +11,12 @@ log-normal) distributions with configurable tail indices, so allocators
 can be stress-tested on instances where one service may rival a whole
 node.
 
-The descriptor construction mirrors the Google model so everything
-downstream (§4 rescaling, packers, experiment drivers) is unchanged:
-aggregate CPU need ∝ requested cores, elementary CPU need is the per-core
-share, memory is a rigid requirement, and the elementary CPU requirement
-is one shared reference value.
+The descriptors are built the Google model's way
+(:func:`~repro.workloads.google_model.services_from_marginals`), so
+everything downstream (§4 rescaling, packers, experiment drivers) is
+unchanged: aggregate CPU need ∝ requested cores, elementary CPU need is
+the per-core share, memory is a rigid requirement, and the elementary
+CPU requirement is one shared reference value.
 """
 
 from __future__ import annotations
@@ -26,10 +27,9 @@ import numpy as np
 
 from ..core.service import ServiceArray
 from ..util.rng import as_generator
+from .google_model import services_from_marginals
 
 __all__ = ["HeavyTailedWorkloadModel"]
-
-CPU, MEM = 0, 1
 
 
 @dataclass(frozen=True)
@@ -114,16 +114,5 @@ class HeavyTailedWorkloadModel:
         rng = as_generator(rng)
         cores = self.sample_cores(rng, n).astype(np.float64)
         mem = self.sample_memory(rng, n)
-
-        req_elem = np.zeros((n, 2))
-        req_agg = np.zeros((n, 2))
-        need_elem = np.zeros((n, 2))
-        need_agg = np.zeros((n, 2))
-
-        req_elem[:, CPU] = self.elementary_cpu_requirement
-        req_elem[:, MEM] = mem
-        req_agg[:, MEM] = mem
-        need_agg[:, CPU] = cores
-        need_elem[:, CPU] = 1.0
-
-        return ServiceArray.from_arrays(req_elem, req_agg, need_elem, need_agg)
+        return services_from_marginals(cores, mem,
+                                       self.elementary_cpu_requirement)

@@ -12,6 +12,11 @@ experiment instances:
   proportion).  This pins contention at "exactly enough CPU if everything
   could be split perfectly", making minimum-yield values comparable across
   instances.
+
+A live platform has no fixed total to normalize against, so the dynamic
+simulator and the allocation daemon scale CPU needs by a fixed
+``cpu_need_scale`` instead; both go through :func:`scale_cpu_needs`, as
+the normalization does.
 """
 
 from __future__ import annotations
@@ -19,10 +24,10 @@ from __future__ import annotations
 
 from ..core.instance import ProblemInstance
 from ..core.service import ServiceArray
+from .google_model import CPU, MEM
 
-__all__ = ["scale_memory_to_slack", "normalize_cpu_needs", "scale_instance"]
-
-CPU, MEM = 0, 1
+__all__ = ["scale_memory_to_slack", "scale_cpu_needs", "normalize_cpu_needs",
+           "scale_instance"]
 
 
 def scale_memory_to_slack(instance: ProblemInstance, slack: float
@@ -52,24 +57,27 @@ def scale_memory_to_slack(instance: ProblemInstance, slack: float
     return instance.replace_services(scaled)
 
 
-def normalize_cpu_needs(instance: ProblemInstance) -> ProblemInstance:
-    """Rescale aggregate CPU needs so Σ needs = Σ CPU capacity.
+def scale_cpu_needs(services: ServiceArray, factor: float) -> ServiceArray:
+    """*services* with their elementary and aggregate CPU needs multiplied
+    by *factor* (each service keeps its elementary/aggregate proportion,
+    its virtual parallelism); requirements, other needs and names stay."""
+    need_elem = services.need_elem.copy()
+    need_agg = services.need_agg.copy()
+    need_elem[:, CPU] *= factor
+    need_agg[:, CPU] *= factor
+    return ServiceArray.from_arrays(services.req_elem, services.req_agg,
+                                    need_elem, need_agg, names=services.names)
 
-    Elementary CPU needs are scaled by the same factor, preserving each
-    service's elementary/aggregate proportion (its virtual parallelism).
-    """
+
+def normalize_cpu_needs(instance: ProblemInstance) -> ProblemInstance:
+    """Rescale CPU needs (:func:`scale_cpu_needs`) so Σ aggregate needs =
+    Σ CPU capacity."""
     sv = instance.services
     total_need = sv.need_agg[:, CPU].sum()
     if total_need <= 0:
         raise ValueError("cannot normalize: services have no CPU need")
     factor = instance.nodes.aggregate[:, CPU].sum() / total_need
-    need_elem = sv.need_elem.copy()
-    need_agg = sv.need_agg.copy()
-    need_elem[:, CPU] *= factor
-    need_agg[:, CPU] *= factor
-    scaled = ServiceArray.from_arrays(sv.req_elem, sv.req_agg,
-                                      need_elem, need_agg, names=sv.names)
-    return instance.replace_services(scaled)
+    return instance.replace_services(scale_cpu_needs(sv, factor))
 
 
 def scale_instance(instance: ProblemInstance, slack: float) -> ProblemInstance:

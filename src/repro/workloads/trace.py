@@ -35,10 +35,9 @@ import numpy as np
 
 from ..core.service import ServiceArray
 from ..util.rng import as_generator
+from .google_model import CPU, MEM, services_from_marginals
 
 __all__ = ["TraceWorkloadModel", "dump_trace", "load_trace"]
-
-CPU, MEM = 0, 1
 
 #: Per-process cache: path -> (cores, mem) arrays.  Keyed by absolute path
 #: so relative invocations from different cwds don't alias.
@@ -154,18 +153,5 @@ class TraceWorkloadModel:
         else:
             rng = as_generator(rng)
             idx = rng.integers(0, len(trace_cores), size=n)
-        cores = trace_cores[idx]
-        mem = trace_mem[idx]
-
-        req_elem = np.zeros((n, 2))
-        req_agg = np.zeros((n, 2))
-        need_elem = np.zeros((n, 2))
-        need_agg = np.zeros((n, 2))
-
-        req_elem[:, CPU] = self.elementary_cpu_requirement
-        req_elem[:, MEM] = mem
-        req_agg[:, MEM] = mem
-        need_agg[:, CPU] = cores
-        need_elem[:, CPU] = 1.0
-
-        return ServiceArray.from_arrays(req_elem, req_agg, need_elem, need_agg)
+        return services_from_marginals(trace_cores[idx], trace_mem[idx],
+                                       self.elementary_cpu_requirement)

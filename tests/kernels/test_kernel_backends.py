@@ -348,7 +348,8 @@ class TestOnePackerPath:
     """Every backend answers ``first_fit``, ``best_fit`` and
     ``permutation_pack`` with the same functions, and a compiled backend
     runs its fills only inside ``probe_scan``: neither the C library nor
-    the loops source exports a standalone fill."""
+    the loops source exports a standalone fill.  The C library exports
+    its six entry points and no helper."""
 
     @pytest.mark.parametrize("method", ["first_fit", "best_fit",
                                         "permutation_pack"])
@@ -362,7 +363,8 @@ class TestOnePackerPath:
                         reason=str(AVAILABILITY["native"]))
     def test_the_native_library_exports_no_fill(self):
         lib = kernels.resolve_backend("native")._k._lib
-        for name in ("ff_fill", "bf_pack", "pp_fill_2d", "pp_fill_general"):
+        for name in ("ff_fill", "bf_pack", "pp_fill_2d", "pp_fill_general",
+                     "pairwise_sum"):
             assert not hasattr(lib, name), name
         assert len(_SIGNATURES) == 5
         for name in (*_SIGNATURES, "probe_scan"):

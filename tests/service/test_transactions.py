@@ -174,7 +174,7 @@ def arm(fault: str, fx: Fixture, patch: pytest.MonkeyPatch) -> None:
     elif fault in ("degraded", "greedy_crash", "no_incumbent"):
         fx.ctl.deadline_ms = 1e-9  # every solve is over budget
         if fault == "greedy_crash":
-            patch.setattr(controller_module, "best_fit_newcomers", crash)
+            patch.setattr(controller_module, "place_newcomers", crash)
         if fault == "no_incumbent":
             patch.setattr(AllocationController, "_retained_allocation",
                           lambda self: None)

@@ -10,6 +10,7 @@ from repro.workloads import (
     generate_base_instance,
     generate_instance,
     normalize_cpu_needs,
+    scale_cpu_needs,
     scale_memory_to_slack,
 )
 
@@ -70,6 +71,19 @@ class TestCpuNormalization:
         scaled = normalize_cpu_needs(base)
         np.testing.assert_allclose(scaled.services.req_agg[:, MEM],
                                    base.services.req_agg[:, MEM])
+
+    def test_a_fixed_factor_scales_only_the_cpu_needs(self):
+        """The live managers' scaling (``cpu_need_scale``): both CPU need
+        columns times the factor, bit for bit; nothing else moves."""
+        base = generate_base_instance(config()).services
+        scaled = scale_cpu_needs(base, 0.08)
+        for name in ("need_elem", "need_agg"):
+            old, new = getattr(base, name), getattr(scaled, name)
+            assert new[:, CPU].tobytes() == (old[:, CPU] * 0.08).tobytes()
+            assert new[:, MEM].tobytes() == old[:, MEM].tobytes()
+        assert scaled.req_elem.tobytes() == base.req_elem.tobytes()
+        assert scaled.req_agg.tobytes() == base.req_agg.tobytes()
+        assert scaled.names == base.names
 
 
 class TestPaperStatistics:
