@@ -8,9 +8,10 @@ calls (the per-strategy engine, which runs the same numpy packers,
 ``repro.kernels.packers``, on every backend), as a loop of
 ``solve_with_hint`` calls
 (the engine selector: fused where the backend has the kernel), and
-through ``solve_many`` (shared threshold tables, one fused kernel call
-per probe) — and asserts the three are interchangeable: identical
-certified yields, placements, and probe counts.  The same-run gate
+through ``solve_many`` (the same engines, built per instance, one
+fused kernel call per probe) — and asserts the three are
+interchangeable: identical certified yields, placements, and probe
+counts.  The same-run gate
 requires ``solve_many`` to be ≥ ``MIN_BATCH_SPEEDUP``× faster than the
 per-strategy loop; it is skipped when the backend has no fused
 probe-scan kernel (numpy).  ``solve_many`` against the fused

@@ -24,12 +24,11 @@ its placement.  The per-strategy engine instead runs the packers
 every backend shares (:mod:`repro.kernels.packers`), one Python-level
 call per strategy tried.
 
-:func:`solve_many` carries a whole batch of instances through the
-selector: one batched kernel call builds every instance's yield-threshold
-tables (:class:`~repro.kernels.batch.BatchInstances` +
-``batch_fit_thresholds``), then the per-instance searches run — from a
-thread pool when multiple cores are available; ctypes releases the GIL
-around every C kernel call, so the scans themselves run in parallel.
+:func:`solve_many` solves a list of instances: each gets its engine from
+:func:`make_engine`, exactly as ``MetaSolver.solve_with_hint`` builds
+it, and the searches run from a thread pool when multiple cores are
+available; ctypes releases the GIL around every C kernel call, so the
+scans themselves run in parallel.
 """
 
 from __future__ import annotations
@@ -46,10 +45,9 @@ from ...core.allocation import Allocation
 from ...core.instance import ProblemInstance
 from ...kernels import get_backend
 from ...kernels.api import SORT_METRICS, ProbeScanArgs, codes_overflow
-from ...kernels.batch import BatchInstances
 from ..yield_search import DEFAULT_TOLERANCE, binary_search_max_yield
 from .probe_engine import MetaProbeEngine, YieldProbeFactory
-from .state import WASTE_MARGIN_RTOL, capacity_tolerance
+from .state import WASTE_MARGIN_RTOL
 from .strategies import BF, CP, FF, VPStrategy
 
 __all__ = ["FusedProbeEngine", "StrategyTable", "make_engine", "solve_many"]
@@ -267,39 +265,6 @@ def make_engine(instance: ProblemInstance, table: StrategyTable,
     return MetaProbeEngine(instance, table.strategies, factory)
 
 
-def _batched_factories(
-        instances: Sequence[ProblemInstance]) -> List[YieldProbeFactory]:
-    """Per-instance probe factories off one batched threshold kernel call.
-
-    Bit-identical to per-instance construction: the batched kernel runs
-    the same scalar threshold arithmetic per (item, bin) pair, and each
-    instance reads back exactly its rows.
-    """
-    batch = BatchInstances.from_ragged(
-        [(inst.services.req_elem, inst.services.req_agg,
-          inst.services.need_elem, inst.services.need_agg)
-         for inst in instances],
-        [(inst.nodes.elementary, inst.nodes.aggregate)
-         for inst in instances])
-    backend = get_backend()
-    cap_elem = batch.cap_elem + capacity_tolerance(batch.cap_elem)
-    cap_agg = batch.cap_agg + capacity_tolerance(batch.cap_agg)
-    ye_all = backend.batch_fit_thresholds(
-        batch.req_elem, batch.need_elem, cap_elem,
-        batch.n_items, batch.n_bins)
-    ya_all = backend.batch_fit_thresholds(
-        batch.req_agg, batch.need_agg, cap_agg,
-        batch.n_items, batch.n_bins)
-    factories = []
-    for b, inst in enumerate(instances):
-        j = int(batch.n_items[b])
-        h = int(batch.n_bins[b])
-        factories.append(YieldProbeFactory(inst, thresholds=(
-            np.ascontiguousarray(ye_all[b, :j, :h]),
-            np.ascontiguousarray(ya_all[b, :j, :h]))))
-    return factories
-
-
 def solve_many(
     instances: Sequence[ProblemInstance],
     table: StrategyTable,
@@ -313,12 +278,12 @@ def solve_many(
     """Solve a batch of instances with one META* strategy list, compiled
     as *table*.
 
-    Equivalent to (and bit-identical with) a loop of per-instance
-    ``MetaSolver.solve_with_hint`` calls, but with shared batched
-    precomputation and one fused kernel call per probe.  *hints* and
-    *stats* are per-instance, parallel to *instances*; each stats dict is
-    filled by the yield search and additionally receives ``seconds``
-    (this instance's solve wall-clock).  *threads* caps the worker pool
+    A loop of per-instance ``MetaSolver.solve_with_hint`` calls: each
+    instance's engine comes from :func:`make_engine`, as there, so the
+    results are the loop's bit for bit.  *hints* and *stats* are
+    per-instance, parallel to *instances*; each stats dict is filled by
+    the yield search and additionally receives ``seconds`` (this
+    instance's solve wall-clock).  *threads* caps the worker pool
     (default: one per instance up to the CPU count; pass 1 to force
     in-thread execution).
     """
@@ -329,20 +294,14 @@ def solve_many(
         raise ValueError("hints length must match instances")
     if stats is not None and len(stats) != B:
         raise ValueError("stats length must match instances")
-    dims = {inst.services.req_agg.shape[1] for inst in instances}
-    backend = get_backend()
     with obs.span("kernel.batch") as sp:
-        if B > 1 and len(dims) == 1:
-            factories = _batched_factories(instances)
-        else:
-            factories = [None] * B  # engines build their own
-        engines = [make_engine(inst, table, factory)
-                   for inst, factory in zip(instances, factories)]
-        fused = sum(1 for e in engines if isinstance(e, FusedProbeEngine))
+        engines = [make_engine(inst, table) for inst in instances]
         if obs.enabled():
-            sp.annotate(batch=B, backend=backend.name,
+            dims = {inst.dims for inst in instances}
+            sp.annotate(batch=B, backend=get_backend().name,
                         dim=(dims.pop() if len(dims) == 1 else None),
-                        fused=fused)
+                        fused=sum(1 for e in engines
+                                  if isinstance(e, FusedProbeEngine)))
 
         def solve_one(i: int) -> Optional[Allocation]:
             st = stats[i] if stats is not None else {}

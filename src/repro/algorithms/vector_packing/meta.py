@@ -88,9 +88,8 @@ class MetaSolver:
         :meth:`solve_with_hint` loop exactly (placements, certified
         yields, probe counts).
 
-        Routes through the batched kernel entry point
-        (:func:`~.batch_solve.solve_many`): shared threshold
-        precomputation, then the same engine selector per instance.
+        Routes through :func:`~.batch_solve.solve_many`, which builds
+        each instance's engine as :meth:`solve_with_hint` does.
         *hints* and *stats* are per-instance lists parallel to
         *instances*; each stats dict additionally receives ``seconds``
         (that instance's solve wall-clock).

@@ -77,24 +77,17 @@ def affine_fit_thresholds(req: np.ndarray, need: np.ndarray,
 class YieldProbeFactory:
     """Per-instance precomputation shared by all probes of a yield search."""
 
-    def __init__(self, instance: ProblemInstance,
-                 thresholds: Optional[tuple] = None):
+    def __init__(self, instance: ProblemInstance):
         sv, nd = instance.services, instance.nodes
         self.instance = instance
         #: Aggregate fit bound: each bin's capacity plus its tolerance.
         self.cap_tol = nd.aggregate + capacity_tolerance(nd.aggregate)
         with obs.span("meta.factory") as sp:
-            if thresholds is not None:
-                # Precomputed (elementary, aggregate) threshold tables —
-                # batched solving builds them for a whole batch in one
-                # kernel call and hands each instance its slice.
-                self.y_elem_max, y_agg_max = thresholds
-            else:
-                self.y_elem_max = affine_fit_thresholds(
-                    sv.req_elem, sv.need_elem,
-                    nd.elementary + capacity_tolerance(nd.elementary))
-                y_agg_max = affine_fit_thresholds(
-                    sv.req_agg, sv.need_agg, self.cap_tol)
+            self.y_elem_max = affine_fit_thresholds(
+                sv.req_elem, sv.need_elem,
+                nd.elementary + capacity_tolerance(nd.elementary))
+            y_agg_max = affine_fit_thresholds(
+                sv.req_agg, sv.need_agg, self.cap_tol)
             # Largest yield at which every item still has *some* bin that
             # fits it in isolation; above it the probe is trivially
             # infeasible.

@@ -13,15 +13,6 @@ them from growing back.
 the stdlib, numpy, and its own package — nothing else.  A kernel that
 reaches into the object model drags python back into the hot loop and
 breaks the "backends are interchangeable array programs" contract.
-``repro/kernels/batch.py`` is left to LY304, whose list is stricter.
-
-``LY304`` — the batch container stays standalone.
-``repro/kernels/batch.py`` is the structure-of-arrays container every
-backend (and the solver layer above) shares; it may import the stdlib
-and numpy, *nothing else* — not sibling kernel modules, no relative
-imports.  Stricter than LY303 because any dependency here becomes a
-dependency of every backend and an import-cycle hazard for the solvers
-that build batches.
 """
 
 from __future__ import annotations
@@ -39,8 +30,7 @@ from ..core import (
     register_rule,
 )
 
-__all__ = ["NoPrintRule", "MetricsDisciplineRule", "KernelImportRule",
-           "BatchContainerRule"]
+__all__ = ["NoPrintRule", "MetricsDisciplineRule", "KernelImportRule"]
 
 #: Modules whose whole job is terminal output.
 _CLI_FILES = frozenset({"repro/cli.py", "repro/analysis/cli.py"})
@@ -180,8 +170,6 @@ class MetricsDisciplineRule(Rule):
 
 #: Absolute imports a kernel module may use besides the stdlib.
 _KERNEL_THIRD_PARTY = frozenset({"numpy"})
-#: The one file LY304 governs (and LY303 therefore skips).
-_BATCH_CONTAINER = "repro/kernels/batch.py"
 
 
 @register_rule
@@ -194,8 +182,7 @@ class KernelImportRule(Rule):
     def check(self, project: Project) -> Iterator[Finding]:
         stdlib = sys.stdlib_module_names
         for module in project.modules:
-            if not module.in_package("kernels") \
-                    or module.relpath == _BATCH_CONTAINER:
+            if not module.in_package("kernels"):
                 continue
             for node in ast.walk(module.tree):
                 if isinstance(node, ast.Import):
@@ -233,42 +220,3 @@ class KernelImportRule(Rule):
                                 "may import only stdlib/numpy and "
                                 "repro.kernels itself")
     # (relative level-1 imports stay inside the package by construction)
-
-
-@register_rule
-class BatchContainerRule(Rule):
-    id = "LY304"
-    name = "batch-container-standalone"
-    summary = ("repro/kernels/batch.py imports only the stdlib and numpy "
-               "— the shared batch container must stay importable by "
-               "every backend with no further dependencies")
-
-    def check(self, project: Project) -> Iterator[Finding]:
-        stdlib = sys.stdlib_module_names
-        for module in project.modules:
-            if module.relpath != _BATCH_CONTAINER:
-                continue
-            for node in ast.walk(module.tree):
-                if isinstance(node, ast.Import):
-                    for alias in node.names:
-                        top = alias.name.split(".")[0]
-                        if top not in stdlib and top != "numpy":
-                            yield self.finding(
-                                module, node,
-                                f"batch container imports {alias.name!r}; "
-                                "only stdlib and numpy are allowed here")
-                elif isinstance(node, ast.ImportFrom):
-                    if node.level >= 1:
-                        yield self.finding(
-                            module, node,
-                            "batch container uses a relative import "
-                            f"(from {'.' * node.level}"
-                            f"{node.module or ''} ...); it must not "
-                            "depend on sibling kernel modules")
-                    elif node.module:
-                        top = node.module.split(".")[0]
-                        if top not in stdlib and top != "numpy":
-                            yield self.finding(
-                                module, node,
-                                f"batch container imports {node.module!r};"
-                                " only stdlib and numpy are allowed here")

@@ -568,7 +568,8 @@ def _apply_global_options(args: argparse.Namespace,
     — the top-level one or the inner argv of a shard/merge call."""
     if args.resume and not args.checkpoint:
         parser.error("--resume requires --checkpoint")
-    if args.command in _SPEC_BUILDERS or args.command in ("all", "serve"):
+    if args.command in _SPEC_BUILDERS \
+            or args.command in ("all", "serve", "dynamic"):
         try:
             parse_workload(args.workload)  # validate NAME[:k=v,...] early
         except (KeyError, ValueError) as exc:
@@ -693,7 +694,8 @@ def _cmd_dynamic(args) -> None:
     try:
         trace = generate_trace(
             horizon=args.horizon, mean_arrivals_per_step=args.arrival_rate,
-            mean_lifetime_steps=args.lifetime, rng=args.seed + 1,
+            mean_lifetime_steps=args.lifetime,
+            model=parse_workload(args.workload), rng=args.seed + 1,
             initial_services=args.hosts, sla_mix=sla_mix)
     except ValueError as exc:
         raise SystemExit(f"repro dynamic: {exc}")
@@ -781,6 +783,8 @@ def _cmd_serve(args) -> None:
         raise SystemExit(f"repro serve: {exc.payload['error']} "
                          f"(available: "
                          f"{', '.join(exc.payload.get('available', []))})")
+    except ValueError as exc:
+        raise SystemExit(f"repro serve: --cpu-need-scale: {exc}")
     if args.journal:
         try:
             events = load_journal(args.journal)

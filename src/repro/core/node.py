@@ -105,7 +105,12 @@ class NodeArray:
         Used where a derived platform already exists in array form — a
         failure-masked or capacity-scaled sub-platform, or a node added
         to a running service — without materializing ``Node`` objects.
-        The inputs are copied; validation matches the object path.
+        The inputs are copied and only their shapes and the name count
+        are checked, not their values (a NaN, a negative or an aggregate
+        below its elementary capacity passes): callers pass rows that are
+        already valid, the up nodes of a validated platform
+        (``dynamic.incremental.up_platform``) or a node the daemon's
+        ``ClusterState.add_node`` checked itself.
         """
         elementary = np.ascontiguousarray(elementary, dtype=np.float64)
         aggregate = np.ascontiguousarray(aggregate, dtype=np.float64)

@@ -32,7 +32,7 @@ import numpy as np
 from ..core.service import ServiceArray
 from ..core.sla import draw_sla_classes
 from ..util.rng import as_generator
-from ..workloads.google_model import DEFAULT_MODEL, GoogleWorkloadModel
+from ..workloads.google_model import DEFAULT_MODEL
 
 __all__ = ["ServiceEvent", "WorkloadTrace", "generate_trace"]
 
@@ -105,7 +105,7 @@ class WorkloadTrace:
 def generate_trace(horizon: int,
                    mean_arrivals_per_step: float,
                    mean_lifetime_steps: float,
-                   model: GoogleWorkloadModel = DEFAULT_MODEL,
+                   model: object = DEFAULT_MODEL,
                    rng: np.random.Generator | int | None = None,
                    initial_services: int = 0,
                    sla_mix: Mapping[str, float] | None = None) -> WorkloadTrace:
@@ -120,6 +120,9 @@ def generate_trace(horizon: int,
     mean_lifetime_steps:
         Geometric mean lifetime; departures beyond the horizon are
         clamped to it (services still running at the end).
+    model:
+        The workload model that draws the service descriptors: any
+        registered model (:func:`repro.workloads.parse_workload`).
     initial_services:
         Services already present at t = 0.
     sla_mix:

@@ -19,9 +19,6 @@ is deterministic end to end and shardable like every other experiment.
 
 from __future__ import annotations
 
-import dataclasses
-import hashlib
-import json
 from dataclasses import dataclass
 from functools import partial
 from typing import Mapping
@@ -32,7 +29,7 @@ from ..util.rng import derive_seed
 from ..workloads import DEFAULT_WORKLOAD, generate_platform, parse_workload
 from .persistence import PayloadRecords
 from .report import format_table
-from .spec import ExperimentSpec
+from .spec import ExperimentSpec, spec_fingerprint
 
 CHECKPOINT_KIND = "failure-sweep"
 
@@ -136,13 +133,6 @@ def _run_cell(task: _CellTask) -> dict:
     }
 
 
-def _spec_fingerprint(spec: FailureSweepSpec) -> str:
-    fields = dataclasses.asdict(spec)
-    fields.pop("instances")  # payloads are per-instance; growing reuses
-    blob = json.dumps(fields, sort_keys=True)
-    return hashlib.sha1(blob.encode()).hexdigest()[:12]
-
-
 def _reduce(spec: FailureSweepSpec, payloads) -> dict:
     """Average every cell's payloads over its instances, in sweep order."""
     cells: dict[tuple[float, str], list[dict]] = {}
@@ -215,7 +205,7 @@ def failure_sweep_experiment(spec: FailureSweepSpec) -> ExperimentSpec:
             for idx in range(spec.instances):
                 cells.append(_CellTask(spec, rate, mix, idx, index))
                 index += 1
-    fingerprint = _spec_fingerprint(spec)
+    fingerprint = spec_fingerprint(spec)
     return ExperimentSpec(
         name="failure-sweep",
         tasks=lambda: cells,

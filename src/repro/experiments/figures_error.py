@@ -17,9 +17,6 @@ that hard caps collapse once the error reaches ≈30% of the mean need.
 
 from __future__ import annotations
 
-import dataclasses
-import hashlib
-import json
 from dataclasses import dataclass
 from functools import partial
 from typing import Mapping, Optional
@@ -43,7 +40,7 @@ from ..workloads import (
 from .persistence import PayloadRecords
 from .report import format_table, write_csv
 from .runner import ALGORITHM_FACTORIES
-from .spec import ExperimentSpec
+from .spec import ExperimentSpec, spec_fingerprint
 
 CHECKPOINT_KIND = "error-figure"
 
@@ -171,18 +168,6 @@ def _run_instance(task: _InstanceTask) -> Optional[dict[str, dict[float, float]]
     return out
 
 
-def _spec_fingerprint(spec: ErrorFigureSpec) -> str:
-    """Identity of a figure's per-instance payloads in a shared checkpoint.
-
-    ``instances`` is excluded: payloads are per-instance, so growing the
-    instance count on resume reuses the ones already computed.
-    """
-    fields = dataclasses.asdict(spec)
-    fields.pop("instances")
-    blob = json.dumps(fields, sort_keys=True)
-    return hashlib.sha1(blob.encode()).hexdigest()[:12]
-
-
 def _encode_payload(out: Optional[dict[str, dict[float, float]]]):
     if out is None:
         return None  # dropped instance — recorded so resume skips it too
@@ -215,7 +200,7 @@ def _reduce_error(spec: ErrorFigureSpec, payloads) -> ErrorFigureData:
 
 def error_figure_experiment(spec: ErrorFigureSpec) -> ExperimentSpec:
     """Declare one error figure as a shardable experiment spec."""
-    fingerprint = _spec_fingerprint(spec)
+    fingerprint = spec_fingerprint(spec)
     return ExperimentSpec(
         name="fig-error",
         tasks=lambda: (_InstanceTask(spec, i) for i in range(spec.instances)),

@@ -185,9 +185,8 @@ def _run_task_batch(tasks: Sequence[_Task]) -> list[TaskResult]:
     instances are generated per task, hint chains stay *within* each
     task (per instance, across the algorithm list), and stochastic
     algorithms draw from the same coordinate-derived streams.  Only the
-    dispatch changes — for each hint-capable algorithm the whole block
-    of instances goes through one :meth:`solve_many` call, so the kernel
-    layer sees batches instead of singletons.
+    dispatch changes: for each hint-capable algorithm the whole block
+    of instances goes through one :meth:`solve_many` call.
     """
     tasks = list(tasks)
     if len(tasks) == 1:
@@ -305,9 +304,8 @@ def iter_grid(configs: Iterable[ScenarioConfig],
     tasks (default ``4 × workers``) are in flight at once.
 
     With ``batch > 1``, each worker dispatch covers up to *batch*
-    consecutive tasks and warm META* solves go through the batched
-    kernel entry point (one fused kernel call per probe instead of a
-    Python strategy scan) — results, checkpoint rows, and resume
+    consecutive tasks and warm META* solves go through
+    ``MetaSolver.solve_many`` — results, checkpoint rows, and resume
     behavior are identical to ``batch=1`` apart from wall-clock.
 
     *checkpoint* and *resume* work as in :func:`stream_tasks`: a task is

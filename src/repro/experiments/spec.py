@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 from .persistence import (
@@ -57,6 +57,7 @@ __all__ = [
     "Shard",
     "grid_experiment",
     "shard_index",
+    "spec_fingerprint",
 ]
 
 
@@ -66,6 +67,19 @@ def shard_index(key: object, of: int) -> int:
     which is salted per process)."""
     digest = hashlib.sha1(canonical_key(key).encode()).digest()
     return int.from_bytes(digest[:8], "big") % of
+
+
+def spec_fingerprint(spec: Any) -> str:
+    """Identity of a payload experiment's records in a shared checkpoint:
+    SHA-1 (12 hex digits) of the dataclass *spec*'s fields as sorted JSON.
+
+    ``instances`` is excluded: payloads are per-instance, so growing the
+    instance count on resume reuses the ones already computed.
+    """
+    fields = asdict(spec)
+    fields.pop("instances")
+    blob = json.dumps(fields, sort_keys=True)
+    return hashlib.sha1(blob.encode()).hexdigest()[:12]
 
 
 @dataclass(frozen=True)

@@ -66,7 +66,6 @@ __all__ = [
     "suffix_minima",
     "pp_fill_general",
     "affine_fit_thresholds",
-    "batch_fit_thresholds",
     "incremental_best_fit",
     "bind_probe_table",
     "probe_scan",
@@ -484,22 +483,6 @@ def affine_fit_thresholds(req, need, cap, out):
                 for h in range(H):
                     if not cap[h, d] - r >= 0:
                         out[j, h] = -np.inf
-    return 0
-
-
-def batch_fit_thresholds(req, need, cap, n_items, n_bins, out):
-    """Batched :func:`affine_fit_thresholds` over padded ``(B, ...)`` arrays.
-
-    ``req``/``need`` are ``(B, N, D)``, ``cap`` is ``(B, H, D)``; instance
-    *b* uses only its first ``n_items[b]`` item rows and ``n_bins[b]`` bin
-    rows.  Thresholds land in ``out[b, :n_items[b], :n_bins[b]]``; the
-    padding is left untouched.
-    """
-    for b in range(req.shape[0]):
-        J = n_items[b]
-        H = n_bins[b]
-        affine_fit_thresholds(req[b, :J], need[b, :J], cap[b, :H],
-                              out[b, :J, :H])
     return 0
 
 

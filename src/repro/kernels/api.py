@@ -10,9 +10,10 @@ and the dynamic simulator dispatch to (see :mod:`repro.kernels`):
   bin_order, by_remaining)`` — PP/CP's packed-code selection (any D):
   one implementation, :mod:`.packers`, on every backend;
 * ``affine_fit_thresholds(req, need, cap)`` — the probe factory's
-  yield-threshold table;
+  yield-threshold table, the only way any caller builds one;
 * ``batch_fit_thresholds(req, need, cap, n_items, n_bins)`` — the same
-  table over a padded ``(B, ...)`` batch of instances;
+  tables over a padded ``(B, ...)`` batch: one ``affine_fit_thresholds``
+  call per instance, on every backend;
 * ``incremental_best_fit(req_agg, elem_fit, loads, agg, cap_tol)`` —
   the dynamic simulator's newcomer placement;
 * ``bind_probe_scan(args)`` / ``probe_scan(table, y, scan, assignment)``
@@ -36,10 +37,11 @@ results — only wall-clock.  Backend selection never depends on the dimension c
 Each kernel's inputs are declared once, as a frozen dataclass of its
 arguments whose arrays carry dtype and shape (:func:`_array`) and which
 lists the index ranges the kernel follows — :class:`ProbeScanArgs`,
-:class:`GreedyScanArgs`, :class:`ShareNodesArgs`, :class:`ThresholdArgs`,
-:class:`BatchThresholdArgs` and :class:`IncrementalBestFitArgs` — and
-checked by :func:`check_args` before the kernel runs, so the compiled
-backend passes raw addresses.
+:class:`GreedyScanArgs`, :class:`ShareNodesArgs`, :class:`ThresholdArgs`
+and :class:`IncrementalBestFitArgs` — and checked by :func:`check_args`
+before the kernel runs, so the compiled backend passes raw addresses.
+:class:`BatchThresholdArgs` declares the padded batch the same way; it
+is checked before the per-instance loop, which no kernel replaces.
 
 :class:`ArrayKernelBackend` adapts the flat-array loop kernels of
 :mod:`._loops` (or the C translation with the same signatures) to this
@@ -452,22 +454,11 @@ def _f8(arr: Any) -> np.ndarray:
     return np.ascontiguousarray(arr, dtype=np.float64)
 
 
-def _i64(arr: Any) -> np.ndarray:
-    return np.ascontiguousarray(arr, dtype=np.int64)
-
-
 # The threshold and best-fit APIs take any array-likes: their inputs are
 # converted first, then checked (``loads`` is written, so never copied).
 def threshold_args(req: Any, need: Any, cap: Any
                    ) -> Tuple[ThresholdArgs, Dims]:
     args = ThresholdArgs(_f8(req), _f8(need), _f8(cap))
-    return args, check_args(args)
-
-
-def batch_threshold_args(req: Any, need: Any, cap: Any, n_items: Any,
-                         n_bins: Any) -> Tuple[BatchThresholdArgs, Dims]:
-    args = BatchThresholdArgs(_f8(req), _f8(need), _f8(cap), _i64(n_items),
-                              _i64(n_bins))
     return args, check_args(args)
 
 
@@ -506,18 +497,22 @@ class KernelBackend:
                               cap: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    # Nothing in the package calls this; perfbench's tracer wraps it by name.
     def batch_fit_thresholds(self, req: np.ndarray, need: np.ndarray,
                              cap: np.ndarray, n_items: np.ndarray,
                              n_bins: np.ndarray) -> np.ndarray:
-        """Threshold tables for a padded batch; generic per-instance loop.
+        """Threshold tables for a padded batch, one instance at a time.
 
         ``req``/``need`` are ``(B, N, D)``, ``cap`` is ``(B, H, D)``;
         instance *b* occupies the first ``n_items[b]`` / ``n_bins[b]``
-        rows.  Returns ``(B, N, H)`` with zeros in the padding — each
-        instance's block equals its ``affine_fit_thresholds`` exactly,
-        so batched solving stays bit-identical by construction.
+        rows.  Returns ``(B, N, H)`` with zeros in the padding; each
+        instance's block is its ``affine_fit_thresholds``.
         """
-        args, dims = batch_threshold_args(req, need, cap, n_items, n_bins)
+        args = BatchThresholdArgs(
+            _f8(req), _f8(need), _f8(cap),
+            np.ascontiguousarray(n_items, dtype=np.int64),
+            np.ascontiguousarray(n_bins, dtype=np.int64))
+        dims = check_args(args)
         out = np.zeros((dims["B"], dims["N"], dims["H"]))
         for b in range(dims["B"]):
             j, h = int(args.n_items[b]), int(args.n_bins[b])
@@ -600,14 +595,6 @@ class ArrayKernelBackend(KernelBackend):
                               cap: np.ndarray) -> np.ndarray:
         args, dims = threshold_args(req, need, cap)
         out = np.empty((dims["J"], dims["H"]), dtype=np.float64)
-        self._call(args, out)
-        return out
-
-    def batch_fit_thresholds(self, req: np.ndarray, need: np.ndarray,
-                             cap: np.ndarray, n_items: np.ndarray,
-                             n_bins: np.ndarray) -> np.ndarray:
-        args, dims = batch_threshold_args(req, need, cap, n_items, n_bins)
-        out = np.zeros((dims["B"], dims["N"], dims["H"]), dtype=np.float64)
         self._call(args, out)
         return out
 

@@ -379,17 +379,17 @@ int64_t pp_general_run(int64_t J, int64_t H, int64_t NB, int64_t D,
     return unplaced;
 }
 
-/* Rows of J items' thresholds against H bins, row j at out + j*ld.
-   Dimensions run outermost per item, so each need divides a whole row;
-   every (j, h) still meets d in order, so it keeps the minimum the
-   per-pair loop keeps.  A need of 0 or less gives +inf (no change) or,
-   unless the slack is >= 0, -inf. */
-static void fit_rows(int64_t J, int64_t H, int64_t D, const double *req,
-                     const double *need, const double *cap, double *out,
-                     int64_t ld)
+/* J items' thresholds against H bins, row j at out + j*H.  Dimensions
+   run outermost per item, so each need divides a whole row; every
+   (j, h) still meets d in order, so it keeps the minimum the per-pair
+   loop keeps.  A need of 0 or less gives +inf (no change) or, unless
+   the slack is >= 0, -inf. */
+int64_t affine_fit_thresholds(int64_t J, int64_t H, int64_t D,
+                              const double *req, const double *need,
+                              const double *cap, double *out)
 {
     for (int64_t j = 0; j < J; j++) {
-        double *m = out + j*ld;
+        double *m = out + j*H;
         for (int64_t h = 0; h < H; h++) m[h] = INFINITY;
         for (int64_t d = 0; d < D; d++) {
             double r = req[j*D+d];
@@ -405,24 +405,6 @@ static void fit_rows(int64_t J, int64_t H, int64_t D, const double *req,
             }
         }
     }
-}
-
-int64_t affine_fit_thresholds(int64_t J, int64_t H, int64_t D,
-                              const double *req, const double *need,
-                              const double *cap, double *out)
-{
-    fit_rows(J, H, D, req, need, cap, out, H);
-    return 0;
-}
-
-int64_t batch_fit_thresholds(int64_t B, int64_t N, int64_t Hm, int64_t D,
-                             const double *req, const double *need,
-                             const double *cap, const int64_t *n_items,
-                             const int64_t *n_bins, double *out)
-{
-    for (int64_t b = 0; b < B; b++)
-        fit_rows(n_items[b], n_bins[b], D, req + b*N*D, need + b*N*D,
-                 cap + b*Hm*D, out + b*N*Hm, Hm);
     return 0;
 }
 
@@ -1200,7 +1182,6 @@ def _build_library() -> str:
 #: double, ``p`` a raw data address (every array; see :class:`_NativeKernels`).
 _SIGNATURES = {
     "affine_fit_thresholds": "iii" + "p" * 4,
-    "batch_fit_thresholds": "iiii" + "p" * 6,
     "incremental_best_fit": "iii" + "p" * 6,
     "greedy_scan": "iiii" + "p" * 15 + "ddpp",
     "share_nodes": "i" + "p" * 9 + "idd" + "p" * 8,
@@ -1251,11 +1232,6 @@ class _NativeKernels:
         return self._lib.affine_fit_thresholds(
             req.shape[0], cap.shape[0], req.shape[1],
             *_addresses(req, need, cap, out))
-
-    def batch_fit_thresholds(self, req, need, cap, n_items, n_bins, out):
-        return self._lib.batch_fit_thresholds(
-            req.shape[0], req.shape[1], cap.shape[1], req.shape[2],
-            *_addresses(req, need, cap, n_items, n_bins, out))
 
     def incremental_best_fit(self, req_agg, elem_fit, loads, agg,
                              cap_tol, out):

@@ -165,6 +165,10 @@ class AllocationController:
                  rng: np.random.Generator | int | None = None,
                  faults: FaultInjector | None = None,
                  solver_retry: BackoffPolicy = DEFAULT_BACKOFF):
+        # Every sampled spec would be refused for the daemon's whole life.
+        if not (np.isfinite(cpu_need_scale) and cpu_need_scale >= 0):
+            raise ValueError(f"cpu_need_scale must be finite and >= 0, "
+                             f"got {cpu_need_scale!r}")
         self.state = ClusterState(nodes)
         #: The last committed state, replaced (never mutated) at the end
         #: of every transaction; read-side endpoints use it lock-free.

@@ -70,6 +70,25 @@ class TestMainSmoke:
         assert rc == 0
         assert "Dynamic hosting" in capsys.readouterr().out
 
+    def test_dynamic_follows_the_workload(self, capsys):
+        """``--workload`` picks the model that draws the trace's
+        services; naming the default changes nothing."""
+        argv = ["dynamic", "--hosts", "6", "--horizon", "8", "--periods", "2"]
+        tables = []
+        for workload in ([], ["--workload", "google"],
+                         ["--workload", "heavy-tailed:cpu_tail_index=1.2"]):
+            assert main([*workload, *argv]) == 0
+            tables.append(capsys.readouterr().out)
+        default, google, heavy = tables
+        assert google == default
+        assert heavy != default
+        assert "Dynamic hosting" in heavy
+
+    def test_unknown_workload_rejected_by_dynamic(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["--workload", "bogus", "dynamic"])
+        assert "unknown workload" in capsys.readouterr().err
+
     def test_rank_strategies_runs(self, capsys):
         rc = main(["--workers", "1", "rank-strategies", "--services", "10",
                    "--hosts", "4", "--instances", "2", "--top", "5"])

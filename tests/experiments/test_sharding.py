@@ -233,8 +233,8 @@ class TestWorkloadFingerprints:
         assert isinstance(loaded.config.model, HeavyTailedWorkloadModel)
 
     def test_error_figure_fingerprint_varies_with_workload(self):
-        from repro.experiments.figures_error import _spec_fingerprint
-        assert _spec_fingerprint(TINY_ERR) != _spec_fingerprint(
+        from repro.experiments.spec import spec_fingerprint
+        assert spec_fingerprint(TINY_ERR) != spec_fingerprint(
             dataclasses.replace(TINY_ERR, workload="heavy-tailed"))
 
     def test_ranking_fingerprint_varies(self):

@@ -33,7 +33,6 @@ from repro.core.instance import ProblemInstance
 from repro.core.node import NodeArray
 from repro.core.service import ServiceArray
 from repro.kernels.api import codes_overflow
-from repro.kernels.batch import BatchInstances
 from repro.workloads import ScenarioConfig, generate_instance
 
 AVAILABILITY = kernels.available_backends()
@@ -87,40 +86,6 @@ def _assert_equivalent(batch, bstats, seq, sstats, context):
     _assert_same(batch, bstats, seq, sstats, context)
     for i, st in enumerate(bstats):
         assert "seconds" in st, (context, i)
-
-
-class TestBatchInstances:
-    def test_ragged_padding_and_masks(self):
-        insts = [synthetic_instance(3, J=j, H=h, seed=j)
-                 for j, h in ((5, 2), (9, 4), (3, 3))]
-        batch = BatchInstances.from_ragged(
-            [(i.services.req_elem, i.services.req_agg,
-              i.services.need_elem, i.services.need_agg) for i in insts],
-            [(i.nodes.elementary, i.nodes.aggregate) for i in insts])
-        assert batch.batch_size == 3
-        assert batch.max_items == 9 and batch.max_bins == 4
-        assert batch.dims == 3
-        assert batch.n_items.tolist() == [5, 9, 3]
-        assert batch.n_bins.tolist() == [2, 4, 3]
-        for b, inst in enumerate(insts):
-            j, h = len(inst.services), len(inst.nodes)
-            assert np.array_equal(batch.req_agg[b, :j],
-                                  inst.services.req_agg)
-            assert (batch.req_agg[b, j:] == 0).all()
-            assert np.array_equal(batch.cap_agg[b, :h],
-                                  inst.nodes.aggregate)
-            assert batch.item_mask()[b].sum() == j
-            assert batch.bin_mask()[b].sum() == h
-
-    def test_mixed_dims_rejected(self):
-        a = synthetic_instance(2)
-        b = synthetic_instance(3)
-        with pytest.raises(ValueError, match="dimension count"):
-            BatchInstances.from_ragged(
-                [(i.services.req_elem, i.services.req_agg,
-                  i.services.need_elem, i.services.need_agg)
-                 for i in (a, b)],
-                [(i.nodes.elementary, i.nodes.aggregate) for i in (a, b)])
 
 
 @pytest.mark.parametrize("backend", _backend_params())
@@ -346,8 +311,8 @@ class TestSolveManyEdgeCases:
         with pytest.raises(ValueError, match="stats"):
             solver.solve_many([inst], stats=[{}, {}])
 
-    def test_mixed_dims_batch_falls_back(self):
-        """A batch spanning D values still solves (no shared thresholds)."""
+    def test_mixed_dims_batch_matches_the_loop(self):
+        """A batch spanning D values solves like the loop."""
         instances = [synthetic_instance(2, seed=1),
                      synthetic_instance(3, seed=1)]
         solver = MetaSolver(hvp_light_strategies())

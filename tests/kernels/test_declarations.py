@@ -8,10 +8,11 @@ no corrupted array may — a wrong dtype, a wrong shape, a strided or
 column-major array, a read-only output, or an index at -1 or at the
 upper bound of its declared range.  An argument the adapter converts
 (the thresholds' inputs, the best-fit's newcomer rows) is only refused
-for its shape and range.  The numpy backend runs no kernel, but refuses
-the same corrupted greedy, sharing, threshold and best-fit arguments.
-The fused probe's per-call ``scan`` and ``assignment`` are checked on
-every probe.
+for its shape and range.  A batch of threshold tables has no kernel of
+its own: its good arguments reach the threshold kernel once per
+instance.  The numpy backend runs no kernel, but refuses the same
+corrupted greedy, sharing, threshold and best-fit arguments.  The fused
+probe's per-call ``scan`` and ``assignment`` are checked on every probe.
 """
 
 import dataclasses
@@ -33,9 +34,8 @@ from repro.kernels.native_backend import _NativeKernels
 from repro.kernels.numpy_backend import NumpyKernelBackend
 from tests.kernels.test_probe_bind import TABLE, args_of, random_instance
 
-KERNELS = ("affine_fit_thresholds", "batch_fit_thresholds",
-           "incremental_best_fit", "bind_probe_table", "probe_scan",
-           "greedy_scan", "share_nodes")
+KERNELS = ("affine_fit_thresholds", "incremental_best_fit",
+           "bind_probe_table", "probe_scan", "greedy_scan", "share_nodes")
 
 
 def recording_backend():
@@ -159,8 +159,9 @@ def test_good_arguments_reach_the_kernel(cls):
     for name, *_ in _SPECS[cls]:
         assert getattr(GOOD[cls], name).size >= 2, name  # strides show
     CALLS[cls](backend, fresh(GOOD[cls]))
-    assert calls == [{"probe_scan": "bind_probe_table"}.get(cls.kernel,
-                                                            cls.kernel)]
+    reached = {ProbeScanArgs: ["bind_probe_table"],
+               BatchThresholdArgs: ["affine_fit_thresholds"] * 2}
+    assert calls == reached.get(cls, [cls.kernel])
 
 
 def test_every_kernel_has_a_case():
@@ -169,9 +170,8 @@ def test_every_kernel_has_a_case():
     assert len(_SPECS) == 6
 
 
-@pytest.mark.parametrize("cls", [cls for cls in CALLS
-                                 if cls is not ProbeScanArgs],
-                         ids=lambda c: c.kernel)
+@pytest.mark.parametrize("cls", [cls for cls in CALLS if cls not in (
+    ProbeScanArgs, BatchThresholdArgs)], ids=lambda c: c.kernel)
 def test_fields_are_the_kernels_leading_arguments(cls):
     """The adapter passes a declaration's fields positionally."""
     names = [f.name for f in dataclasses.fields(cls)]

@@ -348,8 +348,9 @@ class TestOnePackerPath:
     """Every backend answers ``first_fit``, ``best_fit`` and
     ``permutation_pack`` with the same functions, and a compiled backend
     runs its fills only inside ``probe_scan``: neither the C library nor
-    the loops source exports a standalone fill.  The C library exports
-    its six entry points and no helper."""
+    the loops source exports a standalone fill, or a batched threshold
+    kernel.  The C library exports its five entry points and no
+    helper."""
 
     @pytest.mark.parametrize("method", ["first_fit", "best_fit",
                                         "permutation_pack"])
@@ -364,37 +365,42 @@ class TestOnePackerPath:
     def test_the_native_library_exports_no_fill(self):
         lib = kernels.resolve_backend("native")._k._lib
         for name in ("ff_fill", "bf_pack", "pp_fill_2d", "pp_fill_general",
-                     "pairwise_sum"):
+                     "pairwise_sum", "batch_fit_thresholds"):
             assert not hasattr(lib, name), name
-        assert len(_SIGNATURES) == 5
+        assert len(_SIGNATURES) == 4
         for name in (*_SIGNATURES, "probe_scan"):
             assert hasattr(lib, name), name
 
     def test_the_loops_source_exports_no_standalone_fill(self):
-        for name in ("ff_fill", "pp_fill_2d"):
+        for name in ("ff_fill", "pp_fill_2d", "batch_fit_thresholds"):
             assert name not in _loops.__all__, name
             assert not hasattr(_loops, name), name
 
 
 class TestThresholdShapesRefusedBeforeTheKernel:
-    """The threshold kernels follow the arrays' shapes and the batch's
-    item and bin counts, so the adapter refuses any that disagree."""
+    """The threshold kernel follows the arrays' shapes, and a batch's
+    per-instance loop its item and bin counts, so the backend refuses any
+    that disagree."""
 
     @staticmethod
     def stub():
         calls = []
         record = lambda *a: calls.append(a) or 0  # noqa: E731
         return ArrayKernelBackend("stub", SimpleNamespace(
-            affine_fit_thresholds=record, batch_fit_thresholds=record)), \
-            calls
+            affine_fit_thresholds=record)), calls
 
     def test_good_shapes_reach_the_kernels(self):
+        """A batch reaches the one threshold kernel once per instance,
+        with that instance's rows."""
         backend, calls = self.stub()
         backend.affine_fit_thresholds(np.ones((4, 2)), np.ones((4, 2)),
                                       np.ones((3, 2)))
         backend.batch_fit_thresholds(np.ones((2, 4, 2)), np.ones((2, 4, 2)),
                                      np.ones((2, 3, 2)), [4, 1], [3, 0])
-        assert len(calls) == 2
+        assert [[a.shape for a in call] for call in calls] == [
+            [(4, 2), (4, 2), (3, 2), (4, 3)],
+            [(4, 2), (4, 2), (3, 2), (4, 3)],
+            [(1, 2), (1, 2), (0, 2), (1, 0)]]
 
     @pytest.mark.parametrize("req,need,cap", [
         ((4, 2), (5, 2), (3, 2)), ((4, 2), (4, 3), (3, 2)),

@@ -199,6 +199,21 @@ class TestLifecycle:
         assert err.value.status == 400
         assert controller.strategy == "METAHVPLIGHT"
 
+    @pytest.mark.parametrize("scale", [-1.0, -1e-300, float("nan"),
+                                       float("inf"), float("-inf")])
+    def test_bad_cpu_need_scale_refused_at_construction(self, scale):
+        """Such a scale makes every sampled spec invalid, so the
+        controller refuses it before it serves anything."""
+        with pytest.raises(ValueError, match="^cpu_need_scale must be "
+                                             "finite and >= 0"):
+            make_controller(cpu_need_scale=scale)
+
+    @pytest.mark.parametrize("scale", [0.0, 0.05, 2.0])
+    def test_good_cpu_need_scale_samples_and_admits(self, scale):
+        ctl = make_controller(cpu_need_scale=scale)
+        spec = ctl.sample_spec()
+        assert ctl.admit(spec)["active"] == 1
+
     def test_snapshot_is_consistent(self, controller):
         specs = scripted_specs(6)
         for spec in specs:

@@ -72,3 +72,17 @@ def test_port_zero_prints_real_bound_port_and_serves(daemon):
 
     proc.send_signal(signal.SIGINT)
     assert proc.wait(timeout=15) == 0
+
+
+def test_a_bad_cpu_need_scale_exits_before_binding():
+    """The controller refuses the scale, so the daemon never listens."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro.cli", "serve", "--port", "0",
+         "--hosts", "4", "--cpu-need-scale", "-1"],
+        cwd=os.path.join(os.path.dirname(__file__), "..", ".."),
+        env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("repro serve: --cpu-need-scale: ")
