@@ -19,8 +19,8 @@ probe-scan kernel (numpy).  ``solve_many`` against the fused
 gated.
 
 Part 2 reports the wall-clock of the full Table 1 and Table 2 quick
-grids run batched (``batch=32``) plus the solve-seconds spent inside the
-batched META* algorithms alone.
+grids, run as the grid runner runs every task (one task per dispatch),
+plus the solve-seconds spent inside the META* algorithms alone.
 
 Results land in ``benchmarks/output/BENCH_batch.json``; the committed
 baseline ``benchmarks/BENCH_batch.json`` records the reference
@@ -63,8 +63,6 @@ REFERENCE_INSTANCES = [
     for cov in (0.25, 0.75)
     for slack in (0.4, 0.6)
 ]
-
-GRID_BATCH = 32
 
 
 @pytest.fixture(scope="module")
@@ -122,7 +120,7 @@ def test_batched_is_interchangeable(sweep):
 
 @pytest.fixture(scope="module")
 def grid_walls(sweep):
-    """Full quick Table 1 + Table 2 grids, run batched."""
+    """Full quick Table 1 + Table 2 grids."""
     if not sweep["fused"]:
         return None  # meaningless without the fused kernel; gate skips
     walls = {}
@@ -132,7 +130,7 @@ def grid_walls(sweep):
         warm = label == "table1"  # table2 times standalone solves
         t0 = time.perf_counter()
         results = run_grid(QUICK_GRID.configs(), algos, workers=1,
-                           warm_chain=warm, batch=GRID_BATCH)
+                           warm_chain=warm)
         walls[label] = time.perf_counter() - t0
         per = defaultdict(float)
         for task in results:
@@ -174,7 +172,6 @@ def test_batch_speedup_and_record(sweep, grid_walls, emit, output_dir):
         "batched_vs_fused_sequential": round(over_fused, 2),
         "identical_results": True,  # asserted above
         "quick_grid": None if grid_walls is None else {
-            "batch": GRID_BATCH,
             "wall_seconds": {k: round(v, 2)
                              for k, v in grid_walls["walls"].items()},
             "meta_solve_seconds": {
@@ -182,7 +179,7 @@ def test_batch_speedup_and_record(sweep, grid_walls, emit, output_dir):
                 for k, v in grid_walls["meta_solve_seconds"].items()},
             "note": ("wall includes the non-kernel baselines "
                      "(RRND/RRNZ/METAGREEDY); meta_solve_seconds is the "
-                     "batched META* share"),
+                     "META* share"),
         },
     }
     with open(os.path.join(output_dir, "BENCH_batch.json"), "w") as fh:

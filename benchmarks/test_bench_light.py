@@ -3,7 +3,10 @@
 The paper's claims: METAHVPLIGHT is ≈10× faster while solving essentially
 the same instances at essentially the same average minimum yield (same
 100-service set; 21 fewer of 30k+ 250-service instances; identical
-500-service set and identical 0.897 average yield).
+500-service set and identical 0.897 average yield).  The yields hold here;
+the speed-up does not: at 64 hosts and 100, 250 and 500 services LIGHT is
+~3× faster (6.1, 14.5 and 23.2 ms against 19.3, 42.3 and 69.4 ms, cold
+solves, ``native``).
 """
 
 import numpy as np
@@ -66,8 +69,8 @@ def test_light_vs_full_report(solved, emit):
     text = format_table(
         ("instance", "METAHVP yield", "LIGHT yield", "METAHVP t", "LIGHT t"),
         table_rows,
-        title="§5.1: METAHVP vs METAHVPLIGHT (quality parity, ~order-of-"
-              "magnitude runtime gap at paper scale)")
+        title="§5.1: METAHVP vs METAHVPLIGHT (quality parity, ~3x "
+              "runtime gap at paper scale)")
     emit("light_vs_full", text)
 
     # Quality parity: identical success pattern and near-identical yields.
@@ -77,6 +80,6 @@ def test_light_vs_full_report(solved, emit):
         assert (full_y is None) == (light_y is None)
         if full_y is not None:
             assert abs(full_y - light_y) < 0.02
-    # Runtime: LIGHT strictly faster on average (the full 10× shows at
-    # paper scale; reduced instances still show a clear gap).
+    # Runtime: LIGHT strictly faster on average (~3× at paper scale;
+    # reduced instances still show a clear gap).
     assert np.mean(speedups) > 1.5

@@ -155,6 +155,12 @@ def metahvp(tolerance: float = DEFAULT_TOLERANCE,
 
 def metahvp_light(tolerance: float = DEFAULT_TOLERANCE,
                   window: int | None = None) -> NamedAlgorithm:
-    """METAHVPLIGHT: the 60-strategy subset of §5.1 (≈10× faster)."""
+    """METAHVPLIGHT: the 60-strategy subset of §5.1.
+
+    The paper reports it ≈10× faster than METAHVP.  Here, on 64 hosts at
+    100, 250 and 500 services (cold solves, ``native``), it takes 6.1,
+    14.5 and 23.2 ms against METAHVP's 19.3, 42.3 and 69.4 ms: ~3×, with
+    equal yields on all 18 instances measured.
+    """
     return meta_algorithm("METAHVPLIGHT", hvp_light_strategies(window),
                           tolerance=tolerance)

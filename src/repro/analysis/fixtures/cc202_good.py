@@ -1,7 +1,7 @@
 # repro-fixture: rule=CC202 count=0 path=repro/experiments/example.py
 # ruff: noqa
 """Known-good: module-level picklable workers."""
-from repro.util.parallel import parallel_imap, parallel_imap_cached
+from repro.util.parallel import parallel_imap_cached
 
 
 def _solve_task(task):
@@ -9,7 +9,8 @@ def _solve_task(task):
 
 
 def run_sweep(tasks, cache):
-    plain = list(parallel_imap(_solve_task, tasks))
-    cached = list(parallel_imap_cached(_solve_task, tasks, cache,
-                                       key=lambda t: t))
-    return plain, cached
+    fresh = list(parallel_imap_cached(_solve_task, tasks, {},
+                                      key=lambda t: t))
+    resumed = list(parallel_imap_cached(_solve_task, tasks, cache,
+                                        key=lambda t: t))
+    return fresh, resumed

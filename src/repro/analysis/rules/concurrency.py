@@ -11,8 +11,8 @@ and flags lock-held code that can reach a solver entry point, blocking
 I/O, or a checkpoint write from any *other* function — the classic
 "quick getter grows a solve under the lock" regression.
 
-``CC202`` — objects crossing ``parallel_imap`` worker boundaries.  The
-experiment engine ships picklable task descriptors to a process pool;
+``CC202`` — objects crossing ``parallel_imap_cached`` worker boundaries.
+The experiment engine ships picklable task descriptors to a process pool;
 a lambda or nested closure as the worker either fails to pickle (spawn)
 or silently captures parent state that workers mutate without effect
 (fork).  Workers must be module-level callables.
@@ -304,16 +304,16 @@ class ReadPathRule(Rule):
             frontier = reached
 
 
-#: The pool entry points whose first positional argument runs in worker
+#: The pool entry point whose first positional argument runs in worker
 #: processes.
-_POOL_ENTRY_POINTS = frozenset({"parallel_imap", "parallel_imap_cached"})
+_POOL_ENTRY_POINT = "parallel_imap_cached"
 
 
 @register_rule
 class ParallelBoundaryRule(Rule):
     id = "CC202"
     name = "picklable-pool-workers"
-    summary = ("parallel_imap workers must be module-level "
+    summary = ("parallel_imap_cached workers must be module-level "
                "callables — lambdas and nested closures capture shared "
                "mutable state that does not survive the process boundary")
 
@@ -325,7 +325,7 @@ class ParallelBoundaryRule(Rule):
                     continue
                 name = dotted_name(node.func)
                 if name is None \
-                        or name.split(".")[-1] not in _POOL_ENTRY_POINTS:
+                        or name.split(".")[-1] != _POOL_ENTRY_POINT:
                     continue
                 if not node.args:
                     continue

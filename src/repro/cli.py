@@ -10,8 +10,9 @@ Examples::
     repro-experiments all --output results/
 
 Every command prints the text rendering and, with ``--output``, writes a
-CSV next to it.  ``--paper`` switches to the full §4 grid (CPU-days in
-pure Python; the default quick grid preserves the qualitative shape).
+CSV next to it.  ``--paper`` switches to the full §4 grid (about a
+CPU-month per table, nearly all of it the LP behind RRND/RRNZ; the
+default quick grid preserves the qualitative shape).
 
 Long sweeps should run with ``--checkpoint results.jsonl``: every
 completed instance is appended to the JSONL file as it finishes, and an
@@ -85,6 +86,20 @@ from .workloads import parse_workload, workload_names
 __all__ = ["main", "build_parser"]
 
 
+def _count(text: str) -> int:
+    """argparse type of ``--instances``, ``--hosts`` and ``--services``:
+    an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid count {text!r}: not an integer") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"invalid count {value}: must be at least 1")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-experiments",
@@ -127,32 +142,32 @@ def build_parser() -> argparse.ArgumentParser:
     t1 = sub.add_parser("table1", help="pairwise comparisons (Table 1)")
     t1.add_argument("--paper", action="store_true",
                     help="full paper grid instead of the quick grid")
-    t1.add_argument("--instances", type=int, default=None)
+    t1.add_argument("--instances", type=_count, default=None)
     t1.add_argument("--include-light", action="store_true",
                     help="add METAHVPLIGHT (the §5.1 comparison)")
     t1.add_argument("--algorithms", nargs="+", default=None)
 
     t2 = sub.add_parser("table2", help="run times (Table 2)")
     t2.add_argument("--paper", action="store_true")
-    t2.add_argument("--instances", type=int, default=None)
+    t2.add_argument("--instances", type=_count, default=None)
     t2.add_argument("--include-light", action="store_true")
 
     fc = sub.add_parser("fig-cov", help="yield-vs-CoV figures (2-4, 8-34)")
-    fc.add_argument("--services", type=int, default=None)
+    fc.add_argument("--services", type=_count, default=None)
     fc.add_argument("--slack", type=float, default=0.3)
-    fc.add_argument("--hosts", type=int, default=None)
-    fc.add_argument("--instances", type=int, default=None)
+    fc.add_argument("--hosts", type=_count, default=None)
+    fc.add_argument("--instances", type=_count, default=None)
     fc.add_argument("--variant", choices=("none", "cpu", "mem"),
                     default="none",
                     help="hold CPU (Fig 3) or memory (Fig 4) homogeneous")
     fc.add_argument("--paper", action="store_true")
 
     fe = sub.add_parser("fig-error", help="error-impact figures (5-7, 35-66)")
-    fe.add_argument("--services", type=int, default=None)
+    fe.add_argument("--services", type=_count, default=None)
     fe.add_argument("--slack", type=float, default=0.4)
     fe.add_argument("--cov", type=float, default=0.5)
-    fe.add_argument("--hosts", type=int, default=None)
-    fe.add_argument("--instances", type=int, default=None)
+    fe.add_argument("--hosts", type=_count, default=None)
+    fe.add_argument("--instances", type=_count, default=None)
     fe.add_argument("--placer", default=None,
                     help="placement algorithm (default METAHVPLIGHT quick, "
                          "METAHVP with --paper)")
@@ -162,9 +177,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     rk = sub.add_parser("rank-strategies",
                         help="§5.1 exploration: rank all 253 HVP strategies")
-    rk.add_argument("--services", type=int, default=20)
-    rk.add_argument("--hosts", type=int, default=8)
-    rk.add_argument("--instances", type=int, default=4)
+    rk.add_argument("--services", type=_count, default=20)
+    rk.add_argument("--hosts", type=_count, default=8)
+    rk.add_argument("--instances", type=_count, default=4)
     rk.add_argument("--top", type=int, default=25)
     rk.add_argument("--no-warm-start", dest="warm_start",
                     action="store_false",
@@ -173,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     dy = sub.add_parser("dynamic",
                         help="dynamic hosting simulation (future-work)")
-    dy.add_argument("--hosts", type=int, default=12)
+    dy.add_argument("--hosts", type=_count, default=12)
     dy.add_argument("--horizon", type=int, default=40)
     dy.add_argument("--arrival-rate", type=float, default=2.0)
     dy.add_argument("--lifetime", type=float, default=10.0)
@@ -195,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
         "failure-sweep",
         help="sweep node failure rates x SLA mixes over the dynamic "
              "simulator (yield, churn cost, SLA compliance)")
-    fs.add_argument("--hosts", type=int, default=12)
+    fs.add_argument("--hosts", type=_count, default=12)
     fs.add_argument("--horizon", type=int, default=40)
     fs.add_argument("--arrival-rate", type=float, default=2.0)
     fs.add_argument("--lifetime", type=float, default=10.0)
@@ -208,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="named SLA mixes (best-effort, mixed, strict)")
     fs.add_argument("--period", type=int, default=4,
                     help="re-pack period (default 4)")
-    fs.add_argument("--instances", type=int, default=3)
+    fs.add_argument("--instances", type=_count, default=3)
 
     al = sub.add_parser("all", help="run every experiment at quick scale")
     al.add_argument("--paper", action="store_true")
@@ -231,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
                          "latency estimate exceeds it, admissions degrade "
                          "to a single bounded-time greedy probe "
                          "(default: never degrade)")
-    sv.add_argument("--hosts", type=int, default=16,
+    sv.add_argument("--hosts", type=_count, default=16,
                     help="platform size (default 16)")
     sv.add_argument("--cov", type=float, default=0.5,
                     help="platform heterogeneity CoV (default 0.5)")
@@ -371,7 +386,7 @@ def _run_kwargs(args: argparse.Namespace, label: str) -> dict:
 def _grid(args: argparse.Namespace) -> GridSpec:
     grid = PAPER_GRID if args.paper else QUICK_GRID
     overrides = {"seed": args.seed, "workload": args.workload}
-    if getattr(args, "instances", None):
+    if args.instances is not None:
         overrides["instances"] = args.instances
     return dataclasses.replace(grid, **overrides)
 
@@ -410,11 +425,11 @@ def _cov_spec(args) -> CovFigureSpec:
             cov_values=tuple(round(0.1 * i, 6) for i in range(10)),
             seed=args.seed)
     overrides = {"workload": args.workload}
-    if args.services:
+    if args.services is not None:
         overrides["services"] = args.services
-    if args.hosts:
+    if args.hosts is not None:
         overrides["hosts"] = args.hosts
-    if args.instances:
+    if args.instances is not None:
         overrides["instances"] = args.instances
     overrides["slack"] = args.slack
     overrides["cpu_homogeneous"] = args.variant == "cpu"
@@ -443,11 +458,11 @@ def _error_spec(args) -> ErrorFigureSpec:
     overrides = {"slack": args.slack, "cov": args.cov,
                  "include_caps": args.include_caps,
                  "workload": args.workload}
-    if args.services:
+    if args.services is not None:
         overrides["services"] = args.services
-    if args.hosts:
+    if args.hosts is not None:
         overrides["hosts"] = args.hosts
-    if args.instances:
+    if args.instances is not None:
         overrides["instances"] = args.instances
     if args.placer:
         overrides["placer"] = args.placer
@@ -538,17 +553,16 @@ def _cmd_all(args) -> None:
     ns.command = "table2"
     ns.checkpoint = _subcheckpoint(args, "table2")
     _run_spec(ns)
-    for services in (None,):
-        for variant in ("none", "cpu", "mem"):
-            cov_ns = argparse.Namespace(**vars(args))
-            cov_ns.command = "fig-cov"
-            cov_ns.services = services
-            cov_ns.hosts = None
-            cov_ns.instances = None
-            cov_ns.slack = 0.3
-            cov_ns.variant = variant
-            cov_ns.checkpoint = _subcheckpoint(args, f"fig-cov-{variant}")
-            _run_spec(cov_ns)
+    for variant in ("none", "cpu", "mem"):
+        cov_ns = argparse.Namespace(**vars(args))
+        cov_ns.command = "fig-cov"
+        cov_ns.services = None
+        cov_ns.hosts = None
+        cov_ns.instances = None
+        cov_ns.slack = 0.3
+        cov_ns.variant = variant
+        cov_ns.checkpoint = _subcheckpoint(args, f"fig-cov-{variant}")
+        _run_spec(cov_ns)
     err_ns = argparse.Namespace(**vars(args))
     err_ns.command = "fig-error"
     err_ns.services = None

@@ -3,9 +3,11 @@
 ``PAPER_GRID`` mirrors §4: 64 hosts; 100/250/500 services; CoV 0-1 in
 0.025 steps; slack 0.1-0.9 in 0.1 steps; 100 instances per scenario
 (12,300 base instances, 36,900 scaled per service count).  That grid costs
-CPU-days in pure Python, so ``QUICK_GRID`` (the default for benches and
-the CLI) keeps the same structure at a laptop-friendly size; pass
-``--paper`` to the CLI for the full sweep.
+about a CPU-month per table, nearly all of it the LP behind RRND/RRNZ
+(0.6, 9.1 and 57.6 s per instance at 100, 250 and 500 services); the
+heuristics take under 0.1 s per paper-size instance.  So ``QUICK_GRID``
+(the default for benches and the CLI) keeps the same structure at a
+laptop-friendly size; pass ``--paper`` to the CLI for the full sweep.
 """
 
 from __future__ import annotations

@@ -4,7 +4,10 @@ Workers receive *picklable task descriptors* — a :class:`ScenarioConfig`
 plus algorithm names — regenerate their instance locally from the derived
 seed, run the algorithms, and return plain floats.  No arrays or
 generators cross process boundaries (the scatter/gather discipline of the
-HPC guides).
+HPC guides).  One worker, :func:`_run_task`, runs every grid task: the
+task's algorithms solve its one instance in turn, and with the warm chain
+on each META* search is seeded with the best yield an earlier META* search
+certified on that instance.
 
 :func:`iter_grid` is the streaming engine: it submits tasks to the pool in
 a bounded window (constant memory for million-task grids), optionally
@@ -20,7 +23,7 @@ the materializing wrapper kept for existing callers.  Both stream through
 from __future__ import annotations
 
 import json
-from contextlib import AbstractContextManager, nullcontext
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import (TYPE_CHECKING, Any, Callable, Iterable, Iterator,
                     Optional, Sequence, Union)
@@ -95,10 +98,6 @@ class AlgorithmResult:
     min_yield: Optional[float]
     seconds: float
 
-    @property
-    def succeeded(self) -> bool:
-        return self.min_yield is not None
-
 
 @dataclass(frozen=True)
 class TaskResult:
@@ -115,21 +114,17 @@ class TaskResult:
 class _Task:
     config: ScenarioConfig
     algorithms: tuple[str, ...]
-    #: Seed each warm-capable solve with the best yield an earlier
-    #: algorithm certified on the same instance.  Off for timing tables,
+    #: Seed each META* search with the best yield an earlier META*
+    #: search certified on the same instance.  Off for timing tables,
     #: which must measure standalone solves.
     warm_chain: bool = True
 
 
-def _lp_scope(warm_chain: bool) -> AbstractContextManager[None]:
+def _run_task(task: _Task) -> TaskResult:
     # A warm-chain task's algorithms share one LP relaxation per
     # instance (RRND and RRNZ both round it); timing tables run cold,
     # so each of their rounding solves pays for its own LP.
-    return shared_relaxations() if warm_chain else nullcontext()
-
-
-def _run_task(task: _Task) -> TaskResult:
-    with _lp_scope(task.warm_chain):
+    with shared_relaxations() if task.warm_chain else nullcontext():
         instance = generate_instance(task.config)
         out = []
         hint: float | None = None
@@ -138,13 +133,13 @@ def _run_task(task: _Task) -> TaskResult:
             fn = getattr(algo, "fn", algo)
             if task.warm_chain and getattr(fn, "supports_hint", False):
                 # All algorithms in a task solve the *same* instance, so the
-                # best yield an earlier one certified is a strong seed for
-                # this one's binary search.  The chain stays inside the
-                # task, so results are independent of worker scheduling and
-                # checkpoint resume.  Warm and cold searches certify equal
-                # yields; the winning *strategy* at the final probe can
-                # differ, so placement-derived values may shift within the
-                # usual envelope of the engines' adaptive ordering.
+                # best yield an earlier search certified is a strong seed
+                # for this one's.  Only certified yields seed: the META*
+                # oracle is not monotone, so a search started from another
+                # algorithm's post-improve yield may certify a different
+                # yield than its cold search.  The chain stays inside the
+                # task, so results are independent of worker scheduling
+                # and checkpoint resume.
                 stats: dict = {}
                 alloc, seconds = timed_call(
                     fn.solve_with_hint, instance, hint=hint, stats=stats)
@@ -160,84 +155,11 @@ def _run_task(task: _Task) -> TaskResult:
                 rng = np.random.default_rng(
                     derive_seed(task.config.seed,
                                 task.config.instance_index,
-                                _algo_stream_id(name)))
+                                _ALGO_STREAM_IDS[name]))
                 alloc, seconds = timed_call(algo, instance, rng=rng)
             min_yield = None if alloc is None else alloc.minimum_yield()
-            if (not getattr(fn, "supports_hint", False)
-                    and min_yield is not None
-                    and (hint is None or min_yield > hint)):
-                # Non-searching algorithms only offer their (post-improve)
-                # allocation yield; still a usable advisory seed.
-                hint = min_yield
             out.append(AlgorithmResult(name, min_yield, seconds))
         return TaskResult(task.config, tuple(out))
-
-
-def _algo_stream_id(name: str) -> int:
-    # Stable small integer per algorithm name (alphabetical registry rank).
-    return _ALGO_STREAM_IDS[name]
-
-
-def _run_task_batch(tasks: Sequence[_Task]) -> list[TaskResult]:
-    """Run a block of tasks, batching warm solves through ``solve_many``.
-
-    Produces exactly the results of ``[_run_task(t) for t in tasks]``:
-    instances are generated per task, hint chains stay *within* each
-    task (per instance, across the algorithm list), and stochastic
-    algorithms draw from the same coordinate-derived streams.  Only the
-    dispatch changes: for each hint-capable algorithm the whole block
-    of instances goes through one :meth:`solve_many` call.
-    """
-    tasks = list(tasks)
-    if len(tasks) == 1:
-        return [_run_task(tasks[0])]
-    shared = tasks[0]
-    if any(t.algorithms != shared.algorithms
-           or t.warm_chain != shared.warm_chain for t in tasks):
-        # Mixed blocks can't share a solve_many call; grids never
-        # produce them, but stay correct if a caller does.
-        return [_run_task(t) for t in tasks]
-    with _lp_scope(shared.warm_chain):
-        instances = [generate_instance(t.config) for t in tasks]
-        B = len(tasks)
-        rows: list[list[AlgorithmResult]] = [[] for _ in range(B)]
-        hints: list[float | None] = [None] * B
-        for name in shared.algorithms:
-            algo = ALGORITHM_FACTORIES[name]()
-            fn = getattr(algo, "fn", algo)
-            if getattr(fn, "supports_hint", False):
-                # Every hint-capable algorithm is a MetaSolver.  Batched even
-                # when the warm chain is off — hints simply stay None,
-                # matching the cold per-instance calls.
-                stats_list: list[dict] = [{} for _ in range(B)]
-                allocs = fn.solve_many(
-                    instances,
-                    hints=list(hints) if shared.warm_chain else None,
-                    stats=stats_list)
-                for i in range(B):
-                    stats = stats_list[i]
-                    certified = stats.get("certified")
-                    if shared.warm_chain and certified is not None \
-                            and (hints[i] is None or certified > hints[i]):
-                        hints[i] = certified
-                    alloc = allocs[i]
-                    min_yield = None if alloc is None else alloc.minimum_yield()
-                    rows[i].append(AlgorithmResult(
-                        name, min_yield, stats["seconds"]))
-            else:
-                for i, task in enumerate(tasks):
-                    rng = np.random.default_rng(
-                        derive_seed(task.config.seed,
-                                    task.config.instance_index,
-                                    _algo_stream_id(name)))
-                    alloc, seconds = timed_call(algo, instances[i], rng=rng)
-                    min_yield = None if alloc is None else alloc.minimum_yield()
-                    if (min_yield is not None
-                            and (hints[i] is None or min_yield > hints[i])):
-                        hints[i] = min_yield
-                    rows[i].append(AlgorithmResult(name, min_yield, seconds))
-        return [TaskResult(t.config, tuple(rows[i]))
-                for i, t in enumerate(tasks)]
 
 
 def grid_task_key(task: _Task) -> tuple:
@@ -255,7 +177,7 @@ def stream_tasks(worker: Callable[[Any], Any], tasks: Iterable[Any],
                  checkpoint: Union[str, "CheckpointStore", None] = None,
                  resume: bool = False,
                  progress: Optional[Callable[[Any, bool], None]] = None,
-                 **dispatch: Any) -> Iterator[Any]:
+                 ) -> Iterator[Any]:
     """Stream ``worker(task)`` for every task, in input order, through an
     optional checkpoint of *codec* records.
 
@@ -266,8 +188,6 @@ def stream_tasks(worker: Callable[[Any], Any], tasks: Iterable[Any],
     flight.  With ``resume=True`` the checkpoint is indexed first and
     tasks whose key it holds are answered from it instead of recomputed.
     A path with ``resume=False`` drops the codec's old records.
-    *dispatch* (``chunk``/``chunk_fn``) passes through to
-    :func:`parallel_imap_cached`.
     """
     from .persistence import as_result_store, canonical_key  # circular
 
@@ -278,7 +198,7 @@ def stream_tasks(worker: Callable[[Any], Any], tasks: Iterable[Any],
         workers=workers, window=window,
         on_computed=None if store is None else (
             lambda canon, value: store.append(json.loads(canon), value)),
-        progress=progress, **dispatch)
+        progress=progress)
     try:
         yield from stream
     finally:
@@ -296,17 +216,11 @@ def iter_grid(configs: Iterable[ScenarioConfig],
               resume: bool = False,
               progress: Optional[ProgressCallback] = None,
               warm_chain: bool = True,
-              batch: int = 1,
               ) -> Iterator[TaskResult]:
     """Stream :class:`TaskResult`s for *configs* in input order.
 
     *configs* may be an arbitrarily large lazy iterable; only ``window``
     tasks (default ``4 × workers``) are in flight at once.
-
-    With ``batch > 1``, each worker dispatch covers up to *batch*
-    consecutive tasks and warm META* solves go through
-    ``MetaSolver.solve_many`` — results, checkpoint rows, and resume
-    behavior are identical to ``batch=1`` apart from wall-clock.
 
     *checkpoint* and *resume* work as in :func:`stream_tasks`: a task is
     answered from the checkpoint when its coordinates (scenario cell +
@@ -325,8 +239,7 @@ def iter_grid(configs: Iterable[ScenarioConfig],
     yield from stream_tasks(
         _run_task, tasks, grid_task_key, TASK_RECORDS, workers,
         window=window, checkpoint=checkpoint, resume=resume,
-        progress=progress, chunk=batch,
-        chunk_fn=_run_task_batch if batch > 1 else None)
+        progress=progress)
 
 
 def run_grid(configs: Iterable[ScenarioConfig],
@@ -342,9 +255,13 @@ def run_grid(configs: Iterable[ScenarioConfig],
     """Run *algorithms* on every config; order of results matches input.
 
     Materializing wrapper around :func:`iter_grid`; the keyword-only
-    checkpoint/resume/progress options are forwarded unchanged.
+    checkpoint/resume/progress options are forwarded unchanged.  Every
+    task runs on its own, so *batch* must be 1; the keyword stays only
+    for callers that still pass it.
     """
+    if batch != 1:
+        raise ValueError(f"batch must be 1 (got {batch}): grid tasks are "
+                         "not batched")
     return list(iter_grid(configs, algorithms, workers, window=window,
                           checkpoint=checkpoint, resume=resume,
-                          progress=progress, warm_chain=warm_chain,
-                          batch=batch))
+                          progress=progress, warm_chain=warm_chain))

@@ -4,8 +4,9 @@ Mean wall-clock seconds per algorithm and service count, averaged over the
 same instance grid as Table 1.  Absolute numbers differ from the paper's
 (Python vs the authors' native implementation on a 2.27 GHz Xeon); the
 reproduced claims are the *relative* ordering — RRNZ ≫ METAHVP > METAVP ≫
-METAGREEDY — the ≈3× METAHVP/METAVP ratio and the ≈10× METAHVPLIGHT
-speed-up of §5.1.
+METAGREEDY — and the ≈3× METAHVP/METAVP ratio.  §5.1's ≈10× METAHVPLIGHT
+speed-up is not reproduced: at 64 hosts and 100-500 services LIGHT is
+~3× faster than METAHVP (see :func:`~repro.algorithms.metahvp_light`).
 
 Declared as a grid :class:`~.spec.ExperimentSpec` with ``warm_chain=False``:
 Table 2 reports *standalone* run times, so a solve must not be

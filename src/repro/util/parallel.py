@@ -7,11 +7,11 @@ The experiment grids (thousands of independent instances) are the classic
 regenerates its instance locally — the same discipline an MPI scatter would
 impose, without requiring an MPI runtime.
 
-:func:`parallel_imap` is a *streaming* generator that keeps only a
-bounded window of tasks in flight, so million-task grids run in constant
-memory and each result can be checkpointed the moment it completes;
-:func:`parallel_imap_cached` answers already-completed tasks from a cache
-(the resume path) on the same windowed loop.
+:func:`parallel_imap_cached` is a *streaming* generator that keeps only
+a bounded window of tasks in flight, so million-task grids run in
+constant memory and each result can be checkpointed the moment it
+completes; it answers already-completed tasks from a cache (the resume
+path) on the same windowed loop.
 
 Worker failures are wrapped in :class:`TaskError`, which records the index
 and a summary of the offending task — with thousands of grid cells, a bare
@@ -31,14 +31,12 @@ from typing import (
     Iterable,
     Iterator,
     Mapping,
-    Sequence,
     TypeVar,
 )
 
 from .. import obs
 
-__all__ = ["TaskError", "default_workers", "parallel_imap",
-           "parallel_imap_cached"]
+__all__ = ["TaskError", "default_workers", "parallel_imap_cached"]
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -114,9 +112,9 @@ def _imap_pairs(fn: Callable[[T], R], pairs: Iterable[tuple[int, T]],
                 workers: int, window: int | None) -> Iterator[R]:
     """Core windowed submit loop over pre-indexed ``(index, task)`` pairs.
 
-    The indices only feed :class:`TaskError` context, so callers that
-    filter the task stream (the cached merge) can still report positions
-    in the *original* sequence.
+    The indices only feed :class:`TaskError` context, so the cached merge,
+    which filters the task stream, still reports positions in the
+    *original* sequence.
     """
     pairs = iter(pairs)
     if workers <= 1:
@@ -162,34 +160,6 @@ def _imap_pairs(fn: Callable[[T], R], pairs: Iterable[tuple[int, T]],
             })
 
 
-def parallel_imap(fn: Callable[[T], R], tasks: Iterable[T],
-                  workers: int | None = None,
-                  window: int | None = None) -> Iterator[R]:
-    """Stream ``fn(task)`` results in input order with bounded look-ahead.
-
-    *tasks* may be an arbitrarily long (even infinite) iterable: at most
-    *window* tasks are pulled ahead of the consumer and held in flight, so
-    memory stays constant regardless of grid size.  Results are yielded
-    strictly in submission order — the contract checkpoint/resume relies
-    on.
-
-    With one worker the pool is bypassed entirely and tasks are pulled
-    lazily one at a time.  Closing the generator early cancels all not-yet-
-    started tasks and waits only for the ones already running.
-    """
-    workers = workers if workers is not None else default_workers()
-    return _imap_pairs(fn, enumerate(iter(tasks)), workers, window)
-
-
-def _flatten_blocks(blocks: Iterator[Sequence[R]]) -> Iterator[R]:
-    """Flatten a stream of result blocks, closing it with the consumer."""
-    try:
-        for block in blocks:
-            yield from block
-    finally:
-        blocks.close()
-
-
 def parallel_imap_cached(fn: Callable[[T], R], tasks: Iterable[T],
                          cache: Mapping[Hashable, R],
                          key: Callable[[T], Hashable],
@@ -198,12 +168,17 @@ def parallel_imap_cached(fn: Callable[[T], R], tasks: Iterable[T],
                          on_computed: Callable[[Hashable, R], None]
                          | None = None,
                          progress: Callable[[R, bool], None]
-                         | None = None,
-                         chunk: int = 1,
-                         chunk_fn: Callable[[Sequence[T]], Sequence[R]]
                          | None = None) -> Iterator[R]:
-    """Like :func:`parallel_imap`, but tasks whose ``key(task)`` is present
-    in *cache* are answered from the cache instead of being executed.
+    """Stream ``fn(task)`` results in input order with bounded look-ahead,
+    answering tasks whose ``key(task)`` is present in *cache* from the
+    cache instead of executing them.
+
+    *tasks* may be an arbitrarily long (even infinite) iterable: at most
+    *window* tasks (default ``4 × workers``) are pulled ahead of the
+    consumer and held in flight, so memory stays constant regardless of
+    grid size.  With one worker the pool is bypassed entirely and tasks
+    are pulled lazily one at a time.  Closing the generator early cancels
+    all not-yet-started tasks and waits only for the ones already running.
 
     Results come back in input order regardless of the cached/computed mix,
     so a resumed sweep is indistinguishable from an uninterrupted one.
@@ -214,13 +189,6 @@ def parallel_imap_cached(fn: Callable[[T], R], tasks: Iterable[T],
     position in the *original* sequence, cache hits included.  Cached
     values may legitimately be ``None``; membership, not truthiness,
     decides a hit.
-
-    With ``chunk > 1`` and a *chunk_fn*, cache misses are grouped into
-    blocks of up to *chunk* consecutive tasks and each block is handed to
-    ``chunk_fn(list_of_tasks)``, which must return one result per task in
-    order — the hook batched kernel dispatch plugs into.  Checkpointing,
-    ordering, and the cached merge are unaffected: results are flattened
-    back into the per-task stream before the bookkeeping above runs.
     """
     # In input order: (True, cached_value) for hits, (False, key) for
     # misses.  The pool pulls ahead of the consumer (window filling), so
@@ -242,20 +210,7 @@ def parallel_imap_cached(fn: Callable[[T], R], tasks: Iterable[T],
         return value
 
     workers = workers if workers is not None else default_workers()
-    if chunk > 1 and chunk_fn is not None:
-        def chunked() -> Iterator[tuple[int, list[T]]]:
-            pairs = pending()
-            while True:
-                block = list(itertools.islice(pairs, chunk))
-                if not block:
-                    return
-                # The block reports errors at its first task's position.
-                yield block[0][0], [task for _, task in block]
-
-        computed = _flatten_blocks(
-            _imap_pairs(chunk_fn, chunked(), workers, window))
-    else:
-        computed = _imap_pairs(fn, pending(), workers, window)
+    computed = _imap_pairs(fn, pending(), workers, window)
     try:
         while True:
             while flags and flags[0][0]:

@@ -4,6 +4,7 @@ import os
 
 import pytest
 
+from repro import cli
 from repro.cli import build_parser, main
 
 
@@ -30,6 +31,54 @@ class TestParser:
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["bogus"])
+
+
+class TestCounts:
+    """``--instances``, ``--hosts`` and ``--services`` take integers of
+    at least 1: a count of 0 is not "use the default", and a negative
+    count is not an empty run."""
+
+    @pytest.mark.parametrize("argv", [
+        ["table1", "--instances", "0"],
+        ["table1", "--instances", "-1"],
+        ["table2", "--instances", "0"],
+        ["fig-cov", "--services", "0"],
+        ["fig-cov", "--hosts", "-2"],
+        ["fig-error", "--hosts", "0"],
+        ["fig-error", "--instances", "0"],
+        ["rank-strategies", "--instances", "0"],
+        ["failure-sweep", "--instances", "0"],
+        ["dynamic", "--hosts", "0"],
+        ["serve", "--hosts", "0"],
+        ["shard", "--index", "0", "--of", "2", "--",
+         "--checkpoint", "s0.jsonl", "table1", "--instances", "0"],
+    ])
+    def test_count_below_one_is_a_usage_error(self, monkeypatch, capsys,
+                                              argv):
+        def ran(*args):
+            raise AssertionError(f"{argv} ran instead of a usage error")
+
+        for table in (cli._COMMANDS, cli._SPEC_BUILDERS):
+            for command in table:
+                monkeypatch.setitem(table, command, ran)
+        with pytest.raises(SystemExit) as exc_info:
+            main(["--workers", "1", *argv])
+        assert exc_info.value.code == 2
+        assert "must be at least 1" in capsys.readouterr().err
+
+    def test_count_must_be_an_integer(self, capsys):
+        with pytest.raises(SystemExit) as exc_info:
+            build_parser().parse_args(["table1", "--instances", "two"])
+        assert exc_info.value.code == 2
+        assert "not an integer" in capsys.readouterr().err
+
+    def test_count_of_one_is_kept(self):
+        """An explicit count reaches the experiment's spec."""
+        args = build_parser().parse_args(
+            ["fig-error", "--services", "1", "--hosts", "1",
+             "--instances", "1"])
+        spec = cli._error_spec(args)
+        assert (spec.services, spec.hosts, spec.instances) == (1, 1, 1)
 
 
 class TestMainSmoke:

@@ -4,11 +4,18 @@ These use SMOKE-scale grids (8 hosts, 16 services) so the full pipeline
 runs in seconds while still exercising every code path.
 """
 
+import dataclasses
 
 import numpy as np
 import pytest
 
+from repro.algorithms.vector_packing import (
+    MetaSolver,
+    hvp_strategies,
+    vp_strategies,
+)
 from repro.experiments import (
+    QUICK_GRID,
     SMOKE_GRID,
     GridSpec,
     format_table1,
@@ -19,6 +26,7 @@ from repro.experiments import (
 )
 from repro.experiments.persistence import load_results
 from repro.experiments.runner import ALGORITHM_FACTORIES, make_algorithms
+from repro.experiments.table1 import DEFAULT_TABLE1_ALGORITHMS
 
 FAST_ALGOS = ("METAGREEDY", "METAVP", "METAHVPLIGHT")
 
@@ -85,6 +93,60 @@ class TestRunner:
         for ts, tp in zip(serial, parallel):
             assert ts.by_algorithm()["METAGREEDY"].min_yield == \
                 tp.by_algorithm()["METAGREEDY"].min_yield
+
+    def test_grid_tasks_are_not_batched(self):
+        with pytest.raises(ValueError, match="batch must be 1"):
+            run_grid(SMOKE_GRID.configs(), ("METAGREEDY",), workers=1,
+                     batch=2)
+        assert len(run_grid(SMOKE_GRID.configs(), ("METAGREEDY",),
+                            workers=1, batch=1)) == 4
+
+
+class TestWarmChain:
+    """A warm-chain task seeds each META* search with the best yield an
+    earlier META* search certified on the same instance, and with nothing
+    else: the rounding and greedy baselines' post-improve yields are not
+    certified, and the META* oracle is not monotone."""
+
+    def test_hints_are_certified_yields(self, monkeypatch):
+        calls = []
+        real = MetaSolver.solve_with_hint
+
+        def recording(self, instance, hint=None, stats=None):
+            alloc = real(self, instance, hint=hint, stats=stats)
+            calls.append((len(self.strategies), hint, stats["certified"]))
+            return alloc
+
+        monkeypatch.setattr(MetaSolver, "solve_with_hint", recording)
+        config = next(SMOKE_GRID.configs())
+        (task,) = run_grid([config], DEFAULT_TABLE1_ALGORITHMS, workers=1)
+        assert [r.algorithm for r in task.results] == \
+            list(DEFAULT_TABLE1_ALGORITHMS)
+        # The baselines succeed here, so each offered a yield to chain.
+        assert all(r.min_yield is not None for r in task.results)
+        vp, hvp = calls
+        assert vp[:2] == (len(vp_strategies()), None)
+        assert vp[2] is not None
+        assert hvp[:2] == (len(hvp_strategies()), vp[2])
+
+    @pytest.mark.parametrize("seed, cov, slack, index, metavp", [
+        (2012, 1.0, 0.5, 3, 0.5009),
+        (1, 0.5, 0.3, 0, 0.4350),
+    ])
+    def test_metavp_rows_are_their_cold_solves(self, seed, cov, slack,
+                                               index, metavp):
+        """Two quick-grid instances where a METAVP search seeded with a
+        baseline's post-improve yield certified another yield than the
+        cold search (0.4610 and 0.5353)."""
+        grid = dataclasses.replace(QUICK_GRID, seed=seed, services=(30,),
+                                   cov_values=(cov,), slack_values=(slack,))
+        config = [c for c in grid.configs() if c.instance_index == index]
+        (warm,) = run_grid(config, DEFAULT_TABLE1_ALGORITHMS, workers=1)
+        (cold,) = run_grid(config, DEFAULT_TABLE1_ALGORITHMS, workers=1,
+                           warm_chain=False)
+        row = warm.by_algorithm()["METAVP"].min_yield
+        assert row == cold.by_algorithm()["METAVP"].min_yield
+        assert row == pytest.approx(metavp, abs=5e-5)
 
 
 class TestTable1:

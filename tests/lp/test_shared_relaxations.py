@@ -3,9 +3,8 @@
 HiGHS solves are counted at the one ``run`` call in
 ``repro.lp.solver._run``, through a subclass of the HiGHS binding.  Inside a
 warm-chain grid task both rounding algorithms round the same relaxation
-(one solve per instance, on the sequential and the batched runner path);
-cold tasks — the timing tables — still pay one solve per rounding run.
-Sharing changes no result.
+(one solve per instance); cold tasks — the timing tables — still pay one
+solve per rounding run.  Sharing changes no result.
 """
 
 import json
@@ -63,15 +62,13 @@ def _rows_without_seconds(path):
     return rows
 
 
-@pytest.mark.parametrize("batch", [1, 3])
-def test_warm_chain_task_solves_one_lp_per_instance(highs_calls, batch):
-    run_grid(CONFIGS, ALGOS, workers=1, batch=batch)
+def test_warm_chain_task_solves_one_lp_per_instance(highs_calls):
+    run_grid(CONFIGS, ALGOS, workers=1)
     assert len(highs_calls) == len(CONFIGS)
 
 
-@pytest.mark.parametrize("batch", [1, 3])
-def test_cold_tasks_solve_one_lp_per_rounding(highs_calls, batch):
-    run_grid(CONFIGS, ALGOS, workers=1, warm_chain=False, batch=batch)
+def test_cold_tasks_solve_one_lp_per_rounding(highs_calls):
+    run_grid(CONFIGS, ALGOS, workers=1, warm_chain=False)
     assert len(highs_calls) == 2 * len(CONFIGS)
 
 
@@ -97,14 +94,13 @@ def test_memo_is_scoped_and_keyed_by_identity(highs_calls):
     assert len(highs_calls) == 3
 
 
-@pytest.mark.parametrize("batch", [1, 3])
 def test_rows_identical_with_and_without_sharing(monkeypatch, tmp_path,
-                                                 highs_calls, batch):
+                                                 highs_calls):
     shared = str(tmp_path / "shared.jsonl")
     unshared = str(tmp_path / "unshared.jsonl")
-    run_grid(CONFIGS, ALGOS, workers=1, checkpoint=shared, batch=batch)
+    run_grid(CONFIGS, ALGOS, workers=1, checkpoint=shared)
     monkeypatch.setattr(runner, "shared_relaxations", nullcontext)
-    run_grid(CONFIGS, ALGOS, workers=1, checkpoint=unshared, batch=batch)
+    run_grid(CONFIGS, ALGOS, workers=1, checkpoint=unshared)
     assert len(highs_calls) == 3 * len(CONFIGS)
     assert _rows_without_seconds(shared) == _rows_without_seconds(unshared)
 

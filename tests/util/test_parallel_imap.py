@@ -1,5 +1,6 @@
-"""Tests for the streaming pool primitives: parallel_imap, the cached
-variant, and TaskError failure context."""
+"""Tests for the streaming pool primitive, parallel_imap_cached: ordering,
+lazy pulls, early close and the pool's size (with an empty cache), the
+cached merge, and TaskError failure context."""
 
 import json
 
@@ -10,7 +11,6 @@ from repro.util import parallel
 from repro.util.parallel import (
     TaskError,
     default_workers,
-    parallel_imap,
     parallel_imap_cached,
 )
 
@@ -23,6 +23,12 @@ def _fail_on_three(x: int) -> int:
     if x == 3:
         raise ValueError("boom")
     return x
+
+
+def _imap(fn, tasks, workers=None, window=None):
+    """The stream with nothing cached: every task is computed."""
+    return parallel_imap_cached(fn, tasks, {}, key=lambda t: t,
+                                workers=workers, window=window)
 
 
 @pytest.fixture
@@ -41,19 +47,19 @@ def pool_sizes(monkeypatch):
 
 class TestParallelImap:
     def test_serial_order(self):
-        assert list(parallel_imap(_square, range(10), workers=1)) == \
+        assert list(_imap(_square, range(10), workers=1)) == \
             [i * i for i in range(10)]
 
     def test_parallel_order(self):
-        assert list(parallel_imap(_square, range(20), workers=3)) == \
+        assert list(_imap(_square, range(20), workers=3)) == \
             [i * i for i in range(20)]
 
     def test_empty(self):
-        assert list(parallel_imap(_square, [], workers=4)) == []
+        assert list(_imap(_square, [], workers=4)) == []
 
     def test_accepts_lazy_iterable(self):
         gen = (i for i in range(8))
-        assert list(parallel_imap(_square, gen, workers=2)) == \
+        assert list(_imap(_square, gen, workers=2)) == \
             [i * i for i in range(8)]
 
     def test_window_bounds_pull_ahead(self):
@@ -66,14 +72,14 @@ class TestParallelImap:
                 pulled.append(i)
                 yield i
 
-        stream = parallel_imap(_square, tracking(), workers=1)
+        stream = _imap(_square, tracking(), workers=1)
         assert pulled == []
         assert next(stream) == 0
         assert len(pulled) == 1  # strictly lazy when serial
         stream.close()
 
         pulled.clear()
-        stream = parallel_imap(_square, tracking(), workers=2, window=4)
+        stream = _imap(_square, tracking(), workers=2, window=4)
         assert next(stream) == 0
         # 4 submitted up front + at most one top-up per yielded result.
         assert len(pulled) <= 5
@@ -87,21 +93,21 @@ class TestParallelImap:
                 pulled.append(i)
                 yield i
 
-        stream = parallel_imap(_square, tracking(), workers=2, window=2)
+        stream = _imap(_square, tracking(), workers=2, window=2)
         next(stream)
         stream.close()
         assert len(pulled) < 10  # nowhere near the full input
 
     def test_parallel_matches_serial(self):
         tasks = list(range(17))
-        assert list(parallel_imap(_square, tasks, workers=4)) == \
-            list(parallel_imap(_square, tasks, workers=1))
+        assert list(_imap(_square, tasks, workers=4)) == \
+            list(_imap(_square, tasks, workers=1))
 
 
 class TestTaskError:
     def test_serial_failure_context(self):
         with pytest.raises(TaskError) as exc_info:
-            list(parallel_imap(_fail_on_three, range(10), workers=1))
+            list(_imap(_fail_on_three, range(10), workers=1))
         err = exc_info.value
         assert err.index == 3
         assert "3" in err.task_summary
@@ -109,17 +115,17 @@ class TestTaskError:
 
     def test_parallel_failure_context(self):
         with pytest.raises(TaskError) as exc_info:
-            list(parallel_imap(_fail_on_three, range(10), workers=2))
+            list(_imap(_fail_on_three, range(10), workers=2))
         assert exc_info.value.index == 3
 
     def test_original_exception_chained_when_serial(self):
         with pytest.raises(TaskError) as exc_info:
-            list(parallel_imap(_fail_on_three, [3], workers=1))
+            list(_imap(_fail_on_three, [3], workers=1))
         assert isinstance(exc_info.value.__cause__, ValueError)
 
     def test_long_task_repr_truncated(self):
         with pytest.raises(TaskError) as exc_info:  # str * str: TypeError
-            list(parallel_imap(_square, ["x" * 500], workers=1))
+            list(_imap(_square, ["x" * 500], workers=1))
         assert len(exc_info.value.task_summary) == 200
 
 
@@ -215,15 +221,15 @@ class TestWorkersAndWindow:
         assert default_workers() >= 1
 
     def test_window_smaller_than_workers(self):
-        assert list(parallel_imap(_square, range(6), workers=4, window=1)) == \
+        assert list(_imap(_square, range(6), workers=4, window=1)) == \
             [i * i for i in range(6)]
 
     def test_window_larger_than_tasks(self):
-        assert list(parallel_imap(_square, range(4), workers=2,
-                                  window=100)) == [0, 1, 4, 9]
+        assert list(_imap(_square, range(4), workers=2,
+                          window=100)) == [0, 1, 4, 9]
 
     def test_more_workers_than_tasks(self):
-        assert list(parallel_imap(_square, [7], workers=16)) == [49]
+        assert list(_imap(_square, [7], workers=16)) == [49]
 
     @pytest.mark.parametrize("tasks, workers, window, pool", [
         (1, 16, None, 1),  # one task never starts a second process
@@ -233,8 +239,8 @@ class TestWorkersAndWindow:
     ])
     def test_pool_sized_to_the_stream(self, pool_sizes, tasks, workers,
                                       window, pool):
-        assert list(parallel_imap(_square, range(tasks), workers=workers,
-                                  window=window)) == \
+        assert list(_imap(_square, range(tasks), workers=workers,
+                          window=window)) == \
             [i * i for i in range(tasks)]
         assert pool_sizes == [pool]
 
@@ -242,7 +248,7 @@ class TestWorkersAndWindow:
         sink = tmp_path / "trace.jsonl"
         obs.configure(str(sink))
         try:
-            assert list(parallel_imap(_square, range(3), workers=8)) == \
+            assert list(_imap(_square, range(3), workers=8)) == \
                 [0, 1, 4]
         finally:
             obs.disable()
