@@ -87,8 +87,9 @@ __all__ = ["main", "build_parser"]
 
 
 def _count(text: str) -> int:
-    """argparse type of ``--instances``, ``--hosts`` and ``--services``:
-    an integer of at least 1."""
+    """argparse type of ``--instances``, ``--hosts``, ``--services``,
+    ``dynamic --periods`` and ``failure-sweep --period``: an integer of
+    at least 1."""
     try:
         value = int(text)
     except ValueError:
@@ -192,7 +193,8 @@ def build_parser() -> argparse.ArgumentParser:
     dy.add_argument("--horizon", type=int, default=40)
     dy.add_argument("--arrival-rate", type=float, default=2.0)
     dy.add_argument("--lifetime", type=float, default=10.0)
-    dy.add_argument("--periods", type=int, nargs="+", default=[1, 4, 10, 40])
+    dy.add_argument("--periods", type=_count, nargs="+",
+                    default=[1, 4, 10, 40])
     dy.add_argument("--max-error", type=float, default=0.1)
     dy.add_argument("--threshold", type=float, default=0.1)
     dy.add_argument("--failure-rate", type=float, default=0.0,
@@ -221,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     fs.add_argument("--sla-mixes", nargs="+",
                     default=["best-effort", "mixed"],
                     help="named SLA mixes (best-effort, mixed, strict)")
-    fs.add_argument("--period", type=int, default=4,
+    fs.add_argument("--period", type=_count, default=4,
                     help="re-pack period (default 4)")
     fs.add_argument("--instances", type=_count, default=3)
 

@@ -52,7 +52,10 @@ infinite limit never cuts.  Within a bin, First-Fit's scan and the 2-D
 walk also stop once no item left can fit, read off the
 :func:`suffix_minima` of their orders; their bodies (:func:`ff_run`,
 :func:`pp_2d_run`) take those minima and their scratch from the caller,
-as the C translation's do.
+as the C translation's do.  Neither pays for what it does not test: a
+First-Fit bin moves only the pending entries it tested, never the
+untested tail behind its stop, and each walk starts a bin past the
+prefix of its order that earlier bins placed.
 """
 
 from __future__ import annotations
@@ -103,16 +106,22 @@ def ff_run(item_agg, elem_ok, item_order, item_min, bin_order,
     least demand from that position on exceeds ``cap_tol`` in some
     dimension, no pending item left can fit, and the bin's scan stops
     (see :func:`probe_scan`).
+
+    The pending entries are ``pending[first:J]``, in item order.  A bin
+    that takes ``ntaken`` items moves the entries it tested and kept up
+    by ``ntaken``, last first, to end just before the untested tail, and
+    ``first`` advances by ``ntaken``: a bin costs the entries it tests,
+    however many stay untested behind its stop.
     """
     J = item_order.shape[0]
     D = item_agg.shape[1]
     for i in range(J):
         pending[i] = i
-    npend = J
+    first = 0
     for d in range(D):
         waste[d] = 0.0
     for bi in range(bin_order.shape[0]):
-        if npend == 0:
+        if first == J:
             break
         for d in range(D):
             if waste[d] > waste_limit[d]:
@@ -123,8 +132,8 @@ def ff_run(item_agg, elem_ok, item_order, item_min, bin_order,
         ntaken = 0
         nrest = 0
         tested = 0
-        i = 0
-        while i < npend:
+        i = first
+        while i < J:
             p = pending[i]
             tested += 1
             stop = False
@@ -147,24 +156,23 @@ def ff_run(item_agg, elem_ok, item_order, item_min, bin_order,
                 assignment[j] = h
                 ntaken += 1
             else:
-                pending[nrest] = p
+                pending[first + nrest] = p
                 nrest += 1
             i += 1
         scanned[0] += tested
         if ntaken > 0:
-            while i < npend:  # the untested rest stays pending, in order
-                pending[nrest] = pending[i]
-                nrest += 1
-                i += 1
+            while nrest > 0:  # the kept entries meet the untested rest
+                nrest -= 1
+                pending[first + ntaken + nrest] = pending[first + nrest]
+            first += ntaken
             s = 0.0
             for d in range(D):
                 loads[h, d] = load[d]
                 s += load[d]
             load_sum[h] = s
-            npend = nrest
         for d in range(D):
             waste[d] += cap_tol[h, d] - load[d]
-    return npend
+    return J - first
 
 
 def suffix_minima(item_agg, order, n, out):
@@ -234,14 +242,18 @@ def pp_2d_run(item_agg, elem_ok, order0, order1, min0, min1, bin_order,
     :func:`ff_run`).
 
     ``order0``/``order1`` are the items sorted by their packed selection
-    code under dimension ranking (0, 1) resp. (1, 0), over *all* items;
-    already-placed items are skipped during the walk, which visits every
-    candidate O(1) times per ranking per bin (an unfit candidate is dead
-    for the bin forever — remaining capacity never grows).  ``min0`` and
-    ``min1`` are the walks' :func:`suffix_minima`: a walk whose bin load
-    plus the least demand from its position on exceeds ``cap_tol`` in
-    some dimension ends there as if it had reached the end (see
-    :func:`probe_scan`).
+    code under dimension ranking (0, 1) resp. (1, 0), over *all* items.
+    Each walk keeps a mark for the run, ``s0`` resp. ``s1``: the first
+    position whose item is unplaced, advanced as each bin opens.  Items
+    never unplace within a run, so every position before a mark holds a
+    placed item, and each bin's walks start at the marks; placed items
+    past a mark are still skipped one by one.  Within a bin a walk only
+    moves forward (an unfit candidate is dead for the bin forever —
+    remaining capacity never grows).  ``min0`` and ``min1`` are the
+    walks' :func:`suffix_minima`: a walk whose bin load plus the least
+    demand from its position on exceeds ``cap_tol`` in some dimension
+    ends there as if it had reached the end (see :func:`probe_scan`,
+    also for why starting at the marks changes no stop).
     """
     J = item_agg.shape[0]
     unplaced = 0
@@ -251,12 +263,19 @@ def pp_2d_run(item_agg, elem_ok, order0, order1, min0, min1, bin_order,
     w0 = 0.0
     w1 = 0.0
     visited = 0
+    s0 = 0
+    s1 = 0
     for bi in range(bin_order.shape[0]):
         if unplaced == 0:
             break
         if w0 > waste_limit[0] or w1 > waste_limit[1]:
             scanned[0] += visited
             return CUT
+        # An item is unplaced, so both marks stop before J.
+        while assignment[order0[s0]] >= 0:
+            s0 += 1
+        while assignment[order1[s1]] >= 0:
+            s1 += 1
         h = bin_order[bi]
         l0 = loads[h, 0]
         l1 = loads[h, 1]
@@ -270,8 +289,8 @@ def pp_2d_run(item_agg, elem_ok, order0, order1, min0, min1, bin_order,
             b1 = 0.0
         k0 = l0 - b0
         k1 = l1 - b1
-        p0 = 0
-        p1 = 0
+        p0 = s0
+        p1 = s1
         ntaken = 0
         for j in range(J):
             dead[j] = 0
@@ -547,7 +566,8 @@ def probe_scan(t, y, scan, assignment):
     when no strategy packs.  ``t.cut_runs[0]`` receives the number of
     runs that stopped at the waste cut, and ``t.scanned[0]`` the work
     of the bin scans: the pending entries First-Fit tested plus the
-    positions the 2-D PP/CP walks visited.
+    positions the 2-D PP/CP walks visited, from each walk's mark on
+    (below).
 
     **The waste cut.**  ``waste_limit[d]`` is the capacity the whole
     instance can spare in dimension *d*: the sum of ``cap_tol`` over the
@@ -576,6 +596,15 @@ def probe_scan(t, y, scan, assignment):
     run: a placed item can only keep a minimum lower than the unplaced
     items' own, which stops a scan later, never wrongly.  Placements,
     loads, cut runs and every outcome are those of the full scans.
+
+    Each walk starts a bin at its mark, the first position of its order
+    whose item is unplaced.  Items never unplace within a run, so every
+    position before the mark holds a placed item the walk would skip,
+    and a stop it would have made at such a position *q* it makes at
+    the mark *s*: the minima do not decrease along the order, so
+    ``l + min[q] > c`` gives ``l + min[s] > c`` (and a NaN at *s* makes
+    row *q* NaN, which never stops).  Only the walks' share of
+    ``scanned`` changes.
 
     Strategy table columns (all int64, one row per strategy):
 

@@ -75,17 +75,17 @@ int64_t ff_run(int64_t J, int64_t H, int64_t NB, int64_t D,
                int64_t *assignment, int64_t *pending, double *load,
                double *waste, int64_t *scanned)
 {
-    int64_t npend = J;
+    int64_t first = 0;
     for (int64_t i = 0; i < J; i++) pending[i] = i;
     for (int64_t d = 0; d < D; d++) waste[d] = 0.0;
     for (int64_t bi = 0; bi < NB; bi++) {
-        if (npend == 0) break;
+        if (first == J) break;
         for (int64_t d = 0; d < D; d++)
             if (waste[d] > waste_limit[d]) return CUT;
         int64_t h = bin_order[bi];
         for (int64_t d = 0; d < D; d++) load[d] = loads[h*D+d];
-        int64_t ntaken = 0, nrest = 0, tested = 0, i = 0;
-        for (; i < npend; i++) {
+        int64_t ntaken = 0, nrest = 0, tested = 0;
+        for (int64_t i = first; i < J; i++) {
             int64_t p = pending[i];
             tested++;
             int stop = 0;
@@ -111,23 +111,26 @@ int64_t ff_run(int64_t J, int64_t H, int64_t NB, int64_t D,
                 assignment[j] = h;
                 ntaken++;
             } else {
-                pending[nrest++] = p;
+                pending[first + nrest++] = p;
             }
         }
         *scanned += tested;
         if (ntaken > 0) {
-            while (i < npend) pending[nrest++] = pending[i++];
+            while (nrest > 0) {  /* the kept entries meet the untested rest */
+                nrest--;
+                pending[first + ntaken + nrest] = pending[first + nrest];
+            }
+            first += ntaken;
             double s = 0.0;
             for (int64_t d = 0; d < D; d++) {
                 loads[h*D+d] = load[d];
                 s += load[d];
             }
             load_sum[h] = s;
-            npend = nrest;
         }
         for (int64_t d = 0; d < D; d++) waste[d] += cap_tol[h*D+d] - load[d];
     }
-    return npend;
+    return J - first;
 }
 
 static __attribute__((noinline))
@@ -180,7 +183,7 @@ int64_t pp_2d_run(int64_t J, int64_t H, int64_t NB,
                   int64_t *assignment, uint8_t *dead,
                   int64_t *scanned)
 {
-    int64_t unplaced = 0, visited = 0;
+    int64_t unplaced = 0, visited = 0, s0 = 0, s1 = 0;
     for (int64_t j = 0; j < J; j++)
         if (assignment[j] < 0) unplaced++;
     double w0 = 0.0, w1 = 0.0;
@@ -190,13 +193,16 @@ int64_t pp_2d_run(int64_t J, int64_t H, int64_t NB,
             *scanned += visited;
             return CUT;
         }
+        /* An item is unplaced, so both marks stop before J. */
+        while (assignment[order0[s0]] >= 0) s0++;
+        while (assignment[order1[s1]] >= 0) s1++;
         int64_t h = bin_order[bi];
         double l0 = loads[h*2+0], l1 = loads[h*2+1];
         double c0 = cap_tol[h*2+0], c1 = cap_tol[h*2+1];
         double b0 = 0.0, b1 = 0.0;
         if (by_remaining) { b0 = bin_agg[h*2+0]; b1 = bin_agg[h*2+1]; }
         double k0 = l0 - b0, k1 = l1 - b1;
-        int64_t p0 = 0, p1 = 0, ntaken = 0;
+        int64_t p0 = s0, p1 = s1, ntaken = 0;
         for (int64_t j = 0; j < J; j++) dead[j] = 0;
         for (;;) {
             int64_t sel = -1;

@@ -34,9 +34,11 @@ class TestParser:
 
 
 class TestCounts:
-    """``--instances``, ``--hosts`` and ``--services`` take integers of
-    at least 1: a count of 0 is not "use the default", and a negative
-    count is not an empty run."""
+    """``--instances``, ``--hosts``, ``--services``, ``dynamic
+    --periods`` and ``failure-sweep --period`` take integers of at least
+    1: a count of 0 is not "use the default", a negative count is not an
+    empty run, and a re-pack period below 1 is refused before any
+    simulation starts."""
 
     @pytest.mark.parametrize("argv", [
         ["table1", "--instances", "0"],
@@ -49,6 +51,9 @@ class TestCounts:
         ["rank-strategies", "--instances", "0"],
         ["failure-sweep", "--instances", "0"],
         ["dynamic", "--hosts", "0"],
+        ["dynamic", "--periods", "0"],
+        ["dynamic", "--periods", "4", "-3"],
+        ["failure-sweep", "--period", "0"],
         ["serve", "--hosts", "0"],
         ["shard", "--index", "0", "--of", "2", "--",
          "--checkpoint", "s0.jsonl", "table1", "--instances", "0"],

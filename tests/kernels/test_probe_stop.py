@@ -8,9 +8,12 @@ some dimension.  The stop is strict and exact: an item whose demand
 brings the load exactly to ``cap_tol`` is still taken, a minimum left
 behind by an item placed in an earlier bin only stops scans later, and
 every run packs as the numpy packers (which scan every item) pack.
-``scanned`` counts the entries and walk positions the scans visited,
-the same on ``native`` and ``loops``; the fill bodies with the stop
-turned off (minima of ``-inf``) give the count it saves.
+A scan pays only for what it tests: First-Fit's pending entries end its
+scratch, the kept ones ahead of the untested ones, and each walk starts
+a bin at the first position of its order still unplaced.  ``scanned``
+counts the entries and walk positions the scans visited, the same on
+``native`` and ``loops``; the fill bodies with the stop turned off
+(minima of ``-inf``) give the count it saves.
 """
 
 import numpy as np
@@ -144,13 +147,61 @@ class TestStop:
             left, full, scanned = unstopped(engine, 0)
         assert (left, full.tolist(), scanned) == (0, [0, 0, 1, 1, 2], 9)
 
+    def test_ff_keeps_the_tested_entries_ahead_of_the_rest(self, backend):
+        """Unit bins, items 0.6, 0.5, 0.7, 0.4, 0.2, 0.3, 0.5 in index
+        order.  Bin 0 takes 0.6 and 0.4, keeps 0.5 and 0.7, and stops at
+        position 4 (1.0 + 0.2 > 1); bin 1 tests 0.5, 0.7, then the
+        untested 0.2 and 0.3, and stops at position 6; bin 2 takes 0.7
+        and stops at 0.5; bin 3 takes it: 5 + 5 + 2 + 1 entries tested,
+        where the full scans test 7 + 5 + 2 + 1.  The kept entries must
+        meet bin 1 ahead of the untested ones, in order: with the untested
+        ones first bin 1 would take 0.2, 0.3 and 0.5, and with 0.7 ahead
+        of 0.5 it would take 0.7 and 0.2.
+
+        The pending entries are the last ones of the scan's ``pending``
+        scratch (the table's ``work_i``).  With the items barred from
+        all but the first one or two bins (elementary capacity 0.05),
+        the run stops at the waste cut, leaving positions 1, 2, 4, 5, 6
+        after bin 0 and 2, 6 after bin 1 there."""
+        items = [[0.6], [0.5], [0.7], [0.4], [0.2], [0.3], [0.5]]
+        instance = instance_of(np.ones((4, 1)), items)
+        ff = VPStrategy(FF, NONE_SORT, NONE_SORT, hetero=False)
+        with kernels.kernel_backend(backend):
+            engine = FusedProbeEngine(instance, StrategyTable([ff]))
+            placement = engine(instance, 0.0)
+            assert placement.tolist() == [0, 1, 2, 0, 1, 1, 3]
+            assert (engine.scanned, engine.cut_runs) == (13, 0)
+            left, full, scanned = unstopped(engine, 0)
+        assert (left, full.tolist(), scanned) == (0, placement.tolist(), 15)
+        assert np.array_equal(placement, numpy_packs(engine, 0.0, ff))
+        J = len(items)
+        for k, rest in ((1, [1, 2, 4, 5, 6]), (2, [2, 6])):
+            elem = np.full((4, 1), 0.05)
+            elem[:k] = 1.0
+            barred = ProblemInstance(
+                NodeArray.from_arrays(elem, np.ones((4, 1))),
+                instance.services)
+            assignment = np.empty(J, dtype=np.int64)
+            with kernels.kernel_backend(backend):
+                engine = FusedProbeEngine(barred, StrategyTable([ff]))
+                t = engine._table
+                si, cuts, _ = engine.backend.probe_scan(
+                    t, 0.0, np.zeros(1, dtype=np.int64), assignment)
+            assert (si, cuts) == (-1, 1)
+            assert np.flatnonzero(assignment < 0).tolist() == rest
+            assert t.work_i[J - len(rest):J].tolist() == rest
+
     def test_walk_stops_where_nothing_left_fits(self, backend):
         """The same items with a small second demand: both walks list
-        them in index order.  Once bin 0 holds 0.95, its last walk stops
-        at position 1 (0.95 + 0.3 > 1), where the full walk visits
-        positions 1-4; once bin 1 holds 0.9, its last walk stops at
-        position 3, where the full walk visits 3 and 4: 17 visits
-        against 21."""
+        them in index order, and each bin's walks start at the first
+        position still unplaced (0, 2 and 4).  In bin 0, walk 0 takes 0.5
+        at position 0, walk 1 skips it and takes 0.45 at position 1, and
+        its next walk stops there (0.95 + 0.3 > 1): 1 + 2 + 1 visits,
+        where the full walk visits positions 1-4.  In bin 1, the walks
+        do the same from position 2, and the last one stops at position
+        3 (0.9 + 0.3 > 1), where the full walk visits 3 and 4.  Bin 2
+        takes 0.7 at position 4: 4 + 4 + 1 = 9 visits against the full
+        walks' 7 + 5 + 1 = 13."""
         instance = instance_of(np.ones((3, 2)),
                                [[0.5, 0.1], [0.45, 0.1], [0.6, 0.1],
                                 [0.3, 0.1], [0.7, 0.1]])
@@ -161,7 +212,31 @@ class TestStop:
             assert placement.tolist() == [0, 0, 1, 1, 2]
             left, full, scanned = unstopped(engine, 0)
         assert (left, full.tolist()) == (0, [0, 0, 1, 1, 2])
-        assert (engine.scanned, scanned) == (17, 21)
+        assert (engine.scanned, scanned) == (9, 13)
+
+    def test_walks_start_past_the_placed_prefix(self, backend):
+        """Bins of 0.5, 1 and 1 (second demands 0.1 throughout), items
+        0.8, 0.3, 0.2, 0.6, 0.3 in index order: both walks list them so.
+        Bin 0: walk 0 finds 0.8 too big and takes 0.3 (2 visits), walk 1
+        skips both and takes 0.2 (3), and its next walk stops at
+        position 2 (0.5 + 0.2 > 0.5): 6.  The unplaced 0.8 holds both
+        marks at position 0, so in bin 1 walk 0 takes it there (1), and
+        walk 1 skips it and the two placed items one by one before it
+        stops at position 3 (0.8 + 0.3 > 1): 4.  In bin 2 both walks
+        start at position 3: walk 0 takes 0.6 (1), and walk 1 skips it
+        and takes 0.3 (2).  14 visits, against 17 for the full walks."""
+        instance = instance_of([[0.5, 1.0], [1.0, 1.0], [1.0, 1.0]],
+                               [[0.8, 0.1], [0.3, 0.1], [0.2, 0.1],
+                                [0.6, 0.1], [0.3, 0.1]])
+        pp = VPStrategy(PP, NONE_SORT, NONE_SORT, hetero=False, window=1)
+        with kernels.kernel_backend(backend):
+            engine = FusedProbeEngine(instance, StrategyTable([pp]))
+            placement = engine(instance, 0.0)
+            assert placement.tolist() == [1, 0, 0, 2, 2]
+            left, full, scanned = unstopped(engine, 0)
+        assert (left, full.tolist()) == (0, [1, 0, 0, 2, 2])
+        assert (engine.scanned, scanned, engine.cut_runs) == (14, 17, 0)
+        assert np.array_equal(placement, numpy_packs(engine, 0.0, pp))
 
     @pytest.mark.parametrize("case", list(EXACT_FITS))
     @pytest.mark.parametrize("packer", (FF, PP))
