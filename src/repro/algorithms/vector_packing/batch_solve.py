@@ -153,12 +153,16 @@ class FusedProbeEngine:
     The kernel derives each probe's spare capacity as a waste limit, so
     a FF or PP/CP run that cannot pack stops as soon as its closed bins
     leave more capacity unused (``cut_runs`` counts them), and each bin
-    scan stops where no item left can fit.  A bin scan pays only for
-    what it tests: First-Fit leaves its untested pending tail in place,
-    and a 2-D PP/CP walk starts each bin past the prefix of its order
-    placed in earlier bins (``scanned`` counts the entries First-Fit
-    tested and the walk positions visited).  Outcomes and
-    ``strategy_runs`` are those of full runs.
+    scan stops where no item left can fit.  A bin no service fits
+    elementarily at the probed yield (an idle bin) is wasted by every
+    packing: its capacity comes off the limit up front and the fills
+    skip it, and a probe whose busy bins cannot hold the demand is
+    refused before any strategy runs (its FF and PP/CP runs count as
+    cut).  A bin scan pays only for what it tests: First-Fit leaves its
+    untested pending tail in place, and a 2-D PP/CP walk starts each bin
+    past the prefix of its order placed in earlier bins (``scanned``
+    counts the entries First-Fit tested and the walk positions visited).
+    Outcomes and ``strategy_runs`` are those of full runs.
     """
 
     def __init__(self, instance: ProblemInstance, table: StrategyTable,

@@ -158,9 +158,9 @@ def metahvp_light(tolerance: float = DEFAULT_TOLERANCE,
     """METAHVPLIGHT: the 60-strategy subset of §5.1.
 
     The paper reports it ≈10× faster than METAHVP.  Here, on 64 hosts at
-    100, 250 and 500 services (cold solves, ``native``), it takes 6.1,
-    14.5 and 23.2 ms against METAHVP's 19.3, 42.3 and 69.4 ms: ~3×, with
-    equal yields on all 18 instances measured.
+    100, 250 and 500 services (cold solves, ``native``), it takes 2.6,
+    5.9 and 10.2 ms against METAHVP's 7.4, 15.2 and 26.4 ms: 2.6-2.9×,
+    with equal yields on all 18 instances measured.
     """
     return meta_algorithm("METAHVPLIGHT", hvp_light_strategies(window),
                           tolerance=tolerance)

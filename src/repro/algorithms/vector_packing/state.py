@@ -46,22 +46,29 @@ def capacity_tolerance(capacity: np.ndarray) -> np.ndarray:
     return FEASIBILITY_RTOL * np.maximum(capacity, 1.0) + FEASIBILITY_ATOL
 
 
-def waste_limit(cap_tol_total: np.ndarray,
-                demand_total: np.ndarray) -> np.ndarray:
-    """Per-dimension capacity an instance can spare: the total fit bound
-    ``cap_tol_total`` (bins' ``loads`` may reach it) minus the total
-    ``demand_total`` of the items, plus :data:`WASTE_MARGIN_RTOL` of
-    their sum for float rounding.
+def waste_limit(cap_tol_total: np.ndarray, demand_total: np.ndarray,
+                idle_cap_tol: np.ndarray) -> np.ndarray:
+    """Per-dimension capacity an instance's busy bins can spare: the
+    total fit bound ``cap_tol_total`` (bins' ``loads`` may reach it)
+    minus the total ``demand_total`` of the items, plus
+    :data:`WASTE_MARGIN_RTOL` of their sum for float rounding, minus each
+    row of ``idle_cap_tol`` in turn: the fit bounds of the *idle* bins,
+    which no item fits elementarily, in bin index order.
 
-    A fill that packs every item leaves exactly this much unused over all
-    bins, so a bin-major fill whose closed bins already leave more cannot
-    pack (the fused probe's waste cut, see
-    :func:`repro.kernels._loops.probe_scan`).  The fused probe's kernel
-    computes the limit itself (:func:`repro.kernels._loops.probe_inputs`);
-    this is the reference the tests diff it against.
+    A fill that packs every item leaves exactly this much unused over
+    the busy bins (an idle bin is wasted whole in every packing), so a
+    bin-major fill whose closed busy bins already leave more cannot pack,
+    and below 0 nothing packs (the fused probe's waste cut and refusal,
+    see :func:`repro.kernels._loops.probe_scan`).  The fused probe's
+    kernel computes the limit itself
+    (:func:`repro.kernels._loops.probe_inputs`); this is the reference
+    the tests diff it against.
     """
-    return (cap_tol_total - demand_total
-            + WASTE_MARGIN_RTOL * (cap_tol_total + demand_total))
+    limit = (cap_tol_total - demand_total
+             + WASTE_MARGIN_RTOL * (cap_tol_total + demand_total))
+    for row in idle_cap_tol:
+        limit = limit - row
+    return limit
 
 
 class PackingState:

@@ -60,6 +60,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import os
 import sys
 import time
@@ -88,8 +89,8 @@ __all__ = ["main", "build_parser"]
 
 def _count(text: str) -> int:
     """argparse type of ``--instances``, ``--hosts``, ``--services``,
-    ``dynamic --periods`` and ``failure-sweep --period``: an integer of
-    at least 1."""
+    ``--horizon``, ``dynamic --periods`` and ``failure-sweep
+    --period``: an integer of at least 1."""
     try:
         value = int(text)
     except ValueError:
@@ -98,6 +99,38 @@ def _count(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(
             f"invalid count {value}: must be at least 1")
+    return value
+
+
+def _finite(text: str) -> float:
+    """A finite float, or an argparse type error."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid number {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(
+            f"invalid number {text!r}: not finite")
+    return value
+
+
+def _lifetime(text: str) -> float:
+    """argparse type of ``--lifetime``: a finite number above 0."""
+    value = _finite(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(
+            f"invalid lifetime {value}: must be above 0")
+    return value
+
+
+def _rate(text: str) -> float:
+    """argparse type of ``--arrival-rate``: a finite number of at least
+    0."""
+    value = _finite(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"invalid rate {value}: must be at least 0")
     return value
 
 
@@ -190,9 +223,9 @@ def build_parser() -> argparse.ArgumentParser:
     dy = sub.add_parser("dynamic",
                         help="dynamic hosting simulation (future-work)")
     dy.add_argument("--hosts", type=_count, default=12)
-    dy.add_argument("--horizon", type=int, default=40)
-    dy.add_argument("--arrival-rate", type=float, default=2.0)
-    dy.add_argument("--lifetime", type=float, default=10.0)
+    dy.add_argument("--horizon", type=_count, default=40)
+    dy.add_argument("--arrival-rate", type=_rate, default=2.0)
+    dy.add_argument("--lifetime", type=_lifetime, default=10.0)
     dy.add_argument("--periods", type=_count, nargs="+",
                     default=[1, 4, 10, 40])
     dy.add_argument("--max-error", type=float, default=0.1)
@@ -213,9 +246,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="sweep node failure rates x SLA mixes over the dynamic "
              "simulator (yield, churn cost, SLA compliance)")
     fs.add_argument("--hosts", type=_count, default=12)
-    fs.add_argument("--horizon", type=int, default=40)
-    fs.add_argument("--arrival-rate", type=float, default=2.0)
-    fs.add_argument("--lifetime", type=float, default=10.0)
+    fs.add_argument("--horizon", type=_count, default=40)
+    fs.add_argument("--arrival-rate", type=_rate, default=2.0)
+    fs.add_argument("--lifetime", type=_lifetime, default=10.0)
     fs.add_argument("--failure-rates", type=float, nargs="+",
                     default=[0.0, 0.02, 0.05],
                     help="per-step node failure probabilities to sweep")

@@ -6,7 +6,7 @@ same instance grid as Table 1.  Absolute numbers differ from the paper's
 reproduced claims are the *relative* ordering — RRNZ ≫ METAHVP > METAVP ≫
 METAGREEDY — and the ≈3× METAHVP/METAVP ratio.  §5.1's ≈10× METAHVPLIGHT
 speed-up is not reproduced: at 64 hosts and 100-500 services LIGHT is
-~3× faster than METAHVP (see :func:`~repro.algorithms.metahvp_light`).
+2.6-2.9× faster than METAHVP (see :func:`~repro.algorithms.metahvp_light`).
 
 Declared as a grid :class:`~.spec.ExperimentSpec` with ``warm_chain=False``:
 Table 2 reports *standalone* run times, so a solve must not be

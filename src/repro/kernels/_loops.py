@@ -48,8 +48,11 @@ reopen a closed bin.  Each takes a per-dimension ``waste_limit``: once
 the capacity its closed bins left unused exceeds the limit in some
 dimension, the run stops and returns :data:`CUT` (see
 :func:`probe_scan` for why that never changes an outcome).  An
-infinite limit never cuts.  Within a bin, First-Fit's scan and the 2-D
-walk also stop once no item left can fit, read off the
+infinite limit never cuts.  Each also takes ``bin_ok``, which marks the
+bins some item fits elementarily; it skips an *idle* bin (one no item
+fits) outright, with no scan and no waste, since the limit already
+leaves out the idle bins' capacity.  Within a bin, First-Fit's scan
+and the 2-D walk also stop once no item left can fit, read off the
 :func:`suffix_minima` of their orders; their bodies (:func:`ff_run`,
 :func:`pp_2d_run`) take those minima and their scratch from the caller,
 as the C translation's do.  Neither pays for what it does not test: a
@@ -88,14 +91,16 @@ __all__ = [
 CUT = -2
 
 
-def ff_run(item_agg, elem_ok, item_order, item_min, bin_order,
+def ff_run(item_agg, elem_ok, bin_ok, item_order, item_min, bin_order,
            loads, load_sum, cap_tol, waste_limit, assignment, pending,
            load, waste, scanned):
     """First-Fit greedy per-bin fill (any D), on caller-owned scratch:
     ``pending`` (one entry per item in the order), ``load`` and ``waste``
     (D each), and ``scanned``, which gains the number of pending entries
     tested.  Returns the unplaced count, or :data:`CUT` when the closed
-    bins waste more than ``waste_limit``.
+    busy bins waste more than ``waste_limit``.  A bin whose ``bin_ok``
+    is 0 takes no item: it is skipped after the cut check, untested and
+    adding no waste (the limit leaves its capacity out already).
 
     Mirrors the scalar fast path of :mod:`.packers`: bins are filled
     one at a time, each taking every pending item (in item order) that
@@ -127,6 +132,8 @@ def ff_run(item_agg, elem_ok, item_order, item_min, bin_order,
             if waste[d] > waste_limit[d]:
                 return CUT
         h = bin_order[bi]
+        if not bin_ok[h]:  # idle: its capacity is off the limit
+            continue
         for d in range(D):
             load[d] = loads[h, d]
         ntaken = 0
@@ -233,13 +240,14 @@ def bf_pack(item_agg, item_agg_sum, elem_ok, item_order,
     return 1
 
 
-def pp_2d_run(item_agg, elem_ok, order0, order1, min0, min1, bin_order,
-              loads, load_sum, cap_tol, bin_agg, by_remaining, waste_limit,
-              assignment, dead, scanned):
+def pp_2d_run(item_agg, elem_ok, bin_ok, order0, order1, min0, min1,
+              bin_order, loads, load_sum, cap_tol, bin_agg, by_remaining,
+              waste_limit, assignment, dead, scanned):
     """The 2-D PP/CP pointer walk, on caller-owned scratch: ``dead``
     (one flag per item) and ``scanned``, which gains the number of walk
-    positions visited.  Returns the unplaced count, or :data:`CUT` (as
-    :func:`ff_run`).
+    positions visited.  Returns the unplaced count, or :data:`CUT`; an
+    idle bin (``bin_ok`` 0) is skipped after the cut check, with no walk,
+    no ``dead`` reset and no waste (both as :func:`ff_run`).
 
     ``order0``/``order1`` are the items sorted by their packed selection
     code under dimension ranking (0, 1) resp. (1, 0), over *all* items.
@@ -271,12 +279,14 @@ def pp_2d_run(item_agg, elem_ok, order0, order1, min0, min1, bin_order,
         if w0 > waste_limit[0] or w1 > waste_limit[1]:
             scanned[0] += visited
             return CUT
+        h = bin_order[bi]
+        if not bin_ok[h]:  # idle: its capacity is off the limit
+            continue
         # An item is unplaced, so both marks stop before J.
         while assignment[order0[s0]] >= 0:
             s0 += 1
         while assignment[order1[s1]] >= 0:
             s1 += 1
-        h = bin_order[bi]
         l0 = loads[h, 0]
         l1 = loads[h, 1]
         c0 = cap_tol[h, 0]
@@ -355,12 +365,14 @@ def pp_2d_run(item_agg, elem_ok, order0, order1, min0, min1, bin_order,
     return unplaced
 
 
-def pp_fill_general(item_agg, item_agg_sum, elem_ok, item_dim_perm,
+def pp_fill_general(item_agg, item_agg_sum, elem_ok, bin_ok, item_dim_perm,
                     tie_rank, w, choose_pack, bin_order, loads, load_sum,
                     cap_tol, bin_agg, by_remaining, waste_limit,
                     assignment):
     """Permutation/Choose-Pack selection loop for any D.  Returns the
-    unplaced count, or :data:`CUT` (as :func:`ff_run`).
+    unplaced count, or :data:`CUT`; an idle bin (``bin_ok`` 0) is
+    skipped after the cut check, with no candidate scan and no waste
+    (both as :func:`ff_run`).
 
     Per bin: candidates are the unplaced items that fit the bin's current
     remaining capacity.  Each selection recomputes the bin's dimension
@@ -393,6 +405,8 @@ def pp_fill_general(item_agg, item_agg_sum, elem_ok, item_dim_perm,
             if waste[d] > waste_limit[d]:
                 return CUT
         h = bin_order[bi]
+        if not bin_ok[h]:  # idle: its capacity is off the limit
+            continue
         K = 0
         for j in range(J):
             if assignment[j] >= 0 or not elem_ok[j, h]:
@@ -569,16 +583,31 @@ def probe_scan(t, y, scan, assignment):
     positions the 2-D PP/CP walks visited, from each walk's mark on
     (below).
 
-    **The waste cut.**  ``waste_limit[d]`` is the capacity the whole
-    instance can spare in dimension *d*: the sum of ``cap_tol`` over the
-    bins minus the sum of ``item_agg`` over the items, plus a margin for
-    float rounding.  FF and PP/CP fill bins one at a time and never reopen
+    **The waste cut.**  A bin is *idle* at the probe when no item fits
+    it elementarily (``bin_ok`` 0): no packing puts anything there, so
+    every packing wastes its whole capacity.  ``waste_limit[d]`` is the
+    capacity the busy bins can spare in dimension *d*: the sum of
+    ``cap_tol`` over all bins minus the sum of ``item_agg`` over the
+    items, plus a margin for float rounding, minus the idle bins'
+    ``cap_tol``.  FF and PP/CP fill bins one at a time and never reopen
     a closed bin, every bin ends at or below ``cap_tol``, and a run that
-    packs leaves exactly the spare capacity unused over all bins; so the
-    unused capacity of the bins closed so far never exceeds the limit in
-    a run that packs.  A run whose closed bins exceed it cannot pack, and
-    stops there as failed: only failing runs end early, and a run that
-    packs is untouched.  BF places item by item and is not cut.
+    packs leaves exactly the spare capacity unused over the busy bins;
+    so the unused capacity of the busy bins closed so far never exceeds
+    the limit in a run that packs.  A run whose closed busy bins exceed
+    it cannot pack, and stops there as failed: only failing runs end
+    early, and a run that packs is untouched.  The fills skip idle bins
+    and add no waste for them, which the limit already left out (adding
+    it again would count it twice, and could cut a run that packs).  BF
+    places item by item and is not cut.
+
+    When the limit is below 0 in some dimension, the busy bins cannot
+    hold the demand, and the probe is refused before any order is built
+    or any strategy runs: it returns -1 with ``scanned`` 0, and every FF
+    and PP/CP run of ``scan`` counts as cut, since each would stop at
+    its first bin (waste 0 exceeds the limit).  BF cannot pack either:
+    it places every item on a busy bin at or below ``cap_tol``, so a
+    packing would hold the demand there, which the limit (within the
+    same margin) rules out.
 
     **The stop.**  Each item order and each 2-D walk order comes with
     its suffix minima (:func:`suffix_minima`, built with the order):
@@ -623,6 +652,12 @@ def probe_scan(t, y, scan, assignment):
     probe_inputs(t, y)
     t.cut_runs[0] = 0
     t.scanned[0] = 0
+    for d in range(D):
+        if t.waste_limit[d] < 0:  # the busy bins cannot hold the demand
+            for si in range(scan.shape[0]):
+                if t.st_packer[scan[si]] != 1:
+                    t.cut_runs[0] += 1
+            return -1
     for si in range(scan.shape[0]):
         s = scan[si]
         packer = t.st_packer[s]
@@ -648,22 +683,23 @@ def probe_scan(t, y, scan, assignment):
                 return si
             continue
         if packer == 0:
-            left = ff_run(t.item_agg, t.elem_ok, item_order,
+            left = ff_run(t.item_agg, t.elem_ok, t.bin_ok, item_order,
                           t.item_min[t.st_item[s]],
                           t.bin_orders[t.st_bin[s]], t.loads, t.load_sum,
                           t.cap_tol, t.waste_limit, assignment, t.work_i,
                           t.work_f[:D], t.work_f[D:], t.scanned)
         elif D == 2:
             c = t.st_cfg[s]
-            left = pp_2d_run(t.item_agg, t.elem_ok, t.pp_order0[c],
-                             t.pp_order1[c], t.walk_min[c, 0],
-                             t.walk_min[c, 1], t.bin_orders[t.st_bin[s]],
-                             t.loads, t.load_sum, t.cap_tol, t.bin_agg,
-                             hetero, t.waste_limit, assignment, t.dead,
-                             t.scanned)
+            left = pp_2d_run(t.item_agg, t.elem_ok, t.bin_ok,
+                             t.pp_order0[c], t.pp_order1[c],
+                             t.walk_min[c, 0], t.walk_min[c, 1],
+                             t.bin_orders[t.st_bin[s]], t.loads,
+                             t.load_sum, t.cap_tol, t.bin_agg, hetero,
+                             t.waste_limit, assignment, t.dead, t.scanned)
         else:
             left = pp_fill_general(t.item_agg, t.item_agg_sum, t.elem_ok,
-                                   t.item_dim_perm, t.tie_ranks[t.st_item[s]],
+                                   t.bin_ok, t.item_dim_perm,
+                                   t.tie_ranks[t.st_item[s]],
                                    t.st_w[s], t.st_choose[s] != 0,
                                    t.bin_orders[t.st_bin[s]], t.loads,
                                    t.load_sum, t.cap_tol, t.bin_agg, hetero,
@@ -683,11 +719,14 @@ def probe_inputs(t, y):
     * ``item_agg = req_agg + y * need_agg``;
     * ``item_agg_sum = item_agg.sum(axis=1)`` — :func:`pairwise_sum` over
       each row, so rows of 8 or more use numpy's blocked order;
-    * ``elem_ok = y_elem_max >= y``;
+    * ``elem_ok = y_elem_max >= y``, and ``bin_ok = elem_ok.any(axis=0)``
+      (0 marks an idle bin, one no item fits elementarily);
     * ``waste_limit`` — ``vector_packing.state.waste_limit`` of
-      ``cap_tol_total`` and ``item_agg.sum(axis=0)``.  numpy sums a
-      ``(J, 1)`` column pairwise (one contiguous run) but adds the rows
-      of a ``(J, D >= 2)`` array in order, and so does this.
+      ``cap_tol_total``, ``item_agg.sum(axis=0)`` and the idle bins'
+      ``cap_tol`` rows.  numpy sums a ``(J, 1)`` column pairwise (one
+      contiguous run) but adds the rows of a ``(J, D >= 2)`` array in
+      order, and so does this; the idle rows come off one by one, in bin
+      order.
 
     It also marks every lazily built row (item orders, dimension
     permutation, walk orders) stale for this probe.
@@ -695,13 +734,17 @@ def probe_inputs(t, y):
     J = t.J
     H = t.H
     D = t.D
+    for h in range(H):
+        t.bin_ok[h] = 0
     for j in range(J):
         for d in range(D):
             t.item_agg[j, d] = t.req_agg[j, d] + y * t.need_agg[j, d]
         t.item_agg_sum[j] = pairwise_sum(t.item_agg[j], D, t.frames,
                                          t.partial)
         for h in range(H):
-            t.elem_ok[j, h] = t.y_elem_max[j, h] >= y
+            ok = t.y_elem_max[j, h] >= y
+            t.elem_ok[j, h] = ok
+            t.bin_ok[h] |= ok
     if D == 1:
         t.waste_limit[0] = pairwise_sum(t.item_agg[:, 0], J, t.frames,
                                         t.partial)
@@ -715,6 +758,10 @@ def probe_inputs(t, y):
         total = t.waste_limit[d]
         t.waste_limit[d] = (t.cap_tol_total[d] - total
                             + t.waste_rtol * (t.cap_tol_total[d] + total))
+    for h in range(H):
+        if not t.bin_ok[h]:
+            for d in range(D):
+                t.waste_limit[d] -= t.cap_tol[h, d]
     for i in range(t.SI + 1 + t.NC):
         t.built[i] = 0
     return 0

@@ -225,7 +225,8 @@ class ProbeTable:
     plus every buffer a probe fills, in one block per dtype.
 
     The kernel writes the probe's inputs into ``item_agg``,
-    ``item_agg_sum``, ``elem_ok`` (uint8), ``waste_limit``,
+    ``item_agg_sum``, ``elem_ok`` (uint8), ``bin_ok`` (uint8, ``(H,)``:
+    1 where some item fits the bin elementarily), ``waste_limit``,
     ``item_orders``/``tie_ranks`` (``(SI, J)``) with their suffix minima
     ``item_min`` (``(SI, J + 1, D)``), ``item_dim_perm``, and
     ``pp_order0``/``pp_order1`` (``(NC, J)``) with theirs, ``walk_min``
@@ -262,8 +263,8 @@ class ProbeTable:
                   ("pp_order1", (NC, J)), ("sort_tmp", (J,)),
                   ("work_i", (J + 3 * D,)), ("frames", (128, 3)),
                   ("cut_runs", (1,)), ("scanned", (1,))),
-            _U1: (("elem_ok", (J, H)), ("built", (SI + 1 + NC,)),
-                  ("dead", (J,)))}
+            _U1: (("elem_ok", (J, H)), ("bin_ok", (H,)),
+                  ("built", (SI + 1 + NC,)), ("dead", (J,)))}
         self.blocks: Dict[np.dtype[Any], np.ndarray] = {}
         self.layout: Dict[str,
                           Tuple[np.dtype[Any], int, Tuple[int, ...]]] = {}
@@ -545,9 +546,11 @@ class KernelBackend:
         *scan* (int64) lists the strategy rows to try, in order; the
         position indexes it (-1 when no strategy packs), and the winning
         placement is left in *assignment* (``(J,)`` int64, overwritten).
-        Cut runs counts the strategy runs that stopped at the waste cut;
-        scanned counts the bin scans' work, the pending entries First-Fit
-        tested plus the positions the 2-D PP/CP walks visited.
+        Cut runs counts the strategy runs that stopped at the waste cut
+        (all of *scan*'s FF and PP/CP runs when the busy bins cannot hold
+        the demand and the probe is refused before any runs); scanned
+        counts the bin scans' work, the pending entries First-Fit tested
+        plus the positions the 2-D PP/CP walks visited.
         """
         raise NotImplementedError
 

@@ -68,8 +68,8 @@ static void suffix_minima(const double *item_agg, const int64_t *order,
 static __attribute__((noinline))
 int64_t ff_run(int64_t J, int64_t H, int64_t NB, int64_t D,
                const double *item_agg, const uint8_t *elem_ok,
-               const int64_t *item_order, const double *item_min,
-               const int64_t *bin_order,
+               const uint8_t *bin_ok, const int64_t *item_order,
+               const double *item_min, const int64_t *bin_order,
                double *loads, double *load_sum,
                const double *cap_tol, const double *waste_limit,
                int64_t *assignment, int64_t *pending, double *load,
@@ -83,6 +83,7 @@ int64_t ff_run(int64_t J, int64_t H, int64_t NB, int64_t D,
         for (int64_t d = 0; d < D; d++)
             if (waste[d] > waste_limit[d]) return CUT;
         int64_t h = bin_order[bi];
+        if (!bin_ok[h]) continue;  /* idle: its capacity is off the limit */
         for (int64_t d = 0; d < D; d++) load[d] = loads[h*D+d];
         int64_t ntaken = 0, nrest = 0, tested = 0;
         for (int64_t i = first; i < J; i++) {
@@ -174,6 +175,7 @@ int64_t bf_pack(int64_t J, int64_t H, int64_t D,
 static __attribute__((noinline))
 int64_t pp_2d_run(int64_t J, int64_t H, int64_t NB,
                   const double *item_agg, const uint8_t *elem_ok,
+                  const uint8_t *bin_ok,
                   const int64_t *order0, const int64_t *order1,
                   const double *min0, const double *min1,
                   const int64_t *bin_order,
@@ -193,10 +195,11 @@ int64_t pp_2d_run(int64_t J, int64_t H, int64_t NB,
             *scanned += visited;
             return CUT;
         }
+        int64_t h = bin_order[bi];
+        if (!bin_ok[h]) continue;  /* idle: its capacity is off the limit */
         /* An item is unplaced, so both marks stop before J. */
         while (assignment[order0[s0]] >= 0) s0++;
         while (assignment[order1[s1]] >= 0) s1++;
-        int64_t h = bin_order[bi];
         double l0 = loads[h*2+0], l1 = loads[h*2+1];
         double c0 = cap_tol[h*2+0], c1 = cap_tol[h*2+1];
         double b0 = 0.0, b1 = 0.0;
@@ -273,7 +276,8 @@ static __attribute__((noinline))
 int64_t pp_general_run(int64_t J, int64_t H, int64_t NB, int64_t D,
                        int64_t w, int64_t choose_pack,
                        const double *item_agg, const double *item_agg_sum,
-                       const uint8_t *elem_ok, const int64_t *item_dim_perm,
+                       const uint8_t *elem_ok, const uint8_t *bin_ok,
+                       const int64_t *item_dim_perm,
                        const int64_t *tie_rank, const int64_t *bin_order,
                        double *loads, double *load_sum,
                        const double *cap_tol, const double *bin_agg,
@@ -293,6 +297,7 @@ int64_t pp_general_run(int64_t J, int64_t H, int64_t NB, int64_t D,
         for (int64_t d = 0; d < D; d++)
             if (waste[d] > waste_limit[d]) return CUT;
         int64_t h = bin_order[bi];
+        if (!bin_ok[h]) continue;  /* idle: its capacity is off the limit */
         int64_t K = 0;
         for (int64_t j = 0; j < J; j++) {
             if (assignment[j] >= 0 || !elem_ok[j*H+h]) continue;
@@ -851,7 +856,8 @@ _TABLE_FIELDS = (
         "item_orders", "tie_ranks", "item_dim_perm", "pp_order0",
         "pp_order1", "sort_tmp", "work_i", "frames", "cut_runs",
         "scanned")),
-    *((name, "uint8_t *") for name in ("elem_ok", "built", "dead")),
+    *((name, "uint8_t *") for name in ("elem_ok", "bin_ok", "built",
+                                       "dead")),
 )
 
 #: Each member's name and whether it is a data pointer.
@@ -872,13 +878,17 @@ static int lt(double a, double b)
 static int64_t probe_inputs(const probe_table_t *t, double y)
 {
     int64_t J = t->J, H = t->H, D = t->D;
+    for (int64_t h = 0; h < H; h++) t->bin_ok[h] = 0;
     for (int64_t j = 0; j < J; j++) {
         for (int64_t d = 0; d < D; d++)
             t->item_agg[j*D+d] = t->req_agg[j*D+d] + y * t->need_agg[j*D+d];
         t->item_agg_sum[j] = pairwise_sum(t->item_agg + j*D, D, t->frames,
                                           t->partial);
-        for (int64_t h = 0; h < H; h++)
-            t->elem_ok[j*H+h] = t->y_elem_max[j*H+h] >= y;
+        for (int64_t h = 0; h < H; h++) {
+            uint8_t ok = t->y_elem_max[j*H+h] >= y;
+            t->elem_ok[j*H+h] = ok;
+            t->bin_ok[h] |= ok;
+        }
     }
     if (D == 1) {
         t->waste_limit[0] = pairwise_sum(t->item_agg, J, t->frames,
@@ -894,6 +904,10 @@ static int64_t probe_inputs(const probe_table_t *t, double y)
         t->waste_limit[d] = t->cap_tol_total[d] - total
                             + t->waste_rtol * (t->cap_tol_total[d] + total);
     }
+    for (int64_t h = 0; h < H; h++)
+        if (!t->bin_ok[h])
+            for (int64_t d = 0; d < D; d++)
+                t->waste_limit[d] -= t->cap_tol[h*D+d];
     for (int64_t i = 0; i < t->SI + 1 + t->NC; i++) t->built[i] = 0;
     return 0;
 }
@@ -1040,6 +1054,13 @@ int64_t probe_scan(const probe_table_t *t, double y, const int64_t *scan,
     probe_inputs(t, y);
     t->cut_runs[0] = 0;
     t->scanned[0] = 0;
+    for (int64_t d = 0; d < D; d++) {
+        if (t->waste_limit[d] < 0) {  /* the busy bins cannot hold the demand */
+            for (int64_t si = 0; si < S; si++)
+                if (t->st_packer[scan[si]] != 1) t->cut_runs[0]++;
+            return -1;
+        }
+    }
     for (int64_t si = 0; si < S; si++) {
         int64_t s = scan[si];
         int64_t packer = t->st_packer[s];
@@ -1065,8 +1086,8 @@ int64_t probe_scan(const probe_table_t *t, double y, const int64_t *scan,
             continue;
         }
         if (packer == 0) {
-            left = ff_run(J, H, H, D, t->item_agg, t->elem_ok, item_order,
-                          t->item_min + t->st_item[s]*(J+1)*D,
+            left = ff_run(J, H, H, D, t->item_agg, t->elem_ok, t->bin_ok,
+                          item_order, t->item_min + t->st_item[s]*(J+1)*D,
                           t->bin_orders + t->st_bin[s]*H, t->loads,
                           t->load_sum, t->cap_tol, t->waste_limit,
                           assignment, t->work_i, t->work_f, t->work_f + D,
@@ -1074,7 +1095,7 @@ int64_t probe_scan(const probe_table_t *t, double y, const int64_t *scan,
         } else if (D == 2) {
             int64_t c = t->st_cfg[s];
             const double *walk_min = t->walk_min + c*2*(J+1)*2;
-            left = pp_2d_run(J, H, H, t->item_agg, t->elem_ok,
+            left = pp_2d_run(J, H, H, t->item_agg, t->elem_ok, t->bin_ok,
                              t->pp_order0 + c*J, t->pp_order1 + c*J,
                              walk_min, walk_min + (J+1)*2,
                              t->bin_orders + t->st_bin[s]*H, t->loads,
@@ -1084,7 +1105,7 @@ int64_t probe_scan(const probe_table_t *t, double y, const int64_t *scan,
         } else {
             left = pp_general_run(J, H, H, D, t->st_w[s], t->st_choose[s],
                                   t->item_agg, t->item_agg_sum, t->elem_ok,
-                                  t->item_dim_perm,
+                                  t->bin_ok, t->item_dim_perm,
                                   t->tie_ranks + t->st_item[s]*J,
                                   t->bin_orders + t->st_bin[s]*H, t->loads,
                                   t->load_sum, t->cap_tol, t->bin_agg,

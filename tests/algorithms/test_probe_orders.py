@@ -68,11 +68,15 @@ def _backends():
     return out
 
 
-def tied_instance(D, J=23, H=4, seed=0):
+def tied_instance(D, J=23, H=4, seed=0, cap_scale=None):
     """Demands on a coarse grid: duplicate rows, equal metric values,
-    zero entries (MAXRATIO's infinities) and zero needs."""
+    zero entries (MAXRATIO's infinities) and zero needs.  The capacity
+    grows with J (``cap_scale``, by default J / 15), so the bins hold
+    the demand at every yield of :data:`YIELDS` and no probe is refused
+    before it builds its orders."""
     rng = np.random.default_rng(seed + D)
-    cap = rng.uniform(2.0, 4.0, size=(H, D))
+    cap = rng.uniform(2.0, 4.0, size=(H, D)) * (
+        J / 15 if cap_scale is None else cap_scale)
     req = rng.integers(0, 4, size=(J, D)) * 0.1
     need = rng.integers(0, 3, size=(J, D)) * 0.25
     req[J // 2:J // 2 + 3] = req[0]
@@ -124,12 +128,16 @@ def test_kernel_inputs_equal_numpy_reference(backend, D, J, name):
             engine.backend.probe_scan(table, y,
                                       np.array([s], dtype=np.int64),
                                       assignment)
+            assert table.built[table.st_item[s]], (y, s)
             assert bits_equal(table.item_agg, item_agg), y
             assert bits_equal(table.item_agg_sum, item_agg.sum(axis=1)), y
-            assert np.array_equal(table.elem_ok,
-                                  engine.factory.y_elem_max >= y), y
+            elem_ok = engine.factory.y_elem_max >= y
+            assert np.array_equal(table.elem_ok, elem_ok), y
+            busy = elem_ok.any(axis=0)
+            assert np.array_equal(table.bin_ok, busy), y
             assert bits_equal(table.waste_limit, waste_limit(
-                cap_tol_total, item_agg.sum(axis=0))), y
+                cap_tol_total, item_agg.sum(axis=0),
+                table.cap_tol[~busy])), y
             for r, sort in enumerate(engine._item_sorts):
                 if not table.built[r]:
                     continue
@@ -157,6 +165,36 @@ def test_kernel_inputs_equal_numpy_reference(backend, D, J, name):
     uses_pp = any(st.packer in (PP, CP) for st in strategies)
     assert (built["perm"] > 0) == uses_pp
     assert (table.NC > 0) == (uses_pp and D == 2)
+
+
+@pytest.mark.parametrize("backend", _backends())
+def test_refused_probe_builds_its_inputs_only(backend):
+    """150 items on the capacity of 23: at every yield the demand is
+    more than the bins hold, so the probe is refused before any order
+    is built, every FF and PP/CP run counted as cut.  The inputs it
+    built still equal numpy's."""
+    J = 150
+    instance = tied_instance(1, J, cap_scale=1.0)
+    sv = instance.services
+    strategies = LISTS["mixed"]
+    with kernels.kernel_backend(backend):
+        engine = FusedProbeEngine(instance, StrategyTable(strategies))
+    table = engine._table
+    scan = np.arange(table.S, dtype=np.int64)
+    fills = int((table.st_packer != 1).sum())
+    for y in YIELDS:
+        item_agg = sv.req_agg + y * sv.need_agg
+        got = engine.backend.probe_scan(table, y, scan,
+                                        np.empty(J, dtype=np.int64))
+        assert got == (-1, fills, 0), y
+        assert not table.built.any(), y
+        assert bits_equal(table.item_agg, item_agg), y
+        assert bits_equal(table.item_agg_sum, item_agg.sum(axis=1)), y
+        assert table.bin_ok.all(), y
+        assert bits_equal(table.waste_limit, waste_limit(
+            table.cap_tol.sum(axis=0), item_agg.sum(axis=0),
+            table.cap_tol[:0])), y
+        assert (table.waste_limit < 0).all(), y
 
 
 def test_instances_are_tied():

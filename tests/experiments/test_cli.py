@@ -33,12 +33,29 @@ class TestParser:
             build_parser().parse_args(["bogus"])
 
 
+def _usage_error(monkeypatch, capsys, argv):
+    """What ``main(argv)`` writes to stderr, after checking that it
+    exits 2 (a usage error) and runs no command."""
+    def ran(*args):
+        raise AssertionError(f"{argv} ran instead of a usage error")
+
+    for table in (cli._COMMANDS, cli._SPEC_BUILDERS):
+        for command in table:
+            monkeypatch.setitem(table, command, ran)
+    with pytest.raises(SystemExit) as exc_info:
+        main(["--workers", "1", *argv])
+    assert exc_info.value.code == 2
+    return capsys.readouterr().err
+
+
 class TestCounts:
-    """``--instances``, ``--hosts``, ``--services``, ``dynamic
-    --periods`` and ``failure-sweep --period`` take integers of at least
-    1: a count of 0 is not "use the default", a negative count is not an
-    empty run, and a re-pack period below 1 is refused before any
-    simulation starts."""
+    """``--instances``, ``--hosts``, ``--services``, ``--horizon``,
+    ``dynamic --periods`` and ``failure-sweep --period`` take integers
+    of at least 1: a count of 0 is not "use the default", a negative
+    count is not an empty run, and a horizon or re-pack period below 1
+    is refused before any simulation starts.  So are a lifetime that is
+    not a finite number above 0 and an arrival rate that is not a finite
+    number of at least 0."""
 
     @pytest.mark.parametrize("argv", [
         ["table1", "--instances", "0"],
@@ -53,23 +70,39 @@ class TestCounts:
         ["dynamic", "--hosts", "0"],
         ["dynamic", "--periods", "0"],
         ["dynamic", "--periods", "4", "-3"],
+        ["dynamic", "--horizon", "0"],
         ["failure-sweep", "--period", "0"],
+        ["failure-sweep", "--horizon", "0"],
+        ["failure-sweep", "--horizon", "-5"],
         ["serve", "--hosts", "0"],
         ["shard", "--index", "0", "--of", "2", "--",
          "--checkpoint", "s0.jsonl", "table1", "--instances", "0"],
     ])
     def test_count_below_one_is_a_usage_error(self, monkeypatch, capsys,
                                               argv):
-        def ran(*args):
-            raise AssertionError(f"{argv} ran instead of a usage error")
+        assert "must be at least 1" in _usage_error(monkeypatch, capsys,
+                                                    argv)
 
-        for table in (cli._COMMANDS, cli._SPEC_BUILDERS):
-            for command in table:
-                monkeypatch.setitem(table, command, ran)
-        with pytest.raises(SystemExit) as exc_info:
-            main(["--workers", "1", *argv])
-        assert exc_info.value.code == 2
-        assert "must be at least 1" in capsys.readouterr().err
+    @pytest.mark.parametrize("argv,message", [
+        (["failure-sweep", "--lifetime", "0"], "must be above 0"),
+        (["failure-sweep", "--lifetime", "nan"], "not finite"),
+        (["failure-sweep", "--arrival-rate", "-1"], "must be at least 0"),
+        (["failure-sweep", "--arrival-rate", "inf"], "not finite"),
+        (["dynamic", "--lifetime", "-2.5"], "must be above 0"),
+        (["dynamic", "--lifetime", "inf"], "not finite"),
+        (["dynamic", "--arrival-rate", "-0.5"], "must be at least 0"),
+        (["dynamic", "--arrival-rate", "two"], "invalid number"),
+    ])
+    def test_lifetime_or_rate_out_of_range_is_a_usage_error(
+            self, monkeypatch, capsys, argv, message):
+        assert message in _usage_error(monkeypatch, capsys, argv)
+
+    def test_zero_arrival_rate_is_kept(self):
+        """No arrivals is a valid trace: the initial services still
+        run."""
+        args = build_parser().parse_args(
+            ["failure-sweep", "--arrival-rate", "0", "--lifetime", "0.5"])
+        assert (args.arrival_rate, args.lifetime) == (0.0, 0.5)
 
     def test_count_must_be_an_integer(self, capsys):
         with pytest.raises(SystemExit) as exc_info:

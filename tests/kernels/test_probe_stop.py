@@ -79,16 +79,16 @@ def unstopped(engine, s):
     never = np.full((J + 1, D), -np.inf)
     bins = t.bin_orders[t.st_bin[s]]
     if t.st_packer[s] == 0:
-        left = _loops.ff_run(t.item_agg, t.elem_ok, t.item_orders[t.st_item[s]],
-                             never, bins, loads, load_sum, t.cap_tol,
-                             t.waste_limit, assignment,
+        left = _loops.ff_run(t.item_agg, t.elem_ok, t.bin_ok,
+                             t.item_orders[t.st_item[s]], never, bins, loads,
+                             load_sum, t.cap_tol, t.waste_limit, assignment,
                              np.empty(J, np.int64), np.empty(D), np.empty(D),
                              scanned)
     else:
         c = t.st_cfg[s]
-        left = _loops.pp_2d_run(t.item_agg, t.elem_ok, t.pp_order0[c],
-                                t.pp_order1[c], never, never, bins, loads,
-                                load_sum, t.cap_tol, t.bin_agg,
+        left = _loops.pp_2d_run(t.item_agg, t.elem_ok, t.bin_ok,
+                                t.pp_order0[c], t.pp_order1[c], never, never,
+                                bins, loads, load_sum, t.cap_tol, t.bin_agg,
                                 t.st_hetero[s] != 0, t.waste_limit,
                                 assignment, np.empty(J, np.uint8), scanned)
     return left, assignment, int(scanned[0])
@@ -159,10 +159,13 @@ class TestStop:
         of 0.5 it would take 0.7 and 0.2.
 
         The pending entries are the last ones of the scan's ``pending``
-        scratch (the table's ``work_i``).  With the items barred from
-        all but the first one or two bins (elementary capacity 0.05),
-        the run stops at the waste cut, leaving positions 1, 2, 4, 5, 6
-        after bin 0 and 2, 6 after bin 1 there."""
+        scratch (the table's ``work_i``).  With every item but 0.4 barred
+        from all but the first one or two bins (elementary requirement
+        0.5 against an elementary capacity of 0.2), the next bin stays
+        busy, since 0.4 fits it elementarily, but takes nothing: 0.4 is
+        in bin 0.  It wastes 1 > 0.8 spare, so the run stops at the waste
+        cut, leaving positions 1, 2, 4, 5, 6 after bin 0 and 2, 6 after
+        bin 1 there."""
         items = [[0.6], [0.5], [0.7], [0.4], [0.2], [0.3], [0.5]]
         instance = instance_of(np.ones((4, 1)), items)
         ff = VPStrategy(FF, NONE_SORT, NONE_SORT, hetero=False)
@@ -175,12 +178,16 @@ class TestStop:
         assert (left, full.tolist(), scanned) == (0, placement.tolist(), 15)
         assert np.array_equal(placement, numpy_packs(engine, 0.0, ff))
         J = len(items)
+        req_elem = np.full((J, 1), 0.5)
+        req_elem[3] = 0.1
+        sv = instance.services
+        services = ServiceArray.from_arrays(req_elem, sv.req_agg,
+                                            sv.need_elem, sv.need_agg)
         for k, rest in ((1, [1, 2, 4, 5, 6]), (2, [2, 6])):
-            elem = np.full((4, 1), 0.05)
+            elem = np.full((4, 1), 0.2)
             elem[:k] = 1.0
             barred = ProblemInstance(
-                NodeArray.from_arrays(elem, np.ones((4, 1))),
-                instance.services)
+                NodeArray.from_arrays(elem, np.ones((4, 1))), services)
             assignment = np.empty(J, dtype=np.int64)
             with kernels.kernel_backend(backend):
                 engine = FusedProbeEngine(barred, StrategyTable([ff]))
@@ -188,6 +195,7 @@ class TestStop:
                 si, cuts, _ = engine.backend.probe_scan(
                     t, 0.0, np.zeros(1, dtype=np.int64), assignment)
             assert (si, cuts) == (-1, 1)
+            assert t.bin_ok.all()
             assert np.flatnonzero(assignment < 0).tolist() == rest
             assert t.work_i[J - len(rest):J].tolist() == rest
 
@@ -274,21 +282,27 @@ class TestStop:
     @pytest.mark.parametrize("D", (1, 2, 3))
     def test_minima_equal_numpy_suffix_minima(self, backend, D):
         """Every built row of ``item_min`` and ``walk_min``: numpy's
-        ``minimum.accumulate`` down the reversed order, row J +inf."""
+        ``minimum.accumulate`` down the reversed order, row J +inf.
+        The bins hold the demand, so no probe is refused, and item 0
+        fits no bin elementarily, so no strategy packs: each probe runs
+        every strategy and builds every row."""
         rng = np.random.default_rng(D)
-        cap = rng.uniform(0.5, 1.0, size=(4, D))
+        cap = rng.uniform(0.5, 1.0, size=(4, D)) * 5
         req = rng.integers(0, 4, size=(19, D)) * 0.1
         need = rng.integers(0, 3, size=(19, D)) * 0.25
+        req_elem = req.copy()
+        req_elem[0] = 10.0
         instance = ProblemInstance(
             NodeArray.from_arrays(cap, cap),
-            ServiceArray.from_arrays(req, req, need, need))
+            ServiceArray.from_arrays(req_elem, req, need, need))
         with kernels.kernel_backend(backend):
             engine = FusedProbeEngine(instance, StrategyTable(FILLS))
             t = engine._table
             for y in (0.5, 1.0):
-                engine.backend.probe_scan(
+                si = engine.backend.probe_scan(
                     t, y, np.arange(t.S, dtype=np.int64),
-                    np.empty(t.J, dtype=np.int64))
+                    np.empty(t.J, dtype=np.int64))[0]
+                assert si == -1 and (t.waste_limit >= 0).all()
                 for r in range(t.SI):
                     if t.built[r]:
                         assert np.array_equal(
