@@ -5,7 +5,7 @@ the same instances at essentially the same average minimum yield (same
 100-service set; 21 fewer of 30k+ 250-service instances; identical
 500-service set and identical 0.897 average yield).  The yields hold here;
 the speed-up does not: at 64 hosts and 100, 250 and 500 services LIGHT is
-2.6-2.9× faster (2.6, 5.9 and 10.2 ms against 7.4, 15.2 and 26.4 ms, cold
+2.5-2.9× faster (2.0, 4.1 and 6.9 ms against 5.7, 10.7 and 17.3 ms, cold
 solves, ``native``).
 """
 
@@ -69,7 +69,7 @@ def test_light_vs_full_report(solved, emit):
     text = format_table(
         ("instance", "METAHVP yield", "LIGHT yield", "METAHVP t", "LIGHT t"),
         table_rows,
-        title="§5.1: METAHVP vs METAHVPLIGHT (quality parity, 2.6-2.9x "
+        title="§5.1: METAHVP vs METAHVPLIGHT (quality parity, 2.5-2.9x "
               "runtime gap at paper scale)")
     emit("light_vs_full", text)
 
@@ -80,6 +80,6 @@ def test_light_vs_full_report(solved, emit):
         assert (full_y is None) == (light_y is None)
         if full_y is not None:
             assert abs(full_y - light_y) < 0.02
-    # Runtime: LIGHT strictly faster on average (2.6-2.9× at paper scale;
+    # Runtime: LIGHT strictly faster on average (2.5-2.9× at paper scale;
     # reduced instances still show a clear gap).
     assert np.mean(speedups) > 1.5

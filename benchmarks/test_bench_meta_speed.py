@@ -8,9 +8,10 @@ work numbers to ``benchmarks/output/BENCH_meta.json``.  When the backend
 has a fused ``probe_scan`` kernel, the grid is solved again with
 :class:`FusedProbeEngine`, which must certify the same results; its
 record adds the strategy runs of failed probes, the runs (of failed
-and feasible probes) that stopped at the waste cut, and the work of the
-bin scans (``scanned``: pending entries First-Fit tested plus 2-D PP/CP
-walk positions visited).  The committed baseline
+and feasible probes) that stopped at the waste cut, Best-Fit's
+included, and the work of the bin scans (``scanned``: pending entries
+First-Fit tested, 2-D PP/CP walk positions visited, and the live bins
+Best-Fit tested for each item).  The committed baseline
 ``benchmarks/BENCH_meta.json`` anchors four gates:
 
 * a deterministic work gate — total strategy executions on the
@@ -19,12 +20,14 @@ walk positions visited).  The committed baseline
   memoization or adaptive-ordering effectiveness), not that the host was
   noisy;
 * a deterministic cut gate — the fused engine's cut runs on the grid
-  may not fall below 80% of the committed baseline: a failing FF or
-  PP/CP run that no longer stops at the cut runs to its end again;
+  may not fall below 80% of the committed baseline: a failing FF, PP/CP
+  or Best-Fit run that no longer stops at the cut runs to its end
+  again;
 * a deterministic scan gate — the fused engine's ``scanned`` may grow
   at most 20% over the committed baseline (the work gate's rule): a bin
   scan that no longer stops where no item left can fit tests every
-  pending item again, with results unchanged;
+  pending item again, and a Best-Fit that no longer drops idle and full
+  bins tests every bin again, with results unchanged;
 * a disabled-observability budget — with tracing off, instrumentation
   may cost at most 2% of the sweep (a same-run ratio).
 
@@ -211,8 +214,8 @@ def test_strategy_runs_and_record(sweep, fused_sweep, emit, output_dir):
                 f"(floor {floor:.0f})")
             ceiling = MAX_WORK_GROWTH * baseline["fused"]["scanned"]
             assert fused["scanned"] <= ceiling, (
-                f"the bin scans stop later: {fused['scanned']} entries "
-                f"and walk positions vs committed baseline "
+                f"the bin scans stop later: {fused['scanned']} entries, "
+                f"walk positions and Best-Fit bin tests vs committed baseline "
                 f"{baseline['fused']['scanned']} (ceiling {ceiling:.0f})")
         # Cross-machine wall-clock drift is informational only — the
         # committed timings were measured on a different host.

@@ -158,8 +158,8 @@ def metahvp_light(tolerance: float = DEFAULT_TOLERANCE,
     """METAHVPLIGHT: the 60-strategy subset of §5.1.
 
     The paper reports it ≈10× faster than METAHVP.  Here, on 64 hosts at
-    100, 250 and 500 services (cold solves, ``native``), it takes 2.6,
-    5.9 and 10.2 ms against METAHVP's 7.4, 15.2 and 26.4 ms: 2.6-2.9×,
+    100, 250 and 500 services (cold solves, ``native``), it takes 2.0,
+    4.1 and 6.9 ms against METAHVP's 5.7, 10.7 and 17.3 ms: 2.5-2.9×,
     with equal yields on all 18 instances measured.
     """
     return meta_algorithm("METAHVPLIGHT", hvp_light_strategies(window),

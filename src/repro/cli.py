@@ -134,6 +134,28 @@ def _rate(text: str) -> float:
     return value
 
 
+def _fraction(text: str) -> float:
+    """argparse type of the per-step probabilities ``--failure-rate``,
+    ``--failure-rates`` and ``--recovery-rate`` (as
+    ``dynamic.failures`` requires) and of ``--cov`` (as
+    ``workloads.platforms`` requires): a finite number in [0, 1]."""
+    value = _finite(text)
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(
+            f"invalid value {value}: must lie in [0, 1]")
+    return value
+
+
+def _slack(text: str) -> float:
+    """argparse type of ``--slack``: a finite number in [0, 1), as
+    ``workloads.scaling.scale_memory_to_slack`` requires."""
+    value = _finite(text)
+    if not 0.0 <= value < 1.0:
+        raise argparse.ArgumentTypeError(
+            f"invalid slack {value}: must lie in [0, 1)")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-experiments",
@@ -188,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     fc = sub.add_parser("fig-cov", help="yield-vs-CoV figures (2-4, 8-34)")
     fc.add_argument("--services", type=_count, default=None)
-    fc.add_argument("--slack", type=float, default=0.3)
+    fc.add_argument("--slack", type=_slack, default=0.3)
     fc.add_argument("--hosts", type=_count, default=None)
     fc.add_argument("--instances", type=_count, default=None)
     fc.add_argument("--variant", choices=("none", "cpu", "mem"),
@@ -198,8 +220,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     fe = sub.add_parser("fig-error", help="error-impact figures (5-7, 35-66)")
     fe.add_argument("--services", type=_count, default=None)
-    fe.add_argument("--slack", type=float, default=0.4)
-    fe.add_argument("--cov", type=float, default=0.5)
+    fe.add_argument("--slack", type=_slack, default=0.4)
+    fe.add_argument("--cov", type=_fraction, default=0.5)
     fe.add_argument("--hosts", type=_count, default=None)
     fe.add_argument("--instances", type=_count, default=None)
     fe.add_argument("--placer", default=None,
@@ -230,10 +252,10 @@ def build_parser() -> argparse.ArgumentParser:
                     default=[1, 4, 10, 40])
     dy.add_argument("--max-error", type=float, default=0.1)
     dy.add_argument("--threshold", type=float, default=0.1)
-    dy.add_argument("--failure-rate", type=float, default=0.0,
+    dy.add_argument("--failure-rate", type=_fraction, default=0.0,
                     help="per-step probability an up node fails "
                          "(default 0: no churn)")
-    dy.add_argument("--recovery-rate", type=float, default=0.5,
+    dy.add_argument("--recovery-rate", type=_fraction, default=0.5,
                     help="per-step probability a down node recovers "
                          "(default 0.5)")
     dy.add_argument("--sla-mix", default=None, metavar="MIX",
@@ -249,10 +271,10 @@ def build_parser() -> argparse.ArgumentParser:
     fs.add_argument("--horizon", type=_count, default=40)
     fs.add_argument("--arrival-rate", type=_rate, default=2.0)
     fs.add_argument("--lifetime", type=_lifetime, default=10.0)
-    fs.add_argument("--failure-rates", type=float, nargs="+",
+    fs.add_argument("--failure-rates", type=_fraction, nargs="+",
                     default=[0.0, 0.02, 0.05],
                     help="per-step node failure probabilities to sweep")
-    fs.add_argument("--recovery-rate", type=float, default=0.5)
+    fs.add_argument("--recovery-rate", type=_fraction, default=0.5)
     fs.add_argument("--sla-mixes", nargs="+",
                     default=["best-effort", "mixed"],
                     help="named SLA mixes (best-effort, mixed, strict)")
@@ -283,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
                          "(default: never degrade)")
     sv.add_argument("--hosts", type=_count, default=16,
                     help="platform size (default 16)")
-    sv.add_argument("--cov", type=float, default=0.5,
+    sv.add_argument("--cov", type=_fraction, default=0.5,
                     help="platform heterogeneity CoV (default 0.5)")
     sv.add_argument("--cpu-need-scale", type=float, default=0.05,
                     help="core-units -> capacity-units scale for sampled "

@@ -59,6 +59,18 @@ as the C translation's do.  Neither pays for what it does not test: a
 First-Fit bin moves only the pending entries it tested, never the
 untested tail behind its stop, and each walk starts a bin past the
 prefix of its order that earlier bins placed.
+
+Best-Fit (:func:`bf_pack`) places item by item over all bins, so it
+keeps a list of *live* bins instead: the busy ones not yet too full
+for the least demand left in its item order.  A bin that leaves the
+list takes no more items, so its unused capacity is final: Best-Fit
+adds it to its waste and stops at the same limit as the fills.
+
+Each item order (:func:`build_item_order`) is sorted in place from the
+permutation the engine's last probe left in its row, on a strict total
+order (sort key, then item index): consecutive probes of one yield
+search move few items, so an insertion sort finishes most rows, and
+the merge sort takes over past its own cost.
 """
 
 from __future__ import annotations
@@ -199,45 +211,83 @@ def suffix_minima(item_agg, order, n, out):
     return 0
 
 
-def bf_pack(item_agg, item_agg_sum, elem_ok, item_order,
+def bf_pack(item_agg, item_agg_sum, elem_ok, bin_ok, item_order, item_min,
             loads, load_sum, cap_tol, bin_agg_sum, by_remaining,
-            assignment):
-    """Best-Fit with O(1)-update scores (any D).  Returns 1 on success.
+            waste_limit, assignment, live, waste, scanned):
+    """Best-Fit with O(1)-update scores (any D), on caller-owned scratch:
+    ``live`` (one entry per bin), ``waste`` (D) and ``scanned``, which
+    gains the number of (item, live bin) tests.  Returns the unplaced
+    count, or :data:`CUT` when the bins it dropped waste more than
+    ``waste_limit``.
 
     Scan order and strict-< tie-breaking reproduce the shared packer's
     masked ``argmin`` (first occurrence of the minimal score wins).
+    Each item tests only the *live* bins, ``live[:nlive]`` in ascending
+    index order: the busy bins (``bin_ok``) not yet too full for the
+    least demand left in the item order.  A live bin that rejects item
+    position ``ii`` is dropped once its load plus ``item_min[ii]``
+    (:func:`suffix_minima` of the order) exceeds ``cap_tol`` in some
+    dimension: it fits no item from there on, so its unused capacity is
+    final and joins ``waste``.  A bin that takes the item is never full
+    for that row, since the row's minimum is at most the item's demand.
+    Before each item, a run whose waste exceeds the limit in some
+    dimension stops (see :func:`probe_scan`).
     """
     J = item_order.shape[0]
     H = loads.shape[0]
     D = item_agg.shape[1]
+    nlive = 0
+    for h in range(H):
+        if bin_ok[h]:
+            live[nlive] = h
+            nlive += 1
+    for d in range(D):
+        waste[d] = 0.0
     for ii in range(J):
+        for d in range(D):
+            if waste[d] > waste_limit[d]:
+                return CUT
         j = item_order[ii]
         best_h = -1
         best_score = np.inf
-        for h in range(H):
-            if not elem_ok[j, h]:
-                continue
-            ok = True
-            for d in range(D):
-                if loads[h, d] + item_agg[j, d] > cap_tol[h, d]:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            if by_remaining:
-                score = bin_agg_sum[h] - load_sum[h]
+        kept = 0
+        for q in range(nlive):
+            h = live[q]
+            ok = elem_ok[j, h]
+            if ok:
+                for d in range(D):
+                    if loads[h, d] + item_agg[j, d] > cap_tol[h, d]:
+                        ok = False
+                        break
+            if ok:
+                if by_remaining:
+                    score = bin_agg_sum[h] - load_sum[h]
+                else:
+                    score = -load_sum[h]
+                if score < best_score:
+                    best_score = score
+                    best_h = h
             else:
-                score = -load_sum[h]
-            if score < best_score:
-                best_score = score
-                best_h = h
+                full = False
+                for d in range(D):
+                    if loads[h, d] + item_min[ii, d] > cap_tol[h, d]:
+                        full = True
+                        break
+                if full:  # fits no item left: its unused capacity is final
+                    for d in range(D):
+                        waste[d] += cap_tol[h, d] - loads[h, d]
+                    continue
+            live[kept] = h
+            kept += 1
+        scanned[0] += nlive
+        nlive = kept
         if best_h < 0:
-            return 0
+            return J - ii
         for d in range(D):
             loads[best_h, d] += item_agg[j, d]
         load_sum[best_h] += item_agg_sum[j]
         assignment[j] = best_h
-    return 1
+    return 0
 
 
 def pp_2d_run(item_agg, elem_ok, bin_ok, order0, order1, min0, min1,
@@ -579,9 +629,9 @@ def probe_scan(t, y, scan, assignment):
     winning strategy (its placement is left in ``assignment``), or -1
     when no strategy packs.  ``t.cut_runs[0]`` receives the number of
     runs that stopped at the waste cut, and ``t.scanned[0]`` the work
-    of the bin scans: the pending entries First-Fit tested plus the
+    of the bin scans: the pending entries First-Fit tested, the
     positions the 2-D PP/CP walks visited, from each walk's mark on
-    (below).
+    (below), and the live bins Best-Fit tested for each item.
 
     **The waste cut.**  A bin is *idle* at the probe when no item fits
     it elementarily (``bin_ok`` 0): no packing puts anything there, so
@@ -598,16 +648,19 @@ def probe_scan(t, y, scan, assignment):
     early, and a run that packs is untouched.  The fills skip idle bins
     and add no waste for them, which the limit already left out (adding
     it again would count it twice, and could cut a run that packs).  BF
-    places item by item and is not cut.
+    places item by item over all its bins, so no bin closes in bin
+    order; instead a bin leaves BF's live list once it is too full for
+    every item left (below), takes no more items, and its unused
+    capacity joins the waste.  Those bins are a subset of the busy bins
+    of a run that packs, whose unused capacity is the spare capacity,
+    so the same cut holds for BF, whatever order its bins leave in.
 
     When the limit is below 0 in some dimension, the busy bins cannot
     hold the demand, and the probe is refused before any order is built
-    or any strategy runs: it returns -1 with ``scanned`` 0, and every FF
-    and PP/CP run of ``scan`` counts as cut, since each would stop at
-    its first bin (waste 0 exceeds the limit).  BF cannot pack either:
-    it places every item on a busy bin at or below ``cap_tol``, so a
-    packing would hold the demand there, which the limit (within the
-    same margin) rules out.
+    or any strategy runs: it returns -1 with ``scanned`` 0, and every
+    run of ``scan`` counts as cut, since each would stop at once (waste
+    0 exceeds the limit: the fills at their first bin, BF before its
+    first item).
 
     **The stop.**  Each item order and each 2-D walk order comes with
     its suffix minima (:func:`suffix_minima`, built with the order):
@@ -625,6 +678,14 @@ def probe_scan(t, y, scan, assignment):
     run: a placed item can only keep a minimum lower than the unplaced
     items' own, which stops a scan later, never wrongly.  Placements,
     loads, cut runs and every outcome are those of the full scans.
+
+    BF tests an item only against its live bins (:func:`bf_pack`): the
+    busy bins it has not found too full.  A bin that rejects the item
+    at position *i* is dropped once its load plus row *i* exceeds
+    ``cap_tol`` in some dimension: its load only grows and the rows do
+    not decrease along the order, so it fits no item from *i* on (a
+    NaN row never drops a bin).  The list keeps ascending bin order, so
+    the first minimal score is the full scan's.
 
     Each walk starts a bin at its mark, the first position of its order
     whose item is unplaced.  Items never unplace within a run, so every
@@ -654,9 +715,7 @@ def probe_scan(t, y, scan, assignment):
     t.scanned[0] = 0
     for d in range(D):
         if t.waste_limit[d] < 0:  # the busy bins cannot hold the demand
-            for si in range(scan.shape[0]):
-                if t.st_packer[scan[si]] != 1:
-                    t.cut_runs[0] += 1
+            t.cut_runs[0] = scan.shape[0]
             return -1
     for si in range(scan.shape[0]):
         s = scan[si]
@@ -677,12 +736,12 @@ def probe_scan(t, y, scan, assignment):
         item_order = t.item_orders[t.st_item[s]]
         hetero = t.st_hetero[s] != 0
         if packer == 1:
-            if bf_pack(t.item_agg, t.item_agg_sum, t.elem_ok, item_order,
-                       t.loads, t.load_sum, t.cap_tol, t.bin_agg_sum,
-                       hetero, assignment) == 1:
-                return si
-            continue
-        if packer == 0:
+            left = bf_pack(t.item_agg, t.item_agg_sum, t.elem_ok, t.bin_ok,
+                           item_order, t.item_min[t.st_item[s]], t.loads,
+                           t.load_sum, t.cap_tol, t.bin_agg_sum, hetero,
+                           t.waste_limit, assignment, t.live, t.work_f[D:],
+                           t.scanned)
+        elif packer == 0:
             left = ff_run(t.item_agg, t.elem_ok, t.bin_ok, item_order,
                           t.item_min[t.st_item[s]],
                           t.bin_orders[t.st_bin[s]], t.loads, t.load_sum,
@@ -796,12 +855,17 @@ def sort_value(t, j, metric):
 def sorts_before(t, a, b, lex, desc):
     """Whether item *a* sorts strictly before item *b*: on ``sort_key``,
     or (LEX) on the demand rows compared from dimension 0, negated when
-    *desc*.  Floats compare in numpy's sort order, NaN after every
-    number, so equal keys (and 0.0 against -0.0) are ties."""
+    *desc*, and then on the item index.  Floats compare in numpy's sort
+    order, NaN after every number, so equal keys (and 0.0 against -0.0)
+    are ties, which the index breaks: a strict total order."""
     if not lex:
         u = t.sort_key[a]
         v = t.sort_key[b]
-        return u < v or (v != v and u == u)
+        if u < v or (v != v and u == u):
+            return True
+        if v < u or (u != u and v == v):
+            return False
+        return a < b
     for d in range(t.D):
         u = t.item_agg[a, d]
         v = t.item_agg[b, d]
@@ -812,67 +876,91 @@ def sorts_before(t, a, b, lex, desc):
             return True
         if v < u or (u != u and v == v):
             return False
-    return False
+    return a < b
 
 
 def build_item_order(t, r):
     """Item order *r* of the probe, its tie ranks and its suffix minima
-    (``item_min[r]``, for First-Fit's stop), the first two equal to
-    ``order_indices(item_agg, sort)`` and ``rank_from_order`` of it.
+    (``item_min[r]``, for First-Fit's and Best-Fit's stops), the first
+    two equal to ``order_indices(item_agg, sort)`` and
+    ``rank_from_order`` of it.
 
     ``sort_metric[r]`` codes the sort's metric (0 MAX, 1 SUM, 2 MAXRATIO,
     3 MAXDIFFERENCE, 4 LEX, 5 NONE) and ``sort_desc[r]`` its direction.
-    A stable bottom-up merge sort on the metric's value (negated when
-    descending) or on the LEX rows gives numpy's stable ``argsort`` and
-    ``lexsort`` orders: a stable sort's result is unique.
+    The row is sorted in place, from whatever permutation the engine's
+    last probe left there (the table starts every row at the identity),
+    on the metric's value (negated when descending) or on the LEX rows,
+    ties to the lower item index (:func:`sorts_before`).  That is a
+    strict total order, so the sorted permutation is unique whatever
+    the start: it is the stable sort of the identity, numpy's stable
+    ``argsort`` and ``lexsort`` orders.  Consecutive probes of one
+    search move few items, so an insertion sort finishes most rows; once
+    its element moves exceed J * ceil(log2 J), the bottom-up merge
+    sort's own cost, the merge sort finishes the row instead.  A NONE
+    row stays the identity.
     """
     J = t.J
     metric = t.sort_metric[r]
     desc = t.sort_desc[r] != 0
     order = t.item_orders[r]
-    for j in range(J):
-        order[j] = j
     if metric != 5:
         lex = metric == 4
         if not lex:
             for j in range(J):
                 v = sort_value(t, j, metric)
                 t.sort_key[j] = -v if desc else v
-        src = order
-        dst = t.sort_tmp
-        width = 1
-        while width < J:
-            lo = 0
-            while lo < J:
-                mid = min(lo + width, J)
-                hi = min(lo + 2 * width, J)
-                a = lo
-                b = mid
-                k = lo
-                while a < mid and b < hi:
-                    if sorts_before(t, src[b], src[a], lex, desc):
-                        dst[k] = src[b]
-                        b += 1
-                    else:
+        budget = 0
+        n = 1
+        while n < J:
+            n *= 2
+            budget += J
+        moves = 0
+        i = 1
+        while i < J and moves <= budget:
+            x = order[i]
+            k = i
+            while k > 0 and sorts_before(t, x, order[k - 1], lex, desc):
+                order[k] = order[k - 1]
+                k -= 1
+            moves += i - k
+            order[k] = x
+            i += 1
+        if i < J:  # over budget: the merge sort finishes
+            src = order
+            dst = t.sort_tmp
+            width = 1
+            while width < J:
+                lo = 0
+                while lo < J:
+                    mid = min(lo + width, J)
+                    hi = min(lo + 2 * width, J)
+                    a = lo
+                    b = mid
+                    k = lo
+                    while a < mid and b < hi:
+                        if sorts_before(t, src[b], src[a], lex, desc):
+                            dst[k] = src[b]
+                            b += 1
+                        else:
+                            dst[k] = src[a]
+                            a += 1
+                        k += 1
+                    while a < mid:
                         dst[k] = src[a]
                         a += 1
-                    k += 1
-                while a < mid:
-                    dst[k] = src[a]
-                    a += 1
-                    k += 1
-                while b < hi:
-                    dst[k] = src[b]
-                    b += 1
-                    k += 1
-                lo = hi
-            tmp = src
-            src = dst
-            dst = tmp
-            width *= 2
-        if src is not order:
-            for i in range(J):
-                order[i] = src[i]
+                        k += 1
+                    while b < hi:
+                        dst[k] = src[b]
+                        b += 1
+                        k += 1
+                    lo = hi
+                tmp = src
+                src = dst
+                dst = tmp
+                width *= 2
+            if src is not order:
+                for i in range(J):
+                    order[i] = src[i]
     for i in range(J):
         t.tie_ranks[r, order[i]] = i
     suffix_minima(t.item_agg, order, J, t.item_min[r])

@@ -232,7 +232,10 @@ class ProbeTable:
     ``pp_order0``/``pp_order1`` (``(NC, J)``) with theirs, ``walk_min``
     (``(NC, 2, J + 1, 2)``), each lazily built row marked in ``built``;
     it counts into ``cut_runs`` and ``scanned``, and the rest is
-    scratch.  Every array, the args' arrays copied in, lives in
+    scratch (``live``, ``(H,)``, holds Best-Fit's live bins).  Every
+    ``item_orders`` row starts as the identity and always holds a
+    permutation: each build sorts the row from the order the last probe
+    left there.  Every array, the args' arrays copied in, lives in
     ``blocks`` (float64, int64, uint8), and ``layout`` gives each
     array's dtype (its block), byte offset and shape, so a compiled
     backend binds ``handle`` (the C struct of the arrays' pointers) from
@@ -261,8 +264,9 @@ class ProbeTable:
             _I8: (("item_orders", (SI, J)), ("tie_ranks", (SI, J)),
                   ("item_dim_perm", (J, D)), ("pp_order0", (NC, J)),
                   ("pp_order1", (NC, J)), ("sort_tmp", (J,)),
-                  ("work_i", (J + 3 * D,)), ("frames", (128, 3)),
-                  ("cut_runs", (1,)), ("scanned", (1,))),
+                  ("work_i", (J + 3 * D,)), ("live", (H,)),
+                  ("frames", (128, 3)), ("cut_runs", (1,)),
+                  ("scanned", (1,))),
             _U1: (("elem_ok", (J, H)), ("bin_ok", (H,)),
                   ("built", (SI + 1 + NC,)), ("dead", (J,)))}
         self.blocks: Dict[np.dtype[Any], np.ndarray] = {}
@@ -282,6 +286,7 @@ class ProbeTable:
             if inputs:
                 np.concatenate([arr.reshape(-1) for arr in inputs],
                                out=block[:copied])
+        self.item_orders[:] = np.arange(J)
         self.handle: Any = None
 
     def __getattr__(self, name: str) -> np.ndarray:
@@ -547,10 +552,12 @@ class KernelBackend:
         position indexes it (-1 when no strategy packs), and the winning
         placement is left in *assignment* (``(J,)`` int64, overwritten).
         Cut runs counts the strategy runs that stopped at the waste cut
-        (all of *scan*'s FF and PP/CP runs when the busy bins cannot hold
-        the demand and the probe is refused before any runs); scanned
-        counts the bin scans' work, the pending entries First-Fit tested
-        plus the positions the 2-D PP/CP walks visited.
+        (all of *scan*'s runs when the busy bins cannot hold the demand
+        and the probe is refused before any runs); scanned counts the
+        bin scans' work, the pending entries First-Fit tested, the
+        positions the 2-D PP/CP walks visited and the live bins Best-Fit
+        tested, one per item and bin.  Each item order the probe needs
+        is sorted in *table* from the order its last probe left there.
         """
         raise NotImplementedError
 

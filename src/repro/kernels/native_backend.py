@@ -62,9 +62,10 @@ static void suffix_minima(const double *item_agg, const int64_t *order,
 
 /* The four fill bodies below run only inside probe_scan, on scratch
    from its bound table (work_i: FF pending, or PP cand, perm, rank and
-   w <= D keys; work_f: FF load or PP key, then the waste; dead).  With
-   that one caller GCC -O2 would inline all four into probe_scan and
-   triple its machine code; noinline keeps each body its own function. */
+   w <= D keys; work_f: FF load or PP key, then the waste; live: BF's
+   live bins; dead).  With that one caller GCC -O2 would inline all four
+   into probe_scan and triple its machine code; noinline keeps each body
+   its own function. */
 static __attribute__((noinline))
 int64_t ff_run(int64_t J, int64_t H, int64_t NB, int64_t D,
                const double *item_agg, const uint8_t *elem_ok,
@@ -137,39 +138,67 @@ int64_t ff_run(int64_t J, int64_t H, int64_t NB, int64_t D,
 static __attribute__((noinline))
 int64_t bf_pack(int64_t J, int64_t H, int64_t D,
                 const double *item_agg, const double *item_agg_sum,
-                const uint8_t *elem_ok, const int64_t *item_order,
+                const uint8_t *elem_ok, const uint8_t *bin_ok,
+                const int64_t *item_order, const double *item_min,
                 double *loads, double *load_sum,
                 const double *cap_tol, const double *bin_agg_sum,
-                int64_t by_remaining, int64_t *assignment)
+                int64_t by_remaining, const double *waste_limit,
+                int64_t *assignment, int64_t *live, double *waste,
+                int64_t *scanned)
 {
+    int64_t nlive = 0;
+    for (int64_t h = 0; h < H; h++)
+        if (bin_ok[h]) live[nlive++] = h;
+    for (int64_t d = 0; d < D; d++) waste[d] = 0.0;
     for (int64_t ii = 0; ii < J; ii++) {
+        for (int64_t d = 0; d < D; d++)
+            if (waste[d] > waste_limit[d]) return CUT;
         int64_t j = item_order[ii];
-        int64_t best_h = -1;
+        int64_t best_h = -1, kept = 0;
         double best_score = INFINITY;
-        for (int64_t h = 0; h < H; h++) {
-            if (!elem_ok[j*H+h]) continue;
-            int ok = 1;
-            for (int64_t d = 0; d < D; d++) {
-                if (loads[h*D+d] + item_agg[j*D+d] > cap_tol[h*D+d]) {
-                    ok = 0;
-                    break;
+        for (int64_t q = 0; q < nlive; q++) {
+            int64_t h = live[q];
+            int ok = elem_ok[j*H+h];
+            if (ok) {
+                for (int64_t d = 0; d < D; d++) {
+                    if (loads[h*D+d] + item_agg[j*D+d] > cap_tol[h*D+d]) {
+                        ok = 0;
+                        break;
+                    }
                 }
             }
-            if (!ok) continue;
-            double score = by_remaining ? bin_agg_sum[h] - load_sum[h]
-                                        : -load_sum[h];
-            if (score < best_score) {
-                best_score = score;
-                best_h = h;
+            if (ok) {
+                double score = by_remaining ? bin_agg_sum[h] - load_sum[h]
+                                            : -load_sum[h];
+                if (score < best_score) {
+                    best_score = score;
+                    best_h = h;
+                }
+            } else {
+                int full = 0;
+                for (int64_t d = 0; d < D; d++) {
+                    if (loads[h*D+d] + item_min[ii*D+d] > cap_tol[h*D+d]) {
+                        full = 1;
+                        break;
+                    }
+                }
+                if (full) {  /* fits no item left: its unused capacity is final */
+                    for (int64_t d = 0; d < D; d++)
+                        waste[d] += cap_tol[h*D+d] - loads[h*D+d];
+                    continue;
+                }
             }
+            live[kept++] = h;
         }
-        if (best_h < 0) return 0;
+        *scanned += nlive;
+        nlive = kept;
+        if (best_h < 0) return J - ii;
         for (int64_t d = 0; d < D; d++)
             loads[best_h*D+d] += item_agg[j*D+d];
         load_sum[best_h] += item_agg_sum[j];
         assignment[j] = best_h;
     }
-    return 1;
+    return 0;
 }
 
 static __attribute__((noinline))
@@ -854,7 +883,7 @@ _TABLE_FIELDS = (
         "sort_key", "work_f", "partial", "item_min", "walk_min")),
     *((name, "int64_t *") for name in (
         "item_orders", "tie_ranks", "item_dim_perm", "pp_order0",
-        "pp_order1", "sort_tmp", "work_i", "frames", "cut_runs",
+        "pp_order1", "sort_tmp", "work_i", "live", "frames", "cut_runs",
         "scanned")),
     *((name, "uint8_t *") for name in ("elem_ok", "bin_ok", "built",
                                        "dead")),
@@ -928,10 +957,16 @@ static double sort_value(const probe_table_t *t, int64_t j, int64_t metric)
     return 1.0;
 }
 
+/* Key (or LEX rows), then item index: a strict total order. */
 static int sorts_before(const probe_table_t *t, int64_t a, int64_t b,
                         int lex, int desc)
 {
-    if (!lex) return lt(t->sort_key[a], t->sort_key[b]);
+    if (!lex) {
+        double u = t->sort_key[a], v = t->sort_key[b];
+        if (lt(u, v)) return 1;
+        if (lt(v, u)) return 0;
+        return a < b;
+    }
     for (int64_t d = 0; d < t->D; d++) {
         double u = t->item_agg[a*t->D+d], v = t->item_agg[b*t->D+d];
         if (desc) {
@@ -941,16 +976,17 @@ static int sorts_before(const probe_table_t *t, int64_t a, int64_t b,
         if (lt(u, v)) return 1;
         if (lt(v, u)) return 0;
     }
-    return 0;
+    return a < b;
 }
 
+/* Sorts row r in place from the order the last probe left: insertion
+   sort within J * ceil(log2 J) moves, then the merge sort. */
 static void build_item_order(const probe_table_t *t, int64_t r)
 {
     int64_t J = t->J;
     int64_t metric = t->sort_metric[r];
     int desc = t->sort_desc[r] != 0;
     int64_t *order = t->item_orders + r*J;
-    for (int64_t j = 0; j < J; j++) order[j] = j;
     if (metric != 5) {
         int lex = metric == 4;
         if (!lex) {
@@ -959,29 +995,42 @@ static void build_item_order(const probe_table_t *t, int64_t r)
                 t->sort_key[j] = desc ? -v : v;
             }
         }
-        int64_t *src = order, *dst = t->sort_tmp;
-        for (int64_t width = 1; width < J; width *= 2) {
-            int64_t lo = 0;
-            while (lo < J) {
-                int64_t mid = lo + width < J ? lo + width : J;
-                int64_t hi = lo + 2*width < J ? lo + 2*width : J;
-                int64_t a = lo, b = mid, k = lo;
-                while (a < mid && b < hi) {
-                    if (sorts_before(t, src[b], src[a], lex, desc))
-                        dst[k++] = src[b++];
-                    else
-                        dst[k++] = src[a++];
-                }
-                while (a < mid) dst[k++] = src[a++];
-                while (b < hi) dst[k++] = src[b++];
-                lo = hi;
+        int64_t budget = 0, moves = 0, i = 1;
+        for (int64_t n = 1; n < J; n *= 2) budget += J;
+        for (; i < J && moves <= budget; i++) {
+            int64_t x = order[i], k = i;
+            while (k > 0 && sorts_before(t, x, order[k-1], lex, desc)) {
+                order[k] = order[k-1];
+                k--;
             }
-            int64_t *tmp = src;
-            src = dst;
-            dst = tmp;
+            moves += i - k;
+            order[k] = x;
         }
-        if (src != order)
-            for (int64_t i = 0; i < J; i++) order[i] = src[i];
+        if (i < J) {  /* over budget: the merge sort finishes */
+            int64_t *src = order, *dst = t->sort_tmp;
+            for (int64_t width = 1; width < J; width *= 2) {
+                int64_t lo = 0;
+                while (lo < J) {
+                    int64_t mid = lo + width < J ? lo + width : J;
+                    int64_t hi = lo + 2*width < J ? lo + 2*width : J;
+                    int64_t a = lo, b = mid, k = lo;
+                    while (a < mid && b < hi) {
+                        if (sorts_before(t, src[b], src[a], lex, desc))
+                            dst[k++] = src[b++];
+                        else
+                            dst[k++] = src[a++];
+                    }
+                    while (a < mid) dst[k++] = src[a++];
+                    while (b < hi) dst[k++] = src[b++];
+                    lo = hi;
+                }
+                int64_t *tmp = src;
+                src = dst;
+                dst = tmp;
+            }
+            if (src != order)
+                for (i = 0; i < J; i++) order[i] = src[i];
+        }
     }
     for (int64_t i = 0; i < J; i++) t->tie_ranks[r*J+order[i]] = i;
     suffix_minima(t->item_agg, order, J, t->D, t->item_min + r*(J+1)*t->D);
@@ -1056,8 +1105,7 @@ int64_t probe_scan(const probe_table_t *t, double y, const int64_t *scan,
     t->scanned[0] = 0;
     for (int64_t d = 0; d < D; d++) {
         if (t->waste_limit[d] < 0) {  /* the busy bins cannot hold the demand */
-            for (int64_t si = 0; si < S; si++)
-                if (t->st_packer[scan[si]] != 1) t->cut_runs[0]++;
+            t->cut_runs[0] = S;
             return -1;
         }
     }
@@ -1079,13 +1127,13 @@ int64_t probe_scan(const probe_table_t *t, double y, const int64_t *scan,
         int64_t hetero = t->st_hetero[s];
         int64_t left;
         if (packer == 1) {
-            if (bf_pack(J, H, D, t->item_agg, t->item_agg_sum, t->elem_ok,
-                        item_order, t->loads, t->load_sum, t->cap_tol,
-                        t->bin_agg_sum, hetero, assignment) == 1)
-                return si;
-            continue;
-        }
-        if (packer == 0) {
+            left = bf_pack(J, H, D, t->item_agg, t->item_agg_sum, t->elem_ok,
+                           t->bin_ok, item_order,
+                           t->item_min + t->st_item[s]*(J+1)*D, t->loads,
+                           t->load_sum, t->cap_tol, t->bin_agg_sum, hetero,
+                           t->waste_limit, assignment, t->live, t->work_f + D,
+                           t->scanned);
+        } else if (packer == 0) {
             left = ff_run(J, H, H, D, t->item_agg, t->elem_ok, t->bin_ok,
                           item_order, t->item_min + t->st_item[s]*(J+1)*D,
                           t->bin_orders + t->st_bin[s]*H, t->loads,

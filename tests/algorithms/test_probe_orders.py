@@ -32,7 +32,7 @@ from repro.algorithms.vector_packing.sorting import (
     order_indices,
 )
 from repro.algorithms.vector_packing.state import waste_limit
-from repro.algorithms.vector_packing.strategies import CP, PP
+from repro.algorithms.vector_packing.strategies import BF, CP, FF, PP
 from repro.core.instance import ProblemInstance
 from repro.core.node import NodeArray
 from repro.core.service import ServiceArray
@@ -171,7 +171,7 @@ def test_kernel_inputs_equal_numpy_reference(backend, D, J, name):
 def test_refused_probe_builds_its_inputs_only(backend):
     """150 items on the capacity of 23: at every yield the demand is
     more than the bins hold, so the probe is refused before any order
-    is built, every FF and PP/CP run counted as cut.  The inputs it
+    is built, every run of the scan counted as cut.  The inputs it
     built still equal numpy's."""
     J = 150
     instance = tied_instance(1, J, cap_scale=1.0)
@@ -181,12 +181,11 @@ def test_refused_probe_builds_its_inputs_only(backend):
         engine = FusedProbeEngine(instance, StrategyTable(strategies))
     table = engine._table
     scan = np.arange(table.S, dtype=np.int64)
-    fills = int((table.st_packer != 1).sum())
     for y in YIELDS:
         item_agg = sv.req_agg + y * sv.need_agg
         got = engine.backend.probe_scan(table, y, scan,
                                         np.empty(J, dtype=np.int64))
-        assert got == (-1, fills, 0), y
+        assert got == (-1, table.S, 0), y
         assert not table.built.any(), y
         assert bits_equal(table.item_agg, item_agg), y
         assert bits_equal(table.item_agg_sum, item_agg.sum(axis=1)), y
@@ -204,3 +203,138 @@ def test_instances_are_tied():
         assert len(np.unique(item_agg, axis=0)) < len(item_agg)
         assert len(np.unique(item_agg.sum(axis=1))) < len(item_agg)
         assert (item_agg == 0).any()
+
+
+#: First-Fit and Best-Fit over every item sort (NONE and LEX included),
+#: and no PP/CP: the walk orders' build also uses ``sort_tmp``.
+RESORT_LIST = tuple(VPStrategy(packer, sort, NONE_SORT, hetero=False)
+                    for packer in (FF, BF) for sort in ALL_SORTS)
+
+#: The yields one engine is probed at, in turn: random, repeated, rising
+#: and falling, on the demands' grid so keys tie at some yields only.
+GRID = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
+SEQUENCE = (tuple(np.random.default_rng(7).choice(GRID, 8)) + (0.4, 0.4)
+            + GRID + GRID[::-1])
+
+
+def unpacked_instance(D, J):
+    """:func:`tied_instance` whose item 0 fits no bin elementarily: no
+    strategy packs, so a probe of the whole list builds every order,
+    and the bins hold the demand, so no probe is refused."""
+    instance = tied_instance(D, J)
+    sv = instance.services
+    req_elem = sv.req_elem.copy()
+    req_elem[0] = 100.0
+    return ProblemInstance(instance.nodes, ServiceArray.from_arrays(
+        req_elem, sv.req_agg, sv.need_elem, sv.need_agg))
+
+
+def probe_all(engine, y):
+    """One probe of the whole list at yield *y*: ``(position, cut runs,
+    scanned)``."""
+    t = engine._table
+    return engine.backend.probe_scan(t, y, np.arange(t.S, dtype=np.int64),
+                                     np.empty(t.J, dtype=np.int64))
+
+
+def assert_orders_equal_numpy(engine, y):
+    """Every item order and tie rank of the table equal numpy's at *y*,
+    from the table's own demands."""
+    t = engine._table
+    item_agg = t.req_agg + y * t.need_agg
+    assert bits_equal(t.item_agg, item_agg), y
+    for r, sort in enumerate(engine._item_sorts):
+        assert t.built[r], (y, sort)
+        order = order_indices(item_agg, sort)
+        assert np.array_equal(t.item_orders[r], order), (y, sort)
+        assert np.array_equal(t.tie_ranks[r], rank_from_order(order)), \
+            (y, sort)
+
+
+@pytest.mark.parametrize("backend", _backends())
+def test_a_fresh_table_starts_every_order_at_the_identity(backend):
+    """Each build sorts its row from the order the last probe left, so
+    before the first one every row is a permutation: the identity."""
+    instance = tied_instance(2)
+    with kernels.kernel_backend(backend):
+        engine = FusedProbeEngine(instance, StrategyTable(LISTS["mixed"]))
+    t = engine._table
+    assert np.array_equal(t.item_orders,
+                          np.tile(np.arange(t.J), (t.SI, 1)))
+
+
+@pytest.mark.parametrize("backend", _backends())
+@pytest.mark.parametrize("special", ("ties", "signed-zeros", "nan"))
+@pytest.mark.parametrize("D", (1, 2, 3))
+def test_orders_resorted_from_the_last_probe_equal_numpy(backend, D,
+                                                         special):
+    """One engine probed at :data:`SEQUENCE`: after every probe each
+    item order (NONE and LEX included) and its tie ranks equal numpy's
+    ``order_indices`` and ``rank_from_order``, whatever order the last
+    probe left.  Besides the tied grid demands, ``signed-zeros`` gives
+    items 1 and 2 demands of -0.0 and items 3 and 4 demands of +0.0,
+    which tie, and ``nan`` a NaN demand to items 1 and 5, written into
+    the bound table.  A repeated yield finds every row sorted: the
+    insertion sort alone finishes it, and the merge sort's scratch
+    ``sort_tmp`` stays untouched."""
+    J = 23
+    instance = unpacked_instance(D, J)
+    with kernels.kernel_backend(backend):
+        engine = FusedProbeEngine(instance, StrategyTable(RESORT_LIST))
+    t = engine._table
+    if special == "signed-zeros":
+        t.req_agg[1:3] = -0.0
+        t.need_agg[1:3] = -0.0
+        t.req_agg[3:5] = 0.0
+        t.need_agg[3:5] = 0.0
+    elif special == "nan":
+        t.req_agg[1, 0] = np.nan
+        t.need_agg[5, D - 1] = np.nan
+    last = None
+    for y in SEQUENCE:
+        t.sort_tmp[:] = -1
+        assert probe_all(engine, y)[0] == -1, y
+        assert_orders_equal_numpy(engine, y)
+        if y == last:
+            assert (t.sort_tmp == -1).all(), y
+        last = y
+    if special == "signed-zeros":
+        assert np.signbit(t.item_agg[1:3]).all()
+        assert not np.signbit(t.item_agg[3:5]).any()
+
+
+@pytest.mark.parametrize("backend", _backends())
+def test_a_reversed_order_falls_back_to_the_merge_sort(backend):
+    """Demands that fall with the item index at yield 0 and rise with
+    it at yield 1 in dimension 0, and are 1 in dimension 1: every
+    metric's order reverses between the two, J(J - 1) / 2 = 190 element
+    moves from the other, over the insertion sort's budget of
+    J * ceil(log2 J) = 100, so the merge sort finishes the row
+    (``sort_tmp`` written).  The same holds for the first build at
+    yield 0, from the identity.  A repeat of either yield moves nothing.
+    Every order equals numpy's throughout."""
+    J = 20
+    idx = np.arange(J, dtype=np.float64)
+    req = np.column_stack([2 + (J - idx) * 0.1, np.ones(J)])
+    need = np.column_stack([idx * 0.2, np.zeros(J)])
+    req_elem = req.copy()
+    req_elem[0] = 100.0
+    cap = np.full((3, 2), 40.0)
+    instance = ProblemInstance(NodeArray.from_arrays(cap, cap),
+                               ServiceArray.from_arrays(req_elem, req, need,
+                                                        need))
+    sorts = [s for s in ALL_SORTS if not s.is_none]
+    listed = tuple(VPStrategy(FF, sort, NONE_SORT, hetero=False)
+                   for sort in sorts)
+    with kernels.kernel_backend(backend):
+        engine = FusedProbeEngine(instance, StrategyTable(listed))
+    t = engine._table
+    for y, resorted in ((0.0, True), (0.0, False), (1.0, True),
+                        (1.0, False), (0.0, True)):
+        t.sort_tmp[:] = -1
+        assert probe_all(engine, y)[0] == -1, y
+        assert_orders_equal_numpy(engine, y)
+        assert (t.sort_tmp != -1).any() == resorted, y
+    for r, sort in enumerate(engine._item_sorts):
+        assert t.item_orders[r].tolist() == sorted(
+            range(J), reverse=not sort.descending), sort

@@ -119,6 +119,49 @@ class TestCounts:
         assert (spec.services, spec.hosts, spec.instances) == (1, 1, 1)
 
 
+class TestFractions:
+    """Per-step failure and recovery probabilities are finite numbers in
+    [0, 1], a memory slack one in [0, 1) and a platform CoV one in
+    [0, 1]: a value outside is a usage error before any simulation, pool
+    or daemon starts, not a traceback from inside one."""
+
+    @pytest.mark.parametrize("argv,message", [
+        (["failure-sweep", "--failure-rates", "1.5"], "must lie in [0, 1]"),
+        (["failure-sweep", "--failure-rates", "0", "-0.1"],
+         "must lie in [0, 1]"),
+        (["failure-sweep", "--recovery-rate", "-1"], "must lie in [0, 1]"),
+        (["failure-sweep", "--recovery-rate", "nan"], "not finite"),
+        (["dynamic", "--failure-rate", "2"], "must lie in [0, 1]"),
+        (["dynamic", "--failure-rate", "inf"], "not finite"),
+        (["dynamic", "--recovery-rate", "1.01"], "must lie in [0, 1]"),
+        (["fig-cov", "--slack", "-1"], "must lie in [0, 1)"),
+        (["fig-cov", "--slack", "1"], "must lie in [0, 1)"),
+        (["fig-error", "--slack", "1.5"], "must lie in [0, 1)"),
+        (["fig-error", "--cov", "1.5"], "must lie in [0, 1]"),
+        (["fig-error", "--cov", "-0.5"], "must lie in [0, 1]"),
+        (["serve", "--cov", "2"], "must lie in [0, 1]"),
+        (["serve", "--cov", "nan"], "not finite"),
+    ])
+    def test_fraction_out_of_range_is_a_usage_error(self, monkeypatch,
+                                                    capsys, argv, message):
+        assert message in _usage_error(monkeypatch, capsys, argv)
+
+    def test_the_boundaries_are_kept(self):
+        """Rates of 0 and 1, a slack of 0 and CoVs of 0 and 1 are
+        valid."""
+        parse = build_parser().parse_args
+        args = parse(["dynamic", "--failure-rate", "1",
+                      "--recovery-rate", "0"])
+        assert (args.failure_rate, args.recovery_rate) == (1.0, 0.0)
+        args = parse(["failure-sweep", "--failure-rates", "0", "1",
+                      "--recovery-rate", "1"])
+        assert (args.failure_rates, args.recovery_rate) == ([0.0, 1.0], 1.0)
+        assert parse(["fig-cov", "--slack", "0"]).slack == 0.0
+        args = parse(["fig-error", "--slack", "0", "--cov", "1"])
+        assert (args.slack, args.cov) == (0.0, 1.0)
+        assert parse(["serve", "--cov", "0"]).cov == 0.0
+
+
 class TestMainSmoke:
     """End-to-end CLI runs at tiny scale (hosts/instances overridden)."""
 

@@ -1,8 +1,9 @@
 """The fused probe's waste cut never changes an outcome.
 
 ``probe_scan`` hands its bin-major fills (FF, and PP/CP on either path)
-the capacity the instance can spare; a run whose closed bins leave more
-unused stops as failed.  Every strategy scanned alone must still pack
+and Best-Fit the capacity the instance can spare; a run whose closed
+bins (Best-Fit: bins too full for any item left) leave more unused
+stops as failed.  Every strategy scanned alone must still pack
 exactly when ``execute_strategy`` packs it on a fresh state — with the
 same placement — on tight instances whose demand is 85–110% of the
 capacity, many of them on a 0.05 grid so exact fits happen — and every
@@ -145,7 +146,7 @@ def test_cut_never_changes_an_outcome(backend, D, data):
             if ref is not None:
                 assert np.array_equal(assignment, ref), strategy.name
                 assert cuts == 0, strategy.name
-            assert cuts <= (1 if strategy.packer != BF else 0)
+            assert cuts <= 1, strategy.name
 
 
 #: METAHVPLIGHT's strategy list, and workload instances to scan it on.
@@ -197,8 +198,7 @@ def test_light_strategy_around_the_certified_yield(backend, s, certified,
                                                    light_engines):
     """Strategy *s* scanned alone in the whole light table: it packs
     exactly when the numpy packer does, with the same placement, loads
-    and load sums; a run that packs is never cut, and only a bin-major
-    run is."""
+    and load sums; a run that packs is never cut."""
     strategy = LIGHT[s]
     for engine, (instance, yields) in zip(light_engines(backend), certified):
         for y in yields:
@@ -214,7 +214,7 @@ def test_light_strategy_around_the_certified_yield(backend, s, certified,
                 assert t.load_sum.tobytes() == state.load_sum.tobytes(), \
                     where
                 assert cuts == 0, where
-            assert cuts <= (1 if strategy.packer != BF else 0), where
+            assert cuts <= 1, where
 
 
 @pytest.mark.parametrize("backend", _backends())
@@ -234,12 +234,35 @@ class TestCutFires:
             assert (engine.cut_runs, engine.strategy_runs) == (1, 1)
             assert uncut(engine, 0.0, ff) is None
 
-    @pytest.mark.parametrize("packer", (FF, PP))
+    @pytest.mark.parametrize("hetero", (False, True))
+    def test_bf_stops_once_its_dropped_bins_waste_too_much(self, backend,
+                                                            hetero):
+        """The same bins and items: Best-Fit puts 0.6 on bin 0 (every bin
+        ties), then finds bin 0 too full for the least demand left (0.6
+        + 0.6 > 1) and drops it, wasting 0.4 > 0.1 spare; the second 0.6
+        goes to bin 1, and the run stops before item 2, after testing 3
+        + 3 live bins.  numpy's Best-Fit fails too, at item 3."""
+        instance = instance_of([[1.0], [1.0], [1.0]],
+                               [[0.6], [0.6], [0.9], [0.8]])
+        bf = VPStrategy(BF, NONE_SORT, NONE_SORT, hetero=hetero)
+        with kernels.kernel_backend(backend):
+            engine = FusedProbeEngine(instance, StrategyTable([bf]))
+            si, assignment, cuts = scan_alone(engine, 0.0, 0)
+            assert (si, cuts) == (-1, 1)
+            assert assignment.tolist() == [0, 1, -1, -1]
+            assert engine._table.scanned[0] == 6
+            assert engine(instance, 0.0) is None
+            assert (engine.cut_runs, engine.strategy_runs) == (1, 1)
+            assert uncut(engine, 0.0, bf) is None
+
+    @pytest.mark.parametrize("packer", (FF, PP, BF))
     def test_exact_fit_above_the_float_sum_still_packs(self, backend,
                                                        packer):
         """Items fill both bins exactly to ``cap_tol``, yet their float
         sum rounds above the bins' float sum: only the margin keeps the
-        spare capacity from reading as negative."""
+        spare capacity from reading as negative.  Best-Fit fills the most
+        loaded bin first and drops bin 0 once full, with a waste of
+        exactly 0: 2 + 2 + 2 + 1 live bins tested, and no cut."""
         agg = np.array([[1.8], [1.1]])
         cap_tol = agg + capacity_tolerance(agg)
         items = np.array([[1.05], cap_tol[0] - 1.05,
@@ -248,13 +271,16 @@ class TestCutFires:
         assert items[2] + items[3] == cap_tol[1]
         assert items.sum(axis=0) > cap_tol.sum(axis=0)
         instance = instance_of(agg, items)
-        strategy = VPStrategy(packer, NONE_SORT, NONE_SORT, hetero=True)
+        strategy = VPStrategy(packer, NONE_SORT, NONE_SORT,
+                              hetero=packer != BF)
         with kernels.kernel_backend(backend):
             engine = FusedProbeEngine(instance, StrategyTable([strategy]))
             placement = engine(instance, 0.0)
         assert placement is not None
         assert placement.tolist() == [0, 0, 1, 1]
         assert engine.cut_runs == 0
+        if packer == BF:
+            assert engine.scanned == 7
 
 
 def test_probe_spans_carry_cut_runs(tmp_path):

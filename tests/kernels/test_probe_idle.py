@@ -6,10 +6,11 @@ packing puts anything there, so every packing wastes its whole
 capacity.  ``probe_inputs`` marks the busy bins in ``bin_ok`` and takes
 the idle bins' ``cap_tol`` off the waste limit up front; the bin-major
 fills (First-Fit, the 2-D PP/CP walk and general-D PP/CP) skip an idle
-bin without scanning it and without adding its waste again; and a probe
-whose limit is then below 0, whose busy bins cannot hold the demand, is
-refused before it builds an order or runs a strategy.  Placements and
-outcomes are those of the numpy packers, which scan every bin.
+bin without scanning it and without adding its waste again, and
+Best-Fit never lists it among its live bins; and a probe whose limit is
+then below 0, whose busy bins cannot hold the demand, is refused before
+it builds an order or runs a strategy.  Placements and outcomes are
+those of the numpy packers, which scan every bin.
 ``native`` (wherever a C compiler exists) and the uncompiled ``loops``
 source run.
 """
@@ -118,6 +119,36 @@ class TestIdleBin:
             assert (engine.scanned, engine.cut_runs) == (7, 0)
         assert np.array_equal(placement, uncut(engine, 0.0, pp))
 
+    @pytest.mark.parametrize("hetero", (False, True))
+    @pytest.mark.parametrize("D", (1, 2, 3))
+    def test_bf_tests_only_live_bins(self, backend, D, hetero):
+        """Bins of 0.5, 0.4 (idle), 1 and 1, per-core capacity 0.5, 0.1,
+        0.25 and 0.25; items 0.45 (per-core 0.3), 0.3, 0.3 and 0.2
+        (per-core 0.2), least demand 0.2 throughout.  The live bins start
+        as 0, 2 and 3: item 0 fits bin 0 only, and bins 2 and 3, which
+        reject it elementarily but are not full, stay live (3 tests).
+        Item 1 finds bin 0 too full for the least demand left (0.45 + 0.2
+        > 0.5): bin 0 is dropped, wasting 0.05, and bin 2 wins the tie
+        with bin 3 on its lower index (3).  Items 2 and 3 test bins 2 and
+        3 (2 + 2).  10 tests, where the full scans test 16; no cut."""
+        elem = np.array([0.5, 0.1, 0.25, 0.25])
+        agg = np.array([0.5, 0.4, 1.0, 1.0])
+        req_elem = rows([0.3, 0.2, 0.2, 0.2], D)
+        items = rows([0.45, 0.3, 0.3, 0.2], D)
+        zero = np.zeros_like(items)
+        instance = ProblemInstance(
+            NodeArray.from_arrays(np.repeat(elem[:, None], D, axis=1),
+                                  np.repeat(agg[:, None], D, axis=1)),
+            ServiceArray.from_arrays(req_elem, items, zero, zero))
+        bf = strategy(BF, hetero=hetero)
+        with kernels.kernel_backend(backend):
+            engine = FusedProbeEngine(instance, StrategyTable([bf]))
+            placement = engine(instance, 0.0)
+            assert engine._table.bin_ok.tolist() == [1, 0, 1, 1]
+            assert placement.tolist() == [0, 2, 2, 2]
+            assert (engine.scanned, engine.cut_runs) == (10, 0)
+        assert np.array_equal(placement, uncut(engine, 0.0, bf))
+
     @pytest.mark.parametrize("packer", (PP, CP))
     def test_general_pp_skips_the_idle_bin(self, backend, packer):
         """D = 3: bin 0 takes 0.5 (least tie rank) and then 0.45 (0.6
@@ -138,9 +169,9 @@ class TestIdleBin:
                                                           D):
         """One more 0.3 makes the demand 2.15: more than the busy bins'
         2, less than all three bins' 2.4.  The probe returns -1 at once:
-        nothing scanned, no order built, and every FF and PP/CP run
-        counted as cut.  numpy's packers, Best-Fit's included, pack
-        nothing either."""
+        nothing scanned, no order built, and every run counted as cut,
+        Best-Fit's included (waste 0 exceeds the limit before its first
+        item).  numpy's packers pack nothing either."""
         agg, items = IDLE_MIDDLE
         instance = quad_core_instance(
             np.repeat(np.array(agg)[:, None], D, axis=1),
@@ -153,7 +184,7 @@ class TestIdleBin:
             scan = np.arange(len(listed), dtype=np.int64)
             got = engine.backend.probe_scan(t, 0.0, scan,
                                             np.empty(5, dtype=np.int64))
-            assert got == (-1, 4, 0)
+            assert got == (-1, 6, 0)
             assert not t.built.any()
             assert t.bin_ok.tolist() == [1, 0, 1]
             assert t.waste_limit[0] < 0 <= t.waste_limit[1:].min(initial=0)
@@ -161,16 +192,21 @@ class TestIdleBin:
             assert t.cap_tol[:, 0].sum() > 2.15
             assert engine(instance, 0.0) is None
             assert (engine.strategy_runs, engine.cut_runs,
-                    engine.scanned) == (len(listed), 4, 0)
+                    engine.scanned) == (len(listed), 6, 0)
         with kernels.kernel_backend("numpy"):
             for s in listed:
                 assert uncut(engine, 0.0, s) is None, s.name
 
-    @pytest.mark.parametrize("packer", (FF, PP, CP))
+    @pytest.mark.parametrize("packer", (FF, PP, CP, BF))
     def test_busy_bins_exactly_full_still_pack(self, backend, packer):
         """The busy bins' ``cap_tol`` equals the demand exactly, and the
         demand's float sum rounds above theirs: only the margin keeps the
-        limit at 0 or above, and the probe runs and packs."""
+        limit at 0 or above, and the probe runs and packs.  Best-Fit
+        fills the most loaded bin first (by remaining capacity it would
+        put 1.05 on the smaller bin, and numpy's packer fails too); it
+        drops bin 0 once full, with a waste of exactly 0, and is not
+        cut: 2 + 2 + 2 + 1 live bins tested, where the full scans test
+        12."""
         agg = np.array([[1.8], [0.4], [1.1]])
         cap_tol = agg + capacity_tolerance(agg)
         items = np.array([[1.05], cap_tol[0] - 1.05,
@@ -179,7 +215,7 @@ class TestIdleBin:
         assert items[2] + items[3] == cap_tol[2]
         assert items.sum(axis=0) > cap_tol[[0, 2]].sum(axis=0)
         instance = quad_core_instance(agg, items)
-        s = strategy(packer, hetero=True)
+        s = strategy(packer, hetero=packer != BF)
         with kernels.kernel_backend(backend):
             engine = FusedProbeEngine(instance, StrategyTable([s]))
             placement = engine(instance, 0.0)
@@ -189,6 +225,8 @@ class TestIdleBin:
             assert placement is not None
             assert placement.tolist() == [0, 0, 2, 2]
             assert engine.cut_runs == 0
+            if packer == BF:
+                assert engine.scanned == 7
         assert np.array_equal(placement, uncut(engine, 0.0, s))
 
 
@@ -246,7 +284,7 @@ def test_idle_bins_never_change_an_outcome(backend, D, data):
                 assert not refused, listed.name
                 assert np.array_equal(assignment, ref), listed.name
                 assert cuts == 0, listed.name
-            assert cuts <= (1 if listed.packer != BF else 0), listed.name
+            assert cuts <= 1, listed.name
         assert np.array_equal(
             t.bin_ok, (engine.factory.y_elem_max >= 0.0).any(axis=0))
         si, _, _ = engine.backend.probe_scan(
